@@ -7,6 +7,11 @@ checks that the two engines produce bit-identical results, and writes
 event-vs-naive speedup) so the simulator core's performance trajectory is
 recorded per commit.
 
+The ``trace_synthesis`` section records trace-generation throughput
+(trace items per second over the fig9 benchmarks, best of the rounds), the
+front-end number the regression check gates next to the engine's
+cycles/sec.
+
 Alongside the engine comparison the payload records the functional-work
 profile of a *cold* grid (packed-trace generation versus retire-schedule +
 delivery-plan building versus simulation, measured on a fresh runner) and
@@ -75,7 +80,7 @@ from repro.cores.base import CoreType
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.system import SystemConfig
 from repro.system.simulator import MonitoringSimulation, fusion_stats
-from repro.workload import get_profile
+from repro.workload import generate_trace, get_profile
 
 BENCH_JSON = _ROOT / "BENCH_perf.json"
 
@@ -502,6 +507,33 @@ def _measure_functional_split(settings: ExperimentSettings) -> dict:
     }
 
 
+def _measure_trace_synthesis(settings: ExperimentSettings, rounds: int) -> dict:
+    """Trace-generation throughput over the fig9 grid's benchmarks.
+
+    Every distinct fig9 benchmark's trace is synthesized from scratch each
+    round (no cache); the best round counts.  ``items_per_sec`` counts
+    every trace item (instructions and high-level events) and is the
+    number ``check_perf_regression.py`` gates, so the front end rides the
+    same regression check as the engine loop."""
+    benchmarks = sorted({spec.benchmark for spec in _fig9_specs("event", settings)})
+    best = float("inf")
+    items = 0
+    for _ in range(max(1, rounds)):
+        start = time.perf_counter()
+        items = sum(
+            len(generate_trace(get_profile(name), settings.num_instructions,
+                               seed=settings.seed))
+            for name in benchmarks
+        )
+        best = min(best, time.perf_counter() - start)
+    return {
+        "benchmarks": len(benchmarks),
+        "items": items,
+        "seconds": best,
+        "items_per_sec": items / best,
+    }
+
+
 def _measure_store(settings: ExperimentSettings) -> dict:
     """Cold versus warm fig9 grid through a fresh ResultStore.
 
@@ -540,6 +572,7 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
         rounds = int(os.environ.get("REPRO_BENCH_PERF_ROUNDS", "2"))
     settings = dataclasses.replace(BENCH_SETTINGS, num_instructions=num_instructions)
     functional = _measure_functional_split(settings)
+    trace_synthesis = _measure_trace_synthesis(settings, rounds)
     store = _measure_store(settings)
     runner = SerialRunner()
     # Pre-warm traces, schedules and plans so both engines time simulation,
@@ -603,6 +636,7 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
         "checkpointing": checkpointing,
         "segmented": segmented,
         "functional": functional,
+        "trace_synthesis": trace_synthesis,
         "result_store": store,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -712,6 +746,8 @@ def main() -> int:
         f"{vector_note}"
         f"memo hit rate {100 * fade['filter_memo']['hit_rate']:.0f}%, "
         f"mean fused run {fade['fused_run_length_mean']:.1f} events); "
+        f"trace synthesis "
+        f"{payload['trace_synthesis']['items_per_sec']:,.0f} items/s; "
         f"cold grid {functional['cold_total_seconds']:.2f}s "
         f"({100 * functional['functional_fraction']:.0f}% functional); "
         f"warm result-store rerun {store['warm_speedup']:.0f}x; "

@@ -15,6 +15,10 @@ throughput is machine-specific, so the two payloads should come from the
 same machine — CI re-measures the base commit on the runner before
 diffing.
 
+Trace-generation throughput (``trace_synthesis.items_per_sec``) is gated
+at the same ``--max-regression`` floor; the diff is skipped with a notice
+when the baseline predates the section.
+
 The result-store warm-rerun speedup is gated too, but only at half the
 baseline: warm reruns take milliseconds, so their ratio is noise-dominated;
 halving (e.g. 400x -> <200x) still catches the store actually breaking
@@ -89,6 +93,24 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
             )
             if ratio < floor:
                 failures.append(f"{prefix}{engine}")
+    base_synthesis = baseline.get("trace_synthesis")
+    fresh_synthesis = fresh.get("trace_synthesis")
+    if base_synthesis is None:
+        print("trace_synthesis: baseline lacks the section; diff skipped")
+    elif fresh_synthesis is not None:
+        # The front end (trace generation) under the same gate as the
+        # engine loop: items synthesized per wall second.
+        base_rate = base_synthesis.get("items_per_sec", 0.0)
+        fresh_rate = fresh_synthesis.get("items_per_sec", 0.0)
+        if base_rate > 0:
+            ratio = fresh_rate / base_rate
+            status = "ok" if ratio >= floor else "REGRESSION"
+            print(
+                f"trace_synthesis: items/sec {fresh_rate:,.0f} vs baseline "
+                f"{base_rate:,.0f} ({100 * ratio:.1f}%) {status}"
+            )
+            if ratio < floor:
+                failures.append("trace_synthesis")
     base_store = baseline.get("result_store", {})
     fresh_store = fresh.get("result_store", {})
     if base_store.get("warm_speedup") and fresh_store.get("warm_speedup"):

@@ -48,14 +48,13 @@ from repro.api.runner import (
     set_default_runner,
 )
 from repro.api.spec import (
-    CORE_ALIASES,
     DEFAULT_SETTINGS,
-    TOPOLOGY_ALIASES,
     ExperimentSettings,
     RunSpec,
     config_from_fields,
     spec_grid,
 )
+from repro.system.config import CORE_ALIASES, TOPOLOGY_ALIASES
 
 __all__ = [
     "CORE_ALIASES",

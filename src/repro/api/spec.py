@@ -10,25 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.cores.base import CoreType
-from repro.system.config import SystemConfig, Topology
+from repro.system.config import SystemConfig
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import get_profile
 
-#: Human-friendly spellings for the core/topology enums, shared by the CLI
-#: flags and the campaign-YAML config parser (enum *values* also resolve).
-CORE_ALIASES: Dict[str, CoreType] = {
-    "inorder": CoreType.INORDER,
-    "ooo2": CoreType.OOO2,
-    "ooo4": CoreType.OOO4,
-}
-TOPOLOGY_ALIASES: Dict[str, Topology] = {
-    "single": Topology.SINGLE_CORE_SMT,
-    "two-core": Topology.TWO_CORE,
-}
 ENGINE_ALIASES: Dict[str, str] = {
     "naive": "naive",
     "event": "event",
@@ -44,8 +33,8 @@ def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
     Unlike :meth:`SystemConfig.from_dict` (which round-trips complete
     serialized configs), this accepts any subset of fields over the
     defaults — the campaign-YAML idiom where a config axis names only the
-    knobs it sweeps.  Core types and topologies resolve from the alias
-    tables above or from the enum values themselves; unknown field names
+    knobs it sweeps.  Core types and topologies resolve in
+    :class:`SystemConfig` itself (alias or enum value); unknown field names
     raise a :class:`ConfigurationError` listing the valid ones.
     """
     valid = {field.name for field in dataclasses.fields(SystemConfig)}
@@ -56,26 +45,6 @@ def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
             f"valid fields: {', '.join(sorted(valid))}"
         )
     converted = dict(fields)
-    core = converted.get("core_type")
-    if isinstance(core, str):
-        try:
-            converted["core_type"] = CORE_ALIASES.get(core) or CoreType(core)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown core type {core!r}; expected one of "
-                f"{', '.join(sorted(CORE_ALIASES))} (or an enum value)"
-            ) from None
-    topology = converted.get("topology")
-    if isinstance(topology, str):
-        try:
-            converted["topology"] = (
-                TOPOLOGY_ALIASES.get(topology) or Topology(topology)
-            )
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown topology {topology!r}; expected one of "
-                f"{', '.join(sorted(TOPOLOGY_ALIASES))} (or an enum value)"
-            ) from None
     engine = converted.get("engine")
     if isinstance(engine, str):
         normalized = ENGINE_ALIASES.get(engine)
@@ -110,6 +79,25 @@ class ExperimentSettings:
     num_instructions: int = 24_000
     seed: int = 7
     warmup_fraction: float = 0.5
+
+    def __post_init__(self) -> None:
+        count = self.num_instructions
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ConfigurationError(
+                f"num_instructions must be an integer of at least 1, "
+                f"got {count!r}"
+            )
+        warmup = self.warmup_fraction
+        if (
+            isinstance(warmup, bool)
+            or not isinstance(warmup, (int, float))
+            or not math.isfinite(warmup)
+            or not 0.0 <= warmup < 1.0
+        ):
+            raise ConfigurationError(
+                f"warmup_fraction must be a finite number in [0, 1), "
+                f"got {warmup!r}"
+            )
 
     def scaled(self, factor: float) -> "ExperimentSettings":
         return dataclasses.replace(

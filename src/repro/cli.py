@@ -72,9 +72,10 @@ from repro.api import (
     benchmark_names,
     monitor_names,
 )
-from repro.api.spec import CORE_ALIASES as _CORES
-from repro.api.spec import TOPOLOGY_ALIASES as _TOPOLOGIES
+from repro.common.errors import ConfigurationError
 from repro.system import SystemConfig
+from repro.system.config import CORE_ALIASES as _CORES
+from repro.system.config import TOPOLOGY_ALIASES as _TOPOLOGIES
 
 
 def _add_execution_arguments(
@@ -786,7 +787,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError
     from repro.service.campaign import Campaign
     from repro.service.client import ServiceError
 
@@ -1023,6 +1023,16 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigurationError as error:
+        # Invalid input (settings, config, spec) is a usage error, not a
+        # crash: one line naming the field, exit status 2.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     command = _COMMANDS[args.command]
     if args.profile_sim:
         import cProfile

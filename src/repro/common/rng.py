@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect
-from itertools import accumulate
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -39,11 +37,65 @@ class DeterministicRng:
     Thin wrapper over :class:`random.Random` that adds a few distributions
     the workload generator needs and records the derivation labels for
     debugging.
+
+    The per-draw primitives are plain instance attributes, so a hot caller
+    pays one call per draw instead of a wrapper frame plus the stdlib's
+    ``randint`` -> ``randrange`` -> ``_randbelow`` chain:
+
+    * ``random()`` — the bound ``random.Random.random``;
+    * ``randbelow(n)`` — an integer in ``[0, n)`` for ``n >= 1``, by
+      CPython's ``_randbelow_with_getrandbits``: ``k = n.bit_length()``,
+      then ``getrandbits(k)`` until the value is below ``n``;
+    * ``randint(low, high)`` — ``low + randbelow(high - low + 1)``;
+    * ``choice(items)`` — ``items[randbelow(len(items))]``;
+    * ``chance(p)`` — ``True`` with probability ``p``; draws nothing when
+      ``p <= 0`` or ``p >= 1``.
+
+    ``randbelow`` pins the stdlib's algorithm in-repo, so every stream (and
+    every synthesized trace) depends only on ``random()`` and
+    ``getrandbits()`` and matches ``random.Random`` draw for draw.
     """
+
+    __slots__ = (
+        "labels", "_random", "random", "randbelow", "randint", "choice",
+        "chance",
+    )
 
     def __init__(self, root_seed: int, *labels: object) -> None:
         self.labels = tuple(labels)
-        self._random = random.Random(derive_seed(root_seed, *labels))
+        self._random = stream = random.Random(derive_seed(root_seed, *labels))
+        draw = self.random = stream.random
+        getrandbits = stream.getrandbits
+
+        def randbelow(n: int) -> int:
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                if n <= 0:  # Off the fast path: only rejections get here.
+                    raise ValueError(f"randbelow bound must be positive: {n}")
+                r = getrandbits(k)
+            return r
+
+        def randint(low: int, high: int) -> int:
+            width = high - low + 1
+            if width <= 0:
+                raise ValueError(f"empty range for randint({low}, {high})")
+            return low + randbelow(width)
+
+        def choice(items: Sequence[T]) -> T:
+            if not items:
+                raise IndexError("Cannot choose from an empty sequence")
+            return items[randbelow(len(items))]
+
+        def chance(probability: float) -> bool:
+            return probability > 0.0 and (
+                probability >= 1.0 or draw() < probability
+            )
+
+        self.randbelow = randbelow
+        self.randint = randint
+        self.choice = choice
+        self.chance = chance
 
     def child(self, *labels: object) -> "DeterministicRng":
         """Return an independent stream derived from this one."""
@@ -52,53 +104,8 @@ class DeterministicRng:
     def uniform(self, low: float, high: float) -> float:
         return self._random.uniform(low, high)
 
-    def random(self) -> float:
-        return self._random.random()
-
-    def randint(self, low: int, high: int) -> int:
-        """Return an integer in ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
-
-    def chance(self, probability: float) -> bool:
-        """Return ``True`` with the given probability."""
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return self._random.random() < probability
-
-    def choice(self, items: Sequence[T]) -> T:
-        return self._random.choice(items)
-
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         return self._random.choices(items, weights=weights, k=1)[0]
-
-    def weighted_chooser(
-        self, items: Sequence[T], weights: Sequence[float]
-    ) -> Callable[[], T]:
-        """A zero-argument sampler equivalent to :meth:`weighted_choice`.
-
-        Precomputes the cumulative weights once and replays
-        ``random.choices``'s exact draw arithmetic (one ``random()`` call,
-        the same bisection), so a chooser consumes the stream identically to
-        repeated ``weighted_choice`` calls — but without rebuilding the
-        cumulative table per draw.  Used on the trace generator's per-item
-        opcode pick.
-        """
-        population = list(items)
-        cum_weights = list(accumulate(weights))
-        if len(cum_weights) != len(population):
-            raise ValueError("weights and items must have the same length")
-        total = cum_weights[-1] + 0.0
-        if total <= 0.0:
-            raise ValueError("total of weights must be greater than zero")
-        hi = len(population) - 1
-        rand = self._random.random
-
-        def choose() -> T:
-            return population[bisect(cum_weights, rand() * total, 0, hi)]
-
-        return choose
 
     def geometric(self, mean: float) -> int:
         """Sample a geometric-like positive integer with the given mean.

@@ -185,17 +185,22 @@ class RetireModel:
         latency_by_code = _EXEC_LATENCY_BY_CODE
         load_code = _LOAD_CODE
         store_code = _STORE_CODE
-        bubble_prob = self.bubble_prob
-        bubble_mean = self.bubble_mean
-        has_bubbles = bubble_prob > 0.0
         memory_kind = OPERAND_MEMORY
+        # _bubble_gap's hash arithmetic, inlined with its per-model
+        # constants hoisted (a no-bubble item adds nothing: x + 0.0 == x).
+        has_bubbles = self.bubble_prob > 0.0
+        bubble_threshold = self.bubble_prob * 10_000
+        bubble_span = int(2 * self.bubble_mean * 100) if has_bubbles else 0
+        multiplier = _HASH_MULTIPLIER
 
         f0, f1, f2, f3, f4, f5, kind_column, op_column, flags_column, _ = (
             trace.column_lists()
         )
 
-        for index in range(len(trace)):
-            if kind_column[index] != KIND_INSTRUCTION:
+        for index, kind, op_code, flags in zip(
+            range(len(trace)), kind_column, op_column, flags_column
+        ):
+            if kind != KIND_INSTRUCTION:
                 # High-level events ride along with the previous instruction.
                 append(last_retire)
                 continue
@@ -206,12 +211,11 @@ class RetireModel:
                 if ring_slot > dispatch:
                     dispatch = ring_slot
             if has_bubbles:
-                dispatch += _bubble_gap(
-                    instruction_index, seed, bubble_prob, bubble_mean
-                )
+                h = ((instruction_index + 1) * multiplier ^ seed) & 0xFFFFFFFF
+                if (h % 10_000) < bubble_threshold:
+                    h2 = (h * multiplier) & 0xFFFFFFFF
+                    dispatch += 1.0 + (h2 % bubble_span) / 100.0
 
-            op_code = op_column[index]
-            flags = flags_column[index]
             if op_code == load_code or op_code == store_code:
                 # item.memory_address scans sources then dest; mirror it.
                 if flags & 3 == memory_kind:

@@ -22,6 +22,39 @@ class Topology(enum.Enum):
     TWO_CORE = "two-core"
 
 
+#: Human-friendly spellings for the core/topology enums, shared by the CLI
+#: flags, the campaign-YAML config parser and :class:`SystemConfig` itself
+#: (enum *values* also resolve).
+CORE_ALIASES: Dict[str, CoreType] = {
+    "inorder": CoreType.INORDER,
+    "ooo2": CoreType.OOO2,
+    "ooo4": CoreType.OOO4,
+}
+TOPOLOGY_ALIASES: Dict[str, Topology] = {
+    "single": Topology.SINGLE_CORE_SMT,
+    "two-core": Topology.TWO_CORE,
+}
+
+
+def _resolve_enum(field: str, value, enum_type, aliases: Mapping[str, enum.Enum]):
+    """``value`` as a member of ``enum_type``: members pass through, strings
+    resolve as an alias or an enum value, anything else is rejected."""
+    if isinstance(value, enum_type):
+        return value
+    if isinstance(value, str):
+        member = aliases.get(value)
+        if member is not None:
+            return member
+        try:
+            return enum_type(value)
+        except ValueError:
+            pass
+    raise ConfigurationError(
+        f"{field}: unknown {field.replace('_', ' ')} {value!r}; expected one "
+        f"of {', '.join(sorted(aliases))} (or an enum value)"
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class SystemConfig:
     """Everything needed to instantiate one monitoring system."""
@@ -59,6 +92,22 @@ class SystemConfig:
     max_cycles: int = 500_000_000
 
     def __post_init__(self) -> None:
+        # Coerce string spellings so every entry point (Python, CLI,
+        # campaign, from_dict, service) builds the same config.
+        object.__setattr__(
+            self,
+            "core_type",
+            _resolve_enum("core_type", self.core_type, CoreType, CORE_ALIASES),
+        )
+        object.__setattr__(
+            self,
+            "topology",
+            _resolve_enum("topology", self.topology, Topology, TOPOLOGY_ALIASES),
+        )
+        if self.fsq_capacity < 1:
+            raise ConfigurationError(
+                f"fsq_capacity must be at least 1, got {self.fsq_capacity}"
+            )
         if self.event_queue_capacity is not None and self.event_queue_capacity <= 0:
             raise ConfigurationError("event queue capacity must be positive or None")
         if self.unfiltered_queue_capacity <= 0:
@@ -93,8 +142,6 @@ class SystemConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SystemConfig":
         fields = dict(data)
-        fields["core_type"] = CoreType(fields["core_type"])
-        fields["topology"] = Topology(fields["topology"])
         md_cache = fields.get("md_cache")
         if isinstance(md_cache, Mapping):
             fields["md_cache"] = MetadataCacheConfig(**md_cache)

@@ -47,7 +47,7 @@ from repro.fade.accelerator import Fade, FadeConfig, FadeStats
 from repro.fade.pipeline import HandlerKind, force_inline_filtering
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass, event_id_for
+from repro.isa.opcodes import OpClass, event_id_for, known_event_ids
 from repro.monitors.base import HandlerClass, Monitor
 from repro.queues.bounded import BoundedQueue
 from repro.system.config import SystemConfig
@@ -165,6 +165,35 @@ class DeliveryPlan:
         self.vector_columns = None
 
 
+def _event_id(op_code: int, flags: int) -> int:
+    """``event_id_for`` of a packed instruction (raises ``KeyError`` for a
+    shape outside the modelled subset, like the object path)."""
+    num_sources = (1 if flags & 3 else 0) + (1 if (flags >> SRC2_SHIFT) & 3 else 0)
+    return event_id_for(OP_CLASSES[op_code], num_sources)
+
+
+#: Stack-update direction per packed op code (None for non-stack ops).
+_STACK_OP_BY_CODE: Tuple[Optional[StackOp], ...] = tuple(
+    StackOp.CALL if op is OpClass.CALL
+    else StackOp.RETURN if op is OpClass.RETURN
+    else None
+    for op in OP_CLASSES
+)
+
+#: Event id per packed instruction shape, indexed by
+#: ``op_code << 4 | (flags & 15)`` (the low nibble holds both source kinds);
+#: None where the (op class, source count) pair has no event id.
+_EVENT_ID_BY_SHAPE: Tuple[Optional[int], ...] = tuple(
+    known_event_ids().get(
+        (
+            OP_CLASSES[shape >> 4],
+            (1 if shape & 3 else 0) + (1 if (shape >> SRC2_SHIFT) & 3 else 0),
+        )
+    )
+    for shape in range(len(OP_CLASSES) << 4)
+)
+
+
 def build_plan(trace: Trace, monitor: Monitor) -> DeliveryPlan:
     """Classify every trace item into its delivery plan entry (hot: one
     pass per (trace, monitor), so the per-item lookups are hoisted).
@@ -221,11 +250,6 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
          op in monitor.monitored_op_classes)
         for op in OP_CLASSES
     )
-    stack_op_for = {
-        op: (StackOp.CALL if op is OpClass.CALL else StackOp.RETURN)
-        for op in OP_CLASSES
-        if op.is_stack_op
-    }
     items: List[Optional[_WorkItem]] = []
     append = items.append
     instruction_event = _ItemKind.INSTRUCTION_EVENT
@@ -244,6 +268,10 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
     memory_below = monitor.wants_memory_below
     full_handler = HandlerKind.FULL
     new_item = _WorkItem.__new__
+    new_tuple = tuple.__new__
+    event_type = MonitoredEvent
+    stack_op_by_code = _STACK_OP_BY_CODE
+    event_ids = _EVENT_ID_BY_SHAPE
 
     # Monitor-independent payload memo, one slot per trace item.
     events = getattr(trace, "_plan_event_cache", None)
@@ -251,35 +279,33 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
         events = [None] * len(trace)
         trace._plan_event_cache = events
 
-    for index in range(len(trace)):
-        if kind_column[index] != KIND_INSTRUCTION:
+    for index, kind, op_code, flags in zip(
+        range(len(trace)), kind_column, op_column, flags_column
+    ):
+        if kind != KIND_INSTRUCTION:
             high_level += 1
             append(_WorkItem(high_level_kind, view[index]))
             continue
-        op_code = op_column[index]
         if not wanted[op_code]:
             append(None)
             continue
-        flags = flags_column[index]
-        src1_kind = flags & 3
-        src2_kind = (flags >> SRC2_SHIFT) & 3
-        dest_kind = (flags >> DEST_SHIFT) & 3
-        op_class = OP_CLASSES[op_code]
-        if op_class.is_stack_op:
+        stack_op = stack_op_by_code[op_code]
+        if stack_op is not None:
             stack_events += 1
             event = events[index]
             if event is None:
-                num_sources = (1 if src1_kind else 0) + (1 if src2_kind else 0)
-                event = MonitoredEvent(
-                    event_id=event_id_for(op_class, num_sources),
-                    app_pc=f0[index],
-                    stack_update=StackUpdate(
-                        op=stack_op_for[op_class],
-                        frame_base=f4[index],
-                        frame_size=f5[index],
+                event = new_tuple(event_type, (
+                    _event_id(op_code, flags),
+                    f0[index],
+                    None,
+                    None,
+                    None,
+                    None,
+                    StackUpdate(
+                        op=stack_op, frame_base=f4[index], frame_size=f5[index]
                     ),
-                    sequence=index,
-                )
+                    index,
+                ))
                 events[index] = event
             item = new_item(_WorkItem)
             item.kind = stack_update_kind
@@ -288,6 +314,9 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
             item.sequence = index
             append(item)
             continue
+        src1_kind = flags & 3
+        src2_kind = (flags >> SRC2_SHIFT) & 3
+        dest_kind = (flags >> DEST_SHIFT) & 3
         if src1_kind == memory_kind:
             app_addr = f1[index]
         elif src2_kind == memory_kind:
@@ -304,16 +333,19 @@ def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
         monitored += 1
         event = events[index]
         if event is None:
-            num_sources = (1 if src1_kind else 0) + (1 if src2_kind else 0)
-            event = MonitoredEvent(
-                event_id=event_id_for(op_class, num_sources),
-                app_pc=f0[index],
-                app_addr=app_addr,
-                src1_reg=f1[index] if src1_kind == register_kind else None,
-                src2_reg=f2[index] if src2_kind == register_kind else None,
-                dest_reg=f3[index] if dest_kind == register_kind else None,
-                sequence=index,
-            )
+            event_id = event_ids[(op_code << 4) | (flags & 15)]
+            if event_id is None:
+                event_id = _event_id(op_code, flags)
+            event = new_tuple(event_type, (
+                event_id,
+                f0[index],
+                app_addr,
+                f1[index] if src1_kind == register_kind else None,
+                f2[index] if src2_kind == register_kind else None,
+                f3[index] if dest_kind == register_kind else None,
+                None,
+                index,
+            ))
             events[index] = event
         item = new_item(_WorkItem)
         item.kind = instruction_event

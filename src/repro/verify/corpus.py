@@ -25,6 +25,7 @@ import pathlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.cache import RunnerCache
+from repro.common.errors import ConfigurationError
 from repro.api.runner import execute_spec
 from repro.api.spec import ExperimentSettings, RunSpec
 from repro.api.store import ResultStore
@@ -246,7 +247,9 @@ class ConformanceCorpus:
                 entry = json.loads(entry_file.read_text())
                 spec = RunSpec.from_dict(entry["spec"])
                 expected = entry["digest"]
-            except (OSError, ValueError, KeyError, TypeError) as error:
+            except (
+                OSError, ValueError, KeyError, TypeError, ConfigurationError
+            ) as error:
                 failures.append(
                     ConformanceFailure(name, "corrupt", str(error))
                 )

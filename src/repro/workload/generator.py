@@ -22,7 +22,9 @@ the same trace an object emitter would have produced.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
+from itertools import accumulate
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.common.rng import DeterministicRng
@@ -30,11 +32,15 @@ from repro.common.units import WORD_SIZE
 from repro.isa.opcodes import OpClass
 from repro.workload.heap import HeapModel
 from repro.workload.packed import (
+    DEPENDS_BIT,
+    DEST_SHIFT,
     HL_INDEX,
+    KIND_INSTRUCTION,
+    OP_CLASSES,
     OP_INDEX,
     OPERAND_MEMORY,
-    OPERAND_NONE,
     OPERAND_REGISTER,
+    SRC2_SHIFT,
     PackedTrace,
     PackedTraceBuilder,
 )
@@ -86,9 +92,38 @@ _HL_TAINT_SOURCE = HL_INDEX[HighLevelKind.TAINT_SOURCE]
 _HL_THREAD_SWITCH = HL_INDEX[HighLevelKind.THREAD_SWITCH]
 _HL_PROGRAM_EXIT = HL_INDEX[HighLevelKind.PROGRAM_EXIT]
 
-_NONE = OPERAND_NONE
 _REG = OPERAND_REGISTER
 _MEM = OPERAND_MEMORY
+
+
+#: Op-pick outcomes, in the order of the profile's mix weights (7 is NOP).
+_PICK_LOAD = 0
+_PICK_STORE = 1
+_PICK_ALU1 = 2
+_PICK_ALU2 = 3
+_PICK_MOVE = 4
+_PICK_FP = 5
+_PICK_BRANCH = 6
+
+#: Packed op codes that draw ``depends_on_prev`` (every op class except the
+#: stack ops and NOP, which are emitted independent without a draw).
+_DRAWS_DEPENDS = tuple(
+    op not in (OpClass.CALL, OpClass.RETURN, OpClass.NOP) for op in OP_CLASSES
+)
+
+#: ``flags`` column values per instruction shape (depends bit added later).
+_FLAGS_LOAD = _MEM | (_REG << DEST_SHIFT)
+_FLAGS_STORE = _REG | (_MEM << DEST_SHIFT)
+_FLAGS_REG1_DEST = _REG | (_REG << DEST_SHIFT)
+_FLAGS_REG2_DEST = _REG | (_REG << SRC2_SHIFT) | (_REG << DEST_SHIFT)
+_FLAGS_REG1 = _REG
+_FLAGS_REG2 = _REG | (_REG << SRC2_SHIFT)
+
+#: ``randint(0, 1 << 16)`` PC scatter, as a ``randbelow`` bound.
+_PC_SCATTER_SPAN = (1 << 16) + 1
+#: ``randint(1, NUM_REGISTERS - 1)`` and the two destination partitions.
+_ANY_REGS = NUM_REGISTERS - 1
+_DATA_REGS = NUM_REGISTERS - 1 - POINTER_REG_MAX
 
 
 class TraceGenerator:
@@ -98,11 +133,7 @@ class TraceGenerator:
         self.profile = profile
         self.seed = seed
         self._rng = DeterministicRng(seed, profile.name, "trace")
-        # Hoisted stream methods: the stochastic step makes several draws per
-        # emitted item, so the attribute chains are bound once.
-        self._chance = self._rng.chance
-        self._randint = self._rng.randint
-        self._choice = self._rng.choice
+        self._randbelow = self._rng.randbelow
         self._random = self._rng.random
         self._heap = HeapModel(self._rng.child("heap"))
         self._stack = CallStackModel(self._rng.child("stack"), profile.max_call_depth)
@@ -143,105 +174,296 @@ class TraceGenerator:
         ]
 
         self._pending_init: Deque[int] = deque()
-        self._in_init_burst = False
-        self._pc = CODE_BASE
         self._thread = 0
-        self._until_switch = profile.thread_switch_period
-
         self._builder = PackedTraceBuilder()
-        self._instruction_count = 0
-        # Hoisted hot-path bindings: one of these runs per generated item.
-        self._add_insn = self._builder.add_instruction
         self._add_hl = self._builder.add_high_level
-        self._parallel = profile.parallel
-        # Precomputed opcode sampler: one random() draw per pick, identical
-        # stream consumption to rng.weighted_choice (see weighted_chooser).
-        self._pick_op = self._rng.weighted_chooser(
-            (
-                OpClass.LOAD,
-                OpClass.STORE,
-                "alu1",
-                "alu2",
-                OpClass.MOVE,
-                OpClass.FP,
-                OpClass.BRANCH,
-                OpClass.NOP,
-            ),
-            (
-                profile.load_weight,
-                profile.store_weight,
-                profile.alu1_weight,
-                profile.alu2_weight,
-                profile.move_weight,
-                profile.fp_weight,
-                profile.branch_weight,
-                profile.nop_weight,
-            ),
+
+        # Opcode pick: random.choices' arithmetic over precomputed cumulative
+        # weights (one random() per pick, the same bisection), in the
+        # _PICK_* order.
+        self._op_cum_weights = list(
+            accumulate(
+                (
+                    profile.load_weight,
+                    profile.store_weight,
+                    profile.alu1_weight,
+                    profile.alu2_weight,
+                    profile.move_weight,
+                    profile.fp_weight,
+                    profile.branch_weight,
+                    profile.nop_weight,
+                )
+            )
         )
+        self._op_total = self._op_cum_weights[-1] + 0.0
 
     # ------------------------------------------------------------------ API
 
     def generate(self, num_instructions: int) -> PackedTrace:
-        """Produce a trace with exactly ``num_instructions`` instructions."""
+        """Produce a trace with exactly ``num_instructions`` instructions
+        (at least one: the main frame's CALL).
+
+        One loop with hoisted locals.  Each pass first *chooses* an item —
+        structural high-level steps (taint source, malloc, free) happen in
+        the choice loop and choose again — then *emits* the chosen
+        instruction: the PC draw, the ``depends_on_prev`` draw, the column
+        appends and the thread-switch countdown.  The draw order per item is
+        fixed (see DESIGN.md §6, "Trace synthesis hot loop").
+        """
+        profile = self.profile
+        draw = self._random
+        randbelow = self._randbelow
+        stack = self._stack
+        pending_init = self._pending_init
+        popleft = pending_init.popleft
+        pointer_regs = self._pointer_regs
+        tainted_regs = self._tainted_regs
+        pointer_word_set = self._pointer_word_set
+        tainted_word_set = self._tainted_word_set
+        initialized_add = self._initialized_words.add
+        set_word_pointer = self._set_word_pointer
+        set_word_tainted = self._set_word_tainted
+        pick_clean = self._pick_clean_register
+        choose_load_address = self._choose_load_address
+        choose_data_address = self._choose_data_address
+        cum_weights = self._op_cum_weights
+        op_total = self._op_total
+        op_hi = len(cum_weights) - 1
+        draws_depends = _DRAWS_DEPENDS
+        (
+            col_f0, col_f1, col_f2, col_f3, col_f4, col_f5,
+            col_kind, col_op, col_flags, col_thread,
+        ) = self._builder.appends
+
+        # Per-profile probabilities, read once.  Every ``chance(p)`` below is
+        # inlined as ``p > 0.0 and (p >= 1.0 or draw() < p)``: no draw at
+        # p <= 0 or p >= 1, exactly like DeterministicRng.chance.
+        p_init = profile.init_burst_intensity
+        p_taint_source = profile.taint_source_rate
+        p_malloc = profile.malloc_rate
+        p_free = profile.malloc_rate * profile.free_fraction
+        p_call = profile.call_rate
+        p_dep = profile.dep_prob
+        p_pointer_store = profile.pointer_store_fraction
+        p_pointer_store_burst = min(1.0, p_pointer_store * _BURST_POINTER_BOOST)
+        p_taint_alu = profile.taint_alu_fraction
+        p_pointer_alu = profile.pointer_alu_fraction
+        parallel = profile.parallel
+        num_threads = profile.num_threads
+        switch_period = profile.thread_switch_period
+
         self._emit_startup()
-        while self._instruction_count < num_instructions:
-            self._step()
+        pc = CODE_BASE
+        thread = self._thread
+        until_switch = switch_period
+        count = 0
+
+        # The first instruction is the main frame's CALL.
+        op_code = _OP_CALL
+        frame = self._call_frame()
+        v1 = v2 = v3 = flags = 0
+        frame_base = frame.base
+        frame_size = frame.size
+        while True:
+            # --- emit the chosen instruction --------------------------------
+            pc += 4
+            if draw() < 0.05:  # Taken branches/jumps scatter PCs.
+                pc = CODE_BASE + randbelow(_PC_SCATTER_SPAN) * 4
+            if draws_depends[op_code] and p_dep > 0.0 and (
+                p_dep >= 1.0 or draw() < p_dep
+            ):
+                flags |= DEPENDS_BIT
+            col_f0(pc)
+            col_f1(v1)
+            col_f2(v2)
+            col_f3(v3)
+            col_f4(frame_base)
+            col_f5(frame_size)
+            col_kind(KIND_INSTRUCTION)
+            col_op(op_code)
+            col_flags(flags)
+            col_thread(thread)
+            count += 1
+            if parallel:
+                until_switch -= 1
+                if until_switch <= 0:
+                    thread = self._thread = (thread + 1) % num_threads
+                    until_switch = switch_period
+                    self._add_hl(_HL_THREAD_SWITCH, 0, 0, 0, thread, False)
+            if count >= num_instructions:
+                break
+
+            # --- choose the next instruction --------------------------------
+            frame_base = frame_size = 0
+            while True:
+                # A pending allocation-init burst takes priority: it models
+                # the store burst that immediately follows a malloc.
+                if pending_init and p_init > 0.0 and (
+                    p_init >= 1.0 or draw() < p_init
+                ):
+                    address = popleft()
+                    p_pointer = p_pointer_store_burst
+                    pick = _PICK_STORE
+                else:
+                    if p_taint_source > 0.0 and (
+                        p_taint_source >= 1.0 or draw() < p_taint_source
+                    ):
+                        self._do_buffer_taint_source()
+                        continue
+                    if p_malloc > 0.0 and (p_malloc >= 1.0 or draw() < p_malloc):
+                        self._do_malloc()
+                        continue
+                    if p_free > 0.0 and (p_free >= 1.0 or draw() < p_free):
+                        self._do_free()
+                        continue
+                    if p_call > 0.0 and (p_call >= 1.0 or draw() < p_call):
+                        # Keep depth roughly balanced around a slowly
+                        # wandering level.
+                        if stack.can_return and (
+                            not stack.can_call or draw() < 0.5
+                        ):
+                            op_code = _OP_RETURN
+                            frame = self._return_frame()
+                        else:
+                            op_code = _OP_CALL
+                            frame = self._call_frame()
+                        v1 = v2 = v3 = flags = 0
+                        frame_base = frame.base
+                        frame_size = frame.size
+                        break
+                    address = None
+                    p_pointer = p_pointer_store
+                    pick = bisect(cum_weights, draw() * op_total, 0, op_hi)
+
+                if pick == _PICK_LOAD:
+                    address = choose_load_address()
+                    if address in pointer_word_set:
+                        dest = 1 + randbelow(POINTER_REG_MAX)
+                    else:
+                        dest = POINTER_REG_MAX + 1 + randbelow(_DATA_REGS)
+                    pointer_regs.discard(dest)
+                    tainted_regs.discard(dest)
+                    if address in pointer_word_set:
+                        pointer_regs.add(dest)
+                    if address in tainted_word_set:
+                        tainted_regs.add(dest)
+                    op_code = _OP_LOAD
+                    v1, v2, v3, flags = address, 0, dest, _FLAGS_LOAD
+                elif pick == _PICK_STORE:
+                    src = None
+                    if p_pointer > 0.0 and (p_pointer >= 1.0 or draw() < p_pointer):
+                        src = self._pick_pointer_register()
+                    if src is None and p_taint_alu > 0.0 and (
+                        p_taint_alu >= 1.0 or draw() < p_taint_alu
+                    ):
+                        src = self._pick_tainted_register()
+                    if src is None:
+                        src = pick_clean()
+                    if address is None:
+                        address = choose_data_address(True)
+                    initialized_add(address)
+                    set_word_pointer(address, src in pointer_regs)
+                    set_word_tainted(address, src in tainted_regs)
+                    op_code = _OP_STORE
+                    v1, v2, v3, flags = src, 0, address, _FLAGS_STORE
+                elif pick == _PICK_ALU1 or pick == _PICK_ALU2:
+                    num_sources = 1 if pick == _PICK_ALU1 else 2
+                    sources = []
+                    if p_pointer_alu > 0.0 and (
+                        p_pointer_alu >= 1.0 or draw() < p_pointer_alu
+                    ):
+                        pointer_reg = self._pick_pointer_register()
+                        if pointer_reg is not None:
+                            sources.append(pointer_reg)
+                    if p_taint_alu > 0.0 and (
+                        p_taint_alu >= 1.0 or draw() < p_taint_alu
+                    ):
+                        tainted_reg = self._pick_tainted_register()
+                        if tainted_reg is not None and len(sources) < num_sources:
+                            sources.append(tainted_reg)
+                    while len(sources) < num_sources:
+                        sources.append(pick_clean())
+                    if num_sources == 1:
+                        v1 = sources[0]
+                        v2 = 0
+                        is_pointer = v1 in pointer_regs
+                        is_tainted = v1 in tainted_regs
+                        flags = _FLAGS_REG1_DEST
+                    else:
+                        v1, v2 = sources
+                        is_pointer = v1 in pointer_regs or v2 in pointer_regs
+                        is_tainted = v1 in tainted_regs or v2 in tainted_regs
+                        flags = _FLAGS_REG2_DEST
+                    if is_pointer:
+                        dest = 1 + randbelow(POINTER_REG_MAX)
+                    else:
+                        dest = POINTER_REG_MAX + 1 + randbelow(_DATA_REGS)
+                    pointer_regs.discard(dest)
+                    tainted_regs.discard(dest)
+                    if is_pointer:
+                        pointer_regs.add(dest)
+                    if is_tainted:
+                        tainted_regs.add(dest)
+                    op_code = _OP_ALU
+                    v3 = dest
+                elif pick == _PICK_MOVE:
+                    src = None
+                    if p_pointer_alu > 0.0 and (
+                        p_pointer_alu >= 1.0 or draw() < p_pointer_alu
+                    ):
+                        src = self._pick_pointer_register()
+                    if src is None:
+                        src = pick_clean()
+                    if src in pointer_regs:
+                        dest = 1 + randbelow(POINTER_REG_MAX)
+                    else:
+                        dest = POINTER_REG_MAX + 1 + randbelow(_DATA_REGS)
+                    # Discard first: a move onto its own source clears it.
+                    pointer_regs.discard(dest)
+                    tainted_regs.discard(dest)
+                    if src in pointer_regs:
+                        pointer_regs.add(dest)
+                    if src in tainted_regs:
+                        tainted_regs.add(dest)
+                    op_code = _OP_MOVE
+                    v1, v2, v3, flags = src, 0, dest, _FLAGS_REG1_DEST
+                elif pick == _PICK_FP:
+                    # FP operands live in the (untracked) floating-point
+                    # register file; no monitor observes FP instructions, and
+                    # FP results never carry pointers or taint, so the event
+                    # has no destination to shadow.
+                    if draw() < 0.5:
+                        v1 = 1 + randbelow(_ANY_REGS)
+                        v2 = 1 + randbelow(_ANY_REGS)
+                        flags = _FLAGS_REG2
+                    else:
+                        v1 = 1 + randbelow(_ANY_REGS)
+                        v2 = 0
+                        flags = _FLAGS_REG1
+                    op_code = _OP_FP
+                    v3 = 0
+                elif pick == _PICK_BRANCH:
+                    # Clean programs never branch through tainted or
+                    # undefined data; buggy traces (workload.bugs) construct
+                    # those flows explicitly.
+                    op_code = _OP_BRANCH
+                    v1, v2, v3, flags = pick_clean(), 0, 0, _FLAGS_REG1
+                else:
+                    op_code = _OP_NOP
+                    v1 = v2 = v3 = flags = 0
+                break
+
         self._add_hl(_HL_PROGRAM_EXIT, 0, 0, 0, self._thread, False)
         return self._builder.build(name=self.profile.name, seed=self.seed)
 
     # ------------------------------------------------------------- internals
 
-    def _emit_instruction(
-        self,
-        pc: int,
-        op_index: int,
-        src1_kind: int,
-        src1_value: int,
-        src2_kind: int,
-        src2_value: int,
-        dest_kind: int,
-        dest_value: int,
-        depends: bool,
-        frame_base: int = 0,
-        frame_size: int = 0,
-    ) -> None:
-        self._add_insn(
-            pc,
-            op_index,
-            src1_kind,
-            src1_value,
-            src2_kind,
-            src2_value,
-            dest_kind,
-            dest_value,
-            self._thread,
-            depends,
-            frame_base,
-            frame_size,
-        )
-        self._instruction_count += 1
-        if self._parallel:
-            self._until_switch -= 1
-            if self._until_switch <= 0:
-                self._switch_thread()
-
-    def _switch_thread(self) -> None:
-        self._thread = (self._thread + 1) % self.profile.num_threads
-        self._until_switch = self.profile.thread_switch_period
-        self._add_hl(_HL_THREAD_SWITCH, 0, 0, 0, self._thread, False)
-
-    def _next_pc(self) -> int:
-        self._pc += 4
-        if self._chance(0.05):  # Taken branches/jumps scatter PCs.
-            self._pc = CODE_BASE + self._randint(0, 1 << 16) * 4
-        return self._pc
-
     def _emit_startup(self) -> None:
-        """Register the global segment and push the main frame.
+        """Register the global segment (and the shared one).
 
         The globals MALLOC tells monitors the static data segment is
-        allocated and initialised at program start; the initial CALL creates
-        the main stack frame.
+        allocated and initialised at program start; :meth:`generate` then
+        emits the CALL of the main stack frame.
         """
         global_size = (
             self.profile.hot_set_words * WORD_SIZE + STREAM_REGION_BYTES
@@ -258,70 +480,8 @@ class TraceGenerator:
             )
         self._initialized_words.update(self._hot_words)
         self._initialized_words.update(self._shared_word_list)
-        self._do_call()
-
-    # --- stochastic step ----------------------------------------------------
-
-    def _step(self) -> None:
-        profile = self.profile
-        # Pending allocation-init burst takes priority: it models the store
-        # burst that immediately follows a malloc.
-        if self._pending_init and self._chance(profile.init_burst_intensity):
-            self._emit_init_store(self._pending_init.popleft())
-            return
-        self._in_init_burst = False
-
-        if self._chance(profile.taint_source_rate):
-            self._do_buffer_taint_source()
-            return
-        if self._chance(profile.malloc_rate):
-            self._do_malloc()
-            return
-        if self._chance(profile.malloc_rate * profile.free_fraction):
-            self._do_free()
-            return
-        if self._chance(profile.call_rate):
-            # Keep depth roughly balanced around a slowly wandering level.
-            if self._stack.can_return and (
-                not self._stack.can_call or self._chance(0.5)
-            ):
-                self._do_return()
-            else:
-                self._do_call()
-            return
-        self._emit_regular_instruction()
-
-    def _emit_regular_instruction(self) -> None:
-        op_class = self._pick_op()
-        if op_class is OpClass.LOAD:
-            self._emit_load()
-        elif op_class is OpClass.STORE:
-            self._emit_store()
-        elif op_class == "alu1":
-            self._emit_alu(num_sources=1)
-        elif op_class == "alu2":
-            self._emit_alu(num_sources=2)
-        elif op_class is OpClass.MOVE:
-            self._emit_move()
-        elif op_class is OpClass.FP:
-            self._emit_fp()
-        elif op_class is OpClass.BRANCH:
-            self._emit_branch()
-        else:
-            self._emit_nop()
 
     # --- operand selection helpers -------------------------------------------
-
-    def _pick_register(self) -> int:
-        return self._randint(1, NUM_REGISTERS - 1)
-
-    def _pick_data_register(self) -> int:
-        """A destination register from the data partition (never r1..r8)."""
-        return self._randint(POINTER_REG_MAX + 1, NUM_REGISTERS - 1)
-
-    def _pick_pointer_dest_register(self) -> int:
-        """A destination register from the pointer partition (r1..r8)."""
-        return self._randint(1, POINTER_REG_MAX)
 
     def _pick_clean_register(self) -> int:
         """A register holding neither a pointer nor taint.
@@ -330,66 +490,73 @@ class TraceGenerator:
         and taint densities stay under the profile's control instead of
         saturating the register file through accidental propagation.
         """
+        randbelow = self._randbelow
+        pointer_regs = self._pointer_regs
+        tainted_regs = self._tainted_regs
         for _ in range(8):
-            reg = self._randint(1, NUM_REGISTERS - 1)
-            if reg not in self._pointer_regs and reg not in self._tainted_regs:
+            reg = 1 + randbelow(_ANY_REGS)
+            if reg not in pointer_regs and reg not in tainted_regs:
                 return reg
-        return self._randint(1, NUM_REGISTERS - 1)
+        return 1 + randbelow(_ANY_REGS)
 
     def _pick_pointer_register(self) -> Optional[int]:
         if not self._pointer_regs:
             return None
-        return self._choice(sorted(self._pointer_regs))
+        regs = sorted(self._pointer_regs)
+        return regs[self._randbelow(len(regs))]
 
     def _pick_tainted_register(self) -> Optional[int]:
         if not self._tainted_regs:
             return None
-        return self._choice(sorted(self._tainted_regs))
-
-    def _depends(self) -> bool:
-        return self._chance(self.profile.dep_prob)
+        regs = sorted(self._tainted_regs)
+        return regs[self._randbelow(len(regs))]
 
     def _choose_load_address(self) -> int:
         """Pick a word to read; always an initialised, allocated word."""
         profile = self.profile
-        if profile.pointer_load_bias and self._pointer_words and self._chance(
-            profile.pointer_load_bias
-        ):
+        draw = self._random
+        bias = profile.pointer_load_bias
+        if bias > 0.0 and self._pointer_words and (bias >= 1.0 or draw() < bias):
             address = self._pick_live(self._pointer_words, self._pointer_word_set)
             if address is not None:
                 return address
-        if profile.taint_load_bias and self._tainted_words and self._chance(
-            profile.taint_load_bias
-        ):
+        bias = profile.taint_load_bias
+        if bias > 0.0 and self._tainted_words and (bias >= 1.0 or draw() < bias):
             address = self._pick_live(self._tainted_words, self._tainted_word_set)
             if address is not None:
                 return address
-        return self._choose_data_address(for_write=False)
+        return self._choose_data_address(False)
 
     def _pick_live(self, candidates: List[int], live: Set[int]) -> Optional[int]:
         """Pick from ``candidates`` verifying against ``live`` (the candidate
         list uses lazy deletion, so it may contain freed/overwritten words —
         choosing one of those would synthesise a use-after-free)."""
+        randbelow = self._randbelow
+        count = len(candidates)
         for _ in range(6):
-            address = self._choice(candidates)
+            address = candidates[randbelow(count)]
             if address in live:
                 return address
         return None
 
     def _choose_data_address(self, for_write: bool) -> int:
         profile = self.profile
-        roll = self._random()
+        draw = self._random
+        roll = draw()
         if profile.parallel and roll < profile.shared_fraction:
             return self._sticky_pick(self._shared_word_list, for_write)
-        if self._chance(profile.fresh_region_rate):
+        p = profile.fresh_region_rate
+        if p > 0.0 and (p >= 1.0 or draw() < p):
             self._fresh_cursor += WORD_SIZE
             self._initialized_words.add(self._fresh_cursor)
             return self._fresh_cursor
-        if self._chance(profile.stack_access_fraction):
+        p = profile.stack_access_fraction
+        if p > 0.0 and (p >= 1.0 or draw() < p):
             address = self._choose_stack_address(for_write)
             if address is not None:
                 return address
-        if self._chance(profile.locality):
+        p = profile.locality
+        if p > 0.0 and (p >= 1.0 or draw() < p):
             if profile.parallel:
                 # Non-shared data is thread-private: each thread owns a
                 # partition of the hot set, so private re-references stay
@@ -397,7 +564,8 @@ class TraceGenerator:
                 partition = self._hot_words[self._thread :: profile.num_threads]
                 return self._sticky_pick(partition, for_write)
             return self._clustered_hot_pick()
-        if self._chance(profile.stream_fraction):
+        p = profile.stream_fraction
+        if p > 0.0 and (p >= 1.0 or draw() < p):
             thread = self._thread
             start, end = self._stream_slices[thread]
             cursor = self._stream_cursors[thread] + WORD_SIZE
@@ -415,7 +583,7 @@ class TraceGenerator:
         allocation = self._heap.random_live()
         if allocation is None:
             return self._clustered_hot_pick()
-        word = allocation.word_at(self._randint(0, max(0, allocation.num_words - 1)))
+        word = allocation.word_at(self._randbelow(max(1, allocation.num_words)))
         if not for_write and word not in self._initialized_words:
             # Reading it would be an uninitialised read; fall back to hot set.
             return self._clustered_hot_pick()
@@ -429,10 +597,12 @@ class TraceGenerator:
         real programs exhibit and the MD cache and M-TLB rely on.
         """
         count = len(self._hot_words)
-        if self._chance(self.profile.page_locality):
-            self._hot_cursor = (self._hot_cursor + self._randint(-24, 24)) % count
+        p = self.profile.page_locality
+        if p > 0.0 and (p >= 1.0 or self._random() < p):
+            # randint(-24, 24): a step of up to 24 words either way.
+            self._hot_cursor = (self._hot_cursor - 24 + self._randbelow(49)) % count
         else:
-            self._hot_cursor = self._randint(0, count - 1)
+            self._hot_cursor = self._randbelow(count)
         return self._hot_words[self._hot_cursor]
 
     def _sticky_pick(self, words: List[int], for_write: bool) -> int:
@@ -444,15 +614,16 @@ class TraceGenerator:
         accesses respect the word's role.  This keeps AtomCheck's
         same-thread-same-type common case dominant, as the paper observes.
         """
+        randbelow = self._randbelow
         count = len(words)
         if count < 4:
-            return self._choice(words)
-        wants_write_word = for_write == self._chance(0.98)
+            return self._rng.choice(words)
+        wants_write_word = for_write == (self._random() < 0.98)
         for _ in range(6):
-            index = self._randint(0, count - 1)
+            index = randbelow(count)
             if (index % 4 == 3) == wants_write_word:
                 return words[index]
-        return self._choice(words)
+        return words[randbelow(count)]
 
     def _choose_stack_address(self, for_write: bool) -> Optional[int]:
         frame = self._stack.current_frame()
@@ -462,11 +633,11 @@ class TraceGenerator:
         if for_write or not written:
             if not for_write:
                 return None  # Nothing written yet; a read would be uninit.
-            word = frame.word_at(self._randint(0, max(0, frame.num_words - 1)))
+            word = frame.word_at(self._randbelow(max(1, frame.num_words)))
             if word not in written:
                 written.append(word)
             return word
-        return self._choice(written)
+        return written[self._randbelow(len(written))]
 
     # --- ground-truth metadata updates ---------------------------------------
 
@@ -478,7 +649,7 @@ class TraceGenerator:
             self._pointer_word_set.discard(address)
             # Lazy deletion keeps this O(1); stale entries are re-checked.
             if len(self._pointer_words) > 4 * len(self._pointer_word_set) + 64:
-                self._pointer_words = sorted(self._pointer_word_set)
+                self._pointer_words[:] = sorted(self._pointer_word_set)
 
     def _set_word_tainted(self, address: int, tainted: bool) -> None:
         if tainted and address not in self._tainted_word_set:
@@ -487,180 +658,20 @@ class TraceGenerator:
         elif not tainted and address in self._tainted_word_set:
             self._tainted_word_set.discard(address)
             if len(self._tainted_words) > 4 * len(self._tainted_word_set) + 64:
-                self._tainted_words = sorted(self._tainted_word_set)
-
-    def _word_is_pointer(self, address: int) -> bool:
-        return address in self._pointer_word_set
-
-    def _word_is_tainted(self, address: int) -> bool:
-        return address in self._tainted_word_set
-
-    # --- instruction emitters --------------------------------------------------
-
-    def _emit_load(self) -> None:
-        address = self._choose_load_address()
-        if self._word_is_pointer(address):
-            dest = self._pick_pointer_dest_register()
-        else:
-            dest = self._pick_data_register()
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_LOAD, _MEM, address, _NONE, 0, _REG, dest, depends
-        )
-        self._pointer_regs.discard(dest)
-        self._tainted_regs.discard(dest)
-        if self._word_is_pointer(address):
-            self._pointer_regs.add(dest)
-        if self._word_is_tainted(address):
-            self._tainted_regs.add(dest)
-
-    def _emit_store(self, address: Optional[int] = None) -> None:
-        profile = self.profile
-        pointer_chance = profile.pointer_store_fraction
-        if self._in_init_burst:
-            pointer_chance = min(1.0, pointer_chance * _BURST_POINTER_BOOST)
-        src: Optional[int] = None
-        if self._chance(pointer_chance):
-            src = self._pick_pointer_register()
-        if src is None and self._chance(profile.taint_alu_fraction):
-            src = self._pick_tainted_register()
-        if src is None:
-            src = self._pick_clean_register()
-        if address is None:
-            address = self._choose_data_address(for_write=True)
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_STORE, _REG, src, _NONE, 0, _MEM, address, depends
-        )
-        self._initialized_words.add(address)
-        self._set_word_pointer(address, src in self._pointer_regs)
-        self._set_word_tainted(address, src in self._tainted_regs)
-
-    def _emit_init_store(self, address: int) -> None:
-        self._in_init_burst = True
-        self._emit_store(address=address)
-
-    def _emit_alu(self, num_sources: int) -> None:
-        profile = self.profile
-        sources = []
-        if self._chance(profile.pointer_alu_fraction):
-            pointer_reg = self._pick_pointer_register()
-            if pointer_reg is not None:
-                sources.append(pointer_reg)
-        if self._chance(profile.taint_alu_fraction):
-            tainted_reg = self._pick_tainted_register()
-            if tainted_reg is not None and len(sources) < num_sources:
-                sources.append(tainted_reg)
-        while len(sources) < num_sources:
-            sources.append(self._pick_clean_register())
-        if any(reg in self._pointer_regs for reg in sources):
-            dest = self._pick_pointer_dest_register()
-        else:
-            dest = self._pick_data_register()
-        sources = sources[:num_sources]
-        pc = self._next_pc()
-        depends = self._depends()
-        if len(sources) == 2:
-            self._emit_instruction(
-                pc, _OP_ALU, _REG, sources[0], _REG, sources[1], _REG, dest, depends
-            )
-        else:
-            self._emit_instruction(
-                pc, _OP_ALU, _REG, sources[0], _NONE, 0, _REG, dest, depends
-            )
-        is_pointer = any(reg in self._pointer_regs for reg in sources)
-        is_tainted = any(reg in self._tainted_regs for reg in sources)
-        self._pointer_regs.discard(dest)
-        self._tainted_regs.discard(dest)
-        if is_pointer:
-            self._pointer_regs.add(dest)
-        if is_tainted:
-            self._tainted_regs.add(dest)
-
-    def _emit_move(self) -> None:
-        if self._chance(self.profile.pointer_alu_fraction):
-            src = self._pick_pointer_register() or self._pick_clean_register()
-        else:
-            src = self._pick_clean_register()
-        if src in self._pointer_regs:
-            dest = self._pick_pointer_dest_register()
-        else:
-            dest = self._pick_data_register()
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_MOVE, _REG, src, _NONE, 0, _REG, dest, depends
-        )
-        self._pointer_regs.discard(dest)
-        self._tainted_regs.discard(dest)
-        if src in self._pointer_regs:
-            self._pointer_regs.add(dest)
-        if src in self._tainted_regs:
-            self._tainted_regs.add(dest)
-
-    def _emit_fp(self) -> None:
-        # FP operands live in the (untracked) floating-point register file;
-        # no monitor observes FP instructions, and FP results never carry
-        # pointers or taint, so the event has no destination to shadow.
-        num_sources = 2 if self._chance(0.5) else 1
-        src1 = self._pick_register()
-        src2 = self._pick_register() if num_sources == 2 else 0
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc,
-            _OP_FP,
-            _REG,
-            src1,
-            _REG if num_sources == 2 else _NONE,
-            src2,
-            _NONE,
-            0,
-            depends,
-        )
-
-    def _emit_branch(self) -> None:
-        # Clean programs never branch through tainted or undefined data;
-        # buggy traces (workload.bugs) construct those flows explicitly.
-        src = self._pick_clean_register()
-        pc = self._next_pc()
-        depends = self._depends()
-        self._emit_instruction(
-            pc, _OP_BRANCH, _REG, src, _NONE, 0, _NONE, 0, depends
-        )
-
-    def _emit_nop(self) -> None:
-        pc = self._next_pc()
-        self._emit_instruction(
-            pc, _OP_NOP, _NONE, 0, _NONE, 0, _NONE, 0, False
-        )
+                self._tainted_words[:] = sorted(self._tainted_word_set)
 
     # --- structural emitters ------------------------------------------------------
 
-    def _do_call(self) -> None:
+    def _call_frame(self):
+        """Push a new stack frame; :meth:`generate` emits its CALL."""
         size = min(
             self.profile.frame_size_max,
             self._rng.pareto_int(self.profile.frame_size_mean // 2, shape=2.0),
         )
-        frame = self._stack.call(size)
-        pc = self._next_pc()
-        self._emit_instruction(
-            pc,
-            _OP_CALL,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            False,
-            frame_base=frame.base,
-            frame_size=frame.size,
-        )
+        return self._stack.call(size)
 
-    def _do_return(self) -> None:
+    def _return_frame(self):
+        """Pop the innermost frame; :meth:`generate` emits its RETURN."""
         frame = self._stack.ret()
         self._frame_written.pop(frame.base, None)
         # The frame is dead: scrub its words from the ground-truth sets so
@@ -670,20 +681,7 @@ class TraceGenerator:
             self._set_word_pointer(word, False)
             self._set_word_tainted(word, False)
             self._initialized_words.discard(word)
-        pc = self._next_pc()
-        self._emit_instruction(
-            pc,
-            _OP_RETURN,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            _NONE,
-            0,
-            False,
-            frame_base=frame.base,
-            frame_size=frame.size,
-        )
+        return frame
 
     def _do_malloc(self) -> None:
         size = min(
@@ -691,7 +689,7 @@ class TraceGenerator:
             self._rng.pareto_int(self.profile.alloc_size_mean // 2, shape=1.6),
         )
         allocation = self._heap.malloc(size)
-        dest = self._pick_pointer_dest_register()
+        dest = 1 + self._randbelow(POINTER_REG_MAX)
         self._add_hl(
             _HL_MALLOC, allocation.base, allocation.size, dest, self._thread, False
         )
@@ -700,7 +698,7 @@ class TraceGenerator:
         init_words = int(allocation.num_words * self.profile.init_burst_fraction)
         for index in range(init_words):
             self._pending_init.append(allocation.base + index * WORD_SIZE)
-        if self._chance(self.profile.taint_source_fraction):
+        if self._rng.chance(self.profile.taint_source_fraction):
             tainted_bytes = allocation.size
             self._add_hl(
                 _HL_TAINT_SOURCE,
@@ -717,10 +715,8 @@ class TraceGenerator:
 
     def _do_buffer_taint_source(self) -> None:
         """External input (read/recv) lands in a span of the global segment."""
-        span_words = self._randint(16, 64)
-        start_index = self._randint(
-            0, max(0, len(self._hot_words) - span_words - 1)
-        )
+        span_words = 16 + self._randbelow(49)  # randint(16, 64)
+        start_index = self._randbelow(max(1, len(self._hot_words) - span_words))
         base = self._hot_words[start_index]
         self._add_hl(
             _HL_TAINT_SOURCE, base, span_words * WORD_SIZE, 0, self._thread, False
@@ -734,14 +730,14 @@ class TraceGenerator:
         allocation = self._heap.free_random()
         if allocation is None:
             return
-        if self._pending_init:
+        pending = self._pending_init
+        if pending:
             # Drop queued initialisation stores aimed at the freed region —
-            # letting them run would synthesise use-after-free stores.
-            self._pending_init = deque(
-                address
-                for address in self._pending_init
-                if not allocation.contains(address)
-            )
+            # letting them run would synthesise use-after-free stores.  In
+            # place: generate() holds the deque.
+            kept = [address for address in pending if not allocation.contains(address)]
+            pending.clear()
+            pending.extend(kept)
         for index in range(allocation.num_words):
             word = allocation.base + index * WORD_SIZE
             self._set_word_pointer(word, False)

@@ -111,15 +111,17 @@ class PackedTraceBuilder:
     :class:`PackedTrace`.
     """
 
-    __slots__ = ("_columns", "_appends")
+    __slots__ = ("_columns", "appends")
 
     def __init__(self) -> None:
         self._columns: Dict[str, array] = {
             name: array(code) for name, code in COLUMN_SPEC
         }
         columns = self._columns
-        # Hoisted bound appends: these run once per generated item.
-        self._appends = tuple(
+        #: Bound column appends in :data:`COLUMN_SPEC` order.  The trace
+        #: generator's hot loop appends one instruction row through these
+        #: directly (no per-item method call).
+        self.appends = tuple(
             columns[name].append for name, _ in COLUMN_SPEC
         )
 
@@ -138,7 +140,7 @@ class PackedTraceBuilder:
         frame_base: int = 0,
         frame_size: int = 0,
     ) -> None:
-        f0, f1, f2, f3, f4, f5, kind, op, flags, thread_col = self._appends
+        f0, f1, f2, f3, f4, f5, kind, op, flags, thread_col = self.appends
         f0(pc)
         f1(src1_value)
         f2(src2_value)
@@ -164,7 +166,7 @@ class PackedTraceBuilder:
         thread: int,
         startup: bool,
     ) -> None:
-        f0, f1, f2, f3, f4, f5, kind, op, flags, thread_col = self._appends
+        f0, f1, f2, f3, f4, f5, kind, op, flags, thread_col = self.appends
         f0(address)
         f1(size)
         f2(0)

@@ -17,13 +17,14 @@ from repro.api import (
     SerialRunner,
     register_monitor,
     register_profile,
+    content_key,
     spec_grid,
 )
 from repro.common.errors import ConfigurationError
 from repro.cores.base import CoreType
 from repro.monitors import MONITOR_REGISTRY, create_monitor, monitor_names
 from repro.monitors.memleak import MemLeak
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, Topology
 from repro.workload.profiles import PROFILE_REGISTRY, get_profile
 
 TINY = ExperimentSettings(num_instructions=1500, seed=11)
@@ -94,6 +95,81 @@ class TestSystemConfigDefaults:
     def test_dict_round_trip(self):
         config = SystemConfig(core_type=CoreType.INORDER, fade_enabled=False)
         assert SystemConfig.from_dict(config.to_dict()) == config
+
+
+class TestSystemConfigValidation:
+    def test_string_core_and_topology_are_coerced(self):
+        config = SystemConfig(core_type="inorder", topology="two-core")
+        assert config.core_type is CoreType.INORDER
+        assert config.topology is Topology.TWO_CORE
+        by_value = SystemConfig(core_type=CoreType.OOO2.value)
+        assert by_value.core_type is CoreType.OOO2
+
+    def test_coerced_config_has_the_enum_built_content_key(self):
+        coerced = RunSpec(
+            "astar", "memleak",
+            SystemConfig(core_type="inorder", topology="single"), TINY,
+        )
+        built = RunSpec(
+            "astar", "memleak",
+            SystemConfig(
+                core_type=CoreType.INORDER, topology=Topology.SINGLE_CORE_SMT
+            ),
+            TINY,
+        )
+        assert coerced == built
+        assert content_key(coerced) == content_key(built)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("core_type", "quantum"), ("core_type", 4), ("topology", "ring")],
+    )
+    def test_unknown_enum_spelling_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_fsq_capacity_below_one_rejected(self, capacity):
+        with pytest.raises(ConfigurationError, match="fsq_capacity"):
+            SystemConfig(fsq_capacity=capacity)
+
+
+class TestExperimentSettingsValidation:
+    @pytest.mark.parametrize("count", [0, -5, 2.5, "5", True])
+    def test_bad_num_instructions_rejected(self, count):
+        with pytest.raises(ConfigurationError, match="num_instructions"):
+            ExperimentSettings(num_instructions=count)
+
+    @pytest.mark.parametrize(
+        "fraction", [1.0, 1.5, -0.1, float("nan"), float("inf"), "0.5"]
+    )
+    def test_bad_warmup_fraction_rejected(self, fraction):
+        with pytest.raises(ConfigurationError, match="warmup_fraction"):
+            ExperimentSettings(warmup_fraction=fraction)
+
+    def test_edges_accepted(self):
+        ExperimentSettings(num_instructions=1, warmup_fraction=0.0)
+        ExperimentSettings(num_instructions=1, warmup_fraction=0)
+        ExperimentSettings(warmup_fraction=0.999)
+
+    def test_from_dict_validates(self):
+        with pytest.raises(ConfigurationError, match="warmup_fraction"):
+            ExperimentSettings.from_dict({**TINY.to_dict(), "warmup_fraction": 1.5})
+        with pytest.raises(ConfigurationError, match="num_instructions"):
+            RunSpec.from_dict(
+                {
+                    **RunSpec("astar", "memleak", SystemConfig(), TINY).to_dict(),
+                    "settings": {**TINY.to_dict(), "num_instructions": -5},
+                }
+            )
+
+    def test_cli_rejects_bad_settings_with_usage_error(self, capsys):
+        from repro import cli
+
+        assert cli.main(["run", "-n", "-5"]) == 2
+        assert "num_instructions" in capsys.readouterr().err
+        assert cli.main(["run", "-n", "2000", "--warmup", "1.5"]) == 2
+        assert "warmup_fraction" in capsys.readouterr().err
 
 
 class TestRegistries:

@@ -1,5 +1,7 @@
 """Tests for repro.common: RNG determinism, units, errors."""
 
+import random
+
 import pytest
 
 from repro.common import (
@@ -14,6 +16,10 @@ from repro.common import (
     derive_seed,
     words_in_range,
 )
+
+#: randbelow bounds at bit-length edges: powers of two and one past them,
+#: where the rejection loop's acceptance rate is highest and lowest.
+BIT_LENGTH_EDGES = (1, 2, 8, 9, 23, 31, 65537)
 
 
 class TestDeriveSeed:
@@ -61,6 +67,53 @@ class TestDeterministicRng:
         assert rng.chance(1.0)
         assert not rng.chance(-0.5)
         assert rng.chance(1.5)
+
+    def test_chance_edges_consume_no_draw(self):
+        rng = DeterministicRng(9, "edges")
+        reference = random.Random(derive_seed(9, "edges"))
+        for probability in (0.0, 1.0, -0.5, 1.5):
+            rng.chance(probability)
+        assert rng.random() == reference.random()
+        # Interior probabilities draw exactly one random().
+        assert rng.chance(0.3) == (reference.random() < 0.3)
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("n", BIT_LENGTH_EDGES)
+    def test_randbelow_matches_stdlib_draw_for_draw(self, n):
+        rng = DeterministicRng(3, "below", n)
+        reference = random.Random(derive_seed(3, "below", n))
+        for _ in range(200):
+            assert rng.randbelow(n) == reference.randrange(n)
+        assert rng.random() == reference.random()  # Same stream position.
+
+    @pytest.mark.parametrize("n", BIT_LENGTH_EDGES)
+    def test_randint_matches_stdlib_draw_for_draw(self, n):
+        rng = DeterministicRng(4, "int", n)
+        reference = random.Random(derive_seed(4, "int", n))
+        for low in (0, 1, -24, 9):
+            for _ in range(50):
+                assert rng.randint(low, low + n - 1) == reference.randint(
+                    low, low + n - 1
+                )
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("n", BIT_LENGTH_EDGES)
+    def test_choice_matches_stdlib_draw_for_draw(self, n):
+        rng = DeterministicRng(5, "choice", n)
+        reference = random.Random(derive_seed(5, "choice", n))
+        items = list(range(100, 100 + n))
+        for _ in range(200):
+            assert rng.choice(items) == reference.choice(items)
+        assert rng.random() == reference.random()
+
+    def test_empty_ranges_raise(self):
+        rng = DeterministicRng(1)
+        with pytest.raises(ValueError):
+            rng.randint(5, 4)
+        with pytest.raises(ValueError):
+            rng.randbelow(0)
+        with pytest.raises(IndexError):
+            rng.choice([])
 
     def test_geometric_mean_is_roughly_right(self):
         rng = DeterministicRng(3, "geo")

@@ -82,6 +82,16 @@ class TestCorpusFailureModes:
         report = corpus.run()
         assert [f.kind for f in report.failures] == ["corrupt"]
 
+    def test_entry_failing_spec_validation_is_reported_corrupt(self, tmp_path):
+        corpus = self._blessed(tmp_path)
+        victim = corpus.entry_files()[0]
+        entry = json.loads(victim.read_text())
+        entry["spec"]["settings"]["warmup_fraction"] = 1.5
+        victim.write_text(json.dumps(entry))
+        report = corpus.run()
+        assert [f.kind for f in report.failures] == ["corrupt"]
+        assert "warmup_fraction" in report.failures[0].detail
+
     def test_bless_prunes_stale_entries_only(self, tmp_path):
         corpus = self._blessed(tmp_path)
         # A retired golden entry is pruned...

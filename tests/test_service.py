@@ -114,6 +114,13 @@ class TestCampaignExpansion:
                     "benchmarks": ["astar"], "monitors": ["memleak"]}}
             )
 
+    def test_invalid_settings_rejected(self):
+        with pytest.raises(ConfigurationError, match="num_instructions"):
+            expand_campaign(
+                {"settings": {"num_instructions": 0}, "grid": {
+                    "benchmarks": ["astar"], "monitors": ["memleak"]}}
+            )
+
     def test_json_campaign_file_roundtrip(self, tmp_path):
         path = tmp_path / "campaign.json"
         path.write_text(
@@ -279,6 +286,22 @@ class TestServerEndToEnd:
         assert "no-such-monitor" in spec_events[1]["error"]
         done = [e for e in events if e["event"] == "done"][0]
         assert done["total"] == 2 and done["statuses"]["error"] == 1
+
+    def test_invalid_settings_are_an_error_event_not_a_stored_result(
+        self, server
+    ):
+        instance, address = server
+        bad = GRID[0].to_dict()
+        bad["settings"] = {**TINY.to_dict(), "warmup_fraction": 1.5}
+        raw = json.dumps({"specs": [bad]}).encode()
+        status, stream = ServiceClient(address)._request("POST", "/run", raw)
+        assert status == 200
+        with stream:
+            events = [json.loads(line) for line in stream if line.strip()]
+        spec_events = [e for e in events if e["event"] == "spec"]
+        assert spec_events[0]["status"] == "error"
+        assert "warmup_fraction" in spec_events[0]["error"]
+        assert instance.scheduler.stats()["computed"] == 0
 
     def test_run_specs_raises_on_error(self, server):
         _, address = server
