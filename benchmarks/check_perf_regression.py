@@ -15,9 +15,10 @@ throughput is machine-specific, so the two payloads should come from the
 same machine — CI re-measures the base commit on the runner before
 diffing.
 
-Trace-generation throughput (``trace_synthesis.items_per_sec``) is gated
-at the same ``--max-regression`` floor; the diff is skipped with a notice
-when the baseline predates the section.
+Trace-generation throughput (``trace_synthesis.items_per_sec``) and
+functional-warmup throughput (``warmup.cells_per_sec``) are gated at the
+same ``--max-regression`` floor; each diff is skipped with a notice when
+the baseline predates its section.
 
 The result-store warm-rerun speedup is gated too, but only at half the
 baseline: warm reruns take milliseconds, so their ratio is noise-dominated;
@@ -93,24 +94,31 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
             )
             if ratio < floor:
                 failures.append(f"{prefix}{engine}")
-    base_synthesis = baseline.get("trace_synthesis")
-    fresh_synthesis = fresh.get("trace_synthesis")
-    if base_synthesis is None:
-        print("trace_synthesis: baseline lacks the section; diff skipped")
-    elif fresh_synthesis is not None:
-        # The front end (trace generation) under the same gate as the
-        # engine loop: items synthesized per wall second.
-        base_rate = base_synthesis.get("items_per_sec", 0.0)
-        fresh_rate = fresh_synthesis.get("items_per_sec", 0.0)
+    # The front end (trace generation: items synthesized per second) and
+    # the functional warmup (fig9 cells warmed per second) under the same
+    # gate as the engine loop.
+    for section, key, label in (
+        ("trace_synthesis", "items_per_sec", "items/sec"),
+        ("warmup", "cells_per_sec", "cells/sec"),
+    ):
+        base_section = baseline.get(section)
+        fresh_section = fresh.get(section)
+        if base_section is None:
+            print(f"{section}: baseline lacks the section; diff skipped")
+            continue
+        if fresh_section is None:
+            continue
+        base_rate = base_section.get(key, 0.0)
+        fresh_rate = fresh_section.get(key, 0.0)
         if base_rate > 0:
             ratio = fresh_rate / base_rate
             status = "ok" if ratio >= floor else "REGRESSION"
             print(
-                f"trace_synthesis: items/sec {fresh_rate:,.0f} vs baseline "
+                f"{section}: {label} {fresh_rate:,.0f} vs baseline "
                 f"{base_rate:,.0f} ({100 * ratio:.1f}%) {status}"
             )
             if ratio < floor:
-                failures.append("trace_synthesis")
+                failures.append(section)
     base_store = baseline.get("result_store", {})
     fresh_store = fresh.get("result_store", {})
     if base_store.get("warm_speedup") and fresh_store.get("warm_speedup"):

@@ -16,6 +16,7 @@ from repro.common.units import (
     WORD_SIZE,
     align_down,
     align_up,
+    keys_in_range,
     words_in_range,
 )
 
@@ -34,5 +35,6 @@ __all__ = [
     "align_down",
     "align_up",
     "derive_seed",
+    "keys_in_range",
     "words_in_range",
 ]

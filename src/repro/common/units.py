@@ -38,3 +38,16 @@ def words_in_range(start: int, length: int) -> range:
     first = align_down(start, WORD_SIZE)
     last = align_up(start + length, WORD_SIZE)
     return range(first, last, WORD_SIZE)
+
+
+def keys_in_range(table, words: range) -> list:
+    """Keys of ``table`` (a dict or set keyed by word address) that lie in
+    ``words`` (a :func:`words_in_range` result), in ascending address order.
+
+    Visits ``min(len(words), len(table))`` entries: a range larger than the
+    table scans the table (then sorts the hits) instead of probing every
+    word, so clearing a huge, sparsely populated range stays cheap.
+    """
+    if len(words) <= len(table):
+        return [word for word in words if word in table]
+    return sorted([word for word in table if word in words])

@@ -34,7 +34,13 @@ from repro.fade.inv_rf import InvariantRegisterFile
 from repro.fade.md_cache import MetadataCache
 from repro.fade.update_logic import compute_update
 from repro.isa.events import MonitoredEvent
-from repro.metadata.shadow import ShadowMemory, ShadowRegisters
+from repro.metadata.shadow import (
+    PAGE_SHIFT,
+    PAGE_WORD_MASK,
+    WORD_SHIFT,
+    ShadowMemory,
+    ShadowRegisters,
+)
 from repro.verify.coverage import COVERAGE as _COVERAGE
 
 #: Memo entries are dropped wholesale past this size (a simple bound; keys
@@ -183,7 +189,7 @@ class FilteringPipeline:
         self._mem_word_gens = md_memory.word_generations
         self._fsq_word_gens = fsq.word_generations if fsq is not None else {}
         self._reg_bytes = md_registers._bytes
-        self._mem_bytes = md_memory._bytes
+        self._mem_pages = md_memory.pages
         self._mem_default = md_memory.default
         self._fsq_by_word = fsq._by_word if fsq is not None else None
         self._inv_values = inv_rf._values
@@ -419,7 +425,12 @@ class FilteringPipeline:
                         forwarded = True
                         memory_value = stack[-1].value
                 if not forwarded:
-                    memory_value = self._mem_bytes.get(word, self._mem_default)
+                    page = self._mem_pages.get(word >> PAGE_SHIFT)
+                    memory_value = (
+                        self._mem_default
+                        if page is None
+                        else page[(word >> WORD_SHIFT) & PAGE_WORD_MASK]
+                    )
             inv_ids = profile.inv_ids
             if not inv_ids:
                 value_key = (event_id, r1, r2, rd, memory_value, ())

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.results import ResultSet
 from repro.api.runner import ParallelRunner, SerialRunner
 from repro.api.spec import RunSpec
-from repro.api.store import ResultStore
+from repro.api.store import ResultStore, content_key
 from repro.faults.injector import (
     FaultInjector,
     install_plan,
@@ -374,22 +374,52 @@ def _resume_phase(
             for record in restored
             if record.get("recompute_fraction") is not None
         ]
+        # The recompute bound applies to the killed spec only.  The kill
+        # breaks the whole pool, so a bystander whose chunk was in flight
+        # also resumes — from whatever early checkpoint it had reached —
+        # and its fraction says nothing about the victim's resume point.
+        # Bystanders are still held to bit-identical results above.
+        killed = {
+            record["probe_key"]
+            for record in injector.fired_events()
+            if record["event"]["kind"] == "worker_kill_midrun"
+        }
+        victim_keys = {
+            content_key(spec)
+            for spec in resume_specs
+            if spec_fault_key(spec) in killed
+        }
+        victim_fractions = [
+            float(record["recompute_fraction"])
+            for record in restored
+            if record.get("key") in victim_keys
+            and record.get("recompute_fraction") is not None
+        ]
         if not restored:
             report.errors.append(
                 f"round {round_index}: kill-resume produced no checkpoint "
                 "restore (the retried spec recomputed cold)"
             )
-        elif fractions and sum(fractions) / len(fractions) >= 0.5:
+        elif victim_keys and not victim_fractions:
             report.errors.append(
-                f"round {round_index}: resumed specs recomputed "
-                f"{sum(fractions) / len(fractions):.2f} of their "
-                "instructions on average (expected <0.5)"
+                f"round {round_index}: the killed spec did not resume from "
+                "its checkpoint (only bystanders did)"
+            )
+        elif (
+            victim_fractions
+            and sum(victim_fractions) / len(victim_fractions) >= 0.5
+        ):
+            report.errors.append(
+                f"round {round_index}: the killed spec recomputed "
+                f"{sum(victim_fractions) / len(victim_fractions):.2f} of its "
+                "instructions on resume (expected <0.5)"
             )
         report.resumed_specs += len(restored)
         report.recompute_fractions.extend(fractions)
         summary = _finish_phase(report, injector)
         summary["checkpoints"] = checkpoints.journal.counters()
         summary["recompute_fractions"] = fractions
+        summary["victim_recompute_fractions"] = victim_fractions
     finally:
         if not summary:
             _finish_phase(report, injector)

@@ -320,9 +320,7 @@ class VectorPredictor:
                         forwarded = True
                         value = stack[-1].value
                 if not forwarded:
-                    value = pipeline._mem_bytes.get(
-                        word, pipeline._mem_default
-                    )
+                    value = self._md_memory.read(word)
                 if value != lane or forwarded != self._fwd[i]:
                     self.scalar_events += 1
                     return self._scalar(event)
@@ -442,8 +440,7 @@ class VectorPredictor:
             fsq_by_word = (
                 pipeline._fsq_by_word if pipeline.non_blocking else None
             )
-            mem_bytes = pipeline._mem_bytes
-            mem_default = pipeline._mem_default
+            mem_read = self._md_memory.read
             unique_words, inverse = np.unique(
                 words[mem_mask], return_inverse=True
             )
@@ -457,7 +454,7 @@ class VectorPredictor:
                     unique_fwd[index] = True
                     unique_values[index] = stack[-1].value
                 else:
-                    unique_values[index] = mem_bytes.get(word, mem_default)
+                    unique_values[index] = mem_read(word)
             mv[mem_mask] = unique_values[inverse]
             fwd[mem_mask] = unique_fwd[inverse]
         # Key lanes hold bytes or the None sentinel; anything wider (a

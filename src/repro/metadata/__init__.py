@@ -7,6 +7,6 @@ them.  Non-critical metadata (reference counts, origin labels, access-history
 tables) stay private to each monitor.
 """
 
-from repro.metadata.shadow import ShadowMemory, ShadowRegisters
+from repro.metadata.shadow import ShadowMemory, ShadowRegisters, WordBytes
 
-__all__ = ["ShadowMemory", "ShadowRegisters"]
+__all__ = ["ShadowMemory", "ShadowRegisters", "WordBytes"]

@@ -11,11 +11,116 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
-from repro.common.units import WORD_SIZE, words_in_range
+from repro.common.units import PAGE_SIZE, WORD_SIZE, words_in_range
+
+#: Address bits below the page number (4 KiB pages, ``units.PAGE_SIZE``).
+PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+#: Address bits below the word index (4-byte words).
+WORD_SHIFT = WORD_SIZE.bit_length() - 1
+#: Words (and so metadata bytes) per page.
+PAGE_WORDS = PAGE_SIZE // WORD_SIZE
+#: Mask selecting a word's index within its page (after ``>> WORD_SHIFT``).
+PAGE_WORD_MASK = PAGE_WORDS - 1
 
 
-class ShadowMemory:
-    """Sparse map from application word address to one metadata byte.
+class WordBytes:
+    """Paged map from application word address to one byte.
+
+    ``pages`` maps a page number (``address >> PAGE_SHIFT``) to a
+    ``bytearray(PAGE_WORDS)`` holding one byte per word of that page; a
+    missing page means every word in it holds ``default``.  Single-word
+    reads and writes are one dict lookup plus one index, and a range
+    :meth:`fill` is one slice assignment per page (whole pages are dropped
+    or replaced outright), so range metadata operations — a stack frame,
+    a heap object, a program's static segment — cost O(pages), not
+    O(words).  The ``pages`` dict's identity is stable for the object's
+    lifetime: hot paths may hoist it.
+    """
+
+    def __init__(self, default: int = 0) -> None:
+        if not 0 <= default <= 0xFF:
+            raise ValueError("metadata bytes must fit in 8 bits")
+        self.default = default
+        self.pages: Dict[int, bytearray] = {}
+
+    def read(self, address: int) -> int:
+        """Byte of the word containing ``address``."""
+        page = self.pages.get(address >> PAGE_SHIFT)
+        if page is None:
+            return self.default
+        return page[(address >> WORD_SHIFT) & PAGE_WORD_MASK]
+
+    def write(self, address: int, value: int) -> bool:
+        """Set the word's byte; returns True if the value changed.  A page
+        is created only by its first non-default write.  Values outside
+        0..255 raise ``ValueError`` (from the bytearray) before any change."""
+        number = address >> PAGE_SHIFT
+        index = (address >> WORD_SHIFT) & PAGE_WORD_MASK
+        page = self.pages.get(number)
+        if page is None:
+            if value == self.default:
+                return False
+            page = bytearray([self.default]) * PAGE_WORDS
+            page[index] = value
+            self.pages[number] = page
+            return True
+        if page[index] == value:
+            return False
+        page[index] = value
+        return True
+
+    def fill(self, start: int, length: int, value: int) -> int:
+        """Set every word in ``[start, start+length)``; returns the number
+        of words covered.  The contents afterwards are exactly those of one
+        :meth:`write` per word."""
+        full = bytes([value]) * PAGE_WORDS  # Raises ValueError past 0..255.
+        words = words_in_range(start, length)
+        default = self.default
+        pages = self.pages
+        index = words.start >> WORD_SHIFT
+        end = words.stop >> WORD_SHIFT
+        while index < end:
+            number = index >> (PAGE_SHIFT - WORD_SHIFT)
+            base = number * PAGE_WORDS
+            low = index - base
+            high = min(end - base, PAGE_WORDS)
+            if low == 0 and high == PAGE_WORDS:
+                if value == default:
+                    pages.pop(number, None)
+                else:
+                    pages[number] = bytearray(full)
+            else:
+                page = pages.get(number)
+                if page is None and value != default:
+                    page = pages[number] = bytearray([default]) * PAGE_WORDS
+                if page is not None:
+                    page[low:high] = full[low:high]
+            index = base + PAGE_WORDS
+        return len(words)
+
+    def items(self) -> Iterator[Tuple[int, int]]:
+        """Non-default (word address, byte) pairs, unordered."""
+        default = self.default
+        for number, page in self.pages.items():
+            base = number << PAGE_SHIFT
+            for index, value in enumerate(page):
+                if value != default:
+                    yield base + (index << WORD_SHIFT), value
+
+    def snapshot(self) -> Dict[int, int]:
+        """Copy of the non-default contents as a plain dict."""
+        return dict(self.items())
+
+    def __len__(self) -> int:
+        """Number of words holding a non-default byte."""
+        default = self.default
+        return sum(
+            PAGE_WORDS - page.count(default) for page in self.pages.values()
+        )
+
+
+class ShadowMemory(WordBytes):
+    """Critical metadata memory: one byte per application word.
 
     Reads of never-written words return ``default`` — the monitor's encoding
     of "unshadowed" state (usually *unallocated*).
@@ -27,14 +132,12 @@ class ShadowMemory:
     word survives writes to every other word.  While a word's generation is
     unchanged, its metadata byte holds the value a previous chain walk
     read.  Same-value rewrites through :meth:`write` (handlers refreshing
-    critical hints) bump neither; :meth:`bulk_set` bumps its whole range
-    conservatively.
+    critical hints) bump neither; :meth:`bulk_set` bumps one epoch for its
+    whole range.
     """
 
     def __init__(self, default: int = 0) -> None:
-        if not 0 <= default <= 0xFF:
-            raise ValueError("metadata bytes must fit in 8 bits")
-        self.default = default
+        super().__init__(default)
         self.generation = 0
         #: Per-word change counters for single-word writes (absent word ==
         #: generation 0).  The dict's identity is stable; the filter memo
@@ -43,31 +146,17 @@ class ShadowMemory:
         #: Bumped once per :meth:`bulk_set` — an O(1) epoch standing in for
         #: per-word bumps over whole ranges (the filter memo checks both).
         self.bulk_epoch = 0
-        self._bytes: Dict[int, int] = {}
 
     @staticmethod
     def word_address(address: int) -> int:
         """Word-align an application byte address."""
         return address - (address % WORD_SIZE)
 
-    def read(self, address: int) -> int:
-        """Metadata byte of the word containing ``address``."""
-        # Word alignment is inlined here and in write(): these two methods
-        # are the hottest calls in a simulation (millions per run).
-        return self._bytes.get(address - (address % WORD_SIZE), self.default)
-
     def write(self, address: int, value: int) -> bool:
         """Set the metadata byte; returns True if the value changed."""
-        if not 0 <= value <= 0xFF:
-            raise ValueError("metadata bytes must fit in 8 bits")
-        word = address - (address % WORD_SIZE)
-        old = self._bytes.get(word, self.default)
-        if old == value:
+        if not WordBytes.write(self, address, value):
             return False
-        if value == self.default:
-            self._bytes.pop(word, None)
-        else:
-            self._bytes[word] = value
+        word = address - (address % WORD_SIZE)
         self.generation += 1
         generations = self.word_generations
         generations[word] = generations.get(word, 0) + 1
@@ -77,44 +166,26 @@ class ShadowMemory:
         """Set every word in ``[start, start+length)``; returns words touched.
 
         This is the operation the Stack-Update Unit performs in hardware and
-        malloc/free handlers perform in software, so it runs at dict/set
-        speed rather than one :meth:`write` per word.  The final contents
-        are exactly those of per-word writes: default-valued words are
-        dropped from the sparse map, the rest are set.
+        malloc/free handlers perform in software: a :meth:`fill`, costing
+        O(pages) rather than one :meth:`write` per word.
         """
-        if not 0 <= value <= 0xFF:
-            raise ValueError("metadata bytes must fit in 8 bits")
-        words = words_in_range(start, length)
-        if value == self.default:
-            pop = self._bytes.pop
-            for word in words:
-                pop(word, None)
-        else:
-            self._bytes.update(dict.fromkeys(words, value))
+        words = self.fill(start, length, value)
         if words:
             # Conservative: the range write may or may not have changed each
             # byte; over-invalidating the filter memo is always sound, and
-            # one epoch bump is O(1) where per-word bumps would double the
-            # cost of every stack/heap range operation.
+            # one epoch bump is O(1) where per-word bumps would make every
+            # stack/heap range operation O(words) again.
             self.generation += 1
             self.bulk_epoch += 1
-        return len(words)
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Non-default (word address, byte) pairs, unordered."""
-        return iter(self._bytes.items())
-
-    def snapshot(self) -> Dict[int, int]:
-        """Copy of the non-default contents (for equivalence tests)."""
-        return dict(self._bytes)
+        return words
 
     # --------------------------------------------------- checkpoint protocol
 
     def capture_state(self) -> dict:
         """Serializable mid-run state (distinct from :meth:`snapshot`, the
-        older contents-only view used by equivalence tests)."""
+        contents-only view used by equivalence tests): pages as ``bytes``."""
         return {
-            "bytes": dict(self._bytes),
+            "pages": {number: bytes(page) for number, page in self.pages.items()},
             "generation": self.generation,
             "word_generations": dict(self.word_generations),
             "bulk_epoch": self.bulk_epoch,
@@ -122,17 +193,17 @@ class ShadowMemory:
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`capture_state`, mutating *in place*: the
-        ``word_generations`` dict's identity is stable (the filter memo
-        holds a direct reference)."""
-        self._bytes.clear()
-        self._bytes.update(state["bytes"])
+        ``pages`` and ``word_generations`` dicts keep their identities (the
+        filter pipeline and the filter memo hold direct references)."""
+        pages = {
+            number: bytearray(page) for number, page in state["pages"].items()
+        }
+        self.pages.clear()
+        self.pages.update(pages)
         self.generation = state["generation"]
         self.word_generations.clear()
         self.word_generations.update(state["word_generations"])
         self.bulk_epoch = state["bulk_epoch"]
-
-    def __len__(self) -> int:
-        return len(self._bytes)
 
 
 class ShadowRegisters:

@@ -2,22 +2,20 @@
 
 Checks that every memory access goes to an allocated region.  Critical
 metadata encode two states per memory word — allocated or unallocated
-(Section 6); non-critical metadata (allocation sites for bug reporting) stay
-in the monitor.  FADE filters accesses to allocated data through clean
-checks; there is no Non-Blocking update rule because the handler's critical
-effect (lazy shadow materialisation or nothing at all) is not a propagation.
+(Section 6).  The paper's non-critical metadata (allocation sites for bug
+reporting) are not modelled: no report here carries them.  FADE filters
+accesses to allocated data through clean checks; there is no Non-Blocking
+update rule because the handler's critical effect (lazy shadow
+materialisation or nothing at all) is not a propagation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
-
-from repro.common.units import words_in_range
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
 from repro.isa.opcodes import OpClass, event_id_for
-from repro.metadata.shadow import ShadowMemory
+from repro.metadata.shadow import ShadowMemory, WordBytes
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import ADDRCHECK_COSTS, HandlerCosts
 from repro.monitors.reports import BugKind, BugReport
@@ -43,9 +41,8 @@ class AddrCheck(Monitor):
 
     def __init__(self, costs: HandlerCosts = ADDRCHECK_COSTS) -> None:
         super().__init__(costs)
-        self._allocated: Set[int] = set()  # Authoritative allocation state.
-        self._alloc_site: Dict[int, int] = {}  # Non-critical: word -> site id.
-        self._next_site = 1
+        # Authoritative allocation state: word -> ALLOCATED/UNALLOCATED.
+        self._allocated = WordBytes(UNALLOCATED)
 
     # ---------------------------------------------------------------- program
 
@@ -74,12 +71,12 @@ class AddrCheck(Monitor):
         address = event.app_addr
         assert address is not None, "AddrCheck only monitors memory events"
         word = ShadowMemory.word_address(address)
-        if word in self._allocated:
+        if self._allocated.read(word):
             # Clean access: the handler checks and exits.
             return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
         if LAZY_REGION_START <= word < LAZY_REGION_END:
             # First touch of lazily shadowed static data: materialise it.
-            self._allocated.add(word)
+            self._allocated.write(word, ALLOCATED)
             self.critical_mem.write(word, ALLOCATED)
             return self._result(
                 self.costs.update, HandlerClass.UPDATE, changed=True
@@ -100,18 +97,10 @@ class AddrCheck(Monitor):
 
     def _set_range(self, start: int, size: int, allocate: bool) -> int:
         # Bulk equivalent of per-word updates: malloc/free/stack ranges
-        # cover thousands of words, so this runs at set/dict speed.
-        words = words_in_range(start, size)
-        if allocate:
-            self._allocated.update(words)
-            self.critical_mem.bulk_set(start, size, ALLOCATED)
-        else:
-            self._allocated.difference_update(words)
-            pop = self._alloc_site.pop
-            for word in words:
-                pop(word, None)
-            self.critical_mem.bulk_set(start, size, UNALLOCATED)
-        return len(words)
+        # cover thousands of words, so both stores fill them page by page.
+        state = ALLOCATED if allocate else UNALLOCATED
+        self._allocated.fill(start, size, state)
+        return self.critical_mem.bulk_set(start, size, state)
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         words = self._set_range(
@@ -123,20 +112,12 @@ class AddrCheck(Monitor):
 
     def on_suu_stack_update(self, update: StackUpdate) -> None:
         # The SUU wrote the critical bytes; mirror into authoritative state.
-        words = words_in_range(update.frame_base, update.frame_size)
-        if update.op is StackOp.CALL:
-            self._allocated.update(words)
-        else:
-            self._allocated.difference_update(words)
+        state = ALLOCATED if update.op is StackOp.CALL else UNALLOCATED
+        self._allocated.fill(update.frame_base, update.frame_size, state)
 
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         if event.kind is HighLevelKind.MALLOC:
             words = self._set_range(event.address, event.size, allocate=True)
-            site = self._next_site
-            self._next_site += 1
-            self._alloc_site.update(
-                dict.fromkeys(words_in_range(event.address, event.size), site)
-            )
             return self._result(
                 self.costs.malloc(words), HandlerClass.HIGH_LEVEL, changed=True
             )

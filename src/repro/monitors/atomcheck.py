@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.units import words_in_range
+from repro.common.units import keys_in_range, words_in_range
 from repro.fade.event_table import EventTableEntry
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
@@ -197,11 +197,12 @@ class AtomCheck(Monitor):
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         # Allocation events reset the access history of the region.
         if event.kind in (HighLevelKind.MALLOC, HighLevelKind.FREE):
-            words = 0
-            for word in words_in_range(event.address, event.size):
-                self._last_access.pop(word, None)
-                self.critical_mem.write(word, 0x00)
-                words += 1
+            last_access = self._last_access
+            for word in keys_in_range(
+                last_access, words_in_range(event.address, event.size)
+            ):
+                del last_access[word]
+            words = self.critical_mem.bulk_set(event.address, event.size, 0x00)
             cost = (
                 self.costs.malloc(words)
                 if event.kind is HighLevelKind.MALLOC

@@ -195,7 +195,8 @@ class Monitor(abc.ABC):
 
     #: Instance attributes the base class owns; everything else in
     #: ``__dict__`` is subclass state and is captured generically (the five
-    #: paper monitors hold only plain dict/set/list/int state).
+    #: paper monitors hold only plain dict/set/list/int state and
+    #: :class:`~repro.metadata.shadow.WordBytes` tables).
     _BASE_STATE_ATTRS = frozenset(
         {"costs", "critical_regs", "critical_mem", "reports", "current_thread"}
     )

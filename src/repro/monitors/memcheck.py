@@ -16,16 +16,15 @@ definedness (PROP_S1 for copies, COMPOSE_AND for two-source ALU ops).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.common.units import words_in_range
 from repro.fade.event_table import EventTableEntry
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
 from repro.isa.opcodes import OpClass, event_id_for
-from repro.metadata.shadow import ShadowMemory
+from repro.metadata.shadow import ShadowMemory, WordBytes
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import MEMCHECK_COSTS, HandlerCosts
 from repro.monitors.addrcheck import LAZY_REGION_END, LAZY_REGION_START
@@ -56,7 +55,7 @@ class MemCheck(Monitor):
     def __init__(self, costs: HandlerCosts = MEMCHECK_COSTS) -> None:
         super().__init__(costs)
         # Authoritative state: word -> UNALLOC/UNINIT/INIT, reg -> bool.
-        self._words: Dict[int, int] = {}
+        self._words = WordBytes(UNALLOC)
         self._reg_defined = [True] * self.critical_regs.num_registers
 
     def register_default(self) -> int:
@@ -126,17 +125,13 @@ class MemCheck(Monitor):
     # ----------------------------------------------------------------- state
 
     def _word_state(self, address: int) -> int:
-        return self._words.get(ShadowMemory.word_address(address), UNALLOC)
+        return self._words.read(address)
 
     def _set_word(self, address: int, state: int) -> bool:
         word = ShadowMemory.word_address(address)
-        old = self._words.get(word, UNALLOC)
-        if state == UNALLOC:
-            self._words.pop(word, None)
-        else:
-            self._words[word] = state
+        changed = self._words.write(word, state)
         self.critical_mem.write(word, state)
-        return old != state
+        return changed
 
     def _set_reg(self, index: int, defined: bool) -> bool:
         old = self._reg_defined[index]
@@ -262,16 +257,10 @@ class MemCheck(Monitor):
 
     def _set_range(self, start: int, size: int, state: int) -> int:
         # Bulk equivalent of per-word _set_word calls: malloc/free/stack
-        # ranges cover thousands of words, so this runs at dict speed.
-        words = words_in_range(start, size)
-        if state == UNALLOC:
-            pop = self._words.pop
-            for word in words:
-                pop(word, None)
-        else:
-            self._words.update(dict.fromkeys(words, state))
-        self.critical_mem.bulk_set(start, size, state)
-        return len(words)
+        # ranges cover thousands of words, so both stores fill them page by
+        # page.
+        self._words.fill(start, size, state)
+        return self.critical_mem.bulk_set(start, size, state)
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         state = UNINIT if update.op is StackOp.CALL else UNALLOC
@@ -282,13 +271,7 @@ class MemCheck(Monitor):
 
     def on_suu_stack_update(self, update: StackUpdate) -> None:
         state = UNINIT if update.op is StackOp.CALL else UNALLOC
-        words = words_in_range(update.frame_base, update.frame_size)
-        if state == UNALLOC:
-            pop = self._words.pop
-            for word in words:
-                pop(word, None)
-        else:
-            self._words.update(dict.fromkeys(words, state))
+        self._words.fill(update.frame_base, update.frame_size, state)
 
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         if event.kind is HighLevelKind.MALLOC:

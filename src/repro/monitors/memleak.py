@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.common.units import words_in_range
+from repro.common.units import keys_in_range, words_in_range
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
@@ -192,15 +192,16 @@ class MemLeak(Monitor):
         """Bulk equivalent of per-word ``_set_word_ctx(word, None)`` calls:
         release every tracked context in the range, drop the words from the
         context map, and clear the critical bytes."""
-        words = words_in_range(start, size)
-        pop = self._word_ctx.pop
+        self._drop_word_contexts(start, size)
+        return self.critical_mem.bulk_set(start, size, NONPTR)
+
+    def _drop_word_contexts(self, start: int, size: int) -> None:
+        """Release and forget the contexts of every tracked word in the
+        range, in ascending address order."""
+        word_ctx = self._word_ctx
         release = self._release
-        for word in words:
-            old = pop(word, None)
-            if old is not None:
-                release(old)
-        self.critical_mem.bulk_set(start, size, NONPTR)
-        return len(words)
+        for word in keys_in_range(word_ctx, words_in_range(start, size)):
+            release(word_ctx.pop(word))
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         words = self._clear_word_range(update.frame_base, update.frame_size)
@@ -209,9 +210,7 @@ class MemLeak(Monitor):
         )
 
     def on_suu_stack_update(self, update: StackUpdate) -> None:
-        for word in words_in_range(update.frame_base, update.frame_size):
-            old = self._word_ctx.pop(word, None)
-            self._release(old)
+        self._drop_word_contexts(update.frame_base, update.frame_size)
 
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         if event.kind is HighLevelKind.MALLOC:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.common.units import words_in_range
+from repro.common.units import keys_in_range, words_in_range
 from repro.fade.event_table import RuKind
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
@@ -176,13 +176,18 @@ class TaintCheck(Monitor):
 
     def _clear_range(self, start: int, size: int) -> int:
         # Bulk equivalent of per-word _set_word(word, False) calls.
+        self._untaint_words(start, size)
+        return self.critical_mem.bulk_set(start, size, UNTAINTED)
+
+    def _untaint_words(self, start: int, size: int) -> None:
+        """Drop the range's words from the taint set and origin map,
+        visiting only entries that can be in the range."""
         words = words_in_range(start, size)
-        self._tainted_words.difference_update(words)
-        pop = self._origins.pop
-        for word in words:
-            pop(word, None)
-        self.critical_mem.bulk_set(start, size, UNTAINTED)
-        return len(words)
+        tainted = self._tainted_words
+        tainted.difference_update(keys_in_range(tainted, words))
+        origins = self._origins
+        for word in keys_in_range(origins, words):
+            del origins[word]
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         words = self._clear_range(update.frame_base, update.frame_size)
@@ -191,11 +196,7 @@ class TaintCheck(Monitor):
         )
 
     def on_suu_stack_update(self, update: StackUpdate) -> None:
-        words = words_in_range(update.frame_base, update.frame_size)
-        self._tainted_words.difference_update(words)
-        pop = self._origins.pop
-        for word in words:
-            pop(word, None)
+        self._untaint_words(update.frame_base, update.frame_size)
 
     def _handle_memory_event(self, event: HighLevelEvent) -> HandlerResult:
         if event.kind is HighLevelKind.TAINT_SOURCE:

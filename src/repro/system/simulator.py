@@ -72,7 +72,7 @@ _NEVER = 1 << 62
 #: Layout version of :meth:`MonitoringSimulation.snapshot` payloads.  Bump on
 #: any change to what is captured or how it is encoded; ``restore`` refuses
 #: mismatched versions (the checkpoint layer degrades that to a cold rerun).
-SIM_STATE_VERSION = 1
+SIM_STATE_VERSION = 2
 
 
 class FusionStats:

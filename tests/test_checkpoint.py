@@ -27,8 +27,14 @@ from repro.checkpoint import (
     install_checkpoint_runtime,
     uninstall_checkpoint_runtime,
 )
+from repro.api.segments import build_simulation
+from repro.common.units import WORD_SIZE
+from repro.metadata import ShadowMemory
+from repro.monitors.memcheck import UNALLOC
 from repro.system.config import SystemConfig
+from repro.system.simulator import SIM_STATE_VERSION
 from repro.verify.oracle import result_digest
+from repro.workload.trace import HighLevelEvent
 
 TINY = ExperimentSettings(num_instructions=2000, seed=13)
 SPEC = RunSpec("astar", "addrcheck", SystemConfig(), TINY)
@@ -331,3 +337,68 @@ class TestRunnerCacheAliasing:
         # Same cached object, still serving bit-identical cold runs.
         assert plan_after is plan_before
         assert result_digest(execute_spec(SPEC, cache)) == baseline
+
+
+class TestStateFormat:
+    """SIM_STATE_VERSION 2 stores shadow memory as whole pages of bytes;
+    a blob in the older per-word layout is discarded, never misread."""
+
+    MEMCHECK = RunSpec("astar", "memcheck", SystemConfig(), TINY)
+
+    def test_v1_checkpoint_is_discarded_and_recomputed(self, store):
+        _abort_after_first_checkpoint(store)
+        state = store.get(SPEC)["state"]
+        # Rewrite the captured shadow memory in the v1 layout: a per-word
+        # dict of non-default bytes under "bytes".
+        memory = state["monitor"]["critical_mem"]
+        shadow = ShadowMemory()
+        shadow.restore_state(memory)
+        v1_memory = {
+            key: value for key, value in memory.items() if key != "pages"
+        }
+        v1_memory["bytes"] = shadow.snapshot()
+        v1 = dict(
+            state,
+            version=1,
+            monitor=dict(state["monitor"], critical_mem=v1_memory),
+        )
+        store.put(SPEC, v1)
+        cold = result_digest(execute_spec(SPEC, RunnerCache()))
+        result = execute_spec(SPEC, checkpoint_every=EVERY, checkpoint_store=store)
+        assert result_digest(result) == cold
+        assert getattr(result, "resume_metadata", None) is None
+        discarded = [
+            record
+            for record in store.journal.records()
+            if record["action"] == "discarded"
+        ]
+        assert [record["reason"] for record in discarded] == ["restore-failed"]
+
+    def test_v2_round_trip_restores_live_static_segment(self, store):
+        spec = self.MEMCHECK
+        cache = RunnerCache()
+        cold = result_digest(execute_spec(spec, cache))
+        _abort_after_first_checkpoint(store, spec=spec)
+        state = store.get(spec)["state"]
+        assert state["version"] == SIM_STATE_VERSION == 2
+        pages = state["monitor"]["critical_mem"]["pages"]
+        assert pages and all(type(page) is bytes for page in pages.values())
+
+        sim = build_simulation(spec, cache)
+        static = sim.trace.items[0]
+        assert isinstance(static, HighLevelEvent) and static.startup
+        sim.restore(state)
+        monitor = sim.monitor
+        # The pipeline's hoisted page dict is the restored store's own.
+        assert sim.fade.pipeline._mem_pages is monitor.critical_mem.pages
+        for word in range(
+            static.address, static.address + static.size, WORD_SIZE
+        ):
+            assert monitor.critical_mem.read(word) != UNALLOC
+            assert monitor._words.read(word) != UNALLOC
+
+        resumed = execute_spec(
+            spec, cache, checkpoint_every=EVERY, checkpoint_store=store
+        )
+        assert result_digest(resumed) == cold
+        assert resumed.resume_metadata["resumed_from_cycle"] > 0
