@@ -7,6 +7,11 @@ checks that the two engines produce bit-identical results, and writes
 event-vs-naive speedup) so the simulator core's performance trajectory is
 recorded per commit.
 
+The ``parallel_grid`` section runs the same 66-cell fig9 grid through
+``ParallelRunner(jobs=2)`` — cold pool, trace-grouped chunks, workers
+synthesizing their own traces — and records the median of the rounds; it
+is checked bit-identical to the serial event-engine results.
+
 The ``trace_synthesis`` section records trace-generation throughput
 (trace items per second over the fig9 benchmarks, best of the rounds), the
 front-end number the regression check gates next to the engine's
@@ -37,10 +42,6 @@ Environment knobs:
   ratio (default 1.0: the event engine must never be slower).
 * ``REPRO_BENCH_PERF_MIN_FADE_SPEEDUP`` — fail below this event/naive
   engine-loop ratio on the FADE-active split (default 1.0).
-* ``REPRO_BENCH_PERF_MIN_VECTOR_SPEEDUP`` — fail below this vector/event
-  engine-loop ratio on the FADE-active split (default 0.5 — a sanity
-  floor, not a target: the measured ratio is ~0.8–0.95x, see
-  DESIGN.md §12).  Skipped when NumPy is unavailable.
 * ``REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD`` — fail if arming the
   checkpoint machinery (thresholds firing into a no-op callback) slows
   the event engine loop by more than this fraction (default 0.01).
@@ -51,9 +52,9 @@ Environment knobs:
 * ``REPRO_BENCH_PROFILE`` — cProfile the timed region (top-20 cumulative).
 
 The ``fade_active`` payload section isolates the engine loop on the
-FADE-accelerated half of the grid (warmup untimed), where burst draining
-and the filter memo concentrate, and records the fused-run-length
-distribution plus memo hit rates alongside the cycles/sec comparison.
+FADE-accelerated half of the grid (warmup untimed), where the filter memo
+concentrates, and records the memo hit rates alongside the cycles/sec
+comparison.
 """
 
 from __future__ import annotations
@@ -72,17 +73,16 @@ if str(_ROOT) not in sys.path:  # Script mode: make `benchmarks.common` importab
     sys.path.insert(0, str(_ROOT))
 
 from benchmarks.common import BENCH_SETTINGS, maybe_profile, record
-from repro import kernels
 from repro.analysis import ExperimentSettings
 from repro.analysis.experiments import benchmarks_for
-from repro.api import ResultStore, RunSpec, SerialRunner
+from repro.api import ParallelRunner, ResultStore, RunSpec, SerialRunner
 from repro.api.runner import execute_spec
 from repro.api.segments import build_simulation, plan_boundaries, run_segmented
 from repro.checkpoint import CheckpointStore
 from repro.cores.base import CoreType
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.system import SystemConfig
-from repro.system.simulator import MonitoringSimulation, fusion_stats
+from repro.system.simulator import MonitoringSimulation
 from repro.workload import generate_trace, get_profile
 
 BENCH_JSON = _ROOT / "BENCH_perf.json"
@@ -116,19 +116,13 @@ def _inorder_specs(engine: str, settings: ExperimentSettings) -> list:
 
 def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
     """Event-vs-naive engine timing on the FADE-accelerated half of the
-    fig9 grid — the cells burst draining and the filter memo accelerate.
+    fig9 grid — the cells the filter memo accelerates.
 
     Traces, schedules and plans come from a shared cache and the functional
     warmup runs untimed, so ``cycles_per_sec`` measures the simulation
     engine loop itself.  Alongside the timings the payload records the
-    fused-run-length distribution and the filter-memo hit rates of the
-    event engine (both diagnostic: results are bit-identical either way,
-    which is re-checked here).
-
-    When NumPy is available a third leg times ``engine="vector"`` and
-    splits its wall clock into kernel seconds (inside the column kernels,
-    from :func:`repro.kernels.kernel_timings`) versus boundary seconds
-    (everything else: the shared event loop plus batch consumption).
+    filter-memo hit rates of the event engine (diagnostic: results are
+    bit-identical either way, which is re-checked here).
     """
     runner = SerialRunner()
     cells = [
@@ -143,14 +137,10 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         runner.cache.plan(benchmark, settings, monitor)
 
     engine_legs = ("naive", "event")
-    if kernels.get_numpy() is not None:
-        engine_legs += ("vector",)
     best = {engine: float("inf") for engine in engine_legs}
     outputs = {}
     cycles = {}
     memo = {"gen_hits": 0, "value_hits": 0, "misses": 0}
-    vector_kernels = None
-    fusion_stats.reset()
     # Rounds interleave the engines A/B so machine drift hits both alike.
     for round_index in range(max(1, rounds)):
         for engine in engine_legs:
@@ -171,8 +161,6 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
                 sim._run_warmup()
                 sims.append(sim)
             gc.collect()
-            if engine == "vector":
-                kernels.reset_kernel_stats()
             start = time.perf_counter()
             if engine == "naive":
                 for sim in sims:
@@ -180,20 +168,7 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
             else:
                 for sim in sims:
                     sim._run_event()
-            elapsed = time.perf_counter() - start
-            if elapsed < best[engine]:
-                best[engine] = elapsed
-                if engine == "vector":
-                    # Kernel-vs-boundary split of the best vector round.
-                    timings = kernels.kernel_timings()
-                    kernel_seconds = sum(timings.values())
-                    vector_kernels = {
-                        "kernel_seconds": kernel_seconds,
-                        "boundary_seconds": elapsed - kernel_seconds,
-                        "kernel_fraction": kernel_seconds / elapsed,
-                        "timings": timings,
-                        "counters": kernels.kernel_counters(),
-                    }
+            best[engine] = min(best[engine], time.perf_counter() - start)
             results = [sim._finalize() for sim in sims]
             cycles[engine] = sum(result.cycles for result in results)
             outputs[engine] = [result.to_dict() for result in results]
@@ -214,23 +189,13 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         for engine in engine_legs
     }
     lookups = memo["gen_hits"] + memo["value_hits"] + memo["misses"]
-    run_lengths = fusion_stats.run_lengths
-    total_runs = max(1, fusion_stats.runs)
     return {
         "cells": len(cells),
         "engines": engines,
         "speedup_event_vs_naive": (
             engines["naive"]["seconds"] / engines["event"]["seconds"]
         ),
-        "speedup_vector_vs_event": (
-            engines["event"]["seconds"] / engines["vector"]["seconds"]
-            if "vector" in engines
-            else None
-        ),
-        "vector_kernels": vector_kernels,
-        "bit_identical": all(
-            outputs[engine] == outputs["naive"] for engine in engine_legs
-        ),
+        "bit_identical": outputs["event"] == outputs["naive"],
         "filter_memo": {
             **memo,
             "hit_rate": (
@@ -238,14 +203,6 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
                 if lookups
                 else 0.0
             ),
-        },
-        "fused_runs": fusion_stats.runs,
-        "fused_events": fusion_stats.fused_events,
-        "fused_cycles": fusion_stats.fused_cycles,
-        "fused_run_length_mean": fusion_stats.fused_events / total_runs,
-        "fused_run_length_distribution": {
-            str(length): count
-            for length, count in sorted(run_lengths.items())
         },
     }
 
@@ -482,6 +439,38 @@ def _measure_segmented(settings: ExperimentSettings, rounds: int) -> dict:
     }
 
 
+def _measure_parallel_grid(
+    settings: ExperimentSettings, rounds: int, reference: list
+) -> dict:
+    """The fig9 grid through ``ParallelRunner(jobs=2)``, median of rounds.
+
+    Every round uses a fresh runner (cold parent cache, new pool), so the
+    time covers pool start-up, chunk dispatch and each worker synthesizing
+    the traces of its chunks — the path ``perfbench``'s ``fig9_grid``
+    workload measures.  ``reference`` is the serial event engine's
+    serialized results for the same grid; the parallel results must match
+    it."""
+    specs = _fig9_specs("event", settings)
+    jobs = 2
+    seconds = []
+    outputs = None
+    for _ in range(max(3, rounds)):
+        gc.collect()
+        start = time.perf_counter()
+        results = ParallelRunner(jobs=jobs).run(specs)
+        seconds.append(time.perf_counter() - start)
+        outputs = [result.to_dict() for result in results.results]
+    median = sorted(seconds)[len(seconds) // 2]
+    return {
+        "cells": len(specs),
+        "jobs": jobs,
+        "rounds_seconds": seconds,
+        "seconds": median,
+        "cells_per_sec": len(specs) / median,
+        "bit_identical": outputs == reference,
+    }
+
+
 def _measure_functional_split(settings: ExperimentSettings) -> dict:
     """Cold fig9-grid profile on a fresh runner: packed-trace generation,
     schedule + delivery-plan building, then simulation."""
@@ -638,10 +627,11 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
                 engines["naive"]["seconds"] / engines["event"]["seconds"]
             ),
             "bit_identical": outputs["naive"] == outputs["event"],
-        }
+        }, outputs["event"]
 
-    fig9 = measure(_fig9_specs, "fig9")
-    inorder = measure(_inorder_specs, "inorder-unaccel")
+    fig9, fig9_event_outputs = measure(_fig9_specs, "fig9")
+    inorder, _ = measure(_inorder_specs, "inorder-unaccel")
+    parallel_grid = _measure_parallel_grid(settings, rounds, fig9_event_outputs)
     fade_active = _measure_fade_active(settings, rounds)
     checkpointing = _measure_checkpointing(settings, rounds)
     segmented = _measure_segmented(settings, rounds)
@@ -659,11 +649,13 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
             and fade_active["bit_identical"]
             and checkpointing["bit_identical"]
             and segmented["bit_identical"]
+            and parallel_grid["bit_identical"]
         ),
         "inorder_unaccelerated": inorder,
         "fade_active": fade_active,
         "checkpointing": checkpointing,
         "segmented": segmented,
+        "parallel_grid": parallel_grid,
         "functional": functional,
         "trace_synthesis": trace_synthesis,
         "warmup": warmup,
@@ -684,12 +676,6 @@ def test_perf_core_event_engine():
         os.environ.get("REPRO_BENCH_PERF_MIN_FADE_SPEEDUP", "1.0")
     )
     assert payload["fade_active"]["speedup_event_vs_naive"] >= fade_minimum
-    vector_speedup = payload["fade_active"]["speedup_vector_vs_event"]
-    if vector_speedup is not None:
-        vector_minimum = float(
-            os.environ.get("REPRO_BENCH_PERF_MIN_VECTOR_SPEEDUP", "0.5")
-        )
-        assert vector_speedup >= vector_minimum
     max_overhead = float(
         os.environ.get("REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD", "0.01")
     )
@@ -727,18 +713,6 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    vector_speedup = fade["speedup_vector_vs_event"]
-    if vector_speedup is not None:
-        vector_minimum = float(
-            os.environ.get("REPRO_BENCH_PERF_MIN_VECTOR_SPEEDUP", "0.5")
-        )
-        if vector_speedup < vector_minimum:
-            print(
-                f"FAIL: vector engine at {vector_speedup:.2f}x of the event "
-                f"engine, below the {vector_minimum:.2f}x sanity floor",
-                file=sys.stderr,
-            )
-            return 1
     checkpointing = payload["checkpointing"]
     max_overhead = float(
         os.environ.get("REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD", "0.01")
@@ -764,18 +738,13 @@ def main() -> int:
         return 1
     functional = payload["functional"]
     store = payload["result_store"]
-    vector_note = (
-        f"vector {vector_speedup:.2f}x of event, "
-        f"{100 * fade['vector_kernels']['kernel_fraction']:.0f}% in kernels; "
-        if vector_speedup is not None
-        else "vector leg skipped (no NumPy); "
-    )
+    parallel_grid = payload["parallel_grid"]
     print(
         f"[BENCH_perf.json written: event engine {speedup:.2f}x vs naive "
         f"(fade-active {fade['speedup_event_vs_naive']:.2f}x, "
-        f"{vector_note}"
-        f"memo hit rate {100 * fade['filter_memo']['hit_rate']:.0f}%, "
-        f"mean fused run {fade['fused_run_length_mean']:.1f} events); "
+        f"memo hit rate {100 * fade['filter_memo']['hit_rate']:.0f}%); "
+        f"parallel fig9 grid {parallel_grid['cells_per_sec']:.1f} cells/s "
+        f"(jobs={parallel_grid['jobs']}, median); "
         f"trace synthesis "
         f"{payload['trace_synthesis']['items_per_sec']:,.0f} items/s; "
         f"warmup {payload['warmup']['seconds']:.2f}s over "

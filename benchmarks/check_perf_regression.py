@@ -15,10 +15,11 @@ throughput is machine-specific, so the two payloads should come from the
 same machine — CI re-measures the base commit on the runner before
 diffing.
 
-Trace-generation throughput (``trace_synthesis.items_per_sec``) and
-functional-warmup throughput (``warmup.cells_per_sec``) are gated at the
-same ``--max-regression`` floor; each diff is skipped with a notice when
-the baseline predates its section.
+Trace-generation throughput (``trace_synthesis.items_per_sec``),
+functional-warmup throughput (``warmup.cells_per_sec``) and the parallel
+fig9 grid's throughput (``parallel_grid.cells_per_sec``, the median of the
+bench's rounds) are gated at the same ``--max-regression`` floor; each diff
+is skipped with a notice when the baseline predates its section.
 
 The result-store warm-rerun speedup is gated too, but only at half the
 baseline: warm reruns take milliseconds, so their ratio is noise-dominated;
@@ -57,8 +58,8 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
     sections = [("", baseline, fresh)]
     if "fade_active" in baseline and "fade_active" in fresh:
         # The FADE-active engine-loop split is gated exactly like the main
-        # grid: its cycles/sec is the headline number burst draining and
-        # the filter memo are responsible for.
+        # grid: its cycles/sec is the headline number the filter memo is
+        # responsible for.
         sections.append(
             ("fade_active.", baseline["fade_active"], fresh["fade_active"])
         )
@@ -94,12 +95,14 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
             )
             if ratio < floor:
                 failures.append(f"{prefix}{engine}")
-    # The front end (trace generation: items synthesized per second) and
-    # the functional warmup (fig9 cells warmed per second) under the same
-    # gate as the engine loop.
+    # The front end (trace generation: items synthesized per second), the
+    # functional warmup (fig9 cells warmed per second) and the parallel
+    # grid (fig9 cells per second through a cold pool) under the same gate
+    # as the engine loop.
     for section, key, label in (
         ("trace_synthesis", "items_per_sec", "items/sec"),
         ("warmup", "cells_per_sec", "cells/sec"),
+        ("parallel_grid", "cells_per_sec", "cells/sec"),
     ):
         base_section = baseline.get(section)
         fresh_section = fresh.get(section)

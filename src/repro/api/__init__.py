@@ -31,12 +31,6 @@ from repro.workload.profiles import benchmark_names, get_profile, register_profi
 
 from repro.api.cache import LruCache, RunnerCache
 from repro.api.results import ResultSet, RunRecord
-from repro.api.shm import (
-    SharedTraceArena,
-    SharedTraceHandle,
-    attach_trace,
-    shared_memory_available,
-)
 from repro.api.store import STORE_SCHEMA_VERSION, ResultStore, content_key
 from repro.api.runner import (
     ParallelRunner,
@@ -70,10 +64,7 @@ __all__ = [
     "RunnerCache",
     "SerialRunner",
     "STORE_SCHEMA_VERSION",
-    "SharedTraceArena",
-    "SharedTraceHandle",
     "TOPOLOGY_ALIASES",
-    "attach_trace",
     "benchmark_names",
     "config_from_fields",
     "content_key",
@@ -86,6 +77,5 @@ __all__ = [
     "register_profile",
     "run_specs",
     "set_default_runner",
-    "shared_memory_available",
     "spec_grid",
 ]

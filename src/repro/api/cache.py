@@ -115,21 +115,6 @@ class RunnerCache:
             ),
         )
 
-    def seed_trace(
-        self,
-        benchmark: str,
-        settings: ExperimentSettings,
-        trace: Trace,
-        profile: Optional[BenchmarkProfile] = None,
-    ) -> Trace:
-        """Install an externally supplied trace (e.g. one attached from a
-        shared-memory segment) under the key :meth:`trace` would use, so
-        subsequent lookups reuse it instead of regenerating."""
-        if profile is None:
-            profile = get_profile(benchmark)
-        key = (profile, settings.num_instructions, settings.seed)
-        return self._traces.get_or_create(key, lambda: trace)
-
     def schedule(
         self,
         benchmark: str,

@@ -7,10 +7,9 @@ whole simulation derives its randomness deterministically from the spec.
 
 Two layers keep functional work off the grid's critical path:
 
-* **Shared-memory traces** — the parallel runner generates each packed
-  trace once, places its column buffer in ``multiprocessing.shared_memory``
-  and workers attach zero-copy (:mod:`repro.api.shm`), instead of every
-  worker regenerating or unpickling the trace.
+* **Trace-grouped dispatch** — the parallel runner sends all cells of one
+  trace to a worker as one chunk, and the worker synthesizes that trace
+  itself; the parent generates no traces and ships only specs.
 * **Result store** — pass ``store=ResultStore(path)`` (or ``--result-cache``
   on the CLI) and cells whose spec content already has a stored result are
   served from disk; only dirty cells are simulated.  Store hits are
@@ -20,6 +19,7 @@ Two layers keep functional work off the grid's critical path:
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import multiprocessing
 import os
@@ -36,7 +36,6 @@ from repro.faults.injector import worker_fault, worker_midrun_fault
 from repro.monitors import MONITOR_REGISTRY, create_monitor
 from repro.system.results import RunResult
 from repro.system.simulator import MonitoringSimulation
-from repro.workload.packed import PackedTrace
 from repro.workload.profiles import get_profile
 
 from repro.api.cache import RunnerCache
@@ -49,14 +48,8 @@ from repro.api.segments import (
     run_chain_to,
     run_segmented,
 )
-from repro.api.shm import SharedTraceArena, SharedTraceHandle, attach_trace
-from repro.api.spec import ExperimentSettings, RunSpec
+from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
-
-#: A trace travels to workers either as a shared-memory handle (zero-copy
-#: attach) or, when shared memory is unavailable, as the PackedTrace itself
-#: (pickled as one compact column-bytes blob via ``__reduce__``).
-TracePayload = Union[SharedTraceHandle, PackedTrace]
 
 #: Identity of one grid trace: (benchmark, num_instructions, seed, inline
 #: profile or None).  Carrying the profile keeps keys unique when specs
@@ -248,46 +241,47 @@ def _worker_run(spec: RunSpec) -> RunResult:
     return execute_spec(spec, _WORKER_CACHE)
 
 
-def _worker_run_chunk(
-    payload: Tuple[List[RunSpec], Dict["TraceKey", "TracePayload"]],
-) -> List[RunResult]:
-    """Execute a batch of specs in one pool task.
+def _worker_run_chunk(specs: List[RunSpec]) -> List[RunResult]:
+    """Execute one chunk of specs in one pool task.
 
-    Chunking amortises the per-task submission overhead across the batch;
-    the accompanying payloads let the worker attach each benchmark's packed
-    trace from shared memory (once per process) — or take it straight from
-    the pickled chunk when shared memory was unavailable — instead of
-    regenerating it.  Attach failures are silent: the worker regenerates.
+    The specs of a chunk share one trace (:func:`_trace_chunks`), so this
+    worker's cache synthesizes it on first use and every later cell of the
+    chunk reuses it, together with its schedules and plans.  Chunking also
+    amortises the per-task submission overhead across the batch.
     """
-    specs, handles = payload
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = RunnerCache()
-    for key, handle in handles.items():
-        if isinstance(handle, SharedTraceHandle):
-            trace = attach_trace(handle)
-        else:
-            trace = handle  # Pickle fallback: the packed trace itself.
-        if trace is not None:
-            benchmark, num_instructions, seed, profile = key
-            try:
-                # Inline profiles travel in the key (and in the specs), so
-                # seeding fuzzer-synthesised benchmarks never needs this
-                # process to have seen a runtime registration.
-                _WORKER_CACHE.seed_trace(
-                    benchmark,
-                    ExperimentSettings(
-                        num_instructions=num_instructions, seed=seed
-                    ),
-                    trace,
-                    profile=profile,
-                )
-            except ConfigurationError:
-                # Unknown profile in this worker (spawn pool without the
-                # parent's runtime registrations); the per-spec execution
-                # below raises the full error.
-                pass
     return [_worker_run(spec) for spec in specs]
+
+
+def _trace_chunks(spec_list: List[RunSpec], workers: int) -> List[List[int]]:
+    """Spec indices grouped into pool tasks, largest task first.
+
+    In (benchmark, settings, monitor) order, a chunk is one run of specs
+    with equal :func:`_trace_key`, so a trace and its schedules and plans
+    are built by one worker.  Only a run longer than
+    ``ceil(n / (workers * 4))`` is split, into near-equal pieces, so grids
+    of one or two traces still spread across the pool.  Dispatching the
+    largest chunks first keeps a long chunk from starting last.
+    """
+    order = sorted(
+        range(len(spec_list)),
+        key=lambda i: (
+            spec_list[i].benchmark,
+            spec_list[i].settings.num_instructions,
+            spec_list[i].settings.seed,
+            spec_list[i].monitor,
+        ),
+    )
+    cap = math.ceil(len(spec_list) / (workers * 4))
+    chunks: List[List[int]] = []
+    for _, run in itertools.groupby(
+        order, key=lambda i: _trace_key(spec_list[i])
+    ):
+        run = list(run)
+        pieces = math.ceil(len(run) / cap)
+        size = math.ceil(len(run) / pieces)
+        chunks.extend(run[start:start + size] for start in range(0, len(run), size))
+    chunks.sort(key=len, reverse=True)
+    return chunks
 
 
 def _worker_run_segment(
@@ -357,8 +351,8 @@ class ParallelRunner(Runner):
     Simulations are CPU-bound pure Python, so processes (not threads) are
     the unit of parallelism; wall-clock improvement scales with available
     cores.  The ``fork`` start method is preferred so monitors and profiles
-    registered at runtime remain visible to workers.  Packed traces travel
-    through shared memory (see module docstring).  Tiny grids
+    registered at runtime remain visible to workers.  Each worker builds the
+    traces of its own chunks (see module docstring).  Tiny grids
     (``len(specs) < jobs``), ``jobs=1`` and platforms without working
     process pools fall back to serial execution; results are bit-identical
     either way.
@@ -369,7 +363,6 @@ class ParallelRunner(Runner):
         jobs: Optional[int] = None,
         cache: Optional[RunnerCache] = None,
         store: Optional[ResultStore] = None,
-        share_traces: bool = True,
         segments: int = 1,
         segment_store: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
@@ -377,7 +370,6 @@ class ParallelRunner(Runner):
             cache, store, segments=segments, segment_store=segment_store
         )
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.share_traces = share_traces
 
     def run(self, specs: Iterable[RunSpec]) -> ResultSet:
         spec_list = list(specs)
@@ -432,175 +424,120 @@ class ParallelRunner(Runner):
         except ValueError:
             context = None
             _warn_spawn_context()
-        # Dispatch explicit benchmark-grouped chunks: each pool task carries
-        # a batch of specs (amortising pickling and task submission), and
-        # grouping by (benchmark, settings) maximises trace/schedule/plan
-        # cache hits inside each worker.  Results are re-ordered back to
-        # spec order, so the ResultSet is identical to serial execution.
-        order = sorted(
-            range(len(spec_list)),
-            key=lambda i: (
-                spec_list[i].benchmark,
-                spec_list[i].settings.num_instructions,
-                spec_list[i].settings.seed,
-                spec_list[i].monitor,
-            ),
-        )
-        # One trace per key; the key carries the inline profile (None for
-        # registry-resolved specs), so two specs sharing a benchmark name
-        # but not a profile each get their own shared trace.
-        trace_keys = {_trace_key(spec) for spec in spec_list}
-        # Chunk size from specs-per-benchmark: chunks then align with the
-        # sorted benchmark groups (one trace per chunk), while staying small
-        # enough to load-balance across the pool.
-        per_group = math.ceil(len(spec_list) / len(trace_keys))
-        balance_cap = math.ceil(len(spec_list) / (workers * 4))
-        chunk = max(1, min(per_group, balance_cap) if balance_cap > 1 else per_group)
-        index_chunks = [
-            order[start:start + chunk] for start in range(0, len(order), chunk)
-        ]
-        arena = SharedTraceArena()
-        try:
-            handles: Dict[TraceKey, TracePayload] = {}
-            if self.share_traces:
-                for key in sorted(
-                    trace_keys,
-                    key=lambda k: (k[0], k[1], k[2], k[3] is not None),
-                ):
-                    benchmark, num_instructions, seed, profile = key
-                    settings = ExperimentSettings(
-                        num_instructions=num_instructions, seed=seed
+        index_chunks = _trace_chunks(spec_list, workers)
+        payloads = [[spec_list[i] for i in indices] for indices in index_chunks]
+        pool = self._make_pool(workers, context)
+        if pool is None:
+            return self._run_serial(spec_list)
+        # Chunk results land here as they are harvested; a broken pool
+        # costs only the chunks that had not finished.
+        batches: List[Optional[List[RunResult]]] = [None] * len(payloads)
+        pending = list(range(len(payloads)))
+        rebuilds = 0
+        while pending:
+            futures = []
+            try:
+                # Submit inside the try: a worker that dies while later
+                # chunks are still being submitted breaks the pool, and
+                # submit() itself then raises BrokenProcessPool.
+                for slot in pending:
+                    futures.append(
+                        pool.submit(_worker_run_chunk, payloads[slot])
                     )
-                    trace = self.cache.trace(benchmark, settings, profile)
-                    if isinstance(trace, PackedTrace):
-                        # Shared memory when available; otherwise ship the
-                        # packed trace itself (one compact pickled blob per
-                        # chunk) so workers still never regenerate.
-                        handles[key] = arena.share(trace) or trace
-            payloads = []
-            for indices in index_chunks:
-                chunk_specs = [spec_list[i] for i in indices]
-                chunk_handles = {
-                    key: handles[key]
-                    for key in {_trace_key(spec) for spec in chunk_specs}
-                    if key in handles
-                }
-                payloads.append((chunk_specs, chunk_handles))
-            pool = self._make_pool(workers, context)
-            if pool is None:
-                return self._run_serial(spec_list)
-            # Chunk results land here as they are harvested; a broken pool
-            # costs only the chunks that had not finished.
-            batches: List[Optional[List[RunResult]]] = [None] * len(payloads)
-            pending = list(range(len(payloads)))
-            rebuilds = 0
-            while pending:
-                futures = [
-                    pool.submit(_worker_run_chunk, payloads[slot])
-                    for slot in pending
-                ]
-                try:
-                    for slot, future in zip(pending, futures):
-                        batches[slot] = future.result()
-                    pending = []
-                    pool.shutdown()
-                except KeyboardInterrupt:
-                    # Graceful interrupt: persist what already finished —
-                    # this round's done futures plus chunks harvested in
-                    # earlier rounds — kill the workers outright (waiting
-                    # for running chunks defeats the point of Ctrl-C), and
-                    # let the interrupt propagate.  The outer ``finally``
-                    # unlinks the shared-memory segments, so nothing leaks
-                    # in /dev/shm.
-                    self._store_partial(
-                        spec_list,
-                        [index_chunks[slot] for slot in pending],
-                        futures,
-                    )
-                    self._store_batches(spec_list, index_chunks, batches)
+                for slot, future in zip(pending, futures):
+                    batches[slot] = future.result()
+                pending = []
+                pool.shutdown()
+            except KeyboardInterrupt:
+                # Graceful interrupt: persist what already finished —
+                # this round's done futures plus chunks harvested in
+                # earlier rounds — kill the workers outright (waiting
+                # for running chunks defeats the point of Ctrl-C), and
+                # let the interrupt propagate.
+                self._store_partial(
+                    spec_list,
+                    [index_chunks[slot] for slot in pending],
+                    futures,
+                )
+                self._store_batches(spec_list, index_chunks, batches)
+                _terminate_pool(pool)
+                raise
+            except BrokenProcessPool:
+                # A dead worker (OOM kill, segfault, injected crash)
+                # breaks the whole executor.  Keep every chunk that
+                # finished, then retry the rest on a fresh pool; the
+                # results are deterministic per spec, so a recomputed
+                # chunk is bit-identical to an uninterrupted one.
+                # Classify harvested failures: only chunks that died
+                # *with the pool* are retryable — a chunk whose future
+                # carries a deterministic per-spec exception would fail
+                # identically on every retry, so it must fail fast with
+                # its original (worker) traceback, not be silently
+                # retried until the rebuild limit turns it into an
+                # unrelated serial error.
+                spec_error: Optional[BaseException] = None
+                for slot, future in zip(pending, futures):
+                    if (
+                        batches[slot] is None
+                        and future.done()
+                        and not future.cancelled()
+                    ):
+                        chunk_error = future.exception()
+                        if chunk_error is None:
+                            batches[slot] = future.result()
+                        elif isinstance(chunk_error, BrokenProcessPool):
+                            pass  # Chunk died with the pool: retry it.
+                        elif spec_error is None:
+                            spec_error = chunk_error
+                if spec_error is not None:
                     _terminate_pool(pool)
-                    raise
-                except BrokenProcessPool:
-                    # A dead worker (OOM kill, segfault, injected crash)
-                    # breaks the whole executor.  Keep every chunk that
-                    # finished, then retry the rest on a fresh pool; the
-                    # results are deterministic per spec, so a recomputed
-                    # chunk is bit-identical to an uninterrupted one.
-                    # Classify harvested failures: only chunks that died
-                    # *with the pool* are retryable — a chunk whose future
-                    # carries a deterministic per-spec exception would fail
-                    # identically on every retry, so it must fail fast with
-                    # its original (worker) traceback, not be silently
-                    # retried until the rebuild limit turns it into an
-                    # unrelated serial error.
-                    spec_error: Optional[BaseException] = None
-                    for slot, future in zip(pending, futures):
-                        if (
-                            batches[slot] is None
-                            and future.done()
-                            and not future.cancelled()
-                        ):
-                            chunk_error = future.exception()
-                            if chunk_error is None:
-                                batches[slot] = future.result()
-                            elif isinstance(chunk_error, BrokenProcessPool):
-                                pass  # Chunk died with the pool: retry it.
-                            elif spec_error is None:
-                                spec_error = chunk_error
-                    if spec_error is not None:
-                        _terminate_pool(pool)
-                        if isinstance(spec_error, ConfigurationError):
-                            # Workers cannot see this process's runtime
-                            # registrations (spawn pools): finish serially,
-                            # exactly as the non-broken path below does.
-                            warnings.warn(
-                                f"process pool unavailable ({spec_error}); "
-                                f"running serially",
-                                RuntimeWarning,
-                                stacklevel=2,
-                            )
-                            return self._run_serial(spec_list)
-                        raise spec_error
-                    pending = [
-                        slot for slot in pending if batches[slot] is None
-                    ]
-                    _terminate_pool(pool)
-                    pool = None
-                    rebuilds += 1
-                    if pending and rebuilds <= _POOL_REBUILD_LIMIT:
+                    if isinstance(spec_error, ConfigurationError):
+                        # Workers cannot see this process's runtime
+                        # registrations (spawn pools): finish serially,
+                        # exactly as the non-broken path below does.
                         warnings.warn(
-                            f"process pool broke (worker died); retrying "
-                            f"{len(pending)} unfinished chunk(s) on a "
-                            f"fresh pool",
+                            f"process pool unavailable ({spec_error}); "
+                            f"running serially",
                             RuntimeWarning,
                             stacklevel=2,
                         )
-                        pool = self._make_pool(workers, context)
-                    if pool is None and pending:
-                        warnings.warn(
-                            "process pool kept breaking; running serially "
-                            f"for the {len(pending)} unfinished chunk(s)",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        for slot in pending:
-                            batches[slot] = [
-                                execute_spec(spec, self.cache)
-                                for spec in payloads[slot][0]
-                            ]
-                        pending = []
-                except (OSError, PermissionError, ConfigurationError) as error:
-                    pool.shutdown(wait=True, cancel_futures=True)
+                        return self._run_serial(spec_list)
+                    raise spec_error
+                pending = [slot for slot in pending if batches[slot] is None]
+                _terminate_pool(pool)
+                pool = None
+                rebuilds += 1
+                if pending and rebuilds <= _POOL_REBUILD_LIMIT:
                     warnings.warn(
-                        f"process pool unavailable ({error}); running "
-                        f"serially",
+                        f"process pool broke (worker died); retrying "
+                        f"{len(pending)} unfinished chunk(s) on a "
+                        f"fresh pool",
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    return self._run_serial(spec_list)
-        finally:
-            # Segments never outlive the grid — worker crashes included.
-            arena.cleanup()
+                    pool = self._make_pool(workers, context)
+                if pool is None and pending:
+                    warnings.warn(
+                        "process pool kept breaking; running serially "
+                        f"for the {len(pending)} unfinished chunk(s)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    for slot in pending:
+                        batches[slot] = [
+                            execute_spec(spec, self.cache)
+                            for spec in payloads[slot]
+                        ]
+                    pending = []
+            except (OSError, PermissionError, ConfigurationError) as error:
+                pool.shutdown(wait=True, cancel_futures=True)
+                warnings.warn(
+                    f"process pool unavailable ({error}); running "
+                    f"serially",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                return self._run_serial(spec_list)
         results: List[Optional[RunResult]] = [None] * len(spec_list)
         for indices, batch in zip(index_chunks, batches):
             for index, result in zip(indices, batch):
@@ -620,8 +557,7 @@ class ParallelRunner(Runner):
         the serial finish resumes from the seams already stored.  Without
         a configured ``segment_store`` the seams live in a per-grid
         temporary store (crash recovery within the grid; no cross-run
-        reuse).  Traces are not shared through shared memory on this path
-        — each worker's cache generates them once per process.
+        reuse).  Each worker's cache generates traces once per process.
         """
         cleanup_dir = None
         store_path = self.segment_store

@@ -163,8 +163,8 @@ def run_chain_to(
     runs exactly one segment, but a missing or unusable seam heals by
     chaining through the intervening boundaries (storing each seam it
     produces, so the store converges).  Returns the final
-    :class:`RunResult` when the run completed (``stop_at`` is None, or a
-    fused window finished the run early), else None with the seam at
+    :class:`RunResult` when the run completed (``stop_at`` is None), else
+    None with the seam at
     ``stop_at`` stored.
     """
     sim, position, state = _restore_into_sim(spec, cache, prior_boundaries, store)
@@ -176,7 +176,7 @@ def run_chain_to(
             and stop is not None
             and int(state.get("app_index", -1)) >= stop
         ):
-            # A fused window overshot this boundary: the previous seam
+            # One cycle retired past this boundary: the previous seam
             # *is* this boundary's seam (running to ``stop`` from it would
             # pause before stepping), so store it as-is and move on.
             if store is not None:
@@ -261,7 +261,7 @@ def run_segmented(
             and stop is not None
             and int(state.get("app_index", -1)) >= stop
         ):
-            # A fused window overshot this boundary: the previous seam
+            # One cycle retired past this boundary: the previous seam
             # *is* this boundary's seam — store it as-is and move on.
             if segment_store is not None:
                 segment_store.put_segment(spec, stop, state)

@@ -18,15 +18,6 @@ from repro.system.config import SystemConfig
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import get_profile
 
-ENGINE_ALIASES: Dict[str, str] = {
-    "naive": "naive",
-    "event": "event",
-    "vector": "vector",
-    "vec": "vector",
-    "vectorized": "vector",
-}
-
-
 def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
     """A :class:`SystemConfig` from a *partial* plain mapping.
 
@@ -45,15 +36,6 @@ def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
             f"valid fields: {', '.join(sorted(valid))}"
         )
     converted = dict(fields)
-    engine = converted.get("engine")
-    if isinstance(engine, str):
-        normalized = ENGINE_ALIASES.get(engine)
-        if normalized is None:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(sorted(ENGINE_ALIASES))}"
-            )
-        converted["engine"] = normalized
     for name in ("md_cache", "hierarchy"):
         nested = converted.get(name)
         if isinstance(nested, Mapping):

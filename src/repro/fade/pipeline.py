@@ -49,9 +49,8 @@ _MEMO_CAPACITY = 1 << 16
 
 
 def force_inline_filtering() -> bool:
-    """True when ``REPRO_FORCE_INLINE_FADE`` disables the filter memo (and
-    the simulator's burst draining) — the CI knob that keeps the inline
-    per-event path exercised."""
+    """True when ``REPRO_FORCE_INLINE_FADE`` disables the filter memo — the
+    CI knob that keeps the inline per-event path exercised."""
     return os.environ.get("REPRO_FORCE_INLINE_FADE", "") not in ("", "0")
 
 

@@ -74,6 +74,13 @@ def event_id_for(op_class: OpClass, num_sources: int) -> int:
     return _EVENT_IDS[(op_class, num_sources)]
 
 
+#: Event IDs the monitors' per-event handlers dispatch on, resolved once
+#: here instead of through ``event_id_for`` on every handled event.
+LOAD_EVENT_ID = _EVENT_IDS[(OpClass.LOAD, 1)]
+STORE_EVENT_ID = _EVENT_IDS[(OpClass.STORE, 1)]
+BRANCH_EVENT_ID = _EVENT_IDS[(OpClass.BRANCH, 1)]
+
+
 def known_event_ids() -> dict:
     """Expose the full shape-to-ID map (used by the table programmer)."""
     return dict(_EVENT_IDS)

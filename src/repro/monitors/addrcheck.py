@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
-from repro.isa.opcodes import OpClass, event_id_for
+from repro.isa.opcodes import STORE_EVENT_ID, OpClass, event_id_for
 from repro.metadata.shadow import ShadowMemory, WordBytes
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import ADDRCHECK_COSTS, HandlerCosts
@@ -81,7 +81,7 @@ class AddrCheck(Monitor):
             return self._result(
                 self.costs.update, HandlerClass.UPDATE, changed=True
             )
-        is_store = event.event_id == event_id_for(OpClass.STORE, 1)
+        is_store = event.event_id == STORE_EVENT_ID
         kind_ = BugKind.INVALID_WRITE if is_store else BugKind.INVALID_READ
         report = BugReport(
             monitor=self.name,

@@ -94,11 +94,10 @@ class Monitor(abc.ABC):
     #: through the generation-tracked channels (``ShadowRegisters.write``,
     #: ``ShadowMemory.write``/``bulk_set``/``reset``,
     #: ``InvariantRegisterFile.write``) — the invariant that makes FADE's
-    #: filter memo and the simulator's burst draining sound.  A monitor
-    #: that pokes critical state through any other channel (e.g. replacing
-    #: ``critical_mem`` or mutating its internals directly) must set this
-    #: False; the simulator then falls back to the inline per-event path
-    #: automatically.
+    #: filter memo sound.  A monitor that pokes critical state through any
+    #: other channel (e.g. replacing ``critical_mem`` or mutating its
+    #: internals directly) must set this False; the simulator then falls
+    #: back to the inline per-event path automatically.
     filter_memo_safe: bool = True
 
     def __init__(self, costs: HandlerCosts) -> None:

@@ -23,7 +23,13 @@ from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
-from repro.isa.opcodes import OpClass, event_id_for
+from repro.isa.opcodes import (
+    BRANCH_EVENT_ID,
+    LOAD_EVENT_ID,
+    STORE_EVENT_ID,
+    OpClass,
+    event_id_for,
+)
 from repro.metadata.shadow import ShadowMemory, WordBytes
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import MEMCHECK_COSTS, HandlerCosts
@@ -145,11 +151,11 @@ class MemCheck(Monitor):
         self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
     ) -> HandlerResult:
         event_id = event.event_id
-        if event_id == event_id_for(OpClass.LOAD, 1):
+        if event_id == LOAD_EVENT_ID:
             return self._handle_load(event)
-        if event_id == event_id_for(OpClass.STORE, 1):
+        if event_id == STORE_EVENT_ID:
             return self._handle_store(event)
-        if event_id == event_id_for(OpClass.BRANCH, 1):
+        if event_id == BRANCH_EVENT_ID:
             return self._handle_branch(event)
         return self._handle_alu(event)
 

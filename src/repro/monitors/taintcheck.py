@@ -20,7 +20,13 @@ from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
-from repro.isa.opcodes import OpClass, event_id_for
+from repro.isa.opcodes import (
+    BRANCH_EVENT_ID,
+    LOAD_EVENT_ID,
+    STORE_EVENT_ID,
+    OpClass,
+    event_id_for,
+)
 from repro.metadata.shadow import ShadowMemory
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
 from repro.monitors.handlers import TAINTCHECK_COSTS, HandlerCosts
@@ -134,13 +140,13 @@ class TaintCheck(Monitor):
         self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
     ) -> HandlerResult:
         event_id = event.event_id
-        if event_id == event_id_for(OpClass.BRANCH, 1):
+        if event_id == BRANCH_EVENT_ID:
             return self._handle_branch(event)
-        if event_id == event_id_for(OpClass.LOAD, 1):
+        if event_id == LOAD_EVENT_ID:
             tainted = self._word_tainted(event.app_addr)
             changed = self._set_reg(event.dest_reg, tainted)
             return self._propagation_result(tainted, changed)
-        if event_id == event_id_for(OpClass.STORE, 1):
+        if event_id == STORE_EVENT_ID:
             tainted = event.src1_reg in self._tainted_regs
             changed = self._set_word(event.app_addr, tainted)
             return self._propagation_result(tainted, changed)

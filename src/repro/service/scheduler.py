@@ -285,8 +285,7 @@ class SpecScheduler:
         delay = self._submit_fault(spec)
         if self._uses_threads:
             # In-process: use the scheduler's own cache, never the
-            # module-global worker cache (which may hold another pool's
-            # stale shared-memory traces).
+            # module-global worker cache of the pool runner.
             cfuture = pool.submit(self._thread_worker, spec)
         else:
             cfuture = pool.submit(_worker_run, spec)

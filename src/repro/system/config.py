@@ -82,10 +82,8 @@ class SystemConfig:
     #: the drain requirement costs.
     stack_update_drain: bool = True
     #: Simulation engine: ``"event"`` (the default cycle-skipping core that
-    #: jumps across quiet intervals), ``"naive"`` (the reference
-    #: one-cycle-per-iteration stepper), or ``"vector"`` (the event engine
-    #: with NumPy column kernels for filtered-event runs; degrades to
-    #: ``"event"`` when NumPy is unavailable).  All produce bit-identical
+    #: jumps across quiet intervals) or ``"naive"`` (the reference
+    #: one-cycle-per-iteration stepper).  Both produce bit-identical
     #: results; "naive" is kept as the equivalence oracle and fallback.
     engine: str = "event"
     #: Safety limit for the cycle loop.
@@ -112,9 +110,15 @@ class SystemConfig:
             raise ConfigurationError("event queue capacity must be positive or None")
         if self.unfiltered_queue_capacity <= 0:
             raise ConfigurationError("unfiltered queue capacity must be positive")
-        if self.engine not in ("naive", "event", "vector"):
+        if self.engine == "vector":
+            # Not aliased: the engine is part of every result-store key.
             raise ConfigurationError(
-                f"engine must be 'naive', 'event' or 'vector', got {self.engine!r}"
+                "engine 'vector' was removed; use engine='event', which "
+                "produces bit-identical results"
+            )
+        if self.engine not in ("naive", "event"):
+            raise ConfigurationError(
+                f"engine must be 'naive' or 'event', got {self.engine!r}"
             )
 
     @property

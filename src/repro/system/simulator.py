@@ -26,24 +26,22 @@ Two engines execute these semantics (``SystemConfig.engine``):
   enqueue, dequeue or retire anything — every agent only accrues time) and
   jumps across them in one step, accruing the skipped interval into the
   cycle counters and the time-weighted queue-occupancy statistics in bulk.
-  Any cycle in which an agent acts runs through the reference stepper
-  verbatim, so the two engines produce bit-identical results (see
-  DESIGN.md, "Simulation engine").
+  Any cycle in which an agent acts runs the reference cycle, inlined into
+  one flattened loop over local variables, so the two engines produce
+  bit-identical results (see DESIGN.md, "Simulation engine").
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.cores.base import CORE_PARAMETERS
 from repro.cores.retire import RetireModel
-from repro.fade.accelerator import Fade, FadeConfig, FadeStats
+from repro.fade.accelerator import Fade, FadeConfig
 from repro.fade.pipeline import HandlerKind, force_inline_filtering
 from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
 from repro.isa.instruction import Instruction
@@ -73,32 +71,6 @@ _NEVER = 1 << 62
 #: any change to what is captured or how it is encoded; ``restore`` refuses
 #: mismatched versions (the checkpoint layer degrades that to a cold rerun).
 SIM_STATE_VERSION = 2
-
-
-class FusionStats:
-    """Diagnostic telemetry of the event engine's burst draining.
-
-    Module-global and deliberately *not* part of :class:`RunResult` — the
-    two engines' serialized results stay bit-identical whether or not runs
-    were fused.  ``benchmarks/bench_perf_core.py`` resets and reads it to
-    record the fused-run-length distribution.
-    """
-
-    __slots__ = ("runs", "fused_events", "fused_cycles", "run_lengths")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.runs = 0
-        self.fused_events = 0
-        self.fused_cycles = 0
-        #: events drained per fused window -> number of windows.
-        self.run_lengths: Counter = Counter()
-
-
-#: Process-wide burst-draining telemetry (serial measurement tool only).
-fusion_stats = FusionStats()
 
 
 class _ItemKind(enum.Enum):
@@ -137,19 +109,9 @@ class DeliveryPlan:
     retires (None when the monitor ignores it).  Every payload is immutable,
     so a plan may be shared between runs — the runner layer caches plans
     per (benchmark, settings, monitor name).
-
-    ``vector_columns`` caches the vector tier's derived key columns
-    (:mod:`repro.kernels.columns`), built lazily on first vector run and
-    sharing the plan's cache lifecycle.
     """
 
-    __slots__ = (
-        "items",
-        "monitored",
-        "stack_updates",
-        "high_level",
-        "vector_columns",
-    )
+    __slots__ = ("items", "monitored", "stack_updates", "high_level")
 
     def __init__(
         self,
@@ -162,7 +124,6 @@ class DeliveryPlan:
         self.monitored = monitored
         self.stack_updates = stack_updates
         self.high_level = high_level
-        self.vector_columns = None
 
 
 def _event_id(op_code: int, flags: int) -> int:
@@ -406,15 +367,14 @@ class MonitoringSimulation:
             ).schedule(trace)
         self._schedule = schedule
 
-        # The filter memo and burst draining are enabled together: only for
-        # the event-driven engines ("event" and its "vector" kernel tier;
-        # the naive reference stays truly inline, so the equivalence suite
-        # compares memoized-fused against inline walks), only for monitors
-        # that declare their handlers memo-safe, and never under
-        # REPRO_FORCE_INLINE_FADE=1 (the CI fallback-rot knob).
-        fade_fast = (
+        # The filter memo is enabled only for the event engine (the naive
+        # reference stays truly inline, so the equivalence suite compares
+        # memoized against inline walks), only for monitors that declare
+        # their handlers memo-safe, and never under REPRO_FORCE_INLINE_FADE=1
+        # (the CI fallback-rot knob).
+        filter_memo = (
             config.fade_enabled
-            and config.engine in ("event", "vector")
+            and config.engine == "event"
             and monitor.filter_memo_safe
             and not force_inline_filtering()
         )
@@ -428,10 +388,9 @@ class MonitoringSimulation:
                     non_blocking=config.non_blocking,
                     fsq_capacity=config.fsq_capacity,
                     md_cache=config.md_cache,
-                    filter_memo=fade_fast,
+                    filter_memo=filter_memo,
                 ),
             )
-        self._fuse_enabled = fade_fast
         self._tlb_service_cycles = (
             math.ceil(
                 config.md_cache.tlb_service_instructions
@@ -460,31 +419,6 @@ class MonitoringSimulation:
             plan = build_plan(trace, monitor)
         self._plan = plan.items
         self._plan_len = len(plan.items)
-
-        # The vector tier: NumPy column kernels layered over the event
-        # engine's windows (see repro.kernels).  Preconditions the kernels
-        # cannot honor drop to the plain event path *structurally*: no
-        # NumPy (one-time warning), FADE disabled, a memo-unsafe monitor,
-        # forced-inline CI runs, or blocking backpressure.
-        self._vector = None
-        self._np = None
-        self._schedule_np = None
-        self._cross_base: Optional[float] = None
-        self._cross_js: Optional[list] = None
-        self._cross_hs: list = []
-        self._cross_pos = 0
-        self._cross_streak = 0
-        if config.engine == "vector":
-            from repro.kernels import get_numpy
-
-            np_mod = get_numpy(warn=True)
-            if np_mod is not None and fade_fast and config.non_blocking:
-                from repro.kernels.predict import VectorPredictor
-
-                self._np = np_mod
-                self._vector = VectorPredictor(
-                    np_mod, self.fade.pipeline, plan
-                )
 
         self.result = RunResult(
             benchmark=trace.name,
@@ -622,15 +556,14 @@ class MonitoringSimulation:
         ``stop_at`` is a plan-index boundary — the exact convention
         checkpoint thresholds use — and the engine pauses at its first
         top-of-loop observation of ``_app_index >= stop_at``, the same
-        program point a checkpoint callback fires at.  Fused windows may
-        overshoot the boundary before the check is reached; because the
-        engines are deterministic, the paused state is still a pure
-        function of (spec content, boundary), which is what lets seam
-        blobs be shared across runs and across segment counts.
+        program point a checkpoint callback fires at.  One cycle may retire
+        several items and overshoot the boundary before the check is
+        reached; because the engines are deterministic, the paused state is
+        still a pure function of (spec content, boundary), which is what
+        lets seam blobs be shared across runs and across segment counts.
 
         Returns the finished :class:`RunResult` when the run completed
-        within this segment (the boundary can sit past the last plan item,
-        or a fused window can finish the run before the boundary check),
+        within this segment (the boundary can sit past the last plan item),
         or ``None`` when paused at the boundary — ``snapshot()`` then
         captures the seam state.  Cumulative statistics ride inside the
         seam, so the *final* segment's result is already the stitched
@@ -656,8 +589,6 @@ class MonitoringSimulation:
         """Collect the finished run into its :class:`RunResult` (split out
         so benchmarks can time the engine loop in isolation)."""
         self._finish_burst()
-        if self._vector is not None:
-            self._vector.flush_stats()
         self.result.cycles = float(self._now)
         self.result.reports = list(self.monitor.reports)
         if self.fade is not None:
@@ -730,65 +661,407 @@ class MonitoringSimulation:
             step()
 
     def _run_event(self) -> None:
-        """Event-driven core: jump across provably quiet intervals.
+        """Event-driven core: one flattened loop over hoisted locals.
 
-        Each iteration either executes one reference cycle (when any agent
-        acts this cycle) or advances ``_quiet_horizon()`` cycles in a single
-        bulk-accounted step.  Because skips cover only cycles in which the
-        reference stepper would mutate nothing but counters, the final
-        :class:`RunResult` is bit-identical to the naive engine's.
+        Each iteration computes the quiet horizon — the number of upcoming
+        cycles in which no agent dispatches, completes, enqueues, dequeues
+        or retires anything — and either jumps across those cycles in one
+        bulk-accounted step or runs one reference cycle inline.  Both
+        branches transliterate the naive engine's code: the horizon and the
+        jump follow the per-agent state machines exactly, and the stepped
+        cycle is :meth:`_step_cycle` with :meth:`_monitor_step`,
+        :meth:`_dispatch_handler`, :meth:`_complete_handler`,
+        :meth:`_fade_step`, :meth:`_app_step` and :meth:`_try_deliver`
+        inlined, so the final :class:`RunResult` is bit-identical to the
+        naive engine's (DESIGN.md §5).
+
+        Loop state lives in locals.  It is written back to ``self`` at every
+        sync point — before a checkpoint callback (and reloaded after it,
+        because the next threshold moves), before pausing at ``_stop_at``,
+        before raising the cycle-limit error, and at completion — so
+        ``snapshot`` and ``_finalize`` only ever see flushed state.
         """
+        # --- run invariants --------------------------------------------------
         max_cycles = self.config.max_cycles
-        done = self._done
-        step = self._step_cycle
-        horizon = self._quiet_horizon
-        skip = self._skip_cycles
-        fuse = self._fuse_enabled
-        fused_drain = self._fused_drain
-        # Adaptive probing: during dense activity (probes keep finding
-        # nothing, or only 1-3-cycle skips) the probe interval escalates up
-        # to every 8th cycle, so busy regions stop paying the probe on every
-        # cycle.  Stepping through a missed quiet cycle is the reference
-        # behaviour itself, so probe scheduling never affects results.
-        gap = 0  # Cycles to step blindly before the next probe.
-        probe_gap = 1
-        while not done():
+        fade = self.fade
+        monitor = self.monitor
+        result = self.result
+        breakdown = self._breakdown
+        schedule = self._schedule
+        plan = self._plan
+        plan_len = self._plan_len
+        smt = self._smt
+        sample = self._sample
+        split = self._split_queues
+        budget_full = self._budget_full
+        budget_half = self._budget_half
+        unit_scale = self._unit_scale
+        # The application delivers into the event queue; without FADE that
+        # is also the queue the monitor reads (``eq is wq``).
+        eq = self._eq_entries
+        wq = self._wq_entries
+        eq_hist = self._eq_hist
+        wq_hist = self._wq_hist
+        eq_stats = self.event_queue.stats
+        wq_stats = self.work_queue.stats
+        eq_capacity = self.event_queue.capacity
+        wq_capacity = self._wq_capacity
+        handler_totals = result.handler_instructions
+        track_filtering = self._track_filtering
+        handle_event = monitor.handle_event
+        handle_stack_update = monitor.handle_stack_update
+        handle_high_level = monitor.handle_high_level
+        instruction_kind = _ItemKind.INSTRUCTION_EVENT
+        stack_kind = _ItemKind.STACK_UPDATE
+        high_level_kind = _ItemKind.HIGH_LEVEL
+        filterable = (HandlerClass.CLEAN_CHECK, HandlerClass.REDUNDANT_UPDATE)
+        # Unaccelerated runs retire stack updates a monitor does not take
+        # without queueing them (``_try_deliver``).
+        skip_stack = fade is None and not monitor.monitors_stack_updates
+        covering = _COVERAGE.enabled
+        hit = _COVERAGE.hit
+        if fade is not None:
+            process_event = fade.process_event
+            process_stack_update = fade.process_stack_update
+            handler_completed = fade.handler_completed
+            write_invariant = fade.write_invariant
+            on_suu_stack_update = monitor.on_suu_stack_update
+            runtime_invariant_updates = monitor.runtime_invariant_updates
+            blocking = not fade.non_blocking
+            stack_update_drain = self.config.stack_update_drain
+            tlb_service = self._tlb_service_cycles
+        never = _NEVER
+
+        while True:
+            # --- (re)load the loop state: at entry and after a checkpoint -----
             now = self._now
+            app_index = self._app_index
+            app_blocked = self._app_blocked
+            base = self._progress_base
+            halves = self._progress_halves
+            mon_item = self._monitor_item
+            mon_rem = self._monitor_remaining
+            ready_at = self._fade_ready_at
+            wait_seq = self._fade_wait_seq
+            draining = self._fade_draining
+            busy_cycles = result.monitor_busy_cycles
+            blocked_cycles = result.app_blocked_cycles
+            handlers = result.handlers_executed
+            app_idle = breakdown.app_idle
+            monitor_idle = breakdown.monitor_idle
+            both_busy = breakdown.both_busy
+            sync_at = self._checkpoint_at
+            if self._stop_at < sync_at:
+                sync_at = self._stop_at
+
+            finished = False
+            while True:
+                if (
+                    app_index >= plan_len
+                    and not eq
+                    and not wq
+                    and mon_item is None
+                    and (
+                        fade is None
+                        or (ready_at <= now and not draining and wait_seq is None)
+                    )
+                ):
+                    finished = True
+                    break
+                if now >= max_cycles or app_index >= sync_at:
+                    break
+
+                # --- quiet horizon (0: some agent acts this cycle) ------------
+                monitor_busy = mon_item is not None
+                if monitor_busy:
+                    if smt and not app_blocked and app_index < plan_len:
+                        budget = budget_half
+                    else:
+                        budget = budget_full
+                    # The handler completes on cycle ceil(remaining / budget).
+                    quiet = (mon_rem - 1) // budget if mon_rem > budget else 0
+                else:
+                    quiet = 0 if wq else never  # A queued handler dispatches.
+                if quiet and fade is not None:
+                    if ready_at > now:
+                        if ready_at - now < quiet:
+                            quiet = ready_at - now
+                    elif wait_seq is not None:
+                        pass  # Accrues wait cycles until the handler completes.
+                    elif draining:
+                        # Drained means the unfiltered queue emptied and the
+                        # last handler completed — both non-quiet cycles.
+                        if not wq and mon_item is None:
+                            quiet = 0
+                    elif eq:
+                        kind = eq[0].kind
+                        if kind is stack_kind:
+                            quiet = 0  # Starts draining or runs the SUU.
+                        elif wq_capacity is None or len(wq) < wq_capacity:
+                            if kind is high_level_kind or not fade.fsq_full:
+                                quiet = 0  # Dequeues this cycle.
+                if quiet and app_index < plan_len:
+                    if app_blocked:
+                        # Retries keep failing while the queue stays full.
+                        if eq_capacity is None or len(eq) < eq_capacity:
+                            quiet = 0
+                    else:
+                        step = 1 if (smt and monitor_busy) else 2
+                        target = schedule[app_index]
+                        if target <= base + (halves + step) * 0.5:
+                            quiet = 0  # A retirement crosses this cycle.
+                        else:
+                            # First crossing cycle k: a float estimate seeds
+                            # it, the exact progress expression verifies it.
+                            k = int(math.ceil(((target - base) * 2.0 - halves) / step))
+                            if k < 2:
+                                k = 2
+                            while k > 2 and base + (halves + (k - 1) * step) * 0.5 >= target:
+                                k -= 1
+                            while base + (halves + k * step) * 0.5 < target:
+                                k += 1
+                            if k - 1 < quiet:
+                                quiet = k - 1
+
+                if quiet:
+                    # --- jump: accrue exactly what `quiet` stepped cycles would
+                    if quiet > max_cycles - now:
+                        quiet = max_cycles - now
+                    if monitor_busy:
+                        mon_rem -= quiet * budget
+                        busy_cycles += quiet
+                        if app_blocked:
+                            app_idle += quiet
+                        else:
+                            both_busy += quiet
+                    else:
+                        monitor_idle += quiet
+                    if fade is not None and ready_at <= now:
+                        if wait_seq is not None:
+                            result.fade_wait_cycles += quiet
+                        elif draining:
+                            result.fade_drain_cycles += quiet
+                    if app_index < plan_len:
+                        if app_blocked:
+                            blocked_cycles += quiet
+                            eq_stats.rejected += quiet
+                        elif smt and monitor_busy:
+                            halves += quiet
+                        else:
+                            halves += 2 * quiet
+                    if sample:
+                        eq_hist[len(eq)] += quiet
+                        if split:
+                            wq_hist[len(wq)] += quiet
+                    now += quiet
+                    if covering:
+                        hit("engine.skip")
+                    continue
+
+                # --- one reference cycle: the monitor -------------------------
+                if monitor_busy or wq:
+                    if smt and not app_blocked and app_index < plan_len:
+                        budget = budget_half
+                    else:
+                        budget = budget_full
+                    while budget > 0:
+                        if mon_item is None:
+                            if not wq:
+                                break
+                            # Dispatch: functional effects apply here.
+                            mon_item = wq.popleft()
+                            wq_stats.dequeued += 1
+                            kind = mon_item.kind
+                            if kind is instruction_kind:
+                                outcome = handle_event(
+                                    mon_item.payload, mon_item.handler_kind
+                                )
+                            elif kind is stack_kind:
+                                outcome = handle_stack_update(
+                                    mon_item.payload.stack_update
+                                )
+                            else:
+                                outcome = handle_high_level(mon_item.payload)
+                            handler_class = outcome.handler_class
+                            handler_totals[handler_class] = (
+                                handler_totals.get(handler_class, 0.0) + outcome.cost
+                            )
+                            handlers += 1
+                            if fade is None and kind is instruction_kind:
+                                track_filtering(handler_class in filterable)
+                            mon_rem = int(outcome.cost) * unit_scale
+                        take = mon_rem if mon_rem < budget else budget
+                        mon_rem -= take
+                        budget -= take
+                        if mon_rem <= 0:
+                            # Completion.
+                            done_item = mon_item
+                            mon_item = None
+                            mon_rem = 0
+                            if fade is not None and done_item.kind is instruction_kind:
+                                handler_completed(done_item.sequence)
+                                if wait_seq == done_item.sequence:
+                                    wait_seq = None
+                    busy_cycles += 1
+                    monitor_busy = mon_item is not None or bool(wq)
+
+                # --- FADE -----------------------------------------------------
+                if fade is not None and ready_at <= now:
+                    if wait_seq is not None:
+                        result.fade_wait_cycles += 1
+                        if covering:
+                            hit("fade.wait")
+                    elif draining and (wq or mon_item is not None):
+                        result.fade_drain_cycles += 1
+                        if covering:
+                            hit("fade.drain")
+                    elif eq:
+                        draining = False
+                        item = eq[0]
+                        kind = item.kind
+                        if kind is stack_kind:
+                            # Section 5.2: drain the unfiltered queue first.
+                            if stack_update_drain and (wq or mon_item is not None):
+                                draining = True
+                                result.fade_drain_cycles += 1
+                                if covering:
+                                    hit("fade.drain")
+                            else:
+                                eq.popleft()
+                                eq_stats.dequeued += 1
+                                update = item.payload.stack_update
+                                cycles = process_stack_update(update)
+                                on_suu_stack_update(update)
+                                ready_at = now + cycles
+                                if covering:
+                                    hit("fade.suu")
+                        elif wq_capacity is not None and len(wq) >= wq_capacity:
+                            if covering:
+                                hit("stall.wq_full")
+                        elif kind is high_level_kind:
+                            eq.popleft()
+                            eq_stats.dequeued += 1
+                            for inv_id, value in runtime_invariant_updates(
+                                item.payload
+                            ):
+                                write_invariant(inv_id, value)
+                            wq.append(item)
+                            wq_stats.enqueued += 1
+                            if len(wq) > wq_stats.max_occupancy:
+                                wq_stats.max_occupancy = len(wq)
+                            ready_at = now + 1
+                            if covering:
+                                hit("fade.high_level")
+                        elif fade.fsq_full:
+                            if covering:
+                                hit("stall.fsq_full")
+                        else:
+                            eq.popleft()
+                            eq_stats.dequeued += 1
+                            event = item.payload
+                            outcome = process_event(event)
+                            busy = outcome.occupancy_cycles
+                            if outcome.tlb_miss:
+                                busy += tlb_service
+                            ready_at = now + busy
+                            if outcome.filtered:
+                                # ``_track_filtering(True)``, inlined.
+                                self._filterable_gap += 1
+                            else:
+                                track_filtering(False)
+                                wq.append(
+                                    _WorkItem(
+                                        instruction_kind,
+                                        event,
+                                        handler_kind=outcome.handler_kind,
+                                    )
+                                )
+                                wq_stats.enqueued += 1
+                                if len(wq) > wq_stats.max_occupancy:
+                                    wq_stats.max_occupancy = len(wq)
+                                if blocking:
+                                    wait_seq = event.sequence
+                    else:
+                        draining = False
+
+                # --- the application core ------------------------------------
+                if app_index < plan_len:
+                    if app_blocked:
+                        # The blocked item is always deliverable: retry it.
+                        if eq_capacity is not None and len(eq) >= eq_capacity:
+                            eq_stats.rejected += 1
+                            blocked_cycles += 1
+                        else:
+                            eq.append(plan[app_index])
+                            eq_stats.enqueued += 1
+                            if len(eq) > eq_stats.max_occupancy:
+                                eq_stats.max_occupancy = len(eq)
+                            app_index += 1
+                            app_blocked = False
+                    if not app_blocked:
+                        halves += 1 if (smt and monitor_busy) else 2
+                        progress = base + halves * 0.5
+                        while app_index < plan_len and schedule[app_index] <= progress:
+                            plan_item = plan[app_index]
+                            if plan_item is not None and not (
+                                skip_stack and plan_item.kind is stack_kind
+                            ):
+                                if eq_capacity is not None and len(eq) >= eq_capacity:
+                                    eq_stats.rejected += 1
+                                    app_blocked = True
+                                    blocked_cycles += 1
+                                    # Freeze progress at the blocked item.
+                                    base = schedule[app_index]
+                                    halves = 0
+                                    break
+                                eq.append(plan_item)
+                                eq_stats.enqueued += 1
+                                if len(eq) > eq_stats.max_occupancy:
+                                    eq_stats.max_occupancy = len(eq)
+                            app_index += 1
+
+                if sample:
+                    eq_hist[len(eq)] += 1
+                    if split:
+                        wq_hist[len(wq)] += 1
+                if not monitor_busy:
+                    monitor_idle += 1
+                elif app_blocked:
+                    app_idle += 1
+                else:
+                    both_busy += 1
+                now += 1
+                if covering:
+                    hit("engine.step")
+
+            # --- sync point: flush the loop state back to ``self`` -----------
+            self._now = now
+            self._app_index = app_index
+            self._app_blocked = app_blocked
+            self._progress_base = base
+            self._progress_halves = halves
+            self._monitor_item = mon_item
+            self._monitor_remaining = mon_rem
+            self._fade_ready_at = ready_at
+            self._fade_wait_seq = wait_seq
+            self._fade_draining = draining
+            result.monitor_busy_cycles = busy_cycles
+            result.app_blocked_cycles = blocked_cycles
+            result.handlers_executed = handlers
+            breakdown.app_idle = app_idle
+            breakdown.monitor_idle = monitor_idle
+            breakdown.both_busy = both_busy
+            if finished:
+                return
             if now >= max_cycles:
                 raise self._cycle_limit_error()
-            if self._app_index >= self._checkpoint_at:
-                self._emit_checkpoint()
-            if self._app_index >= self._stop_at:
-                return
-            # Burst draining first: a fused window handles whole filtered
-            # bursts, FADE-busy tails, starved stretches, backpressured
-            # (blocked-application) phases and monitor-bound drain/wait
-            # stretches — plus the app's concurrent retirements — in one
-            # call.
-            if fuse and fused_drain():
-                continue
-            if gap > 0:
-                gap -= 1
-                step()
-                continue
-            quiet = horizon()
-            if quiet > 0:
-                probe_gap = 1  # Productive region: probe every cycle again.
-                if quiet > max_cycles - now:
-                    quiet = max_cycles - now
-                skip(quiet)
-                if _COVERAGE.enabled:
-                    _COVERAGE.hit("engine.skip")
-            else:
-                step()
-                if _COVERAGE.enabled:
-                    _COVERAGE.hit("engine.step")
-                if probe_gap < 8:
-                    probe_gap <<= 1
-                gap = probe_gap - 1
+            if app_index < self._checkpoint_at:
+                return  # Paused at ``_stop_at``.
+            self._emit_checkpoint()
 
     def _step_cycle(self) -> None:
-        """One cycle of the reference semantics (shared by both engines)."""
+        """One cycle of the reference semantics (the naive engine's cycle;
+        ``_run_event`` inlines the same code over locals)."""
         monitor_busy = self._monitor_step()
         if self.fade is not None:
             self._fade_step()
@@ -821,775 +1094,6 @@ class MonitoringSimulation:
             if self._fade_wait_seq is not None:
                 return False
         return True
-
-    # ------------------------------------------------------ event-driven core
-
-    def _quiet_horizon(self) -> int:
-        """How many upcoming cycles are *quiet*: no agent dispatches,
-        completes, enqueues, dequeues or retires anything — every agent only
-        accrues time and counters.  0 means "some agent acts this cycle; run
-        the reference stepper".  The computation is conservative: whenever a
-        state change cannot be ruled out, the cycle is treated as non-quiet.
-        """
-        item = self._monitor_item
-        if item is None:
-            if self._wq_entries:
-                return 0  # The monitor dispatches a handler this cycle.
-            monitor_busy = False
-            horizon = _NEVER
-        else:
-            monitor_busy = True
-            if self._smt and not self._app_blocked and self._app_index < self._plan_len:
-                budget = self._budget_half
-            else:
-                budget = self._budget_full
-            remaining = self._monitor_remaining
-            if remaining <= budget:
-                return 0  # The running handler completes this cycle.
-            # The handler completes on cycle ceil(remaining / budget); all
-            # earlier cycles only decrement the integer remainder.
-            horizon = (remaining - 1) // budget
-        if self.fade is not None:
-            fade_horizon = self._fade_quiet_horizon()
-            if fade_horizon == 0:
-                return 0
-            if fade_horizon < horizon:
-                horizon = fade_horizon
-        app_horizon = self._app_quiet_horizon(monitor_busy)
-        return app_horizon if app_horizon < horizon else horizon
-
-    def _fade_quiet_horizon(self) -> int:
-        """FADE's contribution to the quiet horizon (see `_quiet_horizon`).
-
-        Returns cycles-until-ready while the pipeline is busy, ``_NEVER``
-        while FADE only counts wait/drain cycles or is stalled on a full
-        queue/FSQ (cleared only by a non-quiet monitor cycle), and 0 when it
-        would dequeue or process something this cycle.
-        """
-        ready_at = self._fade_ready_at
-        if ready_at > self._now:
-            return ready_at - self._now
-        if self._fade_wait_seq is not None:
-            return _NEVER  # Accrues wait cycles until the handler completes.
-        if self._fade_draining:
-            # Drained means the unfiltered queue emptied and the last
-            # handler completed — both non-quiet monitor cycles.
-            if self._wq_entries or self._monitor_item is not None:
-                return _NEVER
-            return 0
-        event_entries = self._eq_entries
-        if not event_entries:
-            return _NEVER  # Filling the queue is a (non-quiet) app retirement.
-        kind = event_entries[0].kind
-        if kind is _ItemKind.INSTRUCTION_EVENT:
-            capacity = self._wq_capacity
-            if capacity is not None and len(self._wq_entries) >= capacity:
-                return _NEVER  # Freeing a slot is a non-quiet monitor cycle.
-            if self.fade.fsq_full:
-                return _NEVER  # FSQ entries release on handler completion.
-            return 0
-        if kind is _ItemKind.HIGH_LEVEL:
-            capacity = self._wq_capacity
-            if capacity is not None and len(self._wq_entries) >= capacity:
-                return _NEVER
-            return 0
-        return 0  # Stack update: starts draining or runs the SUU this cycle.
-
-    def _app_quiet_horizon(self, monitor_busy: bool) -> int:
-        """The app core's contribution: cycles until the next retirement
-        crossing at the current IPC share, or ``_NEVER`` while finished or
-        blocked on a (still-full) queue."""
-        if self._app_index >= self._plan_len:
-            return _NEVER
-        if self._app_blocked:
-            # Blocked deliveries keep failing while the target queue is
-            # full; the dequeue that frees a slot is itself non-quiet.
-            queue = self.event_queue if self.fade is not None else self.work_queue
-            return _NEVER if queue.is_full else 0
-        halves = 1 if (self._smt and monitor_busy) else 2
-        target = self._schedule[self._app_index]
-        base = self._progress_base
-        current = self._progress_halves
-        if target <= base + (current + halves) * 0.5:
-            return 0  # A retirement crosses this cycle.
-        # First crossing cycle k: the smallest k with
-        # base + (current + k*halves)/2 >= target.  A float estimate seeds
-        # the search; the exact progress expression then verifies it, so the
-        # crossing cycle matches the reference stepper bit for bit.
-        k = int(math.ceil(((target - base) * 2.0 - current) / halves))
-        if k < 2:
-            k = 2
-        while k > 2 and base + (current + (k - 1) * halves) * 0.5 >= target:
-            k -= 1
-        while base + (current + k * halves) * 0.5 < target:
-            k += 1
-        return k - 1
-
-    def _skip_cycles(self, cycles: int) -> None:
-        """Advance ``cycles`` quiet cycles in one jump, accruing exactly the
-        statistics the reference stepper would accrue one cycle at a time."""
-        result = self.result
-        monitor_busy = self._monitor_item is not None
-        if monitor_busy:
-            if self._smt and not self._app_blocked and self._app_index < self._plan_len:
-                budget = self._budget_half
-            else:
-                budget = self._budget_full
-            self._monitor_remaining -= cycles * budget
-            result.monitor_busy_cycles += cycles
-        if self.fade is not None and self._fade_ready_at <= self._now:
-            if self._fade_wait_seq is not None:
-                result.fade_wait_cycles += cycles
-            elif self._fade_draining:
-                result.fade_drain_cycles += cycles
-        if self._app_index < self._plan_len:
-            if self._app_blocked:
-                result.app_blocked_cycles += cycles
-                queue = self.event_queue if self.fade is not None else self.work_queue
-                queue.stats.rejected += cycles
-            elif self._smt and monitor_busy:
-                self._progress_halves += cycles
-            else:
-                self._progress_halves += 2 * cycles
-        if self._sample:
-            self._eq_hist[len(self._eq_entries)] += cycles
-            if self._split_queues:
-                self._wq_hist[len(self._wq_entries)] += cycles
-        self._breakdown.record(self._app_blocked, monitor_busy, cycles)
-        self._now += cycles
-
-    # ------------------------------------------------------- burst draining
-
-    def _fused_drain(self) -> bool:
-        """Consume a run of filtered instruction events in one fused window.
-
-        The window covers cycles in which the only agents acting are FADE —
-        dequeueing and filtering instruction events back-to-back through the
-        exact per-event functional path, in queue order — and the
-        application, whose retirements are *marched* with the reference
-        stepper's own progress arithmetic (same float expressions, same
-        delivery order, same per-cycle backpressure retries, rejections,
-        progress freezes and queue sampling).  The monitor must not *act*
-        inside the window: while it is idle nothing may be dispatchable,
-        and while it grinds a handler the march maintains the remaining
-        handler cost with the reference per-cycle SMT budget (which tracks
-        the application's blocked/finished state) and closes the window
-        before the completion cycle.  Any cycle the window cannot reproduce
-        verbatim — a monitor dispatch or completion, a non-instruction
-        queue head, the cycle limit — ends the window *before* that cycle,
-        which then runs through the shared stepper.  Results are therefore
-        bit-identical to naive stepping (see DESIGN.md §7).
-
-        Returns True when at least one cycle was consumed.
-        """
-        eq_entries = self._eq_entries
-        instruction_kind = _ItemKind.INSTRUCTION_EVENT
-        fade = self.fade
-        wq_entries = self._wq_entries
-        monitor_busy = self._monitor_item is not None
-        # Draining/waiting FADE is *inert* under a busy monitor: the drain
-        # clears only on a monitor-idle cycle and the wait only on handler
-        # completion, both excluded from windows — so those states persist
-        # verbatim and their cycle counters accrue in bulk.
-        fade_inert = 0  # 1 = draining, 2 = waiting.
-        if self._fade_draining:
-            if not monitor_busy:
-                return False  # The drain may clear this cycle.
-            fade_inert = 1
-        elif self._fade_wait_seq is not None:
-            if not monitor_busy:
-                return False  # The handler dispatches/completes around now.
-            fade_inert = 2
-        smt = self._smt
-        budget_full = self._budget_full
-        budget_half = self._budget_half
-        remaining = 0
-        if monitor_busy:
-            remaining = self._monitor_remaining
-            if smt and not self._app_blocked and self._app_index < self._plan_len:
-                first_budget = budget_half
-            else:
-                first_budget = budget_full
-            if remaining <= first_budget:
-                return False  # The running handler completes this cycle.
-        elif wq_entries:
-            return False  # The monitor dispatches a handler this cycle.
-        start = self._now
-        ready = self._fade_ready_at
-        if not fade_inert and ready <= start:
-            # FADE acts immediately: cheap zero-window rejects before the
-            # hoisting below (these are the common failed-attempt shapes).
-            if eq_entries:
-                if eq_entries[0].kind is not instruction_kind:
-                    return False
-            elif self._app_index >= self._plan_len and not self._app_blocked:
-                return False
-
-        # --- hoisted march state -----------------------------------------
-        limit = self.config.max_cycles  # Exclusive window end.
-        schedule = self._schedule
-        plan = self._plan
-        plan_len = self._plan_len
-        app_index = self._app_index
-        app_blocked = self._app_blocked
-        base = self._progress_base
-        halves = self._progress_halves
-        step_halves = 1 if (smt and monitor_busy) else 2
-        # Handler-budget consumption per cycle class (monitor-busy windows
-        # only): the reference budget is the half share exactly when the
-        # SMT application thread competes (running, not blocked).
-        run_budget = budget_half if smt else budget_full
-        eq_capacity = self.event_queue.capacity
-        eq_popleft = eq_entries.popleft
-        eq_stats = self.event_queue.stats
-        # The pipeline is called directly; FadeStats accrue in bulk at
-        # window end (bit-identical to Fade.process_event per event).  The
-        # vector tier swaps in its batched predictor — a bit-identical
-        # drop-in that falls back to this very pipeline per event whenever
-        # a prediction is missing or a store generation moved.
-        vec = self._vector
-        process = vec.process if vec is not None else fade.pipeline.process
-        next_nonnull = vec.columns.next_deliverable if vec is not None else None
-        crossing = self._crossing_halves if vec is not None else None
-        vec_take = vec.take_run if vec is not None else None
-        sample = self._sample
-        eq_hist = self._eq_hist
-        tlb_extra = self._tlb_service_cycles
-        app_finished = app_index >= plan_len
-        ceil = math.ceil
-        eq_append = eq_entries.append
-
-        t = limit if fade_inert else (ready if ready > start else start)
-        wq_capacity = self._wq_capacity
-        # Both stall sources only change inside a window at an unfiltered
-        # event (which re-derives this flag or ends the window): the
-        # unfiltered queue drains and FSQ entries release only on monitor
-        # cycles, which are excluded by construction.
-        fade_stalled = (
-            wq_capacity is not None and len(wq_entries) >= wq_capacity
-        ) or fade.fsq_full
-        was_stalled = fade_stalled  # Sticky (coverage classification only).
-        unfiltered_exit = False
-
-        drained = 0
-        pending_filtered = 0  # Filtered run since the last unfiltered event.
-        filtered_total = 0
-        blocked_cycles = 0
-        occupancy_sum = 0
-        tlb_miss_count = 0
-        partial_short_events = 0
-        unfiltered_full_events = 0
-        md_updates = 0
-        wq_mark = start  # First cycle whose wq sample is not yet accrued.
-        end = limit
-        cur = start  # Next cycle to march (app step + eq sampling).
-        stop = False
-        # Cached absolute cycle of the next deliverable item's crossing
-        # (progress at a given cycle is a fixed function while the app runs
-        # unfrozen, so this survives across march segments); -1 = unknown.
-        next_delivery = -1
-        next_j = 0
-
-        def march(upto: int, stop_on_delivery: bool = False) -> None:
-            """Apply cycles ``[cur, upto)``: the app's retirement step, the
-            monitor's budget consumption (busy windows), and the
-            end-of-cycle event-queue sample, in stepper order.
-
-            Delivery-free stretches (only None plan items cross, or nothing
-            does) are accrued as whole spans: the next *deliverable* item's
-            crossing cycle is computed with the stepper's own float
-            expressions (seed + exact verify), every cycle before it leaves
-            the queue untouched, and the crossing cycle itself is stepped
-            one item at a time, reproducing rejections, the progress freeze
-            and per-cycle blocked retries verbatim.  Busy windows maintain
-            ``remaining`` with the per-cycle reference budget (full share
-            while the application is blocked or finished, half share while
-            an SMT application thread competes) and close the window before
-            the handler-completion cycle (``stop``/``end``)."""
-            nonlocal cur, app_index, halves, base, app_finished, app_blocked
-            nonlocal blocked_cycles, stop, end, next_delivery, next_j
-            nonlocal remaining
-            while cur < upto:
-                if app_finished:
-                    # No deliveries, no progress: constant occupancy.
-                    span = upto - cur
-                    if monitor_busy:
-                        quiet = (remaining - 1) // budget_full
-                        if quiet < span:
-                            span = quiet
-                    if span:
-                        if monitor_busy:
-                            remaining -= span * budget_full
-                        if sample:
-                            eq_hist[len(eq_entries)] += span
-                        cur += span
-                    if cur < upto:
-                        stop = True  # Handler completion next cycle.
-                        end = cur
-                    return
-                delivered = False
-                if app_blocked:
-                    # Reference blocked-retry cycle (budget: full share).
-                    if monitor_busy:
-                        if remaining <= budget_full:
-                            stop = True
-                            end = cur
-                            return
-                        remaining -= budget_full
-                    if len(eq_entries) >= eq_capacity:
-                        eq_stats.rejected += 1
-                        blocked_cycles += 1
-                        if sample:
-                            eq_hist[len(eq_entries)] += 1
-                        cur += 1
-                        continue
-                    # Inlined successful BoundedQueue.try_enqueue (space
-                    # was checked; the blocked item is never None).
-                    eq_append(plan[app_index])
-                    eq_stats.enqueued += 1
-                    if len(eq_entries) > eq_stats.max_occupancy:
-                        eq_stats.max_occupancy = len(eq_entries)
-                    app_index += 1
-                    app_blocked = False
-                    delivered = True
-                else:
-                    if next_delivery < 0:
-                        # The next cycle that can touch the queue: the
-                        # crossing of the next non-None plan item (or the
-                        # last item's crossing, where the app finishes).
-                        if next_nonnull is not None:
-                            j = next_nonnull[app_index]
-                        else:
-                            j = app_index
-                            while j < plan_len and plan[j] is None:
-                                j += 1
-                        if crossing is not None and j < plan_len:
-                            # Vector tier: the cached halves-space crossing
-                            # (kernels.march) — step- and cycle-independent,
-                            # so the pure-integer conversion below is exact.
-                            h = crossing(j, base)
-                            k = -((halves - h) // step_halves)
-                            if k < 1:
-                                k = 1
-                        else:
-                            target = (
-                                schedule[j]
-                                if j < plan_len
-                                else schedule[plan_len - 1]
-                            )
-                            # First app step n >= 1 with base +
-                            # (halves + n*h)/2 >= target, found exactly
-                            # like _app_quiet_horizon.
-                            k = int(
-                                ceil(
-                                    ((target - base) * 2.0 - halves)
-                                    / step_halves
-                                )
-                            )
-                            if k < 1:
-                                k = 1
-                            while (
-                                k > 1
-                                and base
-                                + (halves + (k - 1) * step_halves) * 0.5
-                                >= target
-                            ):
-                                k -= 1
-                            while (
-                                base + (halves + k * step_halves) * 0.5
-                                < target
-                            ):
-                                k += 1
-                        next_delivery = cur + k - 1
-                        next_j = j
-                    event_cycle = next_delivery
-                    span = (
-                        upto - cur if event_cycle >= upto else event_cycle - cur
-                    )
-                    if span and monitor_busy:
-                        # The span runs at the half share (SMT app thread
-                        # active); clamp it before the completion cycle.
-                        quiet = (remaining - 1) // run_budget
-                        if quiet < span:
-                            if quiet <= 0:
-                                stop = True
-                                end = cur
-                                return
-                            span = quiet
-                            halves += step_halves * span
-                            progress = base + halves * 0.5
-                            index = app_index
-                            j = next_j
-                            while index < j and schedule[index] <= progress:
-                                index += 1
-                            app_index = index
-                            remaining -= span * run_budget
-                            if sample:
-                                eq_hist[len(eq_entries)] += span
-                            cur += span
-                            stop = True  # Completion on the next cycle.
-                            end = cur
-                            return
-                    if span:
-                        halves += step_halves * span
-                        progress = base + halves * 0.5
-                        index = app_index
-                        j = next_j
-                        while index < j and schedule[index] <= progress:
-                            index += 1  # None items crossing inside the span.
-                        app_index = index
-                        if monitor_busy:
-                            remaining -= span * run_budget
-                        if sample:
-                            eq_hist[len(eq_entries)] += span
-                        cur += span
-                        if cur >= upto:
-                            return
-                    next_delivery = -1  # Consumed by the cycle below.
-                    # Budget for the delivery cycle: the app is running and
-                    # unfrozen at cycle start.
-                    if monitor_busy:
-                        if remaining <= run_budget:
-                            stop = True
-                            end = cur
-                            return
-                        remaining -= run_budget
-                # The delivery / retry cycle's progress advance and
-                # crossing deliveries (shared by the unblock path, exactly
-                # as the reference ``_app_step`` falls through).
-                halves += step_halves
-                progress = base + halves * 0.5
-                index = app_index
-                while index < plan_len and schedule[index] <= progress:
-                    work = plan[index]
-                    if work is not None:
-                        if (
-                            eq_capacity is not None
-                            and len(eq_entries) >= eq_capacity
-                        ):
-                            # Inlined failing try_enqueue + the reference
-                            # freeze at the blocked item.
-                            eq_stats.rejected += 1
-                            app_blocked = True
-                            blocked_cycles += 1
-                            base = schedule[index]
-                            halves = 0
-                            break
-                        eq_append(work)
-                        eq_stats.enqueued += 1
-                        if len(eq_entries) > eq_stats.max_occupancy:
-                            eq_stats.max_occupancy = len(eq_entries)
-                        delivered = True
-                    index += 1
-                app_index = index
-                if not app_blocked and index >= plan_len:
-                    app_finished = True
-                if sample:
-                    eq_hist[len(eq_entries)] += 1
-                cur += 1
-                if delivered and stop_on_delivery:
-                    return
-
-        while True:
-            target = t if t < limit else limit
-            if cur < target:
-                if (
-                    target - cur == 1
-                    and next_delivery > cur
-                    and not app_blocked
-                    and not app_finished
-                    and (not monitor_busy or remaining > run_budget)
-                ):
-                    # Inlined single quiet-cycle march (the common shape
-                    # between back-to-back one-cycle filtered events; no
-                    # deliverable crosses, so only progress, the monitor
-                    # budget and the sample advance — lagging ``app_index``
-                    # over None items is benign, the next full march
-                    # re-derives it).
-                    halves += step_halves
-                    if monitor_busy:
-                        remaining -= run_budget
-                    if sample:
-                        eq_hist[len(eq_entries)] += 1
-                    cur += 1
-                else:
-                    march(target)
-                    if stop:
-                        break
-            if t >= limit:
-                end = limit
-                break
-            if not eq_entries:
-                if app_finished:
-                    end = t
-                    break
-                # Starved: march (in spans) until a delivery lands; FADE
-                # sees the new head on the cycle after the enqueue.
-                march(limit, stop_on_delivery=True)
-                if stop:
-                    break
-                if cur >= limit:
-                    end = limit
-                    break
-                t = cur
-                continue
-            if eq_entries[0].kind is not instruction_kind:
-                end = t  # Stack update / high-level head: stepper cycle.
-                break
-            if fade_stalled:
-                # Instruction head but FADE is stalled, and freeing the
-                # unfiltered queue or the FSQ takes a monitor cycle, which
-                # is excluded by construction: FADE stays inert for the
-                # whole window, which still marches the app.
-                t = limit
-                continue
-            if monitor_busy:
-                # Does the handler complete on cycle t itself?  Then the
-                # whole cycle (FADE's dequeue included) belongs to the
-                # stepper — check before processing, using cycle t's
-                # reference budget (cur == t, so the app state is current).
-                if app_blocked or app_finished or not smt:
-                    head_budget = budget_full
-                else:
-                    head_budget = run_budget
-                if remaining <= head_budget:
-                    end = t
-                    break
-            if vec_take is not None and not monitor_busy and not app_blocked:
-                # Vector tier, monitor-idle window: consume a whole run of
-                # predicted filtered events in one step.  The run is capped
-                # so every cycle it spans is delivery-free and inside the
-                # window — exactly the cycles the march accrues as quiet
-                # spans — so only progress, occupancy statistics and the
-                # queue sample advance, in bulk.
-                if app_finished:
-                    max_cycles = limit - t
-                elif next_delivery > t:
-                    max_cycles = (
-                        limit if limit < next_delivery else next_delivery
-                    ) - t
-                else:
-                    max_cycles = 0
-                if max_cycles > 0:
-                    run = vec_take(eq_entries, instruction_kind, max_cycles)
-                    if run is not None:
-                        count, busy_total, busys = run
-                        for _ in range(count):
-                            eq_popleft()
-                        eq_stats.dequeued += count
-                        drained += count
-                        pending_filtered += count
-                        occupancy_sum += busy_total
-                        if sample:
-                            # Post-dequeue occupancies: after the k-th pop
-                            # the queue sits at (len + count - 1 - k)
-                            # entries for that event's occupancy cycles.
-                            length = len(eq_entries) + count - 1
-                            for busy in busys:
-                                if busy:
-                                    eq_hist[length] += busy
-                                length -= 1
-                        if not app_finished:
-                            halves += step_halves * busy_total
-                        cur += busy_total
-                        t += busy_total
-                        self._fade_ready_at = t
-                        continue
-            # Inlined BoundedQueue.dequeue (hot: once per drained event).
-            work = eq_popleft()
-            eq_stats.dequeued += 1
-            outcome = process(work.payload)
-            busy = outcome.occupancy_cycles
-            occupancy_sum += busy
-            if outcome.tlb_miss:
-                busy += tlb_extra
-                tlb_miss_count += 1
-            self._fade_ready_at = t + busy
-            drained += 1
-            if outcome.filtered:
-                pending_filtered += 1
-                t += busy
-                continue
-            # Unfiltered: enqueue downstream; per-event statistics keep the
-            # reference interleaving.
-            self.work_queue.enqueue(
-                _WorkItem(
-                    instruction_kind,
-                    work.payload,
-                    handler_kind=outcome.handler_kind,
-                )
-            )
-            if outcome.handler_kind is HandlerKind.SHORT:
-                partial_short_events += 1
-            else:
-                unfiltered_full_events += 1
-            if outcome.md_update is not None:
-                md_updates += 1
-            if pending_filtered:
-                filtered_total += pending_filtered
-                self._track_filtering(True, pending_filtered)
-                pending_filtered = 0
-            self._track_filtering(False)
-            if sample and t > wq_mark:
-                # The enqueue changes the sampled wq length from cycle t on.
-                self._wq_hist[len(wq_entries) - 1] += t - wq_mark
-            wq_mark = t
-            if monitor_busy and fade.non_blocking:
-                # The monitor only dispatches on completion (outside the
-                # window): keep draining.  Our enqueue may have filled the
-                # unfiltered queue, re-derive the stall flag.
-                fade_stalled = (
-                    wq_capacity is not None
-                    and len(wq_entries) >= wq_capacity
-                ) or fade.fsq_full
-                was_stalled = was_stalled or fade_stalled
-                t += busy
-                continue
-            # Monitor idle (dispatch at t + 1) or blocking mode (waiting
-            # starts at t + 1): cycle t is the window's last.
-            unfiltered_exit = True
-            if not fade.non_blocking:
-                self._fade_wait_seq = work.payload.sequence
-            march(t + 1)
-            if not stop:
-                end = t + 1
-            break
-
-        window = end - start
-        if window <= 0:
-            return False  # First cycle not fusable; nothing was consumed.
-
-        if pending_filtered:
-            filtered_total += pending_filtered
-            self._track_filtering(True, pending_filtered)
-        if drained:
-            # Bulk FadeStats accrual (what Fade.process_event does per
-            # event, summed over the window).
-            fade_stats = fade.stats
-            fade_stats.instruction_events += drained
-            fade_stats.busy_cycles += occupancy_sum
-            fade_stats.tlb_misses += tlb_miss_count
-            fade_stats.filtered += filtered_total
-            fade_stats.partial_short += partial_short_events
-            fade_stats.unfiltered_full += unfiltered_full_events
-            fade_stats.md_updates_committed += md_updates
-
-        # --- bulk accrual over [start, end) ------------------------------
-        self._app_index = app_index
-        self._app_blocked = app_blocked
-        self._progress_base = base
-        self._progress_halves = halves
-        self._now = end
-        result = self.result
-        if blocked_cycles:
-            result.app_blocked_cycles += blocked_cycles
-        if fade_inert == 1:
-            # Draining accrues every window cycle (ready_at never exceeds
-            # ``now`` while the drain flag is up).
-            result.fade_drain_cycles += window
-        elif fade_inert == 2:
-            # Waiting accrues only once the pipeline itself is free.
-            accrue_from = ready if ready > start else start
-            if end > accrue_from:
-                result.fade_wait_cycles += end - accrue_from
-        breakdown = self._breakdown
-        if monitor_busy:
-            self._monitor_remaining = remaining
-            result.monitor_busy_cycles += window
-            # Per-cycle classification: a cycle ends blocked exactly when
-            # it accrued app_blocked_cycles (retry failure or fresh freeze).
-            if blocked_cycles:
-                breakdown.app_idle += blocked_cycles
-                breakdown.both_busy += window - blocked_cycles
-            else:
-                breakdown.both_busy += window
-        else:
-            breakdown.monitor_idle += window
-        if sample and self._split_queues and end > wq_mark:
-            # Unfiltered-queue occupancy was constant since the last
-            # unfiltered enqueue (monitor cycles are excluded).
-            self._wq_hist[len(wq_entries)] += end - wq_mark
-        fusion_stats.runs += 1
-        fusion_stats.fused_events += drained
-        fusion_stats.fused_cycles += window
-        fusion_stats.run_lengths[drained] += 1
-        if _COVERAGE.enabled:
-            cov = _COVERAGE
-            cov.hit("fuse.monitor_busy" if monitor_busy else "fuse.monitor_idle")
-            if fade_inert == 1:
-                cov.hit("fuse.inert_drain")
-            elif fade_inert == 2:
-                cov.hit("fuse.inert_wait")
-            if was_stalled:
-                cov.hit("fuse.stalled")
-            if blocked_cycles:
-                cov.hit("fuse.app_blocked")
-            if filtered_total:
-                cov.hit("fuse.filtered_run")
-            if unfiltered_exit:
-                cov.hit("fuse.unfiltered_exit")
-            if not drained:
-                cov.hit("fuse.app_only")
-        return True
-
-    # ------------------------------------------------------- vector kernels
-
-    def _crossing_halves(self, j: int, base: float) -> int:
-        """Exact crossing threshold (in progress halves) of deliverable
-        plan item ``j`` for the current progress ``base``.
-
-        Thin cache over :func:`repro.kernels.march.crossing_halves`: one
-        kernel call covers a run of upcoming deliverables, and since the
-        threshold depends only on (base, schedule target) the cache is
-        keyed on the exact base value — correct across windows, marches,
-        restores and even a coincidental base re-match after a freeze.
-        """
-        if base == self._cross_base:
-            js = self._cross_js
-            if js is not None:
-                pos = self._cross_pos
-                n = len(js)
-                while pos < n and js[pos] < j:
-                    pos += 1
-                if pos < n and js[pos] == j:
-                    self._cross_pos = pos
-                    return self._cross_hs[pos]
-            streak = self._cross_streak + 1
-        else:
-            # A backpressure freeze re-anchored the progress base; any
-            # batched thresholds are for a stale base.
-            streak = 1
-            self._cross_base = base
-            self._cross_js = None
-        self._cross_streak = streak
-        if streak < 16:
-            # Base values die young around backpressure (every freeze
-            # re-anchors), so batching pays only once this base has proven
-            # stable; until then compute the one threshold scalar-wise,
-            # with the same seed + exact-verify shape as the kernel.
-            target = self._schedule[j]
-            h = int(math.ceil((target - base) * 2.0))
-            while base + (h - 1) * 0.5 >= target:
-                h -= 1
-            while base + h * 0.5 < target:
-                h += 1
-            return h
-        from repro.kernels.march import crossing_halves
-
-        np_mod = self._np
-        schedule_np = self._schedule_np
-        if schedule_np is None:
-            schedule_np = np_mod.asarray(self._schedule, dtype=np_mod.float64)
-            self._schedule_np = schedule_np
-        deliverables = self._vector.columns.deliverable_list
-        idx = bisect_left(deliverables, j)
-        js = deliverables[idx : idx + 1024]
-        self._cross_js = js
-        self._cross_hs = crossing_halves(
-            np_mod, schedule_np[js], base
-        ).tolist()
-        self._cross_pos = 0
-        return self._cross_hs[0]
 
     # -------------------------------------------------------------- monitor
 
@@ -1795,16 +1299,14 @@ class MonitoringSimulation:
 
     # ------------------------------------------------------------- statistics
 
-    def _track_filtering(self, filtered: bool, run: int = 1) -> None:
+    def _track_filtering(self, filtered: bool) -> None:
         """Figure 4(b, c): distances between and bursts of unfiltered events.
 
-        ``run`` bulk-accrues a fused run of ``run`` consecutive *filtered*
-        events in one call (identical to ``run`` single calls; unfiltered
-        events are always tracked one at a time).  :meth:`_finish_burst` is
-        the one-shot finalizer that flushes the trailing burst at run end.
+        :meth:`_finish_burst` is the one-shot finalizer that flushes the
+        trailing burst at run end.
         """
         if filtered:
-            self._filterable_gap += run
+            self._filterable_gap += 1
             return
         if self._saw_unfiltered:
             self.result.unfiltered_distances[self._filterable_gap] += 1
@@ -1869,9 +1371,9 @@ class MonitoringSimulation:
     def _emit_checkpoint(self) -> None:
         """Fire the checkpoint callback once and arm the next threshold.
 
-        The event engine can jump several thresholds inside one fused
-        window; all of them collapse into the single checkpoint taken here
-        (checkpoints are periodic best-effort, not exact)."""
+        One cycle can retire past several thresholds; all of them collapse
+        into the single checkpoint taken here (checkpoints are periodic
+        best-effort, not exact)."""
         thresholds = self._checkpoint_thresholds
         position = self._checkpoint_position
         app_index = self._app_index
@@ -1883,10 +1385,6 @@ class MonitoringSimulation:
         )
         callback = self._checkpoint_callback
         if callback is not None:
-            if self._vector is not None:
-                # The callback may snapshot/restore or otherwise touch
-                # stores whose generation counters anchor the predictions.
-                self._vector.drop_batch()
             callback(self)
 
     def timed_progress(self) -> float:
@@ -2075,11 +1573,6 @@ class MonitoringSimulation:
         self._checkpoint_at = (
             thresholds[position] if position < len(thresholds) else _NEVER
         )
-        if self._vector is not None:
-            # Restored stores carry restored generation counters, so value
-            # comparison against a pre-restore snapshot proves nothing:
-            # predictions must be rebuilt from the restored state.
-            self._vector.drop_batch()
         self._restored = True
 
 

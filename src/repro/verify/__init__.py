@@ -4,7 +4,7 @@ The verification subsystem manufactures adversarial workloads and proves
 that every execution configuration agrees on them:
 
 * :mod:`repro.verify.coverage` — lightweight counters over simulator states
-  (fusion window kinds, stall phases, memo hit/invalidation classes, queue
+  (engine jumps and steps, stall phases, memo hit/invalidation classes, queue
   occupancy bands); the fuzzer's steering signal.
 * :mod:`repro.verify.fuzz` — a seeded workload fuzzer sampling randomized
   :class:`~repro.workload.profile.BenchmarkProfile`\\ s far outside the

@@ -1,7 +1,7 @@
 """Coverage map over simulator states (the fuzzer's steering signal).
 
-The timing core has a small set of qualitatively distinct regimes — fusion
-window kinds, FADE stall/drain/wait phases, filter-memo hit/miss and
+The timing core has a small set of qualitatively distinct regimes — engine
+jumps and steps, FADE stall/drain/wait phases, filter-memo hit/miss and
 invalidation classes, FSQ traffic, queue occupancy bands.  A workload that
 never enters a regime cannot falsify it, so the differential fuzzer
 (:mod:`repro.verify.fuzz`) steers its sampling toward regimes that have not
@@ -14,7 +14,7 @@ Instrumentation is a handful of guarded counters on the hot paths of
     from repro.verify.coverage import COVERAGE as _COVERAGE
     ...
     if _COVERAGE.enabled:
-        _COVERAGE.hit("fuse.filtered_run")
+        _COVERAGE.hit("fade.suu")
 
 With the map disabled (the default) the cost per site is one attribute read
 and a branch; nothing is recorded, and results are bit-identical either way
@@ -31,23 +31,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 #: The canonical set of tracked states — the denominator of
 #: :func:`coverage_fraction`.  Sites may record states outside this tuple
 #: (they show up in snapshots and help debugging) but only these count
-#: toward the fuzzer's coverage target.  When adding a fusion path or a new
+#: toward the fuzzer's coverage target.  When adding an engine path or a new
 #: stall source, add its state here and hit it at the new site (DESIGN.md
 #: §8 documents the workflow).
 TRACKED_STATES: Tuple[str, ...] = (
     # --- engine regimes (system/simulator.py) ---------------------------
     "engine.skip",          # A quiet interval was jumped in one step.
     "engine.step",          # A reference stepper cycle ran.
-    # --- fusion window kinds (MonitoringSimulation._fused_drain) --------
-    "fuse.filtered_run",    # Window drained >= 1 filtered event.
-    "fuse.unfiltered_exit", # Window ended on an unfiltered event.
-    "fuse.monitor_busy",    # Window fused under a grinding handler.
-    "fuse.monitor_idle",    # Window fused with the monitor idle.
-    "fuse.inert_drain",     # FADE drain phase fused under a busy monitor.
-    "fuse.inert_wait",      # Blocking-mode wait phase fused.
-    "fuse.stalled",         # FADE stalled (wq/FSQ full) inside the window.
-    "fuse.app_blocked",     # Backpressured retirements fused.
-    "fuse.app_only",        # Window with zero drained events (app march).
     # --- FADE stall phases (stepper path) -------------------------------
     "stall.wq_full",        # Unfiltered queue full: FADE cannot dequeue.
     "stall.fsq_full",       # FSQ full: instruction events stall.

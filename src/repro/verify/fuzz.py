@@ -3,8 +3,8 @@
 Samples randomized :class:`~repro.workload.profile.BenchmarkProfile`\\ s far
 outside the registered benchmark set — degenerate instruction mixes (0% /
 100% memory ops), pathological alias density (a handful of hot words taking
-every access), burst/gap trains tuned to straddle the fused-drain window
-boundaries, INV-reprogramming storms (parallel profiles with tiny time
+every access), burst/gap trains tuned to alternate the event engine's
+quiet-interval jumps with dense stepped stretches, INV-reprogramming storms (parallel profiles with tiny time
 slices), SMT handler-budget edge cases, saturated and infinite queues —
 and packages each one as a *self-contained* :class:`~repro.api.RunSpec`
 (the profile travels inline in the spec, no runtime registration), so
@@ -41,7 +41,7 @@ MONITORS: Tuple[str, ...] = (
 
 #: Bounds of the fuzzed trace length.  Small enough that one case simulates
 #: in tens of milliseconds; large enough to fill queues, saturate the FSQ
-#: and cross many fused windows.
+#: and cross many quiet-interval jumps.
 MIN_INSTRUCTIONS = 400
 MAX_INSTRUCTIONS = 2600
 
@@ -132,8 +132,8 @@ def _regime_alias_dense(rng: Random):
 
 
 def _regime_burst_gap(rng: Random):
-    # Long dispatch gaps + allocation-init bursts: windows straddle the
-    # fused-drain boundaries (starved stretches, then dense filtered runs).
+    # Long dispatch gaps + allocation-init bursts: starved stretches the
+    # event engine jumps across, then dense filtered runs it steps through.
     profile = _mix(rng, nop_weight=rng.uniform(0.2, 0.5))
     profile.update(
         bubble_prob=rng.uniform(0.15, 0.6),
@@ -327,17 +327,12 @@ class WorkloadFuzzer:
             )
             if monitor is None:
                 monitor = rng.choice(MONITORS)
-            # The base engine for the case: mostly the event engine (the
-            # oracle re-runs every case through all engine legs anyway),
-            # occasionally the vector tier so its batching also faces the
-            # fuzzer's hostile queue shapes as the *reference* leg.
-            engine = rng.choice(["event", "event", "event", "vector"])
             try:
                 profile = BenchmarkProfile(name=name, **profile_fields)
                 spec = RunSpec(
                     benchmark=name,
                     monitor=monitor,
-                    config=SystemConfig(engine=engine, **config),
+                    config=SystemConfig(**config),
                     settings=settings,
                     profile=profile,
                 )

@@ -2,30 +2,27 @@
 
 For one :class:`~repro.api.RunSpec` the oracle runs the cross-product
 
-    {event, naive, vector engine} x {memoized, forced-inline filtering}
+    {event, naive engine} x {memoized, forced-inline filtering}
     x {serial, parallel execution} x {store-cold, store-warm}
 
 and diffs the *serialized* :class:`~repro.system.results.RunResult`\\ s
 byte-for-byte (canonical sorted-key JSON, SHA-256 digests).  The simulator's
 contract is that every leg is bit-identical; any disagreement is a bug in
-one of the optimised paths (cycle skipping, burst draining, the filter
-memo, shared-memory distribution, or store round-tripping).
+one of the optimised paths (cycle skipping, the filter memo, pool
+dispatch, or store round-tripping).
 
 On a mismatch the oracle *shrinks*: it re-runs the two disagreeing legs at
 geometrically smaller instruction counts and reports the smallest spec that
 still disagrees, so the repro attached to a failing fuzz campaign is
 minutes — not hours — of single-stepping away from a root cause.
 
-Fifteen legs execute per spec: the six serial-cold engine × filter-mode
-combinations over {event, naive, vector} (the naive engine ignores the
-filter memo by construction and forced-inline mode disables the vector
-predictor structurally, but both run under both settings anyway, so the
+Twelve legs execute per spec: the four serial-cold engine × filter-mode
+combinations over {event, naive} (the naive engine ignores the filter
+memo by construction, but runs under both settings anyway, so the
 forced-inline environment path cannot rot unnoticed), two store
 round-trips of the reference result (one per
 :class:`~repro.api.ResultStore` backend — sharded JSON and SQLite — so
-the store axis covers both persistence formats) plus one of the vector
-leg's own result under its own engine-bearing store key, a
-**checkpointed** leg (run until the first mid-run checkpoint lands,
+the store axis covers both persistence formats), a **checkpointed** leg (run until the first mid-run checkpoint lands,
 abandon, resume from the blob, finish — the snapshot/restore round-trip
 must be bit-exact; included in ``--quick`` mode too), a **segmented** leg
 (the run split into three checkpointed segments at plan-index boundaries
@@ -109,8 +106,7 @@ def first_divergence(a: RunResult, b: RunResult) -> str:
 @contextmanager
 def forced_inline(active: bool):
     """Set ``REPRO_FORCE_INLINE_FADE`` for the duration (restoring the
-    previous value) — the knob both the filter memo and burst draining key
-    their enablement on."""
+    previous value) — the knob the filter memo keys its enablement on."""
     if not active:
         yield
         return
@@ -337,7 +333,7 @@ class DifferentialOracle:
         digests: Dict[str, str] = {}
         results: Dict[str, RunResult] = {}
         serial_specs: Dict[str, RunSpec] = {}
-        for engine in ("event", "naive", "vector"):
+        for engine in ("event", "naive"):
             for mode, inline in (("memo", False), ("inline", True)):
                 leg = f"{engine}/serial/{mode}/cold"
                 result = self._serial_result(spec, engine, inline)
@@ -368,20 +364,6 @@ class DifferentialOracle:
                 else:
                     digests[leg] = result_digest(warm)
                     results[leg] = warm
-            # The vector leg's own round-trip: store keys hash the full
-            # config (engine included), so a vector result must come back
-            # from the key it was stored under, byte-identical.
-            vector_spec = serial_specs["vector/serial/memo/cold"]
-            store = ResultStore(os.path.join(tmp, "vector-store"))
-            store.put(vector_spec, results["vector/serial/memo/cold"])
-            warm = store.get(vector_spec)
-            store.close()
-            leg = "vector/serial/memo/warm"
-            if warm is None:
-                digests[leg] = "<store-miss-after-put>"
-            else:
-                digests[leg] = result_digest(warm)
-                results[leg] = warm
 
         # Checkpointed leg (quick mode included): crash-after-first-
         # checkpoint, resume, finish — the snapshot/restore round-trip must

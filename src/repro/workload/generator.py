@@ -150,9 +150,13 @@ class TraceGenerator:
 
         # Hot working set of initialised global words, plus a streaming
         # region, both inside the statically allocated global segment.
-        self._hot_words: List[int] = [
-            GLOBAL_BASE + index * WORD_SIZE for index in range(profile.hot_set_words)
-        ]
+        self._hot_words: List[int] = list(
+            range(
+                GLOBAL_BASE,
+                GLOBAL_BASE + profile.hot_set_words * WORD_SIZE,
+                WORD_SIZE,
+            )
+        )
         self._stream_start = GLOBAL_BASE + profile.hot_set_words * WORD_SIZE
         self._stream_end = self._stream_start + STREAM_REGION_BYTES
         # One stream cursor per thread, each walking its own slice, so
@@ -169,9 +173,13 @@ class TraceGenerator:
         self._stream_cursors = [start for start, _ in self._stream_slices]
         self._hot_cursor = 0
         self._fresh_cursor = FRESH_BASE
-        self._shared_word_list: List[int] = [
-            SHARED_BASE + index * WORD_SIZE for index in range(profile.shared_words)
-        ]
+        self._shared_word_list: List[int] = list(
+            range(
+                SHARED_BASE,
+                SHARED_BASE + profile.shared_words * WORD_SIZE,
+                WORD_SIZE,
+            )
+        )
 
         self._pending_init: Deque[int] = deque()
         self._thread = 0

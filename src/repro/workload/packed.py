@@ -10,10 +10,10 @@ functional-work bounds of grid execution:
 * **Generation** appends machine integers to columns — no frozen-dataclass
   construction per item (:class:`~repro.workload.generator.TraceGenerator`
   emits packed columns directly).
-* **Distribution** is a single buffer: the parallel runner places the
-  column bytes in ``multiprocessing.shared_memory`` and workers attach
-  zero-copy (:mod:`repro.api.shm`); pickling falls back to one compact
-  ``bytes`` payload instead of a per-item object graph.
+* **Pickling** is a single buffer: one compact ``bytes`` payload instead
+  of a per-item object graph.  (Pool workers never receive traces at all:
+  each synthesizes the traces of its own chunks, see
+  :mod:`repro.api.runner`.)
 
 Consumers that need real objects still get them: ``packed.items`` is a lazy
 sequence view that materialises (and caches) the exact ``Instruction`` /
@@ -70,7 +70,7 @@ STARTUP_BIT = 0x80
 
 #: Column order and typecodes.  The 8-byte columns come first so every
 #: column starts naturally aligned when the columns are concatenated into
-#: one buffer (shared-memory segments / pickle payloads).
+#: one buffer (pickle payloads).
 #:
 #: ``f0``-``f5`` carry the per-item payload: for instructions
 #: (pc, src1 value, src2 value, dest value, frame base, frame size); for
@@ -89,8 +89,6 @@ COLUMN_SPEC: Tuple[Tuple[str, str], ...] = (
     ("flags", "B"),
     ("thread", "B"),
 )
-
-_ITEM_BYTES = sum(array(code).itemsize for _, code in COLUMN_SPEC)
 
 Columns = Dict[str, Union[array, memoryview]]
 
@@ -264,7 +262,6 @@ class PackedTrace(Trace):
         columns: Columns,
         name: str = "trace",
         seed: int = 0,
-        shared=None,
     ) -> None:
         # Deliberately no super().__init__: items are virtual.
         self.name = name
@@ -284,9 +281,6 @@ class PackedTrace(Trace):
         self._num_instructions: Optional[int] = None
         self._lists: Optional[Tuple[list, ...]] = None
         self._view: Optional[_PackedItems] = None
-        # Keep the owning shared-memory segment (if any) alive for as long
-        # as the column views reference its buffer.
-        self._shared = shared
 
     # ------------------------------------------------------------ sequence
 
@@ -447,13 +441,12 @@ class PackedTrace(Trace):
         return meta, payload
 
     @classmethod
-    def from_buffer(cls, meta: dict, buffer, shared=None) -> "PackedTrace":
+    def from_buffer(cls, meta: dict, buffer) -> "PackedTrace":
         """Rebuild a packed trace over ``buffer`` without copying.
 
         ``buffer`` is any buffer-protocol object laid out by
-        :meth:`to_payload` (a shared-memory ``buf``, a ``bytes`` payload).
-        Columns become ``memoryview`` casts into it; pass ``shared`` to tie
-        the owning segment's lifetime to the trace.
+        :meth:`to_payload` (e.g. the ``bytes`` payload of a pickle).
+        Columns become ``memoryview`` casts into it.
         """
         if meta.get("schema") != TRACE_SCHEMA_VERSION:
             raise ValueError(
@@ -468,31 +461,7 @@ class PackedTrace(Trace):
             width = array(code).itemsize * count
             columns[name] = view[offset : offset + width].cast(code)
             offset += width
-        return cls(columns, name=meta["name"], seed=meta["seed"], shared=shared)
-
-    def payload_size(self) -> int:
-        """Size in bytes of the :meth:`to_payload` buffer."""
-        return _ITEM_BYTES * self._length
-
-    def release(self) -> None:
-        """Drop the column views (and close the owning shared segment, if
-        any).  The trace is unusable afterwards; only needed when a process
-        wants to detach from shared memory before it exits."""
-        self._view = None
-        self._lists = None
-        for attr in (
-            "_f0", "_f1", "_f2", "_f3", "_f4", "_f5",
-            "_kind", "_op", "_flags", "_thread",
-        ):
-            column = getattr(self, attr)
-            if isinstance(column, memoryview):
-                column.release()
-            setattr(self, attr, None)
-        self._columns = {}
-        shared = self._shared
-        self._shared = None
-        if shared is not None:
-            shared.close()
+        return cls(columns, name=meta["name"], seed=meta["seed"])
 
     def __reduce__(self):
         # Compact pickling: one bytes payload instead of an object graph.

@@ -402,9 +402,9 @@ class TestGracefulInterrupt:
         monkeypatch.setattr(
             runner_module, "ProcessPoolExecutor", self._InterruptingPool
         )
-        # The fake pool runs chunks in-process, seeding the module-global
-        # worker cache with this grid's shared-memory traces; restore it so
-        # the stale attachments never leak into later tests.
+        # The fake pool runs chunks in-process, filling the module-global
+        # worker cache with this grid's traces; restore it so they never
+        # leak into later tests.
         monkeypatch.setattr(runner_module, "_WORKER_CACHE", None)
         store = ResultStore(tmp_path / "partial")
         runner = ParallelRunner(jobs=2, store=store)
@@ -454,3 +454,146 @@ class TestGracefulInterrupt:
         _terminate_pool(pool)
         assert pool.shutdown_args == (False, True)
         assert all(p.terminated for p in pool._processes.values())
+
+
+def _exploding_chunk(specs):
+    """Pool-worker stand-in that dies before producing a result (top-level
+    so the pool can pickle it by name; fork workers share the module)."""
+    import os
+
+    os._exit(3)
+
+
+def _shm_entries():
+    import os
+
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+class TestTraceGroupedDispatch:
+    """ParallelRunner sends all cells of one trace to one worker as one
+    chunk (split only past the balance cap), largest chunk first; workers
+    synthesize their own traces from the specs."""
+
+    FIG9_LIKE = spec_grid(
+        ["astar", "gcc", "mcf", "water", "bzip2"],
+        ["memleak", "addrcheck", "memcheck"],
+        [SystemConfig(), SystemConfig(fade_enabled=False)],
+        TINY,
+    )
+
+    def test_no_trace_group_split_below_the_cap(self):
+        import math
+
+        from repro.api.runner import _trace_chunks, _trace_key
+
+        specs = self.FIG9_LIKE
+        workers = 2
+        cap = math.ceil(len(specs) / (workers * 4))
+        chunks = _trace_chunks(specs, workers)
+        assert sorted(i for chunk in chunks for i in chunk) == list(
+            range(len(specs))
+        )
+        assert [len(c) for c in chunks] == sorted(
+            (len(c) for c in chunks), reverse=True
+        )
+        groups = {}
+        for number, chunk in enumerate(chunks):
+            keys = {_trace_key(specs[i]) for i in chunk}
+            assert len(keys) == 1  # One trace per chunk.
+            groups.setdefault(keys.pop(), []).append(number)
+        for key, numbers in groups.items():
+            size = sum(1 for spec in specs if _trace_key(spec) == key)
+            if size <= cap:
+                assert len(numbers) == 1, f"{key[0]} split below the cap"
+            else:
+                assert all(len(chunks[n]) <= cap for n in numbers)
+
+    def test_one_trace_grid_splits_across_workers(self):
+        from repro.api.runner import _trace_chunks
+
+        configs = [
+            SystemConfig(fsq_capacity=capacity, event_queue_capacity=queue)
+            for capacity in (1, 2, 4, 8, 16)
+            for queue in (2, 4, 8, 16)
+        ]
+        specs = spec_grid(["astar"], ["memleak", "addrcheck"], configs, TINY)
+        assert len(specs) == 40
+        chunks = _trace_chunks(specs, 2)
+        assert len(chunks) == 8 and all(len(chunk) == 5 for chunk in chunks)
+        parallel = ParallelRunner(jobs=2).run(specs)
+        serial = SerialRunner().run(specs)
+        assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
+            serial.to_dict(), sort_keys=True
+        )
+
+    def test_inline_profile_grid_matches_serial(self):
+        from repro.verify.fuzz import WorkloadFuzzer
+
+        fuzzer = WorkloadFuzzer(3)
+        specs = []
+        for _ in range(3):
+            spec = fuzzer.next_case().spec
+            specs += [spec, spec.replace(monitor="memleak")]
+        assert all(spec.profile is not None for spec in specs)
+        parallel = ParallelRunner(jobs=2).run(specs)
+        assert parallel.to_dict() == SerialRunner().run(specs).to_dict()
+
+    def test_dead_worker_grid_falls_back_serially(self, monkeypatch):
+        """A pool whose workers die immediately degrades to serial
+        execution (BrokenProcessPool handling) without losing results."""
+        from repro.api import runner as runner_module
+        from repro.verify.oracle import result_digest
+
+        monkeypatch.setattr(runner_module, "_worker_run_chunk", _exploding_chunk)
+        specs = [
+            RunSpec("astar", "memleak", SystemConfig(), TINY),
+            RunSpec("astar", "addrcheck", SystemConfig(), TINY),
+        ]
+        expected = [
+            result_digest(SerialRunner().run_one(spec)) for spec in specs
+        ]
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            results = ParallelRunner(jobs=2).run(specs)
+        assert [result_digest(r) for r in results.results] == expected
+
+    def test_worker_death_during_submission_falls_back_serially(
+        self, monkeypatch
+    ):
+        """Regression: when a worker dies before the remaining chunks are
+        submitted, submit() itself raises BrokenProcessPool; that must take
+        the same retry-then-serial path, not escape the runner."""
+        import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.api import runner as runner_module
+        from repro.verify.oracle import result_digest
+
+        submit = ProcessPoolExecutor.submit
+
+        def submit_then_wait_for_breakage(pool, *args, **kwargs):
+            future = submit(pool, *args, **kwargs)
+            deadline = time.monotonic() + 10.0
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return future
+
+        monkeypatch.setattr(
+            ProcessPoolExecutor, "submit", submit_then_wait_for_breakage
+        )
+        monkeypatch.setattr(runner_module, "_worker_run_chunk", _exploding_chunk)
+        specs = [
+            RunSpec("astar", "memleak", SystemConfig(), TINY),
+            RunSpec("astar", "addrcheck", SystemConfig(), TINY),
+        ]
+        expected = [
+            result_digest(SerialRunner().run_one(spec)) for spec in specs
+        ]
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            results = ParallelRunner(jobs=2).run(specs)
+        assert [result_digest(r) for r in results.results] == expected
+
+    def test_parallel_runner_creates_no_shared_memory(self):
+        before = _shm_entries()
+        ParallelRunner(jobs=2).run(self.FIG9_LIKE[:8])
+        assert _shm_entries() - before == set()

@@ -1,6 +1,5 @@
-"""Unit tests for the burst-drain support machinery: bulk filtered-run
-tracking, the per-word/per-owner FSQ, the two-level filter memo, and the
-fusion telemetry."""
+"""Unit tests for the filtering support machinery: the per-word/per-owner
+FSQ, the inlined MD-cache access path and the two-level filter memo."""
 
 import random
 
@@ -11,63 +10,6 @@ from repro.fade.fsq import FilterStoreQueue
 from repro.isa.events import MonitoredEvent
 from repro.isa.opcodes import OpClass, event_id_for
 from repro.monitors import MONITOR_NAMES, create_monitor
-from repro.system import SystemConfig
-from repro.system.simulator import MonitoringSimulation, fusion_stats
-from repro.workload import generate_trace, get_profile
-
-
-# ------------------------------------------------- bulk _track_filtering
-
-
-class _TrackerHarness:
-    """A MonitoringSimulation shell exposing only the filtering tracker."""
-
-    def __init__(self):
-        sim = object.__new__(MonitoringSimulation)
-        sim.config = SystemConfig()
-        sim.result = type("R", (), {})()
-        from collections import Counter
-
-        sim.result.unfiltered_distances = Counter()
-        sim.result.unfiltered_burst_sizes = []
-        sim._filterable_gap = 0
-        sim._current_burst = 0
-        sim._saw_unfiltered = False
-        self.sim = sim
-
-    def finish(self):
-        self.sim._finish_burst()
-        return (
-            dict(self.sim.result.unfiltered_distances),
-            list(self.sim.result.unfiltered_burst_sizes),
-        )
-
-
-@pytest.mark.parametrize("seed", [3, 17, 99])
-def test_bulk_track_filtering_matches_per_event(seed):
-    """A fused run of K filtered events accrued in one call produces the
-    exact histograms of K single-event calls, on randomized sequences."""
-    rng = random.Random(seed)
-    sequence = [rng.random() < 0.8 for _ in range(4000)]  # True = filtered.
-
-    per_event = _TrackerHarness()
-    for filtered in sequence:
-        per_event.sim._track_filtering(filtered)
-
-    bulk = _TrackerHarness()
-    run = 0
-    for filtered in sequence:
-        if filtered:
-            run += 1
-            continue
-        if run:
-            bulk.sim._track_filtering(True, run)
-            run = 0
-        bulk.sim._track_filtering(False)
-    if run:
-        bulk.sim._track_filtering(True, run)
-
-    assert per_event.finish() == bulk.finish()
 
 
 # ------------------------------------------------------------------- FSQ
@@ -319,26 +261,3 @@ def test_monitor_footprint_declarations():
         monitor = create_monitor(name)
         assert monitor.filter_memo_safe is True
         assert monitor.metadata_write_footprint <= {"regs", "mem", "inv"}
-
-
-# -------------------------------------------------------------- telemetry
-
-
-def test_fusion_telemetry_counts_fused_runs(monkeypatch):
-    monkeypatch.delenv("REPRO_FORCE_INLINE_FADE", raising=False)
-    profile = get_profile("astar")
-    trace = generate_trace(profile, 1200, seed=5)
-    monitor = create_monitor("memcheck")
-    fusion_stats.reset()
-    MonitoringSimulation(
-        trace, monitor, SystemConfig(fade_enabled=True, engine="event"),
-        profile,
-    ).run()
-    assert fusion_stats.runs > 0
-    assert fusion_stats.fused_events > 0
-    assert fusion_stats.fused_cycles >= fusion_stats.runs
-    assert sum(fusion_stats.run_lengths.values()) == fusion_stats.runs
-    assert (
-        sum(k * v for k, v in fusion_stats.run_lengths.items())
-        == fusion_stats.fused_events
-    )

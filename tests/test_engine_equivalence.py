@@ -1,14 +1,11 @@
-"""Bit-identity of the event and vector engines against the naive stepper.
+"""Bit-identity of the event engine against the naive stepper.
 
 The event engine (``SystemConfig.engine="event"``, the default) must
 reproduce the reference one-cycle-per-iteration stepper *exactly* — the
 whole serialized :class:`RunResult`, including queue occupancy histograms,
 rejection counts, the cycle breakdown, FADE wait/drain counters and bug
 reports — because it only jumps across provably quiet intervals and runs
-every active cycle through the shared reference stepper.  The vector
-engine layers batched NumPy prediction kernels on top of the event engine
-and must stay equally exact (it degrades to the event engine when NumPy
-is unavailable, so these tests pass either way).
+every active cycle as an inlined copy of the reference cycle.
 """
 
 import functools
@@ -21,7 +18,7 @@ from repro.isa.events import MonitoredEvent
 from repro.isa.instruction import Instruction
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.system import SystemConfig, Topology, simulate
-from repro.system.simulator import simulate_warmed
+from repro.system.simulator import MonitoringSimulation, simulate_warmed
 from repro.workload import generate_trace, get_profile
 
 
@@ -34,7 +31,7 @@ def bench_for(monitor_name):
     return "water" if monitor_name == "atomcheck" else "astar"
 
 
-ENGINES = ("naive", "event", "vector")
+ENGINES = ("naive", "event")
 
 
 def run_engines(
@@ -65,9 +62,6 @@ def assert_engines_identical(results):
 
 def run_both(monitor_name, benchmark, **kwargs):
     results = run_engines(monitor_name, benchmark, **kwargs)
-    assert results["vector"].to_dict() == results["event"].to_dict(), (
-        "vector engine diverges"
-    )
     return results["naive"], results["event"]
 
 
@@ -87,9 +81,9 @@ MODES = [
 def test_engines_bit_identical(monitor_name, topology, mode):
     """Monitors x topologies x blocking modes: full RunResult equality.
 
-    The event engine runs with burst draining and the two-level filter
-    memo enabled, the naive reference with both disabled, so this matrix
-    proves the fused-memoized paths bit-identical to truly inline walks.
+    The event engine runs with the filter memo enabled, the naive
+    reference with it disabled, so this matrix proves the memoized event
+    loop bit-identical to truly inline walks.
     """
     naive, event = run_both(
         monitor_name, bench_for(monitor_name), topology=topology, **mode
@@ -97,7 +91,7 @@ def test_engines_bit_identical(monitor_name, topology, mode):
     assert naive.to_dict() == event.to_dict()
 
 
-# ---------------------------------------------------- burst-drain x memo
+# ------------------------------------------------ backpressure x memo
 
 
 @pytest.mark.parametrize(
@@ -132,56 +126,75 @@ def test_engines_bit_identical(monitor_name, topology, mode):
 )
 @pytest.mark.parametrize("monitor_name", ["memcheck", "atomcheck", "memleak"])
 def test_burst_drain_memo_corners(monitor_name, config_kwargs):
-    """Backpressure, blocking and burst-tracking corners of the fused
-    windows: blocked-application marching, freeze/retry cycles, in-window
-    unfiltered continuation, run-length gap accounting."""
+    """Backpressure, blocking and burst-tracking corners of the event
+    loop: blocked-application jumps, freeze/retry cycles, unfiltered
+    continuation after filtered runs, gap accounting."""
     naive, event = run_both(
         monitor_name, bench_for(monitor_name), **config_kwargs
     )
     assert naive.to_dict() == event.to_dict()
 
 
-def test_force_inline_event_engine_matches(monkeypatch):
-    """REPRO_FORCE_INLINE_FADE=1 disables the memo and burst draining; the
-    event engine must still match both the naive reference and its own
-    fused-memoized results (the CI fallback-rot check)."""
-    import repro.system.simulator as simulator_module
+@pytest.mark.parametrize(
+    "config_kwargs",
+    [
+        pytest.param(
+            {"fade_enabled": True, "non_blocking": False,
+             "unfiltered_queue_capacity": 1},
+            id="blocking-wait-single-slot",
+        ),
+        pytest.param(
+            {"fade_enabled": True, "event_queue_capacity": 3,
+             "unfiltered_queue_capacity": 2},
+            id="drain-under-backpressure",
+        ),
+        pytest.param(
+            {"fade_enabled": True, "topology": Topology.TWO_CORE,
+             "fsq_capacity": 1},
+            id="two-core-fsq-of-one",
+        ),
+    ],
+)
+@pytest.mark.parametrize("monitor_name", ["memleak", "addrcheck", "memcheck"])
+def test_stack_update_drain_corners(monitor_name, config_kwargs):
+    """Call-heavy gcc: SUU drains before every stack update, blocking
+    waits on each unfiltered handler, and backpressured retirements
+    interleave with the event loop's jumps."""
+    naive, event = run_both(monitor_name, "gcc", warmup=0.25, **config_kwargs)
+    assert naive.to_dict() == event.to_dict()
+    assert naive.fade_drain_cycles + naive.fade_wait_cycles > 0
 
-    fused_naive, fused_event = run_both("memcheck", "astar", fade_enabled=True)
+
+def test_force_inline_event_engine_matches(monkeypatch):
+    """REPRO_FORCE_INLINE_FADE=1 disables the filter memo; the event engine
+    must still match both the naive reference and its own memoized results
+    (the CI fallback-rot check)."""
+    memo_naive, memo_event = run_both("memcheck", "astar", fade_enabled=True)
     monkeypatch.setenv("REPRO_FORCE_INLINE_FADE", "1")
-    simulator_module.fusion_stats.reset()
     inline_naive, inline_event = run_both(
         "memcheck", "astar", fade_enabled=True
     )
-    assert simulator_module.fusion_stats.runs == 0  # Fusion really off.
     assert inline_event.to_dict() == inline_naive.to_dict()
-    assert inline_event.to_dict() == fused_event.to_dict()
-    assert fused_naive.to_dict() == fused_event.to_dict()
+    assert inline_event.to_dict() == memo_event.to_dict()
+    assert memo_naive.to_dict() == memo_event.to_dict()
 
 
 def test_memo_unsafe_monitor_falls_back_to_inline(monkeypatch):
     """A monitor that declares ``filter_memo_safe = False`` runs the inline
-    per-event path (no fused windows, no vector predictor), and stays
-    bit-identical."""
-    import repro.system.simulator as simulator_module
-    from repro.monitors import create_monitor
-    from repro.workload import generate_trace, get_profile
-
+    per-event filtering path, and stays bit-identical."""
     profile = get_profile("astar")
     trace = cached_trace("astar")
     results = {}
     for engine in ENGINES:
         monitor = create_monitor("memcheck")
         monkeypatch.setattr(type(monitor), "filter_memo_safe", False)
-        simulator_module.fusion_stats.reset()
-        result = simulate(
+        sim = MonitoringSimulation(
             trace, monitor, SystemConfig(fade_enabled=True, engine=engine),
             profile,
         )
-        assert simulator_module.fusion_stats.runs == 0
-        results[engine] = result.to_dict()
+        assert not sim.fade.config.filter_memo
+        results[engine] = sim.run().to_dict()
     assert results["naive"] == results["event"]
-    assert results["naive"] == results["vector"]
 
 
 @pytest.mark.parametrize(
@@ -237,6 +250,29 @@ def test_engines_agree_on_cycle_limit():
                 config,
                 get_profile("astar"),
             )
+
+
+@pytest.mark.parametrize("fade_enabled", [False, True])
+def test_cycle_limit_flushes_identical_state(fade_enabled):
+    """The event loop writes its locals back before raising the cycle-limit
+    error: the aborted simulation's state equals the naive stepper's."""
+    states = {}
+    for engine in ENGINES:
+        sim = MonitoringSimulation(
+            cached_trace("gcc"),
+            create_monitor("memleak"),
+            SystemConfig(
+                fade_enabled=fade_enabled, max_cycles=700, engine=engine
+            ),
+            get_profile("gcc"),
+        )
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert sim._now == 700
+        state = sim.snapshot()
+        del state["engine"]
+        states[engine] = state
+    assert states["event"] == states["naive"]
 
 
 def test_unknown_engine_rejected():
@@ -295,6 +331,81 @@ def test_simulate_warmed_excludes_warmup_region_counts(fade_enabled):
     assert result.high_level_events == high
     assert result.baseline_cycles > 0
     assert result.baseline_cycles < trace.num_instructions * 10
+
+
+# ------------------------------------------------- event-loop sync points
+
+
+SYNC_CONFIGS = [
+    pytest.param({"fade_enabled": False}, id="unaccelerated"),
+    pytest.param({"fade_enabled": True}, id="non-blocking-fade"),
+    pytest.param(
+        {"fade_enabled": True, "non_blocking": False, "event_queue_capacity": 4},
+        id="blocking-backpressure",
+    ),
+    pytest.param(
+        {"fade_enabled": True, "topology": Topology.TWO_CORE,
+         "unfiltered_queue_capacity": 2},
+        id="two-core-tight-queue",
+    ),
+]
+
+
+def _fresh_sim(engine, monitor_name="memleak", benchmark="gcc", **config_kwargs):
+    return MonitoringSimulation(
+        cached_trace(benchmark),
+        create_monitor(monitor_name),
+        SystemConfig(engine=engine, **config_kwargs),
+        get_profile(benchmark),
+        warmup_items=len(cached_trace(benchmark).items) // 4,
+    )
+
+
+@pytest.mark.parametrize("config_kwargs", SYNC_CONFIGS)
+def test_checkpoints_mid_run_restore_and_finish(config_kwargs):
+    """Checkpoint every 100 instructions: every snapshot the event loop
+    hands to the callback equals the naive stepper's at the same point, and
+    restoring any of them into a fresh simulation finishes bit-identical
+    to the uninterrupted run."""
+    snapshots = {}
+    finals = {}
+    for engine in ENGINES:
+        taken = []
+        sim = _fresh_sim(engine, **config_kwargs)
+        sim.configure_checkpoints(100, lambda running: taken.append(running.snapshot()))
+        finals[engine] = sim.run().to_dict()
+        snapshots[engine] = taken
+    assert finals["event"] == finals["naive"]
+    assert len(snapshots["event"]) > 3
+    for event_state, naive_state in zip(snapshots["event"], snapshots["naive"]):
+        assert {**event_state, "engine": None} == {**naive_state, "engine": None}
+    for state in snapshots["event"]:
+        resumed = _fresh_sim("event", **config_kwargs)
+        resumed.restore(state)
+        assert resumed.run().to_dict() == finals["naive"]
+
+
+@pytest.mark.parametrize("config_kwargs", SYNC_CONFIGS)
+def test_run_segment_pauses_restores_and_finishes(config_kwargs):
+    """``run_segment`` pauses the event loop at a plan boundary with its
+    locals flushed: the paused state equals the naive stepper's, and a
+    fresh simulation restored from it finishes bit-identical.  A callback
+    checkpoint firing inside the same segment must not disturb the pause."""
+    reference = _fresh_sim("naive", **config_kwargs).run().to_dict()
+    plan_len = len(cached_trace("gcc").items)
+    for boundary in (plan_len // 3, plan_len // 2, (3 * plan_len) // 4):
+        paused = {}
+        for engine in ENGINES:
+            sim = _fresh_sim(engine, **config_kwargs)
+            sim.configure_checkpoints(150, lambda running: running.snapshot())
+            assert sim.run_segment(boundary) is None
+            assert sim._app_index >= boundary
+            state = sim.snapshot()
+            paused[engine] = {**state, "engine": None}
+            resumed = _fresh_sim(engine, **config_kwargs)
+            resumed.restore(state)
+            assert resumed.run().to_dict() == reference
+        assert paused["event"] == paused["naive"]
 
 
 class TestSegmentedStitching:

@@ -1,5 +1,5 @@
-"""Packed traces: lazy-view compatibility, column fast paths and
-shared-memory transport all reproduce the object representation exactly.
+"""Packed traces: lazy-view compatibility, column fast paths and compact
+pickling all reproduce the object representation exactly.
 
 The load-bearing guarantee is bit-identity: a :class:`PackedTrace` and an
 object :class:`Trace` holding the same items must yield byte-for-byte equal
@@ -28,13 +28,6 @@ from repro.workload import (
     pack_trace,
 )
 from repro.workload.trace import HighLevelEvent, HighLevelKind
-
-from repro.api.shm import (
-    SharedTraceArena,
-    attach_trace,
-    detach_all,
-    shared_memory_available,
-)
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,41 +197,3 @@ class TestSimulationBitIdentity:
             as_objects("gcc"), create_monitor("memcheck"), config, profile
         )
         assert from_packed.to_dict() == from_objects.to_dict()
-
-
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="no multiprocessing.shared_memory"
-)
-class TestSharedMemoryTransport:
-    def test_share_attach_round_trip(self):
-        trace = packed("astar")
-        arena = SharedTraceArena()
-        try:
-            handle = arena.share(trace)
-            assert handle is not None
-            attached = attach_trace(handle)
-            assert attached is not None
-            assert list(attached.items) == list(trace.items)
-            assert attached.name == trace.name and attached.seed == trace.seed
-            # Attaching again reuses the per-process registry entry.
-            assert attach_trace(handle) is attached
-        finally:
-            detach_all()
-            arena.cleanup()
-
-    def test_cleanup_unlinks_segments(self):
-        trace = packed("astar", 200, 3)
-        arena = SharedTraceArena()
-        handle = arena.share(trace)
-        assert handle is not None and len(arena) == 1
-        arena.cleanup()
-        assert len(arena) == 0
-        assert attach_trace(handle) is None  # Segment is gone.
-        arena.cleanup()  # Idempotent.
-
-    def test_attach_unknown_segment_returns_none(self):
-        from repro.api.shm import SharedTraceHandle
-
-        meta, _ = packed("astar", 200, 3).to_payload()
-        ghost = SharedTraceHandle("psm_repro_nonexistent", meta)
-        assert attach_trace(ghost) is None

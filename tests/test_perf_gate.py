@@ -1,5 +1,5 @@
-"""The perf regression gate's trace-synthesis and warmup sections
-(``benchmarks/check_perf_regression.py``)."""
+"""The perf regression gate's trace-synthesis, warmup and parallel-grid
+sections (``benchmarks/check_perf_regression.py``)."""
 
 import importlib.util
 import pathlib
@@ -21,7 +21,7 @@ def gate():
     return module
 
 
-def payload(items_per_sec=None, warmup_cells_per_sec=None):
+def payload(items_per_sec=None, warmup_cells_per_sec=None, grid_cells_per_sec=None):
     data = {
         "num_instructions": 3000,
         "engines": {"event": {"cycles_per_sec": 1000.0}},
@@ -30,6 +30,8 @@ def payload(items_per_sec=None, warmup_cells_per_sec=None):
         data["trace_synthesis"] = {"items_per_sec": items_per_sec}
     if warmup_cells_per_sec is not None:
         data["warmup"] = {"cells_per_sec": warmup_cells_per_sec}
+    if grid_cells_per_sec is not None:
+        data["parallel_grid"] = {"cells_per_sec": grid_cells_per_sec}
     return data
 
 
@@ -64,3 +66,22 @@ def test_baseline_without_warmup_skips_only_that_diff(gate, capsys):
     out = capsys.readouterr().out
     assert "warmup: baseline lacks the section" in out
     assert "trace_synthesis: items/sec" in out
+
+
+def test_parallel_grid_within_bound_passes(gate, capsys):
+    base = payload(100.0, 50.0, 170.0)
+    assert gate.compare(base, payload(100.0, 50.0, 160.0), 0.10) == 0
+    assert "parallel_grid: cells/sec" in capsys.readouterr().out
+
+
+def test_parallel_grid_regression_fails(gate, capsys):
+    base = payload(100.0, 50.0, 170.0)
+    assert gate.compare(base, payload(100.0, 50.0, 120.0), 0.10) == 1
+    assert "parallel_grid" in capsys.readouterr().err
+
+
+def test_baseline_without_parallel_grid_skips_only_that_diff(gate, capsys):
+    assert gate.compare(payload(100.0, 50.0), payload(100.0, 50.0, 5.0), 0.10) == 0
+    out = capsys.readouterr().out
+    assert "parallel_grid: baseline lacks the section" in out
+    assert "warmup: cells/sec" in out

@@ -171,17 +171,16 @@ class TestParallelSegmented:
 
 # ----------------------------------------------------------------- harvest
 
-def _chunk_raise_or_die(payload):
+def _chunk_raise_or_die(specs):
     """Pool-chunk stand-in (top-level so fork workers resolve it).
 
-    Chunk order is the sorted benchmark order, so the parent blocks on the
-    astar chunk's future first.  The mcf chunk fails deterministically
+    Equal-sized chunks keep the sorted benchmark order, so the parent
+    blocks on the astar chunk's future first.  The mcf chunk fails deterministically
     right away; the astar chunk waits for that failure (and for its
     delivery to the parent) and then dies hard — so the parent sees
     BrokenProcessPool *before* it ever harvests the mcf future, which is
     exactly the window where the old harvest swallowed the real error.
     """
-    specs, _handles = payload
     base = pathlib.Path(os.environ["REPRO_TEST_CHUNK_DIR"])
     if specs[0].benchmark == "mcf":
         with open(base / "attempts", "a") as handle:

@@ -149,7 +149,7 @@ class TestResultStore:
 class TestCrossProcessDeterminism:
     def test_serial_parallel_and_warm_store_agree(self, tmp_path):
         """The satellite guarantee: SerialRunner, ParallelRunner (fork pool,
-        shared-memory traces) and a warm ResultStore produce identical
+        trace-grouped chunks) and a warm ResultStore produce identical
         ResultSet JSON for the same specs."""
         serial = SerialRunner().run(GRID)
         parallel = ParallelRunner(jobs=2).run(GRID)
@@ -165,18 +165,12 @@ class TestCrossProcessDeterminism:
         assert json.dumps(warmed.to_dict(), sort_keys=True) == reference
 
     def test_parallel_without_trace_sharing_matches(self):
-        plain = ParallelRunner(jobs=2, share_traces=False).run(GRID)
-        shared = ParallelRunner(jobs=2, share_traces=True).run(GRID)
-        assert plain.to_dict() == shared.to_dict()
-
-    def test_pickle_fallback_when_shared_memory_unavailable(self, monkeypatch):
-        """When segment creation fails, packed traces travel pickled in the
-        chunk payloads (workers never regenerate) with identical results."""
-        monkeypatch.setattr(
-            runner_module.SharedTraceArena, "share", lambda self, trace: None
-        )
-        fallback = ParallelRunner(jobs=2).run(GRID)
-        assert fallback.to_dict() == SerialRunner().run(GRID).to_dict()
+        """Workers synthesize their own traces (the parent ships specs
+        only) and still match serial execution."""
+        runner = ParallelRunner(jobs=2)
+        parallel = runner.run(GRID)
+        assert runner.cache.stats()["traces"] == 0  # Parent built none.
+        assert parallel.to_dict() == SerialRunner().run(GRID).to_dict()
 
 
 class TestChunkingHeuristic:

@@ -1,19 +1,17 @@
-"""Vector-engine plumbing: NumPy gating, store keys, aliases, kernel stats.
+"""What remains of the removed vector engine tier's contract.
 
-Bit-identity of ``engine="vector"`` against the reference engines lives in
-``test_engine_equivalence.py``; this module covers the tier's *packaging*
-contract — the optional-NumPy degradation path (one-time RuntimeWarning,
-identical results), engine separation in result-store keys, the CLI/campaign
-engine aliases, and the per-kernel timing buckets.
+``engine="vector"`` is refused with a pointer to its bit-identical
+replacement (never silently aliased: the engine is part of every result-store
+key), its campaign aliases are gone, engines stay separated in store keys,
+and the package imports and simulates without NumPy installed.
 """
 
-import warnings
+import subprocess
+import sys
 
 import pytest
 
-import repro.kernels as kernels
-from repro.api.spec import RunSpec, config_from_fields
-from repro.api.store import ResultStore, content_key
+from repro.api import ResultStore, RunSpec, config_from_fields, content_key
 from repro.common.errors import ConfigurationError
 from repro.monitors import create_monitor
 from repro.system.config import SystemConfig
@@ -21,76 +19,28 @@ from repro.system.simulator import simulate
 from repro.workload import generate_trace, get_profile
 
 
-def _run(engine, **env_config):
+def _run(engine):
     profile = get_profile("astar")
     trace = generate_trace(profile, 1200, seed=5)
-    config = SystemConfig(engine=engine, **env_config)
+    config = SystemConfig(engine=engine)
     return simulate(trace, create_monitor("memcheck"), config, profile)
 
 
-# ------------------------------------------------------- NumPy degradation
-
-
-def test_disable_numpy_knob_is_bit_identical(monkeypatch):
-    """With ``REPRO_DISABLE_NUMPY=1`` the vector engine degrades to the
-    scalar event path and produces the exact same serialized result."""
-    reference = _run("vector").to_dict()
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    assert kernels.get_numpy() is None
-    degraded = _run("vector").to_dict()
-    assert degraded == reference
-    assert degraded == _run("event").to_dict()
-
-
-def test_disable_numpy_knob_never_warns(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    monkeypatch.setattr(kernels, "_NUMPY_WARNING_EMITTED", False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert kernels.get_numpy(warn=True) is None
-
-
-def test_missing_numpy_warns_exactly_once(monkeypatch):
-    """A genuinely missing NumPy emits one RuntimeWarning per process when
-    (and only when) a caller asked for the vector engine."""
-    monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
-    monkeypatch.setattr(kernels, "_numpy_module", None)
-    monkeypatch.setattr(kernels, "_numpy_checked", True)
-    monkeypatch.setattr(kernels, "_NUMPY_WARNING_EMITTED", False)
-    with pytest.warns(RuntimeWarning, match="repro\\[vector\\]"):
-        assert kernels.get_numpy(warn=True) is None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert kernels.get_numpy(warn=True) is None  # warned already
-        assert kernels.get_numpy() is None  # warn=False never warns
-
-
-def test_missing_numpy_simulation_matches_event(monkeypatch):
-    """End to end: engine="vector" with NumPy simulated-missing runs the
-    event engine, warns once, and stays bit-identical."""
-    reference = _run("event").to_dict()
-    monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
-    monkeypatch.setattr(kernels, "_numpy_module", None)
-    monkeypatch.setattr(kernels, "_numpy_checked", True)
-    monkeypatch.setattr(kernels, "_NUMPY_WARNING_EMITTED", False)
-    with pytest.warns(RuntimeWarning):
-        degraded = _run("vector").to_dict()
-    assert degraded == reference
-
-
 def test_importing_repro_does_not_import_numpy():
-    """The numpy import must stay lazy: importing the package (or building
-    a non-vector simulator) in a numpy-less interpreter has to work."""
-    import subprocess
-    import sys
-
+    """The package needs no NumPy: importing it and running a simulation in
+    an interpreter where any NumPy import raises has to work."""
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None  # poison: any import attempt raises\n"
-        "import repro, repro.kernels, repro.api, repro.verify.oracle\n"
+        "import repro, repro.api, repro.verify.oracle\n"
+        "from repro.monitors import create_monitor\n"
         "from repro.system.simulator import simulate\n"
         "from repro.system.config import SystemConfig\n"
-        "SystemConfig(engine='event')\n"
+        "from repro.workload import generate_trace, get_profile\n"
+        "profile = get_profile('astar')\n"
+        "trace = generate_trace(profile, 300, seed=5)\n"
+        "simulate(trace, create_monitor('memcheck'),"
+        " SystemConfig(engine='event'), profile)\n"
         "print('ok')\n"
     )
     proc = subprocess.run(
@@ -104,60 +54,39 @@ def test_importing_repro_does_not_import_numpy():
     assert proc.stdout.strip() == "ok"
 
 
-# ------------------------------------------------------- store separation
-
-
 def test_store_keys_separate_engines(tmp_path):
     """Engines are part of the result-store key: a cached event-engine cell
-    must never satisfy a vector-engine lookup (and vice versa), even though
+    never satisfies a naive-engine lookup (and vice versa), even though
     their *results* are bit-identical."""
     event_spec = RunSpec("astar", "memcheck", SystemConfig(engine="event"))
-    vector_spec = event_spec.replace(config=SystemConfig(engine="vector"))
-    assert content_key(event_spec) != content_key(vector_spec)
+    naive_spec = event_spec.replace(config=SystemConfig(engine="naive"))
+    assert content_key(event_spec) != content_key(naive_spec)
 
     store = ResultStore(str(tmp_path / "store"))
     result = _run("event")
     store.put(event_spec, result)
-    assert store.get(vector_spec) is None
-    store.put(vector_spec, result)
+    assert store.get(naive_spec) is None
+    store.put(naive_spec, result)
     assert store.get(event_spec) is not None
-    assert store.get(vector_spec) is not None
-
-
-# ------------------------------------------------------- aliases
+    assert store.get(naive_spec) is not None
 
 
 def test_engine_aliases_in_config_from_fields():
-    assert config_from_fields({"engine": "vec"}).engine == "vector"
-    assert config_from_fields({"engine": "vectorized"}).engine == "vector"
+    """The old campaign aliases of the vector tier are rejected rather than
+    mapped onto another engine; the two remaining engines pass through."""
     assert config_from_fields({"engine": "event"}).engine == "event"
-    with pytest.raises(ConfigurationError, match="unknown engine"):
-        config_from_fields({"engine": "warp"})
+    assert config_from_fields({"engine": "naive"}).engine == "naive"
+    for name in ("vec", "vectorized", "warp"):
+        with pytest.raises(ConfigurationError, match="'naive' or 'event'"):
+            config_from_fields({"engine": name})
+    with pytest.raises(ConfigurationError, match="event"):
+        config_from_fields({"engine": "vector"})
 
 
 def test_unknown_engine_rejected_by_config():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="'naive' or 'event'"):
         SystemConfig(engine="simd")
-
-
-# ------------------------------------------------------- kernel buckets
-
-
-def test_kernel_stats_collected_and_reported():
-    numpy = kernels.get_numpy()
-    if numpy is None:
-        pytest.skip("requires numpy")
-    kernels.reset_kernel_stats()
-    _run("vector")
-    counters = kernels.kernel_counters()
-    assert counters.get("predict.batches", 0) > 0
-    assert counters.get("predict.batch_events", 0) > 0
-    timings = kernels.kernel_timings()
-    assert timings.get("predict.build", 0.0) > 0.0
-    report = kernels.format_kernel_report()
-    assert report is not None
-    assert report.startswith("vector kernel buckets:")
-    assert "predict.batches" in report
-
-    kernels.reset_kernel_stats()
-    assert kernels.format_kernel_report() is None
+    # The removed vector tier is refused, not aliased (the engine is part of
+    # every store key), and the error names its replacement.
+    with pytest.raises(ConfigurationError, match="engine='event'"):
+        SystemConfig(engine="vector")

@@ -76,7 +76,7 @@ class TestWorkloadFuzzer:
         fuzzer = WorkloadFuzzer(3)
         case = fuzzer.next_case()
         before = fuzzer.weights()[case.regime]
-        fuzzer.observe(case, ["fuse.filtered_run"])
+        fuzzer.observe(case, ["fade.suu"])
         boosted = fuzzer.weights()[case.regime]
         assert boosted > before
         fuzzer.observe(case, [])
@@ -190,26 +190,19 @@ class TestDifferentialOracle:
         assert first_divergence(result, clone) == "cycles"
 
 
-@pytest.mark.skipif(
-    force_inline_filtering(),
-    reason="mutation lives in the fused path, disabled under forced inline",
-)
 class TestMutationDetection:
-    """Acceptance criterion: a deliberately injected off-by-one in
-    ``_fused_drain`` is caught by the oracle with a shrunken repro of at
-    most 2000 instructions."""
+    """Acceptance criterion: a deliberately injected off-by-one in the
+    event loop is caught by the oracle with a shrunken repro of at most
+    2000 instructions."""
 
-    def test_fused_drain_off_by_one_is_caught_and_shrunk(self, monkeypatch):
-        original = MonitoringSimulation._fused_drain
+    def test_event_loop_off_by_one_is_caught_and_shrunk(self, monkeypatch):
+        original = MonitoringSimulation._run_event
 
         def off_by_one(self):
-            fused = original(self)
-            if fused and not getattr(self, "_mutation_applied", False):
-                self._mutation_applied = True
-                self._now += 1  # One extra cycle on the first fused window.
-            return fused
+            original(self)
+            self._now += 1  # One extra cycle at the end of every event run.
 
-        monkeypatch.setattr(MonitoringSimulation, "_fused_drain", off_by_one)
+        monkeypatch.setattr(MonitoringSimulation, "_run_event", off_by_one)
         oracle = DifferentialOracle(thorough=False)
         fuzzer = WorkloadFuzzer(0)
         mismatch = None
@@ -251,7 +244,7 @@ class TestCoverageMap:
         for state in (
             "engine.skip",
             "engine.step",
-            "fuse.filtered_run",
+            "fade.drain",
             "memo.value_hit",
             "memo.miss",
             "run.warmup",
