@@ -20,6 +20,15 @@ cycles/sec.  The ``warmup`` section records the functional warmup
 the rounds: every cell starts by registering its static segment, so a range
 metadata operation that regresses to per-word cost shows up here first.
 
+Every section above runs with the trace store off
+(``REPRO_TRACE_STORE=off``), so they keep measuring trace synthesis.  The
+``front_end_store`` section measures the store itself: two fresh
+``repro run --benchmark gcc --monitor memcheck -n 100000`` processes
+against an empty store, the first synthesizing and writing the trace and
+schedule (``miss_seconds``), the second loading them (``hit_seconds``);
+their outputs must be identical.  ``hit_runs_per_sec`` is the number the
+regression check gates.
+
 Alongside the engine comparison the payload records the functional-work
 profile of a *cold* grid (packed-trace generation versus retire-schedule +
 delivery-plan building versus simulation, measured on a fresh runner) and
@@ -62,8 +71,10 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import contextlib
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import time
@@ -577,6 +588,71 @@ def _measure_store(settings: ExperimentSettings) -> dict:
         }
 
 
+#: The ``front_end_store`` section's command: one large cold cell.
+_FRONT_END_RUN = ("run", "--benchmark", "gcc", "--monitor", "memcheck",
+                  "-n", "100000")
+
+
+@contextlib.contextmanager
+def _trace_store(value: str):
+    """Set ``REPRO_TRACE_STORE`` for this process and the pool workers and
+    subprocesses it starts, restoring the previous value afterwards."""
+    previous = os.environ.get("REPRO_TRACE_STORE")
+    os.environ["REPRO_TRACE_STORE"] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_TRACE_STORE"]
+        else:
+            os.environ["REPRO_TRACE_STORE"] = previous
+
+
+def _measure_front_end_store(rounds: int) -> dict:
+    """A fresh ``repro run`` process that misses the trace store, then one
+    that hits it, each round against a new empty store; best of rounds.
+
+    The miss synthesizes the trace and schedule and writes them; the hit
+    loads them.  Both processes must print identical output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    command = [sys.executable, "-m", "repro", *_FRONT_END_RUN]
+    miss = hit = float("inf")
+    identical = True
+    blobs = size = 0
+    for _ in range(max(1, rounds)):
+        with tempfile.TemporaryDirectory(prefix="repro-trace-bench-") as tmp:
+            env["REPRO_TRACE_STORE"] = tmp
+            outputs = []
+            for leg in ("miss", "hit"):
+                start = time.perf_counter()
+                completed = subprocess.run(
+                    command, env=env, check=True, capture_output=True,
+                    text=True,
+                )
+                seconds = time.perf_counter() - start
+                outputs.append(completed.stdout)
+                if leg == "miss":
+                    miss = min(miss, seconds)
+                else:
+                    hit = min(hit, seconds)
+            identical = identical and outputs[0] == outputs[1]
+            files = list(pathlib.Path(tmp).glob("*/??/*.blob"))
+            blobs = len(files)
+            size = sum(path.stat().st_size for path in files)
+    return {
+        "command": " ".join(("repro",) + _FRONT_END_RUN),
+        "miss_seconds": miss,
+        "hit_seconds": hit,
+        "hit_speedup": miss / hit,
+        "hit_runs_per_sec": 1.0 / hit,
+        "store_blobs": blobs,
+        "store_bytes": size,
+        "bit_identical": identical,
+    }
+
+
 def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
     """Time the fig9 grid under both engines; returns (and persists) the
     ``BENCH_perf.json`` payload."""
@@ -588,6 +664,19 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
     if rounds <= 0:
         rounds = int(os.environ.get("REPRO_BENCH_PERF_ROUNDS", "2"))
     settings = dataclasses.replace(BENCH_SETTINGS, num_instructions=num_instructions)
+    front_end_store = _measure_front_end_store(rounds)
+    with _trace_store("off"):
+        payload = _run_store_off_sections(settings, rounds)
+    payload["front_end_store"] = front_end_store
+    payload["bit_identical"] = (
+        payload["bit_identical"] and front_end_store["bit_identical"]
+    )
+    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload
+
+
+def _run_store_off_sections(settings: ExperimentSettings, rounds: int) -> dict:
+    """Every section that measures synthesis, engines and stores."""
     functional = _measure_functional_split(settings)
     trace_synthesis = _measure_trace_synthesis(settings, rounds)
     warmup = _measure_warmup(settings, rounds)
@@ -661,7 +750,6 @@ def run_perf_core(num_instructions: int = 0, rounds: int = 0) -> dict:
         "warmup": warmup,
         "result_store": store,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
 
@@ -739,6 +827,7 @@ def main() -> int:
     functional = payload["functional"]
     store = payload["result_store"]
     parallel_grid = payload["parallel_grid"]
+    front_end = payload["front_end_store"]
     print(
         f"[BENCH_perf.json written: event engine {speedup:.2f}x vs naive "
         f"(fade-active {fade['speedup_event_vs_naive']:.2f}x, "
@@ -749,6 +838,8 @@ def main() -> int:
         f"{payload['trace_synthesis']['items_per_sec']:,.0f} items/s; "
         f"warmup {payload['warmup']['seconds']:.2f}s over "
         f"{payload['warmup']['cells']} cells; "
+        f"trace store miss/hit {front_end['miss_seconds']:.2f}/"
+        f"{front_end['hit_seconds']:.2f}s per `repro run`; "
         f"cold grid {functional['cold_total_seconds']:.2f}s "
         f"({100 * functional['functional_fraction']:.0f}% functional); "
         f"warm result-store rerun {store['warm_speedup']:.0f}x; "

@@ -16,10 +16,12 @@ same machine — CI re-measures the base commit on the runner before
 diffing.
 
 Trace-generation throughput (``trace_synthesis.items_per_sec``),
-functional-warmup throughput (``warmup.cells_per_sec``) and the parallel
+functional-warmup throughput (``warmup.cells_per_sec``), the parallel
 fig9 grid's throughput (``parallel_grid.cells_per_sec``, the median of the
-bench's rounds) are gated at the same ``--max-regression`` floor; each diff
-is skipped with a notice when the baseline predates its section.
+bench's rounds) and the rate of `repro run` processes served by the trace
+store (``front_end_store.hit_runs_per_sec``) are gated at the same
+``--max-regression`` floor; each diff is skipped with a notice when the
+baseline predates its section.
 
 The result-store warm-rerun speedup is gated too, but only at half the
 baseline: warm reruns take milliseconds, so their ratio is noise-dominated;
@@ -96,13 +98,15 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
             if ratio < floor:
                 failures.append(f"{prefix}{engine}")
     # The front end (trace generation: items synthesized per second), the
-    # functional warmup (fig9 cells warmed per second) and the parallel
-    # grid (fig9 cells per second through a cold pool) under the same gate
-    # as the engine loop.
+    # functional warmup (fig9 cells warmed per second), the parallel grid
+    # (fig9 cells per second through a cold pool) and the trace store (warm
+    # `repro run` processes per second) under the same gate as the engine
+    # loop.
     for section, key, label in (
         ("trace_synthesis", "items_per_sec", "items/sec"),
         ("warmup", "cells_per_sec", "cells/sec"),
         ("parallel_grid", "cells_per_sec", "cells/sec"),
+        ("front_end_store", "hit_runs_per_sec", "warm runs/sec"),
     ):
         base_section = baseline.get(section)
         fresh_section = fresh.get(section)

@@ -29,6 +29,13 @@ Layers (see DESIGN.md for the full map):
 * :mod:`repro.power` — 40 nm area/power models.
 """
 
+import time as _time
+
+#: Wall-clock time this package started loading, before any of its
+#: modules.  A source file modified later may differ from the code this
+#: process runs, so the trace store will not key on its contents.
+LOADED_AT = _time.time()
+
 from repro.analysis.experiments import benchmarks_for, run_one
 from repro.api import (
     ExperimentSettings,

@@ -4,13 +4,27 @@ Replaces the unbounded module-global ``_TRACE_CACHE``/``_SCHEDULE_CACHE``
 the analysis layer used to keep: every :class:`~repro.api.runner.Runner`
 owns one :class:`RunnerCache`, so long-lived sessions stay memory-bounded
 and parallel workers never share mutable state across processes.
+
+Below the in-memory LRUs sits the per-machine
+:class:`~repro.api.trace_store.TraceStore`: a trace or schedule missing
+from the LRU is loaded from disk when this machine has built it before,
+and written there after it is built.  Delivery plans stay in memory only.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Generic, Hashable, List, Optional, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    List,
+    Optional,
+    TypeVar,
+)
 
 from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
@@ -23,6 +37,9 @@ from repro.workload.profiles import get_profile
 from repro.workload.trace import Trace
 
 from repro.api.spec import ExperimentSettings
+
+if TYPE_CHECKING:
+    from repro.api.trace_store import TraceStore
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -80,6 +97,11 @@ class RunnerCache:
     Both caches are LRU-bounded; the defaults comfortably cover the largest
     paper grid (13 benchmarks x a handful of settings) while keeping a
     long-lived CLI session's footprint flat.
+
+    The trace and schedule LRUs are backed by the trace store at the
+    location configured (``$REPRO_TRACE_STORE``, ``off`` to turn it off)
+    when the cache first needs it.  Traces of an inline ``profile`` are
+    never persisted.  A store hit still counts as an LRU miss.
     """
 
     def __init__(
@@ -91,6 +113,20 @@ class RunnerCache:
         self._traces: LruCache = LruCache(max_traces)
         self._schedules: LruCache = LruCache(max_schedules)
         self._plans: LruCache = LruCache(max_plans)
+        self._trace_store: Optional["TraceStore"] = None
+        self._trace_store_hits = 0
+        self._schedule_store_hits = 0
+
+    @property
+    def trace_store(self) -> "TraceStore":
+        if self._trace_store is None:
+            # Resolved (and the module imported) on first use, so neither
+            # `import repro` nor a cache that never builds a trace pays
+            # to compile the store.
+            from repro.api.trace_store import default_trace_store
+
+            self._trace_store = default_trace_store()
+        return self._trace_store
 
     def trace(
         self,
@@ -105,15 +141,26 @@ class RunnerCache:
         trace built from the superseded profile.  ``profile`` overrides the
         registry lookup for self-contained specs carrying an inline profile.
         """
+        store = self.trace_store if profile is None else None
         if profile is None:
             profile = get_profile(benchmark)
         key = (profile, settings.num_instructions, settings.seed)
-        return self._traces.get_or_create(
-            key,
-            lambda: generate_trace(
+
+        def synthesize() -> Trace:
+            return generate_trace(
                 profile, settings.num_instructions, seed=settings.seed
-            ),
-        )
+            )
+
+        def build() -> Trace:
+            if store is None:
+                return synthesize()
+            trace, loaded = store.trace(
+                profile, settings.num_instructions, settings.seed, synthesize
+            )
+            self._trace_store_hits += loaded
+            return trace
+
+        return self._traces.get_or_create(key, build)
 
     def schedule(
         self,
@@ -126,20 +173,32 @@ class RunnerCache:
         """The unobstructed retirement schedule for one (benchmark, core,
         hierarchy) cell — grid cells differing only in monitor or FADE
         configuration share it."""
+        inline = profile
+        store = self.trace_store if inline is None else None
         if profile is None:
             profile = get_profile(benchmark)
         if hierarchy is None:
             hierarchy = HierarchyConfig()
         key = (profile, settings.num_instructions, settings.seed, core, hierarchy)
 
-        def build() -> List[float]:
+        def compute() -> List[float]:
             model = RetireModel(
                 core_type=core,
                 bubble_prob=profile.bubble_prob,
                 bubble_mean=profile.bubble_mean,
                 hierarchy_config=hierarchy,
             )
-            return model.schedule(self.trace(benchmark, settings, profile))
+            return model.schedule(self.trace(benchmark, settings, inline))
+
+        def build() -> List[float]:
+            if store is None:
+                return compute()
+            schedule, loaded = store.schedule(
+                profile, settings.num_instructions, settings.seed, core,
+                hierarchy, compute,
+            )
+            self._schedule_store_hits += loaded
+            return schedule
 
         return self._schedules.get_or_create(key, build)
 
@@ -158,6 +217,7 @@ class RunnerCache:
         name), so re-registering a name with ``replace=True`` never serves a
         plan classified by the superseded monitor.
         """
+        inline = profile
         if profile is None:
             profile = get_profile(benchmark)
         factory = MONITOR_REGISTRY.get(monitor_name)
@@ -165,7 +225,7 @@ class RunnerCache:
         return self._plans.get_or_create(
             key,
             lambda: build_plan(
-                self.trace(benchmark, settings, profile),
+                self.trace(benchmark, settings, inline),
                 create_monitor(monitor_name),
             ),
         )
@@ -186,4 +246,6 @@ class RunnerCache:
             "plans": len(self._plans),
             "plan_hits": self._plans.hits,
             "plan_misses": self._plans.misses,
+            "trace_store_hits": self._trace_store_hits,
+            "schedule_store_hits": self._schedule_store_hits,
         }

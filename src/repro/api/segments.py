@@ -55,24 +55,26 @@ def build_simulation(
 ) -> MonitoringSimulation:
     """One fresh simulation for ``spec``, with trace/schedule/plan served
     from ``cache`` (the construction :func:`~repro.api.runner.execute_spec`
-    uses; shared so segmented and monolithic cells are built identically)."""
-    profile = spec.resolved_profile()
-    trace = cache.trace(spec.benchmark, spec.settings, profile)
+    uses; shared so segmented and monolithic cells are built identically).
+    The cache gets the spec's own ``profile`` (None unless inline), which
+    is what lets it persist registry traces and skip inline ones."""
+    inline = spec.profile
+    trace = cache.trace(spec.benchmark, spec.settings, inline)
     warmup = int(len(trace.items) * spec.settings.warmup_fraction)
     return MonitoringSimulation(
         trace,
         create_monitor(spec.monitor),
         spec.config,
-        profile,
+        spec.resolved_profile(),
         warmup_items=warmup,
         schedule=cache.schedule(
             spec.benchmark,
             spec.settings,
             spec.config.core_type,
             spec.config.hierarchy,
-            profile,
+            inline,
         ),
-        plan=cache.plan(spec.benchmark, spec.settings, spec.monitor, profile),
+        plan=cache.plan(spec.benchmark, spec.settings, spec.monitor, inline),
     )
 
 
@@ -82,8 +84,7 @@ def plan_boundaries(
     """The plan-index boundaries a K-segment run of ``spec`` pauses at
     (possibly fewer than K−1 on short traces; empty means the run is
     effectively monolithic)."""
-    profile = spec.resolved_profile()
-    trace = cache.trace(spec.benchmark, spec.settings, profile)
+    trace = cache.trace(spec.benchmark, spec.settings, spec.profile)
     warmup = int(len(trace.items) * spec.settings.warmup_fraction)
     # The delivery plan has exactly one slot per trace item, so the timed
     # plan range is [warmup, len(trace.items)).

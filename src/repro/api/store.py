@@ -45,12 +45,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pathlib
 import sqlite3
 import tempfile
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from repro.common.errors import SimulationError
 from repro.faults.injector import store_write_fault
 from repro.faults.retry import STORE_WRITE_POLICY
 from repro.monitors import MONITOR_REGISTRY
@@ -108,6 +110,33 @@ def content_key(spec: RunSpec) -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _non_finite_field(value: object, path: str) -> Optional[str]:
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items: Iterable = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for name, item in items:
+        found = _non_finite_field(item, f"{path}.{name}" if path else str(name))
+        if found is not None:
+            return found
+    return None
+
+
+def check_finite(result: RunResult) -> None:
+    """Raise :class:`~repro.common.errors.SimulationError` naming the first
+    metric of ``result`` that is NaN or infinite (such a result must never
+    be stored or served as a valid cell)."""
+    field = _non_finite_field(result.to_dict(), "")
+    if field is not None:
+        raise SimulationError(
+            f"result metric {field!r} is not finite; refusing to store it"
+        )
 
 
 def _parse_store_path(
@@ -512,14 +541,22 @@ class ResultStore:
         fault-injected writer truncating the payload) is not an error
         here: the corrupt entry reads as a miss later and is deleted, so
         the next computation heals it.
+
+        A result with a non-finite metric is refused with a
+        :class:`~repro.common.errors.SimulationError` naming the field.
         """
         if self.readonly:
             return
         key = content_key(spec)
-        payload = json.dumps(
-            {"key": key, "spec": spec.to_dict(), "result": result.to_dict()},
-            sort_keys=True,
-        )
+        try:
+            payload = json.dumps(
+                {"key": key, "spec": spec.to_dict(), "result": result.to_dict()},
+                sort_keys=True,
+                allow_nan=False,
+            )
+        except ValueError:
+            check_finite(result)
+            raise
 
         def _write_once() -> None:
             # Fault seam: store_write_fault may raise a transient error

@@ -8,7 +8,8 @@ Commands:
 * ``area`` — print the Section 7.6 area/power report.
 * ``list`` — show the available benchmarks and monitors.
 * ``cache`` — inspect (``stats``, ``--json`` for machine-readable
-  per-shard output) or empty (``clear``) a persistent result cache.
+  per-shard output) or empty (``clear``) a persistent result cache, or,
+  with ``--traces``, the per-machine trace and schedule store.
 * ``serve`` — run the long-lived campaign server (:mod:`repro.service`):
   JSON over HTTP on localhost or a Unix socket, a bounded worker pool, a
   shared result store, and single-flight dedup of identical in-flight
@@ -39,6 +40,8 @@ processes), ``--out results.json`` (persist the raw
 ``--result-cache PATH`` (a persistent content-addressed
 :class:`~repro.api.ResultStore`: re-running a grid recomputes only cells
 whose inputs changed).  ``REPRO_RESULT_CACHE`` sets the default cache path.
+Every command loads traces and retire schedules this machine has already
+built from the trace store (``REPRO_TRACE_STORE``; ``off`` disables it).
 ``repro --profile-sim <command> ...`` wraps the command in ``cProfile`` and
 prints the top-20 cumulative entries to stderr.
 Monitors and benchmarks registered through :mod:`repro.api` are runnable by
@@ -234,10 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="corpus directory (default: tests/golden/ in the repository)",
     )
 
-    cache = sub.add_parser("cache", help="manage a persistent result cache")
+    cache = sub.add_parser(
+        "cache", help="manage the persistent result cache and trace store"
+    )
     cache.add_argument(
         "action", choices=("stats", "clear"),
         help="stats: entry count/size; clear: delete every cached result",
+    )
+    cache.add_argument(
+        "--traces", action="store_true",
+        help="act on the per-machine trace and schedule store "
+             "($REPRO_TRACE_STORE, else $XDG_CACHE_HOME/repro/traces, else "
+             "~/.cache/repro/traces) instead of the result cache",
     )
     cache.add_argument(
         "--result-cache", default=None, metavar="PATH",
@@ -596,11 +607,26 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"({store_stats.get('backend', '?')})"
             )
         return 0
+    from repro.api.trace_store import default_trace_store
+
+    trace_store = default_trace_store()
+    if args.traces:
+        if args.action == "clear":
+            removed = trace_store.clear()
+            print(f"[{removed} trace store blob(s) removed from "
+                  f"{trace_store.path}]")
+            return 0
+        trace_stats = trace_store.stats()
+        if getattr(args, "json", False):
+            print(json.dumps(trace_stats, indent=2, sort_keys=True))
+        else:
+            _print_trace_store_stats(trace_stats)
+        return 0
     store = _make_store(args)
     if store is None:
         print(
             "error: no cache directory (pass --result-cache PATH or set "
-            "REPRO_RESULT_CACHE)",
+            "REPRO_RESULT_CACHE; --traces selects the trace store)",
             file=sys.stderr,
         )
         return 1
@@ -609,13 +635,25 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"[{removed} cached result(s) removed from {store.path}]")
         return 0
     stats = store.stats()
+    stats["trace_store"] = trace_store.stats()
     if getattr(args, "json", False):
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     print(f"result cache at {stats['path']} ({stats['backend']}):")
     print(f"  entries: {stats['entries']}")
     print(f"  bytes:   {stats['bytes']}")
+    _print_trace_store_stats(stats["trace_store"])
     return 0
+
+
+def _print_trace_store_stats(stats: dict) -> None:
+    if stats["path"] is None:
+        print("trace store: off")
+        return
+    state = "" if stats["enabled"] else " (off: not readable or writable)"
+    print(f"trace store at {stats['path']}{state}:")
+    print(f"  blobs: {stats['blobs']}")
+    print(f"  bytes: {stats['bytes']}")
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:

@@ -102,11 +102,6 @@ class FilterStoreQueue:
             return stack[-1].value
         return None
 
-    def peek(self, word_address: int) -> Optional[int]:
-        """Like :meth:`lookup` but without hit accounting (memo building)."""
-        stack = self._by_word.get(word_address)
-        return stack[-1].value if stack else None
-
     def release(self, owner_sequence: int) -> int:
         """Discard entries owned by a completed handler; returns the count."""
         owned = self._by_owner.pop(owner_sequence, None)

@@ -85,11 +85,6 @@ class Monitor(abc.ABC):
     #: the thread-private stack region).  Declarative so the packed-trace
     #: plan fast path can honour it without materialising instructions.
     wants_memory_below: Optional[int] = None
-    #: Declared metadata-write footprint of the software handlers: which
-    #: critical stores ("regs", "mem", "inv") they may mutate.  Purely
-    #: declarative documentation the tests cross-check; the filter memo
-    #: subscribes to all stores' generation counters regardless.
-    metadata_write_footprint: frozenset = frozenset({"regs", "mem", "inv"})
     #: True when every critical-metadata mutation the monitor performs goes
     #: through the generation-tracked channels (``ShadowRegisters.write``,
     #: ``ShadowMemory.write``/``bulk_set``/``reset``,

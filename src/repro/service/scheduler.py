@@ -64,7 +64,7 @@ from typing import Dict, Optional
 from repro.api.cache import RunnerCache
 from repro.api.runner import _worker_init, _worker_run, execute_spec
 from repro.api.spec import RunSpec
-from repro.api.store import ResultStore, content_key
+from repro.api.store import ResultStore, check_finite, content_key
 from repro.checkpoint.runtime import active_checkpoint_runtime
 from repro.common.errors import SpecTimeout
 from repro.faults.injector import probe, spec_fault_key, worker_fault
@@ -231,6 +231,9 @@ class SpecScheduler:
     async def _compute(self, key: str, spec: RunSpec) -> RunResult:
         try:
             result = await self._compute_with_retry(spec)
+            # A non-finite metric is reported as this spec's error, never
+            # stored or served as a result.
+            check_finite(result)
         except Exception:
             self.errors += 1
             raise

@@ -86,14 +86,6 @@ def test_fsq_generations_track_per_word_traffic():
     assert fsq.word_generations[0x100] > first
 
 
-def test_fsq_peek_does_not_count_hits():
-    fsq = FilterStoreQueue()
-    fsq.insert(0x100, 7, owner_sequence=1)
-    assert fsq.peek(0x100) == 7
-    assert fsq.peek(0x999) is None
-    assert fsq.hits == 0
-
-
 # --------------------------------------------------------------- MD cache
 
 
@@ -255,9 +247,8 @@ def test_generation_invalidation_changes_decision(monkeypatch):
 
 
 def test_monitor_footprint_declarations():
-    """Every registered monitor declares a tracked-channel footprint and
-    memo safety (the simulator's fallback gate relies on the default)."""
+    """Every registered monitor declares memo safety (the simulator's
+    fallback gate relies on the default)."""
     for name in MONITOR_NAMES:
         monitor = create_monitor(name)
         assert monitor.filter_memo_safe is True
-        assert monitor.metadata_write_footprint <= {"regs", "mem", "inv"}

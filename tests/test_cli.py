@@ -134,3 +134,59 @@ class TestExecutionFlags:
             assert "listcheck" in capsys.readouterr().out
         finally:
             MONITOR_REGISTRY.unregister("listcheck")
+
+
+class TestCacheTraces:
+    """``repro cache`` over the per-machine trace store."""
+
+    def test_stats_and_clear_trace_store(self, tmp_path, monkeypatch,
+                                         capsys):
+        store_dir = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(store_dir))
+        assert main(["cache", "stats", "--traces", "--json"]) == 0
+        empty = json.loads(capsys.readouterr().out)
+        assert empty == {"path": str(store_dir), "enabled": True,
+                         "blobs": 0, "bytes": 0}
+        assert main(["run", "-n", "1500", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--traces", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["blobs"] == 2 and stats["bytes"] > 0  # Trace, schedule.
+        assert main(["cache", "stats", "--traces"]) == 0
+        out = capsys.readouterr().out
+        assert f"trace store at {store_dir}" in out and "blobs: 2" in out
+        assert main(["cache", "clear", "--traces"]) == 0
+        assert "2 trace store blob(s) removed" in capsys.readouterr().out
+        assert main(["cache", "stats", "--traces", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["blobs"] == 0
+
+    def test_result_cache_stats_include_the_trace_store(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "traces"))
+        cache_dir = tmp_path / "results"
+        assert main(["run", "-n", "1500", "--result-cache",
+                     str(cache_dir)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--result-cache", str(cache_dir),
+                     "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["entries"] == 1
+        assert stats["trace_store"]["blobs"] == 2
+        assert main(["cache", "stats", "--result-cache",
+                     str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 1" in out and "trace store at" in out
+        # Clearing the result cache leaves the trace store alone.
+        assert main(["cache", "clear", "--result-cache",
+                     str(cache_dir)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--traces", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["blobs"] == 2
+
+    def test_trace_store_off(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        assert main(["cache", "stats", "--traces"]) == 0
+        assert "trace store: off" in capsys.readouterr().out
+        assert main(["cache", "clear", "--traces"]) == 0
+        assert "0 trace store blob(s)" in capsys.readouterr().out

@@ -1,5 +1,5 @@
-"""The perf regression gate's trace-synthesis, warmup and parallel-grid
-sections (``benchmarks/check_perf_regression.py``)."""
+"""The perf regression gate's trace-synthesis, warmup, parallel-grid and
+trace-store sections (``benchmarks/check_perf_regression.py``)."""
 
 import importlib.util
 import pathlib
@@ -21,7 +21,8 @@ def gate():
     return module
 
 
-def payload(items_per_sec=None, warmup_cells_per_sec=None, grid_cells_per_sec=None):
+def payload(items_per_sec=None, warmup_cells_per_sec=None,
+            grid_cells_per_sec=None, warm_runs_per_sec=None):
     data = {
         "num_instructions": 3000,
         "engines": {"event": {"cycles_per_sec": 1000.0}},
@@ -32,6 +33,8 @@ def payload(items_per_sec=None, warmup_cells_per_sec=None, grid_cells_per_sec=No
         data["warmup"] = {"cells_per_sec": warmup_cells_per_sec}
     if grid_cells_per_sec is not None:
         data["parallel_grid"] = {"cells_per_sec": grid_cells_per_sec}
+    if warm_runs_per_sec is not None:
+        data["front_end_store"] = {"hit_runs_per_sec": warm_runs_per_sec}
     return data
 
 
@@ -85,3 +88,24 @@ def test_baseline_without_parallel_grid_skips_only_that_diff(gate, capsys):
     out = capsys.readouterr().out
     assert "parallel_grid: baseline lacks the section" in out
     assert "warmup: cells/sec" in out
+
+
+def test_front_end_store_within_bound_passes(gate, capsys):
+    base = payload(100.0, 50.0, 170.0, 2.0)
+    assert gate.compare(base, payload(100.0, 50.0, 170.0, 1.85), 0.10) == 0
+    assert "front_end_store: warm runs/sec" in capsys.readouterr().out
+
+
+def test_front_end_store_regression_fails(gate, capsys):
+    # The store stops serving hits: warm runs fall back to synthesis.
+    base = payload(100.0, 50.0, 170.0, 2.0)
+    assert gate.compare(base, payload(100.0, 50.0, 170.0, 1.0), 0.10) == 1
+    assert "front_end_store" in capsys.readouterr().err
+
+
+def test_baseline_without_front_end_store_skips_only_that_diff(gate, capsys):
+    base = payload(100.0, 50.0, 170.0)
+    assert gate.compare(base, payload(100.0, 50.0, 170.0, 0.1), 0.10) == 0
+    out = capsys.readouterr().out
+    assert "front_end_store: baseline lacks the section" in out
+    assert "parallel_grid: cells/sec" in out

@@ -5,6 +5,7 @@ SerialRunner.
 """
 
 import asyncio
+import copy
 import json
 import threading
 
@@ -18,7 +19,7 @@ from repro.api import (
     config_from_fields,
     spec_grid,
 )
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.service import (
     Campaign,
     CampaignServer,
@@ -184,6 +185,26 @@ class TestSpecScheduler:
         assert first.result.to_dict() == second.result.to_dict()
         scheduler.shutdown()
 
+    def test_non_finite_result_is_an_error_not_stored(
+        self, tmp_path, monkeypatch
+    ):
+        reference = SerialRunner().run_one(GRID[0])
+
+        def broken(spec, cache):
+            result = copy.deepcopy(reference)
+            result.cycles = float("nan")
+            return result
+
+        monkeypatch.setattr("repro.service.scheduler.execute_spec", broken)
+        store = ResultStore(tmp_path / "sched.db")
+        scheduler = SpecScheduler(store=store, use_processes=False)
+        with pytest.raises(SimulationError, match="'cycles'"):
+            self.run_async(scheduler.execute(GRID[0]))
+        stats = scheduler.stats()
+        assert stats["errors"] == 1 and stats["computed"] == 0
+        assert store.get(GRID[0]) is None
+        scheduler.shutdown()
+
     def test_matches_serial_runner(self):
         scheduler = SpecScheduler(use_processes=False)
 
@@ -302,6 +323,26 @@ class TestServerEndToEnd:
         assert spec_events[0]["status"] == "error"
         assert "warmup_fraction" in spec_events[0]["error"]
         assert instance.scheduler.stats()["computed"] == 0
+
+    def test_non_finite_result_is_an_error_event(self, server, monkeypatch):
+        instance, address = server
+        reference = SerialRunner().run_one(GRID[0])
+
+        def broken(spec, cache):
+            result = copy.deepcopy(reference)
+            result.cycles = float("inf")
+            return result
+
+        monkeypatch.setattr("repro.service.scheduler.execute_spec", broken)
+        raw = json.dumps({"specs": [GRID[0].to_dict()]}).encode()
+        status, stream = ServiceClient(address)._request("POST", "/run", raw)
+        assert status == 200
+        with stream:
+            events = [json.loads(line) for line in stream if line.strip()]
+        spec_events = [e for e in events if e["event"] == "spec"]
+        assert spec_events[0]["status"] == "error"
+        assert "'cycles'" in spec_events[0]["error"]
+        assert instance.store.get(GRID[0]) is None
 
     def test_run_specs_raises_on_error(self, server):
         _, address = server

@@ -22,6 +22,7 @@ from repro.api import (
     spec_grid,
 )
 from repro.api import runner as runner_module
+from repro.common.errors import SimulationError
 from repro.monitors import MONITOR_REGISTRY
 from repro.monitors.memleak import MemLeak
 from repro.system.config import SystemConfig
@@ -109,6 +110,33 @@ class TestResultStore:
         assert not entry.exists()  # Corrupt entry dropped.
         again = SerialRunner(store=store).run_one(spec)
         assert again.to_dict() == result.to_dict()
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("cycles", float("nan"), "cycles"),
+        ("baseline_cycles", float("inf"), "baseline_cycles"),
+    ])
+    def test_put_refuses_non_finite_metrics(self, tmp_path, field, value,
+                                            path):
+        store = ResultStore(tmp_path)
+        spec = GRID[0]
+        result = SerialRunner().run_one(spec)
+        setattr(result, field, value)
+        with pytest.raises(SimulationError, match=repr(path)):
+            store.put(spec, result)
+        assert store.get(spec) is None and len(store) == 0
+
+    def test_put_names_a_nested_non_finite_metric(self, tmp_path):
+        store = ResultStore(tmp_path)
+        spec = GRID[0]
+        result = SerialRunner().run_one(spec)
+        handler_class = next(iter(result.handler_instructions))
+        result.handler_instructions[handler_class] = float("-inf")
+        with pytest.raises(SimulationError) as raised:
+            store.put(spec, result)
+        assert f"handler_instructions.{handler_class.value}" in str(
+            raised.value
+        )
+        assert len(store) == 0
 
     def test_stats_and_clear(self, tmp_path):
         store = ResultStore(tmp_path)
