@@ -101,7 +101,8 @@ class RunnerCache:
     The trace and schedule LRUs are backed by the trace store at the
     location configured (``$REPRO_TRACE_STORE``, ``off`` to turn it off)
     when the cache first needs it.  Traces of an inline ``profile`` are
-    never persisted.  A store hit still counts as an LRU miss.
+    never persisted, and a cache built with ``persist=False`` never reads
+    or writes the store.  A store hit still counts as an LRU miss.
     """
 
     def __init__(
@@ -109,7 +110,9 @@ class RunnerCache:
         max_traces: int = 64,
         max_schedules: int = 128,
         max_plans: int = 64,
+        persist: bool = True,
     ) -> None:
+        self.persist = persist
         self._traces: LruCache = LruCache(max_traces)
         self._schedules: LruCache = LruCache(max_schedules)
         self._plans: LruCache = LruCache(max_plans)
@@ -128,6 +131,15 @@ class RunnerCache:
             self._trace_store = default_trace_store()
         return self._trace_store
 
+    def _store_for(
+        self, profile: Optional[BenchmarkProfile]
+    ) -> Optional["TraceStore"]:
+        """The store backing a lookup: none for an inline ``profile`` or
+        a cache that does not persist."""
+        if profile is not None or not self.persist:
+            return None
+        return self.trace_store
+
     def trace(
         self,
         benchmark: str,
@@ -141,7 +153,7 @@ class RunnerCache:
         trace built from the superseded profile.  ``profile`` overrides the
         registry lookup for self-contained specs carrying an inline profile.
         """
-        store = self.trace_store if profile is None else None
+        store = self._store_for(profile)
         if profile is None:
             profile = get_profile(benchmark)
         key = (profile, settings.num_instructions, settings.seed)
@@ -174,7 +186,7 @@ class RunnerCache:
         hierarchy) cell — grid cells differing only in monitor or FADE
         configuration share it."""
         inline = profile
-        store = self.trace_store if inline is None else None
+        store = self._store_for(inline)
         if profile is None:
             profile = get_profile(benchmark)
         if hierarchy is None:

@@ -225,9 +225,9 @@ class SerialRunner(Runner):
 _WORKER_CACHE: Optional[RunnerCache] = None
 
 
-def _worker_init() -> None:
+def _worker_init(persist: bool = True) -> None:
     global _WORKER_CACHE
-    _WORKER_CACHE = RunnerCache()
+    _WORKER_CACHE = RunnerCache(persist=persist)
 
 
 def _worker_run(spec: RunSpec) -> RunResult:

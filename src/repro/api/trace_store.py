@@ -1,12 +1,12 @@
 """Per-machine store of packed traces and retire schedules.
 
 Every new process used to synthesize each trace it ran, and that trace's
-retire schedules, from scratch: each ``repro run``, each pool worker, each
-service restart.  A :class:`TraceStore` keeps those two front-end
-artifacts on disk once per machine, behind :class:`~repro.api.cache.
-RunnerCache`'s ``trace`` and ``schedule`` lookups, so a process that needs
-a trace this machine has already built loads it (about 1.3 ms for a 20k
-trace on a 2-CPU container) instead of synthesizing it (25-40 ms).
+retire schedules, from scratch: each ``repro run``, each pool worker.  A
+:class:`TraceStore` keeps those two front-end artifacts on disk once per
+machine, behind :class:`~repro.api.cache.RunnerCache`'s ``trace`` and
+``schedule`` lookups, so a process that needs a trace this machine has
+already built loads it (about 1.3 ms for a 20k trace on a 2-CPU
+container) instead of synthesizing it (25-40 ms).
 
 * **Location.** ``$REPRO_TRACE_STORE``, else
   ``$XDG_CACHE_HOME/repro/traces``, else ``~/.cache/repro/traces``;
@@ -37,7 +37,9 @@ trace on a 2-CPU container) instead of synthesizing it (25-40 ms).
   here ever raises.
 
 Callers skip the store for specs carrying an inline profile, so fuzzing
-does not fill the disk with one-off traces.  Creating a store neither
+does not fill the disk with one-off traces, and ``repro serve``'s
+long-lived workers skip it altogether (``RunnerCache(persist=False)``), so
+a request's latency does not depend on what other processes left here.  Creating a store neither
 touches the disk nor computes the fingerprint; both happen on first use.
 """
 

@@ -19,6 +19,12 @@ So for any set of concurrent clients, each distinct spec content is
 simulated **at most once per server lifetime** — the property the CI
 service-smoke job asserts.
 
+Workers keep their traces and schedules in memory only
+(``RunnerCache(persist=False)``): they live as long as the server, so
+their LRUs already build each trace once, and a computed spec's latency
+depends on the requests alone, not on which traces other processes on the
+machine happened to leave in the trace store.
+
 Failure handling (the resilience layer):
 
 * **Deadlines** — ``spec_timeout`` bounds each computation attempt with
@@ -112,7 +118,7 @@ class SpecScheduler:
         self._inflight: Dict[str, asyncio.Task] = {}
         # A small cache for the thread fallback path (execute_spec needs
         # one); process workers build their own via _worker_init.
-        self._cache = RunnerCache()
+        self._cache = RunnerCache(persist=False)
         self.specs_received = 0
         self.warm_hits = 0
         self.coalesced = 0
@@ -143,6 +149,7 @@ class SpecScheduler:
             return ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_worker_init,
+                initargs=(False,),
                 mp_context=context,
             )
         except (OSError, PermissionError, ValueError):

@@ -5,6 +5,7 @@ blob must heal instead of raising, keys must cover the generating source,
 and results must not depend on whether the store is off, cold or warm.
 """
 
+import asyncio
 import dataclasses
 import json
 import multiprocessing
@@ -31,6 +32,7 @@ from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
 from repro.mem.hierarchy import HierarchyConfig
 from repro.monitors import monitor_names
+from repro.service.scheduler import SpecScheduler
 from repro.system.config import SystemConfig
 from repro.workload import benchmark_names, generate_trace, get_profile
 from repro.workload.packed import COLUMN_SPEC
@@ -267,6 +269,29 @@ class TestScope:
         execute_spec(RunSpec("astar", "memleak", settings=SMALL),
                      RunnerCache())
         assert store.stats()["blobs"] == 2
+
+    def test_non_persisting_cache_neither_reads_nor_writes(self, store):
+        spec = RunSpec("astar", "memleak", settings=SMALL)
+        cache = RunnerCache(persist=False)
+        execute_spec(spec, cache)
+        assert store.stats()["blobs"] == 0
+        execute_spec(spec, RunnerCache())
+        cache = RunnerCache(persist=False)
+        execute_spec(spec, cache)
+        stats = cache.stats()
+        assert stats["trace_store_hits"] == stats["schedule_store_hits"] == 0
+
+    @pytest.mark.parametrize("use_processes", [False, True])
+    def test_service_workers_write_nothing(self, store, use_processes):
+        scheduler = SpecScheduler(use_processes=use_processes, workers=1)
+        try:
+            outcome = asyncio.run(scheduler.execute(
+                RunSpec("astar", "memleak", settings=SMALL)
+            ))
+        finally:
+            scheduler.shutdown()
+        assert outcome.status == "computed"
+        assert store.stats()["blobs"] == 0
 
     def test_location_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "here"))
