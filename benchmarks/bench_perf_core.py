@@ -54,10 +54,6 @@ Environment knobs:
 * ``REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD`` — fail if arming the
   checkpoint machinery (thresholds firing into a no-op callback) slows
   the event engine loop by more than this fraction (default 0.01).
-* ``REPRO_BENCH_PERF_MIN_SEGMENT_SPEEDUP`` — fail below this
-  warm-segment-resume vs monolithic wall-clock ratio on one long cell
-  (default 1.0: resuming from a stored seam must never be slower than
-  recomputing; the measured ratio at K=4 approaches the segment count).
 * ``REPRO_BENCH_PROFILE`` — cProfile the timed region (top-20 cumulative).
 
 The ``fade_active`` payload section isolates the engine loop on the
@@ -87,9 +83,7 @@ from benchmarks.common import BENCH_SETTINGS, maybe_profile, record
 from repro.analysis import ExperimentSettings
 from repro.analysis.experiments import benchmarks_for
 from repro.api import ParallelRunner, ResultStore, RunSpec, SerialRunner
-from repro.api.runner import execute_spec
-from repro.api.segments import build_simulation, plan_boundaries, run_segmented
-from repro.checkpoint import CheckpointStore
+from repro.api.runner import build_simulation
 from repro.cores.base import CoreType
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.system import SystemConfig
@@ -344,108 +338,6 @@ def _measure_checkpointing(settings: ExperimentSettings, rounds: int) -> dict:
         ),
         "bit_identical": (
             outputs["disabled"] == outputs["armed"] == outputs["snapshotting"]
-        ),
-    }
-
-
-def _measure_segmented(settings: ExperimentSettings, rounds: int) -> dict:
-    """Segmented execution versus the monolithic run on one long cell.
-
-    Three interleaved legs on a FADE-active event-engine cell (workload
-    synthesis pre-cached, so every leg times execution):
-
-    * ``monolithic`` — plain ``execute_spec``, the reference;
-    * ``cold_segmented`` — ``run_segmented`` at K=4 into a fresh seam
-      store each round: the full serial chain plus seam encode/write,
-      i.e. the worst-case cost of asking for segments with nothing saved;
-    * ``warm_resume`` — the same call against a store already holding
-      every seam: restores the last seam and executes only the final
-      segment, which is where segmentation's latency win lives.
-
-    All three must be bit-identical (that is the whole point of the
-    stitching protocol); the warm speedup is gated by
-    ``REPRO_BENCH_PERF_MIN_SEGMENT_SPEEDUP`` (default 1.0 — resuming
-    from a seam must never be slower than recomputing from scratch).
-    """
-    spec = RunSpec(
-        "astar",
-        "addrcheck",
-        SystemConfig(fade_enabled=True, non_blocking=True, engine="event"),
-        settings,
-    )
-    cache = SerialRunner().cache
-    cache.trace(spec.benchmark, settings)
-    cache.schedule(spec.benchmark, settings, spec.config.core_type)
-    cache.plan(spec.benchmark, settings, spec.monitor)
-    segments = 4
-    boundaries = plan_boundaries(spec, cache, segments)
-    legs = ("monolithic", "cold_segmented", "warm_resume")
-    best = {leg: float("inf") for leg in legs}
-    outputs = {}
-    executed = {}
-    with tempfile.TemporaryDirectory(prefix="repro-seg-bench-") as tmp:
-        warm_store = CheckpointStore(pathlib.Path(tmp) / "warm")
-        # Seed every seam once (untimed) so the warm leg always resumes.
-        run_segmented(spec, cache, segments=segments, segment_store=warm_store)
-        for _ in range(max(1, rounds)):
-            for leg in legs:
-                gc.collect()
-                if leg == "monolithic":
-                    start = time.perf_counter()
-                    result = execute_spec(spec, cache)
-                    elapsed = time.perf_counter() - start
-                elif leg == "cold_segmented":
-                    with tempfile.TemporaryDirectory(dir=tmp) as cold_dir:
-                        cold_store = CheckpointStore(
-                            pathlib.Path(cold_dir) / "seams"
-                        )
-                        start = time.perf_counter()
-                        result = run_segmented(
-                            spec,
-                            cache,
-                            segments=segments,
-                            segment_store=cold_store,
-                        )
-                        elapsed = time.perf_counter() - start
-                        cold_store.close()
-                else:
-                    start = time.perf_counter()
-                    result = run_segmented(
-                        spec,
-                        cache,
-                        segments=segments,
-                        segment_store=warm_store,
-                    )
-                    elapsed = time.perf_counter() - start
-                best[leg] = min(best[leg], elapsed)
-                outputs[leg] = result.to_dict()
-                meta = getattr(result, "segment_metadata", None)
-                if meta is not None:
-                    executed[leg] = meta["executed_segments"]
-        warm_store.close()
-    cycles = outputs["monolithic"]["cycles"]
-    engines = {
-        leg: {
-            "seconds": best[leg],
-            "cells": 1,
-            "cells_per_sec": 1.0 / best[leg],
-            "cycles_simulated": cycles,
-            "cycles_per_sec": cycles / best[leg],
-        }
-        for leg in legs
-    }
-    return {
-        "cell": f"{spec.benchmark}/{spec.monitor}",
-        "segments": segments,
-        "boundaries": len(boundaries),
-        "engines": engines,
-        "executed_segments": executed,
-        "warm_speedup": best["monolithic"] / best["warm_resume"],
-        "cold_overhead": best["cold_segmented"] / best["monolithic"] - 1.0,
-        "bit_identical": (
-            outputs["monolithic"]
-            == outputs["cold_segmented"]
-            == outputs["warm_resume"]
         ),
     }
 
@@ -723,7 +615,6 @@ def _run_store_off_sections(settings: ExperimentSettings, rounds: int) -> dict:
     parallel_grid = _measure_parallel_grid(settings, rounds, fig9_event_outputs)
     fade_active = _measure_fade_active(settings, rounds)
     checkpointing = _measure_checkpointing(settings, rounds)
-    segmented = _measure_segmented(settings, rounds)
     payload = {
         "bench": "perf_core",
         "grid": "fig9",
@@ -737,13 +628,11 @@ def _run_store_off_sections(settings: ExperimentSettings, rounds: int) -> dict:
             and store["bit_identical"]
             and fade_active["bit_identical"]
             and checkpointing["bit_identical"]
-            and segmented["bit_identical"]
             and parallel_grid["bit_identical"]
         ),
         "inorder_unaccelerated": inorder,
         "fade_active": fade_active,
         "checkpointing": checkpointing,
-        "segmented": segmented,
         "parallel_grid": parallel_grid,
         "functional": functional,
         "trace_synthesis": trace_synthesis,
@@ -768,10 +657,6 @@ def test_perf_core_event_engine():
         os.environ.get("REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD", "0.01")
     )
     assert payload["checkpointing"]["armed_overhead"] <= max_overhead
-    segment_minimum = float(
-        os.environ.get("REPRO_BENCH_PERF_MIN_SEGMENT_SPEEDUP", "1.0")
-    )
-    assert payload["segmented"]["warm_speedup"] >= segment_minimum
 
 
 def main() -> int:
@@ -813,17 +698,6 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    segmented = payload["segmented"]
-    segment_minimum = float(
-        os.environ.get("REPRO_BENCH_PERF_MIN_SEGMENT_SPEEDUP", "1.0")
-    )
-    if segmented["warm_speedup"] < segment_minimum:
-        print(
-            f"FAIL: warm segment resume at {segmented['warm_speedup']:.2f}x "
-            f"of the monolithic run, below the {segment_minimum:.2f}x floor",
-            file=sys.stderr,
-        )
-        return 1
     functional = payload["functional"]
     store = payload["result_store"]
     parallel_grid = payload["parallel_grid"]
@@ -845,9 +719,7 @@ def main() -> int:
         f"warm result-store rerun {store['warm_speedup']:.0f}x; "
         f"checkpoint machinery {100 * checkpointing['armed_overhead']:+.2f}% "
         f"armed / {100 * checkpointing['snapshotting_overhead']:+.2f}% "
-        f"snapshotting; warm segment resume {segmented['warm_speedup']:.2f}x "
-        f"at K={segmented['segments']} "
-        f"(cold overhead {100 * segmented['cold_overhead']:+.1f}%)]"
+        f"snapshotting]"
     )
     return 0
 

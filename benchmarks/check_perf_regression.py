@@ -28,11 +28,6 @@ baseline: warm reruns take milliseconds, so their ratio is noise-dominated;
 halving (e.g. 400x -> <200x) still catches the store actually breaking
 (which collapses it to ~1x) without flapping on timer jitter.
 
-The ``segmented`` section rides the per-engine throughput gate like the
-others, plus an *absolute* floor on the fresh payload's warm-seam-resume
-speedup (``REPRO_BENCH_PERF_MIN_SEGMENT_SPEEDUP``, default 1.0): resuming
-from a stored seam must never be slower than recomputing the whole cell.
-
 Scale guard: the two payloads must have been produced with the same
 ``num_instructions``; otherwise per-cell fixed costs skew the comparison
 and the check is skipped with a notice (exit 0).
@@ -42,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 
@@ -71,14 +65,6 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
         # hooks started costing runs that never asked for them.
         sections.append(
             ("checkpointing.", baseline["checkpointing"], fresh["checkpointing"])
-        )
-    if "segmented" in baseline and "segmented" in fresh:
-        # Monolithic/cold-segmented/warm-resume legs of the single-cell
-        # segmentation bench: the monolithic leg regressing means segment
-        # plumbing started taxing plain runs, the warm leg regressing means
-        # seam restore got slower.
-        sections.append(
-            ("segmented.", baseline["segmented"], fresh["segmented"])
         )
     for prefix, base_section, fresh_section in sections:
         for engine, base_stats in base_section.get("engines", {}).items():
@@ -140,21 +126,6 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
         )
         if ratio < 0.5:
             failures.append("result_store")
-    fresh_segmented = fresh.get("segmented", {})
-    if fresh_segmented.get("warm_speedup"):
-        # Absolute floor (not a baseline ratio): a warm seam resume that is
-        # not faster than recomputing means segmentation stopped paying for
-        # itself.  Overridable per-runner via the same knob the bench uses.
-        floor_env = os.environ.get("REPRO_BENCH_PERF_MIN_SEGMENT_SPEEDUP", "1.0")
-        segment_floor = float(floor_env)
-        warm = fresh_segmented["warm_speedup"]
-        status = "ok" if warm >= segment_floor else "REGRESSION"
-        print(
-            f"segmented warm resume {warm:.2f}x vs monolithic "
-            f"(floor {segment_floor:.2f}x) {status}"
-        )
-        if warm < segment_floor:
-            failures.append("segmented.warm_speedup")
     if failures:
         print(
             f"FAIL: >{100 * max_regression:.0f}% regression in: "

@@ -23,31 +23,20 @@ import itertools
 import math
 import multiprocessing
 import os
-import shutil
-import tempfile
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from repro.checkpoint.runtime import active_checkpoint_runtime
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.faults.injector import worker_fault, worker_midrun_fault
-from repro.monitors import MONITOR_REGISTRY, create_monitor
+from repro.monitors import create_monitor
 from repro.system.results import RunResult
 from repro.system.simulator import MonitoringSimulation
-from repro.workload.profiles import get_profile
 
 from repro.api.cache import RunnerCache
 from repro.api.results import ResultSet, RunRecord
-from repro.api.segments import (
-    build_simulation,
-    close_segment_store,
-    open_segment_store,
-    plan_boundaries,
-    run_chain_to,
-    run_segmented,
-)
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
 
@@ -76,14 +65,39 @@ _TINY_GRID = 2
 _POOL_REBUILD_LIMIT = 2
 
 
+def build_simulation(
+    spec: RunSpec, cache: RunnerCache
+) -> MonitoringSimulation:
+    """One fresh simulation for ``spec``, with trace/schedule/plan served
+    from ``cache`` (the construction :func:`execute_spec` uses).  The cache
+    gets the spec's own ``profile`` (None unless inline), which is what
+    lets it persist registry traces and skip inline ones."""
+    inline = spec.profile
+    trace = cache.trace(spec.benchmark, spec.settings, inline)
+    warmup = int(len(trace.items) * spec.settings.warmup_fraction)
+    return MonitoringSimulation(
+        trace,
+        create_monitor(spec.monitor),
+        spec.config,
+        spec.resolved_profile(),
+        warmup_items=warmup,
+        schedule=cache.schedule(
+            spec.benchmark,
+            spec.settings,
+            spec.config.core_type,
+            spec.config.hierarchy,
+            inline,
+        ),
+        plan=cache.plan(spec.benchmark, spec.settings, spec.monitor, inline),
+    )
+
+
 def execute_spec(
     spec: RunSpec,
     cache: Optional[RunnerCache] = None,
     store: Optional[ResultStore] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_store=None,
-    segments: int = 1,
-    segment_store=None,
 ) -> RunResult:
     """Simulate one cell with the standard warmup methodology.
 
@@ -103,28 +117,11 @@ def execute_spec(
     run; anything invalid degrades to a cold recompute.  A resumed run's
     result carries a non-serialized ``resume_metadata`` attribute
     (``resumed_from_cycle`` / ``recompute_fraction``).
-
-    ``segments > 1`` runs the cell as a chain of checkpointed segments
-    (:func:`repro.api.segments.run_segmented`) — bit-identical to the
-    monolithic run — reusing seams from ``segment_store`` (a
-    :class:`~repro.checkpoint.CheckpointStore` or a path) when given.
-    Segment seams *are* the checkpoints of a segmented run, so
-    ``checkpoint_every`` periodic checkpointing does not apply to it.
     """
     if store is not None:
         cached = store.get(spec)
         if cached is not None:
             return cached
-    if segments and segments > 1:
-        if cache is None:
-            cache = RunnerCache(max_traces=1, max_schedules=1, max_plans=1)
-        seg_store = segment_store
-        if isinstance(seg_store, (str, os.PathLike)):
-            seg_store = open_segment_store(seg_store)
-        result = run_segmented(spec, cache, segments, seg_store)
-        if store is not None:
-            store.put(spec, result)
-        return result
     if checkpoint_store is None and checkpoint_every is None:
         runtime = active_checkpoint_runtime()
         if runtime is not None:
@@ -181,33 +178,18 @@ def execute_spec(
 
 
 class Runner:
-    """Executes specs; owns the bounded trace/schedule cache for its runs.
-
-    ``segments > 1`` switches every cell to segmented execution
-    (:mod:`repro.api.segments`): bit-identical results, with seams reused
-    from ``segment_store`` (a filesystem path) when one is given.
-    """
+    """Executes specs; owns the bounded trace/schedule cache for its runs."""
 
     def __init__(
         self,
         cache: Optional[RunnerCache] = None,
         store: Optional[ResultStore] = None,
-        segments: int = 1,
-        segment_store: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
         self.cache = cache if cache is not None else RunnerCache()
         self.store = store
-        self.segments = max(1, int(segments)) if segments else 1
-        self.segment_store = segment_store
 
     def run_one(self, spec: RunSpec) -> RunResult:
-        return execute_spec(
-            spec,
-            self.cache,
-            self.store,
-            segments=self.segments,
-            segment_store=self.segment_store,
-        )
+        return execute_spec(spec, self.cache, self.store)
 
     def run(self, specs: Iterable[RunSpec]) -> ResultSet:
         raise NotImplementedError
@@ -284,30 +266,6 @@ def _trace_chunks(spec_list: List[RunSpec], workers: int) -> List[List[int]]:
     return chunks
 
 
-def _worker_run_segment(
-    payload: Tuple[RunSpec, Optional[int], Tuple[int, ...], str],
-) -> Optional[RunResult]:
-    """One segment-pipeline task: advance ``spec`` from its newest stored
-    seam through ``stop_at`` (plan index, or None for run-to-completion).
-
-    Returns the final :class:`RunResult` when the run completed, else None
-    with the seam at ``stop_at`` stored — the scheduler then submits the
-    next segment.  A missing or torn predecessor seam heals in-task by
-    chaining from the newest usable seam (see
-    :func:`repro.api.segments.run_chain_to`), so the store converging is a
-    liveness property, never a correctness one.
-    """
-    spec, stop_at, prior_boundaries, store_path = payload
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = RunnerCache()
-    worker_fault(spec)
-    store = open_segment_store(store_path)
-    return run_chain_to(
-        spec, _WORKER_CACHE, list(prior_boundaries), stop_at, store
-    )
-
-
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down *now*: cancel queued chunks, terminate the worker
     processes (running simulations are CPU-bound and uninterruptible from
@@ -363,12 +321,8 @@ class ParallelRunner(Runner):
         jobs: Optional[int] = None,
         cache: Optional[RunnerCache] = None,
         store: Optional[ResultStore] = None,
-        segments: int = 1,
-        segment_store: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
-        super().__init__(
-            cache, store, segments=segments, segment_store=segment_store
-        )
+        super().__init__(cache, store)
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
 
     def run(self, specs: Iterable[RunSpec]) -> ResultSet:
@@ -404,21 +358,15 @@ class ParallelRunner(Runner):
 
     def _run_grid(self, spec_list: List[RunSpec]) -> List[RunResult]:
         """Execute every spec (no store involvement), in order."""
-        if self.segments > 1:
-            return self._run_segmented_grid(spec_list)
         workers = min(self.jobs, len(spec_list))
         # Tiny grids: pool startup costs more than the cells themselves.
         if workers <= 1 or len(spec_list) < max(self.jobs, _TINY_GRID):
             return self._run_serial(spec_list)
-        # Validate names in the parent so a genuinely unknown monitor or
-        # benchmark fails fast here; a ConfigurationError raised in a worker
-        # afterwards means the worker cannot see this process's runtime
-        # registrations (spawn-based pools) and serial execution can finish.
-        for spec in spec_list:
-            if spec.monitor not in MONITOR_REGISTRY:
-                create_monitor(spec.monitor)  # Raises with the known names.
-            if spec.profile is None:  # Inline profiles resolve spec-locally.
-                get_profile(spec.benchmark)
+        # Specs check their names against this process's registries when
+        # constructed (``RunSpec.__post_init__``), so a ConfigurationError
+        # raised in a worker means the worker cannot see this process's
+        # runtime registrations (spawn-based pools) and serial execution
+        # can finish.
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
@@ -544,126 +492,6 @@ class ParallelRunner(Runner):
                 results[index] = result
         return results
 
-    def _run_segmented_grid(self, spec_list: List[RunSpec]) -> List[RunResult]:
-        """Segment-aware scheduling: each spec is a pipeline of segment
-        tasks — segment k is submitted once seam k−1 is on disk — and the
-        pool runs whichever segments across the grid are ready.
-
-        Cold segments of one spec are serially dependent (bit-identical
-        stitching needs *timing* seams; see :mod:`repro.api.segments`), so
-        a single cold cell cannot fan out — but a grid of cells keeps the
-        pool busy, cells with stored seams skip straight to their final
-        segment, and a pool crash loses at most the in-flight segments:
-        the serial finish resumes from the seams already stored.  Without
-        a configured ``segment_store`` the seams live in a per-grid
-        temporary store (crash recovery within the grid; no cross-run
-        reuse).  Each worker's cache generates traces once per process.
-        """
-        cleanup_dir = None
-        store_path = self.segment_store
-        if store_path is None:
-            cleanup_dir = tempfile.mkdtemp(prefix="repro-segments-")
-            store_path = cleanup_dir
-        store_path = os.fspath(store_path)
-        seg_store = open_segment_store(store_path)
-        try:
-            if self.jobs <= 1 or len(spec_list) < _TINY_GRID:
-                return [
-                    run_segmented(spec, self.cache, self.segments, seg_store)
-                    for spec in spec_list
-                ]
-            for spec in spec_list:
-                if spec.monitor not in MONITOR_REGISTRY:
-                    create_monitor(spec.monitor)  # Raises with known names.
-                if spec.profile is None:
-                    get_profile(spec.benchmark)
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:
-                context = None
-                _warn_spawn_context()
-            plans = []
-            for spec in spec_list:
-                boundaries = list(
-                    plan_boundaries(spec, self.cache, self.segments)
-                )
-                stored = set(seg_store.segment_boundaries_stored(spec))
-                start = 0
-                for position in range(len(boundaries), 0, -1):
-                    if boundaries[position - 1] in stored:
-                        start = position
-                        break
-                plans.append(
-                    {"boundaries": boundaries, "next": start, "result": None}
-                )
-            pool = self._make_pool(min(self.jobs, len(spec_list)), context)
-            if pool is None:
-                return [
-                    run_segmented(spec, self.cache, self.segments, seg_store)
-                    for spec in spec_list
-                ]
-            futures: Dict = {}
-
-            def _submit(index: int) -> None:
-                plan = plans[index]
-                stops = plan["boundaries"] + [None]
-                payload = (
-                    spec_list[index],
-                    stops[plan["next"]],
-                    tuple(plan["boundaries"][: plan["next"]]),
-                    store_path,
-                )
-                futures[pool.submit(_worker_run_segment, payload)] = index
-
-            try:
-                for index in range(len(spec_list)):
-                    _submit(index)
-                while futures:
-                    done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures.pop(future)
-                        outcome = future.result()
-                        if outcome is not None:
-                            plans[index]["result"] = outcome
-                        else:
-                            plans[index]["next"] += 1
-                            _submit(index)
-                pool.shutdown()
-            except KeyboardInterrupt:
-                _terminate_pool(pool)
-                raise
-            except (
-                BrokenProcessPool,
-                OSError,
-                PermissionError,
-                ConfigurationError,
-            ) as error:
-                _terminate_pool(pool)
-                warnings.warn(
-                    f"process pool failed mid-grid ({error}); finishing the "
-                    f"segmented grid serially from stored seams",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                for index, plan in enumerate(plans):
-                    if plan["result"] is None:
-                        plan["result"] = run_segmented(
-                            spec_list[index],
-                            self.cache,
-                            self.segments,
-                            seg_store,
-                        )
-            except BaseException:
-                # A deterministic per-spec failure: retrying cannot
-                # succeed — fail fast with the original traceback.
-                _terminate_pool(pool)
-                raise
-            return [plan["result"] for plan in plans]
-        finally:
-            if cleanup_dir is not None:
-                close_segment_store(store_path)
-                shutil.rmtree(cleanup_dir, ignore_errors=True)
-
     def _make_pool(
         self, workers: int, context
     ) -> Optional[ProcessPoolExecutor]:
@@ -751,48 +579,24 @@ def run_specs(
     jobs: int = 1,
     runner: Optional[Runner] = None,
     store: Optional[ResultStore] = None,
-    segments: int = 1,
-    segment_store: Optional[Union[str, os.PathLike]] = None,
 ) -> ResultSet:
     """Convenience entry point: run a grid with ``jobs`` worker processes
     (``jobs <= 1`` means in-process serial execution) and an optional
     persistent :class:`ResultStore`.
 
-    ``segments > 1`` runs each cell as a chain of checkpointed segments
-    (bit-identical results; see :mod:`repro.api.segments`), reusing seams
-    from ``segment_store`` (a path) when given.
-
     Serial runs without a store go through :func:`default_runner` (honouring
-    :func:`set_default_runner` and its warm cache); a store or segment
-    setting never mutates a caller-supplied or shared runner — it applies
-    to this call only.
+    :func:`set_default_runner` and its warm cache); a store never mutates a
+    caller-supplied or shared runner — it applies to this call only.
     """
-    segments = max(1, int(segments)) if segments else 1
     if runner is None:
         if jobs > 1:
-            runner = ParallelRunner(
-                jobs=jobs,
-                store=store,
-                segments=segments,
-                segment_store=segment_store,
-            )
-        elif store is None and segments <= 1:
+            runner = ParallelRunner(jobs=jobs, store=store)
+        elif store is None:
             runner = default_runner()
         else:
             # Share the default runner's warm cache without mutating it.
-            runner = SerialRunner(
-                cache=default_runner().cache,
-                store=store,
-                segments=segments,
-                segment_store=segment_store,
-            )
-    else:
-        if store is not None and runner.store is not store:
-            runner = copy.copy(runner)  # Same cache; scoped to this call.
-            runner.store = store
-        if segments > 1 and getattr(runner, "segments", 1) != segments:
-            runner = copy.copy(runner)
-            runner.segments = segments
-            if segment_store is not None:
-                runner.segment_store = segment_store
+            runner = SerialRunner(cache=default_runner().cache, store=store)
+    elif store is not None and runner.store is not store:
+        runner = copy.copy(runner)  # Same cache; scoped to this call.
+        runner.store = store
     return runner.run(specs)

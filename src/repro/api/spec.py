@@ -14,9 +14,10 @@ import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.monitors import MONITOR_REGISTRY, monitor_names
 from repro.system.config import SystemConfig
 from repro.workload.profile import BenchmarkProfile
-from repro.workload.profiles import get_profile
+from repro.workload.profiles import PROFILE_REGISTRY, benchmark_names, get_profile
 
 def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
     """A :class:`SystemConfig` from a *partial* plain mapping.
@@ -105,6 +106,10 @@ class RunSpec:
     The benchmark and monitor are carried by *name* and resolved through the
     registries at execution time, so a spec built in one process can execute
     in another (the basis of :class:`~repro.api.runner.ParallelRunner`).
+    Construction checks both names against this process's registries (the
+    benchmark only when no inline ``profile`` is set); unpickling a spec in
+    a pool worker does not re-run the check, so a spec valid in its parent
+    stays runnable there.
     """
 
     benchmark: str
@@ -119,6 +124,18 @@ class RunSpec:
     #: (e.g. fuzzer-sampled profiles, :mod:`repro.verify.fuzz`) execute in
     #: spawn-started pool workers that never saw the runtime registration.
     profile: Optional[BenchmarkProfile] = None
+
+    def __post_init__(self) -> None:
+        if self.monitor not in MONITOR_REGISTRY:
+            raise ConfigurationError(
+                f"RunSpec.monitor: unknown monitor {self.monitor!r}; "
+                f"known: {', '.join(monitor_names())}"
+            )
+        if self.profile is None and self.benchmark not in PROFILE_REGISTRY:
+            raise ConfigurationError(
+                f"RunSpec.benchmark: unknown benchmark {self.benchmark!r}; "
+                f"known: {', '.join(benchmark_names())}"
+            )
 
     def replace(self, **changes: object) -> "RunSpec":
         """A copy with the given fields replaced (specs are immutable)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 _JOURNAL_SUFFIX = ".journal.jsonl"
 
@@ -82,14 +82,6 @@ class CheckpointJournal:
             if name in counts:
                 counts[name] += 1
         return counts
-
-    def resume_info(self, key: str) -> Optional[Dict[str, object]]:
-        """The most recent ``restored`` record for ``key``, or None."""
-        latest = None
-        for record in self.records():
-            if record.get("action") == "restored" and record.get("key") == key:
-                latest = record
-        return latest
 
     def clear(self) -> None:
         try:

@@ -9,9 +9,8 @@ A checkpoint payload is two lines of text:
      bumps it and retires every existing checkpoint (they decode as
      invalid and degrade to cold recomputes, never errors);
    * ``key`` — the blob's storage key (the spec's
-     :func:`~repro.api.store.content_key`, optionally suffixed with a
-     segment boundary), so a blob can never be restored into a different
-     spec's simulation;
+     :func:`~repro.api.store.content_key`), so a blob can never be
+     restored into a different spec's simulation;
    * ``state_hash`` — SHA-256 of the pickled state, verified on full
      decode, so a torn or bit-rotted blob reads as invalid rather than
      restoring garbage;

@@ -51,14 +51,6 @@ from repro.checkpoint.state import (
     encode_checkpoint,
 )
 
-#: Storage-key suffix marking a segment seam blob: the spec's content key
-#: plus the plan-index boundary the seam pauses at.  Segment keys shard
-#: like plain keys (the prefix is the content hash) and survive
-#: :meth:`CheckpointStore.complete` (a different key), so seams are
-#: reusable across runs and across segment counts whose boundaries align.
-_SEGMENT_SUFFIX = "-seg"
-
-
 class CheckpointStore:
     """On-disk RunSpec-content → newest-checkpoint store."""
 
@@ -93,11 +85,9 @@ class CheckpointStore:
         Transient write failures retry like result writes; a torn write
         (crash or injected ``checkpoint_torn`` fault) is silently tolerated
         — the blob reads as invalid later and recomputation covers it."""
-        self._put_key(content_key(spec), sim_state)
-
-    def _put_key(self, key: str, sim_state: dict, **journal_extra) -> None:
         if self.readonly:
             return
+        key = content_key(spec)
         payload = encode_checkpoint(key, sim_state)
 
         def _write_once() -> None:
@@ -116,16 +106,13 @@ class CheckpointStore:
             key,
             app_index=sim_state.get("app_index"),
             cycle=sim_state.get("now"),
-            **journal_extra,
         )
 
     def get(self, spec) -> Optional[dict]:
         """The spec's validated checkpoint record — ``{"state", "app_index",
         "cycle", "engine", "state_hash"}`` — or None.  Invalid blobs are
         deleted (journalled ``discarded``) so corruption never persists."""
-        return self._get_key(content_key(spec))
-
-    def _get_key(self, key: str) -> Optional[dict]:
+        key = content_key(spec)
         payload = self._backend.read(key)
         if payload is None:
             return None
@@ -139,52 +126,6 @@ class CheckpointStore:
                     self.journal.record("discarded", key, reason="invalid")
             return None
         return record
-
-    # ------------------------------------------------------------- segments
-
-    def segment_key(self, spec, boundary: int) -> str:
-        """Storage key of the seam blob pausing ``spec`` at plan-index
-        ``boundary`` (see :func:`repro.system.simulator.segment_boundaries`).
-        Keyed by boundary index — not by segment count — so runs with
-        different K reuse each other's seams wherever boundaries coincide."""
-        return f"{content_key(spec)}{_SEGMENT_SUFFIX}{int(boundary):08d}"
-
-    def put_segment(self, spec, boundary: int, sim_state: dict) -> None:
-        """Persist one segment seam (replacing any older blob at the same
-        boundary — deterministic execution makes any valid blob for a
-        (spec content, boundary) pair bit-identical anyway)."""
-        self._put_key(
-            self.segment_key(spec, boundary), sim_state, boundary=int(boundary)
-        )
-
-    def get_segment(self, spec, boundary: int) -> Optional[dict]:
-        """The validated seam record for ``spec`` at ``boundary``, or None.
-        Invalid seams are compare-and-deleted like plain checkpoints."""
-        return self._get_key(self.segment_key(spec, boundary))
-
-    def discard_segment(
-        self, spec, boundary: int, reason: str = "discarded"
-    ) -> None:
-        """Drop one seam blob (e.g. a seam the simulation refused to
-        restore); the chain recomputes it from the previous seam."""
-        if self.readonly:
-            return
-        key = self.segment_key(spec, boundary)
-        self._backend.delete(key)
-        self.journal.record("discarded", key, reason=reason)
-
-    def segment_boundaries_stored(self, spec) -> List[int]:
-        """Ascending plan-index boundaries that currently have a seam blob
-        for ``spec`` (header-presence only — restore still validates)."""
-        prefix = f"{content_key(spec)}{_SEGMENT_SUFFIX}"
-        boundaries = []
-        for key, _size in self._backend.entry_sizes():
-            if key.startswith(prefix):
-                try:
-                    boundaries.append(int(key[len(prefix):]))
-                except ValueError:
-                    continue
-        return sorted(boundaries)
 
     def note_restored(
         self, spec, record: dict, recompute_fraction: Optional[float] = None
@@ -251,9 +192,7 @@ class CheckpointStore:
         ``result_store`` (sharing this store's keying) marks a checkpoint
         superseded when its spec already has a persisted result.  Valid
         checkpoints of unfinished specs are always kept — in particular the
-        newest (only) checkpoint of an in-progress spec.  Valid segment
-        seams are kept even after their spec completes: they are reusable
-        assets (warm segmented re-runs restore from them), not scaffolding.
+        newest (only) checkpoint of an in-progress spec.
 
         Every delete is a *compare-and-delete* against the exact payload gc
         judged: a live worker's ``put`` landing between gc's read and its
@@ -277,8 +216,7 @@ class CheckpointStore:
                     kept += 1  # A racing writer replaced it: spare it.
                 continue
             if (
-                _SEGMENT_SUFFIX not in key
-                and result_store is not None
+                result_store is not None
                 and result_store._backend.read(key) is not None
             ):
                 if self._backend.delete_if(key, payload):

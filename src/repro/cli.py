@@ -133,23 +133,6 @@ def _add_checkpoint_arguments(
     )
 
 
-def _add_segment_arguments(
-    parser: argparse.ArgumentParser, default: Optional[int] = 1
-) -> None:
-    """Segmented-execution flags (see :mod:`repro.api.segments`)."""
-    parser.add_argument(
-        "--segments", type=int, default=default, metavar="K",
-        help="execute each cell as K checkpointed trace segments stitched "
-             "to a bit-identical result; with --segment-store, seams are "
-             "reused across runs (a warm re-run computes only the tail)",
-    )
-    parser.add_argument(
-        "--segment-store", default=None, metavar="PATH",
-        help="checkpoint store holding segment seams (same path grammar "
-             "as --checkpoint-store); omit for an ephemeral per-run store",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -179,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--warmup", type=float, default=0.5)
     _add_execution_arguments(run, jobs=False)
     _add_checkpoint_arguments(run)
-    _add_segment_arguments(run)
 
     for name, help_text in (
         ("table2", "regenerate Table 2 (filtering efficiency)"),
@@ -348,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_execution_arguments(campaign)
     _add_checkpoint_arguments(campaign)
-    _add_segment_arguments(campaign, default=None)
 
     checkpoint = sub.add_parser(
         "checkpoint", help="inspect and sweep mid-run checkpoint stores"
@@ -484,11 +465,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         engine=args.engine,
     )
     spec = RunSpec(args.benchmark, args.monitor, config, settings)
-    runner = SerialRunner(
-        store=_make_store(args),
-        segments=args.segments or 1,
-        segment_store=args.segment_store,
-    )
+    runner = SerialRunner(store=_make_store(args))
     results = runner.run([spec])
     result = results.results[0]
     print(result.summary())
@@ -498,18 +475,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"  resumed from cycle {resumed.get('resumed_from_cycle')} "
             f"(recomputed {resumed.get('recompute_fraction', 0.0):.0%} "
             "of the timed instructions)"
-        )
-    segmented = getattr(result, "segment_metadata", None)
-    if segmented:
-        seam = segmented.get("resumed_from_boundary")
-        note = (
-            f", resumed from the stored seam at plan index {seam}"
-            if seam is not None
-            else ""
-        )
-        print(
-            f"  segmented: executed {segmented['executed_segments']} of "
-            f"{segmented['segments']} segment(s){note}"
         )
     if result.fade_stats is not None:
         stats = result.fade_stats
@@ -843,8 +808,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             server=args.server,
             jobs=args.jobs,
             store=_make_store(args),
-            segments=args.segments,
-            segment_store=args.segment_store,
         )
     except (ConfigurationError, ServiceError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -252,7 +252,3 @@ class Monitor(abc.ABC):
             metadata_changed=changed,
             report=report,
         )
-
-    @staticmethod
-    def _event_registers(event: MonitoredEvent):
-        return event.src1_reg, event.src2_reg, event.dest_reg

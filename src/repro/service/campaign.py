@@ -76,15 +76,12 @@ def expand_campaign(data: Mapping[str, object]) -> List[RunSpec]:
         raise ConfigurationError(
             f"campaign must be a mapping, got {type(data).__name__}"
         )
-    unknown = sorted(
-        set(data) - {"name", "settings", "grid", "specs", "segments"}
-    )
+    unknown = sorted(set(data) - {"name", "settings", "grid", "specs"})
     if unknown:
         raise ConfigurationError(
             f"unknown campaign key(s) {', '.join(unknown)}; "
-            "valid keys: name, settings, grid, specs, segments"
+            "valid keys: name, settings, grid, specs"
         )
-    _parse_segments(data.get("segments"))  # Validate early (load time).
     settings = _parse_settings(data.get("settings") or {})
     specs: List[RunSpec] = []
     grid = data.get("grid")
@@ -130,20 +127,6 @@ def expand_campaign(data: Mapping[str, object]) -> List[RunSpec]:
     return specs
 
 
-def _parse_segments(value: object) -> int:
-    """Validate a campaign's top-level ``segments`` key (an execution
-    axis, deliberately *not* part of spec identity or settings: a
-    segmented cell has the same content key — and bit-identical results —
-    as a monolithic one)."""
-    if value is None:
-        return 1
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(
-            f"campaign 'segments' must be a positive integer, got {value!r}"
-        )
-    return value
-
-
 def _load_mapping(path: pathlib.Path) -> Mapping[str, object]:
     try:
         text = path.read_text()
@@ -177,7 +160,6 @@ class Campaign:
     name: str
     specs: List[RunSpec]
     path: Optional[pathlib.Path] = None
-    segments: int = 1
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "Campaign":
@@ -187,9 +169,6 @@ class Campaign:
             name=str(data.get("name") or path.stem),
             specs=expand_campaign(data),
             path=path,
-            segments=_parse_segments(
-                data.get("segments") if isinstance(data, Mapping) else None
-            ),
         )
 
     def run(
@@ -198,18 +177,10 @@ class Campaign:
         jobs: int = 1,
         store: Optional[ResultStore] = None,
         runner: Optional[Runner] = None,
-        segments: Optional[int] = None,
-        segment_store=None,
     ) -> ResultSet:
         """Execute the batch: against a running server when ``server`` is
         an address (the store then lives server-side), otherwise in-process
-        through the ordinary runner path.
-
-        ``segments`` overrides the campaign file's top-level ``segments``
-        key (checkpointed segmented execution, bit-identical results; see
-        :mod:`repro.api.segments`); server-side submission runs whatever
-        execution mode the server was started with, so segment settings
-        apply only to in-process runs."""
+        through the ordinary runner path."""
         if server is not None:
             from repro.service.client import ServiceClient
 
@@ -219,8 +190,6 @@ class Campaign:
             jobs=jobs,
             runner=runner,
             store=store,
-            segments=self.segments if segments is None else segments,
-            segment_store=segment_store,
         )
 
     def describe(self) -> str:

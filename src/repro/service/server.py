@@ -130,15 +130,6 @@ class CampaignServer:
             except OSError:
                 pass
 
-    async def serve_forever(self) -> None:
-        """Start, run until :meth:`request_stop` (or POST /shutdown), then
-        tear down — the ``repro serve`` main loop."""
-        await self.start()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.stop()
-
     def request_stop(self) -> None:
         if self._stop_event is not None:
             self._stop_event.set()

@@ -470,10 +470,6 @@ class MonitoringSimulation:
         self._checkpoint_thresholds: Sequence[int] = ()
         self._checkpoint_position = 0
         self._checkpoint_callback = None
-        # Segment stop boundary (``run_segment``): like ``_checkpoint_at``,
-        # a plan-item index compared once per engine iteration; ``_NEVER``
-        # while running monolithically.
-        self._stop_at = _NEVER
         self._restored = False
 
     # ------------------------------------------------------------------ run
@@ -549,42 +545,6 @@ class MonitoringSimulation:
             self._run_event()
         return self._finalize()
 
-    def run_segment(self, stop_at: Optional[int] = None) -> Optional[RunResult]:
-        """Run until the application has issued ``stop_at`` plan items, or
-        to completion.
-
-        ``stop_at`` is a plan-index boundary — the exact convention
-        checkpoint thresholds use — and the engine pauses at its first
-        top-of-loop observation of ``_app_index >= stop_at``, the same
-        program point a checkpoint callback fires at.  One cycle may retire
-        several items and overshoot the boundary before the check is
-        reached; because the engines are deterministic, the paused state is
-        still a pure function of (spec content, boundary), which is what
-        lets seam blobs be shared across runs and across segment counts.
-
-        Returns the finished :class:`RunResult` when the run completed
-        within this segment (the boundary can sit past the last plan item),
-        or ``None`` when paused at the boundary — ``snapshot()`` then
-        captures the seam state.  Cumulative statistics ride inside the
-        seam, so the *final* segment's result is already the stitched
-        whole-run result (see DESIGN.md §13).  A paused simulation must
-        not be finalized or resumed in place; build a fresh simulation and
-        ``restore`` the seam into it.
-        """
-        if not self._restored:
-            self._run_warmup()
-        self._stop_at = _NEVER if stop_at is None else stop_at
-        try:
-            if self.config.engine == "naive":
-                self._run_naive()
-            else:
-                self._run_event()
-        finally:
-            self._stop_at = _NEVER
-        if self._done():
-            return self._finalize()
-        return None
-
     def _finalize(self) -> RunResult:
         """Collect the finished run into its :class:`RunResult` (split out
         so benchmarks can time the engine loop in isolation)."""
@@ -656,8 +616,6 @@ class MonitoringSimulation:
                 raise self._cycle_limit_error()
             if self._app_index >= self._checkpoint_at:
                 self._emit_checkpoint()
-            if self._app_index >= self._stop_at:
-                return
             step()
 
     def _run_event(self) -> None:
@@ -677,9 +635,9 @@ class MonitoringSimulation:
 
         Loop state lives in locals.  It is written back to ``self`` at every
         sync point — before a checkpoint callback (and reloaded after it,
-        because the next threshold moves), before pausing at ``_stop_at``,
-        before raising the cycle-limit error, and at completion — so
-        ``snapshot`` and ``_finalize`` only ever see flushed state.
+        because the next threshold moves), before raising the cycle-limit
+        error, and at completion — so ``snapshot`` and ``_finalize`` only
+        ever see flushed state.
         """
         # --- run invariants --------------------------------------------------
         max_cycles = self.config.max_cycles
@@ -751,8 +709,6 @@ class MonitoringSimulation:
             monitor_idle = breakdown.monitor_idle
             both_busy = breakdown.both_busy
             sync_at = self._checkpoint_at
-            if self._stop_at < sync_at:
-                sync_at = self._stop_at
 
             finished = False
             while True:
@@ -1055,8 +1011,6 @@ class MonitoringSimulation:
                 return
             if now >= max_cycles:
                 raise self._cycle_limit_error()
-            if app_index < self._checkpoint_at:
-                return  # Paused at ``_stop_at``.
             self._emit_checkpoint()
 
     def _step_cycle(self) -> None:
@@ -1246,15 +1200,6 @@ class MonitoringSimulation:
         return not self._wq_entries and self._monitor_item is None
 
     # ------------------------------------------------------------------ app
-
-    @property
-    def _app_finished(self) -> bool:
-        return self._app_index >= self._plan_len
-
-    @property
-    def _app_progress(self) -> float:
-        """Current application progress in (fractional) schedule cycles."""
-        return self._progress_base + self._progress_halves * 0.5
 
     def _app_step(self, monitor_busy: bool) -> None:
         if self._app_index >= self._plan_len:
@@ -1494,10 +1439,10 @@ class MonitoringSimulation:
         ``owned=True`` lets the monitor adopt the state's subclass dict
         without a defensive deep copy — correct only when the caller owns
         the state exclusively and restores it at most once, which is true
-        of every state freshly unpickled from a checkpoint or seam blob
-        (the restore paths in :mod:`repro.api.runner` and
-        :mod:`repro.api.segments`).  In-memory snapshot/restore callers
-        that keep the snapshot alive must leave it False."""
+        of every state freshly unpickled from a checkpoint blob (the
+        restore path in :mod:`repro.api.runner`).  In-memory
+        snapshot/restore callers that keep the snapshot alive must leave it
+        False."""
         version = state.get("version")
         if version != SIM_STATE_VERSION:
             raise SimulationError(
@@ -1577,8 +1522,8 @@ class MonitoringSimulation:
 
 
 def _instruction_flags(trace) -> List[bool]:
-    """Per-plan-index "is a timed instruction" flags (shared by checkpoint
-    thresholds and segment boundaries, which must agree on the convention).
+    """Per-plan-index "is a timed instruction" flags (checkpoint
+    thresholds count timed instructions with them).
     Packed traces answer with a column scan; object traces with an
     isinstance pass — no materialisation either way."""
     if isinstance(trace, PackedTrace):
@@ -1588,54 +1533,6 @@ def _instruction_flags(trace) -> List[bool]:
     return [
         isinstance(items[index], Instruction) for index in range(len(items))
     ]
-
-
-def segment_boundaries(
-    trace, warmup_items: int, plan_len: int, segments: int
-) -> Tuple[int, ...]:
-    """Plan-index boundaries splitting the timed region into ``segments``
-    near-equal instruction spans.
-
-    Boundary *j* is the plan index just past the ``ceil(j·N/K)``-th timed
-    instruction (N timed instructions, K segments) — the same ``index + 1``
-    convention :meth:`MonitoringSimulation.configure_checkpoints` uses, so a
-    seam is observable at the exact engine-loop point a checkpoint would
-    fire.  Ceiling division makes boundary sets *nest*: K=2's midpoint is
-    K=4's second boundary, so seam blobs (keyed by boundary index) are
-    shared across segment counts.  Boundaries that would land at or past
-    the end of the plan are dropped, so ``segments`` larger than the trace
-    degrades gracefully to fewer (possibly zero) boundaries.
-    """
-    if segments <= 1 or plan_len <= 0:
-        return ()
-    total = trace.count_instructions(warmup_items, plan_len)
-    if total <= 0:
-        return ()
-    targets = []
-    for j in range(1, segments):
-        target = -(-(j * total) // segments)  # ceil(j*total/segments)
-        if target < total and (not targets or target != targets[-1]):
-            targets.append(target)
-    boundaries: List[int] = []
-    flags = _instruction_flags(trace)
-    seen = 0
-    position = 0
-    for index in range(warmup_items, plan_len):
-        if position >= len(targets):
-            break
-        if flags[index]:
-            seen += 1
-            while position < len(targets) and seen >= targets[position]:
-                if index + 1 < plan_len:
-                    boundaries.append(index + 1)
-                position += 1
-    # Collapse boundaries that coincide (several targets inside one
-    # non-instruction tail collapse onto the same plan index).
-    unique: List[int] = []
-    for boundary in boundaries:
-        if not unique or boundary != unique[-1]:
-            unique.append(boundary)
-    return tuple(unique)
 
 
 def simulate(

@@ -16,19 +16,17 @@ geometrically smaller instruction counts and reports the smallest spec that
 still disagrees, so the repro attached to a failing fuzz campaign is
 minutes — not hours — of single-stepping away from a root cause.
 
-Twelve legs execute per spec: the four serial-cold engine × filter-mode
+Eleven legs execute per spec: the four serial-cold engine × filter-mode
 combinations over {event, naive} (the naive engine ignores the filter
 memo by construction, but runs under both settings anyway, so the
 forced-inline environment path cannot rot unnoticed), two store
 round-trips of the reference result (one per
 :class:`~repro.api.ResultStore` backend — sharded JSON and SQLite — so
-the store axis covers both persistence formats), a **checkpointed** leg (run until the first mid-run checkpoint lands,
-abandon, resume from the blob, finish — the snapshot/restore round-trip
-must be bit-exact; included in ``--quick`` mode too), a **segmented** leg
-(the run split into three checkpointed segments at plan-index boundaries
-and stitched — segmentation must reproduce the monolithic run
-byte-for-byte; see :mod:`repro.api.segments`; also in ``--quick``), and —
-in thorough mode — the four parallel-cold combinations.  The remaining corners of the product (warm
+the store axis covers both persistence formats), a **checkpointed** leg
+(run until the first mid-run checkpoint lands, abandon, resume from the
+blob, finish — the snapshot/restore round-trip must be bit-exact;
+included in ``--quick`` mode too), and — in thorough mode — the four
+parallel-cold combinations.  The remaining corners of the product (warm
 round-trips of the non-reference legs) are implied: every leg must equal
 the reference byte-for-byte, and the store round-trip is a pure
 serialization identity, so one warm leg witnesses it for all.
@@ -42,7 +40,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.api.cache import RunnerCache
 from repro.api.runner import ParallelRunner, execute_spec
@@ -246,18 +244,6 @@ class DifferentialOracle:
             finally:
                 store.close()
 
-    def _segmented_result(self, spec: RunSpec) -> RunResult:
-        """The segmented execution of ``spec``: three checkpointed segments
-        chained through snapshot/restore and stitched (no seam store — the
-        pure in-process validation mode).  A spec too short to split just
-        runs monolithically through the same code path."""
-        from repro.api.segments import run_segmented
-
-        leg_spec = spec.replace(
-            config=dataclasses.replace(spec.config, engine="event")
-        )
-        return run_segmented(leg_spec, self._cache, segments=3)
-
     def _leg_runner(self, leg: str) -> Callable[[RunSpec], str]:
         """A digest function for one leg name (used by the shrinker)."""
         engine = leg.split("/", 1)[0]
@@ -291,12 +277,6 @@ class DifferentialOracle:
                 return result_digest(self._checkpoint_result(spec))
 
             return run_ckpt
-        if leg.endswith("/seg"):
-
-            def run_seg(spec: RunSpec) -> str:
-                return result_digest(self._segmented_result(spec))
-
-            return run_seg
         if "/parallel/" in leg:
 
             def run_parallel(spec: RunSpec) -> str:
@@ -371,13 +351,6 @@ class DifferentialOracle:
         ckpt_result = self._checkpoint_result(spec)
         digests["event/serial/memo/ckpt"] = result_digest(ckpt_result)
         results["event/serial/memo/ckpt"] = ckpt_result
-
-        # Segmented leg (quick mode included): split into three segments at
-        # plan-index boundaries, chain through snapshot/restore, stitch —
-        # must reproduce the monolithic run byte-for-byte.
-        seg_result = self._segmented_result(spec)
-        digests["event/serial/memo/seg"] = result_digest(seg_result)
-        results["event/serial/memo/seg"] = seg_result
 
         if self.thorough:
             # Both engines share one pool per filter mode (two pools per
@@ -483,11 +456,3 @@ class DifferentialOracle:
                     shrink_probes=probes,
                 )
             return None
-
-    def check_all(self, specs: List[RunSpec]) -> List[Mismatch]:
-        mismatches = []
-        for spec in specs:
-            mismatch = self.check(spec)
-            if mismatch is not None:
-                mismatches.append(mismatch)
-        return mismatches

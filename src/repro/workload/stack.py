@@ -71,12 +71,3 @@ class CallStackModel:
         if not self.frames:
             return None
         return self.frames[-1]
-
-    def random_live_word(self) -> Optional[int]:
-        """Address of a random word in the innermost few frames."""
-        if not self.frames:
-            return None
-        # Accesses concentrate in the innermost frames, like real programs.
-        window = self.frames[-min(3, len(self.frames)):]
-        frame = self._rng.choice(window)
-        return frame.word_at(self._rng.randint(0, max(0, frame.num_words - 1)))

@@ -3,6 +3,9 @@ caches and ResultSets."""
 
 import dataclasses
 import json
+import os
+import pathlib
+import time
 
 import pytest
 
@@ -25,7 +28,7 @@ from repro.cores.base import CoreType
 from repro.monitors import MONITOR_REGISTRY, create_monitor, monitor_names
 from repro.monitors.memleak import MemLeak
 from repro.system.config import SystemConfig, Topology
-from repro.workload.profiles import PROFILE_REGISTRY, get_profile
+from repro.workload.profiles import PROFILE_REGISTRY, benchmark_names, get_profile
 
 TINY = ExperimentSettings(num_instructions=1500, seed=11)
 
@@ -68,6 +71,44 @@ class TestRunSpec:
     def test_dict_round_trip_default_config(self):
         spec = RunSpec("astar", "memleak")
         assert RunSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "bench_name, monitor, field",
+        [("nosuch", "addrcheck", "benchmark"), ("gcc", "nosuchmon", "monitor")],
+    )
+    def test_unknown_names_rejected_at_construction(
+        self, bench_name, monitor, field
+    ):
+        known = benchmark_names() if field == "benchmark" else monitor_names()
+        for build in (
+            lambda: RunSpec(bench_name, monitor),
+            lambda: RunSpec.from_dict(
+                {**RunSpec("gcc", "addrcheck").to_dict(),
+                 "benchmark": bench_name, "monitor": monitor}
+            ),
+        ):
+            with pytest.raises(ConfigurationError) as excinfo:
+                build()
+            message = str(excinfo.value)
+            assert message.startswith(f"RunSpec.{field}: ")
+            assert all(name in message for name in known)
+
+    def test_inline_profile_skips_the_benchmark_check(self):
+        profile = get_profile("astar")
+        spec = RunSpec("unregistered-synthetic", "addrcheck", profile=profile)
+        assert spec.resolved_profile() is profile
+
+    def test_unpickled_spec_is_not_revalidated(self):
+        # Pool workers unpickle specs without calling __init__: a spec
+        # valid in its parent stays usable where the name is unregistered.
+        import pickle
+
+        register_monitor("pickled-only", MemLeak)
+        try:
+            blob = pickle.dumps(RunSpec("astar", "pickled-only"))
+        finally:
+            MONITOR_REGISTRY.unregister("pickled-only")
+        assert pickle.loads(blob).monitor == "pickled-only"
 
     def test_spec_grid_shape_and_order(self):
         grid = spec_grid(
@@ -459,14 +500,10 @@ class TestGracefulInterrupt:
 def _exploding_chunk(specs):
     """Pool-worker stand-in that dies before producing a result (top-level
     so the pool can pickle it by name; fork workers share the module)."""
-    import os
-
     os._exit(3)
 
 
 def _shm_entries():
-    import os
-
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
@@ -476,7 +513,7 @@ class TestTraceGroupedDispatch:
     synthesize their own traces from the specs."""
 
     FIG9_LIKE = spec_grid(
-        ["astar", "gcc", "mcf", "water", "bzip2"],
+        ["astar", "gcc", "mcf", "water", "bzip"],
         ["memleak", "addrcheck", "memcheck"],
         [SystemConfig(), SystemConfig(fade_enabled=False)],
         TINY,
@@ -597,3 +634,58 @@ class TestTraceGroupedDispatch:
         before = _shm_entries()
         ParallelRunner(jobs=2).run(self.FIG9_LIKE[:8])
         assert _shm_entries() - before == set()
+
+
+# ----------------------------------------------------------------- harvest
+
+SETTINGS = ExperimentSettings(num_instructions=2500, seed=9)
+
+
+def _chunk_raise_or_die(specs):
+    """Pool-chunk stand-in (top-level so fork workers resolve it).
+
+    Equal-sized chunks keep the sorted benchmark order, so the parent
+    blocks on the astar chunk's future first.  The mcf chunk fails deterministically
+    right away; the astar chunk waits for that failure (and for its
+    delivery to the parent) and then dies hard — so the parent sees
+    BrokenProcessPool *before* it ever harvests the mcf future, which is
+    exactly the window where the old harvest swallowed the real error.
+    """
+    base = pathlib.Path(os.environ["REPRO_TEST_CHUNK_DIR"])
+    if specs[0].benchmark == "mcf":
+        with open(base / "attempts", "a") as handle:
+            handle.write("x\n")
+        (base / "marker").touch()
+        raise ValueError("deterministic spec failure")
+    deadline = time.time() + 30
+    while not (base / "marker").exists() and time.time() < deadline:
+        time.sleep(0.01)
+    # Give the parent time to receive the mcf chunk's exception before the
+    # pool breaks, so its future carries ValueError, not pool death.
+    time.sleep(1.0)
+    os._exit(1)
+
+
+class TestPoolHarvestClassification:
+    def test_pool_break_does_not_swallow_spec_error(
+        self, monkeypatch, tmp_path
+    ):
+        """Regression: a deterministic per-spec failure harvested during
+        pool breakage must fail fast with the original exception — the old
+        harvest swallowed it, retried the doomed chunk, and the serial
+        fallback then silently recomputed a 'successful' grid."""
+        from repro.api import runner as runner_module
+
+        monkeypatch.setattr(
+            runner_module, "_worker_run_chunk", _chunk_raise_or_die
+        )
+        monkeypatch.setenv("REPRO_TEST_CHUNK_DIR", str(tmp_path))
+        specs = [
+            RunSpec("astar", "memleak", SystemConfig(), SETTINGS),
+            RunSpec("mcf", "memleak", SystemConfig(), SETTINGS),
+        ]
+        runner = ParallelRunner(jobs=2)
+        with pytest.raises(ValueError, match="deterministic spec failure"):
+            runner.run(specs)
+        attempts = (tmp_path / "attempts").read_text().count("x")
+        assert attempts == 1

@@ -27,7 +27,7 @@ from repro.checkpoint import (
     install_checkpoint_runtime,
     uninstall_checkpoint_runtime,
 )
-from repro.api.segments import build_simulation
+from repro.api.runner import build_simulation
 from repro.common.units import WORD_SIZE
 from repro.metadata import ShadowMemory
 from repro.monitors.memcheck import UNALLOC

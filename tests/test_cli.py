@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import ResultSet, register_monitor
 from repro.cli import build_parser, main
+from repro.common.errors import ConfigurationError
 from repro.monitors import MONITOR_REGISTRY
 from repro.monitors.addrcheck import AddrCheck
 
@@ -190,3 +191,33 @@ class TestCacheTraces:
         assert "trace store: off" in capsys.readouterr().out
         assert main(["cache", "clear", "--traces"]) == 0
         assert "0 trace store blob(s)" in capsys.readouterr().out
+
+
+def _campaign_with_segments_key():
+    from repro.service.campaign import expand_campaign
+
+    with pytest.raises(ConfigurationError) as excinfo:
+        expand_campaign(
+            {
+                "segments": 2,
+                "grid": {"benchmarks": ["astar"], "monitors": ["memleak"]},
+            }
+        )
+    message = str(excinfo.value)
+    assert "segments" in message
+    assert "valid keys: name, settings, grid, specs" in message
+
+
+def _run_with_segments_flag():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "-n", "1500", "--segments", "2"])
+    assert excinfo.value.code not in (0, None)
+
+
+@pytest.mark.parametrize(
+    "attempt", [_campaign_with_segments_key, _run_with_segments_flag]
+)
+def test_removed_segment_inputs_fail_loudly(attempt):
+    """Segmented execution is gone: its campaign key and CLI flag are
+    rejected at the boundary, never silently ignored."""
+    attempt()

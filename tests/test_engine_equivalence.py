@@ -383,113 +383,3 @@ def test_checkpoints_mid_run_restore_and_finish(config_kwargs):
         resumed = _fresh_sim("event", **config_kwargs)
         resumed.restore(state)
         assert resumed.run().to_dict() == finals["naive"]
-
-
-@pytest.mark.parametrize("config_kwargs", SYNC_CONFIGS)
-def test_run_segment_pauses_restores_and_finishes(config_kwargs):
-    """``run_segment`` pauses the event loop at a plan boundary with its
-    locals flushed: the paused state equals the naive stepper's, and a
-    fresh simulation restored from it finishes bit-identical.  A callback
-    checkpoint firing inside the same segment must not disturb the pause."""
-    reference = _fresh_sim("naive", **config_kwargs).run().to_dict()
-    plan_len = len(cached_trace("gcc").items)
-    for boundary in (plan_len // 3, plan_len // 2, (3 * plan_len) // 4):
-        paused = {}
-        for engine in ENGINES:
-            sim = _fresh_sim(engine, **config_kwargs)
-            sim.configure_checkpoints(150, lambda running: running.snapshot())
-            assert sim.run_segment(boundary) is None
-            assert sim._app_index >= boundary
-            state = sim.snapshot()
-            paused[engine] = {**state, "engine": None}
-            resumed = _fresh_sim(engine, **config_kwargs)
-            resumed.restore(state)
-            assert resumed.run().to_dict() == reference
-        assert paused["event"] == paused["naive"]
-
-
-class TestSegmentedStitching:
-    """Segmented execution (repro.api.segments) must stitch to results
-    bit-identical to the monolithic run, per engine, across the edge
-    geometries: warmed runs, single-instruction segments, K far beyond the
-    trace length, and a cycle limit that trips mid-segment."""
-
-    def _spec(self, engine, n=1500, warmup=0.5, max_cycles=None):
-        from repro.api import ExperimentSettings, RunSpec
-
-        config_kwargs = {"engine": engine}
-        if max_cycles is not None:
-            config_kwargs["max_cycles"] = max_cycles
-        return RunSpec(
-            "astar",
-            "addrcheck",
-            SystemConfig(**config_kwargs),
-            ExperimentSettings(
-                num_instructions=n, seed=11, warmup_fraction=warmup
-            ),
-        )
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("segments", (2, 3, 7))
-    def test_segmented_matches_monolithic(self, engine, segments):
-        from repro.api.cache import RunnerCache
-        from repro.api.runner import execute_spec
-        from repro.api.segments import run_segmented
-
-        cache = RunnerCache()
-        spec = self._spec(engine)
-        mono = execute_spec(spec, cache).to_dict()
-        seg = run_segmented(spec, cache, segments=segments)
-        assert seg.to_dict() == mono
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_more_segments_than_instructions(self, engine):
-        # K far beyond the timed instruction count degenerates to
-        # single-instruction segments (one seam per plan boundary), and
-        # must still stitch exactly.
-        from repro.api.cache import RunnerCache
-        from repro.api.runner import execute_spec
-        from repro.api.segments import run_segmented
-
-        cache = RunnerCache()
-        spec = self._spec(engine, n=120, warmup=0.0)
-        mono = execute_spec(spec, cache).to_dict()
-        seg = run_segmented(spec, cache, segments=10_000)
-        assert seg.to_dict() == mono
-
-    def test_unwarmed_run_segments(self):
-        from repro.api.cache import RunnerCache
-        from repro.api.runner import execute_spec
-        from repro.api.segments import run_segmented
-
-        cache = RunnerCache()
-        spec = self._spec("event", warmup=0.0)
-        mono = execute_spec(spec, cache).to_dict()
-        assert run_segmented(spec, cache, segments=4).to_dict() == mono
-
-    def test_heavily_warmed_run_segments(self):
-        from repro.api.cache import RunnerCache
-        from repro.api.runner import execute_spec
-        from repro.api.segments import run_segmented
-
-        cache = RunnerCache()
-        spec = self._spec("event", warmup=0.9)
-        mono = execute_spec(spec, cache).to_dict()
-        assert run_segmented(spec, cache, segments=3).to_dict() == mono
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cycle_limit_trips_identically(self, engine):
-        # A cycle limit that the monolithic run trips must trip in the
-        # segmented run too — at the same cycle, regardless of which
-        # segment is executing when the budget runs out.
-        from repro.api.cache import RunnerCache
-        from repro.api.runner import execute_spec
-        from repro.api.segments import run_segmented
-
-        cache = RunnerCache()
-        spec = self._spec(engine, max_cycles=50)
-        with pytest.raises(SimulationError) as mono_error:
-            execute_spec(spec, cache)
-        with pytest.raises(SimulationError) as seg_error:
-            run_segmented(spec, cache, segments=3)
-        assert str(seg_error.value) == str(mono_error.value)

@@ -324,6 +324,27 @@ class TestServerEndToEnd:
         assert "warmup_fraction" in spec_events[0]["error"]
         assert instance.scheduler.stats()["computed"] == 0
 
+    @pytest.mark.parametrize(
+        "field, value", [("benchmark", "nosuch"), ("monitor", "nosuchmon")]
+    )
+    def test_unknown_name_is_an_error_event_not_a_stored_result(
+        self, server, field, value
+    ):
+        instance, address = server
+        bad = {**GRID[0].to_dict(), field: value}
+        raw = json.dumps({"specs": [bad]}).encode()
+        status, stream = ServiceClient(address)._request("POST", "/run", raw)
+        assert status == 200
+        with stream:
+            events = [json.loads(line) for line in stream if line.strip()]
+        spec_events = [e for e in events if e["event"] == "spec"]
+        assert spec_events[0]["status"] == "error"
+        assert f"RunSpec.{field}: unknown {field} {value!r}" in (
+            spec_events[0]["error"]
+        )
+        assert instance.scheduler.stats()["computed"] == 0
+        assert len(instance.store) == 0
+
     def test_non_finite_result_is_an_error_event(self, server, monkeypatch):
         instance, address = server
         reference = SerialRunner().run_one(GRID[0])
@@ -346,11 +367,17 @@ class TestServerEndToEnd:
 
     def test_run_specs_raises_on_error(self, server):
         _, address = server
-        from repro.api import RunSpec
+        from repro.api import register_monitor
+        from repro.monitors import MONITOR_REGISTRY
+        from repro.monitors.memleak import MemLeak
 
-        bad = RunSpec.from_dict(
-            {**GRID[0].to_dict(), "monitor": "no-such-monitor"}
-        )
+        # A client-side extension the server does not have: the spec is
+        # valid where it was built and rejected where it is run.
+        register_monitor("no-such-monitor", MemLeak)
+        try:
+            bad = GRID[0].replace(monitor="no-such-monitor")
+        finally:
+            MONITOR_REGISTRY.unregister("no-such-monitor")
         with pytest.raises(ServiceError, match="no-such-monitor"):
             ServiceClient(address).run_specs([bad])
 

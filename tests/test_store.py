@@ -381,7 +381,7 @@ class TestConcurrentWriters:
         )
 
 
-def _seam_writer(path, spec_json, rounds):
+def _checkpoint_writer(path, spec_json, rounds):
     """Repeatedly replace one checkpoint blob with a fresh valid payload
     from a separate process (the live worker gc must never race away)."""
     from repro.api import RunSpec as _RunSpec
@@ -446,7 +446,7 @@ class TestCompareAndDelete:
         store._backend.write(key, "torn{")
         context = multiprocessing.get_context("fork")
         writer = context.Process(
-            target=_seam_writer, args=(str(store_path), spec.to_json(), 80)
+            target=_checkpoint_writer, args=(str(store_path), spec.to_json(), 80)
         )
         writer.start()
         while writer.is_alive():

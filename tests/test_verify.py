@@ -117,9 +117,12 @@ class TestInlineProfileSpecs:
         assert result.instructions > 0
 
     def test_unregistered_name_without_profile_fails(self):
-        spec = RunSpec("fuzz/nowhere/0", "memleak", SystemConfig(), TINY)
+        # The spec itself is rejected, before anything executes.
         with pytest.raises(ConfigurationError):
-            execute_spec(spec, RunnerCache())
+            execute_spec(
+                RunSpec("fuzz/nowhere/0", "memleak", SystemConfig(), TINY),
+                RunnerCache(),
+            )
 
     def test_round_trips_into_fresh_interpreter(self, tmp_path):
         # The spawn-start concern, tested directly: a brand-new interpreter
