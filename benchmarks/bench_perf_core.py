@@ -31,7 +31,7 @@ regression check gates.
 
 Alongside the engine comparison the payload records the functional-work
 profile of a *cold* grid (packed-trace generation versus retire-schedule +
-delivery-plan building versus simulation, measured on a fresh runner) and
+kind-table building versus simulation, measured on a fresh runner) and
 the cold-versus-warm wall-clock of the same grid through a fresh
 content-addressed :class:`~repro.api.ResultStore` (the warm run serves
 every cell from disk and is checked bit-identical to the cold run).
@@ -123,9 +123,12 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
     """Event-vs-naive engine timing on the FADE-accelerated half of the
     fig9 grid — the cells the filter memo accelerates.
 
-    Traces, schedules and plans come from a shared cache and the functional
-    warmup runs untimed, so ``cycles_per_sec`` measures the simulation
-    engine loop itself.  Alongside the timings the payload records the
+    Traces, schedules and kind tables come from a shared cache and the
+    functional warmup runs untimed, so ``cycles_per_sec`` measures the
+    simulation engine loop itself.  Handler events are memoized on the
+    shared traces, so only the first leg's first round builds them inside
+    its timed loop, which best-of-rounds leaves out (with two or more
+    rounds).  Alongside the timings the payload records the
     filter-memo hit rates of the event engine (diagnostic: results are
     bit-identical either way, which is re-checked here).
     """
@@ -376,7 +379,7 @@ def _measure_parallel_grid(
 
 def _measure_functional_split(settings: ExperimentSettings) -> dict:
     """Cold fig9-grid profile on a fresh runner: packed-trace generation,
-    schedule + delivery-plan building, then simulation."""
+    schedule + kind-table building, then simulation."""
     specs = _fig9_specs("event", settings)
     runner = SerialRunner()
     start = time.perf_counter()

@@ -8,7 +8,8 @@ and parallel workers never share mutable state across processes.
 Below the in-memory LRUs sits the per-machine
 :class:`~repro.api.trace_store.TraceStore`: a trace or schedule missing
 from the LRU is loaded from disk when this machine has built it before,
-and written there after it is built.  Delivery plans stay in memory only.
+and written there after it is built.  Kind tables (the per-item delivery
+plans) stay in memory only: building one is a few byte-table passes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
 from repro.mem.hierarchy import HierarchyConfig
 from repro.monitors import MONITOR_REGISTRY, create_monitor
-from repro.system.simulator import DeliveryPlan, build_plan
+from repro.system.simulator import KindTable, build_plan
 from repro.workload.generator import generate_trace
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import get_profile
@@ -220,10 +221,10 @@ class RunnerCache:
         settings: ExperimentSettings,
         monitor_name: str,
         profile: Optional[BenchmarkProfile] = None,
-    ) -> DeliveryPlan:
-        """The delivery plan (per-trace-item work classification) for one
-        (benchmark, monitor) pair.  Plans hold only immutable event payloads,
-        so cells differing in system configuration share one plan.
+    ) -> KindTable:
+        """The kind table (one delivery kind per trace item) for one
+        (benchmark, monitor) pair.  It does not depend on the system
+        configuration, so cells differing only there share one table.
 
         The key includes the monitor's registered *factory* (not just its
         name), so re-registering a name with ``replace=True`` never serves a

@@ -133,8 +133,19 @@ class Fade:
         return self.fsq is not None and self.fsq.is_full
 
     def process_event(self, event: MonitoredEvent) -> EventOutcome:
-        """Filter one instruction event; updates statistics."""
-        outcome = self.pipeline.process(event)
+        """:meth:`process` for a :class:`MonitoredEvent` record."""
+        return self.process(
+            event.event_id, event.app_addr, event.src1_reg,
+            event.src2_reg, event.dest_reg, event.sequence,
+        )
+
+    def process(
+        self, event_id: int, addr: Optional[int], src1: Optional[int],
+        src2: Optional[int], dest: Optional[int], sequence: int,
+    ) -> EventOutcome:
+        """Filter one instruction event, given as its event-queue fields
+        (see :meth:`FilteringPipeline.process`); updates statistics."""
+        outcome = self.pipeline.process(event_id, addr, src1, src2, dest, sequence)
         self.stats.instruction_events += 1
         self.stats.busy_cycles += outcome.occupancy_cycles
         if outcome.tlb_miss:

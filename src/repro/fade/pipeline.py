@@ -33,7 +33,6 @@ from repro.fade.fsq import FilterStoreQueue
 from repro.fade.inv_rf import InvariantRegisterFile
 from repro.fade.md_cache import MetadataCache
 from repro.fade.update_logic import compute_update
-from repro.isa.events import MonitoredEvent
 from repro.metadata.shadow import (
     PAGE_SHIFT,
     PAGE_WORD_MASK,
@@ -208,13 +207,14 @@ class FilteringPipeline:
         return self.md_memory.read(address)
 
     def _operand_metadata(
-        self, entry: EventTableEntry, event: MonitoredEvent
+        self, entry: EventTableEntry, addr: Optional[int],
+        src1: Optional[int], src2: Optional[int], dest: Optional[int],
     ) -> Tuple[OperandMetadata, int, bool]:
         """Read the three operands' metadata; returns (values, cycles, tlb_miss).
 
         All memory operands of an instruction share the event's single
-        ``app_addr`` (one memory operand per instruction in the modelled
-        ISA), so at most one MD-cache access is made per event.
+        app address ``addr`` (one memory operand per instruction in the
+        modelled ISA), so at most one MD-cache access is made per event.
         """
         # Hot path (once per chain entry per event): the operand rules are
         # unpacked into locals and evaluated without inner closures.
@@ -229,11 +229,11 @@ class FilteringPipeline:
             or (s2_rule.valid and s2_rule.mem)
             or (d_rule.valid and d_rule.mem)
         )
-        if needs_memory and event.app_addr is not None:
-            access = self.md_cache.access(event.app_addr)
+        if needs_memory and addr is not None:
+            access = self.md_cache.access(addr)
             cycles += access.cycles
             tlb_miss = access.tlb_miss
-            memory_value = self._read_memory_metadata(event.app_addr)
+            memory_value = self._read_memory_metadata(addr)
 
         read_register = self.md_registers.read
         if not s1_rule.valid:
@@ -241,22 +241,19 @@ class FilteringPipeline:
         elif s1_rule.mem:
             s1 = memory_value
         else:
-            register = event.src1_reg
-            s1 = read_register(register) if register is not None else None
+            s1 = read_register(src1) if src1 is not None else None
         if not s2_rule.valid:
             s2 = None
         elif s2_rule.mem:
             s2 = memory_value
         else:
-            register = event.src2_reg
-            s2 = read_register(register) if register is not None else None
+            s2 = read_register(src2) if src2 is not None else None
         if not d_rule.valid:
             d = None
         elif d_rule.mem:
             d = memory_value
         else:
-            register = event.dest_reg
-            d = read_register(register) if register is not None else None
+            d = read_register(dest) if dest is not None else None
         return OperandMetadata(s1=s1, s2=s2, d=d), cycles, tlb_miss
 
     # ----------------------------------------------------------------- memo
@@ -314,16 +311,18 @@ class FilteringPipeline:
         key: tuple,
         value_key: Optional[tuple],
         profile: Optional[_ChainProfile],
-        event: MonitoredEvent,
         outcome: EventOutcome,
         comparisons: int,
         forwarded: bool,
     ) -> None:
         """Cache a filtered outcome at both memo levels (the walk performed
-        no writes, so the generations captured now equal those it read)."""
+        no writes, so the generations captured now equal those it read).
+        ``key`` is the generation key ``(event id, src1, src2, dest,
+        word)`` built by :meth:`process`."""
+        event_id, src1, src2, dest, word = key
         if profile is None:
-            profile = self._chain_profile(event.event_id)
-        if event.app_addr is not None:
+            profile = self._chain_profile(event_id)
+        if word is not None:
             mem_reads = profile.mem_entries
             plain = profile.plain_entries
         else:
@@ -335,7 +334,7 @@ class FilteringPipeline:
             gens = self._reg_gens
             reg_gens = tuple(
                 (register, gens[register])
-                for register in (event.src1_reg, event.src2_reg, event.dest_reg)
+                for register in (src1, src2, dest)
                 if register is not None
             )
         word_gen = -1
@@ -343,7 +342,6 @@ class FilteringPipeline:
         fsq_gen = -1
         fsq_hits = 0
         if mem_reads:
-            word = key[4]
             word_gen = self._mem_word_gens.get(word, 0)
             mem_epoch = self.md_memory.bulk_epoch
             if self.non_blocking and self.fsq is not None:
@@ -370,8 +368,16 @@ class FilteringPipeline:
 
     # --------------------------------------------------------------- evaluate
 
-    def process(self, event: MonitoredEvent) -> EventOutcome:
+    def process(
+        self, event_id: int, addr: Optional[int], src1: Optional[int],
+        src2: Optional[int], dest: Optional[int], sequence: int,
+    ) -> EventOutcome:
         """Push one instruction event through the pipeline.
+
+        The arguments are the event-queue entry's fields (Figure 6(a)):
+        event id, app address and the three operand registers (None where
+        absent), plus the event's sequence number, which tags the FSQ
+        entries of a Non-Blocking commit.
 
         Functionally evaluates the multi-shot chain (through the memo when a
         cached filtered decision is still valid), selects the handler for
@@ -380,11 +386,9 @@ class FilteringPipeline:
         """
         memo = self._memo
         if memo is None:
-            return self._process_inline(event)
+            return self._process_inline(event_id, addr, src1, src2, dest, sequence)
         table_gen = self.event_table.generation
-        addr = event.app_addr
         word = addr - addr % WORD_SIZE if addr is not None else None
-        event_id = event.event_id
         # First probe: the decision keyed on the metadata values read
         # (functional lookups only — MD-cache timing is never consulted to
         # *find* the decision, only replayed once it is known).  Value hits
@@ -398,22 +402,19 @@ class FilteringPipeline:
             # Direct functional reads (register bytes, the word's metadata
             # byte, the FSQ's per-word stack) — never the MD cache.
             reg_bytes = self._reg_bytes
-            register = event.src1_reg
             r1 = (
-                reg_bytes[register]
-                if profile.reads_s1_reg and register is not None
+                reg_bytes[src1]
+                if profile.reads_s1_reg and src1 is not None
                 else None
             )
-            register = event.src2_reg
             r2 = (
-                reg_bytes[register]
-                if profile.reads_s2_reg and register is not None
+                reg_bytes[src2]
+                if profile.reads_s2_reg and src2 is not None
                 else None
             )
-            register = event.dest_reg
             rd = (
-                reg_bytes[register]
-                if profile.reads_d_reg and register is not None
+                reg_bytes[dest]
+                if profile.reads_d_reg and dest is not None
                 else None
             )
             memory_value = None
@@ -469,13 +470,7 @@ class FilteringPipeline:
         # Second probe: the generation-keyed entry for this exact
         # (event id, operand registers, word) — it survives value-memo
         # eviction and skips even the functional value reads when it hits.
-        key = (
-            event_id,
-            event.src1_reg,
-            event.src2_reg,
-            event.dest_reg,
-            word,
-        )
+        key = (event_id, src1, src2, dest, word)
         entry = memo.get(key)
         if entry is not None:
             # Validation attributes the stale-entry class (coverage map);
@@ -530,10 +525,10 @@ class FilteringPipeline:
         if _COVERAGE.enabled:
             _COVERAGE.hit("memo.miss")
         comparisons_before = self.filter_logic.comparisons
-        outcome = self._process_inline(event)
+        outcome = self._process_inline(event_id, addr, src1, src2, dest, sequence)
         if outcome.filtered:
             self._memoize(
-                key, value_key, profile, event, outcome,
+                key, value_key, profile, outcome,
                 self.filter_logic.comparisons - comparisons_before,
                 forwarded,
             )
@@ -543,9 +538,12 @@ class FilteringPipeline:
                 _COVERAGE.hit("memo.unfiltered")
         return outcome
 
-    def _process_inline(self, event: MonitoredEvent) -> EventOutcome:
+    def _process_inline(
+        self, event_id: int, addr: Optional[int], src1: Optional[int],
+        src2: Optional[int], dest: Optional[int], sequence: int,
+    ) -> EventOutcome:
         """The reference chain walk (memo misses and unfiltered events)."""
-        head = self.event_table.lookup(event.event_id)
+        head = self.event_table.lookup(event_id)
         if head is None:
             # Unprogrammed event: always software (the monitor asked for the
             # event but provided no filtering rules).
@@ -559,7 +557,7 @@ class FilteringPipeline:
                 md_update=None,
             )
 
-        chain = self.event_table.chain(event.event_id)
+        chain = self.event_table.chain(event_id)
         filtered = True
         has_real_check = False
         partial_entry: Optional[EventTableEntry] = None
@@ -569,7 +567,9 @@ class FilteringPipeline:
         first_metadata: Optional[OperandMetadata] = None
 
         for _, entry in chain:
-            metadata, cycles, tlb_miss = self._operand_metadata(entry, event)
+            metadata, cycles, tlb_miss = self._operand_metadata(
+                entry, addr, src1, src2, dest
+            )
             if first_metadata is None:
                 first_metadata = metadata
             total_cycles += max(1, cycles)  # One pipeline slot per check.
@@ -603,7 +603,9 @@ class FilteringPipeline:
         )
         md_update = None
         if self.non_blocking:
-            md_update = self._commit_update(chain[0][1], event, first_metadata)
+            md_update = self._commit_update(
+                chain[0][1], addr, dest, sequence, first_metadata
+            )
         return EventOutcome(
             filtered=False,
             handler_kind=handler_kind,
@@ -637,10 +639,8 @@ class FilteringPipeline:
         return HandlerKind.FULL, partial_entry.handler_pc
 
     def _commit_update(
-        self,
-        entry: EventTableEntry,
-        event: MonitoredEvent,
-        metadata: Optional[OperandMetadata],
+        self, entry: EventTableEntry, addr: Optional[int], dest: Optional[int],
+        sequence: int, metadata: Optional[OperandMetadata],
     ) -> Optional[Tuple[str, int, int]]:
         """Metadata Write stage: apply the Non-Blocking critical update."""
         if metadata is None or not entry.update.is_active:
@@ -651,14 +651,14 @@ class FilteringPipeline:
         if new_value is None:
             return None
         if entry.d.valid and entry.d.mem:
-            if event.app_addr is None:
+            if addr is None:
                 return None
-            word = ShadowMemory.word_address(event.app_addr)
+            word = ShadowMemory.word_address(addr)
             if self.fsq is not None:
-                self.fsq.insert(word, new_value, event.sequence)
+                self.fsq.insert(word, new_value, sequence)
             self.md_memory.write(word, new_value)
             return ("mem", word, new_value)
-        if entry.d.valid and event.dest_reg is not None:
-            self.md_registers.write(event.dest_reg, new_value)
-            return ("reg", event.dest_reg, new_value)
+        if entry.d.valid and dest is not None:
+            self.md_registers.write(dest, new_value)
+            return ("reg", dest, new_value)
         return None

@@ -33,19 +33,16 @@ Two engines execute these semantics (``SystemConfig.engine``):
 
 from __future__ import annotations
 
-import enum
 import math
+import re
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.common.errors import SimulationError
 from repro.cores.base import CORE_PARAMETERS
 from repro.cores.retire import RetireModel
 from repro.fade.accelerator import Fade, FadeConfig
 from repro.fade.pipeline import HandlerKind, force_inline_filtering
-from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass, event_id_for, known_event_ids
 from repro.monitors.base import HandlerClass, Monitor
 from repro.queues.bounded import BoundedQueue
 from repro.system.config import SystemConfig
@@ -53,15 +50,20 @@ from repro.system.results import RunResult
 from repro.verify.coverage import COVERAGE as _COVERAGE
 from repro.workload.packed import (
     DEST_SHIFT,
+    EVENT_ID_BY_SHAPE,
     KIND_INSTRUCTION,
+    MEMORY_SLOT,
     OP_CLASSES,
-    OPERAND_MEMORY,
     OPERAND_REGISTER,
     SRC2_SHIFT,
+    STACK_OP_BY_CODE,
     PackedTrace,
+    build_event,
+    event_fields,
+    pack_trace,
 )
 from repro.workload.profile import BenchmarkProfile
-from repro.workload.trace import HighLevelEvent, Trace
+from repro.workload.trace import Trace
 
 #: Horizon sentinel: quiet until some *other* agent acts (the actual jump is
 #: always additionally capped by ``SystemConfig.max_cycles``).
@@ -70,251 +72,87 @@ _NEVER = 1 << 62
 #: Layout version of :meth:`MonitoringSimulation.snapshot` payloads.  Bump on
 #: any change to what is captured or how it is encoded; ``restore`` refuses
 #: mismatched versions (the checkpoint layer degrades that to a cold rerun).
-SIM_STATE_VERSION = 2
+SIM_STATE_VERSION = 3
+
+#: Plan kind codes, one per trace item: what the item delivers when it
+#: retires.
+SKIP = 0
+INSTRUCTION_EVENT = 1
+STACK_UPDATE = 2
+HIGH_LEVEL = 3
+
+_NONZERO = re.compile(b"[^\x00]")
 
 
-class _ItemKind(enum.Enum):
-    INSTRUCTION_EVENT = "event"
-    STACK_UPDATE = "stack"
-    HIGH_LEVEL = "high-level"
+class KindTable(NamedTuple):
+    """The delivery plan of one (trace, monitor): one kind code per trace
+    item (:data:`SKIP`, :data:`INSTRUCTION_EVENT`, :data:`STACK_UPDATE`,
+    :data:`HIGH_LEVEL`) plus the three counts.
+
+    Monitor-specific but independent of the system configuration, so the
+    runner layer shares one per (benchmark, settings, monitor)."""
+
+    kinds: bytes
+    monitored: int
+    stack_updates: int
+    high_level: int
 
 
-class _WorkItem:
-    """One unit of monitor-software work.
-
-    Slotted and with its event sequence precomputed: one is allocated per
-    monitored event, on the simulator's hottest path.
-    """
-
-    __slots__ = ("kind", "payload", "handler_kind", "sequence")
-
-    def __init__(
-        self,
-        kind: _ItemKind,
-        payload: Union[MonitoredEvent, HighLevelEvent],
-        handler_kind: HandlerKind = HandlerKind.FULL,
-    ) -> None:
-        self.kind = kind
-        self.payload = payload
-        self.handler_kind = handler_kind
-        self.sequence = (
-            payload.sequence if isinstance(payload, MonitoredEvent) else -1
-        )
+def as_packed(trace: Trace) -> PackedTrace:
+    """``trace`` itself if packed, else its :func:`pack_trace` columns."""
+    return trace if isinstance(trace, PackedTrace) else pack_trace(trace)
 
 
-class DeliveryPlan:
-    """Precomputed per-trace-item delivery plan for one (trace, monitor).
+def build_plan(trace: Trace, monitor: Monitor) -> KindTable:
+    """Classify every trace item for ``monitor``, from the packed columns.
 
-    ``items[i]`` is the :class:`_WorkItem` delivered when trace item ``i``
-    retires (None when the monitor ignores it).  Every payload is immutable,
-    so a plan may be shared between runs — the runner layer caches plans
-    per (benchmark, settings, monitor name).
-    """
-
-    __slots__ = ("items", "monitored", "stack_updates", "high_level")
-
-    def __init__(
-        self,
-        items: List[Optional[_WorkItem]],
-        monitored: int,
-        stack_updates: int,
-        high_level: int,
-    ) -> None:
-        self.items = items
-        self.monitored = monitored
-        self.stack_updates = stack_updates
-        self.high_level = high_level
-
-
-def _event_id(op_code: int, flags: int) -> int:
-    """``event_id_for`` of a packed instruction (raises ``KeyError`` for a
-    shape outside the modelled subset, like the object path)."""
-    num_sources = (1 if flags & 3 else 0) + (1 if (flags >> SRC2_SHIFT) & 3 else 0)
-    return event_id_for(OP_CLASSES[op_code], num_sources)
-
-
-#: Stack-update direction per packed op code (None for non-stack ops).
-_STACK_OP_BY_CODE: Tuple[Optional[StackOp], ...] = tuple(
-    StackOp.CALL if op is OpClass.CALL
-    else StackOp.RETURN if op is OpClass.RETURN
-    else None
-    for op in OP_CLASSES
-)
-
-#: Event id per packed instruction shape, indexed by
-#: ``op_code << 4 | (flags & 15)`` (the low nibble holds both source kinds);
-#: None where the (op class, source count) pair has no event id.
-_EVENT_ID_BY_SHAPE: Tuple[Optional[int], ...] = tuple(
-    known_event_ids().get(
-        (
-            OP_CLASSES[shape >> 4],
-            (1 if shape & 3 else 0) + (1 if (shape >> SRC2_SHIFT) & 3 else 0),
-        )
+    The stock ``wants`` predicate depends only on the op class (plus the
+    declared ``wants_memory_below`` bound), so it is one byte translation
+    of the op column; high-level rows are patched in afterwards.  A monitor
+    that overrides ``wants`` is asked about each instruction item."""
+    trace = as_packed(trace)
+    op_bytes = bytes(trace.column("op"))
+    kind_bytes = bytes(trace.column("kind"))
+    if type(monitor).wants is Monitor.wants:
+        wanted = bytes(
+            (STACK_UPDATE if monitor.monitors_stack_updates else SKIP)
+            if op.is_stack_op
+            else INSTRUCTION_EVENT if op in monitor.monitored_op_classes
+            else SKIP
+            for op in OP_CLASSES
+        ).ljust(256, b"\0")
+        kinds = bytearray(op_bytes.translate(wanted))
+        below = monitor.wants_memory_below
+        if below is not None:
+            # The app-address part of ``event_fields`` (high-level rows
+            # have no memory slot).
+            slots = bytes(trace.column("flags")).translate(bytes(MEMORY_SLOT))
+            lists = trace.column_lists()
+            for match in re.finditer(b"\x01", kinds):
+                index = match.start()
+                slot = slots[index]
+                if not slot or lists[slot][index] >= below:
+                    kinds[index] = SKIP
+    else:
+        wants = monitor.wants
+        items = trace.items
+        kinds = bytearray(len(trace))
+        for index, (kind, op_code) in enumerate(zip(kind_bytes, op_bytes)):
+            if kind == KIND_INSTRUCTION and wants(items[index]):
+                kinds[index] = (
+                    INSTRUCTION_EVENT
+                    if STACK_OP_BY_CODE[op_code] is None
+                    else STACK_UPDATE
+                )
+    # High-level rows: their op byte is a register, not an op code.
+    for match in _NONZERO.finditer(kind_bytes):
+        kinds[match.start()] = HIGH_LEVEL
+    return KindTable(
+        bytes(kinds),
+        kinds.count(INSTRUCTION_EVENT),
+        kinds.count(STACK_UPDATE),
+        kinds.count(HIGH_LEVEL),
     )
-    for shape in range(len(OP_CLASSES) << 4)
-)
-
-
-def build_plan(trace: Trace, monitor: Monitor) -> DeliveryPlan:
-    """Classify every trace item into its delivery plan entry (hot: one
-    pass per (trace, monitor), so the per-item lookups are hoisted).
-
-    Packed traces whose monitor uses the stock ``wants`` predicate are
-    classified straight from the columns — no per-item ``Instruction``
-    materialisation (tested bit-identical against the object path)."""
-    if isinstance(trace, PackedTrace) and type(monitor).wants is Monitor.wants:
-        return _build_plan_packed(trace, monitor)
-    items: List[Optional[_WorkItem]] = []
-    append = items.append
-    wants = monitor.wants
-    from_instruction = MonitoredEvent.from_instruction
-    instruction_event = _ItemKind.INSTRUCTION_EVENT
-    stack_update = _ItemKind.STACK_UPDATE
-    monitored = 0
-    stack_events = 0
-    high_level = 0
-    for index, item in enumerate(trace):
-        if isinstance(item, Instruction):
-            if wants(item):
-                event = from_instruction(item, sequence=index)
-                if event.is_stack_update:
-                    stack_events += 1
-                    append(_WorkItem(stack_update, event))
-                else:
-                    monitored += 1
-                    append(_WorkItem(instruction_event, event))
-            else:
-                append(None)
-        else:
-            high_level += 1
-            append(_WorkItem(_ItemKind.HIGH_LEVEL, item))
-    return DeliveryPlan(items, monitored, stack_events, high_level)
-
-
-def _build_plan_packed(trace: PackedTrace, monitor: Monitor) -> DeliveryPlan:
-    """Column fast path of :func:`build_plan`.
-
-    Builds the exact :class:`MonitoredEvent` payloads that
-    ``MonitoredEvent.from_instruction`` would produce, directly from the
-    packed columns; high-level payloads come from the trace's lazy item view
-    (shared with any other consumer of the same trace).
-
-    Event payloads are monitor-independent (the monitor only decides *which*
-    items produce one), so they are memoised on the trace: the five paper
-    monitors mostly want overlapping op classes, and grid cells sharing a
-    benchmark construct each event once.
-    """
-    # monitor.wants depends only on the op class for the stock predicate, so
-    # it collapses to one boolean per packed op code.
-    wanted = tuple(
-        (monitor.monitors_stack_updates if op.is_stack_op else
-         op in monitor.monitored_op_classes)
-        for op in OP_CLASSES
-    )
-    items: List[Optional[_WorkItem]] = []
-    append = items.append
-    instruction_event = _ItemKind.INSTRUCTION_EVENT
-    stack_update_kind = _ItemKind.STACK_UPDATE
-    high_level_kind = _ItemKind.HIGH_LEVEL
-    monitored = 0
-    stack_events = 0
-    high_level = 0
-
-    f0, f1, f2, f3, f4, f5, kind_column, op_column, flags_column, _ = (
-        trace.column_lists()
-    )
-    view = trace.items
-    register_kind = OPERAND_REGISTER
-    memory_kind = OPERAND_MEMORY
-    memory_below = monitor.wants_memory_below
-    full_handler = HandlerKind.FULL
-    new_item = _WorkItem.__new__
-    new_tuple = tuple.__new__
-    event_type = MonitoredEvent
-    stack_op_by_code = _STACK_OP_BY_CODE
-    event_ids = _EVENT_ID_BY_SHAPE
-
-    # Monitor-independent payload memo, one slot per trace item.
-    events = getattr(trace, "_plan_event_cache", None)
-    if events is None:
-        events = [None] * len(trace)
-        trace._plan_event_cache = events
-
-    for index, kind, op_code, flags in zip(
-        range(len(trace)), kind_column, op_column, flags_column
-    ):
-        if kind != KIND_INSTRUCTION:
-            high_level += 1
-            append(_WorkItem(high_level_kind, view[index]))
-            continue
-        if not wanted[op_code]:
-            append(None)
-            continue
-        stack_op = stack_op_by_code[op_code]
-        if stack_op is not None:
-            stack_events += 1
-            event = events[index]
-            if event is None:
-                event = new_tuple(event_type, (
-                    _event_id(op_code, flags),
-                    f0[index],
-                    None,
-                    None,
-                    None,
-                    None,
-                    StackUpdate(
-                        op=stack_op, frame_base=f4[index], frame_size=f5[index]
-                    ),
-                    index,
-                ))
-                events[index] = event
-            item = new_item(_WorkItem)
-            item.kind = stack_update_kind
-            item.payload = event
-            item.handler_kind = full_handler
-            item.sequence = index
-            append(item)
-            continue
-        src1_kind = flags & 3
-        src2_kind = (flags >> SRC2_SHIFT) & 3
-        dest_kind = (flags >> DEST_SHIFT) & 3
-        if src1_kind == memory_kind:
-            app_addr = f1[index]
-        elif src2_kind == memory_kind:
-            app_addr = f2[index]
-        elif dest_kind == memory_kind:
-            app_addr = f3[index]
-        else:
-            app_addr = None
-        if memory_below is not None and (
-            app_addr is None or app_addr >= memory_below
-        ):
-            append(None)
-            continue
-        monitored += 1
-        event = events[index]
-        if event is None:
-            event_id = event_ids[(op_code << 4) | (flags & 15)]
-            if event_id is None:
-                event_id = _event_id(op_code, flags)
-            event = new_tuple(event_type, (
-                event_id,
-                f0[index],
-                app_addr,
-                f1[index] if src1_kind == register_kind else None,
-                f2[index] if src2_kind == register_kind else None,
-                f3[index] if dest_kind == register_kind else None,
-                None,
-                index,
-            ))
-            events[index] = event
-        item = new_item(_WorkItem)
-        item.kind = instruction_event
-        item.payload = event
-        item.handler_kind = full_handler
-        item.sequence = index
-        append(item)
-    return DeliveryPlan(items, monitored, stack_events, high_level)
 
 
 class MonitoringSimulation:
@@ -328,16 +166,18 @@ class MonitoringSimulation:
         profile: Optional[BenchmarkProfile] = None,
         warmup_items: int = 0,
         schedule: Optional[Sequence[float]] = None,
-        plan: Optional[DeliveryPlan] = None,
+        plan: Optional[KindTable] = None,
     ) -> None:
         """``warmup_items`` leading trace items are applied functionally at
         zero cost before timing starts — the analogue of the paper's SMARTS
         checkpoints with warmed caches and metadata (Section 6).
 
         ``schedule`` and ``plan`` optionally supply the precomputed
-        unobstructed retirement schedule and delivery plan (the runner layer
+        unobstructed retirement schedule and kind table (the runner layer
         caches both across grid cells); when omitted they are computed here.
+        An object trace is packed once, here: the simulation reads columns.
         """
+        trace = as_packed(trace)
         self.trace = trace
         self.monitor = monitor
         self.config = config
@@ -417,8 +257,8 @@ class MonitoringSimulation:
 
         if plan is None:
             plan = build_plan(trace, monitor)
-        self._plan = plan.items
-        self._plan_len = len(plan.items)
+        self._kinds = plan.kinds
+        self._plan_len = len(plan.kinds)
 
         self.result = RunResult(
             benchmark=trace.name,
@@ -454,7 +294,9 @@ class MonitoringSimulation:
         self._progress_base = 0.0
         self._progress_halves = 0
         self._app_blocked = False
-        self._monitor_item: Optional[_WorkItem] = None
+        # Queue entries and the monitor's current item are trace indices;
+        # an unfiltered event whose handler is SHORT travels as ``~index``.
+        self._monitor_item: Optional[int] = None
         self._monitor_remaining = 0  # Integer handler-cost units.
         self._fade_ready_at = 0
         self._fade_wait_seq: Optional[int] = None
@@ -482,43 +324,62 @@ class MonitoringSimulation:
             return
         fade = self.fade
         monitor = self.monitor
-        plan = self._plan
-        instruction_event = _ItemKind.INSTRUCTION_EVENT
-        stack_kind = _ItemKind.STACK_UPDATE
-        # Packed traces count instructions with a column scan; object traces
-        # with an isinstance pass — no materialisation either way.
-        instructions_warmed = self.trace.count_instructions(0, count)
-        monitored = stack = high = 0
+        trace = self.trace
+        kinds = self._kinds
+        events = trace.events
+        items = trace.items
+        lists = trace.column_lists()
+        f1, f2, f3 = lists[1:4]
+        op_column, flags_column = lists[7:9]
+        event_ids = EVENT_ID_BY_SHAPE
+        memory_slot = MEMORY_SLOT
+        register = OPERAND_REGISTER
+        handle_event = monitor.handle_event
+        handler_kind = HandlerKind.FULL
+        if fade is not None:
+            process = fade.process
+            handler_completed = fade.handler_completed
         for index in range(count):
-            item = plan[index]
-            if item is None:
+            kind = kinds[index]
+            if kind == SKIP:
                 continue
-            if item.kind is instruction_event:
-                monitored += 1
+            if kind == INSTRUCTION_EVENT:
                 if fade is not None:
-                    outcome = fade.process_event(item.payload)
-                    kind = outcome.handler_kind
-                    if not outcome.filtered:
-                        monitor.handle_event(item.payload, kind)
-                        fade.handler_completed(item.payload.sequence)
-                else:
-                    monitor.handle_event(item.payload)
-            elif item.kind is stack_kind:
-                stack += 1
-                update = item.payload.stack_update
+                    # ``event_fields(lists, index)``, inlined.
+                    flags = flags_column[index]
+                    slot = memory_slot[flags]
+                    outcome = process(
+                        event_ids[(op_column[index] << 4) | (flags & 15)],
+                        lists[slot][index] if slot else None,
+                        f1[index] if flags & 3 == register else None,
+                        f2[index] if (flags >> SRC2_SHIFT) & 3 == register else None,
+                        f3[index] if (flags >> DEST_SHIFT) & 3 == register else None,
+                        index,
+                    )
+                    if outcome.filtered:
+                        continue
+                    handler_kind = outcome.handler_kind
+                event = events[index]
+                if event is None:
+                    event = events[index] = build_event(lists, index)
+                handle_event(event, handler_kind)
+                if fade is not None:
+                    handler_completed(index)
+            elif kind == STACK_UPDATE:
+                update = trace.event(index).stack_update
                 if fade is not None and fade.suu is not None:
                     fade.process_stack_update(update)
                     monitor.on_suu_stack_update(update)
                 else:
                     monitor.handle_stack_update(update)
             else:
-                high += 1
+                event = items[index]
                 if fade is not None:
                     for inv_id, value in monitor.runtime_invariant_updates(
-                        item.payload
+                        event
                     ):
                         fade.write_invariant(inv_id, value)
-                monitor.handle_high_level(item.payload)
+                monitor.handle_high_level(event)
         # Reset statistics gathered during warmup.
         monitor.reports.clear()
         if fade is not None:
@@ -528,10 +389,10 @@ class MonitoringSimulation:
         self._progress_halves = 0
         self._timed_started_at = self._schedule[count - 1]
         # Report only the timed region's counts.
-        self.result.instructions -= instructions_warmed
-        self.result.monitored_events -= monitored
-        self.result.stack_update_events -= stack
-        self.result.high_level_events -= high
+        self.result.instructions -= trace.count_instructions(0, count)
+        self.result.monitored_events -= kinds.count(INSTRUCTION_EVENT, 0, count)
+        self.result.stack_update_events -= kinds.count(STACK_UPDATE, 0, count)
+        self.result.high_level_events -= kinds.count(HIGH_LEVEL, 0, count)
         self.result.baseline_cycles = self._schedule[-1] - self._timed_started_at
 
     def run(self) -> RunResult:
@@ -646,8 +507,18 @@ class MonitoringSimulation:
         result = self.result
         breakdown = self._breakdown
         schedule = self._schedule
-        plan = self._plan
+        kinds = self._kinds
         plan_len = self._plan_len
+        trace = self.trace
+        events = trace.events  # The trace's memo of built events.
+        items = trace.items
+        lists = trace.column_lists()
+        # Columns for the inlined ``event_fields`` decode.
+        f1, f2, f3 = lists[1:4]
+        op_column, flags_column = lists[7:9]
+        event_ids = EVENT_ID_BY_SHAPE
+        memory_slot = MEMORY_SLOT
+        register = OPERAND_REGISTER
         smt = self._smt
         sample = self._sample
         split = self._split_queues
@@ -669,17 +540,23 @@ class MonitoringSimulation:
         handle_event = monitor.handle_event
         handle_stack_update = monitor.handle_stack_update
         handle_high_level = monitor.handle_high_level
-        instruction_kind = _ItemKind.INSTRUCTION_EVENT
-        stack_kind = _ItemKind.STACK_UPDATE
-        high_level_kind = _ItemKind.HIGH_LEVEL
+        instruction_kind = INSTRUCTION_EVENT
+        stack_kind = STACK_UPDATE
+        high_level_kind = HIGH_LEVEL
+        full_handler = HandlerKind.FULL
+        short_handler = HandlerKind.SHORT
         filterable = (HandlerClass.CLEAN_CHECK, HandlerClass.REDUNDANT_UPDATE)
         # Unaccelerated runs retire stack updates a monitor does not take
         # without queueing them (``_try_deliver``).
-        skip_stack = fade is None and not monitor.monitors_stack_updates
+        skip_kind = (
+            stack_kind
+            if fade is None and not monitor.monitors_stack_updates
+            else SKIP
+        )
         covering = _COVERAGE.enabled
         hit = _COVERAGE.hit
         if fade is not None:
-            process_event = fade.process_event
+            process = fade.process
             process_stack_update = fade.process_stack_update
             handler_completed = fade.handler_completed
             write_invariant = fade.write_invariant
@@ -750,11 +627,11 @@ class MonitoringSimulation:
                         if not wq and mon_item is None:
                             quiet = 0
                     elif eq:
-                        kind = eq[0].kind
-                        if kind is stack_kind:
+                        kind = kinds[eq[0]]
+                        if kind == stack_kind:
                             quiet = 0  # Starts draining or runs the SUU.
                         elif wq_capacity is None or len(wq) < wq_capacity:
-                            if kind is high_level_kind or not fade.fsq_full:
+                            if kind == high_level_kind or not fade.fsq_full:
                                 quiet = 0  # Dequeues this cycle.
                 if quiet and app_index < plan_len:
                     if app_blocked:
@@ -827,23 +704,32 @@ class MonitoringSimulation:
                             # Dispatch: functional effects apply here.
                             mon_item = wq.popleft()
                             wq_stats.dequeued += 1
-                            kind = mon_item.kind
-                            if kind is instruction_kind:
-                                outcome = handle_event(
-                                    mon_item.payload, mon_item.handler_kind
-                                )
-                            elif kind is stack_kind:
-                                outcome = handle_stack_update(
-                                    mon_item.payload.stack_update
-                                )
+                            if mon_item < 0:
+                                mon_item = ~mon_item
+                                handler_kind = short_handler
                             else:
-                                outcome = handle_high_level(mon_item.payload)
+                                handler_kind = full_handler
+                            kind = kinds[mon_item]
+                            if kind != high_level_kind:
+                                event = events[mon_item]
+                                if event is None:
+                                    event = events[mon_item] = build_event(
+                                        lists, mon_item
+                                    )
+                                if kind == instruction_kind:
+                                    outcome = handle_event(event, handler_kind)
+                                else:
+                                    outcome = handle_stack_update(
+                                        event.stack_update
+                                    )
+                            else:
+                                outcome = handle_high_level(items[mon_item])
                             handler_class = outcome.handler_class
                             handler_totals[handler_class] = (
                                 handler_totals.get(handler_class, 0.0) + outcome.cost
                             )
                             handlers += 1
-                            if fade is None and kind is instruction_kind:
+                            if fade is None and kind == instruction_kind:
                                 track_filtering(handler_class in filterable)
                             mon_rem = int(outcome.cost) * unit_scale
                         take = mon_rem if mon_rem < budget else budget
@@ -851,13 +737,15 @@ class MonitoringSimulation:
                         budget -= take
                         if mon_rem <= 0:
                             # Completion.
-                            done_item = mon_item
+                            if (
+                                fade is not None
+                                and kinds[mon_item] == instruction_kind
+                            ):
+                                handler_completed(mon_item)
+                                if wait_seq == mon_item:
+                                    wait_seq = None
                             mon_item = None
                             mon_rem = 0
-                            if fade is not None and done_item.kind is instruction_kind:
-                                handler_completed(done_item.sequence)
-                                if wait_seq == done_item.sequence:
-                                    wait_seq = None
                     busy_cycles += 1
                     monitor_busy = mon_item is not None or bool(wq)
 
@@ -874,8 +762,8 @@ class MonitoringSimulation:
                     elif eq:
                         draining = False
                         item = eq[0]
-                        kind = item.kind
-                        if kind is stack_kind:
+                        kind = kinds[item]
+                        if kind == stack_kind:
                             # Section 5.2: drain the unfiltered queue first.
                             if stack_update_drain and (wq or mon_item is not None):
                                 draining = True
@@ -885,7 +773,12 @@ class MonitoringSimulation:
                             else:
                                 eq.popleft()
                                 eq_stats.dequeued += 1
-                                update = item.payload.stack_update
+                                event = events[item]
+                                if event is None:
+                                    event = events[item] = build_event(
+                                        lists, item
+                                    )
+                                update = event.stack_update
                                 cycles = process_stack_update(update)
                                 on_suu_stack_update(update)
                                 ready_at = now + cycles
@@ -894,11 +787,11 @@ class MonitoringSimulation:
                         elif wq_capacity is not None and len(wq) >= wq_capacity:
                             if covering:
                                 hit("stall.wq_full")
-                        elif kind is high_level_kind:
+                        elif kind == high_level_kind:
                             eq.popleft()
                             eq_stats.dequeued += 1
                             for inv_id, value in runtime_invariant_updates(
-                                item.payload
+                                items[item]
                             ):
                                 write_invariant(inv_id, value)
                             wq.append(item)
@@ -914,8 +807,17 @@ class MonitoringSimulation:
                         else:
                             eq.popleft()
                             eq_stats.dequeued += 1
-                            event = item.payload
-                            outcome = process_event(event)
+                            # ``event_fields(lists, item)``, inlined.
+                            flags = flags_column[item]
+                            slot = memory_slot[flags]
+                            outcome = process(
+                                event_ids[(op_column[item] << 4) | (flags & 15)],
+                                lists[slot][item] if slot else None,
+                                f1[item] if flags & 3 == register else None,
+                                f2[item] if (flags >> SRC2_SHIFT) & 3 == register else None,
+                                f3[item] if (flags >> DEST_SHIFT) & 3 == register else None,
+                                item,
+                            )
                             busy = outcome.occupancy_cycles
                             if outcome.tlb_miss:
                                 busy += tlb_service
@@ -926,17 +828,15 @@ class MonitoringSimulation:
                             else:
                                 track_filtering(False)
                                 wq.append(
-                                    _WorkItem(
-                                        instruction_kind,
-                                        event,
-                                        handler_kind=outcome.handler_kind,
-                                    )
+                                    ~item
+                                    if outcome.handler_kind is short_handler
+                                    else item
                                 )
                                 wq_stats.enqueued += 1
                                 if len(wq) > wq_stats.max_occupancy:
                                     wq_stats.max_occupancy = len(wq)
                                 if blocking:
-                                    wait_seq = event.sequence
+                                    wait_seq = item
                     else:
                         draining = False
 
@@ -948,7 +848,7 @@ class MonitoringSimulation:
                             eq_stats.rejected += 1
                             blocked_cycles += 1
                         else:
-                            eq.append(plan[app_index])
+                            eq.append(app_index)
                             eq_stats.enqueued += 1
                             if len(eq) > eq_stats.max_occupancy:
                                 eq_stats.max_occupancy = len(eq)
@@ -958,10 +858,8 @@ class MonitoringSimulation:
                         halves += 1 if (smt and monitor_busy) else 2
                         progress = base + halves * 0.5
                         while app_index < plan_len and schedule[app_index] <= progress:
-                            plan_item = plan[app_index]
-                            if plan_item is not None and not (
-                                skip_stack and plan_item.kind is stack_kind
-                            ):
+                            kind = kinds[app_index]
+                            if kind and kind != skip_kind:
                                 if eq_capacity is not None and len(eq) >= eq_capacity:
                                     eq_stats.rejected += 1
                                     app_blocked = True
@@ -970,7 +868,7 @@ class MonitoringSimulation:
                                     base = schedule[app_index]
                                     halves = 0
                                     break
-                                eq.append(plan_item)
+                                eq.append(app_index)
                                 eq_stats.enqueued += 1
                                 if len(eq) > eq_stats.max_occupancy:
                                     eq_stats.max_occupancy = len(eq)
@@ -1076,18 +974,24 @@ class MonitoringSimulation:
         self.result.monitor_busy_cycles += 1
         return self._monitor_item is not None or bool(entries)
 
-    def _dispatch_handler(self, item: _WorkItem) -> None:
+    def _dispatch_handler(self, entry: int) -> None:
         """Start one software handler; functional effects apply here."""
-        if item.kind is _ItemKind.INSTRUCTION_EVENT:
-            outcome = self.monitor.handle_event(item.payload, item.handler_kind)
-        elif item.kind is _ItemKind.STACK_UPDATE:
-            outcome = self.monitor.handle_stack_update(item.payload.stack_update)
+        index, handler_kind = (
+            (~entry, HandlerKind.SHORT) if entry < 0 else (entry, HandlerKind.FULL)
+        )
+        kind = self._kinds[index]
+        if kind == INSTRUCTION_EVENT:
+            outcome = self.monitor.handle_event(self.trace.event(index), handler_kind)
+        elif kind == STACK_UPDATE:
+            outcome = self.monitor.handle_stack_update(
+                self.trace.event(index).stack_update
+            )
         else:
-            outcome = self.monitor.handle_high_level(item.payload)
+            outcome = self.monitor.handle_high_level(self.trace.items[index])
         totals = self.result.handler_instructions
         totals[outcome.handler_class] = totals.get(outcome.handler_class, 0.0) + outcome.cost
         self.result.handlers_executed += 1
-        if self.fade is None and item.kind is _ItemKind.INSTRUCTION_EVENT:
+        if self.fade is None and kind == INSTRUCTION_EVENT:
             # Unaccelerated runs still record what *would* be filterable for
             # the Figure 4(b, c) motivation study: handlers that turned out
             # to be clean checks or redundant updates.
@@ -1096,18 +1000,18 @@ class MonitoringSimulation:
                 HandlerClass.REDUNDANT_UPDATE,
             )
             self._track_filtering(filterable)
-        self._monitor_item = item
+        self._monitor_item = index
         self._monitor_remaining = int(outcome.cost) * self._unit_scale
 
     def _complete_handler(self) -> None:
-        item = self._monitor_item
+        index = self._monitor_item
         self._monitor_item = None
         self._monitor_remaining = 0
-        if item is None:
+        if index is None:
             return
-        if self.fade is not None and item.kind is _ItemKind.INSTRUCTION_EVENT:
-            self.fade.handler_completed(item.sequence)
-            if self._fade_wait_seq == item.sequence:
+        if self.fade is not None and self._kinds[index] == INSTRUCTION_EVENT:
+            self.fade.handler_completed(index)
+            if self._fade_wait_seq == index:
                 self._fade_wait_seq = None
 
     # ----------------------------------------------------------------- FADE
@@ -1133,8 +1037,9 @@ class MonitoringSimulation:
         if not self._eq_entries:
             return
 
-        item: _WorkItem = self._eq_entries[0]
-        if item.kind is _ItemKind.STACK_UPDATE:
+        index = self._eq_entries[0]
+        kind = self._kinds[index]
+        if kind == STACK_UPDATE:
             # Section 5.2: pending unfiltered events may reference the frame;
             # the consumer must drain the queue before SUU processing.
             if self.config.stack_update_drain and not self._unfiltered_drained:
@@ -1144,7 +1049,7 @@ class MonitoringSimulation:
                     _COVERAGE.hit("fade.drain")
                 return
             self.event_queue.dequeue()
-            update = item.payload.stack_update
+            update = self.trace.event(index).stack_update
             cycles = fade.process_stack_update(update)
             self.monitor.on_suu_stack_update(update)
             self._fade_ready_at = self._now + cycles
@@ -1152,15 +1057,17 @@ class MonitoringSimulation:
                 _COVERAGE.hit("fade.suu")
             return
 
-        if item.kind is _ItemKind.HIGH_LEVEL:
+        if kind == HIGH_LEVEL:
             if self.work_queue.is_full:
                 if _COVERAGE.enabled:
                     _COVERAGE.hit("stall.wq_full")
                 return
             self.event_queue.dequeue()
-            for inv_id, value in self.monitor.runtime_invariant_updates(item.payload):
+            for inv_id, value in self.monitor.runtime_invariant_updates(
+                self.trace.items[index]
+            ):
                 fade.write_invariant(inv_id, value)
-            self.work_queue.enqueue(item)
+            self.work_queue.enqueue(index)
             self._fade_ready_at = self._now + 1
             if _COVERAGE.enabled:
                 _COVERAGE.hit("fade.high_level")
@@ -1177,8 +1084,9 @@ class MonitoringSimulation:
                 _COVERAGE.hit("stall.fsq_full")
             return
         self.event_queue.dequeue()
-        event = item.payload
-        outcome = fade.process_event(event)
+        outcome = fade.process(
+            *event_fields(self.trace.column_lists(), index), index
+        )
         busy = outcome.occupancy_cycles
         if outcome.tlb_miss:
             busy += self._tlb_service_cycles
@@ -1186,14 +1094,10 @@ class MonitoringSimulation:
         self._track_filtering(outcome.filtered)
         if not outcome.filtered:
             self.work_queue.enqueue(
-                _WorkItem(
-                    _ItemKind.INSTRUCTION_EVENT,
-                    event,
-                    handler_kind=outcome.handler_kind,
-                )
+                ~index if outcome.handler_kind is HandlerKind.SHORT else index
             )
             if not fade.non_blocking:
-                self._fade_wait_seq = event.sequence
+                self._fade_wait_seq = index
 
     @property
     def _unfiltered_drained(self) -> bool:
@@ -1233,14 +1137,14 @@ class MonitoringSimulation:
 
     def _try_deliver(self, index: int) -> bool:
         """Retire item ``index``; False if the target queue rejected it."""
-        plan_item = self._plan[index]
-        if plan_item is None:
+        kind = self._kinds[index]
+        if kind == SKIP:
             return True
         if self.fade is not None:
-            return self.event_queue.try_enqueue(plan_item)
-        if plan_item.kind is _ItemKind.STACK_UPDATE and not self.monitor.monitors_stack_updates:
+            return self.event_queue.try_enqueue(index)
+        if kind == STACK_UPDATE and not self.monitor.monitors_stack_updates:
             return True
-        return self.work_queue.try_enqueue(plan_item)
+        return self.work_queue.try_enqueue(index)
 
     # ------------------------------------------------------------- statistics
 
@@ -1289,13 +1193,13 @@ class MonitoringSimulation:
             self._checkpoint_callback = None
             self._checkpoint_at = _NEVER
             return
-        instruction_flags = _instruction_flags(self.trace)
+        kind_column = self.trace.column_lists()[6]
         thresholds: List[int] = []
         seen = 0
         mark = every_instructions
         plan_len = self._plan_len
         for index in range(self.warmup_items, plan_len):
-            if instruction_flags[index]:
+            if kind_column[index] == KIND_INSTRUCTION:
                 seen += 1
                 if seen >= mark:
                     # A checkpoint at the very end of the plan is useless
@@ -1341,40 +1245,16 @@ class MonitoringSimulation:
             return 1.0
         return min(1.0, (self._app_index - self.warmup_items) / total)
 
-    @staticmethod
-    def _encode_item(item: Optional[_WorkItem]):
-        """Compact, payload-free encoding of one queue entry.
-
-        Instruction-event and stack-update payloads are immutable plan
-        entries, so only the plan index (== event sequence) travels with the
-        snapshot; high-level payloads have no plan-relative identity worth
-        preserving and are carried whole (they are small and immutable)."""
-        if item is None:
-            return None
-        if item.kind is _ItemKind.HIGH_LEVEL:
-            return (item.kind.value, item.payload, item.handler_kind.value)
-        return (item.kind.value, item.sequence, item.handler_kind.value)
-
-    def _decode_item(self, encoded) -> Optional[_WorkItem]:
-        """Inverse of :meth:`_encode_item`: rebuilds a fresh ``_WorkItem``
-        (queue entries are compared by value, never by identity)."""
-        if encoded is None:
-            return None
-        tag, reference, handler_value = encoded
-        handler_kind = HandlerKind(handler_value)
-        if tag == _ItemKind.HIGH_LEVEL.value:
-            return _WorkItem(_ItemKind.HIGH_LEVEL, reference, handler_kind)
-        plan_item = self._plan[reference]
-        return _WorkItem(_ItemKind(tag), plan_item.payload, handler_kind)
-
     def snapshot(self) -> dict:
         """Full mid-run state as a picklable plain-container dict.
 
         Captures everything ``restore`` needs to finish the run with results
         bit-identical to never having stopped: engine scalars, queue entries
         and statistics, mid-run :class:`RunResult` counters, the monitor's
-        functional state and FADE's architectural state.  Pure caches (the
-        filter memo, chain caches, plan/event memos) are deliberately
+        functional state and FADE's architectural state.  Queue entries and
+        the monitor's item are trace indices (``~index`` for a SHORT
+        handler), so they are stored as they are.  Pure caches (the filter
+        memo, chain caches, the trace's event memo) are deliberately
         excluded — they rebuild cold without affecting any result
         (DESIGN.md §11)."""
         result = self.result
@@ -1388,7 +1268,7 @@ class MonitoringSimulation:
             "progress_halves": self._progress_halves,
             "app_blocked": self._app_blocked,
             "timed_started_at": self._timed_started_at,
-            "monitor_item": self._encode_item(self._monitor_item),
+            "monitor_item": self._monitor_item,
             "monitor_remaining": self._monitor_remaining,
             "fade_ready_at": self._fade_ready_at,
             "fade_wait_seq": self._fade_wait_seq,
@@ -1396,11 +1276,9 @@ class MonitoringSimulation:
             "filterable_gap": self._filterable_gap,
             "current_burst": self._current_burst,
             "saw_unfiltered": self._saw_unfiltered,
-            "eq_entries": [self._encode_item(i) for i in self._eq_entries],
+            "eq_entries": list(self._eq_entries),
             "eq_stats": self.event_queue.stats.capture_state(),
-            "wq_entries": (
-                [self._encode_item(i) for i in self._wq_entries] if split else None
-            ),
+            "wq_entries": list(self._wq_entries) if split else None,
             "wq_stats": self.work_queue.stats.capture_state() if split else None,
             "monitor": self.monitor.capture_state(),
             "fade": self.fade.capture_state() if self.fade is not None else None,
@@ -1461,7 +1339,7 @@ class MonitoringSimulation:
         self._progress_halves = state["progress_halves"]
         self._app_blocked = state["app_blocked"]
         self._timed_started_at = state["timed_started_at"]
-        self._monitor_item = self._decode_item(state["monitor_item"])
+        self._monitor_item = state["monitor_item"]
         self._monitor_remaining = state["monitor_remaining"]
         self._fade_ready_at = state["fade_ready_at"]
         self._fade_wait_seq = state["fade_wait_seq"]
@@ -1471,14 +1349,12 @@ class MonitoringSimulation:
         self._saw_unfiltered = state["saw_unfiltered"]
         eq_entries = self._eq_entries
         eq_entries.clear()
-        eq_entries.extend(self._decode_item(entry) for entry in state["eq_entries"])
+        eq_entries.extend(state["eq_entries"])
         self.event_queue.stats.restore_state(state["eq_stats"])
         if self._split_queues:
             wq_entries = self._wq_entries
             wq_entries.clear()
-            wq_entries.extend(
-                self._decode_item(entry) for entry in state["wq_entries"]
-            )
+            wq_entries.extend(state["wq_entries"])
             self.work_queue.stats.restore_state(state["wq_stats"])
         self.monitor.restore_state(state["monitor"], owned=owned)
         if self.fade is not None and state["fade"] is not None:
@@ -1521,20 +1397,6 @@ class MonitoringSimulation:
         self._restored = True
 
 
-def _instruction_flags(trace) -> List[bool]:
-    """Per-plan-index "is a timed instruction" flags (checkpoint
-    thresholds count timed instructions with them).
-    Packed traces answer with a column scan; object traces with an
-    isinstance pass — no materialisation either way."""
-    if isinstance(trace, PackedTrace):
-        kind_column = trace.column_lists()[6]
-        return [kind == KIND_INSTRUCTION for kind in kind_column]
-    items = trace.items
-    return [
-        isinstance(items[index], Instruction) for index in range(len(items))
-    ]
-
-
 def simulate(
     trace: Trace,
     monitor: Monitor,
@@ -1542,7 +1404,7 @@ def simulate(
     profile: Optional[BenchmarkProfile] = None,
     warmup_items: int = 0,
     schedule: Optional[Sequence[float]] = None,
-    plan: Optional[DeliveryPlan] = None,
+    plan: Optional[KindTable] = None,
 ) -> RunResult:
     """Simulate one run and return its :class:`RunResult`."""
     return MonitoringSimulation(
@@ -1557,7 +1419,7 @@ def simulate_warmed(
     profile: Optional[BenchmarkProfile] = None,
     warmup_fraction: float = 0.5,
     schedule: Optional[Sequence[float]] = None,
-    plan: Optional[DeliveryPlan] = None,
+    plan: Optional[KindTable] = None,
 ) -> RunResult:
     """Simulate with the leading fraction of the trace as functional warmup
     (the default methodology for all paper-figure experiments)."""

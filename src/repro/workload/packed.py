@@ -19,9 +19,13 @@ Consumers that need real objects still get them: ``packed.items`` is a lazy
 sequence view that materialises (and caches) the exact ``Instruction`` /
 ``HighLevelEvent`` an object trace would hold, so monitors, the bug-trace
 tooling and user code read a packed trace unchanged.  The hot consumers
-(:meth:`repro.cores.retire.RetireModel.schedule` and
-:func:`repro.system.simulator.build_plan`) read the columns directly and
-never materialise per-item objects on the built-in path.
+read the columns directly and never materialise per-item objects on the
+built-in path: :meth:`repro.cores.retire.RetireModel.schedule`,
+:func:`repro.system.simulator.build_plan` (one kind code per item) and the
+simulator's event loop, which decodes the fields FADE filters on with
+:func:`event_fields`.  The :class:`~repro.isa.events.MonitoredEvent` a
+software handler receives is built by :meth:`PackedTrace.event`, only for
+the items a handler actually runs on, and memoized per trace.
 
 The column layout is versioned (:data:`TRACE_SCHEMA_VERSION`); the
 content-addressed result store keys on it so cached results are invalidated
@@ -33,8 +37,9 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
 from repro.isa.instruction import Instruction, Operand, OperandKind
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import OpClass, known_event_ids
 from repro.workload.trace import HighLevelEvent, HighLevelKind, Trace, TraceItem
 
 #: Version of the packed column layout.  Bump on any change to the columns,
@@ -90,7 +95,140 @@ COLUMN_SPEC: Tuple[Tuple[str, str], ...] = (
     ("thread", "B"),
 )
 
-Columns = Dict[str, Union[array, memoryview]]
+Column = Union[array, memoryview]
+Columns = Dict[str, Column]
+
+#: Event id per instruction shape, keyed by ``op << 4 | (flags & 15)`` (the
+#: low nibble holds both source kinds).  A shape outside the modelled subset
+#: has no key, so looking it up raises ``KeyError`` like ``event_id_for``.
+EVENT_ID_BY_SHAPE: Dict[int, int] = {
+    (OP_INDEX[op] << 4) | nibble: event_id
+    for (op, sources), event_id in known_event_ids().items()
+    for nibble in range(16)
+    if (1 if nibble & 3 else 0) + (1 if nibble >> SRC2_SHIFT else 0) == sources
+}
+
+#: Per ``flags`` byte: the column (1-3: src1, src2, dest value) holding the
+#: instruction's memory address, or 0 when no operand is memory.  An
+#: instruction has at most one memory operand; sources come first, as in
+#: ``Instruction.memory_address``.
+MEMORY_SLOT: Tuple[int, ...] = tuple(
+    1 if flags & 3 == OPERAND_MEMORY
+    else 2 if (flags >> SRC2_SHIFT) & 3 == OPERAND_MEMORY
+    else 3 if (flags >> DEST_SHIFT) & 3 == OPERAND_MEMORY
+    else 0
+    for flags in range(256)
+)
+
+#: Stack-update direction per op code (None for non-stack ops).
+STACK_OP_BY_CODE: Tuple[Optional[StackOp], ...] = tuple(
+    StackOp.CALL if op is OpClass.CALL
+    else StackOp.RETURN if op is OpClass.RETURN
+    else None
+    for op in OP_CLASSES
+)
+
+
+def event_fields(
+    lists: Tuple[list, ...], index: int
+) -> Tuple[int, Optional[int], Optional[int], Optional[int], Optional[int]]:
+    """(event id, app addr, src1 reg, src2 reg, dest reg) of instruction
+    ``index``: the queue-entry fields FADE's filter reads (Figure 6(a)),
+    decoded from :meth:`PackedTrace.column_lists`.
+
+    The simulator's warmup and event loop inline this decode;
+    ``tests/test_engine_equivalence.py`` checks every event they hand FADE
+    against this function."""
+    flags = lists[8][index]
+    slot = MEMORY_SLOT[flags]
+    return (
+        EVENT_ID_BY_SHAPE[(lists[7][index] << 4) | (flags & 15)],
+        lists[slot][index] if slot else None,
+        lists[1][index] if flags & 3 == OPERAND_REGISTER else None,
+        lists[2][index] if (flags >> SRC2_SHIFT) & 3 == OPERAND_REGISTER else None,
+        lists[3][index] if (flags >> DEST_SHIFT) & 3 == OPERAND_REGISTER else None,
+    )
+
+
+_new_tuple = tuple.__new__
+
+
+def build_event(lists: Tuple[list, ...], index: int) -> MonitoredEvent:
+    """``MonitoredEvent.from_instruction(items[index], sequence=index)``,
+    straight from :meth:`PackedTrace.column_lists` (``tuple.__new__``
+    skips the NamedTuple's Python-level constructor).  Callers memoize
+    through :meth:`PackedTrace.event` or its ``events`` list."""
+    op_code = lists[7][index]
+    stack_op = STACK_OP_BY_CODE[op_code]
+    if stack_op is None:
+        event_id, app_addr, src1, src2, dest = event_fields(lists, index)
+        return _new_tuple(MonitoredEvent, (
+            event_id, lists[0][index], app_addr, src1, src2, dest, None, index,
+        ))
+    return _new_tuple(MonitoredEvent, (
+        EVENT_ID_BY_SHAPE[(op_code << 4) | (lists[8][index] & 15)],
+        lists[0][index], None, None, None, None,
+        StackUpdate(stack_op, lists[4][index], lists[5][index]),
+        index,
+    ))
+
+
+def _materialize(columns: Tuple[Column, ...], index: int) -> TraceItem:
+    """The object representation of item ``index`` of raw ``columns`` (in
+    :data:`COLUMN_SPEC` order)."""
+    f0, f1, f2, f3, f4, f5, kind_column, op, flags_column, thread = columns
+    kind = kind_column[index]
+    flags = flags_column[index]
+    if kind != KIND_INSTRUCTION:
+        return HighLevelEvent(
+            kind=HL_KINDS[kind - 1],
+            address=f0[index],
+            size=f1[index],
+            register=op[index],
+            thread=thread[index],
+            startup=bool(flags & STARTUP_BIT),
+        )
+    src1_kind = flags & 3
+    src2_kind = (flags >> SRC2_SHIFT) & 3
+    dest_kind = (flags >> DEST_SHIFT) & 3
+    sources: Tuple[Operand, ...] = ()
+    if src1_kind:
+        first = Operand(
+            OperandKind.REGISTER
+            if src1_kind == OPERAND_REGISTER
+            else OperandKind.MEMORY,
+            f1[index],
+        )
+        if src2_kind:
+            sources = (
+                first,
+                Operand(
+                    OperandKind.REGISTER
+                    if src2_kind == OPERAND_REGISTER
+                    else OperandKind.MEMORY,
+                    f2[index],
+                ),
+            )
+        else:
+            sources = (first,)
+    dest = None
+    if dest_kind:
+        dest = Operand(
+            OperandKind.REGISTER
+            if dest_kind == OPERAND_REGISTER
+            else OperandKind.MEMORY,
+            f3[index],
+        )
+    return Instruction(
+        pc=f0[index],
+        op_class=OP_CLASSES[op[index]],
+        sources=sources,
+        dest=dest,
+        frame_base=f4[index],
+        frame_size=f5[index],
+        thread=thread[index],
+        depends_on_prev=bool(flags & DEPENDS_BIT),
+    )
 
 
 def _operand_kind_code(operand: Optional[Operand]) -> int:
@@ -190,13 +328,18 @@ class _PackedItems:
     building for several monitors, user analysis loops) construct each
     ``Instruction``/``HighLevelEvent`` at most once — exactly the objects an
     object :class:`Trace` of the same content would hold.
+
+    The view holds the raw columns, not the trace: a reference back to the
+    trace (which holds its view) would form a cycle, and then a finished
+    trace, its column lists and its memos would wait for the cycle
+    collector instead of being freed by refcount.
     """
 
-    __slots__ = ("_trace", "_cache")
+    __slots__ = ("_columns", "_cache")
 
-    def __init__(self, trace: "PackedTrace") -> None:
-        self._trace = trace
-        self._cache: List[Optional[TraceItem]] = [None] * len(trace)
+    def __init__(self, columns: Tuple[Column, ...]) -> None:
+        self._columns = columns
+        self._cache: List[Optional[TraceItem]] = [None] * len(columns[0])
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -207,19 +350,19 @@ class _PackedItems:
         cache = self._cache
         item = cache[index]  # Negative indexing matches list semantics.
         if item is None:
-            item = self._trace.materialize(
-                index if index >= 0 else index + len(cache)
+            item = _materialize(
+                self._columns, index if index >= 0 else index + len(cache)
             )
             cache[index] = item
         return item
 
     def __iter__(self) -> Iterator[TraceItem]:
         cache = self._cache
-        materialize = self._trace.materialize
+        columns = self._columns
         for index in range(len(cache)):
             item = cache[index]
             if item is None:
-                item = materialize(index)
+                item = _materialize(columns, index)
                 cache[index] = item
             yield item
 
@@ -267,27 +410,20 @@ class PackedTrace(Trace):
         self.name = name
         self.seed = seed
         self._columns = columns
-        self._f0 = columns["f0"]
-        self._f1 = columns["f1"]
-        self._f2 = columns["f2"]
-        self._f3 = columns["f3"]
-        self._f4 = columns["f4"]
-        self._f5 = columns["f5"]
+        self._raw = tuple(columns[name] for name, _ in COLUMN_SPEC)
         self._kind = columns["kind"]
-        self._op = columns["op"]
-        self._flags = columns["flags"]
-        self._thread = columns["thread"]
         self._length = len(self._kind)
         self._num_instructions: Optional[int] = None
         self._lists: Optional[Tuple[list, ...]] = None
         self._view: Optional[_PackedItems] = None
+        self._events: Optional[List[Optional[MonitoredEvent]]] = None
 
     # ------------------------------------------------------------ sequence
 
     @property
     def items(self) -> _PackedItems:
         if self._view is None:
-            self._view = _PackedItems(self)
+            self._view = _PackedItems(self._raw)
         return self._view
 
     def __len__(self) -> int:
@@ -299,62 +435,6 @@ class PackedTrace(Trace):
     def __getitem__(self, index):
         return self.items[index]
 
-    def materialize(self, index: int) -> TraceItem:
-        """Construct the object representation of item ``index``."""
-        kind = self._kind[index]
-        if kind != KIND_INSTRUCTION:
-            flags = self._flags[index]
-            return HighLevelEvent(
-                kind=HL_KINDS[kind - 1],
-                address=self._f0[index],
-                size=self._f1[index],
-                register=self._op[index],
-                thread=self._thread[index],
-                startup=bool(flags & STARTUP_BIT),
-            )
-        flags = self._flags[index]
-        src1_kind = flags & 3
-        src2_kind = (flags >> SRC2_SHIFT) & 3
-        dest_kind = (flags >> DEST_SHIFT) & 3
-        sources: Tuple[Operand, ...] = ()
-        if src1_kind:
-            first = Operand(
-                OperandKind.REGISTER
-                if src1_kind == OPERAND_REGISTER
-                else OperandKind.MEMORY,
-                self._f1[index],
-            )
-            if src2_kind:
-                sources = (
-                    first,
-                    Operand(
-                        OperandKind.REGISTER
-                        if src2_kind == OPERAND_REGISTER
-                        else OperandKind.MEMORY,
-                        self._f2[index],
-                    ),
-                )
-            else:
-                sources = (first,)
-        dest = None
-        if dest_kind:
-            dest = Operand(
-                OperandKind.REGISTER
-                if dest_kind == OPERAND_REGISTER
-                else OperandKind.MEMORY,
-                self._f3[index],
-            )
-        return Instruction(
-            pc=self._f0[index],
-            op_class=OP_CLASSES[self._op[index]],
-            sources=sources,
-            dest=dest,
-            frame_base=self._f4[index],
-            frame_size=self._f5[index],
-            thread=self._thread[index],
-            depends_on_prev=bool(flags & DEPENDS_BIT),
-        )
-
     # ------------------------------------------------------------- queries
 
     @property
@@ -362,6 +442,10 @@ class PackedTrace(Trace):
         if self._num_instructions is None:
             self._num_instructions = bytes(self._kind).count(KIND_INSTRUCTION)
         return self._num_instructions
+
+    def column(self, name: str) -> Column:
+        """The raw column ``name`` (see :data:`COLUMN_SPEC`)."""
+        return self._columns[name]
 
     def column_lists(self) -> Tuple[list, ...]:
         """Columns batch-converted to plain lists, in :data:`COLUMN_SPEC`
@@ -374,9 +458,31 @@ class PackedTrace(Trace):
         if self._lists is None:
             self._lists = tuple(
                 column.tolist() if hasattr(column, "tolist") else list(column)
-                for column in (self._columns[name] for name, _ in COLUMN_SPEC)
+                for column in self._raw
             )
         return self._lists
+
+    @property
+    def events(self) -> List[Optional[MonitoredEvent]]:
+        """Per-item memo of :meth:`event` (None where not built yet).  Hot
+        loops read it directly: ``events[i] or trace.event(i)``."""
+        if self._events is None:
+            self._events = [None] * self._length
+        return self._events
+
+    def event(self, index: int) -> MonitoredEvent:
+        """The :class:`MonitoredEvent` of instruction ``index``, equal to
+        ``MonitoredEvent.from_instruction(self.items[index], sequence=index)``.
+
+        Built from the columns on first request and memoized on the trace:
+        events do not depend on the monitor, so every simulation of this
+        trace shares them, and only items some handler (or the SUU) ran on
+        are ever built."""
+        events = self.events
+        event = events[index]
+        if event is None:
+            event = events[index] = build_event(self.column_lists(), index)
+        return event
 
     def count_instructions(self, start: int = 0, stop: Optional[int] = None) -> int:
         """Number of instructions among items ``[start, stop)`` — a bytes

@@ -5,6 +5,7 @@ the runner-cache aliasing regression for restored simulations."""
 import base64
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -314,7 +315,7 @@ class TestRuntimeDiscovery:
 class TestRunnerCacheAliasing:
     def test_restore_never_corrupts_cached_plan(self, tmp_path):
         # Satellite regression: snapshot() excludes the cache-held
-        # DeliveryPlan/schedule and restore() only *reads* them, so an
+        # kind table/schedule and restore() only *reads* them, so an
         # abort → restore cycle through a shared RunnerCache must leave
         # the cache able to serve bit-identical cold runs afterwards.
         cache = RunnerCache()
@@ -341,7 +342,8 @@ class TestRunnerCacheAliasing:
 
 class TestStateFormat:
     """SIM_STATE_VERSION 2 stores shadow memory as whole pages of bytes;
-    a blob in the older per-word layout is discarded, never misread."""
+    version 3 stores queue entries as trace indices.  A blob in an older
+    layout is discarded, never misread."""
 
     MEMCHECK = RunSpec("astar", "memcheck", SystemConfig(), TINY)
 
@@ -374,13 +376,83 @@ class TestStateFormat:
         ]
         assert [record["reason"] for record in discarded] == ["restore-failed"]
 
+    def test_v2_checkpoint_is_discarded_and_recomputed(self, store):
+        cache = RunnerCache()
+        cold = result_digest(execute_spec(SPEC, cache))
+        _abort_after_first_checkpoint(store)
+        state = store.get(SPEC)["state"]
+        # Rewrite the queue entries in the v2 layout: (kind tag, plan index
+        # or high-level payload, handler kind) tuples.
+        trace = cache.trace(SPEC.benchmark, SPEC.settings)
+        kinds = cache.plan(SPEC.benchmark, SPEC.settings, SPEC.monitor).kinds
+        tags = {1: "event", 2: "stack", 3: "high-level"}
+
+        def v2_entry(entry):
+            if entry is None:
+                return None
+            index = ~entry if entry < 0 else entry
+            tag = tags[kinds[index]]
+            handler = "short" if entry < 0 else "full"
+            if tag == "high-level":
+                return (tag, trace.items[index], handler)
+            return (tag, index, handler)
+
+        v2 = dict(
+            state,
+            version=2,
+            monitor_item=v2_entry(state["monitor_item"]),
+            eq_entries=[v2_entry(entry) for entry in state["eq_entries"]],
+        )
+        store.put(SPEC, v2)
+        result = execute_spec(
+            SPEC, cache, checkpoint_every=EVERY, checkpoint_store=store
+        )
+        assert result_digest(result) == cold
+        assert getattr(result, "resume_metadata", None) is None
+        discarded = [
+            record
+            for record in store.journal.records()
+            if record["action"] == "discarded"
+        ]
+        assert [record["reason"] for record in discarded] == ["restore-failed"]
+
+    @pytest.mark.parametrize("engine", ["event", "naive"])
+    def test_v3_snapshot_round_trips_bit_identical(self, engine):
+        # AtomCheck's partial filtering sends SHORT handlers (``~index``
+        # entries) through a tight unfiltered queue.
+        spec = RunSpec(
+            "water", "atomcheck",
+            SystemConfig(engine=engine, unfiltered_queue_capacity=2), TINY,
+        )
+        cache = RunnerCache()
+        taken = []
+        sim = build_simulation(spec, cache)
+        sim.configure_checkpoints(
+            100, lambda running: taken.append(pickle.dumps(running.snapshot()))
+        )
+        final = result_digest(sim.run())
+        states = [pickle.loads(blob) for blob in taken]
+        assert len(states) > 3
+        entries = [
+            entry
+            for state in states
+            for entry in state["eq_entries"] + state["wq_entries"]
+        ]
+        assert entries and all(type(entry) is int for entry in entries)
+        assert any(entry < 0 for entry in entries)
+        for state in states:
+            assert state["version"] == SIM_STATE_VERSION
+            resumed = build_simulation(spec, cache)
+            resumed.restore(state, owned=True)
+            assert result_digest(resumed.run()) == final
+
     def test_v2_round_trip_restores_live_static_segment(self, store):
         spec = self.MEMCHECK
         cache = RunnerCache()
         cold = result_digest(execute_spec(spec, cache))
         _abort_after_first_checkpoint(store, spec=spec)
         state = store.get(spec)["state"]
-        assert state["version"] == SIM_STATE_VERSION == 2
+        assert state["version"] == SIM_STATE_VERSION == 3
         pages = state["monitor"]["critical_mem"]["pages"]
         assert pages and all(type(page) is bytes for page in pages.values())
 

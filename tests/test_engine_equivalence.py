@@ -18,8 +18,13 @@ from repro.isa.events import MonitoredEvent
 from repro.isa.instruction import Instruction
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.system import SystemConfig, Topology, simulate
-from repro.system.simulator import MonitoringSimulation, simulate_warmed
+from repro.system.simulator import (
+    INSTRUCTION_EVENT,
+    MonitoringSimulation,
+    simulate_warmed,
+)
 from repro.workload import generate_trace, get_profile
+from repro.workload.packed import event_fields
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,3 +388,27 @@ def test_checkpoints_mid_run_restore_and_finish(config_kwargs):
         resumed = _fresh_sim("event", **config_kwargs)
         resumed.restore(state)
         assert resumed.run().to_dict() == finals["naive"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("monitor_name", ["memleak", "atomcheck"])
+def test_fade_reads_the_fields_event_fields_decodes(engine, monitor_name):
+    """Warmup and the event loop inline ``event_fields``: every event FADE
+    filters carries exactly the fields the helper decodes, and every
+    monitored item is filtered once."""
+    sim = _fresh_sim(engine, monitor_name, bench_for(monitor_name))
+    calls = []
+    process = sim.fade.process
+
+    def recording(*fields):
+        calls.append(fields)
+        return process(*fields)
+
+    sim.fade.process = recording
+    sim.run()
+    lists = sim.trace.column_lists()
+    assert [fields[5] for fields in calls] == [
+        index for index, kind in enumerate(sim._kinds) if kind == INSTRUCTION_EVENT
+    ]
+    for fields in calls:
+        assert fields[:5] == event_fields(lists, fields[5])

@@ -3,23 +3,34 @@ pickling all reproduce the object representation exactly.
 
 The load-bearing guarantee is bit-identity: a :class:`PackedTrace` and an
 object :class:`Trace` holding the same items must yield byte-for-byte equal
-retire schedules, delivery plans and serialized :class:`RunResult`s across
-monitors x topologies x engines.
+retire schedules, kind tables, events and serialized :class:`RunResult`s
+across monitors x topologies x engines.
 """
 
 import functools
+import gc
 import pickle
+import weakref
 
 import pytest
 
+from repro.api import ExperimentSettings, RunnerCache, RunSpec, execute_spec
 from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
+from repro.fade.pipeline import HandlerKind
+from repro.isa.events import MonitoredEvent
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.monitors.memleak import MemLeak
-from repro.system import SystemConfig, Topology, simulate
-from repro.system.simulator import build_plan
+from repro.system import MonitoringSimulation, SystemConfig, Topology, simulate
+from repro.system.simulator import (
+    HIGH_LEVEL,
+    INSTRUCTION_EVENT,
+    SKIP,
+    STACK_UPDATE,
+    build_plan,
+)
 from repro.workload import (
     PackedTrace,
     Trace,
@@ -118,6 +129,26 @@ class TestLazyView:
         assert clone.column_bytes() == trace.column_bytes()
 
 
+def reference_kinds(trace, monitor):
+    """The kind table classified with ``monitor.wants`` over the items."""
+    kinds = bytearray()
+    for item in trace.items:
+        if not isinstance(item, Instruction):
+            kinds.append(HIGH_LEVEL)
+        elif not monitor.wants(item):
+            kinds.append(SKIP)
+        elif item.op_class.is_stack_op:
+            kinds.append(STACK_UPDATE)
+        else:
+            kinds.append(INSTRUCTION_EVENT)
+    return bytes(kinds)
+
+
+def source_traces(benchmark):
+    """A packed trace and ``pack_trace`` of the equivalent object trace."""
+    return [packed(benchmark), pack_trace(as_objects(benchmark))]
+
+
 class TestColumnFastPaths:
     @pytest.mark.parametrize("core", [CoreType.INORDER, CoreType.OOO4])
     @pytest.mark.parametrize("bench", ["astar", "gcc", "water"])
@@ -134,20 +165,38 @@ class TestColumnFastPaths:
 
     @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
     def test_plan_bit_identical(self, monitor_name):
+        """The kind table built from the columns (of a packed trace, of
+        ``pack_trace`` of an object trace, and of an object trace, which
+        ``build_plan`` packs) equals a classification done with
+        ``monitor.wants`` over the items, counts included."""
         benchmark = bench_for(monitor_name)
-        fast = build_plan(packed(benchmark), create_monitor(monitor_name))
-        generic = build_plan(as_objects(benchmark), create_monitor(monitor_name))
-        assert fast.monitored == generic.monitored
-        assert fast.stack_updates == generic.stack_updates
-        assert fast.high_level == generic.high_level
-        assert len(fast.items) == len(generic.items)
-        for fast_item, generic_item in zip(fast.items, generic.items):
-            if generic_item is None:
-                assert fast_item is None
-            else:
-                assert fast_item.kind == generic_item.kind
-                assert fast_item.payload == generic_item.payload
-                assert fast_item.sequence == generic_item.sequence
+        expected = reference_kinds(
+            as_objects(benchmark), create_monitor(monitor_name)
+        )
+        for trace in source_traces(benchmark) + [as_objects(benchmark)]:
+            plan = build_plan(trace, create_monitor(monitor_name))
+            assert plan.kinds == expected
+            assert plan.monitored == expected.count(INSTRUCTION_EVENT)
+            assert plan.stack_updates == expected.count(STACK_UPDATE)
+            assert plan.high_level == expected.count(HIGH_LEVEL)
+
+    @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
+    def test_built_events_match_from_instruction(self, monitor_name):
+        benchmark = bench_for(monitor_name)
+        items = as_objects(benchmark).items
+        for trace in source_traces(benchmark):
+            plan = build_plan(trace, create_monitor(monitor_name))
+            delivered = [
+                index
+                for index, kind in enumerate(plan.kinds)
+                if kind in (INSTRUCTION_EVENT, STACK_UPDATE)
+            ]
+            assert delivered
+            for index in delivered:
+                assert trace.event(index) == MonitoredEvent.from_instruction(
+                    items[index], sequence=index
+                )
+            assert trace.event(delivered[0]) is trace.event(delivered[0])
 
     def test_custom_wants_uses_generic_path(self):
         class EveryOtherLoad(MemLeak):
@@ -157,13 +206,63 @@ class TestColumnFastPaths:
                     and instruction.pc % 8 == 0
                 )
 
-        fast = build_plan(packed("astar"), EveryOtherLoad())
-        generic = build_plan(as_objects("astar"), EveryOtherLoad())
-        assert fast.monitored == generic.monitored > 0
-        for fast_item, generic_item in zip(fast.items, generic.items):
-            assert (fast_item is None) == (generic_item is None)
-            if fast_item is not None:
-                assert fast_item.payload == generic_item.payload
+        expected = reference_kinds(as_objects("astar"), EveryOtherLoad())
+        stock = build_plan(packed("astar"), MemLeak())
+        for trace in source_traces("astar"):
+            plan = build_plan(trace, EveryOtherLoad())
+            assert plan.kinds == expected
+            assert 0 < plan.monitored < stock.monitored
+            result = simulate(
+                trace, EveryOtherLoad(), SystemConfig(fade_enabled=False),
+                get_profile("astar"),
+            )
+            assert result.monitored_events == plan.monitored
+
+    def test_event_memo_holds_only_handled_items(self):
+        """After a non-blocking FADE cell the trace's event memo holds
+        events only where a handler or the SUU ran: filtered events never
+        become objects."""
+        trace = generate_trace(get_profile("gcc"), 3000, seed=11)
+        monitor = create_monitor("memcheck")
+        handled = []
+        handle_event = monitor.handle_event
+
+        def recording(event, kind=HandlerKind.FULL):
+            handled.append(event.sequence)
+            return handle_event(event, kind)
+
+        monitor.handle_event = recording
+        sim = MonitoringSimulation(
+            trace, monitor, SystemConfig(), get_profile("gcc")
+        )
+        sim.run()
+        stats = sim.fade.stats
+        assert sim.fade.suu is not None and stats.filtered > 0
+        plan = build_plan(trace, create_monitor("memcheck"))
+        built = [i for i, event in enumerate(trace.events) if event is not None]
+        assert set(handled) <= set(built)
+        assert all(
+            plan.kinds[i] in (INSTRUCTION_EVENT, STACK_UPDATE) for i in built
+        )
+        assert len(built) == stats.unfiltered + stats.stack_updates
+        assert len(built) < plan.monitored + plan.stack_updates
+
+    def test_finished_cell_frees_its_trace_without_the_cycle_collector(self):
+        spec = RunSpec(
+            "gcc", "memcheck", SystemConfig(),
+            ExperimentSettings(num_instructions=2000, seed=17),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            cache = RunnerCache()
+            result = execute_spec(spec, cache)
+            trace = weakref.ref(cache.trace(spec.benchmark, spec.settings))
+            assert trace().items[0] is not None  # The lazy view exists.
+            del cache, result
+            assert trace() is None
+        finally:
+            gc.enable()
 
 
 class TestSimulationBitIdentity:

@@ -10,7 +10,6 @@ from repro.fade.inv_rf import InvariantRegisterFile
 from repro.fade.md_cache import MetadataCache
 from repro.fade.pipeline import FilteringPipeline, HandlerKind
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
-from repro.isa.events import MonitoredEvent
 from repro.metadata import ShadowMemory, ShadowRegisters
 
 
@@ -44,7 +43,9 @@ def make_pipeline(entries, invariants=(0, 1, 2, 3), non_blocking=True):
 
 
 def load_event(addr=0x1000, dest=5, seq=0):
-    return MonitoredEvent(event_id=1, app_pc=0, app_addr=addr, dest_reg=dest, sequence=seq)
+    """A load's pipeline arguments: (event id, app addr, src1, src2, dest,
+    sequence)."""
+    return (1, addr, None, None, dest, seq)
 
 
 class TestSingleShot:
@@ -53,7 +54,7 @@ class TestSingleShot:
             {1: EventTableEntry(s1=mem_op(inv_id=1), cc=True)}
         )
         md_mem.write(0x1000, 1)
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert outcome.filtered
         assert outcome.handler_kind is HandlerKind.NONE
         assert outcome.checks == 1
@@ -63,14 +64,14 @@ class TestSingleShot:
             {1: EventTableEntry(s1=mem_op(inv_id=1), cc=True, handler_pc=0xAB)}
         )
         md_mem.write(0x1000, 0)
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert not outcome.filtered
         assert outcome.handler_kind is HandlerKind.FULL
         assert outcome.handler_pc == 0xAB
 
     def test_unprogrammed_event_goes_to_software(self):
         pipeline, _, _, _ = make_pipeline({})
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert not outcome.filtered
         assert outcome.handler_kind is HandlerKind.FULL
 
@@ -80,9 +81,9 @@ class TestSingleShot:
         )
         md_mem.write(0x1000, 3)
         md_regs.write(5, 3)
-        assert pipeline.process(load_event()).filtered
+        assert pipeline.process(*load_event()).filtered
         md_regs.write(5, 4)
-        assert not pipeline.process(load_event()).filtered
+        assert not pipeline.process(*load_event()).filtered
 
 
 class TestMultiShot:
@@ -101,7 +102,7 @@ class TestMultiShot:
         pipeline, md_regs, md_mem, _ = self.make_two_check_pipeline()
         md_mem.write(0x1000, 3)
         md_regs.write(5, 3)
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert outcome.filtered
         assert outcome.checks == 2
 
@@ -109,14 +110,14 @@ class TestMultiShot:
         pipeline, md_regs, md_mem, _ = self.make_two_check_pipeline()
         md_mem.write(0x1000, 3)
         md_regs.write(5, 0)
-        assert not pipeline.process(load_event()).filtered
+        assert not pipeline.process(*load_event()).filtered
 
     def test_multi_shot_occupies_more_cycles(self):
         pipeline, md_regs, md_mem, _ = self.make_two_check_pipeline()
         md_mem.write(0x1000, 3)
         md_regs.write(5, 3)
-        pipeline.process(load_event())  # Warm the MD cache.
-        outcome = pipeline.process(load_event())
+        pipeline.process(*load_event())  # Warm the MD cache.
+        outcome = pipeline.process(*load_event())
         assert outcome.occupancy_cycles >= 2
 
 
@@ -144,12 +145,12 @@ class TestPartialFiltering:
     def test_full_match_filters(self):
         pipeline, _, md_mem, _ = self.make_partial_pipeline()
         md_mem.write(0x1000, 0x85)
-        assert pipeline.process(load_event()).filtered
+        assert pipeline.process(*load_event()).filtered
 
     def test_partial_match_selects_short_handler(self):
         pipeline, _, md_mem, _ = self.make_partial_pipeline()
         md_mem.write(0x1000, 0x81)  # Same thread bits, different type bit.
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert not outcome.filtered
         assert outcome.handler_kind is HandlerKind.SHORT
         assert outcome.handler_pc == 0x300
@@ -157,7 +158,7 @@ class TestPartialFiltering:
     def test_partial_mismatch_selects_long_handler(self):
         pipeline, _, md_mem, _ = self.make_partial_pipeline()
         md_mem.write(0x1000, 0x82)  # Different thread bits.
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert not outcome.filtered
         assert outcome.handler_kind is HandlerKind.FULL
         assert outcome.handler_pc == 0x200
@@ -174,7 +175,7 @@ class TestPartialFiltering:
             invariants=(0, 0x85),
         )
         md_mem.write(0x1000, 0x85)
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert not outcome.filtered
         assert outcome.handler_kind is HandlerKind.SHORT
 
@@ -190,7 +191,7 @@ class TestPartialFiltering:
         )
         md_mem.write(0x1000, 0x85)
         with pytest.raises(ProgrammingError):
-            pipeline.process(load_event())
+            pipeline.process(*load_event())
 
 
 class TestNonBlockingCommit:
@@ -204,7 +205,7 @@ class TestNonBlockingCommit:
             }
         )
         md_mem.write(0x1000, 1)  # Pointer: CC against INV 0 fails.
-        outcome = pipeline.process(load_event(dest=5))
+        outcome = pipeline.process(*load_event(dest=5))
         assert not outcome.filtered
         assert outcome.md_update == ("reg", 5, 1)
         assert md_regs.read(5) == 1
@@ -216,10 +217,7 @@ class TestNonBlockingCommit:
         )
         pipeline, md_regs, md_mem, fsq = make_pipeline({2: store_entry})
         md_regs.write(3, 1)  # Tainted/pointer source: CC fails.
-        event = MonitoredEvent(
-            event_id=2, app_pc=0, app_addr=0x2000, src1_reg=3, sequence=9
-        )
-        outcome = pipeline.process(event)
+        outcome = pipeline.process(2, 0x2000, 3, None, None, 9)
         assert outcome.md_update == ("mem", 0x2000, 1)
         assert fsq.lookup(0x2000) == 1
         assert md_mem.read(0x2000) == 1
@@ -233,7 +231,7 @@ class TestNonBlockingCommit:
                 )
             }
         )
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert outcome.filtered
         assert outcome.md_update is None
         assert len(fsq) == 0
@@ -249,7 +247,7 @@ class TestNonBlockingCommit:
             non_blocking=False,
         )
         md_mem.write(0x1000, 1)
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert not outcome.filtered
         assert outcome.md_update is None
         assert md_regs.read(5) == 0
@@ -261,7 +259,7 @@ class TestNonBlockingCommit:
         pipeline, _, md_mem, fsq = make_pipeline({1: entry})
         fsq.insert(0x1000, 1, owner_sequence=1)  # In-flight update: value 1.
         md_mem.write(0x1000, 0)  # Stale backing value would pass the check.
-        outcome = pipeline.process(load_event())
+        outcome = pipeline.process(*load_event())
         assert not outcome.filtered  # The forwarded value 1 fails the CC.
 
 
@@ -270,5 +268,5 @@ class TestTlbReporting:
         pipeline, _, _, _ = make_pipeline(
             {1: EventTableEntry(s1=mem_op(inv_id=0), cc=True)}
         )
-        assert pipeline.process(load_event()).tlb_miss
-        assert not pipeline.process(load_event()).tlb_miss
+        assert pipeline.process(*load_event()).tlb_miss
+        assert not pipeline.process(*load_event()).tlb_miss
