@@ -58,7 +58,7 @@ Environment knobs:
 
 The ``fade_active`` payload section isolates the engine loop on the
 FADE-accelerated half of the grid (warmup untimed), where the filter memo
-concentrates, and records the memo hit rates alongside the cycles/sec
+concentrates, and records the memo hit rate alongside the cycles/sec
 comparison.
 """
 
@@ -148,7 +148,7 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
     best = {engine: float("inf") for engine in engine_legs}
     outputs = {}
     cycles = {}
-    memo = {"gen_hits": 0, "value_hits": 0, "misses": 0}
+    memo = {"value_hits": 0, "misses": 0}
     # Rounds interleave the engines A/B so machine drift hits both alike.
     for round_index in range(max(1, rounds)):
         for engine in engine_legs:
@@ -183,7 +183,6 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
             if engine == "event" and round_index == 0:
                 for sim in sims:
                     pipeline = sim.fade.pipeline
-                    memo["gen_hits"] += pipeline.memo_hits
                     memo["value_hits"] += pipeline.memo_value_hits
                     memo["misses"] += pipeline.memo_misses
     engines = {
@@ -196,7 +195,7 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         }
         for engine in engine_legs
     }
-    lookups = memo["gen_hits"] + memo["value_hits"] + memo["misses"]
+    lookups = memo["value_hits"] + memo["misses"]
     return {
         "cells": len(cells),
         "engines": engines,
@@ -207,7 +206,7 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
         "filter_memo": {
             **memo,
             "hit_rate": (
-                (memo["gen_hits"] + memo["value_hits"]) / lookups
+                memo["value_hits"] / lookups
                 if lookups
                 else 0.0
             ),

@@ -28,11 +28,11 @@ from repro.metadata.shadow import ShadowMemory, ShadowRegisters
 class FadeConfig:
     """Accelerator configuration (Section 6 defaults).
 
-    ``filter_memo`` enables the pipeline's generation-keyed memo of filtered
+    ``filter_memo`` enables the pipeline's value-keyed memo of filtered
     outcomes — a pure software-speed optimisation with bit-identical
     results.  The simulator disables it for the naive reference engine (so
     engine-equivalence tests compare memoized against truly inline walks)
-    and for monitors that declare ``filter_memo_safe = False``.
+    and under ``REPRO_FORCE_INLINE_FADE=1``.
     """
 
     non_blocking: bool = True
@@ -222,7 +222,6 @@ class Fade:
                 setattr(self.suu.stats, name, value)
         pipeline = self.pipeline
         pipeline.filter_logic.comparisons = state["comparisons"]
-        if pipeline._memo is not None:
-            pipeline._memo.clear()
-        pipeline._value_memo.clear()
+        if pipeline._value_memo is not None:
+            pipeline._value_memo.clear()
         pipeline._chain_profiles.clear()

@@ -50,13 +50,6 @@ class FilterStoreQueue:
         self.inserts = 0
         self.hits = 0
         self.max_occupancy = 0
-        #: Bumped on every content change (insert / non-empty release /
-        #: clear); the filter memo keys cached forwarding decisions on it.
-        self.generation = 0
-        #: Per-word change counters (absent word == generation 0; never
-        #: removed).  The filter memo reads the dict directly, so cached
-        #: decisions for one word survive traffic on every other word.
-        self.word_generations: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -84,9 +77,6 @@ class FilterStoreQueue:
         self.inserts += 1
         if self._size > self.max_occupancy:
             self.max_occupancy = self._size
-        self.generation += 1
-        generations = self.word_generations
-        generations[word_address] = generations.get(word_address, 0) + 1
         if _COVERAGE.enabled:
             _COVERAGE.hit("fsq.insert")
             if self._size >= self.capacity:
@@ -108,7 +98,6 @@ class FilterStoreQueue:
         if not owned:
             return 0
         by_word = self._by_word
-        generations = self.word_generations
         for entry in owned:
             word = entry.word_address
             stack = by_word[word]
@@ -118,20 +107,13 @@ class FilterStoreQueue:
                 # Entries are value-equal only when interchangeable, so
                 # removing the first match preserves stack contents exactly.
                 stack.remove(entry)
-            generations[word] = generations.get(word, 0) + 1
         released = len(owned)
         self._size -= released
-        self.generation += 1
         if _COVERAGE.enabled:
             _COVERAGE.hit("fsq.release")
         return released
 
     def clear(self) -> None:
-        if self._size:
-            self.generation += 1
-            generations = self.word_generations
-            for word in self._by_word:
-                generations[word] = generations.get(word, 0) + 1
         self._by_word.clear()
         self._by_owner.clear()
         self._size = 0
@@ -151,14 +133,11 @@ class FilterStoreQueue:
             "inserts": self.inserts,
             "hits": self.hits,
             "max_occupancy": self.max_occupancy,
-            "generation": self.generation,
-            "word_generations": dict(self.word_generations),
         }
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`capture_state`, mutating the indexes *in
-        place*: the filter memo holds direct references to ``_by_word`` and
-        ``word_generations``."""
+        place*: the filter memo holds a direct reference to ``_by_word``."""
         self._by_word.clear()
         self._by_owner.clear()
         for word, stack in state["by_word"].items():
@@ -174,6 +153,3 @@ class FilterStoreQueue:
         self.inserts = state["inserts"]
         self.hits = state["hits"]
         self.max_occupancy = state["max_occupancy"]
-        self.generation = state["generation"]
-        self.word_generations.clear()
-        self.word_generations.update(state["word_generations"])

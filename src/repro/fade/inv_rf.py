@@ -28,9 +28,6 @@ class InvariantRegisterFile:
         self.size = size
         self._values: List[int] = [0] * size
         self.writes = 0  # Reprogramming count (AtomCheck thread switches).
-        #: Bumped on every value-changing write; the filter memo keys cached
-        #: clean-check outcomes on it (same-value reprogramming is free).
-        self.generation = 0
 
     def read(self, index: int) -> int:
         if not 0 <= index < self.size:
@@ -42,9 +39,7 @@ class InvariantRegisterFile:
             raise ProgrammingError(f"INV id {index} out of range 0..{self.size - 1}")
         if not 0 <= value <= 0xFF:
             raise ProgrammingError("invariant values are one metadata byte")
-        if self._values[index] != value:
-            self._values[index] = value
-            self.generation += 1
+        self._values[index] = value
         self.writes += 1
 
     def load(self, values) -> None:
@@ -62,7 +57,6 @@ class InvariantRegisterFile:
         return {
             "values": list(self._values),
             "writes": self.writes,
-            "generation": self.generation,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -70,4 +64,3 @@ class InvariantRegisterFile:
         because the filter memo holds a direct reference to it."""
         self._values[:] = state["values"]
         self.writes = state["writes"]
-        self.generation = state["generation"]

@@ -8,21 +8,23 @@ for one cycle per chained check plus any MD-cache miss stall.  The stage
 and is folded into the per-event occupancy.
 
 Because the hardware filters the overwhelming majority of events, the same
-``(event id, operand registers, word address)`` tuple is evaluated against
-unchanged metadata over and over.  The pipeline therefore memoizes fully
-*filtered* outcomes keyed on that tuple plus the generation counters of
-every metadata store the chain walk read (event table, INV RF, MD RF,
-shadow memory, FSQ).  A memo hit skips the chain walk but still performs
-the per-event MD-cache/M-TLB accesses, so access timing, cache state and
-all statistics stay bit-identical to the inline walk.  Unfiltered outcomes
-have side effects (handler selection, Non-Blocking commits, FSQ inserts)
-and always take the inline path.
+decision is evaluated against the same metadata values over and over.  The
+pipeline therefore memoizes fully *filtered* outcomes keyed on the event id
+and the metadata values the chain walk reads: the operand registers' MD RF
+bytes, the word's metadata byte (FSQ-forwarded or from shadow memory) and
+the INV values its clean checks compare against.  The key is read from the
+same stores the inline walk reads, so a write anywhere in the metadata
+layer simply re-keys the next lookup; nothing tracks writes.  A memo hit
+skips the chain walk but still performs the per-event MD-cache/M-TLB
+accesses, so access timing, cache state and all statistics stay
+bit-identical to the inline walk.  Unfiltered outcomes have side effects
+(handler selection, Non-Blocking commits, FSQ inserts) and always take the
+inline path.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ProgrammingError
@@ -43,14 +45,8 @@ from repro.metadata.shadow import (
 from repro.verify.coverage import COVERAGE as _COVERAGE
 
 #: Memo entries are dropped wholesale past this size (a simple bound; keys
-#: are per (event id, registers, word), so real runs stay far below it).
+#: are per (event id, metadata values), so real runs stay far below it).
 _MEMO_CAPACITY = 1 << 16
-
-
-def force_inline_filtering() -> bool:
-    """True when ``REPRO_FORCE_INLINE_FADE`` disables the filter memo — the
-    CI knob that keeps the inline per-event path exercised."""
-    return os.environ.get("REPRO_FORCE_INLINE_FADE", "") not in ("", "0")
 
 
 class HandlerKind(enum.Enum):
@@ -95,58 +91,31 @@ class _ChainProfile(NamedTuple):
     table_generation: int
     mem_entries: int  # Chain entries whose operands read memory metadata.
     plain_entries: int  # Chain entries with no memory access (1 cycle each).
-    reads_registers: bool  # Any valid register-operand rule in the chain.
-    reads_invariants: bool  # Any clean check (compares against the INV RF).
     reads_s1_reg: bool  # Some entry reads operand slot 1 as a register.
     reads_s2_reg: bool
     reads_d_reg: bool
     #: INV RF indices the chain's clean checks compare against (static per
-    #: event id).  Their *values* join the value-memo key, so run-time INV
-    #: reprogramming (AtomCheck thread switches) re-keys instead of
-    #: invalidating.
+    #: event id).  Their *values* join the memo key, so run-time INV
+    #: reprogramming (AtomCheck thread switches) re-keys the lookup.
     inv_ids: tuple
-
-
-class _MemoEntry(NamedTuple):
-    """One cached *filtered* outcome (timing is replayed, not cached).
-
-    Generation fields hold the per-slot counters the chain walk read; -1
-    marks a store the walk never touched (not compared).  Per-slot keying
-    means a cached decision survives every metadata write except one to the
-    exact registers / word it read.
-    """
-
-    table_gen: int  # EventTable.generation at walk time.
-    inv_gen: int  # InvariantRegisterFile.generation, or -1.
-    reg_gens: Tuple[Tuple[int, int], ...]  # (register, generation) pairs.
-    word_gen: int  # ShadowMemory word generation, or -1.
-    mem_epoch: int  # ShadowMemory.bulk_epoch at walk time (with word_gen).
-    fsq_gen: int  # FSQ word generation, or -1.
-    base_cycles: int  # Occupancy from entries without an MD-cache access.
-    mem_reads: int  # MD-cache accesses to replay per event.
-    checks: int
-    fsq_hits: int  # FSQ forwarding hits to credit per replay.
-    comparisons: int  # Comparator activations to credit per replay.
 
 
 class _ValueMemoEntry(NamedTuple):
     """A cached filtered *decision* keyed on the metadata values read.
 
-    The second memo level: when the generation-keyed entry misses (events
-    touch fresh registers/words all the time), the operand metadata is read
-    directly — cheap functional dict/list lookups — and the decision is
-    cached per ``(event id, operand values)``.  Monitors encode metadata in
-    a handful of byte values, so this level's key space is tiny and its hit
-    rate approaches the filtering ratio.  Timing (MD-cache/M-TLB accesses)
-    and FSQ-hit accounting still happen per event.
+    The operand metadata is read directly — cheap functional dict/list
+    lookups — and the decision is cached per ``(event id, operand values)``.
+    Monitors encode metadata in a handful of byte values, so the key space
+    is tiny and the hit rate approaches the filtering ratio.  Timing
+    (MD-cache/M-TLB accesses) and FSQ-hit accounting still happen per
+    event.
     """
 
-    table_gen: int
-    inv_gen: int  # Always -1: the INV values read are part of the key.
-    base_cycles: int
-    mem_reads: int
+    table_gen: int  # EventTable.generation at walk time.
+    base_cycles: int  # Occupancy from entries without an MD-cache access.
+    mem_reads: int  # MD-cache accesses to replay per event.
     checks: int
-    comparisons: int
+    comparisons: int  # Comparator activations to credit per replay.
 
 
 class FilteringPipeline:
@@ -176,22 +145,17 @@ class FilteringPipeline:
         self.fsq = fsq
         self.non_blocking = non_blocking
         self.filter_logic = FilterLogic(inv_rf)
-        self._memo: Optional[Dict[tuple, _MemoEntry]] = (
-            {} if memo_enabled and not force_inline_filtering() else None
+        self._value_memo: Optional[Dict[tuple, _ValueMemoEntry]] = (
+            {} if memo_enabled else None
         )
-        self._value_memo: Dict[tuple, _ValueMemoEntry] = {}
         self._chain_profiles: Dict[int, _ChainProfile] = {}
-        # Stable-identity generation/value stores, hoisted for the memo hot
-        # path (their identities never change after construction).
-        self._reg_gens = md_registers.generations
-        self._mem_word_gens = md_memory.word_generations
-        self._fsq_word_gens = fsq.word_generations if fsq is not None else {}
+        # Stable-identity metadata stores, hoisted for the memo hot path
+        # (their identities never change after construction).
         self._reg_bytes = md_registers._bytes
         self._mem_pages = md_memory.pages
         self._mem_default = md_memory.default
         self._fsq_by_word = fsq._by_word if fsq is not None else None
         self._inv_values = inv_rf._values
-        self.memo_hits = 0
         self.memo_value_hits = 0
         self.memo_misses = 0
 
@@ -258,15 +222,13 @@ class FilteringPipeline:
 
     # ----------------------------------------------------------------- memo
 
-    def _chain_profile(self, event_id: int) -> _ChainProfile:
-        """Static shape of ``event_id``'s chain (recomputed on reprogramming)."""
-        table_generation = self.event_table.generation
-        profile = self._chain_profiles.get(event_id)
-        if profile is not None and profile.table_generation == table_generation:
-            return profile
+    def _chain_profile(self, event_id: int) -> Optional[_ChainProfile]:
+        """Static shape of ``event_id``'s chain (recomputed on
+        reprogramming), or None for an unprogrammed event."""
+        if self.event_table.lookup(event_id) is None:
+            return None
         mem_entries = 0
         plain_entries = 0
-        reads_invariants = False
         reads_s1 = reads_s2 = reads_d = False
         inv_ids: list = []
         for _, entry in self.event_table.chain(event_id):
@@ -282,89 +244,39 @@ class FilteringPipeline:
             if entry.d.valid and not entry.d.mem:
                 reads_d = True
             if entry.cc:
-                reads_invariants = True
                 for rule in rules:
                     if rule.valid and rule.inv_id not in inv_ids:
                         inv_ids.append(rule.inv_id)
         profile = _ChainProfile(
-            table_generation, mem_entries, plain_entries,
-            reads_s1 or reads_s2 or reads_d, reads_invariants,
+            self.event_table.generation, mem_entries, plain_entries,
             reads_s1, reads_s2, reads_d, tuple(inv_ids),
         )
         self._chain_profiles[event_id] = profile
         return profile
 
-    def _profile_for(self, event_id: int) -> Optional[_ChainProfile]:
-        """Like :meth:`_chain_profile` but None for unprogrammed events."""
-        profile = self._chain_profiles.get(event_id)
-        if (
-            profile is not None
-            and profile.table_generation == self.event_table.generation
-        ):
-            return profile
-        if self.event_table.lookup(event_id) is None:
-            return None
-        return self._chain_profile(event_id)
-
     def _memoize(
         self,
-        key: tuple,
-        value_key: Optional[tuple],
-        profile: Optional[_ChainProfile],
+        value_key: tuple,
+        profile: _ChainProfile,
+        has_address: bool,
         outcome: EventOutcome,
         comparisons: int,
-        forwarded: bool,
     ) -> None:
-        """Cache a filtered outcome at both memo levels (the walk performed
-        no writes, so the generations captured now equal those it read).
-        ``key`` is the generation key ``(event id, src1, src2, dest,
-        word)`` built by :meth:`process`."""
-        event_id, src1, src2, dest, word = key
-        if profile is None:
-            profile = self._chain_profile(event_id)
-        if word is not None:
+        """Cache a filtered decision under the metadata values it read (the
+        walk performed no writes, so those values are still current)."""
+        if has_address:
             mem_reads = profile.mem_entries
             plain = profile.plain_entries
         else:
             mem_reads = 0  # No address: memory rules read a missing operand.
             plain = profile.mem_entries + profile.plain_entries
-        inv_gen = self.inv_rf.generation if profile.reads_invariants else -1
-        reg_gens: Tuple[Tuple[int, int], ...] = ()
-        if profile.reads_registers:
-            gens = self._reg_gens
-            reg_gens = tuple(
-                (register, gens[register])
-                for register in (src1, src2, dest)
-                if register is not None
-            )
-        word_gen = -1
-        mem_epoch = 0
-        fsq_gen = -1
-        fsq_hits = 0
-        if mem_reads:
-            word_gen = self._mem_word_gens.get(word, 0)
-            mem_epoch = self.md_memory.bulk_epoch
-            if self.non_blocking and self.fsq is not None:
-                fsq_gen = self._fsq_word_gens.get(word, 0)
-                if forwarded:
-                    fsq_hits = mem_reads
-        memo = self._memo
-        if len(memo) >= _MEMO_CAPACITY:
-            memo.clear()
-        memo[key] = _MemoEntry(
-            profile.table_generation, inv_gen, reg_gens, word_gen, mem_epoch,
-            fsq_gen, plain, mem_reads, outcome.checks, fsq_hits, comparisons,
+        value_memo = self._value_memo
+        if len(value_memo) >= _MEMO_CAPACITY:
+            value_memo.clear()
+        value_memo[value_key] = _ValueMemoEntry(
+            profile.table_generation, plain, mem_reads, outcome.checks,
+            comparisons,
         )
-        if value_key is not None:
-            value_memo = self._value_memo
-            if len(value_memo) >= _MEMO_CAPACITY:
-                value_memo.clear()
-            # The INV values the decision depends on are part of the value
-            # key itself, so no invariant generation is tracked here (-1).
-            value_memo[value_key] = _ValueMemoEntry(
-                profile.table_generation, -1, plain, mem_reads,
-                outcome.checks, comparisons,
-            )
 
     # --------------------------------------------------------------- evaluate
 
@@ -379,28 +291,24 @@ class FilteringPipeline:
         absent), plus the event's sequence number, which tags the FSQ
         entries of a Non-Blocking commit.
 
-        Functionally evaluates the multi-shot chain (through the memo when a
-        cached filtered decision is still valid), selects the handler for
-        partial filtering, and (Non-Blocking mode) commits the critical
-        update for unfiltered events.
+        Functionally evaluates the multi-shot chain (through the memo when
+        the metadata values it reads already produced a filtered decision),
+        selects the handler for partial filtering, and (Non-Blocking mode)
+        commits the critical update for unfiltered events.
         """
-        memo = self._memo
-        if memo is None:
+        value_memo = self._value_memo
+        if value_memo is None:
             return self._process_inline(event_id, addr, src1, src2, dest, sequence)
         table_gen = self.event_table.generation
-        word = addr - addr % WORD_SIZE if addr is not None else None
-        # First probe: the decision keyed on the metadata values read
-        # (functional lookups only — MD-cache timing is never consulted to
-        # *find* the decision, only replayed once it is known).  Value hits
-        # subsume generation hits, so this level leads the hot path.
         profile = self._chain_profiles.get(event_id)
         if profile is None or profile.table_generation != table_gen:
-            profile = self._profile_for(event_id)
+            profile = self._chain_profile(event_id)
         value_key = None
-        forwarded = False
         if profile is not None:
-            # Direct functional reads (register bytes, the word's metadata
-            # byte, the FSQ's per-word stack) — never the MD cache.
+            # The decision is keyed on the metadata values read, through
+            # direct functional reads (register bytes, the word's metadata
+            # byte, the FSQ's per-word stack) — MD-cache timing is never
+            # consulted to *find* the decision, only replayed once known.
             reg_bytes = self._reg_bytes
             r1 = (
                 reg_bytes[src1]
@@ -418,7 +326,9 @@ class FilteringPipeline:
                 else None
             )
             memory_value = None
-            if word is not None and profile.mem_entries:
+            forwarded = False
+            if addr is not None and profile.mem_entries:
+                word = addr - addr % WORD_SIZE
                 if self.non_blocking and self._fsq_by_word is not None:
                     stack = self._fsq_by_word.get(word)
                     if stack:
@@ -445,65 +355,11 @@ class FilteringPipeline:
                     event_id, r1, r2, rd, memory_value,
                     tuple([inv_values[i] for i in inv_ids]),
                 )
-            ventry = self._value_memo.get(value_key)
-            if ventry is not None and ventry.table_gen == table_gen:
+            entry = value_memo.get(value_key)
+            if entry is not None and entry.table_gen == table_gen:
                 self.memo_value_hits += 1
                 if _COVERAGE.enabled:
                     _COVERAGE.hit("memo.value_hit")
-                cycles = ventry.base_cycles
-                tlb_missed = False
-                mem_reads = ventry.mem_reads
-                if mem_reads:
-                    access_cycles = self.md_cache.access_cycles
-                    for _ in range(mem_reads):
-                        access, tlb_miss = access_cycles(addr)
-                        cycles += access if access > 1 else 1
-                        if tlb_miss:
-                            tlb_missed = True
-                    if forwarded:
-                        self.fsq.hits += mem_reads
-                self.filter_logic.comparisons += ventry.comparisons
-                return EventOutcome(
-                    True, HandlerKind.NONE, 0, cycles, ventry.checks,
-                    tlb_missed, None,
-                )
-        # Second probe: the generation-keyed entry for this exact
-        # (event id, operand registers, word) — it survives value-memo
-        # eviction and skips even the functional value reads when it hits.
-        key = (event_id, src1, src2, dest, word)
-        entry = memo.get(key)
-        if entry is not None:
-            # Validation attributes the stale-entry class (coverage map);
-            # the checks and their order match the original composite test.
-            invalidation = None
-            if entry.table_gen != table_gen:
-                invalidation = "memo.inval.table"
-            elif entry.inv_gen >= 0 and entry.inv_gen != self.inv_rf.generation:
-                invalidation = "memo.inval.inv"
-            else:
-                for register, generation in entry.reg_gens:
-                    if self._reg_gens[register] != generation:
-                        invalidation = "memo.inval.reg"
-                        break
-                if invalidation is None and entry.word_gen >= 0:
-                    if (
-                        self._mem_word_gens.get(word, 0) != entry.word_gen
-                        or self.md_memory.bulk_epoch != entry.mem_epoch
-                    ):
-                        invalidation = "memo.inval.word"
-                    elif (
-                        entry.fsq_gen >= 0
-                        and self._fsq_word_gens.get(word, 0) != entry.fsq_gen
-                    ):
-                        invalidation = "memo.inval.fsq"
-            if invalidation is not None:
-                entry = None
-                if _COVERAGE.enabled:
-                    _COVERAGE.hit(invalidation)
-            if entry is not None:
-                self.memo_hits += 1
-                if _COVERAGE.enabled:
-                    _COVERAGE.hit("memo.gen_hit")
                 cycles = entry.base_cycles
                 tlb_missed = False
                 mem_reads = entry.mem_reads
@@ -514,8 +370,8 @@ class FilteringPipeline:
                         cycles += access if access > 1 else 1
                         if tlb_miss:
                             tlb_missed = True
-                    if entry.fsq_hits:
-                        self.fsq.hits += entry.fsq_hits
+                    if forwarded:
+                        self.fsq.hits += mem_reads
                 self.filter_logic.comparisons += entry.comparisons
                 return EventOutcome(
                     True, HandlerKind.NONE, 0, cycles, entry.checks,
@@ -527,15 +383,13 @@ class FilteringPipeline:
         comparisons_before = self.filter_logic.comparisons
         outcome = self._process_inline(event_id, addr, src1, src2, dest, sequence)
         if outcome.filtered:
+            # Only a programmed event (so one with a profile) filters.
             self._memoize(
-                key, value_key, profile, outcome,
+                value_key, profile, addr is not None, outcome,
                 self.filter_logic.comparisons - comparisons_before,
-                forwarded,
             )
-        else:
-            memo.pop(key, None)  # Drop a stale filtered decision, if any.
-            if _COVERAGE.enabled:
-                _COVERAGE.hit("memo.unfiltered")
+        elif _COVERAGE.enabled:
+            _COVERAGE.hit("memo.unfiltered")
         return outcome
 
     def _process_inline(

@@ -50,7 +50,7 @@ class StackUpdateUnit:
         """Apply a stack update; returns SUU busy cycles."""
         inv_id = self.call_inv_id if update.op is StackOp.CALL else self.return_inv_id
         value = self.inv_rf.read(inv_id)
-        words = metadata.bulk_set(update.frame_base, update.frame_size, value)
+        words = metadata.fill(update.frame_base, update.frame_size, value)
         blocks = self.md_cache.bulk_touch(update.frame_base, update.frame_size)
         cycles = self.SETUP_CYCLES + blocks
         self.stats.updates += 1

@@ -123,61 +123,15 @@ class ShadowMemory(WordBytes):
     """Critical metadata memory: one byte per application word.
 
     Reads of never-written words return ``default`` — the monitor's encoding
-    of "unshadowed" state (usually *unallocated*).
-
-    Two levels of generation counters track value-changing mutations for
-    FADE's filter memo (see :class:`repro.fade.pipeline.FilteringPipeline`):
-    ``generation`` is a store-wide epoch, and ``word_generations`` maps each
-    word to its own counter, so a cached filtering decision keyed on one
-    word survives writes to every other word.  While a word's generation is
-    unchanged, its metadata byte holds the value a previous chain walk
-    read.  Same-value rewrites through :meth:`write` (handlers refreshing
-    critical hints) bump neither; :meth:`bulk_set` bumps one epoch for its
-    whole range.
+    of "unshadowed" state (usually *unallocated*).  Range updates (the
+    Stack-Update Unit in hardware, malloc/free handlers in software) are one
+    :meth:`fill`, costing O(pages).
     """
-
-    def __init__(self, default: int = 0) -> None:
-        super().__init__(default)
-        self.generation = 0
-        #: Per-word change counters for single-word writes (absent word ==
-        #: generation 0).  The dict's identity is stable; the filter memo
-        #: reads it directly.
-        self.word_generations: Dict[int, int] = {}
-        #: Bumped once per :meth:`bulk_set` — an O(1) epoch standing in for
-        #: per-word bumps over whole ranges (the filter memo checks both).
-        self.bulk_epoch = 0
 
     @staticmethod
     def word_address(address: int) -> int:
         """Word-align an application byte address."""
         return address - (address % WORD_SIZE)
-
-    def write(self, address: int, value: int) -> bool:
-        """Set the metadata byte; returns True if the value changed."""
-        if not WordBytes.write(self, address, value):
-            return False
-        word = address - (address % WORD_SIZE)
-        self.generation += 1
-        generations = self.word_generations
-        generations[word] = generations.get(word, 0) + 1
-        return True
-
-    def bulk_set(self, start: int, length: int, value: int) -> int:
-        """Set every word in ``[start, start+length)``; returns words touched.
-
-        This is the operation the Stack-Update Unit performs in hardware and
-        malloc/free handlers perform in software: a :meth:`fill`, costing
-        O(pages) rather than one :meth:`write` per word.
-        """
-        words = self.fill(start, length, value)
-        if words:
-            # Conservative: the range write may or may not have changed each
-            # byte; over-invalidating the filter memo is always sound, and
-            # one epoch bump is O(1) where per-word bumps would make every
-            # stack/heap range operation O(words) again.
-            self.generation += 1
-            self.bulk_epoch += 1
-        return words
 
     # --------------------------------------------------- checkpoint protocol
 
@@ -186,41 +140,26 @@ class ShadowMemory(WordBytes):
         contents-only view used by equivalence tests): pages as ``bytes``."""
         return {
             "pages": {number: bytes(page) for number, page in self.pages.items()},
-            "generation": self.generation,
-            "word_generations": dict(self.word_generations),
-            "bulk_epoch": self.bulk_epoch,
         }
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`capture_state`, mutating *in place*: the
-        ``pages`` and ``word_generations`` dicts keep their identities (the
-        filter pipeline and the filter memo hold direct references)."""
+        ``pages`` dict keeps its identity (the filter pipeline holds a
+        direct reference)."""
         pages = {
             number: bytearray(page) for number, page in state["pages"].items()
         }
         self.pages.clear()
         self.pages.update(pages)
-        self.generation = state["generation"]
-        self.word_generations.clear()
-        self.word_generations.update(state["word_generations"])
-        self.bulk_epoch = state["bulk_epoch"]
 
 
 class ShadowRegisters:
-    """One metadata byte per architectural register (the MD RF's contents).
-
-    ``generation`` and the per-register ``generations`` list track
-    value-changing writes exactly like :class:`ShadowMemory`'s counters
-    (the filter memo's invalidation keys).
-    """
+    """One metadata byte per architectural register (the MD RF's contents)."""
 
     def __init__(self, num_registers: int = 32, default: int = 0) -> None:
         self.num_registers = num_registers
         self.default = default
-        self.generation = 0
-        #: Per-register change counters (list identity is stable; the
-        #: filter memo reads it directly).
-        self.generations = [0] * num_registers
+        #: List identity is stable; the filter memo reads it directly.
         self._bytes = [default] * num_registers
 
     def read(self, index: int) -> int:
@@ -233,15 +172,7 @@ class ShadowRegisters:
         if self._bytes[index] == value:
             return False
         self._bytes[index] = value
-        self.generation += 1
-        self.generations[index] += 1
         return True
-
-    def reset(self) -> None:
-        for index in range(self.num_registers):
-            self._bytes[index] = self.default
-            self.generations[index] += 1
-        self.generation += 1
 
     def snapshot(self) -> Tuple[int, ...]:
         return tuple(self._bytes)
@@ -250,15 +181,9 @@ class ShadowRegisters:
 
     def capture_state(self) -> dict:
         """Serializable mid-run state (see :class:`ShadowMemory`)."""
-        return {
-            "bytes": list(self._bytes),
-            "generation": self.generation,
-            "generations": list(self.generations),
-        }
+        return {"bytes": list(self._bytes)}
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`capture_state`; slice-assigns so the hoisted
-        list identities survive."""
+        list identity survives."""
         self._bytes[:] = state["bytes"]
-        self.generation = state["generation"]
-        self.generations[:] = state["generations"]

@@ -100,7 +100,7 @@ class AddrCheck(Monitor):
         # cover thousands of words, so both stores fill them page by page.
         state = ALLOCATED if allocate else UNALLOCATED
         self._allocated.fill(start, size, state)
-        return self.critical_mem.bulk_set(start, size, state)
+        return self.critical_mem.fill(start, size, state)
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         words = self._set_range(

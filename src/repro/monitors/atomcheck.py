@@ -202,7 +202,7 @@ class AtomCheck(Monitor):
                 last_access, words_in_range(event.address, event.size)
             ):
                 del last_access[word]
-            words = self.critical_mem.bulk_set(event.address, event.size, 0x00)
+            words = self.critical_mem.fill(event.address, event.size, 0x00)
             cost = (
                 self.costs.malloc(words)
                 if event.kind is HighLevelKind.MALLOC

@@ -85,15 +85,6 @@ class Monitor(abc.ABC):
     #: the thread-private stack region).  Declarative so the packed-trace
     #: plan fast path can honour it without materialising instructions.
     wants_memory_below: Optional[int] = None
-    #: True when every critical-metadata mutation the monitor performs goes
-    #: through the generation-tracked channels (``ShadowRegisters.write``,
-    #: ``ShadowMemory.write``/``bulk_set``/``reset``,
-    #: ``InvariantRegisterFile.write``) — the invariant that makes FADE's
-    #: filter memo sound.  A monitor that pokes critical state through any
-    #: other channel (e.g. replacing ``critical_mem`` or mutating its
-    #: internals directly) must set this False; the simulator then falls
-    #: back to the inline per-event path automatically.
-    filter_memo_safe: bool = True
 
     def __init__(self, costs: HandlerCosts) -> None:
         self.costs = costs

@@ -266,7 +266,7 @@ class MemCheck(Monitor):
         # ranges cover thousands of words, so both stores fill them page by
         # page.
         self._words.fill(start, size, state)
-        return self.critical_mem.bulk_set(start, size, state)
+        return self.critical_mem.fill(start, size, state)
 
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
         state = UNINIT if update.op is StackOp.CALL else UNALLOC

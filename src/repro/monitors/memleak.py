@@ -198,7 +198,7 @@ class MemLeak(Monitor):
         release every tracked context in the range, drop the words from the
         context map, and clear the critical bytes."""
         self._drop_word_contexts(start, size)
-        return self.critical_mem.bulk_set(start, size, NONPTR)
+        return self.critical_mem.fill(start, size, NONPTR)
 
     def _drop_word_contexts(self, start: int, size: int) -> None:
         """Release and forget the contexts of every tracked word in the

@@ -183,7 +183,7 @@ class TaintCheck(Monitor):
     def _clear_range(self, start: int, size: int) -> int:
         # Bulk equivalent of per-word _set_word(word, False) calls.
         self._untaint_words(start, size)
-        return self.critical_mem.bulk_set(start, size, UNTAINTED)
+        return self.critical_mem.fill(start, size, UNTAINTED)
 
     def _untaint_words(self, start: int, size: int) -> None:
         """Drop the range's words from the taint set and origin map,
@@ -211,7 +211,7 @@ class TaintCheck(Monitor):
             words = words_in_range(event.address, event.size)
             self._tainted_words.update(words)
             self._origins.update(dict.fromkeys(words, origin))
-            self.critical_mem.bulk_set(event.address, event.size, TAINTED)
+            self.critical_mem.fill(event.address, event.size, TAINTED)
             return self._result(
                 self.costs.taint_source(len(words)),
                 HandlerClass.HIGH_LEVEL,

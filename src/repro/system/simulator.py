@@ -34,6 +34,7 @@ Two engines execute these semantics (``SystemConfig.engine``):
 from __future__ import annotations
 
 import math
+import os
 import re
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
@@ -42,7 +43,7 @@ from repro.common.errors import SimulationError
 from repro.cores.base import CORE_PARAMETERS
 from repro.cores.retire import RetireModel
 from repro.fade.accelerator import Fade, FadeConfig
-from repro.fade.pipeline import HandlerKind, force_inline_filtering
+from repro.fade.pipeline import HandlerKind
 from repro.monitors.base import HandlerClass, Monitor
 from repro.queues.bounded import BoundedQueue
 from repro.system.config import SystemConfig
@@ -72,7 +73,7 @@ _NEVER = 1 << 62
 #: Layout version of :meth:`MonitoringSimulation.snapshot` payloads.  Bump on
 #: any change to what is captured or how it is encoded; ``restore`` refuses
 #: mismatched versions (the checkpoint layer degrades that to a cold rerun).
-SIM_STATE_VERSION = 3
+SIM_STATE_VERSION = 4
 
 #: Plan kind codes, one per trace item: what the item delivers when it
 #: retires.
@@ -96,6 +97,12 @@ class KindTable(NamedTuple):
     monitored: int
     stack_updates: int
     high_level: int
+
+
+def force_inline_filtering() -> bool:
+    """True when ``REPRO_FORCE_INLINE_FADE`` disables the filter memo — the
+    CI knob that keeps the inline per-event path exercised."""
+    return os.environ.get("REPRO_FORCE_INLINE_FADE", "") not in ("", "0")
 
 
 def as_packed(trace: Trace) -> PackedTrace:
@@ -209,13 +216,12 @@ class MonitoringSimulation:
 
         # The filter memo is enabled only for the event engine (the naive
         # reference stays truly inline, so the equivalence suite compares
-        # memoized against inline walks), only for monitors that declare
-        # their handlers memo-safe, and never under REPRO_FORCE_INLINE_FADE=1
-        # (the CI fallback-rot knob).
+        # memoized against inline walks), and never under
+        # REPRO_FORCE_INLINE_FADE=1 (the CI knob that keeps the inline path
+        # exercised).
         filter_memo = (
             config.fade_enabled
             and config.engine == "event"
-            and monitor.filter_memo_safe
             and not force_inline_filtering()
         )
         self.fade: Optional[Fade] = None

@@ -1,8 +1,8 @@
 """Coverage map over simulator states (the fuzzer's steering signal).
 
 The timing core has a small set of qualitatively distinct regimes — engine
-jumps and steps, FADE stall/drain/wait phases, filter-memo hit/miss and
-invalidation classes, FSQ traffic, queue occupancy bands.  A workload that
+jumps and steps, FADE stall/drain/wait phases, filter-memo hit/miss
+classes, FSQ traffic, queue occupancy bands.  A workload that
 never enters a regime cannot falsify it, so the differential fuzzer
 (:mod:`repro.verify.fuzz`) steers its sampling toward regimes that have not
 been observed yet instead of replaying the same shapes.
@@ -47,13 +47,8 @@ TRACKED_STATES: Tuple[str, ...] = (
     "fade.high_level",      # A high-level event was forwarded.
     # --- filter-memo classes (fade/pipeline.py) -------------------------
     "memo.value_hit",       # Value-keyed decision replayed.
-    "memo.gen_hit",         # Generation-keyed entry replayed.
     "memo.miss",            # Inline walk (no valid cached decision).
     "memo.unfiltered",      # Inline walk ended unfiltered (never cached).
-    "memo.inval.inv",       # Entry killed by INV RF reprogramming.
-    "memo.inval.reg",       # Entry killed by an MD RF write.
-    "memo.inval.word",      # Entry killed by a shadow-word write / epoch.
-    "memo.inval.fsq",       # Entry killed by FSQ traffic on its word.
     # --- FSQ lifecycle (fade/fsq.py) ------------------------------------
     "fsq.insert",           # Non-blocking critical update queued.
     "fsq.forward",          # Younger event forwarded an in-flight value.

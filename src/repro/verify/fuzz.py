@@ -119,7 +119,7 @@ def _regime_mem_none(rng: Random):
 
 def _regime_alias_dense(rng: Random):
     # A handful of hot words absorb every access: maximal memo reuse and
-    # maximal generation-invalidation churn on the same keys.
+    # maximal metadata churn under the same memo keys.
     profile = _mix(rng)
     profile.update(
         hot_set_words=rng.choice([1, 2, 4, 8]),
@@ -149,7 +149,7 @@ def _regime_burst_gap(rng: Random):
 def _regime_inv_storm(rng: Random):
     # Parallel profile with a tiny time slice: THREAD_SWITCH high-level
     # events reprogram the INV RF constantly (AtomCheck), re-keying the
-    # value memo and invalidating generation entries.
+    # value memo.
     profile = _mix(rng)
     profile.update(
         parallel=True,

@@ -1,5 +1,5 @@
 """Unit tests for the filtering support machinery: the per-word/per-owner
-FSQ, the inlined MD-cache access path and the two-level filter memo."""
+FSQ, the inlined MD-cache access path and the value-keyed filter memo."""
 
 import random
 
@@ -9,7 +9,7 @@ from repro.fade.accelerator import Fade, FadeConfig
 from repro.fade.fsq import FilterStoreQueue
 from repro.isa.events import MonitoredEvent
 from repro.isa.opcodes import OpClass, event_id_for
-from repro.monitors import MONITOR_NAMES, create_monitor
+from repro.monitors import create_monitor
 
 
 # ------------------------------------------------------------------- FSQ
@@ -73,17 +73,6 @@ def test_fsq_randomized_against_reference(seed):
     assert fsq.inserts == ref.inserts
     assert fsq.hits == ref.hits
     assert fsq.max_occupancy == ref.max_occupancy
-
-
-def test_fsq_generations_track_per_word_traffic():
-    fsq = FilterStoreQueue()
-    assert fsq.word_generations.get(0x100, 0) == 0
-    fsq.insert(0x100, 1, owner_sequence=1)
-    first = fsq.word_generations[0x100]
-    fsq.insert(0x200, 2, owner_sequence=2)
-    assert fsq.word_generations[0x100] == first  # Other-word traffic.
-    fsq.release(1)
-    assert fsq.word_generations[0x100] > first
 
 
 # --------------------------------------------------------------- MD cache
@@ -159,18 +148,17 @@ def _random_event(rng, sequence):
 
 @pytest.mark.parametrize("non_blocking", [True, False])
 @pytest.mark.parametrize("seed", [2, 13])
-def test_memoized_pipeline_matches_inline(seed, non_blocking, monkeypatch):
+def test_memoized_pipeline_matches_inline(seed, non_blocking):
     """Randomized events interleaved with metadata writes, SUU-style range
     fills, INV reprogramming and handler completions: the memoized pipeline
     produces bit-identical outcomes and MD-cache/TLB statistics."""
-    monkeypatch.delenv("REPRO_FORCE_INLINE_FADE", raising=False)
     rng = random.Random(seed)
     memoized, inline = _mirrored_fades(non_blocking=non_blocking)
     outstanding = []
     for sequence in range(2500):
         roll = rng.random()
         if roll < 0.08:
-            # Critical-metadata churn through the tracked channels.
+            # Critical-metadata churn.
             address = rng.choice([0x1000, 0x1004, 0x2000, 0x2040])
             value = rng.choice([0x00, 0x01, 0x03])
             for fade in (memoized, inline):
@@ -183,7 +171,7 @@ def test_memoized_pipeline_matches_inline(seed, non_blocking, monkeypatch):
         elif roll < 0.18:
             start = rng.choice([0x1000, 0x2000])
             for fade in (memoized, inline):
-                fade.pipeline.md_memory.bulk_set(start, 64, 0x01)
+                fade.pipeline.md_memory.fill(start, 64, 0x01)
         elif roll < 0.20:
             value = rng.choice([0x01, 0x03])
             for fade in (memoized, inline):
@@ -219,36 +207,82 @@ def test_memoized_pipeline_matches_inline(seed, non_blocking, monkeypatch):
         assert memoized.fsq.hits == inline.fsq.hits
         assert memoized.fsq.inserts == inline.fsq.inserts
     # The memo actually engaged (otherwise this test proves nothing).
+    assert memoized.pipeline.memo_value_hits > 0
+    assert inline.pipeline.memo_value_hits == 0
+
+
+def _assert_mirrored(memoized, inline, event):
+    outcome = memoized.process_event(event)
+    assert outcome == inline.process_event(event)
+    return outcome
+
+
+def test_value_memo_rekeys_on_metadata_change():
+    """The memo key holds the metadata values the cached decision read, so
+    changing any of them — the exact register read, an INV value a clean
+    check compares against, or the word's FSQ-forwarded value — re-keys
+    the lookup and the walk decides afresh; writes elsewhere leave the
+    cached decision in use."""
+    fades = _mirrored_fades()
+    memoized, inline = fades
     pipeline = memoized.pipeline
-    assert pipeline.memo_hits + pipeline.memo_value_hits > 0
-    assert inline.pipeline.memo_hits + inline.pipeline.memo_value_hits == 0
 
+    def decide(event):
+        return _assert_mirrored(memoized, inline, event).filtered
 
-def test_generation_invalidation_changes_decision(monkeypatch):
-    """A write to the exact register a cached decision read flips the
-    outcome; writes elsewhere leave the cached decision valid."""
-    monkeypatch.delenv("REPRO_FORCE_INLINE_FADE", raising=False)
-    memoized, inline = _mirrored_fades()
-    event = MonitoredEvent(
+    def write_register(index, value):
+        for fade in fades:
+            fade.pipeline.md_registers.write(index, value)
+
+    def assert_hit(event):
+        hits = pipeline.memo_value_hits
+        assert decide(event)
+        assert pipeline.memo_value_hits == hits + 1
+
+    def assert_miss(event):
+        misses = pipeline.memo_misses
+        assert not decide(event)
+        assert pipeline.memo_misses == misses + 1
+        # The unfiltered event's Non-Blocking commit may have changed its
+        # destination's byte; put every register back to DEFINED.
+        for index in range(8):
+            write_register(index, 0x03)
+
+    alu = MonitoredEvent(
         event_id=event_id_for(OpClass.ALU, 2),
         app_pc=0, src1_reg=1, src2_reg=2, dest_reg=3, sequence=0,
     )
-    first = memoized.process_event(event)
-    assert first == inline.process_event(event)
-    assert first.filtered  # All registers default to DEFINED.
-    again = memoized.process_event(event)
-    assert again == inline.process_event(event)
-    # Invalidate: make src2 undefined; the clean check must now fail.
-    for fade in (memoized, inline):
-        fade.pipeline.md_registers.write(2, 0x01)
-    third = memoized.process_event(event)
-    assert third == inline.process_event(event)
-    assert not third.filtered
+    assert decide(alu)  # All registers default to DEFINED.
+    assert_hit(alu)
+    write_register(7, 0x01)  # A register the event does not read.
+    assert_hit(alu)
+    write_register(2, 0x01)  # The exact register read: src2 undefined.
+    assert_miss(alu)
+    assert_hit(alu)  # Back to the cached values.
 
+    # An INV reprogram: the clean check's "defined" encoding changes.
+    inv_id = pipeline.event_table.chain(alu.event_id)[0][1].s1.inv_id
+    defined = memoized.inv_rf.read(inv_id)
+    for fade in fades:
+        fade.write_invariant(inv_id, 0x01)
+    assert_miss(alu)
+    for fade in fades:
+        fade.write_invariant(inv_id, defined)
+    assert_hit(alu)
 
-def test_monitor_footprint_declarations():
-    """Every registered monitor declares memo safety (the simulator's
-    fallback gate relies on the default)."""
-    for name in MONITOR_NAMES:
-        monitor = create_monitor(name)
-        assert monitor.filter_memo_safe is True
+    # An FSQ insert on the event's word: a load of an initialised word
+    # filters until an in-flight update forwards "unallocated".
+    load = MonitoredEvent(
+        event_id=event_id_for(OpClass.LOAD, 1),
+        app_pc=0, app_addr=0x1000, dest_reg=4, sequence=1,
+    )
+    for fade in fades:
+        fade.pipeline.md_memory.write(0x1000, 0x03)
+    assert decide(load)
+    assert_hit(load)
+    for fade in fades:
+        fade.fsq.insert(0x1000, 0x00, owner_sequence=99)
+    assert_miss(load)
+    for fade in fades:
+        fade.handler_completed(99)
+    assert_hit(load)

@@ -342,8 +342,9 @@ class TestRunnerCacheAliasing:
 
 class TestStateFormat:
     """SIM_STATE_VERSION 2 stores shadow memory as whole pages of bytes;
-    version 3 stores queue entries as trace indices.  A blob in an older
-    layout is discarded, never misread."""
+    version 3 stores queue entries as trace indices; version 4 drops the
+    metadata stores' generation counters.  A blob in an older layout is
+    discarded, never misread, and a version 4 snapshot round-trips."""
 
     MEMCHECK = RunSpec("astar", "memcheck", SystemConfig(), TINY)
 
@@ -416,6 +417,51 @@ class TestStateFormat:
         ]
         assert [record["reason"] for record in discarded] == ["restore-failed"]
 
+    def test_v3_checkpoint_is_discarded_and_recomputed(self, store):
+        spec = self.MEMCHECK
+        cache = RunnerCache()
+        cold = result_digest(execute_spec(spec, cache))
+        _abort_after_first_checkpoint(store, spec=spec)
+        state = store.get(spec)["state"]
+        assert "generation" not in state["monitor"]["critical_mem"]
+        # Rewrite the captured state in the v3 layout: every metadata store
+        # carries the generation counters the filter memo once read.
+        monitor = state["monitor"]
+        fade = state["fade"]
+        v3 = dict(
+            state,
+            version=3,
+            monitor=dict(
+                monitor,
+                critical_mem=dict(
+                    monitor["critical_mem"],
+                    generation=7, word_generations={0x1000: 2}, bulk_epoch=3,
+                ),
+                critical_regs=dict(
+                    monitor["critical_regs"],
+                    generation=4,
+                    generations=[0] * len(monitor["critical_regs"]["bytes"]),
+                ),
+            ),
+            fade=dict(
+                fade,
+                inv_rf=dict(fade["inv_rf"], generation=1),
+                fsq=dict(fade["fsq"], generation=5, word_generations={}),
+            ),
+        )
+        store.put(spec, v3)
+        result = execute_spec(
+            spec, cache, checkpoint_every=EVERY, checkpoint_store=store
+        )
+        assert result_digest(result) == cold
+        assert getattr(result, "resume_metadata", None) is None
+        discarded = [
+            record
+            for record in store.journal.records()
+            if record["action"] == "discarded"
+        ]
+        assert [record["reason"] for record in discarded] == ["restore-failed"]
+
     @pytest.mark.parametrize("engine", ["event", "naive"])
     def test_v3_snapshot_round_trips_bit_identical(self, engine):
         # AtomCheck's partial filtering sends SHORT handlers (``~index``
@@ -452,7 +498,7 @@ class TestStateFormat:
         cold = result_digest(execute_spec(spec, cache))
         _abort_after_first_checkpoint(store, spec=spec)
         state = store.get(spec)["state"]
-        assert state["version"] == SIM_STATE_VERSION == 3
+        assert state["version"] == SIM_STATE_VERSION == 4
         pages = state["monitor"]["critical_mem"]["pages"]
         assert pages and all(type(page) is bytes for page in pages.values())
 

@@ -184,24 +184,6 @@ def test_force_inline_event_engine_matches(monkeypatch):
     assert memo_naive.to_dict() == memo_event.to_dict()
 
 
-def test_memo_unsafe_monitor_falls_back_to_inline(monkeypatch):
-    """A monitor that declares ``filter_memo_safe = False`` runs the inline
-    per-event filtering path, and stays bit-identical."""
-    profile = get_profile("astar")
-    trace = cached_trace("astar")
-    results = {}
-    for engine in ENGINES:
-        monitor = create_monitor("memcheck")
-        monkeypatch.setattr(type(monitor), "filter_memo_safe", False)
-        sim = MonitoringSimulation(
-            trace, monitor, SystemConfig(fade_enabled=True, engine=engine),
-            profile,
-        )
-        assert not sim.fade.config.filter_memo
-        results[engine] = sim.run().to_dict()
-    assert results["naive"] == results["event"]
-
-
 @pytest.mark.parametrize(
     "config_kwargs",
     [

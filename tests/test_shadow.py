@@ -44,7 +44,7 @@ class TestShadowMemory:
         bulk = ShadowMemory()
         loop = ShadowMemory()
         start, length, value = 0x103, 37, 9
-        words = bulk.bulk_set(start, length, value)
+        words = bulk.fill(start, length, value)
         count = 0
         from repro.common.units import words_in_range
 
@@ -103,7 +103,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("write"), _ADDRESS, st.just(0), _VALUE),
         st.tuples(st.just("fill"), _ADDRESS, _LENGTH, _VALUE),
-        st.tuples(st.just("bulk_set"), _ADDRESS, _LENGTH, _VALUE),
     ),
     max_size=40,
 )
@@ -150,13 +149,9 @@ class TestPagedMap:
         other = ShadowMemory(default=default)
         other.write(7 * PAGE_SIZE, 0x42)  # Stale contents restore replaces.
         pages = other.pages
-        generations = other.word_generations
         other.restore_state(state)
         assert other.pages is pages
-        assert other.word_generations is generations
         assert other.snapshot() == shadow.snapshot()
-        assert other.generation == shadow.generation
-        assert other.bulk_epoch == shadow.bulk_epoch
         # Restored pages are private copies, not views of the state.
         other.fill(0, 5 * PAGE_SIZE, 0x42)
         assert state == shadow.capture_state()
@@ -164,7 +159,7 @@ class TestPagedMap:
     def test_default_fill_over_empty_map_creates_no_pages(self):
         for default in (0x00, 0xFF):
             shadow = ShadowMemory(default=default)
-            assert shadow.bulk_set(0x123, 5 * PAGE_SIZE, default) > 0
+            assert shadow.fill(0x123, 5 * PAGE_SIZE, default) > 0
             assert shadow.pages == {}
             assert not shadow.write(0x40, default)
             assert shadow.pages == {}
@@ -176,14 +171,6 @@ class TestPagedMap:
         table.fill(PAGE_SIZE, PAGE_SIZE, 0)
         assert sorted(table.pages) == [0, 2]
         assert len(table) == 2 * PAGE_SIZE // WORD_SIZE
-
-    def test_bulk_set_bumps_one_epoch(self):
-        shadow = ShadowMemory()
-        shadow.bulk_set(0, 4 * PAGE_SIZE, 1)
-        assert (shadow.generation, shadow.bulk_epoch) == (1, 1)
-        assert shadow.word_generations == {}
-        shadow.bulk_set(0, 0, 1)  # Empty range: nothing changes.
-        assert (shadow.generation, shadow.bulk_epoch) == (1, 1)
 
     def test_fill_rejects_out_of_range_value_before_mutating(self):
         table = WordBytes()
@@ -229,12 +216,6 @@ class TestShadowRegisters:
         assert registers.write(4, 9)
         assert not registers.write(4, 9)
         assert registers.read(4) == 9
-
-    def test_reset(self):
-        registers = ShadowRegisters(default=1)
-        registers.write(2, 200)
-        registers.reset()
-        assert registers.read(2) == 1
 
     def test_rejects_bad_value(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,8 @@ from repro.api import ExperimentSettings, ParallelRunner, RunSpec, execute_spec
 from repro.api.cache import RunnerCache
 from repro.api.store import ResultStore
 from repro.common.errors import ConfigurationError
-from repro.fade.pipeline import force_inline_filtering
 from repro.system.config import SystemConfig
-from repro.system.simulator import MonitoringSimulation
+from repro.system.simulator import MonitoringSimulation, force_inline_filtering
 from repro.verify.coverage import COVERAGE, TRACKED_STATES, CoverageMap
 from repro.verify.fuzz import (
     MONITORS,
