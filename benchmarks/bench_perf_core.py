@@ -51,9 +51,6 @@ Environment knobs:
   ratio (default 1.0: the event engine must never be slower).
 * ``REPRO_BENCH_PERF_MIN_FADE_SPEEDUP`` — fail below this event/naive
   engine-loop ratio on the FADE-active split (default 1.0).
-* ``REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD`` — fail if arming the
-  checkpoint machinery (thresholds firing into a no-op callback) slows
-  the event engine loop by more than this fraction (default 0.01).
 * ``REPRO_BENCH_PROFILE`` — cProfile the timed region (top-20 cumulative).
 
 The ``fade_active`` payload section isolates the engine loop on the
@@ -211,136 +208,6 @@ def _measure_fade_active(settings: ExperimentSettings, rounds: int) -> dict:
                 else 0.0
             ),
         },
-    }
-
-
-def _measure_checkpointing(settings: ExperimentSettings, rounds: int) -> dict:
-    """Cost of the mid-run checkpoint machinery on the event engine loop.
-
-    Three interleaved legs over the FADE-active cells:
-
-    * ``disabled`` — ``configure_checkpoints`` never called; the loop pays
-      only the per-iteration ``_app_index >= _checkpoint_at`` compare
-      against ``_NEVER`` (its cost versus the pre-checkpoint baseline is
-      what CI's base-commit re-measure gates);
-    * ``armed`` — thresholds computed and firing into a no-op callback:
-      the bookkeeping without the snapshot payload.  Gated within
-      ``REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD`` (default 1%) of
-      ``disabled``;
-    * ``snapshotting`` — a real ``snapshot()`` per threshold (no store
-      I/O): the marginal cost of actually taking checkpoints, recorded
-      but not gated (it scales with cadence by design).
-
-    All three legs must stay bit-identical — the callback contract is that
-    emitting a checkpoint never perturbs the simulation.
-    """
-    runner = SerialRunner()
-    cells = [
-        (monitor, benchmark)
-        for monitor in MONITOR_NAMES
-        for benchmark in benchmarks_for(monitor)
-    ]
-    core = SystemConfig().core_type
-    for monitor, benchmark in cells:
-        runner.cache.trace(benchmark, settings)
-        runner.cache.schedule(benchmark, settings, core)
-        runner.cache.plan(benchmark, settings, monitor)
-    # Same cadence for both active legs, so armed -> snapshotting isolates
-    # the pure per-snapshot cost at an identical firing count.
-    armed_every = max(1, settings.num_instructions // 4)
-    snapshot_every = armed_every
-    legs = ("disabled", "armed", "snapshotting")
-    # The armed-vs-disabled delta is a ~0.1% effect measured against
-    # percent-scale scheduler noise, so whole-leg best-of cannot hold a 1%
-    # gate.  Per-cell best-of can: each cell is timed individually (GC off)
-    # and the leg's floor is the *sum of per-cell minima* across rounds,
-    # which filters per-timeslice spikes cell by cell.
-    rounds = max(4, rounds)
-    best: dict = {leg: None for leg in legs}
-    outputs = {}
-    cycles = {}
-    fired = {"armed": 0, "snapshotting": 0}
-    snapshot_bytes = 0
-    for round_index in range(max(1, rounds)):
-        for leg in legs:
-            results = []
-            cell_seconds = []
-            for monitor_name, benchmark in cells:
-                trace = runner.cache.trace(benchmark, settings)
-                sim = MonitoringSimulation(
-                    trace,
-                    create_monitor(monitor_name),
-                    SystemConfig(
-                        fade_enabled=True, non_blocking=True, engine="event"
-                    ),
-                    get_profile(benchmark),
-                    warmup_items=int(len(trace.items) * 0.5),
-                    schedule=runner.cache.schedule(benchmark, settings, core),
-                    plan=runner.cache.plan(benchmark, settings, monitor_name),
-                )
-                sim._run_warmup()
-                if leg == "armed":
-                    def _noop(running_sim, _leg=leg):
-                        fired[_leg] += 1
-
-                    sim.configure_checkpoints(armed_every, _noop)
-                elif leg == "snapshotting":
-                    def _snap(running_sim, _leg=leg):
-                        fired[_leg] += 1
-                        running_sim.snapshot()
-
-                    sim.configure_checkpoints(snapshot_every, _snap)
-                gc.disable()
-                start = time.perf_counter()
-                sim._run_event()
-                cell_seconds.append(time.perf_counter() - start)
-                gc.enable()
-                results.append(sim._finalize())
-                if leg == "snapshotting" and round_index == 0:
-                    import pickle
-
-                    snapshot_bytes += len(
-                        pickle.dumps(sim.snapshot(), protocol=4)
-                    )
-            prior = best[leg]
-            best[leg] = (
-                cell_seconds
-                if prior is None
-                else [min(p, t) for p, t in zip(prior, cell_seconds)]
-            )
-            cycles[leg] = sum(result.cycles for result in results)
-            outputs[leg] = [result.to_dict() for result in results]
-    best = {leg: sum(floors) for leg, floors in best.items()}
-    snapshot_bytes //= max(1, len(cells))
-    rounds_run = max(1, rounds)
-    engines = {
-        leg: {
-            "seconds": best[leg],
-            "cells": len(cells),
-            "cells_per_sec": len(cells) / best[leg],
-            "cycles_simulated": cycles[leg],
-            "cycles_per_sec": cycles[leg] / best[leg],
-        }
-        for leg in legs
-    }
-    return {
-        "cells": len(cells),
-        "engines": engines,
-        "armed_every": armed_every,
-        "snapshot_every": snapshot_every,
-        "checkpoints_fired": {
-            leg: count // rounds_run for leg, count in fired.items()
-        },
-        "mean_snapshot_bytes": snapshot_bytes,
-        "armed_overhead": 1.0 - best["disabled"] / best["armed"],
-        "snapshotting_overhead": 1.0 - best["disabled"] / best["snapshotting"],
-        "snapshot_seconds_each": (
-            max(0.0, best["snapshotting"] - best["armed"])
-            / max(1, fired["snapshotting"] // rounds_run)
-        ),
-        "bit_identical": (
-            outputs["disabled"] == outputs["armed"] == outputs["snapshotting"]
-        ),
     }
 
 
@@ -616,7 +483,6 @@ def _run_store_off_sections(settings: ExperimentSettings, rounds: int) -> dict:
     inorder, _ = measure(_inorder_specs, "inorder-unaccel")
     parallel_grid = _measure_parallel_grid(settings, rounds, fig9_event_outputs)
     fade_active = _measure_fade_active(settings, rounds)
-    checkpointing = _measure_checkpointing(settings, rounds)
     payload = {
         "bench": "perf_core",
         "grid": "fig9",
@@ -629,12 +495,10 @@ def _run_store_off_sections(settings: ExperimentSettings, rounds: int) -> dict:
             and inorder["bit_identical"]
             and store["bit_identical"]
             and fade_active["bit_identical"]
-            and checkpointing["bit_identical"]
             and parallel_grid["bit_identical"]
         ),
         "inorder_unaccelerated": inorder,
         "fade_active": fade_active,
-        "checkpointing": checkpointing,
         "parallel_grid": parallel_grid,
         "functional": functional,
         "trace_synthesis": trace_synthesis,
@@ -655,10 +519,6 @@ def test_perf_core_event_engine():
         os.environ.get("REPRO_BENCH_PERF_MIN_FADE_SPEEDUP", "1.0")
     )
     assert payload["fade_active"]["speedup_event_vs_naive"] >= fade_minimum
-    max_overhead = float(
-        os.environ.get("REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD", "0.01")
-    )
-    assert payload["checkpointing"]["armed_overhead"] <= max_overhead
 
 
 def main() -> int:
@@ -688,18 +548,6 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    checkpointing = payload["checkpointing"]
-    max_overhead = float(
-        os.environ.get("REPRO_BENCH_PERF_MAX_CHECKPOINT_OVERHEAD", "0.01")
-    )
-    if checkpointing["armed_overhead"] > max_overhead:
-        print(
-            f"FAIL: armed checkpoint machinery costs "
-            f"{100 * checkpointing['armed_overhead']:.2f}% on the event "
-            f"engine loop (limit {100 * max_overhead:.0f}%)",
-            file=sys.stderr,
-        )
-        return 1
     functional = payload["functional"]
     store = payload["result_store"]
     parallel_grid = payload["parallel_grid"]
@@ -718,10 +566,7 @@ def main() -> int:
         f"{front_end['hit_seconds']:.2f}s per `repro run`; "
         f"cold grid {functional['cold_total_seconds']:.2f}s "
         f"({100 * functional['functional_fraction']:.0f}% functional); "
-        f"warm result-store rerun {store['warm_speedup']:.0f}x; "
-        f"checkpoint machinery {100 * checkpointing['armed_overhead']:+.2f}% "
-        f"armed / {100 * checkpointing['snapshotting_overhead']:+.2f}% "
-        f"snapshotting]"
+        f"warm result-store rerun {store['warm_speedup']:.0f}x]"
     )
     return 0
 

@@ -59,13 +59,6 @@ def compare(baseline: dict, fresh: dict, max_regression: float) -> int:
         sections.append(
             ("fade_active.", baseline["fade_active"], fresh["fade_active"])
         )
-    if "checkpointing" in baseline and "checkpointing" in fresh:
-        # Disabled/armed/snapshotting checkpoint legs ride the same gate:
-        # in particular the *disabled* leg regressing means the checkpoint
-        # hooks started costing runs that never asked for them.
-        sections.append(
-            ("checkpointing.", baseline["checkpointing"], fresh["checkpointing"])
-        )
     for prefix, base_section, fresh_section in sections:
         for engine, base_stats in base_section.get("engines", {}).items():
             fresh_stats = fresh_section.get("engines", {}).get(engine)

@@ -28,9 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, List, Optional, Tuple
 
-from repro.checkpoint.runtime import active_checkpoint_runtime
-from repro.common.errors import ConfigurationError, SimulationError
-from repro.faults.injector import worker_fault, worker_midrun_fault
+from repro.common.errors import ConfigurationError
+from repro.faults.injector import worker_fault
 from repro.monitors import create_monitor
 from repro.system.results import RunResult
 from repro.system.simulator import MonitoringSimulation
@@ -96,8 +95,6 @@ def execute_spec(
     spec: RunSpec,
     cache: Optional[RunnerCache] = None,
     store: Optional[ResultStore] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_store=None,
 ) -> RunResult:
     """Simulate one cell with the standard warmup methodology.
 
@@ -106,72 +103,17 @@ def execute_spec(
     monitor) only pay for them once.  With a ``store``, a cell whose spec
     content already has a persisted result is served from disk.
 
-    ``checkpoint_every`` / ``checkpoint_store`` enable mid-run checkpoints
-    (every N timed instructions, into a
-    :class:`~repro.checkpoint.CheckpointStore`); when omitted they are
-    discovered from the environment
-    (:func:`~repro.checkpoint.active_checkpoint_runtime`), which is how
-    pool workers — and the fresh workers that retry a killed worker's spec
-    — checkpoint and resume without any plumbing.  A valid checkpoint
-    restores and finishes with results bit-identical to an uninterrupted
-    run; anything invalid degrades to a cold recompute.  A resumed run's
-    result carries a non-serialized ``resume_metadata`` attribute
-    (``resumed_from_cycle`` / ``recompute_fraction``).
+    The result store is the only resume: a cell interrupted mid-run (a
+    killed worker) reruns from its start, and a re-run grid or campaign
+    with the same store recomputes only the cells that never finished.
     """
     if store is not None:
         cached = store.get(spec)
         if cached is not None:
             return cached
-    if checkpoint_store is None and checkpoint_every is None:
-        runtime = active_checkpoint_runtime()
-        if runtime is not None:
-            checkpoint_store, checkpoint_every = runtime
-    checkpointing = (
-        checkpoint_store is not None
-        and checkpoint_every is not None
-        and checkpoint_every > 0
-    )
     if cache is None:
         cache = RunnerCache(max_traces=1, max_schedules=1, max_plans=1)
-    sim = build_simulation(spec, cache)
-    resume_metadata = None
-    if checkpointing:
-        record = checkpoint_store.get(spec)
-        if record is not None:
-            try:
-                sim.restore(record["state"], owned=True)
-            except (SimulationError, KeyError, TypeError, ValueError, IndexError):
-                # A decodable blob the simulation itself rejects (e.g. a
-                # stale SIM_STATE_VERSION): cold recompute, never an error.
-                checkpoint_store.discard(spec, reason="restore-failed")
-                sim = build_simulation(spec, cache)
-            else:
-                trace = sim.trace
-                warmup = int(len(trace.items) * spec.settings.warmup_fraction)
-                total = trace.count_instructions(warmup)
-                remaining = trace.count_instructions(record["app_index"])
-                fraction = remaining / total if total else 0.0
-                resume_metadata = {
-                    "resumed_from_cycle": record["cycle"],
-                    "recompute_fraction": fraction,
-                }
-                checkpoint_store.note_restored(
-                    spec, record, recompute_fraction=fraction
-                )
-
-        def _emit(running_sim: MonitoringSimulation) -> None:
-            checkpoint_store.put(spec, running_sim.snapshot())
-            # Chaos seam: a worker_kill_midrun fault SIGKILLs here, strictly
-            # after a checkpoint exists (and past the event's progress
-            # gate), so recovery must resume it.
-            worker_midrun_fault(spec, running_sim.timed_progress())
-
-        sim.configure_checkpoints(checkpoint_every, _emit)
-    result = sim.run()
-    if checkpointing:
-        checkpoint_store.complete(spec)
-    if resume_metadata is not None:
-        result.resume_metadata = resume_metadata
+    result = build_simulation(spec, cache).run()
     if store is not None:
         store.put(spec, result)
     return result

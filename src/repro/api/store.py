@@ -191,17 +191,6 @@ class _JsonDirBackend:
         except FileNotFoundError:
             return None
 
-    def read_prefix(self, key: str, size: int) -> Optional[str]:
-        """The first ``size`` characters of the entry, or None when absent.
-        The header-only path for payloads with a metadata prefix (the
-        checkpoint store's two-line envelopes): listing never loads the
-        multi-MB body."""
-        try:
-            with open(self.entry_path(key), "r") as handle:
-                return handle.read(size)
-        except (FileNotFoundError, OSError):
-            return None
-
     def write(self, key: str, payload: str) -> None:
         entry = self.entry_path(key)
         entry.parent.mkdir(parents=True, exist_ok=True)
@@ -224,24 +213,6 @@ class _JsonDirBackend:
             self.entry_path(key).unlink()
         except OSError:
             pass
-
-    def delete_if(self, key: str, payload: str) -> bool:
-        """Delete the entry only while its content still equals ``payload``
-        (compare-and-delete); returns whether a delete happened.
-
-        Plain filesystems have no atomic compare-and-unlink, so this
-        re-reads immediately before unlinking — the race window against a
-        concurrent ``write`` shrinks from read→decide→delete (arbitrarily
-        long: gc decodes multi-MB blobs in between) to a few microseconds.
-        The SQLite backend's conditional DELETE closes it entirely."""
-        current = self.read(key)
-        if current is None or current != payload:
-            return False
-        try:
-            self.entry_path(key).unlink()
-        except OSError:
-            return False
-        return True
 
     def entry_sizes(self) -> Iterable[Tuple[str, int]]:
         for entry in self.path.glob("??/*.json"):
@@ -357,25 +328,6 @@ class _SqliteBackend:
             return None
         return row[0] if row is not None else None
 
-    def read_prefix(self, key: str, size: int) -> Optional[str]:
-        """The first ``size`` characters of the entry, computed inside
-        SQLite (``substr``), so listing never transfers the multi-MB body
-        out of the database."""
-        try:
-            conn = self._connect()
-            if conn is None:
-                return None
-            row = conn.execute(
-                "SELECT substr(payload, 1, ?) FROM entries WHERE key = ?",
-                (size, key),
-            ).fetchone()
-        except sqlite3.DatabaseError as error:
-            if _is_lock_error(error):
-                return None
-            self._reset_corrupt()
-            return None
-        return row[0] if row is not None else None
-
     def write(self, key: str, payload: str) -> None:
         try:
             conn = self._connect()
@@ -405,25 +357,6 @@ class _SqliteBackend:
         except sqlite3.DatabaseError as error:
             if not _is_lock_error(error):
                 self._reset_corrupt()
-
-    def delete_if(self, key: str, payload: str) -> bool:
-        """Atomic compare-and-delete: the row is removed only if its
-        payload still equals ``payload``.  A concurrent writer that
-        replaced the entry since the caller read it wins the race — the
-        DELETE matches nothing and returns False."""
-        try:
-            conn = self._connect()
-            if conn is None:
-                return False
-            cursor = conn.execute(
-                "DELETE FROM entries WHERE key = ? AND payload = ?",
-                (key, payload),
-            )
-            return cursor.rowcount > 0
-        except sqlite3.DatabaseError as error:
-            if not _is_lock_error(error):
-                self._reset_corrupt()
-            return False
 
     def entry_sizes(self) -> Iterable[Tuple[str, int]]:
         try:

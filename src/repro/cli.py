@@ -103,36 +103,6 @@ def _add_execution_arguments(
     )
 
 
-#: Default checkpoint cadence (in timed instructions) when checkpointing
-#: is requested without an explicit ``--checkpoint-every``.
-_DEFAULT_CHECKPOINT_EVERY = 5000
-
-
-def _add_checkpoint_arguments(
-    parser: argparse.ArgumentParser, resume: bool = True
-) -> None:
-    """Crash-safe execution flags (see :mod:`repro.checkpoint`)."""
-    if resume:
-        parser.add_argument(
-            "--resume", action="store_true",
-            help="resume an interrupted run: completed specs are served "
-                 "from the result cache and in-flight specs restart from "
-                 "their newest mid-run checkpoint (implies checkpointing; "
-                 "requires --result-cache or $REPRO_RESULT_CACHE)",
-        )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="write a mid-run checkpoint every N timed instructions "
-             f"(default when checkpointing: {_DEFAULT_CHECKPOINT_EVERY})",
-    )
-    parser.add_argument(
-        "--checkpoint-store", default=None, metavar="PATH",
-        help="checkpoint store path or URL (same grammar as "
-             "--result-cache; default: $REPRO_CHECKPOINT_STORE, else "
-             "derived from the result cache path + '.ckpt')",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -161,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--warmup", type=float, default=0.5)
     _add_execution_arguments(run, jobs=False)
-    _add_checkpoint_arguments(run)
 
     for name, help_text in (
         ("table2", "regenerate Table 2 (filtering efficiency)"),
@@ -199,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for shrunken mismatch repro specs and the coverage "
              "snapshot (written on completion; default: fuzz-report)",
     )
-    fuzz.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="cadence of the oracle's checkpointed leg (crash after the "
-             "first checkpoint, resume, diff; default: a third of each "
-             "case's instruction count)",
-    )
-
     conformance = sub.add_parser(
         "conformance", help="golden result-digest conformance corpus"
     )
@@ -277,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: $REPRO_RESULT_CACHE; recommended: a sqlite path "
              "like store.db — safe for many processes on one store)",
     )
-    _add_checkpoint_arguments(serve, resume=False)
 
     chaos = sub.add_parser(
         "chaos",
@@ -329,37 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
              "unix:///path) instead of executing in-process",
     )
     _add_execution_arguments(campaign)
-    _add_checkpoint_arguments(campaign)
 
-    checkpoint = sub.add_parser(
-        "checkpoint", help="inspect and sweep mid-run checkpoint stores"
-    )
-    checkpoint.add_argument(
-        "action", choices=("ls", "gc", "inspect"),
-        help="ls: list stored checkpoints; gc: sweep invalid and "
-             "superseded blobs (pass --result-cache to detect completed "
-             "specs); inspect: store totals and lifecycle counters, or "
-             "one entry's metadata when KEY is given",
-    )
-    checkpoint.add_argument(
-        "key", nargs="?", default=None,
-        help="content-key prefix to inspect (inspect action only)",
-    )
-    checkpoint.add_argument(
-        "--checkpoint-store", default=None, metavar="PATH",
-        help="checkpoint store path or URL "
-             "(default: $REPRO_CHECKPOINT_STORE)",
-    )
-    checkpoint.add_argument(
-        "--result-cache", default=None, metavar="PATH",
-        help="result store consulted by gc: checkpoints whose spec "
-             "already has a persisted result are superseded and removed "
-             "(default: $REPRO_RESULT_CACHE)",
-    )
-    checkpoint.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output",
-    )
     return parser
 
 
@@ -378,53 +309,6 @@ def _make_store(
         env = os.environ.get("REPRO_RESULT_CACHE", "")
         path = env or None
     return ResultStore(path, readonly=readonly) if path is not None else None
-
-
-def _activate_checkpoints(args: argparse.Namespace) -> Optional[str]:
-    """Install the process-wide checkpoint runtime when ``--resume`` /
-    ``--checkpoint-every`` / ``--checkpoint-store`` ask for it (workers and
-    the service scheduler discover it through the environment).  Returns an
-    error message instead of installing when the flags are inconsistent."""
-    from repro.checkpoint import (
-        CHECKPOINT_STORE_ENV,
-        install_checkpoint_runtime,
-    )
-
-    resume = bool(getattr(args, "resume", False))
-    every = getattr(args, "checkpoint_every", None)
-    store_path = getattr(args, "checkpoint_store", None) or (
-        os.environ.get(CHECKPOINT_STORE_ENV) or None
-    )
-    if not resume and every is None and store_path is None:
-        return None
-    if every is not None and every <= 0:
-        return "--checkpoint-every must be positive"
-    result_cache = getattr(args, "result_cache", None) or (
-        os.environ.get("REPRO_RESULT_CACHE") or None
-    )
-    if resume and result_cache is None:
-        return (
-            "--resume needs a result cache (the per-spec completion "
-            "journal): pass --result-cache PATH or set REPRO_RESULT_CACHE"
-        )
-    if store_path is None:
-        if result_cache is None:
-            return (
-                "checkpointing needs a store: pass --checkpoint-store PATH "
-                "(or set REPRO_CHECKPOINT_STORE), or a --result-cache to "
-                "derive one next to it"
-            )
-        store_path = f"{result_cache}.ckpt"
-    install_checkpoint_runtime(
-        store_path, every if every is not None else _DEFAULT_CHECKPOINT_EVERY
-    )
-    print(
-        f"[checkpointing to {store_path} every "
-        f"{every if every is not None else _DEFAULT_CHECKPOINT_EVERY} "
-        "timed instruction(s)]",
-        file=sys.stderr,
-    )
-    return None
 
 
 def _make_runner(jobs: int, store: Optional[ResultStore] = None) -> Runner:
@@ -448,10 +332,6 @@ def _maybe_save(results: ResultSet, out: Optional[pathlib.Path]) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    error = _activate_checkpoints(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     settings = ExperimentSettings(
         num_instructions=args.instructions,
         seed=args.seed,
@@ -469,13 +349,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = runner.run([spec])
     result = results.results[0]
     print(result.summary())
-    resumed = getattr(result, "resume_metadata", None)
-    if resumed:
-        print(
-            f"  resumed from cycle {resumed.get('resumed_from_cycle')} "
-            f"(recomputed {resumed.get('recompute_fraction', 0.0):.0%} "
-            "of the timed instructions)"
-        )
     if result.fade_stats is not None:
         stats = result.fade_stats
         print(
@@ -621,98 +494,6 @@ def _print_trace_store_stats(stats: dict) -> None:
     print(f"  bytes: {stats['bytes']}")
 
 
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from repro.checkpoint import CHECKPOINT_STORE_ENV, CheckpointStore
-
-    path = args.checkpoint_store or (
-        os.environ.get(CHECKPOINT_STORE_ENV) or None
-    )
-    if path is None:
-        print(
-            "error: no checkpoint store (pass --checkpoint-store PATH or "
-            "set REPRO_CHECKPOINT_STORE)",
-            file=sys.stderr,
-        )
-        return 1
-    store = CheckpointStore(path, readonly=(args.action != "gc"))
-    try:
-        if args.action == "ls":
-            entries = store.entries()
-            if args.json:
-                print(json.dumps(entries, indent=2, sort_keys=True))
-                return 0
-            if not entries:
-                print(f"[no checkpoints at {store.path} ({store.backend})]")
-                return 0
-            rows = [
-                [
-                    entry["key"][:16],
-                    entry["engine"] or "?",
-                    entry["app_index"],
-                    entry["cycle"],
-                    entry["bytes"],
-                    "yes" if entry["valid"] else "NO",
-                ]
-                for entry in entries
-            ]
-            print(format_table(
-                ["key", "engine", "app_index", "cycle", "bytes", "valid"],
-                rows,
-                f"checkpoints at {store.path} ({store.backend})",
-            ))
-            return 0
-        if args.action == "gc":
-            result_store = _make_store(args, readonly=True)
-            try:
-                swept = store.gc(result_store)
-            finally:
-                if result_store is not None:
-                    result_store.close()
-            if args.json:
-                print(json.dumps(swept, indent=2, sort_keys=True))
-                return 0
-            print(
-                f"[checkpoint gc at {store.path}: "
-                f"{swept['removed_invalid']} invalid and "
-                f"{swept['removed_completed']} superseded blob(s) removed, "
-                f"{swept['kept']} kept]"
-            )
-            if result_store is None:
-                print(
-                    "[no result cache given: superseded checkpoints of "
-                    "completed specs were not detected — pass "
-                    "--result-cache PATH]",
-                    file=sys.stderr,
-                )
-            return 0
-        # inspect
-        if args.key:
-            matches = [
-                entry for entry in store.entries()
-                if entry["key"].startswith(args.key)
-            ]
-            if not matches:
-                print(
-                    f"error: no checkpoint key starts with {args.key!r}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(json.dumps(matches, indent=2, sort_keys=True))
-            return 0
-        stats = store.stats()
-        if args.json:
-            print(json.dumps(stats, indent=2, sort_keys=True))
-            return 0
-        print(f"checkpoint store at {stats['path']} ({stats['backend']}):")
-        for key in sorted(stats):
-            if key in ("path", "backend"):
-                continue
-            print(f"  {key}: {stats[key]}")
-        return 0
-    finally:
-        store.close()
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import logging
@@ -723,10 +504,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # The scheduler announces degrade/recover transitions (process pool →
     # thread fallback and back) through this logger, once per transition.
     # Give it a stderr handler unless the host app configured logging.
-    error = _activate_checkpoints(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     service_logger = logging.getLogger("repro.service")
     if not service_logger.handlers and not logging.getLogger().handlers:
         handler = logging.StreamHandler(sys.stderr)
@@ -799,10 +576,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.action == "show":
         print(campaign.describe())
         return 0
-    message = _activate_checkpoints(args)
-    if message:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
     try:
         results = campaign.run(
             server=args.server,
@@ -847,15 +620,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.checkpoint_every is not None and args.checkpoint_every <= 0:
-        print("error: --checkpoint-every must be positive", file=sys.stderr)
-        return 2
     report = fuzz_campaign(
         budget=budget,
         seed=args.seed,
         seconds=seconds,
         thorough=not args.quick,
-        checkpoint_every=args.checkpoint_every,
         progress=lambda line: print(line, file=sys.stderr),
     )
     print(report.summary())
@@ -1011,7 +780,6 @@ _COMMANDS = {
     "area": _cmd_area,
     "list": _cmd_list,
     "cache": _cmd_cache,
-    "checkpoint": _cmd_checkpoint,
     "serve": _cmd_serve,
     "campaign": _cmd_campaign,
     "fuzz": _cmd_fuzz,

@@ -80,12 +80,6 @@ class FadeStats:
     def from_dict(cls, data: dict) -> "FadeStats":
         return cls(**data)
 
-    def restore_state(self, state: dict) -> None:
-        """Set every counter from a :meth:`to_dict` payload *in place* (the
-        simulator publishes this instance by reference at finalize)."""
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, state[field.name])
-
 
 class Fade:
     """A programmed FADE instance bound to one monitor's critical metadata."""
@@ -184,44 +178,3 @@ class Fade:
         """Run-time INV RF reprogramming (e.g. AtomCheck thread switches)."""
         self.inv_rf.write(index, value)
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state of the whole accelerator.
-
-        Shadow register/memory state is owned by the monitor and captured
-        there; the filter memo is a pure cache and deliberately excluded
-        (DESIGN.md §11).
-        """
-        return {
-            "stats": self.stats.to_dict(),
-            "inv_rf": self.inv_rf.capture_state(),
-            "event_table": self.event_table.capture_state(),
-            "md_cache": self.md_cache.capture_state(),
-            "fsq": self.fsq.capture_state() if self.fsq is not None else None,
-            "suu_stats": (
-                dataclasses.asdict(self.suu.stats) if self.suu is not None else None
-            ),
-            "comparisons": self.pipeline.filter_logic.comparisons,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`; every substructure restores in
-        place so the pipeline's hoisted references stay valid.  The filter
-        memo starts cold — a bit-identical state (replay timing and all
-        statistics are memo-independent, proven by the differential
-        oracle's forced-inline legs)."""
-        self.stats.restore_state(state["stats"])
-        self.inv_rf.restore_state(state["inv_rf"])
-        self.event_table.restore_state(state["event_table"])
-        self.md_cache.restore_state(state["md_cache"])
-        if self.fsq is not None and state["fsq"] is not None:
-            self.fsq.restore_state(state["fsq"])
-        if self.suu is not None and state["suu_stats"] is not None:
-            for name, value in state["suu_stats"].items():
-                setattr(self.suu.stats, name, value)
-        pipeline = self.pipeline
-        pipeline.filter_logic.comparisons = state["comparisons"]
-        if pipeline._value_memo is not None:
-            pipeline._value_memo.clear()
-        pipeline._chain_profiles.clear()

@@ -233,26 +233,6 @@ class EventTable:
     def programmed_indices(self) -> Tuple[int, ...]:
         return tuple(sorted(self._entries))
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state: entries in their bit-exact encoding.
-        The chain memo is deliberately excluded — it is a pure cache rebuilt
-        on demand (DESIGN.md §11)."""
-        return {
-            "entries": {
-                index: entry.encode() for index, entry in self._entries.items()
-            },
-            "generation": self.generation,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state` (clears the chain memo)."""
-        self._entries.clear()
-        for index, word in state["entries"].items():
-            self._entries[index] = EventTableEntry.decode(word)
-        self._chain_cache.clear()
-        self.generation = state["generation"]
 
     def __len__(self) -> int:
         return len(self._entries)

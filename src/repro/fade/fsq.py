@@ -118,38 +118,3 @@ class FilterStoreQueue:
         self._by_owner.clear()
         self._size = 0
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state: live entries in per-word stack order
-        (entries are value-equal exactly when interchangeable, so tuples of
-        their fields reconstruct equivalent stacks)."""
-        return {
-            "by_word": {
-                word: [(e.value, e.owner_sequence) for e in stack]
-                for word, stack in self._by_word.items()
-            },
-            "size": self._size,
-            "inserts": self.inserts,
-            "hits": self.hits,
-            "max_occupancy": self.max_occupancy,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`, mutating the indexes *in
-        place*: the filter memo holds a direct reference to ``_by_word``."""
-        self._by_word.clear()
-        self._by_owner.clear()
-        for word, stack in state["by_word"].items():
-            entries = [
-                FsqEntry(word, value, owner) for value, owner in stack
-            ]
-            self._by_word[word] = entries
-            for entry in entries:
-                self._by_owner.setdefault(entry.owner_sequence, []).append(
-                    entry
-                )
-        self._size = state["size"]
-        self.inserts = state["inserts"]
-        self.hits = state["hits"]
-        self.max_occupancy = state["max_occupancy"]

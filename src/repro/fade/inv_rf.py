@@ -50,17 +50,3 @@ class InvariantRegisterFile:
     def snapshot(self) -> tuple:
         return tuple(self._values)
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state (see DESIGN.md §11)."""
-        return {
-            "values": list(self._values),
-            "writes": self.writes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`; slice-assigns the value list
-        because the filter memo holds a direct reference to it."""
-        self._values[:] = state["values"]
-        self.writes = state["writes"]

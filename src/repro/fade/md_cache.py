@@ -149,15 +149,3 @@ class MetadataCache:
         self._cache.flush()
         self._tlb.flush()
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state of the MD cache + M-TLB pair."""
-        return {
-            "cache": self._cache.capture_state(),
-            "tlb": self._tlb.capture_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._cache.restore_state(state["cache"])
-        self._tlb.restore_state(state["tlb"])

@@ -42,12 +42,6 @@ from repro.faults.plan import FaultEvent, FaultPlan
 #: ``plan.json``; ``claims/`` and ``journal/`` are created on demand).
 FAULT_DIR_ENV = "REPRO_FAULT_DIR"
 
-#: PID of the process that installed the plan (the orchestrator).  Kill
-#: faults refuse to fire in this process: a grid small enough to run
-#: serially would otherwise SIGKILL the harness itself instead of a
-#: worker, and there is no retry path above the orchestrator.
-FAULT_PRIMARY_PID_ENV = "REPRO_FAULT_PRIMARY_PID"
-
 _PLAN_FILENAME = "plan.json"
 _CLAIMS_DIRNAME = "claims"
 _JOURNAL_DIRNAME = "journal"
@@ -102,28 +96,16 @@ class FaultInjector:
     # -------------------------------------------------------------- probing
 
     def maybe_fire(
-        self,
-        site: str,
-        key: Optional[str] = None,
-        gate: Optional[float] = None,
+        self, site: str, key: Optional[str] = None
     ) -> Optional[FaultEvent]:
         """The event firing at this probe, or None.  At most one event
-        fires per probe; firing claims the event across processes.
-
-        ``gate`` is the progress-conditioned trigger: when given, a keyed
-        event fires only once ``gate`` has reached its ``param`` (e.g.
-        ``worker_kill_midrun`` at 55% of the timed region) — probes below
-        the threshold leave the event unclaimed for a later probe."""
+        fires per probe; firing claims the event across processes."""
         with self._lock:
             ordinal = self._ordinals.get(site, 0)
             self._ordinals[site] = ordinal + 1
         if key is not None:
             for event in self._keyed.get(site, ()):
-                if (
-                    event.key == key
-                    and (gate is None or event.param <= gate)
-                    and self._claim(event)
-                ):
+                if event.key == key and self._claim(event):
                     self._journal(event, key=key, ordinal=ordinal)
                     return event
         for event in self._ordinal.get(site, ()):
@@ -226,7 +208,6 @@ def install_plan(
     with _STATE_LOCK:
         _INJECTOR = injector
         _ENV_CHECKED = True
-        os.environ[FAULT_PRIMARY_PID_ENV] = str(os.getpid())
         if injector.root is not None:
             os.environ[FAULT_DIR_ENV] = os.fspath(injector.root)
     return injector
@@ -239,7 +220,6 @@ def uninstall_plan() -> None:
         _INJECTOR = None
         _ENV_CHECKED = False
         os.environ.pop(FAULT_DIR_ENV, None)
-        os.environ.pop(FAULT_PRIMARY_PID_ENV, None)
 
 
 def active_injector() -> Optional[FaultInjector]:
@@ -281,9 +261,7 @@ def suppress_faults():
                 os.environ[FAULT_DIR_ENV] = hidden
 
 
-def probe(
-    site: str, key: Optional[str] = None, gate: Optional[float] = None
-) -> Optional[FaultEvent]:
+def probe(site: str, key: Optional[str] = None) -> Optional[FaultEvent]:
     """The hook-site entry point: the event firing here, or None.
 
     The off path costs one function call and two global reads — cheap
@@ -297,7 +275,7 @@ def probe(
     injector = active_injector()
     if injector is None or _SUPPRESS_DEPTH > 0:
         return None
-    return injector.maybe_fire(site, key, gate)
+    return injector.maybe_fire(site, key)
 
 
 # --- enactment helpers (called by the hook sites) ----------------------------
@@ -315,36 +293,6 @@ def worker_fault(spec) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
     elif event.kind == "worker_hang":
         time.sleep(event.param or 30.0)
-
-
-def worker_midrun_fault(spec, progress: float = 1.0) -> None:
-    """The checkpointed-execution hook: SIGKILL this worker *after* it has
-    written a checkpoint for ``spec`` (the probe site only runs then) and
-    the run is at least ``param`` of the way through its timed region —
-    so the retry path must resume, and resuming provably recomputes only
-    the tail of the run."""
-    if os.environ.get(FAULT_PRIMARY_PID_ENV) == str(os.getpid()):
-        # Serial in-process execution: never SIGKILL the orchestrator.
-        # The probe is skipped entirely (not just the kill) so the event
-        # stays unclaimed for a probe from a real worker process.
-        return
-    event = probe("worker.midrun", spec_fault_key(spec), gate=progress)
-    if event is None:
-        return
-    if event.kind == "worker_kill_midrun":
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def checkpoint_write_fault(payload: str) -> str:
-    """The :meth:`repro.checkpoint.CheckpointStore.put` hook: return a
-    (possibly torn) payload to write.  A torn checkpoint must degrade to a
-    cold recompute on read, never an error."""
-    event = probe("checkpoint.write")
-    if event is None:
-        return payload
-    if event.kind == "checkpoint_torn":
-        return payload[: max(1, int(len(payload) * (event.param or 0.33)))]
-    return payload
 
 
 def store_write_fault(payload: str) -> str:

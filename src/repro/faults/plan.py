@@ -47,14 +47,12 @@ FAULT_KINDS: Dict[str, str] = {
     "store_torn": "store.write",         # truncated (torn) entry payload
     "sqlite_busy": "store.write",        # 'database is locked' on write
     "server_disconnect": "server.stream",  # cut the connection mid-NDJSON
-    "worker_kill_midrun": "worker.midrun",  # SIGKILL after a checkpoint lands
-    "checkpoint_torn": "checkpoint.write",  # truncated checkpoint payload
 }
 
 #: Kinds whose trigger is a spec key (vs a site-probe ordinal).
 KEYED_KINDS = frozenset(
     kind for kind, site in FAULT_KINDS.items()
-    if site in ("worker", "scheduler.submit", "worker.midrun")
+    if site in ("worker", "scheduler.submit")
 )
 
 
@@ -165,10 +163,8 @@ def generate_plan(
     kinds: Optional[Iterable[str]] = None,
     writes_expected: Optional[int] = None,
     stream_lines_expected: Optional[int] = None,
-    checkpoint_writes_expected: Optional[int] = None,
     hang_seconds: float = 8.0,
     slow_seconds: float = 1.0,
-    kill_progress: float = 0.55,
     id_prefix: str = "",
 ) -> FaultPlan:
     """A deterministic plan covering every requested fault kind.
@@ -224,23 +220,6 @@ def generate_plan(
             ),
         )
     )
-    ckpt_kinds = [
-        kind for kind in requested if FAULT_KINDS[kind] == "checkpoint.write"
-    ]
-    ckpt_writes = (
-        checkpoint_writes_expected
-        if checkpoint_writes_expected
-        else len(spec_keys)
-    )
-    ckpt_ordinals = dict(
-        zip(
-            ckpt_kinds,
-            rng.sample(
-                range(max(1, ckpt_writes)),
-                k=min(len(ckpt_kinds), max(1, ckpt_writes)),
-            ),
-        )
-    )
     # Ordinal 0 is the 'accepted' line; land on a spec line when there is
     # one so the client has partial progress to resume after the cut.
     stream_low = 1 if lines > 1 else 0
@@ -263,11 +242,6 @@ def generate_plan(
                 param = hang_seconds
             elif kind == "scheduler_slow":
                 param = slow_seconds
-            elif kind == "worker_kill_midrun":
-                # Progress gate: the SIGKILL fires at the first checkpoint
-                # past this fraction of the timed region, so a resumed spec
-                # provably recomputes only the tail.
-                param = kill_progress
             events.append(
                 FaultEvent(
                     event_id=event_id,
@@ -285,16 +259,6 @@ def generate_plan(
                     site=site,
                     at=store_ordinals.get(kind, 0),
                     param=0.33 if kind == "store_torn" else 0.0,
-                )
-            )
-        elif site == "checkpoint.write":
-            events.append(
-                FaultEvent(
-                    event_id=event_id,
-                    kind=kind,
-                    site=site,
-                    at=ckpt_ordinals.get(kind, 0),
-                    param=0.33 if kind == "checkpoint_torn" else 0.0,
                 )
             )
         else:  # server.stream

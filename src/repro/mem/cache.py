@@ -137,24 +137,3 @@ class Cache:
         for ways in self._sets:
             ways.clear()
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state: per-set tag lists in LRU order
-        (least recent first) plus the hit/miss counters."""
-        return {
-            "sets": [list(ways) for ways in self._sets],
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "evictions": self.stats.evictions,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`, rebuilt in place per set."""
-        for ways, tags in zip(self._sets, state["sets"]):
-            ways.clear()
-            for tag in tags:
-                ways[tag] = None
-        self.stats.hits = state["hits"]
-        self.stats.misses = state["misses"]
-        self.stats.evictions = state["evictions"]

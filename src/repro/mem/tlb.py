@@ -67,21 +67,3 @@ class Tlb:
     def flush(self) -> None:
         self._pages.clear()
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state: resident pages in LRU order (least
-        recent first) plus the hit/miss counters."""
-        return {
-            "pages": list(self._pages),
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`, rebuilt in place."""
-        self._pages.clear()
-        for page in state["pages"]:
-            self._pages[page] = None
-        self.stats.hits = state["hits"]
-        self.stats.misses = state["misses"]

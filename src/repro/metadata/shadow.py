@@ -133,25 +133,6 @@ class ShadowMemory(WordBytes):
         """Word-align an application byte address."""
         return address - (address % WORD_SIZE)
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state (distinct from :meth:`snapshot`, the
-        contents-only view used by equivalence tests): pages as ``bytes``."""
-        return {
-            "pages": {number: bytes(page) for number, page in self.pages.items()},
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`, mutating *in place*: the
-        ``pages`` dict keeps its identity (the filter pipeline holds a
-        direct reference)."""
-        pages = {
-            number: bytearray(page) for number, page in state["pages"].items()
-        }
-        self.pages.clear()
-        self.pages.update(pages)
-
 
 class ShadowRegisters:
     """One metadata byte per architectural register (the MD RF's contents)."""
@@ -177,13 +158,3 @@ class ShadowRegisters:
     def snapshot(self) -> Tuple[int, ...]:
         return tuple(self._bytes)
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state (see :class:`ShadowMemory`)."""
-        return {"bytes": list(self._bytes)}
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`; slice-assigns so the hoisted
-        list identity survives."""
-        self._bytes[:] = state["bytes"]

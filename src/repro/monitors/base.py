@@ -22,7 +22,6 @@ state, so they converge regardless of mode.
 from __future__ import annotations
 
 import abc
-import copy
 import dataclasses
 import enum
 from typing import List, Optional
@@ -176,49 +175,6 @@ class Monitor(abc.ABC):
         high-level event (AtomCheck's per-thread access tags)."""
         return []
 
-    # --------------------------------------------------- checkpoint protocol
-
-    #: Instance attributes the base class owns; everything else in
-    #: ``__dict__`` is subclass state and is captured generically (the five
-    #: paper monitors hold only plain dict/set/list/int state and
-    #: :class:`~repro.metadata.shadow.WordBytes` tables).
-    _BASE_STATE_ATTRS = frozenset(
-        {"costs", "critical_regs", "critical_mem", "reports", "current_thread"}
-    )
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state: the critical stores, bug reports,
-        thread id, and (deep-copied) subclass authoritative state.
-        ``costs`` is configuration, reconstructed from the spec."""
-        extra = {
-            name: value
-            for name, value in self.__dict__.items()
-            if name not in self._BASE_STATE_ATTRS
-        }
-        return {
-            "critical_regs": self.critical_regs.capture_state(),
-            "critical_mem": self.critical_mem.capture_state(),
-            "reports": list(self.reports),
-            "current_thread": self.current_thread,
-            "extra": copy.deepcopy(extra),
-        }
-
-    def restore_state(self, state: dict, owned: bool = False) -> None:
-        """Inverse of :meth:`capture_state`.  The critical stores restore
-        *in place* (FADE's pipeline holds direct references into them);
-        subclass state is deep-copied in so restoring the same state twice
-        never aliases.  ``owned=True`` skips that copy: the caller vouches
-        the state is exclusively theirs and restored at most once (true of
-        anything freshly unpickled from a checkpoint blob, where the copy
-        would only duplicate what pickle already materialised)."""
-        self.critical_regs.restore_state(state["critical_regs"])
-        self.critical_mem.restore_state(state["critical_mem"])
-        self.reports.clear()
-        self.reports.extend(state["reports"])
-        self.current_thread = state["current_thread"]
-        extra = state["extra"] if owned else copy.deepcopy(state["extra"])
-        for name, value in extra.items():
-            setattr(self, name, value)
 
     # ---------------------------------------------------------------- helpers
 

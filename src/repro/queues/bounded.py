@@ -82,28 +82,6 @@ class QueueStats:
             occupancy_histogram=histogram,
         )
 
-    # --------------------------------------------------- checkpoint protocol
-
-    def capture_state(self) -> dict:
-        """Serializable mid-run state (see DESIGN.md §11)."""
-        return {
-            "enqueued": self.enqueued,
-            "dequeued": self.dequeued,
-            "rejected": self.rejected,
-            "max_occupancy": self.max_occupancy,
-            "occupancy_histogram": dict(self.occupancy_histogram),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`capture_state`, mutating *in place*: the
-        histogram Counter's identity is stable (the simulator hoists it)."""
-        self.enqueued = state["enqueued"]
-        self.dequeued = state["dequeued"]
-        self.rejected = state["rejected"]
-        self.max_occupancy = state["max_occupancy"]
-        self.occupancy_histogram.clear()
-        self.occupancy_histogram.update(state["occupancy_histogram"])
-
 
 class BoundedQueue(Generic[T]):
     """FIFO with optional capacity bound and statistics."""

@@ -303,12 +303,5 @@ class ServiceClient:
                     f"({spec_list[index].describe()}): {event['error']}"
                 )
             else:
-                result = RunResult.from_dict(event["result"])
-                resume = event.get("resume")
-                if resume is not None:
-                    # Mirror the server-side attribute: callers see
-                    # resumed_from_cycle / recompute_fraction exactly as a
-                    # local execute_spec would have attached them.
-                    result.resume_metadata = resume
-                outcomes[index] = result
+                outcomes[index] = RunResult.from_dict(event["result"])
         return done

@@ -71,7 +71,6 @@ from repro.api.cache import RunnerCache
 from repro.api.runner import _worker_init, _worker_run, execute_spec
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore, check_finite, content_key
-from repro.checkpoint.runtime import active_checkpoint_runtime
 from repro.common.errors import SpecTimeout
 from repro.faults.injector import probe, spec_fault_key, worker_fault
 from repro.faults.retry import COMPUTE_POLICY, RetryPolicy
@@ -355,21 +354,7 @@ class SpecScheduler:
         return len(self._inflight)
 
     def stats(self) -> Dict[str, object]:
-        # Checkpoint lifecycle counters come from the runtime's shared
-        # journal (zeroes while checkpointing is disabled): pool workers
-        # write/restore checkpoints out-of-process, so the journal — not
-        # in-process counters — is the only cross-process truth.
-        checkpoints = {
-            "checkpoints_written": 0,
-            "checkpoints_restored": 0,
-            "checkpoints_discarded": 0,
-            "checkpoints_completed": 0,
-        }
-        runtime = active_checkpoint_runtime()
-        if runtime is not None:
-            checkpoints.update(runtime[0].journal.counters())
         return {
-            **checkpoints,
             "specs_received": self.specs_received,
             "warm_hits": self.warm_hits,
             "coalesced": self.coalesced,

@@ -337,12 +337,6 @@ class CampaignServer:
             "status": outcome.status,
             "key": outcome.key,
         }
-        # A computation that resumed from a mid-run checkpoint carries
-        # resume metadata out-of-band of the result payload (to_dict() is
-        # digest-stable and must not change shape).
-        resume = getattr(outcome.result, "resume_metadata", None)
-        if resume is not None:
-            event["resume"] = resume
         if include_results:
             event["result"] = outcome.result.to_dict()
         return event

@@ -37,7 +37,7 @@ import math
 import os
 import re
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.common.errors import SimulationError
 from repro.cores.base import CORE_PARAMETERS
@@ -69,11 +69,6 @@ from repro.workload.trace import Trace
 #: Horizon sentinel: quiet until some *other* agent acts (the actual jump is
 #: always additionally capped by ``SystemConfig.max_cycles``).
 _NEVER = 1 << 62
-
-#: Layout version of :meth:`MonitoringSimulation.snapshot` payloads.  Bump on
-#: any change to what is captured or how it is encoded; ``restore`` refuses
-#: mismatched versions (the checkpoint layer degrades that to a cold rerun).
-SIM_STATE_VERSION = 4
 
 #: Plan kind codes, one per trace item: what the item delivers when it
 #: retires.
@@ -276,7 +271,6 @@ class MonitoringSimulation:
             stack_update_events=plan.stack_updates,
             high_level_events=plan.high_level,
         )
-        self._timed_started_at = 0.0
 
         # Hoisted hot-path references: these objects' identities are stable
         # for the lifetime of the run, and the cycle loop touches them every
@@ -311,14 +305,6 @@ class MonitoringSimulation:
         self._filterable_gap = 0
         self._current_burst = 0
         self._saw_unfiltered = False
-        # Checkpointing (off by default): ``_checkpoint_at`` is the next
-        # plan-item index at which to emit a checkpoint, so the engine loops
-        # pay one attribute load and integer compare while disabled.
-        self._checkpoint_at = _NEVER
-        self._checkpoint_thresholds: Sequence[int] = ()
-        self._checkpoint_position = 0
-        self._checkpoint_callback = None
-        self._restored = False
 
     # ------------------------------------------------------------------ run
 
@@ -391,21 +377,18 @@ class MonitoringSimulation:
         if fade is not None:
             fade.stats.reset()
         self._app_index = count
-        self._progress_base = self._schedule[count - 1]
+        timed_start = self._schedule[count - 1]
+        self._progress_base = timed_start
         self._progress_halves = 0
-        self._timed_started_at = self._schedule[count - 1]
         # Report only the timed region's counts.
         self.result.instructions -= trace.count_instructions(0, count)
         self.result.monitored_events -= kinds.count(INSTRUCTION_EVENT, 0, count)
         self.result.stack_update_events -= kinds.count(STACK_UPDATE, 0, count)
         self.result.high_level_events -= kinds.count(HIGH_LEVEL, 0, count)
-        self.result.baseline_cycles = self._schedule[-1] - self._timed_started_at
+        self.result.baseline_cycles = self._schedule[-1] - timed_start
 
     def run(self) -> RunResult:
-        if not self._restored:
-            # A restored simulation resumes strictly after warmup: snapshots
-            # are only taken inside the timed region.
-            self._run_warmup()
+        self._run_warmup()
         if self.config.engine == "naive":
             self._run_naive()
         else:
@@ -416,6 +399,7 @@ class MonitoringSimulation:
         """Collect the finished run into its :class:`RunResult` (split out
         so benchmarks can time the engine loop in isolation)."""
         self._finish_burst()
+        self._check_conservation()
         self.result.cycles = float(self._now)
         self.result.reports = list(self.monitor.reports)
         if self.fade is not None:
@@ -426,6 +410,42 @@ class MonitoringSimulation:
         if _COVERAGE.enabled:
             self._coverage_finalize()
         return self.result
+
+    def _check_conservation(self) -> None:
+        """Conservation laws of a finished run, O(histogram size): a counter
+        that drifts in either engine raises here instead of reaching a
+        stored result."""
+        cycles = self._now
+        result = self.result
+        laws = [("cycle-breakdown total", self._breakdown.total, cycles)]
+        if self._sample:
+            # Each occupancy histogram samples every simulated cycle once.
+            laws.append(("event-queue samples", sum(self._eq_hist.values()), cycles))
+            if self._split_queues:
+                laws.append(
+                    ("unfiltered-queue samples", sum(self._wq_hist.values()), cycles)
+                )
+        if self.fade is not None:
+            stats = self.fade.stats
+            laws.append(
+                (
+                    "filtered + unfiltered events",
+                    stats.filtered + stats.unfiltered,
+                    stats.instruction_events,
+                )
+            )
+        for law, actual, expected in laws:
+            if actual != expected:
+                raise SimulationError(
+                    f"conservation law broken: {law} is {actual}, expected "
+                    f"{expected} ({result.benchmark}/{result.monitor})"
+                )
+        if result.monitor_busy_cycles > cycles:
+            raise SimulationError(
+                "conservation law broken: monitor busy "
+                f"{result.monitor_busy_cycles} of {cycles} cycles "
+                f"({result.benchmark}/{result.monitor})"
+            )
 
     def _coverage_finalize(self) -> None:
         """Derive the run-level and queue-occupancy-band coverage states
@@ -481,8 +501,6 @@ class MonitoringSimulation:
         while not done():
             if self._now >= max_cycles:
                 raise self._cycle_limit_error()
-            if self._app_index >= self._checkpoint_at:
-                self._emit_checkpoint()
             step()
 
     def _run_event(self) -> None:
@@ -500,11 +518,9 @@ class MonitoringSimulation:
         inlined, so the final :class:`RunResult` is bit-identical to the
         naive engine's (DESIGN.md §5).
 
-        Loop state lives in locals.  It is written back to ``self`` at every
-        sync point — before a checkpoint callback (and reloaded after it,
-        because the next threshold moves), before raising the cycle-limit
-        error, and at completion — so ``snapshot`` and ``_finalize`` only
-        ever see flushed state.
+        Loop state lives in locals, loaded once and written back to
+        ``self`` once — at completion or before raising the cycle-limit
+        error — so ``_finalize`` only ever sees flushed state.
         """
         # --- run invariants --------------------------------------------------
         max_cycles = self.config.max_cycles
@@ -573,349 +589,344 @@ class MonitoringSimulation:
             tlb_service = self._tlb_service_cycles
         never = _NEVER
 
+        # --- loop state, loaded once and flushed back to ``self`` at the end
+        now = self._now
+        app_index = self._app_index
+        app_blocked = self._app_blocked
+        base = self._progress_base
+        halves = self._progress_halves
+        mon_item = self._monitor_item
+        mon_rem = self._monitor_remaining
+        ready_at = self._fade_ready_at
+        wait_seq = self._fade_wait_seq
+        draining = self._fade_draining
+        busy_cycles = result.monitor_busy_cycles
+        blocked_cycles = result.app_blocked_cycles
+        handlers = result.handlers_executed
+        app_idle = breakdown.app_idle
+        monitor_idle = breakdown.monitor_idle
+        both_busy = breakdown.both_busy
+
+        finished = False
         while True:
-            # --- (re)load the loop state: at entry and after a checkpoint -----
-            now = self._now
-            app_index = self._app_index
-            app_blocked = self._app_blocked
-            base = self._progress_base
-            halves = self._progress_halves
-            mon_item = self._monitor_item
-            mon_rem = self._monitor_remaining
-            ready_at = self._fade_ready_at
-            wait_seq = self._fade_wait_seq
-            draining = self._fade_draining
-            busy_cycles = result.monitor_busy_cycles
-            blocked_cycles = result.app_blocked_cycles
-            handlers = result.handlers_executed
-            app_idle = breakdown.app_idle
-            monitor_idle = breakdown.monitor_idle
-            both_busy = breakdown.both_busy
-            sync_at = self._checkpoint_at
+            if (
+                app_index >= plan_len
+                and not eq
+                and not wq
+                and mon_item is None
+                and (
+                    fade is None
+                    or (ready_at <= now and not draining and wait_seq is None)
+                )
+            ):
+                finished = True
+                break
+            if now >= max_cycles:
+                break
 
-            finished = False
-            while True:
-                if (
-                    app_index >= plan_len
-                    and not eq
-                    and not wq
-                    and mon_item is None
-                    and (
-                        fade is None
-                        or (ready_at <= now and not draining and wait_seq is None)
-                    )
-                ):
-                    finished = True
-                    break
-                if now >= max_cycles or app_index >= sync_at:
-                    break
-
-                # --- quiet horizon (0: some agent acts this cycle) ------------
-                monitor_busy = mon_item is not None
-                if monitor_busy:
-                    if smt and not app_blocked and app_index < plan_len:
-                        budget = budget_half
-                    else:
-                        budget = budget_full
-                    # The handler completes on cycle ceil(remaining / budget).
-                    quiet = (mon_rem - 1) // budget if mon_rem > budget else 0
+            # --- quiet horizon (0: some agent acts this cycle) ----------------
+            monitor_busy = mon_item is not None
+            if monitor_busy:
+                if smt and not app_blocked and app_index < plan_len:
+                    budget = budget_half
                 else:
-                    quiet = 0 if wq else never  # A queued handler dispatches.
-                if quiet and fade is not None:
-                    if ready_at > now:
-                        if ready_at - now < quiet:
-                            quiet = ready_at - now
-                    elif wait_seq is not None:
-                        pass  # Accrues wait cycles until the handler completes.
-                    elif draining:
-                        # Drained means the unfiltered queue emptied and the
-                        # last handler completed — both non-quiet cycles.
-                        if not wq and mon_item is None:
-                            quiet = 0
-                    elif eq:
-                        kind = kinds[eq[0]]
-                        if kind == stack_kind:
-                            quiet = 0  # Starts draining or runs the SUU.
-                        elif wq_capacity is None or len(wq) < wq_capacity:
-                            if kind == high_level_kind or not fade.fsq_full:
-                                quiet = 0  # Dequeues this cycle.
-                if quiet and app_index < plan_len:
+                    budget = budget_full
+                # The handler completes on cycle ceil(remaining / budget).
+                quiet = (mon_rem - 1) // budget if mon_rem > budget else 0
+            else:
+                quiet = 0 if wq else never  # A queued handler dispatches.
+            if quiet and fade is not None:
+                if ready_at > now:
+                    if ready_at - now < quiet:
+                        quiet = ready_at - now
+                elif wait_seq is not None:
+                    pass  # Accrues wait cycles until the handler completes.
+                elif draining:
+                    # Drained means the unfiltered queue emptied and the
+                    # last handler completed — both non-quiet cycles.
+                    if not wq and mon_item is None:
+                        quiet = 0
+                elif eq:
+                    kind = kinds[eq[0]]
+                    if kind == stack_kind:
+                        quiet = 0  # Starts draining or runs the SUU.
+                    elif wq_capacity is None or len(wq) < wq_capacity:
+                        if kind == high_level_kind or not fade.fsq_full:
+                            quiet = 0  # Dequeues this cycle.
+            if quiet and app_index < plan_len:
+                if app_blocked:
+                    # Retries keep failing while the queue stays full.
+                    if eq_capacity is None or len(eq) < eq_capacity:
+                        quiet = 0
+                else:
+                    step = 1 if (smt and monitor_busy) else 2
+                    target = schedule[app_index]
+                    if target <= base + (halves + step) * 0.5:
+                        quiet = 0  # A retirement crosses this cycle.
+                    else:
+                        # First crossing cycle k: a float estimate seeds
+                        # it, the exact progress expression verifies it.
+                        k = int(math.ceil(((target - base) * 2.0 - halves) / step))
+                        if k < 2:
+                            k = 2
+                        while k > 2 and base + (halves + (k - 1) * step) * 0.5 >= target:
+                            k -= 1
+                        while base + (halves + k * step) * 0.5 < target:
+                            k += 1
+                        if k - 1 < quiet:
+                            quiet = k - 1
+
+            if quiet:
+                # --- jump: accrue exactly what `quiet` stepped cycles would
+                if quiet > max_cycles - now:
+                    quiet = max_cycles - now
+                if monitor_busy:
+                    mon_rem -= quiet * budget
+                    busy_cycles += quiet
                     if app_blocked:
-                        # Retries keep failing while the queue stays full.
-                        if eq_capacity is None or len(eq) < eq_capacity:
-                            quiet = 0
+                        app_idle += quiet
                     else:
-                        step = 1 if (smt and monitor_busy) else 2
-                        target = schedule[app_index]
-                        if target <= base + (halves + step) * 0.5:
-                            quiet = 0  # A retirement crosses this cycle.
-                        else:
-                            # First crossing cycle k: a float estimate seeds
-                            # it, the exact progress expression verifies it.
-                            k = int(math.ceil(((target - base) * 2.0 - halves) / step))
-                            if k < 2:
-                                k = 2
-                            while k > 2 and base + (halves + (k - 1) * step) * 0.5 >= target:
-                                k -= 1
-                            while base + (halves + k * step) * 0.5 < target:
-                                k += 1
-                            if k - 1 < quiet:
-                                quiet = k - 1
-
-                if quiet:
-                    # --- jump: accrue exactly what `quiet` stepped cycles would
-                    if quiet > max_cycles - now:
-                        quiet = max_cycles - now
-                    if monitor_busy:
-                        mon_rem -= quiet * budget
-                        busy_cycles += quiet
-                        if app_blocked:
-                            app_idle += quiet
-                        else:
-                            both_busy += quiet
-                    else:
-                        monitor_idle += quiet
-                    if fade is not None and ready_at <= now:
-                        if wait_seq is not None:
-                            result.fade_wait_cycles += quiet
-                        elif draining:
-                            result.fade_drain_cycles += quiet
-                    if app_index < plan_len:
-                        if app_blocked:
-                            blocked_cycles += quiet
-                            eq_stats.rejected += quiet
-                        elif smt and monitor_busy:
-                            halves += quiet
-                        else:
-                            halves += 2 * quiet
-                    if sample:
-                        eq_hist[len(eq)] += quiet
-                        if split:
-                            wq_hist[len(wq)] += quiet
-                    now += quiet
-                    if covering:
-                        hit("engine.skip")
-                    continue
-
-                # --- one reference cycle: the monitor -------------------------
-                if monitor_busy or wq:
-                    if smt and not app_blocked and app_index < plan_len:
-                        budget = budget_half
-                    else:
-                        budget = budget_full
-                    while budget > 0:
-                        if mon_item is None:
-                            if not wq:
-                                break
-                            # Dispatch: functional effects apply here.
-                            mon_item = wq.popleft()
-                            wq_stats.dequeued += 1
-                            if mon_item < 0:
-                                mon_item = ~mon_item
-                                handler_kind = short_handler
-                            else:
-                                handler_kind = full_handler
-                            kind = kinds[mon_item]
-                            if kind != high_level_kind:
-                                event = events[mon_item]
-                                if event is None:
-                                    event = events[mon_item] = build_event(
-                                        lists, mon_item
-                                    )
-                                if kind == instruction_kind:
-                                    outcome = handle_event(event, handler_kind)
-                                else:
-                                    outcome = handle_stack_update(
-                                        event.stack_update
-                                    )
-                            else:
-                                outcome = handle_high_level(items[mon_item])
-                            handler_class = outcome.handler_class
-                            handler_totals[handler_class] = (
-                                handler_totals.get(handler_class, 0.0) + outcome.cost
-                            )
-                            handlers += 1
-                            if fade is None and kind == instruction_kind:
-                                track_filtering(handler_class in filterable)
-                            mon_rem = int(outcome.cost) * unit_scale
-                        take = mon_rem if mon_rem < budget else budget
-                        mon_rem -= take
-                        budget -= take
-                        if mon_rem <= 0:
-                            # Completion.
-                            if (
-                                fade is not None
-                                and kinds[mon_item] == instruction_kind
-                            ):
-                                handler_completed(mon_item)
-                                if wait_seq == mon_item:
-                                    wait_seq = None
-                            mon_item = None
-                            mon_rem = 0
-                    busy_cycles += 1
-                    monitor_busy = mon_item is not None or bool(wq)
-
-                # --- FADE -----------------------------------------------------
+                        both_busy += quiet
+                else:
+                    monitor_idle += quiet
                 if fade is not None and ready_at <= now:
                     if wait_seq is not None:
-                        result.fade_wait_cycles += 1
-                        if covering:
-                            hit("fade.wait")
-                    elif draining and (wq or mon_item is not None):
-                        result.fade_drain_cycles += 1
-                        if covering:
-                            hit("fade.drain")
-                    elif eq:
-                        draining = False
-                        item = eq[0]
-                        kind = kinds[item]
-                        if kind == stack_kind:
-                            # Section 5.2: drain the unfiltered queue first.
-                            if stack_update_drain and (wq or mon_item is not None):
-                                draining = True
-                                result.fade_drain_cycles += 1
-                                if covering:
-                                    hit("fade.drain")
+                        result.fade_wait_cycles += quiet
+                    elif draining:
+                        result.fade_drain_cycles += quiet
+                if app_index < plan_len:
+                    if app_blocked:
+                        blocked_cycles += quiet
+                        eq_stats.rejected += quiet
+                    elif smt and monitor_busy:
+                        halves += quiet
+                    else:
+                        halves += 2 * quiet
+                if sample:
+                    eq_hist[len(eq)] += quiet
+                    if split:
+                        wq_hist[len(wq)] += quiet
+                now += quiet
+                if covering:
+                    hit("engine.skip")
+                continue
+
+            # --- one reference cycle: the monitor -----------------------------
+            if monitor_busy or wq:
+                if smt and not app_blocked and app_index < plan_len:
+                    budget = budget_half
+                else:
+                    budget = budget_full
+                while budget > 0:
+                    if mon_item is None:
+                        if not wq:
+                            break
+                        # Dispatch: functional effects apply here.
+                        mon_item = wq.popleft()
+                        wq_stats.dequeued += 1
+                        if mon_item < 0:
+                            mon_item = ~mon_item
+                            handler_kind = short_handler
+                        else:
+                            handler_kind = full_handler
+                        kind = kinds[mon_item]
+                        if kind != high_level_kind:
+                            event = events[mon_item]
+                            if event is None:
+                                event = events[mon_item] = build_event(
+                                    lists, mon_item
+                                )
+                            if kind == instruction_kind:
+                                outcome = handle_event(event, handler_kind)
                             else:
-                                eq.popleft()
-                                eq_stats.dequeued += 1
-                                event = events[item]
-                                if event is None:
-                                    event = events[item] = build_event(
-                                        lists, item
-                                    )
-                                update = event.stack_update
-                                cycles = process_stack_update(update)
-                                on_suu_stack_update(update)
-                                ready_at = now + cycles
-                                if covering:
-                                    hit("fade.suu")
-                        elif wq_capacity is not None and len(wq) >= wq_capacity:
+                                outcome = handle_stack_update(
+                                    event.stack_update
+                                )
+                        else:
+                            outcome = handle_high_level(items[mon_item])
+                        handler_class = outcome.handler_class
+                        handler_totals[handler_class] = (
+                            handler_totals.get(handler_class, 0.0) + outcome.cost
+                        )
+                        handlers += 1
+                        if fade is None and kind == instruction_kind:
+                            track_filtering(handler_class in filterable)
+                        mon_rem = int(outcome.cost) * unit_scale
+                    take = mon_rem if mon_rem < budget else budget
+                    mon_rem -= take
+                    budget -= take
+                    if mon_rem <= 0:
+                        # Completion.
+                        if (
+                            fade is not None
+                            and kinds[mon_item] == instruction_kind
+                        ):
+                            handler_completed(mon_item)
+                            if wait_seq == mon_item:
+                                wait_seq = None
+                        mon_item = None
+                        mon_rem = 0
+                busy_cycles += 1
+                monitor_busy = mon_item is not None or bool(wq)
+
+            # --- FADE ---------------------------------------------------------
+            if fade is not None and ready_at <= now:
+                if wait_seq is not None:
+                    result.fade_wait_cycles += 1
+                    if covering:
+                        hit("fade.wait")
+                elif draining and (wq or mon_item is not None):
+                    result.fade_drain_cycles += 1
+                    if covering:
+                        hit("fade.drain")
+                elif eq:
+                    draining = False
+                    item = eq[0]
+                    kind = kinds[item]
+                    if kind == stack_kind:
+                        # Section 5.2: drain the unfiltered queue first.
+                        if stack_update_drain and (wq or mon_item is not None):
+                            draining = True
+                            result.fade_drain_cycles += 1
                             if covering:
-                                hit("stall.wq_full")
-                        elif kind == high_level_kind:
+                                hit("fade.drain")
+                        else:
                             eq.popleft()
                             eq_stats.dequeued += 1
-                            for inv_id, value in runtime_invariant_updates(
-                                items[item]
-                            ):
-                                write_invariant(inv_id, value)
-                            wq.append(item)
+                            event = events[item]
+                            if event is None:
+                                event = events[item] = build_event(
+                                    lists, item
+                                )
+                            update = event.stack_update
+                            cycles = process_stack_update(update)
+                            on_suu_stack_update(update)
+                            ready_at = now + cycles
+                            if covering:
+                                hit("fade.suu")
+                    elif wq_capacity is not None and len(wq) >= wq_capacity:
+                        if covering:
+                            hit("stall.wq_full")
+                    elif kind == high_level_kind:
+                        eq.popleft()
+                        eq_stats.dequeued += 1
+                        for inv_id, value in runtime_invariant_updates(
+                            items[item]
+                        ):
+                            write_invariant(inv_id, value)
+                        wq.append(item)
+                        wq_stats.enqueued += 1
+                        if len(wq) > wq_stats.max_occupancy:
+                            wq_stats.max_occupancy = len(wq)
+                        ready_at = now + 1
+                        if covering:
+                            hit("fade.high_level")
+                    elif fade.fsq_full:
+                        if covering:
+                            hit("stall.fsq_full")
+                    else:
+                        eq.popleft()
+                        eq_stats.dequeued += 1
+                        # ``event_fields(lists, item)``, inlined.
+                        flags = flags_column[item]
+                        slot = memory_slot[flags]
+                        outcome = process(
+                            event_ids[(op_column[item] << 4) | (flags & 15)],
+                            lists[slot][item] if slot else None,
+                            f1[item] if flags & 3 == register else None,
+                            f2[item] if (flags >> SRC2_SHIFT) & 3 == register else None,
+                            f3[item] if (flags >> DEST_SHIFT) & 3 == register else None,
+                            item,
+                        )
+                        busy = outcome.occupancy_cycles
+                        if outcome.tlb_miss:
+                            busy += tlb_service
+                        ready_at = now + busy
+                        if outcome.filtered:
+                            # ``_track_filtering(True)``, inlined.
+                            self._filterable_gap += 1
+                        else:
+                            track_filtering(False)
+                            wq.append(
+                                ~item
+                                if outcome.handler_kind is short_handler
+                                else item
+                            )
                             wq_stats.enqueued += 1
                             if len(wq) > wq_stats.max_occupancy:
                                 wq_stats.max_occupancy = len(wq)
-                            ready_at = now + 1
-                            if covering:
-                                hit("fade.high_level")
-                        elif fade.fsq_full:
-                            if covering:
-                                hit("stall.fsq_full")
-                        else:
-                            eq.popleft()
-                            eq_stats.dequeued += 1
-                            # ``event_fields(lists, item)``, inlined.
-                            flags = flags_column[item]
-                            slot = memory_slot[flags]
-                            outcome = process(
-                                event_ids[(op_column[item] << 4) | (flags & 15)],
-                                lists[slot][item] if slot else None,
-                                f1[item] if flags & 3 == register else None,
-                                f2[item] if (flags >> SRC2_SHIFT) & 3 == register else None,
-                                f3[item] if (flags >> DEST_SHIFT) & 3 == register else None,
-                                item,
-                            )
-                            busy = outcome.occupancy_cycles
-                            if outcome.tlb_miss:
-                                busy += tlb_service
-                            ready_at = now + busy
-                            if outcome.filtered:
-                                # ``_track_filtering(True)``, inlined.
-                                self._filterable_gap += 1
-                            else:
-                                track_filtering(False)
-                                wq.append(
-                                    ~item
-                                    if outcome.handler_kind is short_handler
-                                    else item
-                                )
-                                wq_stats.enqueued += 1
-                                if len(wq) > wq_stats.max_occupancy:
-                                    wq_stats.max_occupancy = len(wq)
-                                if blocking:
-                                    wait_seq = item
-                    else:
-                        draining = False
+                            if blocking:
+                                wait_seq = item
+                else:
+                    draining = False
 
-                # --- the application core ------------------------------------
-                if app_index < plan_len:
-                    if app_blocked:
-                        # The blocked item is always deliverable: retry it.
-                        if eq_capacity is not None and len(eq) >= eq_capacity:
-                            eq_stats.rejected += 1
-                            blocked_cycles += 1
-                        else:
+            # --- the application core ----------------------------------------
+            if app_index < plan_len:
+                if app_blocked:
+                    # The blocked item is always deliverable: retry it.
+                    if eq_capacity is not None and len(eq) >= eq_capacity:
+                        eq_stats.rejected += 1
+                        blocked_cycles += 1
+                    else:
+                        eq.append(app_index)
+                        eq_stats.enqueued += 1
+                        if len(eq) > eq_stats.max_occupancy:
+                            eq_stats.max_occupancy = len(eq)
+                        app_index += 1
+                        app_blocked = False
+                if not app_blocked:
+                    halves += 1 if (smt and monitor_busy) else 2
+                    progress = base + halves * 0.5
+                    while app_index < plan_len and schedule[app_index] <= progress:
+                        kind = kinds[app_index]
+                        if kind and kind != skip_kind:
+                            if eq_capacity is not None and len(eq) >= eq_capacity:
+                                eq_stats.rejected += 1
+                                app_blocked = True
+                                blocked_cycles += 1
+                                # Freeze progress at the blocked item.
+                                base = schedule[app_index]
+                                halves = 0
+                                break
                             eq.append(app_index)
                             eq_stats.enqueued += 1
                             if len(eq) > eq_stats.max_occupancy:
                                 eq_stats.max_occupancy = len(eq)
-                            app_index += 1
-                            app_blocked = False
-                    if not app_blocked:
-                        halves += 1 if (smt and monitor_busy) else 2
-                        progress = base + halves * 0.5
-                        while app_index < plan_len and schedule[app_index] <= progress:
-                            kind = kinds[app_index]
-                            if kind and kind != skip_kind:
-                                if eq_capacity is not None and len(eq) >= eq_capacity:
-                                    eq_stats.rejected += 1
-                                    app_blocked = True
-                                    blocked_cycles += 1
-                                    # Freeze progress at the blocked item.
-                                    base = schedule[app_index]
-                                    halves = 0
-                                    break
-                                eq.append(app_index)
-                                eq_stats.enqueued += 1
-                                if len(eq) > eq_stats.max_occupancy:
-                                    eq_stats.max_occupancy = len(eq)
-                            app_index += 1
+                        app_index += 1
 
-                if sample:
-                    eq_hist[len(eq)] += 1
-                    if split:
-                        wq_hist[len(wq)] += 1
-                if not monitor_busy:
-                    monitor_idle += 1
-                elif app_blocked:
-                    app_idle += 1
-                else:
-                    both_busy += 1
-                now += 1
-                if covering:
-                    hit("engine.step")
+            if sample:
+                eq_hist[len(eq)] += 1
+                if split:
+                    wq_hist[len(wq)] += 1
+            if not monitor_busy:
+                monitor_idle += 1
+            elif app_blocked:
+                app_idle += 1
+            else:
+                both_busy += 1
+            now += 1
+            if covering:
+                hit("engine.step")
 
-            # --- sync point: flush the loop state back to ``self`` -----------
-            self._now = now
-            self._app_index = app_index
-            self._app_blocked = app_blocked
-            self._progress_base = base
-            self._progress_halves = halves
-            self._monitor_item = mon_item
-            self._monitor_remaining = mon_rem
-            self._fade_ready_at = ready_at
-            self._fade_wait_seq = wait_seq
-            self._fade_draining = draining
-            result.monitor_busy_cycles = busy_cycles
-            result.app_blocked_cycles = blocked_cycles
-            result.handlers_executed = handlers
-            breakdown.app_idle = app_idle
-            breakdown.monitor_idle = monitor_idle
-            breakdown.both_busy = both_busy
-            if finished:
-                return
-            if now >= max_cycles:
-                raise self._cycle_limit_error()
-            self._emit_checkpoint()
+        # --- flush the loop state back to ``self`` ----------------------------
+        self._now = now
+        self._app_index = app_index
+        self._app_blocked = app_blocked
+        self._progress_base = base
+        self._progress_halves = halves
+        self._monitor_item = mon_item
+        self._monitor_remaining = mon_rem
+        self._fade_ready_at = ready_at
+        self._fade_wait_seq = wait_seq
+        self._fade_draining = draining
+        result.monitor_busy_cycles = busy_cycles
+        result.app_blocked_cycles = blocked_cycles
+        result.handlers_executed = handlers
+        breakdown.app_idle = app_idle
+        breakdown.monitor_idle = monitor_idle
+        breakdown.both_busy = both_busy
+        if not finished:
+            raise self._cycle_limit_error()
 
     def _step_cycle(self) -> None:
         """One cycle of the reference semantics (the naive engine's cycle;
@@ -1179,228 +1190,6 @@ class MonitoringSimulation:
         if self._current_burst > 0:
             self.result.unfiltered_burst_sizes.append(self._current_burst)
             self._current_burst = 0
-
-    # --------------------------------------------------- checkpoint protocol
-
-    def configure_checkpoints(self, every_instructions: int, callback) -> None:
-        """Invoke ``callback(self)`` each time ``every_instructions`` timed
-        instructions have retired (measured from the end of warmup).
-
-        Thresholds are precomputed plan-item indices, so the engine loops
-        only compare ``_app_index`` against an integer per iteration; while
-        disabled that integer is ``_NEVER`` and the compare never fires.
-        Thresholds at or before the current ``_app_index`` are skipped, so
-        a restored simulation only emits checkpoints *beyond* the one it
-        resumed from.  The callback runs between engine iterations and must
-        not mutate simulation state (``snapshot`` does not)."""
-        if callback is None or every_instructions <= 0:
-            self._checkpoint_thresholds = ()
-            self._checkpoint_position = 0
-            self._checkpoint_callback = None
-            self._checkpoint_at = _NEVER
-            return
-        kind_column = self.trace.column_lists()[6]
-        thresholds: List[int] = []
-        seen = 0
-        mark = every_instructions
-        plan_len = self._plan_len
-        for index in range(self.warmup_items, plan_len):
-            if kind_column[index] == KIND_INSTRUCTION:
-                seen += 1
-                if seen >= mark:
-                    # A checkpoint at the very end of the plan is useless
-                    # (the run completes immediately after); drop it.
-                    if index + 1 < plan_len:
-                        thresholds.append(index + 1)
-                    mark += every_instructions
-        position = 0
-        while position < len(thresholds) and thresholds[position] <= self._app_index:
-            position += 1
-        self._checkpoint_thresholds = tuple(thresholds)
-        self._checkpoint_position = position
-        self._checkpoint_callback = callback
-        self._checkpoint_at = (
-            thresholds[position] if position < len(thresholds) else _NEVER
-        )
-
-    def _emit_checkpoint(self) -> None:
-        """Fire the checkpoint callback once and arm the next threshold.
-
-        One cycle can retire past several thresholds; all of them collapse
-        into the single checkpoint taken here (checkpoints are periodic
-        best-effort, not exact)."""
-        thresholds = self._checkpoint_thresholds
-        position = self._checkpoint_position
-        app_index = self._app_index
-        while position < len(thresholds) and thresholds[position] <= app_index:
-            position += 1
-        self._checkpoint_position = position
-        self._checkpoint_at = (
-            thresholds[position] if position < len(thresholds) else _NEVER
-        )
-        callback = self._checkpoint_callback
-        if callback is not None:
-            callback(self)
-
-    def timed_progress(self) -> float:
-        """Fraction of the timed (post-warmup) region already consumed —
-        the checkpoint hooks use it to gate progress-conditioned fault
-        injection (``worker_kill_midrun`` fires only past its threshold)."""
-        total = self._plan_len - self.warmup_items
-        if total <= 0:
-            return 1.0
-        return min(1.0, (self._app_index - self.warmup_items) / total)
-
-    def snapshot(self) -> dict:
-        """Full mid-run state as a picklable plain-container dict.
-
-        Captures everything ``restore`` needs to finish the run with results
-        bit-identical to never having stopped: engine scalars, queue entries
-        and statistics, mid-run :class:`RunResult` counters, the monitor's
-        functional state and FADE's architectural state.  Queue entries and
-        the monitor's item are trace indices (``~index`` for a SHORT
-        handler), so they are stored as they are.  Pure caches (the filter
-        memo, chain caches, the trace's event memo) are deliberately
-        excluded — they rebuild cold without affecting any result
-        (DESIGN.md §11)."""
-        result = self.result
-        split = self._split_queues
-        return {
-            "version": SIM_STATE_VERSION,
-            "engine": self.config.engine,
-            "now": self._now,
-            "app_index": self._app_index,
-            "progress_base": self._progress_base,
-            "progress_halves": self._progress_halves,
-            "app_blocked": self._app_blocked,
-            "timed_started_at": self._timed_started_at,
-            "monitor_item": self._monitor_item,
-            "monitor_remaining": self._monitor_remaining,
-            "fade_ready_at": self._fade_ready_at,
-            "fade_wait_seq": self._fade_wait_seq,
-            "fade_draining": self._fade_draining,
-            "filterable_gap": self._filterable_gap,
-            "current_burst": self._current_burst,
-            "saw_unfiltered": self._saw_unfiltered,
-            "eq_entries": list(self._eq_entries),
-            "eq_stats": self.event_queue.stats.capture_state(),
-            "wq_entries": list(self._wq_entries) if split else None,
-            "wq_stats": self.work_queue.stats.capture_state() if split else None,
-            "monitor": self.monitor.capture_state(),
-            "fade": self.fade.capture_state() if self.fade is not None else None,
-            "result": {
-                "instructions": result.instructions,
-                "monitored_events": result.monitored_events,
-                "stack_update_events": result.stack_update_events,
-                "high_level_events": result.high_level_events,
-                "baseline_cycles": result.baseline_cycles,
-                "handler_instructions": {
-                    handler_class.value: cost
-                    for handler_class, cost in result.handler_instructions.items()
-                },
-                "handlers_executed": result.handlers_executed,
-                "unfiltered_distances": dict(result.unfiltered_distances),
-                "unfiltered_burst_sizes": list(result.unfiltered_burst_sizes),
-                "cycle_breakdown": result.cycle_breakdown.to_dict(),
-                "app_blocked_cycles": result.app_blocked_cycles,
-                "monitor_busy_cycles": result.monitor_busy_cycles,
-                "fade_drain_cycles": result.fade_drain_cycles,
-                "fade_wait_cycles": result.fade_wait_cycles,
-            },
-        }
-
-    def restore(self, state: dict, owned: bool = False) -> None:
-        """Resume a freshly-constructed simulation from a :meth:`snapshot`.
-
-        The simulation must have been built from the same spec (trace,
-        monitor, config, warmup) that produced the snapshot — the checkpoint
-        layer guarantees that by keying blobs on the spec's content key.
-        Every container restores *in place*: the hoisted hot-path references
-        (queue deques, histograms, the cycle breakdown, FADE's tables) keep
-        their identities.  Calling ``run`` afterwards skips warmup and
-        finishes the run.
-
-        ``owned=True`` lets the monitor adopt the state's subclass dict
-        without a defensive deep copy — correct only when the caller owns
-        the state exclusively and restores it at most once, which is true
-        of every state freshly unpickled from a checkpoint blob (the
-        restore path in :mod:`repro.api.runner`).  In-memory
-        snapshot/restore callers that keep the snapshot alive must leave it
-        False."""
-        version = state.get("version")
-        if version != SIM_STATE_VERSION:
-            raise SimulationError(
-                f"snapshot version {version!r} does not match "
-                f"SIM_STATE_VERSION={SIM_STATE_VERSION}"
-            )
-        engine = state.get("engine")
-        if engine != self.config.engine:
-            raise SimulationError(
-                f"snapshot was taken by the {engine!r} engine; "
-                f"this simulation runs {self.config.engine!r}"
-            )
-        self._now = state["now"]
-        self._app_index = state["app_index"]
-        self._progress_base = state["progress_base"]
-        self._progress_halves = state["progress_halves"]
-        self._app_blocked = state["app_blocked"]
-        self._timed_started_at = state["timed_started_at"]
-        self._monitor_item = state["monitor_item"]
-        self._monitor_remaining = state["monitor_remaining"]
-        self._fade_ready_at = state["fade_ready_at"]
-        self._fade_wait_seq = state["fade_wait_seq"]
-        self._fade_draining = state["fade_draining"]
-        self._filterable_gap = state["filterable_gap"]
-        self._current_burst = state["current_burst"]
-        self._saw_unfiltered = state["saw_unfiltered"]
-        eq_entries = self._eq_entries
-        eq_entries.clear()
-        eq_entries.extend(state["eq_entries"])
-        self.event_queue.stats.restore_state(state["eq_stats"])
-        if self._split_queues:
-            wq_entries = self._wq_entries
-            wq_entries.clear()
-            wq_entries.extend(state["wq_entries"])
-            self.work_queue.stats.restore_state(state["wq_stats"])
-        self.monitor.restore_state(state["monitor"], owned=owned)
-        if self.fade is not None and state["fade"] is not None:
-            self.fade.restore_state(state["fade"])
-        payload = state["result"]
-        result = self.result
-        result.instructions = payload["instructions"]
-        result.monitored_events = payload["monitored_events"]
-        result.stack_update_events = payload["stack_update_events"]
-        result.high_level_events = payload["high_level_events"]
-        result.baseline_cycles = payload["baseline_cycles"]
-        result.handler_instructions.clear()
-        result.handler_instructions.update(
-            (HandlerClass(name), cost)
-            for name, cost in payload["handler_instructions"].items()
-        )
-        result.handlers_executed = payload["handlers_executed"]
-        result.unfiltered_distances.clear()
-        result.unfiltered_distances.update(payload["unfiltered_distances"])
-        result.unfiltered_burst_sizes[:] = payload["unfiltered_burst_sizes"]
-        breakdown_state = payload["cycle_breakdown"]
-        breakdown = self._breakdown
-        breakdown.app_idle = breakdown_state["app_idle"]
-        breakdown.monitor_idle = breakdown_state["monitor_idle"]
-        breakdown.both_busy = breakdown_state["both_busy"]
-        result.app_blocked_cycles = payload["app_blocked_cycles"]
-        result.monitor_busy_cycles = payload["monitor_busy_cycles"]
-        result.fade_drain_cycles = payload["fade_drain_cycles"]
-        result.fade_wait_cycles = payload["fade_wait_cycles"]
-        # Re-arm any configured checkpoint thresholds past the restored
-        # position (configure_checkpoints after restore does the same).
-        thresholds = self._checkpoint_thresholds
-        position = 0
-        while position < len(thresholds) and thresholds[position] <= self._app_index:
-            position += 1
-        self._checkpoint_position = position
-        self._checkpoint_at = (
-            thresholds[position] if position < len(thresholds) else _NEVER
-        )
-        self._restored = True
 
 
 def simulate(

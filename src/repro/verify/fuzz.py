@@ -401,7 +401,6 @@ def fuzz_campaign(
     seconds: Optional[float] = None,
     thorough: bool = True,
     max_mismatches: int = 3,
-    checkpoint_every: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CampaignReport:
     """Run a fuzz campaign: sample cases, run each through the differential
@@ -409,11 +408,9 @@ def fuzz_campaign(
     ``seconds`` wall-clock seconds, whichever comes first when given).
 
     ``thorough`` forwards to the oracle: the full cross-product including
-    the parallel legs per case, versus the serial-only legs.
-    ``checkpoint_every`` pins the checkpointed leg's cadence (default: a
-    third of each case's instruction count).  Campaigns abort early after
-    ``max_mismatches`` shrunken mismatches — each shrink is itself
-    simulation work, and one mismatch already fails the run.
+    the parallel legs per case, versus the serial-only legs.  Campaigns
+    abort early after ``max_mismatches`` shrunken mismatches — each shrink
+    is itself simulation work, and one mismatch already fails the run.
     """
     from repro.verify.oracle import DifferentialOracle
 
@@ -421,9 +418,7 @@ def fuzz_campaign(
     # pipeline and FSQ are hardwired to it, so it is not a parameter.
     coverage = COVERAGE
     fuzzer = WorkloadFuzzer(seed)
-    oracle = DifferentialOracle(
-        thorough=thorough, checkpoint_every=checkpoint_every
-    )
+    oracle = DifferentialOracle(thorough=thorough)
     was_enabled = coverage.enabled
     coverage.reset()
     coverage.enable()

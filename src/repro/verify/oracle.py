@@ -16,20 +16,24 @@ geometrically smaller instruction counts and reports the smallest spec that
 still disagrees, so the repro attached to a failing fuzz campaign is
 minutes — not hours — of single-stepping away from a root cause.
 
-Eleven legs execute per spec: the four serial-cold engine × filter-mode
+Ten legs execute per spec: the four serial-cold engine × filter-mode
 combinations over {event, naive} (the naive engine ignores the filter
 memo by construction, but runs under both settings anyway, so the
 forced-inline environment path cannot rot unnoticed), two store
 round-trips of the reference result (one per
 :class:`~repro.api.ResultStore` backend — sharded JSON and SQLite — so
-the store axis covers both persistence formats), a **checkpointed** leg
-(run until the first mid-run checkpoint lands, abandon, resume from the
-blob, finish — the snapshot/restore round-trip must be bit-exact;
-included in ``--quick`` mode too), and — in thorough mode — the four
-parallel-cold combinations.  The remaining corners of the product (warm
-round-trips of the non-reference legs) are implied: every leg must equal
-the reference byte-for-byte, and the store round-trip is a pure
-serialization identity, so one warm leg witnesses it for all.
+the store axis covers both persistence formats), and — in thorough mode —
+the four parallel-cold combinations.  The remaining corners of the
+product (warm round-trips of the non-reference legs) are implied: every
+leg must equal the reference byte-for-byte, and the store round-trip is a
+pure serialization identity, so one warm leg witnesses it for all.
+
+Every run also checks the simulator's conservation laws when it
+finalizes; a leg that breaks one raises :class:`SimulationError`, and the
+oracle records the error as that leg's digest, so it disagrees with the
+legs that finished and shrinks like any other mismatch.  When every leg
+raises the same error there is nothing to diff, so :meth:`check` raises
+it: a break in code all legs share fails as loudly as a disagreement.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.api.cache import RunnerCache
 from repro.api.runner import ParallelRunner, execute_spec
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
-from repro.checkpoint import CheckpointStore
+from repro.common.errors import SimulationError
 from repro.faults.injector import suppress_faults
 from repro.system.results import RunResult
 
@@ -71,6 +75,19 @@ def serialize_result(result: RunResult) -> str:
 
 def result_digest(result: RunResult) -> str:
     return hashlib.sha256(serialize_result(result).encode()).hexdigest()
+
+
+def _error_digest(error: SimulationError) -> str:
+    """The digest of a leg that raised instead of finishing."""
+    return f"<{type(error).__name__}: {error}>"
+
+
+def _guarded(run: Callable[[RunSpec], str], spec: RunSpec) -> str:
+    """``run(spec)``, or the :func:`_error_digest` of the error it raised."""
+    try:
+        return run(spec)
+    except SimulationError as error:
+        return _error_digest(error)
 
 
 def first_divergence(a: RunResult, b: RunResult) -> str:
@@ -117,27 +134,6 @@ def forced_inline(active: bool):
             os.environ.pop("REPRO_FORCE_INLINE_FADE", None)
         else:
             os.environ["REPRO_FORCE_INLINE_FADE"] = previous
-
-
-class _CheckpointAbort(Exception):
-    """Raised by the checkpointed leg to abandon a run right after its
-    first checkpoint write — an in-process stand-in for a worker crash,
-    leaving a valid blob behind for the resume half of the leg."""
-
-
-class _InterruptingStore:
-    """Checkpoint-store proxy that aborts execution after the first
-    successful ``put`` (everything else delegates unchanged)."""
-
-    def __init__(self, store: CheckpointStore) -> None:
-        self._store = store
-
-    def __getattr__(self, name: str):
-        return getattr(self._store, name)
-
-    def put(self, spec, state) -> None:
-        self._store.put(spec, state)
-        raise _CheckpointAbort
 
 
 @dataclasses.dataclass
@@ -190,15 +186,9 @@ class DifferentialOracle:
     engine/filter/store product only — for unit tests and tight budgets.
     """
 
-    def __init__(
-        self,
-        thorough: bool = True,
-        jobs: int = 2,
-        checkpoint_every: Optional[int] = None,
-    ) -> None:
+    def __init__(self, thorough: bool = True, jobs: int = 2) -> None:
         self.thorough = thorough
         self.jobs = max(2, jobs)
-        self.checkpoint_every = checkpoint_every
         self._cache = RunnerCache()
 
     # ---------------------------------------------------------------- legs
@@ -211,38 +201,6 @@ class DifferentialOracle:
         )
         with forced_inline(inline):
             return execute_spec(leg_spec, self._cache)
-
-    def _checkpoint_result(self, spec: RunSpec) -> RunResult:
-        """The interrupted-and-resumed execution of ``spec``: run until the
-        first checkpoint lands, abandon the run, resume from the blob and
-        finish.  A spec too short to ever checkpoint just completes on the
-        first attempt — the leg then degenerates to a plain serial run."""
-        leg_spec = spec.replace(
-            config=dataclasses.replace(spec.config, engine="event")
-        )
-        every = self.checkpoint_every or max(
-            1, spec.settings.num_instructions // 3
-        )
-        with tempfile.TemporaryDirectory(prefix="repro-oracle-ckpt-") as tmp:
-            store = CheckpointStore(os.path.join(tmp, "ckpt"))
-            try:
-                try:
-                    return execute_spec(
-                        leg_spec,
-                        self._cache,
-                        checkpoint_every=every,
-                        checkpoint_store=_InterruptingStore(store),
-                    )
-                except _CheckpointAbort:
-                    pass
-                return execute_spec(
-                    leg_spec,
-                    self._cache,
-                    checkpoint_every=every,
-                    checkpoint_store=store,
-                )
-            finally:
-                store.close()
 
     def _leg_runner(self, leg: str) -> Callable[[RunSpec], str]:
         """A digest function for one leg name (used by the shrinker)."""
@@ -271,12 +229,6 @@ class DifferentialOracle:
                 return result_digest(warm)
 
             return run_warm
-        if leg.endswith("/ckpt"):
-
-            def run_ckpt(spec: RunSpec) -> str:
-                return result_digest(self._checkpoint_result(spec))
-
-            return run_ckpt
         if "/parallel/" in leg:
 
             def run_parallel(spec: RunSpec) -> str:
@@ -316,12 +268,16 @@ class DifferentialOracle:
         for engine in ("event", "naive"):
             for mode, inline in (("memo", False), ("inline", True)):
                 leg = f"{engine}/serial/{mode}/cold"
-                result = self._serial_result(spec, engine, inline)
-                digests[leg] = result_digest(result)
-                results[leg] = result
                 serial_specs[leg] = spec.replace(
                     config=dataclasses.replace(spec.config, engine=engine)
                 )
+                try:
+                    result = self._serial_result(spec, engine, inline)
+                except SimulationError as error:
+                    digests[leg] = _error_digest(error)
+                    continue
+                digests[leg] = result_digest(result)
+                results[leg] = result
 
         # Store round-trip: a warm hit must be byte-identical to the cold
         # computation that produced it.  A throwaway temp store — never the
@@ -335,6 +291,8 @@ class DifferentialOracle:
                     os.path.join(tmp, "store.db"),
                 ),
             ):
+                if REFERENCE_LEG not in results:
+                    break  # The reference raised: nothing to round-trip.
                 store = ResultStore(target)
                 store.put(reference_spec, results[REFERENCE_LEG])
                 warm = store.get(reference_spec)
@@ -344,13 +302,6 @@ class DifferentialOracle:
                 else:
                     digests[leg] = result_digest(warm)
                     results[leg] = warm
-
-        # Checkpointed leg (quick mode included): crash-after-first-
-        # checkpoint, resume, finish — the snapshot/restore round-trip must
-        # reproduce the monolithic run byte-for-byte.
-        ckpt_result = self._checkpoint_result(spec)
-        digests["event/serial/memo/ckpt"] = result_digest(ckpt_result)
-        results["event/serial/memo/ckpt"] = ckpt_result
 
         if self.thorough:
             # Both engines share one pool per filter mode (two pools per
@@ -362,9 +313,16 @@ class DifferentialOracle:
                     )
                     for engine in ("event", "naive")
                 ]
-                with forced_inline(inline):
-                    runner = ParallelRunner(jobs=self.jobs, cache=self._cache)
-                    outcome = runner.run(pair)
+                try:
+                    with forced_inline(inline):
+                        runner = ParallelRunner(jobs=self.jobs, cache=self._cache)
+                        outcome = runner.run(pair)
+                except SimulationError:
+                    # One engine raised: run each leg alone to tell which.
+                    for engine in ("event", "naive"):
+                        leg = f"{engine}/parallel/{mode}/cold"
+                        digests[leg] = _guarded(self._leg_runner(leg), spec)
+                    continue
                 digests[f"event/parallel/{mode}/cold"] = result_digest(
                     outcome.results[0]
                 )
@@ -392,7 +350,7 @@ class DifferentialOracle:
             )
 
         def disagrees(candidate: RunSpec) -> bool:
-            return run_a(candidate) != run_b(candidate)
+            return _guarded(run_a, candidate) != _guarded(run_b, candidate)
 
         best = spec
         n = spec.settings.num_instructions
@@ -422,7 +380,8 @@ class DifferentialOracle:
 
     def check(self, spec: RunSpec) -> Optional[Mismatch]:
         """Run the cross-product; None when every leg agrees, otherwise the
-        shrunken mismatch against the reference leg.
+        shrunken mismatch against the reference leg.  Raises
+        :class:`SimulationError` when every leg raised the same error.
 
         Every leg (and the shrinker's probes) runs under
         :func:`~repro.faults.injector.suppress_faults`: when a chaos plan
@@ -432,6 +391,10 @@ class DifferentialOracle:
         with suppress_faults():
             digests, results = self._all_legs(spec)
             reference = digests[REFERENCE_LEG]
+            if REFERENCE_LEG not in results and set(digests.values()) == {
+                reference
+            }:
+                raise SimulationError(f"every oracle leg raised {reference}")
             for leg, digest in digests.items():
                 if digest == reference:
                     continue
@@ -440,6 +403,10 @@ class DifferentialOracle:
                     divergence = first_divergence(
                         results[REFERENCE_LEG], results[leg]
                     )
+                elif digest.startswith("<") or reference.startswith("<"):
+                    # A leg without a result (it raised, or the store
+                    # missed): its marker is where the two legs part.
+                    divergence = digest if digest.startswith("<") else reference
                 shrunk, probes = self._shrink(
                     spec,
                     self._leg_runner(REFERENCE_LEG),

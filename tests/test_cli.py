@@ -221,3 +221,44 @@ def test_removed_segment_inputs_fail_loudly(attempt):
     """Segmented execution is gone: its campaign key and CLI flag are
     rejected at the boundary, never silently ignored."""
     attempt()
+
+
+def _usage_error(*argv):
+    def attempt():
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+
+    return attempt
+
+
+def _midrun_kill_fault_kind():
+    from repro.faults.plan import FAULT_KINDS, FaultEvent
+
+    with pytest.raises(ConfigurationError) as excinfo:
+        FaultEvent("e0", kind="worker_kill_midrun", site="worker.midrun")
+    message = str(excinfo.value)
+    assert "worker_kill_midrun" in message
+    assert f"known kinds: {', '.join(sorted(FAULT_KINDS))}" in message
+
+
+@pytest.mark.parametrize(
+    "attempt",
+    [
+        pytest.param(
+            _usage_error("run", "--checkpoint-every", "5"),
+            id="run-checkpoint-every",
+        ),
+        pytest.param(_usage_error("run", "--resume"), id="run-resume"),
+        pytest.param(_usage_error("checkpoint", "ls"), id="checkpoint-ls"),
+        pytest.param(
+            _usage_error("fuzz", "--checkpoint-every", "5"),
+            id="fuzz-checkpoint-every",
+        ),
+        pytest.param(_midrun_kill_fault_kind, id="worker-kill-midrun-kind"),
+    ],
+)
+def test_removed_checkpoint_inputs_fail_loudly(attempt):
+    """Mid-cell checkpoints are gone: their CLI flags, subcommand and fault
+    kind are rejected at the boundary, never silently ignored."""
+    attempt()

@@ -8,6 +8,7 @@ reports — because it only jumps across provably quiet intervals and runs
 every active cycle as an inlined copy of the reference cycle.
 """
 
+import dataclasses
 import functools
 
 import pytest
@@ -239,27 +240,123 @@ def test_engines_agree_on_cycle_limit():
             )
 
 
-@pytest.mark.parametrize("fade_enabled", [False, True])
-def test_cycle_limit_flushes_identical_state(fade_enabled):
-    """The event loop writes its locals back before raising the cycle-limit
-    error: the aborted simulation's state equals the naive stepper's."""
+def _states_at_cycle_limit(**config_kwargs):
+    """Each engine's :func:`_loop_state` after a run stopped at cycle 700."""
     states = {}
     for engine in ENGINES:
         sim = MonitoringSimulation(
             cached_trace("gcc"),
             create_monitor("memleak"),
-            SystemConfig(
-                fade_enabled=fade_enabled, max_cycles=700, engine=engine
-            ),
+            SystemConfig(max_cycles=700, engine=engine, **config_kwargs),
             get_profile("gcc"),
         )
         with pytest.raises(SimulationError):
             sim.run()
         assert sim._now == 700
-        state = sim.snapshot()
-        del state["engine"]
-        states[engine] = state
+        states[engine] = _loop_state(sim)
+    return states
+
+
+@pytest.mark.parametrize("fade_enabled", [False, True])
+def test_cycle_limit_flushes_identical_state(fade_enabled):
+    """The event loop writes its locals back before raising the cycle-limit
+    error: the aborted simulation's state equals the naive stepper's."""
+    states = _states_at_cycle_limit(fade_enabled=fade_enabled)
     assert states["event"] == states["naive"]
+
+
+def test_blocking_cycle_limit_flushes_identical_state():
+    """Blocking FADE under backpressure: the wait and drain cycles the
+    event loop adds while skipping ahead match the stepper's at the limit."""
+    states = _states_at_cycle_limit(
+        fade_enabled=True, non_blocking=False, event_queue_capacity=4
+    )
+    assert states["naive"]["result"]["fade_wait_cycles"] > 0
+    assert states["event"] == states["naive"]
+
+
+def _loop_state(sim):
+    """Everything the run has built up by the time it stops: the loop's
+    flushed locals, queue entries and statistics, the result's counters,
+    the monitor's functional state and FADE's architectural state."""
+    result = sim.result
+    return {
+        "now": sim._now,
+        "app": (sim._app_index, sim._app_blocked),
+        "progress": (sim._progress_base, sim._progress_halves),
+        "monitor_loop": (sim._monitor_item, sim._monitor_remaining),
+        "fade_loop": (sim._fade_ready_at, sim._fade_wait_seq, sim._fade_draining),
+        "bursts": (sim._filterable_gap, sim._current_burst, sim._saw_unfiltered),
+        "queues": (list(sim._eq_entries), list(sim._wq_entries)),
+        "queue_stats": (
+            dataclasses.asdict(sim.event_queue.stats),
+            dataclasses.asdict(sim.work_queue.stats),
+        ),
+        "result": {
+            "instructions": result.instructions,
+            "monitored_events": result.monitored_events,
+            "stack_update_events": result.stack_update_events,
+            "high_level_events": result.high_level_events,
+            "baseline_cycles": result.baseline_cycles,
+            "handler_instructions": dict(result.handler_instructions),
+            "handlers_executed": result.handlers_executed,
+            "unfiltered_distances": dict(result.unfiltered_distances),
+            "unfiltered_burst_sizes": list(result.unfiltered_burst_sizes),
+            "cycle_breakdown": result.cycle_breakdown.to_dict(),
+            "app_blocked_cycles": result.app_blocked_cycles,
+            "monitor_busy_cycles": result.monitor_busy_cycles,
+            "fade_drain_cycles": result.fade_drain_cycles,
+            "fade_wait_cycles": result.fade_wait_cycles,
+        },
+        "monitor": _monitor_state(sim.monitor),
+        "fade": _fade_state(sim.fade) if sim.fade is not None else None,
+    }
+
+
+def _monitor_state(monitor):
+    """Critical metadata, reports, thread and the subclass's own tables."""
+    own = {
+        name: value
+        for name, value in vars(monitor).items()
+        if name not in ("costs", "critical_regs", "critical_mem",
+                        "reports", "current_thread")
+    }
+    return {
+        "critical_regs": monitor.critical_regs.snapshot(),
+        "critical_mem": monitor.critical_mem.snapshot(),
+        "reports": list(monitor.reports),
+        "current_thread": monitor.current_thread,
+        "own": own,
+    }
+
+
+def _fade_state(fade):
+    """Statistics, INV RF, event table, MD cache and M-TLB, FSQ and SUU."""
+    md_cache = fade.md_cache._cache
+    tlb = fade.md_cache._tlb
+    fsq = fade.fsq
+    return {
+        "stats": fade.stats.to_dict(),
+        "inv_rf": (fade.inv_rf.snapshot(), fade.inv_rf.writes),
+        "event_table": (
+            {i: e.encode() for i, e in fade.event_table._entries.items()},
+            fade.event_table.generation,
+        ),
+        "md_cache": (
+            [list(ways) for ways in md_cache._sets],
+            dataclasses.asdict(md_cache.stats),
+        ),
+        "tlb": (list(tlb._pages), dataclasses.asdict(tlb.stats)),
+        "fsq": None if fsq is None else (
+            {
+                word: [(e.value, e.owner_sequence) for e in stack]
+                for word, stack in fsq._by_word.items()
+            },
+            fsq._size, fsq.inserts, fsq.hits, fsq.max_occupancy,
+        ),
+        "suu": None if fade.suu is None else dataclasses.asdict(fade.suu.stats),
+        "comparisons": fade.pipeline.filter_logic.comparisons,
+    }
 
 
 def test_unknown_engine_rejected():
@@ -320,10 +417,10 @@ def test_simulate_warmed_excludes_warmup_region_counts(fade_enabled):
     assert result.baseline_cycles < trace.num_instructions * 10
 
 
-# ------------------------------------------------- event-loop sync points
+# ------------------------------------------------- warmed configurations
 
 
-SYNC_CONFIGS = [
+WARMED_CONFIGS = [
     pytest.param({"fade_enabled": False}, id="unaccelerated"),
     pytest.param({"fade_enabled": True}, id="non-blocking-fade"),
     pytest.param(
@@ -348,28 +445,15 @@ def _fresh_sim(engine, monitor_name="memleak", benchmark="gcc", **config_kwargs)
     )
 
 
-@pytest.mark.parametrize("config_kwargs", SYNC_CONFIGS)
-def test_checkpoints_mid_run_restore_and_finish(config_kwargs):
-    """Checkpoint every 100 instructions: every snapshot the event loop
-    hands to the callback equals the naive stepper's at the same point, and
-    restoring any of them into a fresh simulation finishes bit-identical
-    to the uninterrupted run."""
-    snapshots = {}
-    finals = {}
-    for engine in ENGINES:
-        taken = []
-        sim = _fresh_sim(engine, **config_kwargs)
-        sim.configure_checkpoints(100, lambda running: taken.append(running.snapshot()))
-        finals[engine] = sim.run().to_dict()
-        snapshots[engine] = taken
+@pytest.mark.parametrize("config_kwargs", WARMED_CONFIGS)
+def test_warmed_run_bit_identical(config_kwargs):
+    """After a quarter-trace warmup, both engines finish bit-identical
+    under backpressure, blocking FADE and a tight two-core queue."""
+    finals = {
+        engine: _fresh_sim(engine, **config_kwargs).run().to_dict()
+        for engine in ENGINES
+    }
     assert finals["event"] == finals["naive"]
-    assert len(snapshots["event"]) > 3
-    for event_state, naive_state in zip(snapshots["event"], snapshots["naive"]):
-        assert {**event_state, "engine": None} == {**naive_state, "engine": None}
-    for state in snapshots["event"]:
-        resumed = _fresh_sim("event", **config_kwargs)
-        resumed.restore(state)
-        assert resumed.run().to_dict() == finals["naive"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)

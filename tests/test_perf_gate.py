@@ -109,3 +109,18 @@ def test_baseline_without_front_end_store_skips_only_that_diff(gate, capsys):
     out = capsys.readouterr().out
     assert "front_end_store: baseline lacks the section" in out
     assert "parallel_grid: cells/sec" in out
+
+
+def test_baseline_checkpointing_section_is_ignored(gate, capsys):
+    """A baseline measured before mid-cell checkpoints were removed still
+    carries a ``checkpointing`` section; the fresh payload has none, and
+    the stale section must neither fail nor be diffed."""
+    base = payload(100.0)
+    base["checkpointing"] = {
+        "engines": {"event": {"cycles_per_sec": 1e12}},
+        "armed_overhead": 0.0,
+    }
+    assert gate.compare(base, payload(100.0), 0.10) == 0
+    out = capsys.readouterr().out
+    assert "checkpointing" not in out
+    assert "perf check passed" in out

@@ -135,27 +135,6 @@ class TestPagedMap:
         for word in range(0, 9 * PAGE_SIZE // 2, WORD_SIZE):
             assert shadow.read(word + 3) == model.get(word, default)
 
-    @given(default=st.sampled_from([0x00, 0xFF]), ops=_OPS)
-    @settings(max_examples=50, deadline=None)
-    def test_restore_state_round_trips_in_place(self, default, ops):
-        shadow = ShadowMemory(default=default)
-        for op, address, length, value in ops:
-            if op == "write":
-                shadow.write(address, value)
-            else:
-                getattr(shadow, op)(address, length, value)
-        state = shadow.capture_state()
-        assert all(type(page) is bytes for page in state["pages"].values())
-        other = ShadowMemory(default=default)
-        other.write(7 * PAGE_SIZE, 0x42)  # Stale contents restore replaces.
-        pages = other.pages
-        other.restore_state(state)
-        assert other.pages is pages
-        assert other.snapshot() == shadow.snapshot()
-        # Restored pages are private copies, not views of the state.
-        other.fill(0, 5 * PAGE_SIZE, 0x42)
-        assert state == shadow.capture_state()
-
     def test_default_fill_over_empty_map_creates_no_pages(self):
         for default in (0x00, 0xFF):
             shadow = ShadowMemory(default=default)

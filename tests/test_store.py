@@ -379,84 +379,3 @@ class TestConcurrentWriters:
         assert json.dumps(racing_hit.to_dict(), sort_keys=True) == json.dumps(
             racing_result.to_dict(), sort_keys=True
         )
-
-
-def _checkpoint_writer(path, spec_json, rounds):
-    """Repeatedly replace one checkpoint blob with a fresh valid payload
-    from a separate process (the live worker gc must never race away)."""
-    from repro.api import RunSpec as _RunSpec
-    from repro.checkpoint import CheckpointStore as _CheckpointStore
-
-    store = _CheckpointStore(path)
-    spec = _RunSpec.from_json(spec_json)
-    state = {"engine": "event", "app_index": 123, "now": 456, "payload": "x"}
-    try:
-        for _ in range(rounds):
-            store.put(spec, state)
-    finally:
-        store.close()
-
-
-class TestCompareAndDelete:
-    """The backends' ``delete_if`` primitive and the gc read→delete window
-    it closes: gc only ever deletes the exact payload it judged invalid, so
-    a live worker's concurrent put always wins."""
-
-    @pytest.mark.parametrize("suffix", ["dir", "store.db"])
-    def test_delete_if_matches_exact_payload(self, tmp_path, suffix):
-        store = ResultStore(tmp_path / suffix)
-        try:
-            backend = store._backend
-            backend.write("k1", "payload-a")
-            # A stale comparison payload must not delete the fresh entry.
-            assert backend.delete_if("k1", "payload-b") is False
-            assert backend.read("k1") == "payload-a"
-            assert backend.delete_if("k1", "payload-a") is True
-            assert backend.read("k1") is None
-            # Deleting a missing key is a no-op, not an error.
-            assert backend.delete_if("k1", "payload-a") is False
-        finally:
-            store.close()
-
-    @pytest.mark.parametrize("suffix", ["dir", "store.db"])
-    def test_read_prefix(self, tmp_path, suffix):
-        store = ResultStore(tmp_path / suffix)
-        try:
-            backend = store._backend
-            backend.write("k1", "header-line\n" + "b" * 10_000)
-            assert backend.read_prefix("k1", 16) == "header-line\nbbbb"
-            assert backend.read_prefix("missing", 16) is None
-        finally:
-            store.close()
-
-    def test_gc_never_sweeps_a_racing_writers_fresh_blob(self, tmp_path):
-        """Regression for the gc read→delete window: plant a torn blob,
-        race a writer that keeps replacing it with valid payloads, and gc
-        in a loop — compare-and-delete must spare every payload it did not
-        judge, so after the writer finishes the entry is valid (or was
-        legitimately swept while torn, never while valid)."""
-        import multiprocessing
-
-        from repro.checkpoint import CheckpointStore
-
-        store_path = tmp_path / "ckpt"
-        spec = GRID[0]
-        store = CheckpointStore(store_path)
-        key = store.key(spec)
-        store._backend.write(key, "torn{")
-        context = multiprocessing.get_context("fork")
-        writer = context.Process(
-            target=_checkpoint_writer, args=(str(store_path), spec.to_json(), 80)
-        )
-        writer.start()
-        while writer.is_alive():
-            store.gc()
-        writer.join(timeout=60)
-        assert writer.exitcode == 0
-        # One final put after every sweep the writer raced against: the
-        # last write is valid, and gc must keep it.
-        store.gc()
-        record = store.get(spec)
-        assert record is not None
-        assert record["state"]["payload"] == "x"
-        store.close()
