@@ -82,11 +82,6 @@ class ExperimentSettings:
                 f"got {warmup!r}"
             )
 
-    def scaled(self, factor: float) -> "ExperimentSettings":
-        return dataclasses.replace(
-            self, num_instructions=int(self.num_instructions * factor)
-        )
-
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON representation; the inverse of :meth:`from_dict`."""
         return dataclasses.asdict(self)

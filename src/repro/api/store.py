@@ -22,11 +22,11 @@ Two interchangeable on-disk backends sit behind the one interface, selected
 by the store path (``tests/test_store_backends.py`` proves byte-identical
 entry payloads and results across them):
 
-* **json** (the default) — one JSON file per key, sharded by the key's
-  first two hex digits, written atomically (``os.replace``) so concurrent
-  writers — e.g. a grid running while another shell replays a figure — can
-  share one store directory.  Corrupt or truncated entries are treated as
-  misses and deleted.
+* **json** (the default) — a :class:`BlobDir` of ``.json`` files: one per
+  key, sharded by the key's first two hex digits, written atomically
+  (``os.replace``) so concurrent writers — e.g. a grid running while
+  another shell replays a figure — can share one store directory.  Corrupt
+  or truncated entries are treated as misses and deleted.
 * **sqlite** — a single WAL-mode SQLite database holding the same entry
   payloads (``entries(key, payload)``), selected by a ``sqlite://`` URL or
   a ``.db``/``.sqlite``/``.sqlite3`` path suffix.  WAL gives many
@@ -50,7 +50,7 @@ import os
 import pathlib
 import sqlite3
 import tempfile
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.faults.injector import store_write_fault
@@ -171,35 +171,48 @@ def _parse_store_path(
     return "json", pathlib.Path(text)
 
 
-class _JsonDirBackend:
-    """Sharded one-file-per-entry layout (the original, default backend)."""
+#: Name prefix of a write's temp file (an orphan of a killed writer is
+#: not an entry).
+_TMP_PREFIX = ".tmp-"
 
-    name = "json"
 
-    def __init__(self, path: pathlib.Path, readonly: bool) -> None:
-        self.path = path
-        self.readonly = readonly
-        if not readonly:
-            self.path.mkdir(parents=True, exist_ok=True)
+class BlobDir:
+    """Keyed blobs in one directory: ``<root>/<key[:2]>/<key><suffix>``.
 
-    def entry_path(self, key: str) -> pathlib.Path:
-        return self.path / key[:2] / f"{key}.json"
+    The on-disk layout of both persistent stores: the json result backend
+    and each fingerprint directory of the trace store.  A write goes to a
+    temp file in the key's shard and moves into place with ``os.replace``,
+    so concurrent writers of one key are safe and a reader sees no entry
+    or a whole one.  Creating a ``BlobDir`` touches nothing on disk.
+    """
 
-    def read(self, key: str) -> Optional[str]:
+    def __init__(self, root: pathlib.Path, suffix: str) -> None:
+        self.root = root
+        self.suffix = suffix
+
+    def path(self, key: str) -> pathlib.Path:
+        return self.root / key[:2] / f"{key}{self.suffix}"
+
+    def read(self, key: str) -> Optional[bytes]:
+        """The entry's bytes; None when it does not exist.  Any other
+        ``OSError`` is raised."""
         try:
-            return self.entry_path(key).read_text()
+            with open(self.path(key), "rb") as handle:
+                return handle.read()
         except FileNotFoundError:
             return None
 
-    def write(self, key: str, payload: str) -> None:
-        entry = self.entry_path(key)
+    def write(self, key: str, data: bytes) -> None:
+        """Store ``data`` atomically.  On ``OSError`` the temp file is
+        removed and the error raised."""
+        entry = self.path(key)
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
-            dir=entry.parent, prefix=".tmp-", suffix=".json"
+            dir=entry.parent, prefix=_TMP_PREFIX, suffix=self.suffix
         )
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_name, entry)
         except OSError:
             try:
@@ -210,34 +223,40 @@ class _JsonDirBackend:
 
     def delete(self, key: str) -> None:
         try:
-            self.entry_path(key).unlink()
+            self.path(key).unlink()
         except OSError:
             pass
 
-    def entry_sizes(self) -> Iterable[Tuple[str, int]]:
-        for entry in self.path.glob("??/*.json"):
+    def _files(self) -> List[pathlib.Path]:
+        """Entries plus orphaned temp files."""
+        return list(self.root.glob(f"??/*{self.suffix}"))
+
+    def entries(self) -> Iterator[Tuple[str, int]]:
+        """(key, size) of every entry."""
+        for entry in self._files():
+            if entry.name.startswith(_TMP_PREFIX):
+                continue
             try:
-                yield entry.stem, entry.stat().st_size
+                yield entry.name[: -len(self.suffix)], entry.stat().st_size
             except OSError:  # Entry vanished under a racing clear.
                 continue
 
     def clear(self) -> int:
+        """Delete every entry, orphaned temp files and empty shards;
+        returns how many entries were removed."""
         removed = 0
-        for entry in list(self.path.glob("??/*.json")):
+        for entry in self._files():
             try:
                 entry.unlink()
-                removed += 1
             except OSError:
-                pass
-        for shard in list(self.path.glob("??")):
+                continue
+            removed += not entry.name.startswith(_TMP_PREFIX)
+        for shard in list(self.root.glob("??")):
             try:
                 shard.rmdir()
             except OSError:
                 pass
         return removed
-
-    def close(self) -> None:
-        pass
 
 
 class _SqliteBackend:
@@ -249,11 +268,9 @@ class _SqliteBackend:
     timeout) instead of corrupting each other — the property the campaign
     server relies on when many clients share one store.  Every statement
     runs in autocommit (``isolation_level=None``), so an entry write is a
-    single atomic transaction, the analogue of the JSON backend's
-    ``os.replace``.
+    single atomic transaction, the analogue of :class:`BlobDir`'s atomic
+    replace.
     """
-
-    name = "sqlite"
 
     def __init__(self, path: pathlib.Path, readonly: bool) -> None:
         self.path = path
@@ -328,7 +345,8 @@ class _SqliteBackend:
             return None
         return row[0] if row is not None else None
 
-    def write(self, key: str, payload: str) -> None:
+    def write(self, key: str, data: bytes) -> None:
+        payload = data.decode()
         try:
             conn = self._connect()
             if conn is None:
@@ -358,7 +376,7 @@ class _SqliteBackend:
             if not _is_lock_error(error):
                 self._reset_corrupt()
 
-    def entry_sizes(self) -> Iterable[Tuple[str, int]]:
+    def entries(self) -> Iterator[Tuple[str, int]]:
         try:
             conn = self._connect()
             if conn is None:
@@ -417,18 +435,17 @@ class ResultStore:
         backend_name, fs_path = _parse_store_path(path)
         self.path = fs_path
         self.readonly = readonly
+        #: The backend's name: ``"json"`` or ``"sqlite"``.
+        self.backend = backend_name
         if backend_name == "sqlite":
             self._backend = _SqliteBackend(fs_path, readonly)
         else:
-            self._backend = _JsonDirBackend(fs_path, readonly)
+            self._backend = BlobDir(fs_path, ".json")
+            if not readonly:
+                fs_path.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.write_retries = 0
-
-    @property
-    def backend(self) -> str:
-        """The active backend's name: ``"json"`` or ``"sqlite"``."""
-        return self._backend.name
 
     # ---------------------------------------------------------------- keys
 
@@ -440,7 +457,7 @@ class ResultStore:
     def _entry_path(self, key: str) -> pathlib.Path:
         """JSON-backend entry location (test/debug hook; the SQLite backend
         has no per-entry files)."""
-        return self._backend.entry_path(key)
+        return self._backend.path(key)
 
     # -------------------------------------------------------------- access
 
@@ -494,7 +511,7 @@ class ResultStore:
         def _write_once() -> None:
             # Fault seam: store_write_fault may raise a transient error
             # (exercised by the retry below) or tear the payload.
-            self._backend.write(key, store_write_fault(payload))
+            self._backend.write(key, store_write_fault(payload).encode())
 
         def _count_retry(attempt: int, error: BaseException) -> None:
             self.write_retries += 1
@@ -518,7 +535,7 @@ class ResultStore:
         shards: Dict[str, Dict[str, int]] = {}
         entries = 0
         total_bytes = 0
-        for key, size in self._backend.entry_sizes():
+        for key, size in self._backend.entries():
             shard = shards.setdefault(key[:2], {"entries": 0, "bytes": 0})
             shard["entries"] += 1
             shard["bytes"] += size
@@ -544,10 +561,11 @@ class ResultStore:
     def close(self) -> None:
         """Release backend resources (the SQLite connection).  Using the
         store afterwards transparently reopens them."""
-        self._backend.close()
+        if isinstance(self._backend, _SqliteBackend):
+            self._backend.close()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._backend.entry_sizes())
+        return sum(1 for _ in self._backend.entries())
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.path)!r}, backend={self.backend!r})"

@@ -20,12 +20,12 @@ container) instead of synthesizing it (25-40 ms).
   ``repro`` was loaded (:data:`repro.LOADED_AT`; forked workers inherit
   it) may be running code that no longer matches them, so its store is
   off.
-* **Blob.** One file per key under a directory named for the fingerprint,
-  sharded by the key's first two hex digits:
+* **Blob.** One file per key in a :class:`~repro.api.store.BlobDir` (the
+  json result backend's layout) named for the fingerprint:
   ``<dir>/<fingerprint[:16]>/<key[:2]>/<key>.blob``, a JSON header line
   (which carries the SHA-256 of the body), then the zlib level-1 body.
-  Files are written to a temp file and moved into place with
-  ``os.replace``, so concurrent writers of one key are safe.
+  ``BlobDir`` writes atomically, so concurrent writers of one key are
+  safe.
 * **Eviction.** A process's first write marks its fingerprint directory
   as the most recently written and deletes all but the
   :data:`KEEP_FINGERPRINTS` most recently written, so editing the front
@@ -51,12 +51,12 @@ import json
 import os
 import pathlib
 import shutil
-import tempfile
 import zlib
 from array import array
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import repro
+from repro.api.store import BlobDir
 from repro.cores.base import CoreType
 from repro.mem.hierarchy import HierarchyConfig
 from repro.workload.packed import COLUMN_SPEC, TRACE_SCHEMA_VERSION, PackedTrace
@@ -275,14 +275,11 @@ class TraceStore:
         canonical = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def fingerprint_dir(self) -> pathlib.Path:
+    def blob_dir(self) -> BlobDir:
         """The directory holding this process's blobs (store on)."""
         fingerprint = source_fingerprint()
         assert self.path is not None and fingerprint is not None
-        return self.path / fingerprint[:_FINGERPRINT_DIGITS]
-
-    def blob_path(self, key: str) -> pathlib.Path:
-        return self.fingerprint_dir() / key[:2] / f"{key}.blob"
+        return BlobDir(self.path / fingerprint[:_FINGERPRINT_DIGITS], ".blob")
 
     # ----------------------------------------------------------------- blobs
 
@@ -292,12 +289,11 @@ class TraceStore:
         if not self.enabled:
             return None
         try:
-            with open(self.blob_path(key), "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return None
+            data = self.blob_dir().read(key)
         except OSError:
             self.enabled = False
+            return None
+        if data is None:
             return None
         try:
             newline = data.index(b"\n")
@@ -322,10 +318,7 @@ class TraceStore:
     def _heal(self, key: str) -> None:
         """Drop an invalid blob; the caller regenerates (and rewrites) it."""
         self.healed += 1
-        try:
-            self.blob_path(key).unlink()
-        except OSError:
-            pass
+        self.blob_dir().delete(key)
 
     def _write(self, key: str, kind: str, body: bytes, **fields) -> None:
         if not self.enabled:
@@ -339,31 +332,18 @@ class TraceStore:
             "sha256": hashlib.sha256(compressed).hexdigest(),
             **fields,
         }, sort_keys=True).encode()
-        target = self.blob_path(key)
-        tmp_name = None
         try:
             if not self._claimed:
                 self._claim()
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=target.parent, prefix=".tmp-", suffix=".blob"
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header + b"\n" + compressed)
-            os.replace(tmp_name, target)
+            self.blob_dir().write(key, header + b"\n" + compressed)
         except OSError:
             self.enabled = False
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
 
     def _claim(self) -> None:
         """Mark this fingerprint's directory as the most recently written
         (its mtime) and delete all but the :data:`KEEP_FINGERPRINTS` most
         recently written fingerprint directories."""
-        own = self.fingerprint_dir()
+        own = self.blob_dir().root
         own.mkdir(parents=True, exist_ok=True)
         os.utime(own)
 
@@ -383,44 +363,33 @@ class TraceStore:
 
     # ------------------------------------------------------------ management
 
-    def _blob_files(self) -> List[pathlib.Path]:
+    def _blob_dirs(self) -> List[BlobDir]:
+        """Every fingerprint's blobs, this process's and others'."""
         if self.path is None:
             return []
-        return list(self.path.glob(f"{_FINGERPRINT_GLOB}/??/*.blob"))
+        return [BlobDir(directory, ".blob")
+                for directory in self.path.glob(_FINGERPRINT_GLOB)]
 
     def stats(self) -> Dict[str, object]:
         """Location, whether the store is on, blob count and bytes."""
-        blobs = 0
-        total = 0
-        for blob in self._blob_files():
-            try:
-                total += blob.stat().st_size
-            except OSError:  # Removed under a racing clear.
-                continue
-            blobs += 1
+        sizes = [size for blobs in self._blob_dirs()
+                 for _, size in blobs.entries()]
         return {
             "path": str(self.path) if self.path is not None else None,
             "enabled": self.enabled,
-            "blobs": blobs,
-            "bytes": total,
+            "blobs": len(sizes),
+            "bytes": sum(sizes),
         }
 
     def clear(self) -> int:
         """Delete every blob; returns how many were removed."""
         removed = 0
-        for blob in self._blob_files():
+        for blobs in self._blob_dirs():
+            removed += blobs.clear()
             try:
-                blob.unlink()
-                removed += 1
+                blobs.root.rmdir()
             except OSError:
                 pass
-        if self.path is not None:
-            for directory in [*self.path.glob(f"{_FINGERPRINT_GLOB}/??"),
-                              *self.path.glob(_FINGERPRINT_GLOB)]:
-                try:
-                    directory.rmdir()
-                except OSError:
-                    pass
         self._claimed = False
         return removed
 

@@ -104,9 +104,6 @@ class DeterministicRng:
     def uniform(self, low: float, high: float) -> float:
         return self._random.uniform(low, high)
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        return self._random.choices(items, weights=weights, k=1)[0]
-
     def geometric(self, mean: float) -> int:
         """Sample a geometric-like positive integer with the given mean.
 

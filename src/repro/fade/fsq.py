@@ -48,6 +48,9 @@ class FilterStoreQueue:
         self._by_owner: Dict[int, List[FsqEntry]] = {}
         self._size = 0
         self.inserts = 0
+        #: Entries discarded by ``release``; at any instant ``inserts``
+        #: equals ``releases`` plus the entries still queued.
+        self.releases = 0
         self.hits = 0
         self.max_occupancy = 0
 
@@ -109,12 +112,8 @@ class FilterStoreQueue:
                 stack.remove(entry)
         released = len(owned)
         self._size -= released
+        self.releases += released
         if _COVERAGE.enabled:
             _COVERAGE.hit("fsq.release")
         return released
-
-    def clear(self) -> None:
-        self._by_word.clear()
-        self._by_owner.clear()
-        self._size = 0
 

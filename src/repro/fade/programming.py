@@ -23,7 +23,7 @@ from repro.fade.event_table import (
     RuKind,
 )
 from repro.fade.inv_rf import INV_RF_SIZE, InvariantRegisterFile
-from repro.fade.update_logic import NonBlockCondition, NonBlockRule, UpdateSpec
+from repro.fade.update_logic import UpdateSpec
 
 #: Event-table indices below this are base event IDs (6-bit, Figure 6(a));
 #: indices from here up hold multi-shot continuation and PC-holder entries.

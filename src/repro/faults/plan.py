@@ -122,9 +122,6 @@ class FaultPlan:
     def kinds(self) -> List[str]:
         return sorted({event.kind for event in self.events})
 
-    def for_site(self, site: str) -> List[FaultEvent]:
-        return [event for event in self.events if event.site == site]
-
     # ------------------------------------------------------- serialization
 
     def to_dict(self) -> Dict[str, object]:

@@ -94,9 +94,5 @@ class Instruction:
         return None
 
     @property
-    def is_load(self) -> bool:
-        return self.op_class is OpClass.LOAD
-
-    @property
     def is_store(self) -> bool:
         return self.op_class is OpClass.STORE

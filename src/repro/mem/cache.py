@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.common.errors import ConfigurationError
 
@@ -128,10 +128,6 @@ class Cache:
             del ways[tag]
             return True
         return False
-
-    def resident_blocks(self) -> int:
-        """Number of blocks currently resident (for invariants/tests)."""
-        return sum(len(ways) for ways in self._sets)
 
     def flush(self) -> None:
         for ways in self._sets:

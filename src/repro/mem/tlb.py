@@ -61,9 +61,6 @@ class Tlb:
         self._pages[page] = None
         return False
 
-    def resident_pages(self) -> int:
-        return len(self._pages)
-
     def flush(self) -> None:
         self._pages.clear()
 

@@ -30,7 +30,6 @@ from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent, StackUpdate
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import STORE_EVENT_ID, OpClass, event_id_for
 from repro.metadata.shadow import ShadowMemory
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor

@@ -30,7 +30,6 @@ from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram
 from repro.isa.events import MonitoredEvent, StackUpdate
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass
 from repro.metadata.shadow import ShadowMemory, ShadowRegisters
 from repro.monitors.handlers import HandlerCosts
 from repro.monitors.reports import BugReport

@@ -19,7 +19,7 @@ from repro.fade.event_table import RuKind
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
-from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
+from repro.isa.events import MonitoredEvent, StackUpdate
 from repro.isa.opcodes import (
     BRANCH_EVENT_ID,
     LOAD_EVENT_ID,

@@ -42,18 +42,6 @@ class QueueStats:
         """
         self.occupancy_histogram[occupancy] += cycles
 
-    def occupancy_cdf(self) -> "list[tuple[int, float]]":
-        """Cumulative distribution of sampled occupancies as (value, pct)."""
-        total = sum(self.occupancy_histogram.values())
-        if total == 0:
-            return []
-        cdf = []
-        cumulative = 0
-        for occupancy in sorted(self.occupancy_histogram):
-            cumulative += self.occupancy_histogram[occupancy]
-            cdf.append((occupancy, 100.0 * cumulative / total))
-        return cdf
-
     def to_dict(self) -> dict:
         """Plain-JSON representation (histogram keys become strings); the
         inverse of :meth:`from_dict`."""
@@ -129,9 +117,6 @@ class BoundedQueue(Generic[T]):
         item = self._entries.popleft()
         self.stats.dequeued += 1
         return item
-
-    def peek(self) -> T:
-        return self._entries[0]
 
     def sample_occupancy(self, cycles: int = 1) -> None:
         """Record the current occupancy into the histogram, weighted by the

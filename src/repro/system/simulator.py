@@ -434,6 +434,11 @@ class MonitoringSimulation:
                     stats.instruction_events,
                 )
             )
+            fsq = self.fade.fsq
+            if fsq is not None:
+                laws.append(
+                    ("FSQ releases + entries left", fsq.releases + len(fsq), fsq.inserts)
+                )
         for law, actual, expected in laws:
             if actual != expected:
                 raise SimulationError(

@@ -8,7 +8,7 @@ events carry real address ranges for the monitors' bulk metadata updates.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.rng import DeterministicRng
 from repro.common.units import WORD_SIZE, align_up
@@ -90,7 +90,3 @@ class HeapModel:
         if not self.live:
             return None
         return self._rng.choice(self.live)
-
-    @property
-    def live_bytes(self) -> int:
-        return sum(allocation.size for allocation in self.live)

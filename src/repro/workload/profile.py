@@ -177,8 +177,3 @@ class BenchmarkProfile:
             + self.branch_weight
             + self.nop_weight
         )
-
-    @property
-    def memory_fraction(self) -> float:
-        """Fraction of instructions that access memory."""
-        return (self.load_weight + self.store_weight) / self.mix_total

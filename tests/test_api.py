@@ -46,7 +46,9 @@ class TestRunSpec:
         assert base != base.replace(benchmark="mcf")
         assert base != base.replace(monitor="addrcheck")
         assert base != base.replace(config=SystemConfig(fade_enabled=False))
-        assert base != base.replace(settings=TINY.scaled(2.0))
+        assert base != base.replace(
+            settings=dataclasses.replace(TINY, num_instructions=3000)
+        )
 
     def test_json_round_trip(self):
         spec = RunSpec(

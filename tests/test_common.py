@@ -129,11 +129,6 @@ class TestDeterministicRng:
         rng = DeterministicRng(4)
         assert all(rng.pareto_int(16) >= 16 for _ in range(100))
 
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = DeterministicRng(6)
-        picks = {rng.weighted_choice(["a", "b"], [1.0, 0.0]) for _ in range(50)}
-        assert picks == {"a"}
-
 
 class TestUnits:
     def test_align_down(self):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import ExperimentSettings, RunSpec
 from repro.common.errors import SimulationError
-from repro.fade import accelerator
+from repro.fade import accelerator, fsq
 from repro.monitors import create_monitor
 from repro.system import SystemConfig, Topology
 from repro.system import simulator
@@ -28,11 +28,11 @@ def _trace(benchmark="gcc", n=3000, seed=5):
     return generate_trace(get_profile(benchmark), n, seed=seed)
 
 
-def _run(**config_kwargs):
+def _run(monitor="memcheck", **config_kwargs):
     trace = _trace()
     return MonitoringSimulation(
         trace,
-        create_monitor("memcheck"),
+        create_monitor(monitor),
         SystemConfig(**config_kwargs),
         get_profile("gcc"),
         warmup_items=len(trace.items) // 2,
@@ -78,6 +78,13 @@ MUTATIONS = [
         "self.stats.filtered += 1", "pass", {"engine": "naive"},
         "filtered + unfiltered events",
         id="drop-filtered-count",
+    ),
+    pytest.param(
+        fsq.FilterStoreQueue, "release", fsq,
+        "self.releases += released", "pass",
+        {"monitor": "memleak"},  # MemCheck never fills the FSQ.
+        "FSQ releases + entries left",
+        id="drop-fsq-release-count",
     ),
 ]
 

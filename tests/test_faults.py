@@ -87,8 +87,8 @@ class TestFaultPlan:
             )
             for site in {event.site for event in plan.events}:
                 ordinals = [
-                    event.at for event in plan.for_site(site)
-                    if event.key is None
+                    event.at for event in plan.events
+                    if event.site == site and event.key is None
                 ]
                 assert len(ordinals) == len(set(ordinals))
 

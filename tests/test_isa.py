@@ -64,7 +64,7 @@ class TestInstruction:
             dest=Operand.register(3),
         )
         assert load.memory_address == 0x1000
-        assert load.is_load and not load.is_store
+        assert not load.is_store
 
     def test_memory_address_of_store(self):
         store = Instruction(

@@ -62,7 +62,7 @@ class TestCache:
         cache = small_cache(sets=4, ways=1, block=16)
         for index in range(4):
             cache.access(index * 16)
-        assert cache.resident_blocks() == 4
+        assert all(cache.probe(index * 16) for index in range(4))
 
     def test_probe_does_not_change_state(self):
         cache = small_cache()
@@ -83,13 +83,13 @@ class TestCache:
         cache = small_cache()
         cache.access(0x100)
         cache.flush()
-        assert cache.resident_blocks() == 0
+        assert not cache.probe(0x100)
 
     def test_resident_never_exceeds_capacity(self):
         cache = small_cache(sets=2, ways=2, block=16)
         for address in range(0, 4096, 16):
             cache.access(address)
-        assert cache.resident_blocks() <= 4
+        assert sum(cache.probe(address) for address in range(0, 4096, 16)) <= 4
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=200))
     @settings(max_examples=30, deadline=None)
@@ -131,7 +131,8 @@ class TestTlb:
         tlb = Tlb(entries=3, page_size=4096)
         for page in range(10):
             tlb.access(page * 4096)
-        assert tlb.resident_pages() == 3
+        assert all(tlb.access(page * 4096) for page in (7, 8, 9))
+        assert not tlb.access(6 * 4096)
 
 
 class TestHierarchy:

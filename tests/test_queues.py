@@ -38,12 +38,6 @@ class TestBoundedQueue:
         with pytest.raises(IndexError):
             BoundedQueue(capacity=1).dequeue()
 
-    def test_peek_does_not_remove(self):
-        queue = BoundedQueue(capacity=2)
-        queue.enqueue("x")
-        assert queue.peek() == "x"
-        assert len(queue) == 1
-
     def test_max_occupancy_tracking(self):
         queue = BoundedQueue(capacity=8)
         for value in range(5):
@@ -51,16 +45,6 @@ class TestBoundedQueue:
         for _ in range(3):
             queue.dequeue()
         assert queue.stats.max_occupancy == 5
-
-    def test_occupancy_cdf(self):
-        queue = BoundedQueue(capacity=4)
-        queue.sample_occupancy()  # 0
-        queue.enqueue(1)
-        queue.sample_occupancy()  # 1
-        queue.sample_occupancy()  # 1
-        cdf = queue.stats.occupancy_cdf()
-        assert cdf[0] == (0, pytest.approx(100.0 / 3))
-        assert cdf[-1] == (1, pytest.approx(100.0))
 
     def test_clear_counts_as_dequeues(self):
         queue = BoundedQueue(capacity=4)

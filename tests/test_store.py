@@ -58,7 +58,7 @@ class TestResultStore:
             base.replace(benchmark="mcf"),
             base.replace(monitor="addrcheck"),
             base.replace(config=SystemConfig(fade_enabled=False)),
-            base.replace(settings=TINY.scaled(2.0)),
+            base.replace(settings=dataclasses.replace(TINY, num_instructions=3000)),
         ]
         keys = {store.key(spec) for spec in [base] + variants}
         assert len(keys) == len(variants) + 1
@@ -146,6 +146,22 @@ class TestResultStore:
         assert len(store) == 2
         assert store.clear() == 2
         assert len(store) == 0
+
+    def test_orphaned_temp_file_is_not_an_entry(self, tmp_path):
+        # A writer killed between mkstemp and os.replace leaves its temp
+        # file beside the real entries; it is neither counted nor a shard.
+        store = ResultStore(tmp_path)
+        spec = GRID[0]
+        SerialRunner(store=store).run_one(spec)
+        entry = store._entry_path(store.key(spec))
+        orphan = entry.parent / ".tmp-x.json"
+        orphan.write_text('{"result": {"benchmark"')
+        stats = store.stats()
+        assert len(store) == 1 and stats["entries"] == 1
+        assert list(stats["shards"]) == [entry.parent.name]
+        assert stats["bytes"] == entry.stat().st_size
+        assert store.clear() == 1
+        assert not orphan.exists()
 
     def test_run_specs_accepts_store(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -185,7 +185,7 @@ class TestDegradation:
     def test_unreadable_blob_turns_the_store_off(self, store):
         key = store.trace_key(get_profile("astar"), SMALL.num_instructions,
                               SMALL.seed)
-        store.blob_path(key).mkdir(parents=True)  # open() fails.
+        store.blob_dir().path(key).mkdir(parents=True)  # open() fails.
         self._regenerates()
         assert not store.enabled
 
@@ -269,6 +269,19 @@ class TestScope:
         execute_spec(RunSpec("astar", "memleak", settings=SMALL),
                      RunnerCache())
         assert store.stats()["blobs"] == 2
+
+    def test_orphaned_temp_file_is_not_a_blob(self, store):
+        # A writer killed between mkstemp and os.replace leaves its temp
+        # file in the shard; stats and clear count only real blobs.
+        _fresh_trace()
+        blob = _only_blob(store)
+        orphan = blob.parent / ".tmp-x.blob"
+        orphan.write_bytes(b"partial")
+        stats = store.stats()
+        assert stats["blobs"] == 1
+        assert stats["bytes"] == blob.stat().st_size
+        assert store.clear() == 1
+        assert not orphan.exists()
 
     def test_non_persisting_cache_neither_reads_nor_writes(self, store):
         spec = RunSpec("astar", "memleak", settings=SMALL)

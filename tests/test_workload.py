@@ -28,7 +28,7 @@ class TestProfiles:
         for name in benchmark_names():
             profile = get_profile(name)
             assert profile.mix_total > 0
-            assert 0 < profile.memory_fraction < 1
+            assert 0 < profile.load_weight + profile.store_weight < profile.mix_total
 
     def test_unknown_profile_raises(self):
         with pytest.raises(ConfigurationError):
@@ -66,7 +66,7 @@ class TestHeapModel:
         heap = HeapModel(DeterministicRng(1))
         heap.malloc(64)
         heap.malloc(128)
-        assert heap.live_bytes == 192
+        assert sum(allocation.size for allocation in heap.live) == 192
         heap.free_random()
         assert heap.total_freed == 1
 
