@@ -36,7 +36,6 @@ class FilterLogic:
 
     def __init__(self, inv_rf: InvariantRegisterFile) -> None:
         self.inv_rf = inv_rf
-        self.comparisons = 0  # Total comparator activations (for energy).
 
     def evaluate(
         self,
@@ -69,7 +68,6 @@ class FilterLogic:
         read_invariant = self.inv_rf.read
         rule = entry.s1
         if rule.valid:
-            self.comparisons += 1
             value = metadata.s1
             if value is None:
                 return False
@@ -78,7 +76,6 @@ class FilterLogic:
                 return False
         rule = entry.s2
         if rule.valid:
-            self.comparisons += 1
             value = metadata.s2
             if value is None:
                 return False
@@ -87,7 +84,6 @@ class FilterLogic:
                 return False
         rule = entry.d
         if rule.valid:
-            self.comparisons += 1
             value = metadata.d
             if value is None:
                 return False
@@ -102,7 +98,6 @@ class FilterLogic:
         composed = self.compose_sources(entry, metadata)
         if composed is None or metadata.d is None or not entry.d.valid:
             return False
-        self.comparisons += 1
         mask = entry.d.mask
         return (composed & mask) == (metadata.d & mask)
 

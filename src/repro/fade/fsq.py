@@ -51,7 +51,6 @@ class FilterStoreQueue:
         #: Entries discarded by ``release``; at any instant ``inserts``
         #: equals ``releases`` plus the entries still queued.
         self.releases = 0
-        self.hits = 0
         self.max_occupancy = 0
 
     def __len__(self) -> int:
@@ -89,7 +88,6 @@ class FilterStoreQueue:
         """Newest value for a word, or None (then the MD cache value is used)."""
         stack = self._by_word.get(word_address)
         if stack:
-            self.hits += 1
             if _COVERAGE.enabled:
                 _COVERAGE.hit("fsq.forward")
             return stack[-1].value

@@ -107,15 +107,13 @@ class _ValueMemoEntry(NamedTuple):
     lookups — and the decision is cached per ``(event id, operand values)``.
     Monitors encode metadata in a handful of byte values, so the key space
     is tiny and the hit rate approaches the filtering ratio.  Timing
-    (MD-cache/M-TLB accesses) and FSQ-hit accounting still happen per
-    event.
+    (MD-cache/M-TLB accesses) still happens per event.
     """
 
     table_gen: int  # EventTable.generation at walk time.
     base_cycles: int  # Occupancy from entries without an MD-cache access.
     mem_reads: int  # MD-cache accesses to replay per event.
     checks: int
-    comparisons: int  # Comparator activations to credit per replay.
 
 
 class FilteringPipeline:
@@ -260,7 +258,6 @@ class FilteringPipeline:
         profile: _ChainProfile,
         has_address: bool,
         outcome: EventOutcome,
-        comparisons: int,
     ) -> None:
         """Cache a filtered decision under the metadata values it read (the
         walk performed no writes, so those values are still current)."""
@@ -274,8 +271,7 @@ class FilteringPipeline:
         if len(value_memo) >= _MEMO_CAPACITY:
             value_memo.clear()
         value_memo[value_key] = _ValueMemoEntry(
-            profile.table_generation, plain, mem_reads, outcome.checks,
-            comparisons,
+            profile.table_generation, plain, mem_reads, outcome.checks
         )
 
     # --------------------------------------------------------------- evaluate
@@ -370,9 +366,6 @@ class FilteringPipeline:
                         cycles += access if access > 1 else 1
                         if tlb_miss:
                             tlb_missed = True
-                    if forwarded:
-                        self.fsq.hits += mem_reads
-                self.filter_logic.comparisons += entry.comparisons
                 return EventOutcome(
                     True, HandlerKind.NONE, 0, cycles, entry.checks,
                     tlb_missed, None,
@@ -380,14 +373,10 @@ class FilteringPipeline:
         self.memo_misses += 1
         if _COVERAGE.enabled:
             _COVERAGE.hit("memo.miss")
-        comparisons_before = self.filter_logic.comparisons
         outcome = self._process_inline(event_id, addr, src1, src2, dest, sequence)
         if outcome.filtered:
             # Only a programmed event (so one with a profile) filters.
-            self._memoize(
-                value_key, profile, addr is not None, outcome,
-                self.filter_logic.comparisons - comparisons_before,
-            )
+            self._memoize(value_key, profile, addr is not None, outcome)
         elif _COVERAGE.enabled:
             _COVERAGE.hit("memo.unfiltered")
         return outcome

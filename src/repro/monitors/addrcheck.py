@@ -11,9 +11,11 @@ materialisation or nothing at all) is not a propagation.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
-from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
+from repro.isa.events import StackOp, StackUpdate
 from repro.isa.opcodes import STORE_EVENT_ID, OpClass, event_id_for
 from repro.metadata.shadow import ShadowMemory, WordBytes
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
@@ -65,12 +67,13 @@ class AddrCheck(Monitor):
 
     # ----------------------------------------------------------------- events
 
-    def handle_event(
-        self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
+    def _handle_fields(
+        self, event_id: int, app_pc: int, app_addr: Optional[int],
+        src1_reg: Optional[int], src2_reg: Optional[int],
+        dest_reg: Optional[int], sequence: int, kind: HandlerKind,
     ) -> HandlerResult:
-        address = event.app_addr
-        assert address is not None, "AddrCheck only monitors memory events"
-        word = ShadowMemory.word_address(address)
+        assert app_addr is not None, "AddrCheck only monitors memory events"
+        word = ShadowMemory.word_address(app_addr)
         if self._allocated.read(word):
             # Clean access: the handler checks and exits.
             return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
@@ -81,13 +84,13 @@ class AddrCheck(Monitor):
             return self._result(
                 self.costs.update, HandlerClass.UPDATE, changed=True
             )
-        is_store = event.event_id == STORE_EVENT_ID
+        is_store = event_id == STORE_EVENT_ID
         kind_ = BugKind.INVALID_WRITE if is_store else BugKind.INVALID_READ
         report = BugReport(
             monitor=self.name,
             kind=kind_,
-            pc=event.app_pc,
-            address=address,
+            pc=app_pc,
+            address=app_addr,
             thread=self.current_thread,
             message="access to unallocated memory",
         )

@@ -29,7 +29,7 @@ from repro.fade.event_table import EventTableEntry
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
-from repro.isa.events import MonitoredEvent, StackUpdate
+from repro.isa.events import StackUpdate
 from repro.isa.opcodes import STORE_EVENT_ID, OpClass, event_id_for
 from repro.metadata.shadow import ShadowMemory
 from repro.monitors.base import HandlerClass, HandlerResult, Monitor
@@ -132,15 +132,14 @@ class AtomCheck(Monitor):
 
     # ----------------------------------------------------------------- events
 
-    def handle_event(
-        self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
+    def _handle_fields(
+        self, event_id: int, app_pc: int, app_addr: Optional[int],
+        src1_reg: Optional[int], src2_reg: Optional[int],
+        dest_reg: Optional[int], sequence: int, kind: HandlerKind,
     ) -> HandlerResult:
-        address = event.app_addr
-        assert address is not None, "AtomCheck only monitors memory events"
-        word = ShadowMemory.word_address(address)
-        access_type = (
-            WRITE if event.event_id == STORE_EVENT_ID else READ
-        )
+        assert app_addr is not None, "AtomCheck only monitors memory events"
+        word = ShadowMemory.word_address(app_addr)
+        access_type = WRITE if event_id == STORE_EVENT_ID else READ
         thread = self.current_thread
         last = self._last_access.get(word)
         report: Optional[BugReport] = None
@@ -154,7 +153,7 @@ class AtomCheck(Monitor):
                     report = BugReport(
                         monitor=self.name,
                         kind=BugKind.ATOMICITY_VIOLATION,
-                        pc=event.app_pc,
+                        pc=app_pc,
                         address=word,
                         thread=thread,
                         message=(

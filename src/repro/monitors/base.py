@@ -22,9 +22,8 @@ state, so they converge regardless of mode.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import enum
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram
@@ -52,10 +51,24 @@ class HandlerClass(enum.Enum):
     STACK_UPDATE = "stack"
     HIGH_LEVEL = "high-level"
 
+    def __new__(cls, value: str) -> "HandlerClass":
+        member = object.__new__(cls)
+        member._value_ = value
+        #: Definition-order index: the simulator sums handler costs into a
+        #: list indexed by it.
+        member.slot = len(cls.__members__)
+        return member
 
-@dataclasses.dataclass(frozen=True)
-class HandlerResult:
-    """Outcome of one software handler invocation."""
+    #: Members are singletons, so identity is equality; the C-level object
+    #: hash keeps dicts keyed by a class (the shared handler results) cheap.
+    __hash__ = object.__hash__
+
+
+class HandlerResult(NamedTuple):
+    """Outcome of one software handler invocation.
+
+    A ``NamedTuple``, so immutable: :meth:`Monitor._result` hands the same
+    instance out for every outcome that carries no report."""
 
     cost: int  # Monitor-core instructions executed.
     handler_class: HandlerClass
@@ -67,6 +80,11 @@ class HandlerResult:
         """True if the handler neither changed metadata nor reported a bug
         — i.e. a filtering accelerator could have elided it."""
         return not self.metadata_changed and self.report is None
+
+
+def _defining_class(cls: type, name: str) -> type:
+    """The class in ``cls``'s MRO whose body defines ``name``."""
+    return next(klass for klass in cls.__mro__ if name in vars(klass))
 
 
 class Monitor(abc.ABC):
@@ -90,6 +108,13 @@ class Monitor(abc.ABC):
         self.critical_mem = ShadowMemory(default=self.memory_default())
         self.reports: List[BugReport] = []
         self.current_thread = 0
+        #: Report-free outcomes by (cost, class, changed), built on first use.
+        self._shared_results: dict = {}
+        cls = type(self)
+        if _defining_class(cls, "handle_event") is _defining_class(
+            cls, "_handle_fields"
+        ) is Monitor:
+            raise TypeError(f"{cls.__name__} must override handle_event")
 
     # ---------------------------------------------------------------- config
 
@@ -120,7 +145,6 @@ class Monitor(abc.ABC):
 
     # ---------------------------------------------------------------- events
 
-    @abc.abstractmethod
     def handle_event(
         self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
     ) -> HandlerResult:
@@ -128,7 +152,56 @@ class Monitor(abc.ABC):
 
         ``kind`` is SHORT when FADE's partial check already succeeded (the
         handler skips the check it encodes); FULL otherwise.
+
+        The one public entry point: a new monitor overrides this method.
+        The built-in monitors implement :meth:`_handle_fields` instead, and
+        this default unpacks the event into it.
         """
+        return self._handle_fields(
+            event.event_id, event.app_pc, event.app_addr, event.src1_reg,
+            event.src2_reg, event.dest_reg, event.sequence, kind,
+        )
+
+    def _handle_fields(
+        self, event_id: int, app_pc: int, app_addr: Optional[int],
+        src1_reg: Optional[int], src2_reg: Optional[int],
+        dest_reg: Optional[int], sequence: int, kind: HandlerKind,
+    ) -> HandlerResult:
+        """:meth:`handle_event` on the event's fields, which the simulator
+        decodes from the packed trace columns without building the event.
+        The built-in monitors implement their instruction handlers here."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must override handle_event"
+        )
+
+    def _field_handler(self) -> Callable[..., HandlerResult]:
+        """What the simulator calls with an instruction event's fields:
+        :meth:`_handle_fields`, or the adapter :meth:`_fields_to_event`
+        when ``handle_event`` is overridden below the class implementing
+        :meth:`_handle_fields` (a third-party monitor, or a subclass of a
+        built-in one) or patched on the instance."""
+        cls = type(self)
+        if "handle_event" not in vars(self) and issubclass(
+            _defining_class(cls, "_handle_fields"),
+            _defining_class(cls, "handle_event"),
+        ):
+            return self._handle_fields
+        return self._fields_to_event
+
+    def _fields_to_event(
+        self, event_id: int, app_pc: int, app_addr: Optional[int],
+        src1_reg: Optional[int], src2_reg: Optional[int],
+        dest_reg: Optional[int], sequence: int, kind: HandlerKind,
+    ) -> HandlerResult:
+        """The adapter: pack the fields into the :class:`MonitoredEvent`
+        that ``handle_event`` takes."""
+        return self.handle_event(
+            MonitoredEvent(
+                event_id, app_pc, app_addr, src1_reg, src2_reg, dest_reg,
+                None, sequence,
+            ),
+            kind,
+        )
 
     @abc.abstractmethod
     def handle_stack_update(self, update: StackUpdate) -> HandlerResult:
@@ -148,17 +221,15 @@ class Monitor(abc.ABC):
         """Software handler for malloc/free/taint-source/thread switches."""
         if event.kind is HighLevelKind.THREAD_SWITCH:
             self.current_thread = event.thread
-            return HandlerResult(
-                cost=self.costs.thread_switch, handler_class=HandlerClass.HIGH_LEVEL
-            )
+            return self._result(self.costs.thread_switch, HandlerClass.HIGH_LEVEL)
         if event.kind is HighLevelKind.PROGRAM_EXIT:
             for report in self.finalize():
                 self._record(report)
-            return HandlerResult(cost=0, handler_class=HandlerClass.HIGH_LEVEL)
+            return self._result(0, HandlerClass.HIGH_LEVEL)
         result = self._handle_memory_event(event)
         if event.startup:
             # Program-launch setup: functional effect only, amortised cost.
-            return dataclasses.replace(result, cost=0)
+            return result._replace(cost=0)
         return result
 
     @abc.abstractmethod
@@ -189,12 +260,15 @@ class Monitor(abc.ABC):
         changed: bool = False,
         report: Optional[BugReport] = None,
     ) -> HandlerResult:
+        if report is None:
+            key = (cost, handler_class, changed)
+            result = self._shared_results.get(key)
+            if result is None:
+                result = self._shared_results[key] = HandlerResult(
+                    cost, handler_class, changed
+                )
+            return result
         self._record(report)
-        if report is not None:
-            cost += self.costs.report
         return HandlerResult(
-            cost=cost,
-            handler_class=handler_class,
-            metadata_changed=changed,
-            report=report,
+            cost + self.costs.report, handler_class, changed, report
         )

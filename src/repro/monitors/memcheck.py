@@ -22,7 +22,7 @@ from repro.fade.event_table import EventTableEntry
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
-from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
+from repro.isa.events import StackOp, StackUpdate
 from repro.isa.opcodes import (
     BRANCH_EVENT_ID,
     LOAD_EVENT_ID,
@@ -147,17 +147,18 @@ class MemCheck(Monitor):
 
     # ----------------------------------------------------------------- events
 
-    def handle_event(
-        self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
+    def _handle_fields(
+        self, event_id: int, app_pc: int, app_addr: Optional[int],
+        src1_reg: Optional[int], src2_reg: Optional[int],
+        dest_reg: Optional[int], sequence: int, kind: HandlerKind,
     ) -> HandlerResult:
-        event_id = event.event_id
         if event_id == LOAD_EVENT_ID:
-            return self._handle_load(event)
+            return self._handle_load(app_pc, app_addr, dest_reg)
         if event_id == STORE_EVENT_ID:
-            return self._handle_store(event)
+            return self._handle_store(app_pc, app_addr, src1_reg)
         if event_id == BRANCH_EVENT_ID:
-            return self._handle_branch(event)
-        return self._handle_alu(event)
+            return self._handle_branch(app_pc, src1_reg)
+        return self._handle_alu(src1_reg, src2_reg, dest_reg)
 
     def _lazy_materialize(self, address: int) -> Optional[HandlerResult]:
         """First touch of the lazily shadowed static segment (see AddrCheck):
@@ -168,31 +169,31 @@ class MemCheck(Monitor):
             return self._result(self.costs.update, HandlerClass.UPDATE, changed=True)
         return None
 
-    def _handle_load(self, event: MonitoredEvent) -> HandlerResult:
-        state = self._word_state(event.app_addr)
+    def _handle_load(self, pc: int, address: int, dest_reg: int) -> HandlerResult:
+        state = self._word_state(address)
         report = None
         if state == UNALLOC:
-            lazy = self._lazy_materialize(event.app_addr)
+            lazy = self._lazy_materialize(address)
             if lazy is not None:
-                self._set_reg(event.dest_reg, True)
+                self._set_reg(dest_reg, True)
                 return lazy
             report = BugReport(
                 monitor=self.name,
                 kind=BugKind.INVALID_READ,
-                pc=event.app_pc,
-                address=event.app_addr,
+                pc=pc,
+                address=address,
                 message="read of unallocated memory",
             )
         elif state == UNINIT:
             report = BugReport(
                 monitor=self.name,
                 kind=BugKind.UNINITIALIZED_USE,
-                pc=event.app_pc,
-                address=event.app_addr,
+                pc=pc,
+                address=address,
                 message="read of uninitialised memory",
             )
         defined = state == INIT
-        changed = self._set_reg(event.dest_reg, defined)
+        changed = self._set_reg(dest_reg, defined)
         if report is not None:
             return self._result(
                 self.costs.complex_op, HandlerClass.COMPLEX, changed, report
@@ -206,28 +207,28 @@ class MemCheck(Monitor):
             )
         return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
 
-    def _handle_store(self, event: MonitoredEvent) -> HandlerResult:
-        state = self._word_state(event.app_addr)
+    def _handle_store(self, pc: int, address: int, src1_reg: int) -> HandlerResult:
+        state = self._word_state(address)
         if state == UNALLOC:
-            lazy = self._lazy_materialize(event.app_addr)
+            lazy = self._lazy_materialize(address)
             if lazy is not None:
                 return lazy
             report = BugReport(
                 monitor=self.name,
                 kind=BugKind.INVALID_WRITE,
-                pc=event.app_pc,
-                address=event.app_addr,
+                pc=pc,
+                address=address,
                 message="write to unallocated memory",
             )
             # The location stays unaddressable; rewrite the critical byte in
             # case a Non-Blocking hint speculated a propagation onto it.
-            self._set_word(event.app_addr, UNALLOC)
+            self._set_word(address, UNALLOC)
             return self._result(
                 self.costs.complex_op, HandlerClass.COMPLEX, False, report
             )
-        src_defined = self._reg_defined[event.src1_reg]
+        src_defined = self._reg_defined[src1_reg]
         new_state = INIT if src_defined else UNINIT
-        changed = self._set_word(event.app_addr, new_state)
+        changed = self._set_word(address, new_state)
         if changed:
             return self._result(self.costs.update, HandlerClass.UPDATE, True)
         if not src_defined:
@@ -236,10 +237,15 @@ class MemCheck(Monitor):
             )
         return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
 
-    def _handle_alu(self, event: MonitoredEvent) -> HandlerResult:
-        sources = [reg for reg in (event.src1_reg, event.src2_reg) if reg is not None]
-        defined = all(self._reg_defined[reg] for reg in sources)
-        changed = self._set_reg(event.dest_reg, defined)
+    def _handle_alu(
+        self, src1_reg: Optional[int], src2_reg: Optional[int], dest_reg: int
+    ) -> HandlerResult:
+        # Defined when every present source is.
+        reg_defined = self._reg_defined
+        defined = (src1_reg is None or reg_defined[src1_reg]) and (
+            src2_reg is None or reg_defined[src2_reg]
+        )
+        changed = self._set_reg(dest_reg, defined)
         if changed:
             return self._result(self.costs.update, HandlerClass.UPDATE, True)
         if not defined:
@@ -248,13 +254,13 @@ class MemCheck(Monitor):
             )
         return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
 
-    def _handle_branch(self, event: MonitoredEvent) -> HandlerResult:
-        if self._reg_defined[event.src1_reg]:
+    def _handle_branch(self, pc: int, src1_reg: int) -> HandlerResult:
+        if self._reg_defined[src1_reg]:
             return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
         report = BugReport(
             monitor=self.name,
             kind=BugKind.UNINITIALIZED_USE,
-            pc=event.app_pc,
+            pc=pc,
             message="conditional branch on uninitialised value",
         )
         return self._result(self.costs.complex_op, HandlerClass.COMPLEX, False, report)

@@ -22,7 +22,7 @@ from repro.common.units import keys_in_range, words_in_range
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
-from repro.isa.events import MonitoredEvent, StackUpdate
+from repro.isa.events import StackUpdate
 from repro.isa.opcodes import (
     LOAD_EVENT_ID,
     STORE_EVENT_ID,
@@ -159,24 +159,25 @@ class MemLeak(Monitor):
 
     # ----------------------------------------------------------------- events
 
-    def handle_event(
-        self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
+    def _handle_fields(
+        self, event_id: int, app_pc: int, app_addr: Optional[int],
+        src1_reg: Optional[int], src2_reg: Optional[int],
+        dest_reg: Optional[int], sequence: int, kind: HandlerKind,
     ) -> HandlerResult:
-        event_id = event.event_id
         if event_id == LOAD_EVENT_ID:
-            source_ctx = self._word_context(event.app_addr)
-            changed = self._set_reg_ctx(event.dest_reg, source_ctx)
+            source_ctx = self._word_context(app_addr)
+            changed = self._set_reg_ctx(dest_reg, source_ctx)
             return self._propagation_result(source_ctx, changed)
         if event_id == STORE_EVENT_ID:
-            source_ctx = self._reg_context(event.src1_reg)
-            changed = self._set_word_ctx(event.app_addr, source_ctx)
+            source_ctx = self._reg_context(src1_reg)
+            changed = self._set_word_ctx(app_addr, source_ctx)
             return self._propagation_result(source_ctx, changed)
         # ALU / MOVE: the destination points into whichever source context
         # is a pointer (pointer arithmetic keeps the context).
-        source_ctx = self._reg_context(event.src1_reg)
+        source_ctx = self._reg_context(src1_reg)
         if source_ctx is None:
-            source_ctx = self._reg_context(event.src2_reg)
-        changed = self._set_reg_ctx(event.dest_reg, source_ctx)
+            source_ctx = self._reg_context(src2_reg)
+        changed = self._set_reg_ctx(dest_reg, source_ctx)
         return self._propagation_result(source_ctx, changed)
 
     def _propagation_result(

@@ -12,14 +12,14 @@ expressed as table data.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.common.units import keys_in_range, words_in_range
 from repro.fade.event_table import RuKind
 from repro.fade.pipeline import HandlerKind
 from repro.fade.programming import FadeProgram, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
-from repro.isa.events import MonitoredEvent, StackUpdate
+from repro.isa.events import StackUpdate
 from repro.isa.opcodes import (
     BRANCH_EVENT_ID,
     LOAD_EVENT_ID,
@@ -136,24 +136,27 @@ class TaintCheck(Monitor):
 
     # ----------------------------------------------------------------- events
 
-    def handle_event(
-        self, event: MonitoredEvent, kind: HandlerKind = HandlerKind.FULL
+    def _handle_fields(
+        self, event_id: int, app_pc: int, app_addr: Optional[int],
+        src1_reg: Optional[int], src2_reg: Optional[int],
+        dest_reg: Optional[int], sequence: int, kind: HandlerKind,
     ) -> HandlerResult:
-        event_id = event.event_id
+        tainted_regs = self._tainted_regs
         if event_id == BRANCH_EVENT_ID:
-            return self._handle_branch(event)
+            return self._handle_branch(app_pc, src1_reg)
         if event_id == LOAD_EVENT_ID:
-            tainted = self._word_tainted(event.app_addr)
-            changed = self._set_reg(event.dest_reg, tainted)
+            tainted = self._word_tainted(app_addr)
+            changed = self._set_reg(dest_reg, tainted)
             return self._propagation_result(tainted, changed)
         if event_id == STORE_EVENT_ID:
-            tainted = event.src1_reg in self._tainted_regs
-            changed = self._set_word(event.app_addr, tainted)
+            tainted = src1_reg in tainted_regs
+            changed = self._set_word(app_addr, tainted)
             return self._propagation_result(tainted, changed)
-        # ALU / MOVE: taint union of the sources.
-        sources = [reg for reg in (event.src1_reg, event.src2_reg) if reg is not None]
-        tainted = any(reg in self._tainted_regs for reg in sources)
-        changed = self._set_reg(event.dest_reg, tainted)
+        # ALU / MOVE: taint union of the present sources.
+        tainted = (src1_reg is not None and src1_reg in tainted_regs) or (
+            src2_reg is not None and src2_reg in tainted_regs
+        )
+        changed = self._set_reg(dest_reg, tainted)
         return self._propagation_result(tainted, changed)
 
     def _propagation_result(self, tainted: bool, changed: bool) -> HandlerResult:
@@ -166,13 +169,13 @@ class TaintCheck(Monitor):
             )
         return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
 
-    def _handle_branch(self, event: MonitoredEvent) -> HandlerResult:
-        if event.src1_reg not in self._tainted_regs:
+    def _handle_branch(self, pc: int, src1_reg: int) -> HandlerResult:
+        if src1_reg not in self._tainted_regs:
             return self._result(self.costs.clean_check, HandlerClass.CLEAN_CHECK)
         report = BugReport(
             monitor=self.name,
             kind=BugKind.TAINTED_JUMP,
-            pc=event.app_pc,
+            pc=pc,
             thread=self.current_thread,
             message="control transfer through tainted data",
         )

@@ -25,16 +25,6 @@ class CycleBreakdown:
     monitor_idle: int = 0
     both_busy: int = 0
 
-    def record(self, app_blocked: bool, monitor_busy: bool, cycles: int = 1) -> None:
-        """Classify ``cycles`` cycles of simulated time in bulk (the event
-        engine accrues whole quiet intervals; the naive stepper passes 1)."""
-        if app_blocked and monitor_busy:
-            self.app_idle += cycles
-        elif not monitor_busy:
-            self.monitor_idle += cycles
-        else:
-            self.both_busy += cycles
-
     @property
     def total(self) -> int:
         return self.app_idle + self.monitor_idle + self.both_busy

@@ -59,7 +59,6 @@ from repro.workload.packed import (
     SRC2_SHIFT,
     STACK_OP_BY_CODE,
     PackedTrace,
-    build_event,
     event_fields,
     pack_trace,
 )
@@ -256,6 +255,9 @@ class MonitoringSimulation:
             )
             self.work_queue = self.event_queue
 
+        # The monitor's instruction handler, called with the event's fields.
+        self._instruction_handler = monitor._field_handler()
+
         if plan is None:
             plan = build_plan(trace, monitor)
         self._kinds = plan.kinds
@@ -305,6 +307,11 @@ class MonitoringSimulation:
         self._filterable_gap = 0
         self._current_burst = 0
         self._saw_unfiltered = False
+        # Handler instructions per ``HandlerClass.slot`` (None until a
+        # handler of that class runs) and the slots in first-run order:
+        # ``_finalize`` turns them into ``result.handler_instructions``.
+        self._handler_totals: list = [None] * len(HandlerClass)
+        self._handler_order: list = []
 
     # ------------------------------------------------------------------ run
 
@@ -318,15 +325,14 @@ class MonitoringSimulation:
         monitor = self.monitor
         trace = self.trace
         kinds = self._kinds
-        events = trace.events
         items = trace.items
         lists = trace.column_lists()
-        f1, f2, f3 = lists[1:4]
+        pcs, f1, f2, f3 = lists[0:4]
         op_column, flags_column = lists[7:9]
         event_ids = EVENT_ID_BY_SHAPE
         memory_slot = MEMORY_SLOT
         register = OPERAND_REGISTER
-        handle_event = monitor.handle_event
+        handle_fields = self._instruction_handler
         handler_kind = HandlerKind.FULL
         if fade is not None:
             process = fade.process
@@ -336,29 +342,27 @@ class MonitoringSimulation:
             if kind == SKIP:
                 continue
             if kind == INSTRUCTION_EVENT:
+                # ``event_fields(lists, index)``, inlined.
+                flags = flags_column[index]
+                slot = memory_slot[flags]
+                event_id = event_ids[(op_column[index] << 4) | (flags & 15)]
+                addr = lists[slot][index] if slot else None
+                src1 = f1[index] if flags & 3 == register else None
+                src2 = f2[index] if (flags >> SRC2_SHIFT) & 3 == register else None
+                dest = f3[index] if (flags >> DEST_SHIFT) & 3 == register else None
                 if fade is not None:
-                    # ``event_fields(lists, index)``, inlined.
-                    flags = flags_column[index]
-                    slot = memory_slot[flags]
-                    outcome = process(
-                        event_ids[(op_column[index] << 4) | (flags & 15)],
-                        lists[slot][index] if slot else None,
-                        f1[index] if flags & 3 == register else None,
-                        f2[index] if (flags >> SRC2_SHIFT) & 3 == register else None,
-                        f3[index] if (flags >> DEST_SHIFT) & 3 == register else None,
-                        index,
-                    )
+                    outcome = process(event_id, addr, src1, src2, dest, index)
                     if outcome.filtered:
                         continue
                     handler_kind = outcome.handler_kind
-                event = events[index]
-                if event is None:
-                    event = events[index] = build_event(lists, index)
-                handle_event(event, handler_kind)
+                handle_fields(
+                    event_id, pcs[index], addr, src1, src2, dest, index,
+                    handler_kind,
+                )
                 if fade is not None:
                     handler_completed(index)
             elif kind == STACK_UPDATE:
-                update = trace.event(index).stack_update
+                update = trace.stack_update(index)
                 if fade is not None and fade.suu is not None:
                     fade.process_stack_update(update)
                     monitor.on_suu_stack_update(update)
@@ -401,6 +405,11 @@ class MonitoringSimulation:
         self._finish_burst()
         self._check_conservation()
         self.result.cycles = float(self._now)
+        classes = tuple(HandlerClass)
+        totals = self._handler_totals
+        self.result.handler_instructions = {
+            classes[slot]: totals[slot] for slot in self._handler_order
+        }
         self.result.reports = list(self.monitor.reports)
         if self.fade is not None:
             self.result.fade_stats = self.fade.stats
@@ -537,11 +546,11 @@ class MonitoringSimulation:
         kinds = self._kinds
         plan_len = self._plan_len
         trace = self.trace
-        events = trace.events  # The trace's memo of built events.
         items = trace.items
+        stack_update_at = trace.stack_update
         lists = trace.column_lists()
         # Columns for the inlined ``event_fields`` decode.
-        f1, f2, f3 = lists[1:4]
+        pcs, f1, f2, f3 = lists[0:4]
         op_column, flags_column = lists[7:9]
         event_ids = EVENT_ID_BY_SHAPE
         memory_slot = MEMORY_SLOT
@@ -562,9 +571,10 @@ class MonitoringSimulation:
         wq_stats = self.work_queue.stats
         eq_capacity = self.event_queue.capacity
         wq_capacity = self._wq_capacity
-        handler_totals = result.handler_instructions
+        handler_totals = self._handler_totals
+        handler_order = self._handler_order
         track_filtering = self._track_filtering
-        handle_event = monitor.handle_event
+        handle_fields = self._instruction_handler
         handle_stack_update = monitor.handle_stack_update
         handle_high_level = monitor.handle_high_level
         instruction_kind = INSTRUCTION_EVENT
@@ -735,28 +745,46 @@ class MonitoringSimulation:
                         else:
                             handler_kind = full_handler
                         kind = kinds[mon_item]
-                        if kind != high_level_kind:
-                            event = events[mon_item]
-                            if event is None:
-                                event = events[mon_item] = build_event(
-                                    lists, mon_item
-                                )
-                            if kind == instruction_kind:
-                                outcome = handle_event(event, handler_kind)
-                            else:
-                                outcome = handle_stack_update(
-                                    event.stack_update
-                                )
+                        if kind == instruction_kind:
+                            # ``event_fields(lists, mon_item)``, inlined.
+                            flags = flags_column[mon_item]
+                            slot = memory_slot[flags]
+                            outcome = handle_fields(
+                                event_ids[(op_column[mon_item] << 4) | (flags & 15)],
+                                pcs[mon_item],
+                                lists[slot][mon_item] if slot else None,
+                                f1[mon_item] if flags & 3 == register else None,
+                                f2[mon_item]
+                                if (flags >> SRC2_SHIFT) & 3 == register
+                                else None,
+                                f3[mon_item]
+                                if (flags >> DEST_SHIFT) & 3 == register
+                                else None,
+                                mon_item,
+                                handler_kind,
+                            )
+                        elif kind == stack_kind:
+                            outcome = handle_stack_update(
+                                stack_update_at(mon_item)
+                            )
                         else:
                             outcome = handle_high_level(items[mon_item])
+                        cost = outcome.cost
                         handler_class = outcome.handler_class
-                        handler_totals[handler_class] = (
-                            handler_totals.get(handler_class, 0.0) + outcome.cost
-                        )
+                        class_slot = handler_class.slot
+                        total = handler_totals[class_slot]
+                        if total is None:
+                            total = 0.0
+                            handler_order.append(class_slot)
+                        handler_totals[class_slot] = total + cost
                         handlers += 1
                         if fade is None and kind == instruction_kind:
-                            track_filtering(handler_class in filterable)
-                        mon_rem = int(outcome.cost) * unit_scale
+                            if handler_class in filterable:
+                                # ``_track_filtering(True)``, inlined.
+                                self._filterable_gap += 1
+                            else:
+                                track_filtering(False)
+                        mon_rem = int(cost) * unit_scale
                     take = mon_rem if mon_rem < budget else budget
                     mon_rem -= take
                     budget -= take
@@ -798,12 +826,7 @@ class MonitoringSimulation:
                         else:
                             eq.popleft()
                             eq_stats.dequeued += 1
-                            event = events[item]
-                            if event is None:
-                                event = events[item] = build_event(
-                                    lists, item
-                                )
-                            update = event.stack_update
+                            update = stack_update_at(item)
                             cycles = process_stack_update(update)
                             on_suu_stack_update(update)
                             ready_at = now + cycles
@@ -944,8 +967,7 @@ class MonitoringSimulation:
             self._eq_hist[len(self._eq_entries)] += 1
             if self._split_queues:
                 self._wq_hist[len(self._wq_entries)] += 1
-        # Inline CycleBreakdown.record(app_blocked, monitor_busy, 1): this
-        # runs every stepped cycle.
+        # Classify the cycle (Figure 11(b)).
         breakdown = self._breakdown
         if self._app_blocked and monitor_busy:
             breakdown.app_idle += 1
@@ -1003,15 +1025,23 @@ class MonitoringSimulation:
         )
         kind = self._kinds[index]
         if kind == INSTRUCTION_EVENT:
-            outcome = self.monitor.handle_event(self.trace.event(index), handler_kind)
+            lists = self.trace.column_lists()
+            event_id, addr, src1, src2, dest = event_fields(lists, index)
+            outcome = self._instruction_handler(
+                event_id, lists[0][index], addr, src1, src2, dest, index,
+                handler_kind,
+            )
         elif kind == STACK_UPDATE:
             outcome = self.monitor.handle_stack_update(
-                self.trace.event(index).stack_update
+                self.trace.stack_update(index)
             )
         else:
             outcome = self.monitor.handle_high_level(self.trace.items[index])
-        totals = self.result.handler_instructions
-        totals[outcome.handler_class] = totals.get(outcome.handler_class, 0.0) + outcome.cost
+        slot = outcome.handler_class.slot
+        if self._handler_totals[slot] is None:
+            self._handler_totals[slot] = 0.0
+            self._handler_order.append(slot)
+        self._handler_totals[slot] += outcome.cost
         self.result.handlers_executed += 1
         if self.fade is None and kind == INSTRUCTION_EVENT:
             # Unaccelerated runs still record what *would* be filterable for
@@ -1071,7 +1101,7 @@ class MonitoringSimulation:
                     _COVERAGE.hit("fade.drain")
                 return
             self.event_queue.dequeue()
-            update = self.trace.event(index).stack_update
+            update = self.trace.stack_update(index)
             cycles = fade.process_stack_update(update)
             self.monitor.on_suu_stack_update(update)
             self._fade_ready_at = self._now + cycles

@@ -22,10 +22,9 @@ tooling and user code read a packed trace unchanged.  The hot consumers
 read the columns directly and never materialise per-item objects on the
 built-in path: :meth:`repro.cores.retire.RetireModel.schedule`,
 :func:`repro.system.simulator.build_plan` (one kind code per item) and the
-simulator's event loop, which decodes the fields FADE filters on with
-:func:`event_fields`.  The :class:`~repro.isa.events.MonitoredEvent` a
-software handler receives is built by :meth:`PackedTrace.event`, only for
-the items a handler actually runs on, and memoized per trace.
+simulator's event loop, which decodes the fields FADE filters on and the
+built-in monitors' handlers take with :func:`event_fields`, and builds a
+stack update's record with :meth:`PackedTrace.stack_update`.
 
 The column layout is versioned (:data:`TRACE_SCHEMA_VERSION`); the
 content-addressed result store keys on it so cached results are invalidated
@@ -37,7 +36,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.isa.events import MonitoredEvent, StackOp, StackUpdate
+from repro.isa.events import StackOp, StackUpdate
 from repro.isa.instruction import Instruction, Operand, OperandKind
 from repro.isa.opcodes import OpClass, known_event_ids
 from repro.workload.trace import HighLevelEvent, HighLevelKind, Trace, TraceItem
@@ -148,29 +147,6 @@ def event_fields(
         lists[2][index] if (flags >> SRC2_SHIFT) & 3 == OPERAND_REGISTER else None,
         lists[3][index] if (flags >> DEST_SHIFT) & 3 == OPERAND_REGISTER else None,
     )
-
-
-_new_tuple = tuple.__new__
-
-
-def build_event(lists: Tuple[list, ...], index: int) -> MonitoredEvent:
-    """``MonitoredEvent.from_instruction(items[index], sequence=index)``,
-    straight from :meth:`PackedTrace.column_lists` (``tuple.__new__``
-    skips the NamedTuple's Python-level constructor).  Callers memoize
-    through :meth:`PackedTrace.event` or its ``events`` list."""
-    op_code = lists[7][index]
-    stack_op = STACK_OP_BY_CODE[op_code]
-    if stack_op is None:
-        event_id, app_addr, src1, src2, dest = event_fields(lists, index)
-        return _new_tuple(MonitoredEvent, (
-            event_id, lists[0][index], app_addr, src1, src2, dest, None, index,
-        ))
-    return _new_tuple(MonitoredEvent, (
-        EVENT_ID_BY_SHAPE[(op_code << 4) | (lists[8][index] & 15)],
-        lists[0][index], None, None, None, None,
-        StackUpdate(stack_op, lists[4][index], lists[5][index]),
-        index,
-    ))
 
 
 def _materialize(columns: Tuple[Column, ...], index: int) -> TraceItem:
@@ -416,7 +392,6 @@ class PackedTrace(Trace):
         self._num_instructions: Optional[int] = None
         self._lists: Optional[Tuple[list, ...]] = None
         self._view: Optional[_PackedItems] = None
-        self._events: Optional[List[Optional[MonitoredEvent]]] = None
 
     # ------------------------------------------------------------ sequence
 
@@ -462,27 +437,13 @@ class PackedTrace(Trace):
             )
         return self._lists
 
-    @property
-    def events(self) -> List[Optional[MonitoredEvent]]:
-        """Per-item memo of :meth:`event` (None where not built yet).  Hot
-        loops read it directly: ``events[i] or trace.event(i)``."""
-        if self._events is None:
-            self._events = [None] * self._length
-        return self._events
-
-    def event(self, index: int) -> MonitoredEvent:
-        """The :class:`MonitoredEvent` of instruction ``index``, equal to
-        ``MonitoredEvent.from_instruction(self.items[index], sequence=index)``.
-
-        Built from the columns on first request and memoized on the trace:
-        events do not depend on the monitor, so every simulation of this
-        trace shares them, and only items some handler (or the SUU) ran on
-        are ever built."""
-        events = self.events
-        event = events[index]
-        if event is None:
-            event = events[index] = build_event(self.column_lists(), index)
-        return event
+    def stack_update(self, index: int) -> StackUpdate:
+        """The :class:`StackUpdate` of call/return instruction ``index``,
+        built from the columns."""
+        lists = self.column_lists()
+        return StackUpdate(
+            STACK_OP_BY_CODE[lists[7][index]], lists[4][index], lists[5][index]
+        )
 
     def count_instructions(self, start: int = 0, stop: Optional[int] = None) -> int:
         """Number of instructions among items ``[start, stop)`` — a bytes

@@ -298,7 +298,7 @@ def _loop_state(sim):
             "stack_update_events": result.stack_update_events,
             "high_level_events": result.high_level_events,
             "baseline_cycles": result.baseline_cycles,
-            "handler_instructions": dict(result.handler_instructions),
+            "handler_totals": (list(sim._handler_totals), list(sim._handler_order)),
             "handlers_executed": result.handlers_executed,
             "unfiltered_distances": dict(result.unfiltered_distances),
             "unfiltered_burst_sizes": list(result.unfiltered_burst_sizes),
@@ -352,10 +352,9 @@ def _fade_state(fade):
                 word: [(e.value, e.owner_sequence) for e in stack]
                 for word, stack in fsq._by_word.items()
             },
-            fsq._size, fsq.inserts, fsq.hits, fsq.max_occupancy,
+            fsq._size, fsq.inserts, fsq.max_occupancy,
         ),
         "suu": None if fade.suu is None else dataclasses.asdict(fade.suu.stats),
-        "comparisons": fade.pipeline.filter_logic.comparisons,
     }
 
 

@@ -122,9 +122,3 @@ class TestChaining:
         entry = EventTableEntry()  # PC-holder row: no check.
         assert logic.evaluate(entry, OperandMetadata(), previous_outcome=True)
         assert not logic.evaluate(entry, OperandMetadata(), previous_outcome=False)
-
-    def test_comparison_counter_advances(self):
-        logic = make_logic(invariants=(1,))
-        entry = EventTableEntry(s1=operand(inv_id=0), cc=True)
-        logic.evaluate(entry, OperandMetadata(s1=1))
-        assert logic.comparisons == 1

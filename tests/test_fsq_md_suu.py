@@ -45,9 +45,8 @@ class TestFilterStoreQueue:
     def test_hit_statistics(self):
         fsq = FilterStoreQueue()
         fsq.insert(0x100, 1, 1)
-        fsq.lookup(0x100)
-        fsq.lookup(0x999)
-        assert fsq.hits == 1
+        assert fsq.lookup(0x100) == 1
+        assert fsq.lookup(0x999) is None
         assert fsq.max_occupancy == 1
 
 

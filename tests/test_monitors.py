@@ -9,9 +9,22 @@ from repro.isa.instruction import Instruction, Operand
 from repro.isa.opcodes import OpClass, event_id_for
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.monitors.atomcheck import access_tag, READ, WRITE
-from repro.monitors.base import HandlerClass
-from repro.monitors.memcheck import DEFINED, INIT, UNALLOC, UNINIT
-from repro.workload import generate_trace, get_profile
+from repro.fade.programming import ProgramBuilder
+from repro.monitors.base import HandlerClass, HandlerResult, Monitor
+from repro.monitors.handlers import HandlerCosts
+from repro.monitors.memcheck import DEFINED, INIT, UNALLOC, UNINIT, MemCheck
+from repro.monitors.memleak import MemLeak
+from repro.monitors.reports import BugKind, BugReport
+from repro.system import SystemConfig
+from repro.system.simulator import (
+    HIGH_LEVEL,
+    INSTRUCTION_EVENT,
+    STACK_UPDATE,
+    build_plan,
+    simulate_warmed,
+)
+from repro.workload import bugs, generate_trace, get_profile
+from repro.workload.packed import event_fields, pack_trace
 from repro.workload.trace import HighLevelEvent, HighLevelKind
 
 
@@ -308,3 +321,227 @@ class TestCleanTraces:
         trace = generate_trace(get_profile("astar"), 4000, seed=11)
         monitor = replay(create_monitor("memleak"), trace)
         assert all(r.kind is BugKind.MEMORY_LEAK for r in monitor.reports)
+
+
+class TestHandlerResult:
+    """The record every handler returns, shared when it carries no report."""
+
+    def test_keyword_construction_and_defaults(self):
+        result = HandlerResult(cost=12, handler_class=HandlerClass.CLEAN_CHECK)
+        assert result.cost == 12
+        assert result.handler_class is HandlerClass.CLEAN_CHECK
+        assert result.metadata_changed is False
+        assert result.report is None
+
+    def test_is_noop(self):
+        report = BugReport(monitor="m", kind=BugKind.INVALID_READ, pc=4)
+        assert HandlerResult(4, HandlerClass.CLEAN_CHECK).is_noop
+        assert not HandlerResult(4, HandlerClass.UPDATE, True).is_noop
+        assert not HandlerResult(4, HandlerClass.COMPLEX, report=report).is_noop
+
+    def test_equality_is_by_field(self):
+        assert HandlerResult(6, HandlerClass.UPDATE, True) == HandlerResult(
+            cost=6, handler_class=HandlerClass.UPDATE, metadata_changed=True
+        )
+        assert HandlerResult(6, HandlerClass.UPDATE) != HandlerResult(
+            6, HandlerClass.UPDATE, True
+        )
+
+    def test_report_free_results_are_shared_and_immutable(self):
+        monitor = create_monitor("memcheck")
+        first = monitor._result(13, HandlerClass.CLEAN_CHECK)
+        assert monitor._result(13, HandlerClass.CLEAN_CHECK) is first
+        assert monitor._result(13, HandlerClass.CLEAN_CHECK, True) is not first
+        with pytest.raises(AttributeError):
+            first.cost = 0
+        assert monitor._result(13, HandlerClass.CLEAN_CHECK).cost == 13
+
+    def test_a_report_builds_a_fresh_result(self):
+        monitor = create_monitor("memcheck")
+        report = BugReport(monitor="MemCheck", kind=BugKind.INVALID_READ, pc=4)
+        result = monitor._result(30, HandlerClass.COMPLEX, report=report)
+        assert result.cost == 30 + monitor.costs.report
+        assert result.report is report
+        assert monitor.reports == [report]
+
+    def test_startup_event_costs_nothing_and_leaves_the_shared_result(self):
+        monitor = create_monitor("addrcheck")
+        timed = monitor.handle_high_level(malloc(0x1000_0000, 64))
+        startup = monitor.handle_high_level(malloc(0x1000_0000, 64, startup=True))
+        assert startup == timed._replace(cost=0)
+        assert startup.cost == 0 and timed.cost > 0
+        assert monitor.handle_high_level(malloc(0x1000_0000, 64)) is timed
+
+
+def _entry_point_traces(monitor_name):
+    """A seeded 2k trace of the monitor's suite plus the crafted bug trace
+    it detects, so both clean and reporting handlers run."""
+    crafted = {
+        "addrcheck": bugs.use_after_free_trace,
+        "memcheck": bugs.uninitialized_read_trace,
+        "taintcheck": bugs.taint_exploit_trace,
+        "memleak": bugs.memory_leak_trace,
+        "atomcheck": bugs.atomicity_violation_trace,
+    }[monitor_name]
+    benchmark = "water" if monitor_name == "atomcheck" else "astar"
+    return [
+        generate_trace(get_profile(benchmark), 2000, seed=5),
+        pack_trace(crafted()),
+    ]
+
+
+class TestEntryPoints:
+    """The field-level handler the simulator calls and the public
+    ``handle_event`` are one handler."""
+
+    @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
+    def test_fields_and_event_paths_agree(self, monitor_name):
+        for trace in _entry_point_traces(monitor_name):
+            by_fields = create_monitor(monitor_name)
+            by_event = create_monitor(monitor_name)
+            kinds = build_plan(trace, by_fields).kinds
+            lists = trace.column_lists()
+            handled = 0
+            for index, kind in enumerate(kinds):
+                if kind == INSTRUCTION_EVENT:
+                    handler_kind = (
+                        HandlerKind.SHORT if index % 3 == 0 else HandlerKind.FULL
+                    )
+                    event_id, addr, src1, src2, dest = event_fields(lists, index)
+                    ours = by_fields._handle_fields(
+                        event_id, lists[0][index], addr, src1, src2, dest,
+                        index, handler_kind,
+                    )
+                    event = MonitoredEvent.from_instruction(
+                        trace.items[index], sequence=index
+                    )
+                    theirs = by_event.handle_event(event, handler_kind)
+                    handled += 1
+                elif kind == STACK_UPDATE:
+                    ours = by_fields.handle_stack_update(trace.stack_update(index))
+                    theirs = by_event.handle_stack_update(
+                        MonitoredEvent.from_instruction(
+                            trace.items[index]
+                        ).stack_update
+                    )
+                elif kind == HIGH_LEVEL:
+                    ours = by_fields.handle_high_level(trace.items[index])
+                    theirs = by_event.handle_high_level(trace.items[index])
+                else:
+                    continue
+                assert ours == theirs, f"item {index}"
+            assert handled
+            assert by_fields.reports == by_event.reports
+            assert by_fields.critical_regs.snapshot() == (
+                by_event.critical_regs.snapshot()
+            )
+            assert by_fields.critical_mem.snapshot() == (
+                by_event.critical_mem.snapshot()
+            )
+        assert by_fields.reports  # The crafted trace's bug was reported.
+
+
+class DelegatingMemCheck(MemCheck):
+    """A third-party-style monitor: overrides only ``handle_event`` (and
+    records the events it receives), so it runs through the adapter."""
+
+    def __init__(self):
+        super().__init__()
+        self.received = []
+
+    def handle_event(self, event, kind=HandlerKind.FULL):
+        self.received.append(event)
+        return super().handle_event(event, kind)
+
+
+class EventOnlyLeakCheck(MemLeak):
+    """MemLeak with its instruction handler written against
+    ``MonitoredEvent`` only, the way a monitor outside the package is."""
+
+    def handle_event(self, event, kind=HandlerKind.FULL):
+        if event.event_id == event_id_for(OpClass.LOAD, 1):
+            context = self._word_context(event.app_addr)
+            return self._propagation_result(
+                context, self._set_reg_ctx(event.dest_reg, context)
+            )
+        if event.event_id == event_id_for(OpClass.STORE, 1):
+            context = self._reg_context(event.src1_reg)
+            return self._propagation_result(
+                context, self._set_word_ctx(event.app_addr, context)
+            )
+        context = self._reg_context(event.src1_reg)
+        if context is None:
+            context = self._reg_context(event.src2_reg)
+        return self._propagation_result(
+            context, self._set_reg_ctx(event.dest_reg, context)
+        )
+
+
+class TestHandleEventAdapter:
+    """A monitor that overrides only ``handle_event`` keeps working."""
+
+    @pytest.mark.parametrize("fade_enabled", [False, True])
+    @pytest.mark.parametrize(
+        "monitor_class, stock", [(DelegatingMemCheck, MemCheck),
+                                 (EventOnlyLeakCheck, MemLeak)],
+    )
+    def test_engines_agree_and_match_the_built_in(
+        self, monitor_class, stock, fade_enabled
+    ):
+        trace = generate_trace(get_profile("astar"), 3000, seed=7)
+        profile = get_profile("astar")
+        results = {
+            engine: simulate_warmed(
+                trace, monitor_class(),
+                SystemConfig(fade_enabled=fade_enabled, engine=engine),
+                profile,
+            )
+            for engine in ("naive", "event")
+        }
+        assert results["naive"].to_dict() == results["event"].to_dict()
+        assert results["naive"] == results["event"]
+        assert results["event"].handlers_executed > 0
+        built_in = simulate_warmed(
+            trace, stock(), SystemConfig(fade_enabled=fade_enabled), profile
+        )
+        assert results["event"] == built_in
+
+    def test_adapter_hands_over_the_trace_event(self):
+        trace = generate_trace(get_profile("astar"), 3000, seed=7)
+        monitor = DelegatingMemCheck()
+        simulate_warmed(trace, monitor, SystemConfig(), get_profile("astar"))
+        assert monitor.received
+        for event in monitor.received:
+            assert event == MonitoredEvent.from_instruction(
+                trace.items[event.sequence], sequence=event.sequence
+            )
+
+    def test_handle_event_patched_on_an_instance_is_called(self):
+        trace = generate_trace(get_profile("astar"), 3000, seed=7)
+        monitor = MemCheck()
+        received = []
+        handle_event = monitor.handle_event
+
+        def recording(event, kind=HandlerKind.FULL):
+            received.append(event.sequence)
+            return handle_event(event, kind)
+
+        monitor.handle_event = recording
+        result = simulate_warmed(
+            trace, monitor, SystemConfig(fade_enabled=False), get_profile("astar")
+        )
+        assert len(received) > result.handlers_executed > 0
+
+    def test_a_monitor_must_override_handle_event(self):
+        class NoHandler(Monitor):
+            def fade_program(self):
+                return ProgramBuilder("NoHandler").build()
+
+            def handle_stack_update(self, update):
+                return self._result(0, HandlerClass.STACK_UPDATE)
+
+            def _handle_memory_event(self, event):
+                return self._result(0, HandlerClass.HIGH_LEVEL)
+
+        with pytest.raises(TypeError, match="NoHandler must override handle_event"):
+            NoHandler(HandlerCosts())

@@ -17,11 +17,11 @@ import pytest
 from repro.api import ExperimentSettings, RunnerCache, RunSpec, execute_spec
 from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
-from repro.fade.pipeline import HandlerKind
 from repro.isa.events import MonitoredEvent
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.monitors import MONITOR_NAMES, create_monitor
+from repro.monitors.base import Monitor
 from repro.monitors.memleak import MemLeak
 from repro.system import MonitoringSimulation, SystemConfig, Topology, simulate
 from repro.system.simulator import (
@@ -31,6 +31,7 @@ from repro.system.simulator import (
     STACK_UPDATE,
     build_plan,
 )
+from repro.workload.packed import event_fields
 from repro.workload import (
     PackedTrace,
     Trace,
@@ -182,10 +183,13 @@ class TestColumnFastPaths:
 
     @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
     def test_built_events_match_from_instruction(self, monitor_name):
+        """The fields a handler takes and the stack updates the loop builds
+        from the columns equal those of ``MonitoredEvent.from_instruction``."""
         benchmark = bench_for(monitor_name)
         items = as_objects(benchmark).items
         for trace in source_traces(benchmark):
             plan = build_plan(trace, create_monitor(monitor_name))
+            lists = trace.column_lists()
             delivered = [
                 index
                 for index, kind in enumerate(plan.kinds)
@@ -193,10 +197,15 @@ class TestColumnFastPaths:
             ]
             assert delivered
             for index in delivered:
-                assert trace.event(index) == MonitoredEvent.from_instruction(
-                    items[index], sequence=index
-                )
-            assert trace.event(delivered[0]) is trace.event(delivered[0])
+                event = MonitoredEvent.from_instruction(items[index], index)
+                if plan.kinds[index] == STACK_UPDATE:
+                    assert trace.stack_update(index) == event.stack_update
+                else:
+                    event_id, addr, src1, src2, dest = event_fields(lists, index)
+                    assert event == MonitoredEvent(
+                        event_id, lists[0][index], addr, src1, src2, dest,
+                        None, index,
+                    )
 
     def test_custom_wants_uses_generic_path(self):
         class EveryOtherLoad(MemLeak):
@@ -218,34 +227,25 @@ class TestColumnFastPaths:
             )
             assert result.monitored_events == plan.monitored
 
-    def test_event_memo_holds_only_handled_items(self):
-        """After a non-blocking FADE cell the trace's event memo holds
-        events only where a handler or the SUU ran: filtered events never
-        become objects."""
+    @pytest.mark.parametrize("fade_enabled", [False, True])
+    def test_built_in_monitors_build_no_events(self, monkeypatch, fade_enabled):
+        """A built-in monitor's handlers take the fields the loop decodes
+        from the columns: no cell builds a MonitoredEvent, and none runs
+        through the ``handle_event`` adapter."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a MonitoredEvent was built")
+
+        monkeypatch.setattr(MonitoredEvent, "__new__", refuse)
+        monkeypatch.setattr(Monitor, "_fields_to_event", refuse)
         trace = generate_trace(get_profile("gcc"), 3000, seed=11)
-        monitor = create_monitor("memcheck")
-        handled = []
-        handle_event = monitor.handle_event
-
-        def recording(event, kind=HandlerKind.FULL):
-            handled.append(event.sequence)
-            return handle_event(event, kind)
-
-        monitor.handle_event = recording
-        sim = MonitoringSimulation(
-            trace, monitor, SystemConfig(), get_profile("gcc")
-        )
-        sim.run()
-        stats = sim.fade.stats
-        assert sim.fade.suu is not None and stats.filtered > 0
-        plan = build_plan(trace, create_monitor("memcheck"))
-        built = [i for i, event in enumerate(trace.events) if event is not None]
-        assert set(handled) <= set(built)
-        assert all(
-            plan.kinds[i] in (INSTRUCTION_EVENT, STACK_UPDATE) for i in built
-        )
-        assert len(built) == stats.unfiltered + stats.stack_updates
-        assert len(built) < plan.monitored + plan.stack_updates
+        for engine in ("naive", "event"):
+            sim = MonitoringSimulation(
+                trace, create_monitor("memcheck"),
+                SystemConfig(fade_enabled=fade_enabled, engine=engine),
+                get_profile("gcc"), warmup_items=1000,
+            )
+            assert sim.run().handlers_executed > 0
 
     def test_finished_cell_frees_its_trace_without_the_cycle_collector(self):
         spec = RunSpec(
