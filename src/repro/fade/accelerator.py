@@ -17,7 +17,7 @@ from repro.fade.event_table import EventTable
 from repro.fade.fsq import FilterStoreQueue
 from repro.fade.inv_rf import InvariantRegisterFile
 from repro.fade.md_cache import MetadataCache, MetadataCacheConfig
-from repro.fade.pipeline import EventOutcome, FilteringPipeline, HandlerKind
+from repro.fade.pipeline import EventOutcome, FadeStats, FilteringPipeline
 from repro.fade.programming import FadeProgram
 from repro.fade.suu import StackUpdateUnit
 from repro.isa.events import MonitoredEvent, StackUpdate
@@ -28,8 +28,9 @@ from repro.metadata.shadow import ShadowMemory, ShadowRegisters
 class FadeConfig:
     """Accelerator configuration (Section 6 defaults).
 
-    ``filter_memo`` enables the pipeline's value-keyed memo of filtered
-    outcomes — a pure software-speed optimisation with bit-identical
+    ``filter_memo`` enables the pipeline's value-keyed memo of every
+    decision — filtered or not, with the handler choice and the Non-Blocking
+    commit — a pure software-speed optimisation with bit-identical
     results.  The simulator disables it for the naive reference engine (so
     engine-equivalence tests compare memoized against truly inline walks)
     and under ``REPRO_FORCE_INLINE_FADE=1``.
@@ -39,46 +40,6 @@ class FadeConfig:
     fsq_capacity: int = 16
     md_cache: MetadataCacheConfig = MetadataCacheConfig()
     filter_memo: bool = True
-
-
-@dataclasses.dataclass
-class FadeStats:
-    """Lifetime filtering statistics."""
-
-    instruction_events: int = 0
-    filtered: int = 0
-    partial_short: int = 0
-    unfiltered_full: int = 0
-    stack_updates: int = 0
-    tlb_misses: int = 0
-    md_updates_committed: int = 0
-    busy_cycles: int = 0
-    suu_cycles: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter in place (the simulator's warmup reset reuses
-        the instance instead of re-instantiating)."""
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, field.default)
-
-    @property
-    def filtering_ratio(self) -> float:
-        """Fraction of instruction-event handlers elided (Table 2 metric)."""
-        if self.instruction_events == 0:
-            return 0.0
-        return self.filtered / self.instruction_events
-
-    @property
-    def unfiltered(self) -> int:
-        return self.partial_short + self.unfiltered_full
-
-    def to_dict(self) -> dict:
-        """Plain-JSON representation; the inverse of :meth:`from_dict`."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FadeStats":
-        return cls(**data)
 
 
 class Fade:
@@ -97,6 +58,7 @@ class Fade:
         self.event_table: EventTable = program.event_table
         self.md_cache = MetadataCache(config.md_cache)
         self.fsq = FilterStoreQueue(config.fsq_capacity) if config.non_blocking else None
+        self.stats = FadeStats()
         self.pipeline = FilteringPipeline(
             event_table=self.event_table,
             inv_rf=self.inv_rf,
@@ -106,7 +68,12 @@ class Fade:
             fsq=self.fsq,
             non_blocking=config.non_blocking,
             memo_enabled=config.filter_memo,
+            stats=self.stats,
         )
+        #: Filter one instruction event, given as its event-queue fields
+        #: (see :meth:`FilteringPipeline.process`); the pipeline counts it
+        #: in ``stats``.
+        self.process = self.pipeline.process
         self.suu: Optional[StackUpdateUnit] = None
         if program.uses_suu:
             self.suu = StackUpdateUnit(
@@ -116,7 +83,6 @@ class Fade:
                 return_inv_id=program.suu_return_inv_id,
             )
         self._md_memory = md_memory
-        self.stats = FadeStats()
 
     @property
     def non_blocking(self) -> bool:
@@ -132,27 +98,6 @@ class Fade:
             event.event_id, event.app_addr, event.src1_reg,
             event.src2_reg, event.dest_reg, event.sequence,
         )
-
-    def process(
-        self, event_id: int, addr: Optional[int], src1: Optional[int],
-        src2: Optional[int], dest: Optional[int], sequence: int,
-    ) -> EventOutcome:
-        """Filter one instruction event, given as its event-queue fields
-        (see :meth:`FilteringPipeline.process`); updates statistics."""
-        outcome = self.pipeline.process(event_id, addr, src1, src2, dest, sequence)
-        self.stats.instruction_events += 1
-        self.stats.busy_cycles += outcome.occupancy_cycles
-        if outcome.tlb_miss:
-            self.stats.tlb_misses += 1
-        if outcome.filtered:
-            self.stats.filtered += 1
-        elif outcome.handler_kind is HandlerKind.SHORT:
-            self.stats.partial_short += 1
-        else:
-            self.stats.unfiltered_full += 1
-        if outcome.md_update is not None:
-            self.stats.md_updates_committed += 1
-        return outcome
 
     def process_stack_update(self, update: StackUpdate) -> int:
         """Run the SUU over a frame; returns its busy cycles.

@@ -7,25 +7,32 @@ for one cycle per chained check plus any MD-cache miss stall.  The stage
 *depth* only adds fill latency, which is negligible against queue dynamics
 and is folded into the per-event occupancy.
 
-Because the hardware filters the overwhelming majority of events, the same
-decision is evaluated against the same metadata values over and over.  The
-pipeline therefore memoizes fully *filtered* outcomes keyed on the event id
-and the metadata values the chain walk reads: the operand registers' MD RF
-bytes, the word's metadata byte (FSQ-forwarded or from shadow memory) and
-the INV values its clean checks compare against.  The key is read from the
+Because the same checks run over and over against the same few metadata
+values, the pipeline memoizes every decision of a programmed event keyed on
+the event id and the metadata values the chain walk reads: the operand
+registers' MD RF bytes, the word's metadata byte (FSQ-forwarded or from
+shadow memory), the INV values its clean checks compare against and the
+INV its head entry's Non-Blocking update reads.  The key is read from the
 same stores the inline walk reads, so a write anywhere in the metadata
-layer simply re-keys the next lookup; nothing tracks writes.  A memo hit
-skips the chain walk but still performs the per-event MD-cache/M-TLB
-accesses, so access timing, cache state and all statistics stay
-bit-identical to the inline walk.  Unfiltered outcomes have side effects
-(handler selection, Non-Blocking commits, FSQ inserts) and always take the
-inline path.
+layer simply re-keys the next lookup; nothing tracks writes.  A cached
+decision holds whether the event filtered, the selected handler and the
+head entry's Non-Blocking commit as a *value* (a pure function of the key);
+a memo hit replays the per-event MD-cache/M-TLB accesses and then applies
+that commit to *this* event's word or destination register (FSQ insert
+plus shadow write, or an MD RF write), so access timing, cache state,
+metadata contents and all statistics stay bit-identical to the inline walk.
+
+The pipeline also keeps the accelerator's :class:`FadeStats`: each event is
+counted where it is decided, so the accelerator hands its callers the
+pipeline's own ``process``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from typing import Dict, NamedTuple, Optional, Tuple
+import operator
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ProgrammingError
 from repro.common.units import WORD_SIZE
@@ -34,7 +41,11 @@ from repro.fade.filter_logic import FilterLogic, OperandMetadata
 from repro.fade.fsq import FilterStoreQueue
 from repro.fade.inv_rf import InvariantRegisterFile
 from repro.fade.md_cache import MetadataCache
-from repro.fade.update_logic import compute_update
+from repro.fade.update_logic import (
+    NonBlockCondition,
+    NonBlockRule,
+    compute_update,
+)
 from repro.metadata.shadow import (
     PAGE_SHIFT,
     PAGE_WORD_MASK,
@@ -55,6 +66,46 @@ class HandlerKind(enum.Enum):
     NONE = "none"  # Filtered: no software handler at all.
     SHORT = "short"  # Partial filtering, hardware check passed.
     FULL = "full"  # Unfiltered: the full software handler runs.
+
+
+@dataclasses.dataclass
+class FadeStats:
+    """Lifetime filtering statistics."""
+
+    instruction_events: int = 0
+    filtered: int = 0
+    partial_short: int = 0
+    unfiltered_full: int = 0
+    stack_updates: int = 0
+    tlb_misses: int = 0
+    md_updates_committed: int = 0
+    busy_cycles: int = 0
+    suu_cycles: int = 0
+
+    def reset(self) -> None:
+        """Zero every counter in place (the simulator's warmup reset reuses
+        the instance instead of re-instantiating)."""
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, field.default)
+
+    @property
+    def filtering_ratio(self) -> float:
+        """Fraction of instruction-event handlers elided (Table 2 metric)."""
+        if self.instruction_events == 0:
+            return 0.0
+        return self.filtered / self.instruction_events
+
+    @property
+    def unfiltered(self) -> int:
+        return self.partial_short + self.unfiltered_full
+
+    def to_dict(self) -> dict:
+        """Plain-JSON representation; the inverse of :meth:`from_dict`."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FadeStats":
+        return cls(**data)
 
 
 class EventOutcome(NamedTuple):
@@ -88,32 +139,40 @@ class EventOutcome(NamedTuple):
 class _ChainProfile(NamedTuple):
     """Static per-event-id shape of the programmed chain (memo support)."""
 
-    table_generation: int
     mem_entries: int  # Chain entries whose operands read memory metadata.
     plain_entries: int  # Chain entries with no memory access (1 cycle each).
     reads_s1_reg: bool  # Some entry reads operand slot 1 as a register.
     reads_s2_reg: bool
     reads_d_reg: bool
-    #: INV RF indices the chain's clean checks compare against (static per
-    #: event id).  Their *values* join the memo key, so run-time INV
-    #: reprogramming (AtomCheck thread switches) re-keys the lookup.
-    inv_ids: tuple
+    #: Reads the INV RF values the chain decides on — those its clean
+    #: checks compare against, plus the head entry's update INV when the
+    #: update reads it (a SET_CONST value or a condition's constant) — as
+    #: one scalar or tuple; None when there are none.  The values join the
+    #: memo key, so run-time INV reprogramming (AtomCheck thread switches)
+    #: re-keys the lookup.
+    read_invs: Optional[Callable[[list], object]]
 
 
 class _ValueMemoEntry(NamedTuple):
-    """A cached filtered *decision* keyed on the metadata values read.
+    """A cached *decision* keyed on the metadata values read.
 
     The operand metadata is read directly — cheap functional dict/list
     lookups — and the decision is cached per ``(event id, operand values)``.
     Monitors encode metadata in a handful of byte values, so the key space
-    is tiny and the hit rate approaches the filtering ratio.  Timing
-    (MD-cache/M-TLB accesses) still happens per event.
+    is tiny.  Timing (MD-cache/M-TLB accesses) and the commit's write still
+    happen per event.
     """
 
-    table_gen: int  # EventTable.generation at walk time.
     base_cycles: int  # Occupancy from entries without an MD-cache access.
     mem_reads: int  # MD-cache accesses to replay per event.
     checks: int
+    filtered: bool
+    handler_kind: HandlerKind
+    handler_pc: int
+    #: The head entry's Non-Blocking commit, ("mem", value) or
+    #: ("reg", value), applied to each hit's own word or register; None
+    #: when the walk committed nothing.
+    commit: Optional[Tuple[str, int]]
 
 
 class FilteringPipeline:
@@ -121,7 +180,8 @@ class FilteringPipeline:
 
     The pipeline reads critical metadata through the MD RF (registers) and
     the FSQ + shadow memory (memory); in Non-Blocking mode it also commits
-    critical updates for unfiltered events.
+    critical updates for unfiltered events.  Every processed event is
+    counted in ``stats``.
     """
 
     def __init__(
@@ -134,6 +194,7 @@ class FilteringPipeline:
         fsq: Optional[FilterStoreQueue] = None,
         non_blocking: bool = True,
         memo_enabled: bool = True,
+        stats: Optional[FadeStats] = None,
     ) -> None:
         self.event_table = event_table
         self.inv_rf = inv_rf
@@ -143,16 +204,24 @@ class FilteringPipeline:
         self.fsq = fsq
         self.non_blocking = non_blocking
         self.filter_logic = FilterLogic(inv_rf)
+        self.stats = stats if stats is not None else FadeStats()
         self._value_memo: Optional[Dict[tuple, _ValueMemoEntry]] = (
             {} if memo_enabled else None
         )
         self._chain_profiles: Dict[int, _ChainProfile] = {}
+        #: The event table's generation the profiles and the memo hold.
+        self._table_generation = event_table.generation
+        #: One shared filtered outcome per (cycles, checks, tlb_miss) shape.
+        self._filtered_outcomes: Dict[tuple, EventOutcome] = {}
         # Stable-identity metadata stores, hoisted for the memo hot path
         # (their identities never change after construction).
         self._reg_bytes = md_registers._bytes
         self._mem_pages = md_memory.pages
         self._mem_default = md_memory.default
-        self._fsq_by_word = fsq._by_word if fsq is not None else None
+        # Only Non-Blocking mode forwards in-flight FSQ values.
+        self._fsq_by_word = (
+            fsq._by_word if fsq is not None and non_blocking else None
+        )
         self._inv_values = inv_rf._values
         self.memo_value_hits = 0
         self.memo_misses = 0
@@ -221,15 +290,21 @@ class FilteringPipeline:
     # ----------------------------------------------------------------- memo
 
     def _chain_profile(self, event_id: int) -> Optional[_ChainProfile]:
-        """Static shape of ``event_id``'s chain (recomputed on
-        reprogramming), or None for an unprogrammed event."""
+        """Static shape of ``event_id``'s chain, or None for an
+        unprogrammed event."""
         if self.event_table.lookup(event_id) is None:
             return None
         mem_entries = 0
         plain_entries = 0
         reads_s1 = reads_s2 = reads_d = False
-        inv_ids: list = []
-        for _, entry in self.event_table.chain(event_id):
+        chain = self.event_table.chain(event_id)
+        update = chain[0][1].update
+        reads_update_inv = update.is_active and (
+            update.rule is NonBlockRule.SET_CONST
+            or update.condition is not NonBlockCondition.ALWAYS
+        )
+        inv_ids: list = [update.inv_id] if reads_update_inv else []
+        for _, entry in chain:
             rules = (entry.s1, entry.s2, entry.d)
             if any(rule.valid and rule.mem for rule in rules):
                 mem_entries += 1
@@ -246,8 +321,9 @@ class FilteringPipeline:
                     if rule.valid and rule.inv_id not in inv_ids:
                         inv_ids.append(rule.inv_id)
         profile = _ChainProfile(
-            self.event_table.generation, mem_entries, plain_entries,
-            reads_s1, reads_s2, reads_d, tuple(inv_ids),
+            mem_entries, plain_entries,
+            reads_s1, reads_s2, reads_d,
+            operator.itemgetter(*inv_ids) if inv_ids else None,
         )
         self._chain_profiles[event_id] = profile
         return profile
@@ -259,8 +335,9 @@ class FilteringPipeline:
         has_address: bool,
         outcome: EventOutcome,
     ) -> None:
-        """Cache a filtered decision under the metadata values it read (the
-        walk performed no writes, so those values are still current)."""
+        """Cache a walk's decision under the metadata values it read (the
+        key was read before the walk, whose only write is the final
+        commit)."""
         if has_address:
             mem_reads = profile.mem_entries
             plain = profile.plain_entries
@@ -270,8 +347,11 @@ class FilteringPipeline:
         value_memo = self._value_memo
         if len(value_memo) >= _MEMO_CAPACITY:
             value_memo.clear()
+        md_update = outcome.md_update
         value_memo[value_key] = _ValueMemoEntry(
-            profile.table_generation, plain, mem_reads, outcome.checks
+            plain, mem_reads, outcome.checks,
+            outcome.filtered, outcome.handler_kind, outcome.handler_pc,
+            None if md_update is None else (md_update[0], md_update[2]),
         )
 
     # --------------------------------------------------------------- evaluate
@@ -288,16 +368,23 @@ class FilteringPipeline:
         entries of a Non-Blocking commit.
 
         Functionally evaluates the multi-shot chain (through the memo when
-        the metadata values it reads already produced a filtered decision),
-        selects the handler for partial filtering, and (Non-Blocking mode)
-        commits the critical update for unfiltered events.
+        the metadata values it reads were decided before), selects the
+        handler for partial filtering, (Non-Blocking mode) commits the
+        critical update for unfiltered events, and counts the event in
+        ``stats``.
         """
         value_memo = self._value_memo
         if value_memo is None:
-            return self._process_inline(event_id, addr, src1, src2, dest, sequence)
-        table_gen = self.event_table.generation
+            return self._count(
+                self._process_inline(event_id, addr, src1, src2, dest, sequence)
+            )
+        if self.event_table.generation != self._table_generation:
+            # Reprogramming the table retires every profile and decision.
+            self._table_generation = self.event_table.generation
+            self._chain_profiles.clear()
+            value_memo.clear()
         profile = self._chain_profiles.get(event_id)
-        if profile is None or profile.table_generation != table_gen:
+        if profile is None:
             profile = self._chain_profile(event_id)
         value_key = None
         if profile is not None:
@@ -325,7 +412,7 @@ class FilteringPipeline:
             forwarded = False
             if addr is not None and profile.mem_entries:
                 word = addr - addr % WORD_SIZE
-                if self.non_blocking and self._fsq_by_word is not None:
+                if self._fsq_by_word is not None:
                     stack = self._fsq_by_word.get(word)
                     if stack:
                         forwarded = True
@@ -337,22 +424,13 @@ class FilteringPipeline:
                         if page is None
                         else page[(word >> WORD_SHIFT) & PAGE_WORD_MASK]
                     )
-            inv_ids = profile.inv_ids
-            if not inv_ids:
-                value_key = (event_id, r1, r2, rd, memory_value, ())
-            elif len(inv_ids) == 1:
-                value_key = (
-                    event_id, r1, r2, rd, memory_value,
-                    self._inv_values[inv_ids[0]],
-                )
-            else:
-                inv_values = self._inv_values
-                value_key = (
-                    event_id, r1, r2, rd, memory_value,
-                    tuple([inv_values[i] for i in inv_ids]),
-                )
+            read_invs = profile.read_invs
+            value_key = (
+                event_id, r1, r2, rd, memory_value,
+                read_invs(self._inv_values) if read_invs is not None else (),
+            )
             entry = value_memo.get(value_key)
-            if entry is not None and entry.table_gen == table_gen:
+            if entry is not None:
                 self.memo_value_hits += 1
                 if _COVERAGE.enabled:
                     _COVERAGE.hit("memo.value_hit")
@@ -366,26 +444,67 @@ class FilteringPipeline:
                         cycles += access if access > 1 else 1
                         if tlb_miss:
                             tlb_missed = True
-                return EventOutcome(
-                    True, HandlerKind.NONE, 0, cycles, entry.checks,
-                    tlb_missed, None,
-                )
+                if entry.filtered:
+                    # The common case, counted inline.
+                    stats = self.stats
+                    stats.instruction_events += 1
+                    stats.busy_cycles += cycles
+                    if tlb_missed:
+                        stats.tlb_misses += 1
+                    stats.filtered += 1
+                    shape = (cycles, entry.checks, tlb_missed)
+                    outcome = self._filtered_outcomes.get(shape)
+                    if outcome is None:
+                        outcome = self._filtered_outcomes[shape] = EventOutcome(
+                            True, HandlerKind.NONE, 0, cycles, entry.checks,
+                            tlb_missed, None,
+                        )
+                    return outcome
+                # The commit's value is a pure function of the key; only
+                # its target (this event's word or register) is per event.
+                commit = entry.commit
+                return self._count(EventOutcome(
+                    False, entry.handler_kind, entry.handler_pc, cycles,
+                    entry.checks, tlb_missed,
+                    None if commit is None else self._write_update(
+                        commit[0], commit[1], addr, dest, sequence
+                    ),
+                ))
         self.memo_misses += 1
         if _COVERAGE.enabled:
             _COVERAGE.hit("memo.miss")
         outcome = self._process_inline(event_id, addr, src1, src2, dest, sequence)
-        if outcome.filtered:
-            # Only a programmed event (so one with a profile) filters.
+        if value_key is not None:
+            # Only a programmed event (so one with a profile) has a key.
             self._memoize(value_key, profile, addr is not None, outcome)
-        elif _COVERAGE.enabled:
-            _COVERAGE.hit("memo.unfiltered")
+            if _COVERAGE.enabled and not outcome.filtered:
+                _COVERAGE.hit("memo.unfiltered")
+        return self._count(outcome)
+
+    def _count(self, outcome: EventOutcome) -> EventOutcome:
+        """Add an outcome to ``stats`` (a filtered memo hit counts itself
+        inline)."""
+        stats = self.stats
+        stats.instruction_events += 1
+        stats.busy_cycles += outcome.occupancy_cycles
+        if outcome.tlb_miss:
+            stats.tlb_misses += 1
+        if outcome.filtered:
+            stats.filtered += 1
+        elif outcome.handler_kind is HandlerKind.SHORT:
+            stats.partial_short += 1
+        else:
+            stats.unfiltered_full += 1
+        if outcome.md_update is not None:
+            stats.md_updates_committed += 1
         return outcome
 
     def _process_inline(
         self, event_id: int, addr: Optional[int], src1: Optional[int],
         src2: Optional[int], dest: Optional[int], sequence: int,
     ) -> EventOutcome:
-        """The reference chain walk (memo misses and unfiltered events)."""
+        """The reference chain walk (memo misses, unprogrammed events and
+        the memo-less configurations); counts nothing."""
         head = self.event_table.lookup(event_id)
         if head is None:
             # Unprogrammed event: always software (the monitor asked for the
@@ -496,12 +615,22 @@ class FilteringPipeline:
         if entry.d.valid and entry.d.mem:
             if addr is None:
                 return None
-            word = ShadowMemory.word_address(addr)
-            if self.fsq is not None:
-                self.fsq.insert(word, new_value, sequence)
-            self.md_memory.write(word, new_value)
-            return ("mem", word, new_value)
+            return self._write_update("mem", new_value, addr, dest, sequence)
         if entry.d.valid and dest is not None:
-            self.md_registers.write(dest, new_value)
-            return ("reg", dest, new_value)
+            return self._write_update("reg", new_value, addr, dest, sequence)
         return None
+
+    def _write_update(
+        self, target: str, value: int, addr: Optional[int],
+        dest: Optional[int], sequence: int,
+    ) -> Tuple[str, int, int]:
+        """Write a committed value to the event's word (FSQ entry plus
+        shadow memory) or to its destination's MD RF byte."""
+        if target == "mem":
+            word = addr - addr % WORD_SIZE
+            if self.fsq is not None:
+                self.fsq.insert(word, value, sequence)
+            self.md_memory.write(word, value)
+            return ("mem", word, value)
+        self.md_registers.write(dest, value)
+        return ("reg", dest, value)

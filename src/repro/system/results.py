@@ -6,7 +6,7 @@ import dataclasses
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.fade.accelerator import FadeStats
+from repro.fade.pipeline import FadeStats
 from repro.monitors.base import HandlerClass
 from repro.monitors.reports import BugReport
 from repro.queues.bounded import QueueStats

@@ -454,12 +454,19 @@ class MonitoringSimulation:
                     f"conservation law broken: {law} is {actual}, expected "
                     f"{expected} ({result.benchmark}/{result.monitor})"
                 )
-        if result.monitor_busy_cycles > cycles:
-            raise SimulationError(
-                "conservation law broken: monitor busy "
-                f"{result.monitor_busy_cycles} of {cycles} cycles "
-                f"({result.benchmark}/{result.monitor})"
+        bounds = [("monitor busy cycles", result.monitor_busy_cycles, cycles)]
+        if self.fade is not None:
+            # A filtered event never commits a Non-Blocking update.
+            stats = self.fade.stats
+            bounds.append(
+                ("Non-Blocking commits", stats.md_updates_committed, stats.unfiltered)
             )
+        for law, actual, limit in bounds:
+            if actual > limit:
+                raise SimulationError(
+                    f"conservation law broken: {law} {actual} exceed "
+                    f"{limit} ({result.benchmark}/{result.monitor})"
+                )
 
     def _coverage_finalize(self) -> None:
         """Derive the run-level and queue-occupancy-band coverage states
@@ -602,6 +609,10 @@ class MonitoringSimulation:
             blocking = not fade.non_blocking
             stack_update_drain = self.config.stack_update_drain
             tlb_service = self._tlb_service_cycles
+            # Instruction events stall while the FSQ is full; its fill
+            # level is read directly (no FSQ in Blocking mode).
+            fsq = fade.fsq
+            fsq_capacity = fsq.capacity if fsq is not None else 0
         never = _NEVER
 
         # --- loop state, loaded once and flushed back to ``self`` at the end
@@ -666,7 +677,11 @@ class MonitoringSimulation:
                     if kind == stack_kind:
                         quiet = 0  # Starts draining or runs the SUU.
                     elif wq_capacity is None or len(wq) < wq_capacity:
-                        if kind == high_level_kind or not fade.fsq_full:
+                        if (
+                            kind == high_level_kind
+                            or fsq is None
+                            or fsq._size < fsq_capacity
+                        ):
                             quiet = 0  # Dequeues this cycle.
             if quiet and app_index < plan_len:
                 if app_blocked:
@@ -849,7 +864,7 @@ class MonitoringSimulation:
                         ready_at = now + 1
                         if covering:
                             hit("fade.high_level")
-                    elif fade.fsq_full:
+                    elif fsq is not None and fsq._size >= fsq_capacity:
                         if covering:
                             hit("stall.fsq_full")
                     else:

@@ -48,7 +48,7 @@ TRACKED_STATES: Tuple[str, ...] = (
     # --- filter-memo classes (fade/pipeline.py) -------------------------
     "memo.value_hit",       # Value-keyed decision replayed.
     "memo.miss",            # Inline walk (no valid cached decision).
-    "memo.unfiltered",      # Inline walk ended unfiltered (never cached).
+    "memo.unfiltered",      # Inline walk ended unfiltered (then cached).
     # --- FSQ lifecycle (fade/fsq.py) ------------------------------------
     "fsq.insert",           # Non-blocking critical update queued.
     "fsq.forward",          # Younger event forwarded an in-flight value.

@@ -6,9 +6,13 @@ import random
 import pytest
 
 from repro.fade.accelerator import Fade, FadeConfig
+from repro.fade.event_table import EventTableEntry, RuKind
 from repro.fade.fsq import FilterStoreQueue
+from repro.fade.programming import ProgramBuilder
+from repro.fade.update_logic import NonBlockCondition, NonBlockRule, UpdateSpec
 from repro.isa.events import MonitoredEvent
 from repro.isa.opcodes import OpClass, event_id_for
+from repro.metadata import ShadowMemory, ShadowRegisters
 from repro.monitors import create_monitor
 
 
@@ -99,20 +103,100 @@ def test_access_cycles_mirrors_access(seed):
 # ------------------------------------------------------------ filter memo
 
 
-def _mirrored_fades(monitor_name="memcheck", non_blocking=True):
-    """Two identically-programmed FADE instances, one memoized, one inline."""
+#: INV ids of the update-rich program (``_update_rich_program``).
+_DEFINED_INV, _ALLOCATED_INV, _STORE_TAG_INV, _CONDITION_INV = range(4)
+
+
+def _update_rich_program():
+    """A program whose Non-Blocking updates read INVs no clean check
+    compares against: a SET_CONST store, a conditional PROP_S1 load behind
+    a partial filter and a conditional COMPOSE_OR ALU chain."""
+    builder = ProgramBuilder("update-rich")
+    defined = builder.invariant(0x03, "defined")
+    allocated = builder.invariant(0x01, "allocated")
+    tag = builder.invariant(0x05, "store-tag")
+    constant = builder.invariant(0x01, "condition-constant")
+    assert (defined, allocated, tag, constant) == (
+        _DEFINED_INV, _ALLOCATED_INV, _STORE_TAG_INV, _CONDITION_INV
+    )
+    builder.partial_filter(
+        event_id_for(OpClass.LOAD, 1),
+        full_check=EventTableEntry(
+            s1=builder.mem_operand(inv_id=defined),
+            d=builder.reg_operand(inv_id=defined),
+            cc=True,
+        ),
+        partial_check=EventTableEntry(
+            s1=builder.mem_operand(inv_id=allocated, mask=0x01), cc=True
+        ),
+        short_handler_pc=0x600,
+        long_handler_pc=0x604,
+        update=UpdateSpec(
+            rule=NonBlockRule.PROP_S1,
+            condition=NonBlockCondition.S1_NE_CONST,
+            inv_id=constant,
+        ),
+    )
+    builder.clean_check(
+        event_id_for(OpClass.STORE, 1),
+        s1=builder.reg_operand(inv_id=defined),
+        d=builder.mem_operand(inv_id=defined),
+        handler_pc=0x608,
+        update=UpdateSpec(rule=NonBlockRule.SET_CONST, inv_id=tag),
+    )
+    builder.multi_shot(
+        event_id_for(OpClass.ALU, 2),
+        [
+            EventTableEntry(
+                s1=builder.reg_operand(),
+                s2=builder.reg_operand(),
+                d=builder.reg_operand(),
+                ru=RuKind.OR,
+            ),
+            EventTableEntry(s1=builder.reg_operand(inv_id=defined), cc=True),
+        ],
+        handler_pc=0x60C,
+        update=UpdateSpec(
+            rule=NonBlockRule.COMPOSE_OR,
+            condition=NonBlockCondition.S1_EQ_CONST,
+            inv_id=constant,
+        ),
+    )
+    return builder.build()
+
+
+def _mirrored_fades(program_name="memcheck", non_blocking=True):
+    """Two identically-programmed FADE instances, one memoized, one inline:
+    a monitor's program, or the update-rich one."""
     fades = []
     for memo in (True, False):
-        monitor = create_monitor(monitor_name)
+        if program_name == "update-rich":
+            program = _update_rich_program()
+            md_registers = ShadowRegisters(default=0x03)
+            md_memory = ShadowMemory()
+        else:
+            monitor = create_monitor(program_name)
+            program = monitor.fade_program()
+            md_registers = monitor.critical_regs
+            md_memory = monitor.critical_mem
         fades.append(
             Fade(
-                program=monitor.fade_program(),
-                md_registers=monitor.critical_regs,
-                md_memory=monitor.critical_mem,
+                program=program,
+                md_registers=md_registers,
+                md_memory=md_memory,
                 config=FadeConfig(non_blocking=non_blocking, filter_memo=memo),
             )
         )
     return fades
+
+
+def _assert_same_metadata(memoized, inline):
+    """The MD RF, shadow memory and the FSQ's per-word stacks agree."""
+    a, b = memoized.pipeline, inline.pipeline
+    assert a.md_registers.snapshot() == b.md_registers.snapshot()
+    assert a.md_memory.snapshot() == b.md_memory.snapshot()
+    if memoized.fsq is not None:
+        assert memoized.fsq._by_word == inline.fsq._by_word
 
 
 def _random_event(rng, sequence):
@@ -148,9 +232,19 @@ def _random_event(rng, sequence):
 def test_memoized_pipeline_matches_inline(seed, non_blocking):
     """Randomized events interleaved with metadata writes, SUU-style range
     fills, INV reprogramming and handler completions: the memoized pipeline
-    produces bit-identical outcomes and MD-cache/TLB statistics."""
+    produces bit-identical outcomes, statistics, MD-cache/TLB statistics
+    and — after every event — metadata contents, under MemCheck's program
+    and under one whose SET_CONST and conditional updates read INVs the
+    loop rewrites."""
+    for program_name in ("memcheck", "update-rich"):
+        _check_memo_matches_inline(seed, non_blocking, program_name)
+
+
+def _check_memo_matches_inline(seed, non_blocking, program_name):
     rng = random.Random(seed)
-    memoized, inline = _mirrored_fades(non_blocking=non_blocking)
+    memoized, inline = _mirrored_fades(program_name, non_blocking)
+    pipeline = memoized.pipeline
+    committing_hits = 0
     outstanding = []
     for sequence in range(2500):
         roll = rng.random()
@@ -170,18 +264,23 @@ def test_memoized_pipeline_matches_inline(seed, non_blocking):
             for fade in (memoized, inline):
                 fade.pipeline.md_memory.fill(start, 64, 0x01)
         elif roll < 0.20:
-            value = rng.choice([0x01, 0x03])
+            inv_id = rng.randrange(4)
+            value = rng.choice([0x01, 0x03, 0x05])
             for fade in (memoized, inline):
-                fade.write_invariant(0, value)
+                fade.write_invariant(inv_id, value)
         elif roll < 0.25 and outstanding:
             done = outstanding.pop(rng.randrange(len(outstanding)))
             for fade in (memoized, inline):
                 fade.handler_completed(done)
         else:
             event = _random_event(rng, sequence)
+            hits = pipeline.memo_value_hits
             a = memoized.process_event(event)
             b = inline.process_event(event)
             assert a == b, f"divergence at #{sequence}: {a} vs {b}"
+            _assert_same_metadata(memoized, inline)
+            if pipeline.memo_value_hits > hits and a.md_update is not None:
+                committing_hits += 1
             if not a.filtered:
                 outstanding.append(sequence)
                 if len(outstanding) > 8:
@@ -199,9 +298,13 @@ def test_memoized_pipeline_matches_inline(seed, non_blocking):
     )
     if non_blocking:
         assert memoized.fsq.inserts == inline.fsq.inserts
-    # The memo actually engaged (otherwise this test proves nothing).
-    assert memoized.pipeline.memo_value_hits > 0
+    assert memoized.stats == inline.stats
+    # The memo actually engaged, replaying commits too (otherwise this
+    # test proves nothing).
+    assert pipeline.memo_value_hits > 0
     assert inline.pipeline.memo_value_hits == 0
+    if non_blocking:
+        assert committing_hits > 0
 
 
 def _assert_mirrored(memoized, inline, event):
@@ -279,3 +382,61 @@ def test_value_memo_rekeys_on_metadata_change():
     for fade in fades:
         fade.handler_completed(99)
     assert_hit(load)
+
+
+def test_unfiltered_set_const_hit_commits_the_current_inv():
+    """An unfiltered SET_CONST store replays its commit from the memo; the
+    update's INV joins the key although no check compares against it, so
+    after ``write_invariant`` on it the next identical store commits the
+    new value."""
+    fades = _mirrored_fades("update-rich")
+    memoized, inline = fades
+    pipeline = memoized.pipeline
+
+    def store(address, sequence):
+        # Register 1 is defined and every word starts at 0x00, so the
+        # store's clean check fails and the update commits to its word.
+        event = MonitoredEvent(
+            event_id=event_id_for(OpClass.STORE, 1),
+            app_pc=0, app_addr=address, src1_reg=1, sequence=sequence,
+        )
+        outcome = _assert_mirrored(memoized, inline, event)
+        _assert_same_metadata(memoized, inline)
+        assert not outcome.filtered
+        for fade in fades:
+            fade.handler_completed(sequence)
+        return outcome.md_update
+
+    assert store(0x1000, 0) == ("mem", 0x1000, 0x05)
+    hits = pipeline.memo_value_hits
+    assert store(0x2000, 1) == ("mem", 0x2000, 0x05)
+    assert pipeline.memo_value_hits == hits + 1  # Replayed, not rewalked.
+    for fade in fades:
+        fade.write_invariant(_STORE_TAG_INV, 0x07)
+    assert store(0x3000, 2) == ("mem", 0x3000, 0x07)
+    assert pipeline.md_memory.read(0x3000) == 0x07
+    assert memoized.stats.md_updates_committed == 3
+
+
+def test_table_reprogramming_retires_cached_decisions():
+    """Writing the event table retires every cached decision: the next
+    event with a cached key walks the new chain."""
+    fades = _mirrored_fades("update-rich")
+    memoized, inline = fades
+    alu = MonitoredEvent(
+        event_id=event_id_for(OpClass.ALU, 2),
+        app_pc=0, src1_reg=1, src2_reg=2, dest_reg=3, sequence=0,
+    )
+    assert _assert_mirrored(memoized, inline, alu).filtered
+    assert _assert_mirrored(memoized, inline, alu).filtered  # A memo hit.
+    hits = memoized.pipeline.memo_value_hits
+    for fade in fades:
+        # Every register holds "defined" (0x03); the new check wants 0x01.
+        fade.event_table.program(
+            alu.event_id,
+            EventTableEntry(
+                s1=ProgramBuilder.reg_operand(inv_id=_ALLOCATED_INV), cc=True
+            ),
+        )
+    assert not _assert_mirrored(memoized, inline, alu).filtered
+    assert memoized.pipeline.memo_value_hits == hits

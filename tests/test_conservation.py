@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import ExperimentSettings, RunSpec
 from repro.common.errors import SimulationError
-from repro.fade import accelerator, fsq
+from repro.fade import fsq, pipeline
 from repro.monitors import create_monitor
 from repro.system import SystemConfig, Topology
 from repro.system import simulator
@@ -74,10 +74,18 @@ MUTATIONS = [
         id="double-stepped-monitor-busy",
     ),
     pytest.param(
-        accelerator.Fade, "process", accelerator,
-        "self.stats.filtered += 1", "pass", {"engine": "naive"},
+        pipeline.FilteringPipeline, "_count", pipeline,
+        "stats.filtered += 1", "pass", {"engine": "naive"},
         "filtered + unfiltered events",
         id="drop-filtered-count",
+    ),
+    pytest.param(
+        # A filtered memo hit that also counts a Non-Blocking commit.
+        pipeline.FilteringPipeline, "process", pipeline,
+        "stats.filtered += 1",
+        "stats.filtered += 1; stats.md_updates_committed += 1", {},
+        "Non-Blocking commits",
+        id="filtered-hit-counts-commit",
     ),
     pytest.param(
         fsq.FilterStoreQueue, "release", fsq,
@@ -104,15 +112,18 @@ def test_mutation_is_caught_by_conservation_laws_alone(
 
 
 def test_oracle_fails_when_every_leg_breaks_the_same_law(monkeypatch):
-    """Both engines share ``Fade.process``, so every leg raises the same
-    error; with no disagreement to report the oracle must raise it."""
-    name = "process"
-    monkeypatch.setattr(accelerator.Fade, name, _mutated(
-        accelerator.Fade, name, accelerator, "self.stats.filtered += 1", "pass"
+    """Every leg performs the same FSQ traffic through
+    ``FilterStoreQueue.release``, so every leg raises the same error; with
+    no disagreement to report the oracle must raise it.  (A filtered-count
+    slip does not qualify: filtered memo hits count themselves, so
+    memoized and inline legs break that law by different amounts and disagree.)"""
+    name = "release"
+    monkeypatch.setattr(fsq.FilterStoreQueue, name, _mutated(
+        fsq.FilterStoreQueue, name, fsq, "self.releases += released", "pass"
     ))
     spec = RunSpec(
-        "gcc", "memcheck", SystemConfig(),
+        "gcc", "memleak", SystemConfig(),
         ExperimentSettings(num_instructions=3000, seed=5),
     )
-    with pytest.raises(SimulationError, match="filtered \\+ unfiltered events"):
+    with pytest.raises(SimulationError, match="FSQ releases \\+ entries left"):
         DifferentialOracle(thorough=False).check(spec)
