@@ -241,7 +241,32 @@ def _warn_spawn_context() -> None:
         "invisible to them (built-in names are unaffected); grids using "
         "runtime registrations fall back to serial execution",
         RuntimeWarning,
-        stacklevel=4,
+        stacklevel=5,
+    )
+
+
+def new_worker_pool(
+    workers: int, persist: bool = True
+) -> ProcessPoolExecutor:
+    """A process pool whose workers each build one :class:`RunnerCache`
+    (``persist`` says whether it reads and writes the trace store).
+
+    The ``fork`` start method is preferred so monitors and profiles
+    registered at runtime stay visible to the workers.  Raises ``OSError``
+    or ``ValueError`` when no pool can be built; the parallel runner and
+    the service's scheduler each decide what that means for their work,
+    and both replace a pool that breaks with a fresh one from here.
+    """
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        context = None
+        _warn_spawn_context()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_worker_init,
+        initargs=(persist,),
+        mp_context=context,
     )
 
 
@@ -309,22 +334,23 @@ class ParallelRunner(Runner):
         # raised in a worker means the worker cannot see this process's
         # runtime registrations (spawn-based pools) and serial execution
         # can finish.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-            _warn_spawn_context()
         index_chunks = _trace_chunks(spec_list, workers)
         payloads = [[spec_list[i] for i in indices] for indices in index_chunks]
-        pool = self._make_pool(workers, context)
-        if pool is None:
-            return self._run_serial(spec_list)
         # Chunk results land here as they are harvested; a broken pool
         # costs only the chunks that had not finished.
         batches: List[Optional[List[RunResult]]] = [None] * len(payloads)
         pending = list(range(len(payloads)))
         rebuilds = 0
         while pending:
+            try:
+                pool = new_worker_pool(workers)
+            except (OSError, ValueError) as error:
+                warnings.warn(
+                    f"process pool unavailable ({error}); running serially",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                break
             futures = []
             try:
                 # Submit inside the try: a worker that dies while later
@@ -379,8 +405,8 @@ class ParallelRunner(Runner):
                             pass  # Chunk died with the pool: retry it.
                         elif spec_error is None:
                             spec_error = chunk_error
+                _terminate_pool(pool)
                 if spec_error is not None:
-                    _terminate_pool(pool)
                     if isinstance(spec_error, ConfigurationError):
                         # Workers cannot see this process's runtime
                         # registrations (spawn pools): finish serially,
@@ -394,10 +420,16 @@ class ParallelRunner(Runner):
                         return self._run_serial(spec_list)
                     raise spec_error
                 pending = [slot for slot in pending if batches[slot] is None]
-                _terminate_pool(pool)
-                pool = None
                 rebuilds += 1
-                if pending and rebuilds <= _POOL_REBUILD_LIMIT:
+                if pending and rebuilds > _POOL_REBUILD_LIMIT:
+                    warnings.warn(
+                        "process pool kept breaking; running serially "
+                        f"for the {len(pending)} unfinished chunk(s)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    break
+                if pending:
                     warnings.warn(
                         f"process pool broke (worker died); retrying "
                         f"{len(pending)} unfinished chunk(s) on a "
@@ -405,21 +437,7 @@ class ParallelRunner(Runner):
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    pool = self._make_pool(workers, context)
-                if pool is None and pending:
-                    warnings.warn(
-                        "process pool kept breaking; running serially "
-                        f"for the {len(pending)} unfinished chunk(s)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    for slot in pending:
-                        batches[slot] = [
-                            execute_spec(spec, self.cache)
-                            for spec in payloads[slot]
-                        ]
-                    pending = []
-            except (OSError, PermissionError, ConfigurationError) as error:
+            except (OSError, ConfigurationError) as error:
                 pool.shutdown(wait=True, cancel_futures=True)
                 warnings.warn(
                     f"process pool unavailable ({error}); running "
@@ -428,28 +446,15 @@ class ParallelRunner(Runner):
                     stacklevel=2,
                 )
                 return self._run_serial(spec_list)
+        for slot in pending:
+            batches[slot] = [
+                execute_spec(spec, self.cache) for spec in payloads[slot]
+            ]
         results: List[Optional[RunResult]] = [None] * len(spec_list)
         for indices, batch in zip(index_chunks, batches):
             for index, result in zip(indices, batch):
                 results[index] = result
         return results
-
-    def _make_pool(
-        self, workers: int, context
-    ) -> Optional[ProcessPoolExecutor]:
-        try:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                mp_context=context,
-            )
-        except (OSError, PermissionError, ValueError) as error:
-            warnings.warn(
-                f"process pool unavailable ({error}); running serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
 
     def _store_partial(self, spec_list, index_chunks, futures) -> int:
         """Persist every chunk that completed before an interrupt.

@@ -487,10 +487,12 @@ class ResultStore:
 
         Transient write failures — ENOSPC races, SQLite lock contention —
         are retried with bounded exponential backoff; only a persistently
-        failing store propagates the error.  A *torn* write (a crashed or
-        fault-injected writer truncating the payload) is not an error
-        here: the corrupt entry reads as a miss later and is deleted, so
-        the next computation heals it.
+        failing store propagates the error, always as an ``OSError`` (a
+        lock error that outlasts the retries is chained onto one), so
+        callers catch one type whatever the backend.  A *torn* write (a
+        crashed or fault-injected writer truncating the payload) is not an
+        error here: the corrupt entry reads as a miss later and is
+        deleted, so the next computation heals it.
 
         A result with a non-finite metric is refused with a
         :class:`~repro.common.errors.SimulationError` naming the field.
@@ -516,11 +518,14 @@ class ResultStore:
         def _count_retry(attempt: int, error: BaseException) -> None:
             self.write_retries += 1
 
-        STORE_WRITE_POLICY.call(
-            _write_once,
-            retry_on=(OSError, sqlite3.OperationalError),
-            on_retry=_count_retry,
-        )
+        try:
+            STORE_WRITE_POLICY.call(
+                _write_once,
+                retry_on=(OSError, sqlite3.OperationalError),
+                on_retry=_count_retry,
+            )
+        except sqlite3.OperationalError as error:
+            raise OSError(f"result store write failed: {error}") from error
 
     # ---------------------------------------------------------- management
 

@@ -501,9 +501,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.server import CampaignServer
 
-    # The scheduler announces degrade/recover transitions (process pool →
-    # thread fallback and back) through this logger, once per transition.
-    # Give it a stderr handler unless the host app configured logging.
+    # The scheduler logs each rebuild of a broken process pool through
+    # this logger.  Give it a stderr handler unless the host app
+    # configured logging.
     service_logger = logging.getLogger("repro.service")
     if not service_logger.handlers and not logging.getLogger().handlers:
         handler = logging.StreamHandler(sys.stderr)

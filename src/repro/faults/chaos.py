@@ -11,10 +11,10 @@ batch twice under a seeded :class:`~repro.faults.plan.FaultPlan`:
 * **service phase** — a real :class:`~repro.service.CampaignServer` on a
   Unix socket over a SQLite store, driven through
   :class:`~repro.service.ServiceClient`, while workers hang past the
-  spec deadline, the pool breaks at submit, futures are slowed, SQLite
-  writes go BUSY, entries tear, and the NDJSON stream is cut mid-line:
-  exercises deadlines, retry/backoff, degrade→recover, and client
-  reconnect-and-resume.  A warm resubmission follows, proving torn
+  spec deadline or are SIGKILLed, the pool breaks at submit, futures are
+  slowed, SQLite writes go BUSY, entries tear, and the NDJSON stream is
+  cut mid-line: exercises deadlines, retry/backoff, pool rebuild, and
+  client reconnect-and-resume.  A warm resubmission follows, proving torn
   entries heal and warm answers match too.
 
 A killed worker's spec reruns from its start on the retry; the result
@@ -26,7 +26,9 @@ The verdict is exact, not statistical: every returned result must be
 with zero lost or duplicated specs — and every planned fault event must
 actually have fired (the journal is the witness).  Fault schedules are a
 pure function of ``(seed, round)``; the per-round plan and journal are
-left on disk under the campaign root for post-mortems and CI artifacts.
+left on disk under the campaign root for post-mortems and CI artifacts,
+and each phase's summary in ``report.json`` records its wall-clock
+``seconds``.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from repro.verify.oracle import result_digest
 #: eight kinds (and both store backends).
 RUNNER_KINDS = ("worker_crash", "store_enospc", "store_torn")
 SERVICE_KINDS = (
+    "worker_crash",
     "worker_hang",
     "pool_broken",
     "scheduler_slow",
@@ -145,11 +148,13 @@ def _check_results(
 
 
 def _finish_phase(
-    report: ChaosReport, injector: FaultInjector
+    report: ChaosReport, injector: FaultInjector, started: float
 ) -> Dict[str, object]:
-    """Uninstall the phase plan and absorb its journal into the report."""
+    """Uninstall the phase plan and absorb its journal into the report;
+    the summary records the phase's wall-clock seconds since ``started``."""
     uninstall_plan()
     summary = injector.summary()
+    summary["seconds"] = round(time.monotonic() - started, 3)
     report.faults_planned += summary["planned"]
     report.faults_fired += summary["fired"]
     for kind in summary["by_kind"]:
@@ -168,6 +173,7 @@ def _runner_phase(
     phase_dir: pathlib.Path,
     jobs: int,
 ) -> Dict[str, object]:
+    started = time.monotonic()
     store = ResultStore(phase_dir / "store")
     injector = install_plan(
         generate_plan(
@@ -191,7 +197,7 @@ def _runner_phase(
             report, "runner-heal", round_index, specs, healed, baseline
         )
     finally:
-        summary = _finish_phase(report, injector)
+        summary = _finish_phase(report, injector, started)
         store.close()
     return summary
 
@@ -205,10 +211,10 @@ def _service_phase(
     phase_dir: pathlib.Path,
     workers: int,
     spec_timeout: float,
-    pool_cooldown: float,
     hang_seconds: float,
     slow_seconds: float,
 ) -> Dict[str, object]:
+    started = time.monotonic()
     # Imported here: repro.faults must stay import-light (see package
     # docstring); only the chaos harness needs the service stack.
     from repro.service.client import ServiceClient
@@ -217,10 +223,7 @@ def _service_phase(
 
     store = ResultStore(phase_dir / "store.sqlite3")
     scheduler = SpecScheduler(
-        store=store,
-        workers=workers,
-        spec_timeout=spec_timeout,
-        pool_cooldown=pool_cooldown,
+        store=store, workers=workers, spec_timeout=spec_timeout
     )
     server = CampaignServer(
         store=store,
@@ -260,7 +263,7 @@ def _service_phase(
         finally:
             server.stop_background()
     finally:
-        summary = _finish_phase(report, injector)
+        summary = _finish_phase(report, injector, started)
         store.close()
     scheduler_stats = (
         stats.get("server", {}) if isinstance(stats, dict) else {}
@@ -278,7 +281,6 @@ def run_chaos(
     jobs: int = 2,
     workers: int = 2,
     spec_timeout: float = 5.0,
-    pool_cooldown: float = 2.0,
     hang_seconds: float = 8.0,
     slow_seconds: float = 0.5,
     progress=None,
@@ -339,7 +341,6 @@ def run_chaos(
                 service_dir,
                 workers,
                 spec_timeout,
-                pool_cooldown,
                 hang_seconds,
                 slow_seconds,
             )

@@ -38,19 +38,19 @@ Failure handling (the resilience layer):
 * **Retries** — transient failures (pool breakage, deadline misses, store
   races surfacing as OSError) are retried under a bounded
   exponential-backoff policy (:data:`repro.faults.retry.COMPUTE_POLICY`).
-* **Degrade → recover** — a broken process pool degrades the scheduler to
-  a single worker thread (slower, still correct, same dedup guarantees);
-  after ``pool_cooldown`` seconds the next computation tries a *fresh*
-  process pool and, on success, the scheduler recovers.  Both transitions
-  are logged once and surfaced through :meth:`stats` / the server's
-  ``/health``.
+* **Pool rebuild** — a broken process pool (a SIGKILLed worker, an
+  injected break) is shut down by the first attempt that sees it, and the
+  retry runs on a fresh pool from :func:`repro.api.runner.new_worker_pool`
+  — the parallel runner's policy too.  Each rebuild is logged and counted
+  in ``pool_rebuilds``; when no pool can be built at all, the spec fails
+  with that cause once its retries run out.
 * **Fault seam** — ``scheduler.submit`` is a
   :func:`repro.faults.injector.probe` site: an installed chaos plan can
   break the pool or slow a future here, deterministically.
 
 Store reads/writes are small synchronous file operations performed on the
-event loop (entries are a few KB; SQLite's WAL keeps them non-blocking in
-practice).  Simulation — seconds of CPU-bound pure Python — is what gets
+event loop (entries are a few KB, so they do not stall it in practice).
+Simulation — seconds of CPU-bound pure Python — is what gets
 offloaded, to processes so the GIL never serialises two cells.
 """
 
@@ -59,20 +59,16 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import logging
-import multiprocessing
 import os
-import sqlite3
-import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Optional
 
-from repro.api.cache import RunnerCache
-from repro.api.runner import _worker_init, _worker_run, execute_spec
+from repro.api.runner import _worker_run, new_worker_pool
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore, check_finite, content_key
 from repro.common.errors import SpecTimeout
-from repro.faults.injector import probe, spec_fault_key, worker_fault
+from repro.faults.injector import probe, spec_fault_key
 from repro.faults.retry import COMPUTE_POLICY, RetryPolicy
 from repro.system.results import RunResult
 
@@ -95,29 +91,16 @@ class SpecScheduler:
         self,
         store: Optional[ResultStore] = None,
         workers: Optional[int] = None,
-        use_processes: bool = True,
         spec_timeout: Optional[float] = None,
         retry_policy: RetryPolicy = COMPUTE_POLICY,
-        pool_cooldown: float = 30.0,
     ) -> None:
-        """``use_processes=False`` forces the thread fallback — mainly for
-        tests and platforms without working process pools; results are
-        identical either way.  ``spec_timeout`` (seconds) bounds each
-        computation attempt; ``pool_cooldown`` (seconds) is how long a
-        degraded scheduler waits before trying a fresh process pool."""
+        """``spec_timeout`` (seconds) bounds each computation attempt."""
         self.store = store
         self.workers = max(1, workers or os.cpu_count() or 1)
-        self.use_processes = use_processes
         self.spec_timeout = spec_timeout
         self.retry_policy = retry_policy
-        self.pool_cooldown = pool_cooldown
-        self._executor: Optional[Executor] = None
-        self._uses_threads = False
-        self._degraded_at: Optional[float] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._inflight: Dict[str, asyncio.Task] = {}
-        # A small cache for the thread fallback path (execute_spec needs
-        # one); process workers build their own via _worker_init.
-        self._cache = RunnerCache(persist=False)
         self.specs_received = 0
         self.warm_hits = 0
         self.coalesced = 0
@@ -126,87 +109,38 @@ class SpecScheduler:
         self.retries = 0
         self.timeouts = 0
         self.faults_injected = 0
-        self.degrades = 0
-        self.recoveries = 0
+        self.pool_rebuilds = 0
         self.store_write_failures = 0
 
-    # ------------------------------------------------------------ executor
+    # ---------------------------------------------------------------- pool
 
-    @property
-    def degraded(self) -> bool:
-        """True while running on the thread fallback *involuntarily* (a
-        scheduler built with ``use_processes=False`` chose threads and is
-        not degraded)."""
-        return self._uses_threads and self.use_processes
-
-    def _new_process_pool(self) -> Optional[ProcessPoolExecutor]:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        try:
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_worker_init,
-                initargs=(False,),
-                mp_context=context,
-            )
-        except (OSError, PermissionError, ValueError):
-            return None
-
-    def _pool(self) -> Executor:
-        if self.degraded and self._cooldown_elapsed():
-            self._try_recover()
-        if self._executor is not None:
-            return self._executor
-        if self.use_processes:
-            pool = self._new_process_pool()
-            if pool is not None:
-                self._executor = pool
-                return pool
-        # CPU-bound work on one thread: correct, serialised by the GIL.
-        self._executor = ThreadPoolExecutor(max_workers=1)
-        self._uses_threads = True
+    def _pool(self) -> ProcessPoolExecutor:
+        """The current process pool, built on first use and after a break.
+        A pool that cannot be built is a retryable pool failure naming the
+        cause."""
+        if self._executor is None:
+            try:
+                self._executor = new_worker_pool(self.workers, persist=False)
+            except (OSError, ValueError) as error:
+                raise BrokenProcessPool(
+                    f"cannot build a process pool: {error}"
+                ) from error
         return self._executor
 
-    def _cooldown_elapsed(self) -> bool:
-        return (
-            self._degraded_at is not None
-            and time.monotonic() - self._degraded_at >= self.pool_cooldown
-        )
+    def _retire(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a broken ``pool`` so the next attempt builds a fresh one.
 
-    def _degrade_to_thread(self) -> None:
-        """Swap a broken process pool for the thread fallback (and start
-        the recovery cooldown clock)."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ThreadPoolExecutor(max_workers=1)
-        if not self._uses_threads:
-            self.degrades += 1
-            logger.warning(
-                "scheduler degraded: process pool broke, falling back to a "
-                "single worker thread (retrying a fresh pool after %.0fs)",
-                self.pool_cooldown,
-            )
-        self._uses_threads = True
-        self._degraded_at = time.monotonic()
-
-    def _try_recover(self) -> None:
-        """Attempt the thread → fresh-process-pool recovery."""
-        pool = self._new_process_pool()
-        if pool is None:
-            # Pools still unavailable: restart the cooldown clock.
-            self._degraded_at = time.monotonic()
+        Every attempt in flight on a broken pool sees the break; only the
+        first, while ``pool`` is still the current one, shuts it down
+        (sweeping its queued futures) and counts the rebuild.  A sibling
+        that notices later must not tear down the fresh pool."""
+        if self._executor is not pool:
             return
-        executor, self._executor = self._executor, pool
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        self._uses_threads = False
-        self._degraded_at = None
-        self.recoveries += 1
-        logger.info(
-            "scheduler recovered: fresh process pool after cooldown"
+        self._executor = None
+        pool.shutdown(wait=False, cancel_futures=True)
+        self.pool_rebuilds += 1
+        logger.warning(
+            "process pool broke; the next computation builds a fresh pool"
         )
 
     # ------------------------------------------------------------- running
@@ -248,7 +182,7 @@ class SpecScheduler:
         if self.store is not None:
             try:
                 self.store.put(spec, result)
-            except (OSError, sqlite3.OperationalError):
+            except OSError:
                 # A store that stays unwritable after the put-level retries
                 # must not turn a finished simulation into a client error;
                 # serve the result and count the miss.
@@ -266,69 +200,57 @@ class SpecScheduler:
                 last = exc
                 if isinstance(exc, SpecTimeout):
                     self.timeouts += 1
-                if isinstance(exc, BrokenProcessPool) and not self._uses_threads:
-                    # A killed worker (OOM, crash) must not take the server
-                    # down; degrade now, recover after the cooldown.  (When
-                    # already on the thread fallback — e.g. a sibling spec
-                    # degraded first — just retry there: rebuilding the
-                    # thread executor would cancel its queued work.)
-                    self._degrade_to_thread()
                 if attempt < policy.attempts:
                     self.retries += 1
                     await asyncio.sleep(policy.delay(attempt))
         assert last is not None
         raise last
 
-    def _thread_worker(self, spec: RunSpec) -> RunResult:
-        # Same fault seam as the process path's _worker_run: keyed
-        # worker faults (e.g. a hang) must stay injectable after a
-        # degrade, or a chaos plan could strand unfired events.
-        worker_fault(spec)
-        return execute_spec(spec, self._cache)
-
     async def _compute_once(self, spec: RunSpec) -> RunResult:
-        loop = asyncio.get_running_loop()
         pool = self._pool()
-        # Fault seam: an installed chaos plan can break the pool or slow
-        # this spec's future, deterministically, right at submission.
-        delay = self._submit_fault(spec)
-        if self._uses_threads:
-            # In-process: use the scheduler's own cache, never the
-            # module-global worker cache of the pool runner.
-            cfuture = pool.submit(self._thread_worker, spec)
-        else:
-            cfuture = pool.submit(_worker_run, spec)
-        future = asyncio.wrap_future(cfuture, loop=loop)
-
-        async def _await_result() -> RunResult:
-            if delay > 0.0:
-                await asyncio.sleep(delay)
-            return await future
-
         try:
-            if self.spec_timeout is None:
-                return await _await_result()
-            return await asyncio.wait_for(_await_result(), self.spec_timeout)
-        except asyncio.TimeoutError:
-            # Cancellation is best-effort: a queued task is cancelled for
-            # real, a *running* process task cannot be interrupted and is
-            # abandoned instead (see module docstring).
-            cfuture.cancel()
-            raise SpecTimeout(
-                f"spec exceeded its {self.spec_timeout:g}s deadline"
-            ) from None
-        except asyncio.CancelledError:
-            if cfuture.cancelled():
-                # The *executor-level* future was cancelled before it ever
-                # ran — a sibling spec degraded the pool and its queued
-                # work was swept.  That is a retryable pool failure, not a
-                # caller cancellation (which leaves the concurrent future
-                # running — a started future refuses to cancel).  Deadline
-                # cancellations never reach here: wait_for classifies them
-                # as TimeoutError above.
-                raise BrokenProcessPool(
-                    "executor future cancelled by pool teardown"
+            # Fault seam: an installed chaos plan can break the pool or slow
+            # this spec's future, deterministically, right at submission.
+            delay = self._submit_fault(spec)
+            cfuture = pool.submit(_worker_run, spec)
+            future = asyncio.wrap_future(cfuture)
+
+            async def _await_result() -> RunResult:
+                if delay > 0.0:
+                    await asyncio.sleep(delay)
+                return await future
+
+            try:
+                if self.spec_timeout is None:
+                    return await _await_result()
+                return await asyncio.wait_for(
+                    _await_result(), self.spec_timeout
+                )
+            except asyncio.TimeoutError:
+                # Cancellation is best-effort: a queued task is cancelled
+                # for real, a *running* process task cannot be interrupted
+                # and is abandoned instead (see module docstring).
+                cfuture.cancel()
+                raise SpecTimeout(
+                    f"spec exceeded its {self.spec_timeout:g}s deadline"
                 ) from None
+            except asyncio.CancelledError:
+                if cfuture.cancelled():
+                    # The *executor-level* future was cancelled before it
+                    # ever ran — a sibling spec retired the pool and its
+                    # queued work was swept.  That is a retryable pool
+                    # failure, not a caller cancellation (which leaves the
+                    # concurrent future running — a started future refuses
+                    # to cancel).  Deadline cancellations never reach here:
+                    # wait_for classifies them as TimeoutError above.
+                    raise BrokenProcessPool(
+                        "executor future cancelled by pool teardown"
+                    ) from None
+                raise
+        except BrokenProcessPool:
+            # A killed worker (OOM, crash) must not take the server down:
+            # retire the pool; the retry runs on a fresh one.
+            self._retire(pool)
             raise
 
     def _submit_fault(self, spec: RunSpec) -> float:
@@ -363,11 +285,8 @@ class SpecScheduler:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "faults_injected": self.faults_injected,
-            "degrades": self.degrades,
-            "recoveries": self.recoveries,
+            "pool_rebuilds": self.pool_rebuilds,
             "store_write_failures": self.store_write_failures,
-            "executor": "thread" if self._uses_threads else "process",
-            "degraded": self.degraded,
             "inflight": self.inflight,
             "workers": self.workers,
         }

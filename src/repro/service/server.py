@@ -4,7 +4,8 @@ A deliberately small HTTP/1.1 implementation over asyncio streams (the
 repo adds no third-party dependencies), listening on localhost TCP or a
 Unix socket.  The protocol is JSON in, NDJSON out:
 
-* ``GET /health`` → ``{"ok": true, "service": "repro", "version": 1}``.
+* ``GET /health`` → ``{"ok": true, "service": "repro", "version": 1,
+  "status": "ok"}``.
 * ``GET /stats`` → ``{"server": {...scheduler counters...}, "store":
   {...ResultStore.stats() with per-shard counts...} | null}`` — the same
   shape ``repro cache stats --json`` prints.
@@ -193,17 +194,14 @@ class CampaignServer:
                 return
             method, path, body = request
             if method == "GET" and path == "/health":
-                # "degraded" is informational, not fatal: the scheduler is
-                # on its thread fallback (slower, still correct) and will
-                # try a fresh process pool after its cooldown.
+                # "status" is always "ok": a broken process pool is
+                # rebuilt on the next computation, so there is no other
+                # state to report.  The key stays for clients that read it.
                 await self._respond_json(
                     writer,
                     200,
                     {"ok": True, "service": "repro",
-                     "version": PROTOCOL_VERSION,
-                     "status": (
-                         "degraded" if self.scheduler.degraded else "ok"
-                     )},
+                     "version": PROTOCOL_VERSION, "status": "ok"},
                 )
             elif method == "GET" and path == "/stats":
                 await self._respond_json(writer, 200, self._stats())

@@ -3,6 +3,7 @@ retry policies, and the store/runner hardening they exercise."""
 
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     RetryPolicy,
+    STORE_WRITE_POLICY,
     generate_plan,
     install_plan,
     probe,
@@ -286,6 +288,41 @@ class TestStoreHardening:
         assert warm.records[0].result.to_dict() == (
             first.records[0].result.to_dict()
         )
+
+    def test_exhausted_lock_errors_surface_as_oserror(
+        self, tmp_path, monkeypatch
+    ):
+        # Every write meets a real lock held by another connection: put()
+        # gives up after the policy's attempts with an OSError (callers
+        # catch one type whatever the backend), chained to the lock error.
+        monkeypatch.setattr("repro.api.store._SQLITE_BUSY_TIMEOUT", 0.01)
+        path = tmp_path / "store.db"
+        store = ResultStore(path)
+        result = SerialRunner(store=store).run(GRID[:1]).records[0].result
+        holder = sqlite3.connect(path, isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            with pytest.raises(OSError, match="locked") as info:
+                store.put(GRID[1], result)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert isinstance(info.value.__cause__, sqlite3.OperationalError)
+        assert store.write_retries == STORE_WRITE_POLICY.attempts
+        store.close()
+
+    def test_exhausted_injected_busy_surfaces_as_oserror(self, tmp_path):
+        attempts = STORE_WRITE_POLICY.attempts
+        install_plan(self._event_plan(*(
+            FaultEvent(f"e{i}", "sqlite_busy", "store.write", at=i)
+            for i in range(attempts)
+        )))
+        store = ResultStore(tmp_path / "store.db")
+        result = SerialRunner().run_one(GRID[0])
+        with pytest.raises(OSError, match="injected fault"):
+            store.put(GRID[0], result)
+        assert store.write_retries == attempts
+        store.close()
 
 
 class TestRunnerCrashRecovery:

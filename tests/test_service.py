@@ -153,7 +153,7 @@ class TestSpecScheduler:
         return asyncio.run(coroutine)
 
     def test_single_flight_dedup(self):
-        scheduler = SpecScheduler(use_processes=False)
+        scheduler = SpecScheduler(workers=1)
 
         async def main():
             outcomes = await asyncio.gather(
@@ -173,7 +173,7 @@ class TestSpecScheduler:
 
     def test_warm_from_store(self, tmp_path):
         store = ResultStore(tmp_path / "sched.db")
-        scheduler = SpecScheduler(store=store, use_processes=False)
+        scheduler = SpecScheduler(store=store, workers=1)
 
         async def main():
             first = await scheduler.execute(GRID[0])
@@ -195,9 +195,9 @@ class TestSpecScheduler:
             result.cycles = float("nan")
             return result
 
-        monkeypatch.setattr("repro.service.scheduler.execute_spec", broken)
+        monkeypatch.setattr("repro.api.runner.execute_spec", broken)
         store = ResultStore(tmp_path / "sched.db")
-        scheduler = SpecScheduler(store=store, use_processes=False)
+        scheduler = SpecScheduler(store=store, workers=1)
         with pytest.raises(SimulationError, match="'cycles'"):
             self.run_async(scheduler.execute(GRID[0]))
         stats = scheduler.stats()
@@ -206,7 +206,7 @@ class TestSpecScheduler:
         scheduler.shutdown()
 
     def test_matches_serial_runner(self):
-        scheduler = SpecScheduler(use_processes=False)
+        scheduler = SpecScheduler(workers=1)
 
         async def main():
             return [await scheduler.execute(spec) for spec in GRID[:2]]
@@ -221,12 +221,13 @@ class TestSpecScheduler:
 @pytest.fixture
 def server(tmp_path):
     """A background campaign server on a Unix socket with a SQLite store
-    (thread scheduler: tests must not pay fork-pool startup)."""
+    and a one-worker process pool, forked on the first computation (a few
+    milliseconds)."""
     store = ResultStore(tmp_path / "server.db")
     instance = CampaignServer(
         store=store,
         socket_path=str(tmp_path / "server.sock"),
-        scheduler=SpecScheduler(store=store, use_processes=False),
+        scheduler=SpecScheduler(store=store, workers=1),
     )
     address = instance.start_background()
     yield instance, address
@@ -354,7 +355,7 @@ class TestServerEndToEnd:
             result.cycles = float("inf")
             return result
 
-        monkeypatch.setattr("repro.service.scheduler.execute_spec", broken)
+        monkeypatch.setattr("repro.api.runner.execute_spec", broken)
         raw = json.dumps({"specs": [GRID[0].to_dict()]}).encode()
         status, stream = ServiceClient(address)._request("POST", "/run", raw)
         assert status == 200
@@ -425,7 +426,7 @@ class TestClientAddresses:
         instance = CampaignServer(
             store=store,
             port=0,
-            scheduler=SpecScheduler(store=store, use_processes=False),
+            scheduler=SpecScheduler(store=store, workers=1),
         )
         address = instance.start_background()
         try:
@@ -439,7 +440,7 @@ class TestClientAddresses:
     def test_shutdown_route_stops_server(self, tmp_path):
         instance = CampaignServer(
             socket_path=str(tmp_path / "stop.sock"),
-            scheduler=SpecScheduler(use_processes=False),
+            scheduler=SpecScheduler(workers=1),
         )
         address = instance.start_background()
         client = ServiceClient(address, timeout=30.0)

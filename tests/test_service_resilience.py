@@ -1,5 +1,5 @@
 """The resilience layer end-to-end: scheduler deadlines/retries and the
-degrade→recover state machine, client disconnect/reconnect semantics,
+pool-rebuild policy, client disconnect/reconnect semantics,
 health/stats surfacing, graceful signal shutdown of ``repro serve``, and
 one full chaos round as an integration check."""
 
@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.api import (
 )
 from repro.common.errors import ServiceDisconnected, SpecTimeout
 from repro.faults import (
+    FAULT_KINDS,
     FaultEvent,
     FaultPlan,
     generate_plan,
@@ -60,7 +62,7 @@ def run_async(coroutine):
 
 
 class TestSchedulerDeadlines:
-    def test_hang_times_out_and_retry_recovers(self):
+    def test_hang_times_out_and_retry_recovers(self, tmp_path):
         # The victim hangs past the deadline once; the retry (the fault is
         # claimed, so it cannot refire) computes the correct result.
         install_plan(FaultPlan(
@@ -69,8 +71,8 @@ class TestSchedulerDeadlines:
                 key=spec_fault_key(GRID[0]), param=0.4,
             ),),
             seed=0,
-        ))
-        scheduler = SpecScheduler(use_processes=False, spec_timeout=0.25)
+        ), root=tmp_path / "faults")
+        scheduler = SpecScheduler(workers=1, spec_timeout=0.25)
 
         async def main():
             return await scheduler.execute(GRID[0])
@@ -91,7 +93,7 @@ class TestSchedulerDeadlines:
         from repro.faults import RetryPolicy
 
         scheduler = SpecScheduler(
-            use_processes=False,
+            workers=1,
             spec_timeout=0.01,
             retry_policy=RetryPolicy(
                 attempts=2, base_delay=0.01, max_delay=0.01
@@ -112,77 +114,134 @@ class TestSchedulerDeadlines:
         assert stats["errors"] == 1
 
 
-class TestDegradeRecover:
-    def test_pool_broken_degrades_then_recovers(self, caplog):
-        install_plan(FaultPlan(
+class TestPoolRebuild:
+    def _plan(self, kind, spec):
+        return FaultPlan(
             events=(FaultEvent(
-                "e0", "pool_broken", "scheduler.submit",
-                key=spec_fault_key(GRID[0]),
+                "e0", kind, FAULT_KINDS[kind], key=spec_fault_key(spec)
             ),),
             seed=0,
-        ))
-        scheduler = SpecScheduler(
-            use_processes=True, workers=1, pool_cooldown=0.2
         )
+
+    def _break_then_next(self, scheduler, caplog):
+        """Run GRID[0] (the fault's victim), then GRID[1]; both results
+        must equal the serial runner's."""
         reference = SerialRunner().run(GRID[:2])
 
-        async def first():
-            return await scheduler.execute(GRID[0])
+        async def main():
+            broken = await scheduler.execute(GRID[0])
+            fresh = scheduler._executor
+            retries = scheduler.retries
+            following = await scheduler.execute(GRID[1])
+            return broken, fresh, retries, following
 
         with caplog.at_level(logging.WARNING, logger="repro.service"):
-            outcome = run_async(first())
-        assert outcome.result.to_dict() == (
-            reference.records[0].result.to_dict()
-        )
-        stats = scheduler.stats()
-        assert stats["degrades"] == 1
+            broken, fresh, retries, following = run_async(main())
+        try:
+            for outcome, want in zip((broken, following), reference.results):
+                assert outcome.result.to_dict() == want.to_dict()
+            stats = scheduler.stats()
+            assert stats["pool_rebuilds"] == 1
+            assert stats["retries"] == retries == 1
+            # The next spec ran at once on the fresh process pool: no
+            # cooldown, no second rebuild.
+            assert isinstance(fresh, ProcessPoolExecutor)
+            assert scheduler._executor is fresh
+            rebuild_logs = [
+                record for record in caplog.records
+                if "process pool broke" in record.message
+            ]
+            assert len(rebuild_logs) == 1
+        finally:
+            scheduler.shutdown()
+        return stats
+
+    def test_injected_pool_broken_rebuilds_the_pool(self, caplog):
+        install_plan(self._plan("pool_broken", GRID[0]))
+        stats = self._break_then_next(SpecScheduler(workers=1), caplog)
         assert stats["faults_injected"] == 1
-        assert stats["degraded"] is True
-        assert stats["executor"] == "thread"
-        degrade_logs = [
-            record for record in caplog.records
-            if "scheduler degraded" in record.message
-        ]
-        assert len(degrade_logs) == 1  # the transition is logged once
 
-        time.sleep(0.25)  # let the recovery cooldown elapse
-
-        async def second():
-            return await scheduler.execute(GRID[1])
-
-        outcome = run_async(second())
-        scheduler.shutdown()
-        assert outcome.result.to_dict() == (
-            reference.records[1].result.to_dict()
+    def test_worker_sigkill_rebuilds_the_pool(self, tmp_path, caplog):
+        # The claim must live on disk: the worker that fires it dies.
+        injector = install_plan(
+            self._plan("worker_crash", GRID[0]), root=tmp_path / "faults"
         )
-        stats = scheduler.stats()
-        assert stats["recoveries"] == 1
-        assert stats["degraded"] is False
-        assert stats["executor"] == "process"
+        self._break_then_next(SpecScheduler(workers=1), caplog)
+        assert injector.summary()["fired"] == 1
 
-    def test_repeat_degrade_logs_once(self, caplog):
-        scheduler = SpecScheduler(use_processes=True, workers=1)
-        with caplog.at_level(logging.WARNING, logger="repro.service"):
-            scheduler._degrade_to_thread()
-            scheduler._degrade_to_thread()  # already on threads: no re-log
-        scheduler.shutdown()
-        degrade_logs = [
-            record for record in caplog.records
-            if "scheduler degraded" in record.message
-        ]
-        assert len(degrade_logs) == 1
-        assert scheduler.stats()["degrades"] == 1
+    def test_concurrent_breaks_rebuild_once(self, tmp_path):
+        # A SIGKILLed worker breaks both in-flight attempts; only the first
+        # to notice retires the pool, and the sibling retries on the fresh
+        # pool instead of tearing it down.
+        install_plan(
+            self._plan("worker_crash", GRID[0]), root=tmp_path / "faults"
+        )
+        scheduler = SpecScheduler(workers=2)
+
+        async def main():
+            return await asyncio.gather(
+                *[scheduler.execute(spec) for spec in GRID[:2]]
+            )
+
+        try:
+            outcomes = run_async(main())
+        finally:
+            scheduler.shutdown()
+        reference = SerialRunner().run(GRID[:2])
+        for outcome, want in zip(outcomes, reference.results):
+            assert outcome.result.to_dict() == want.to_dict()
+        stats = scheduler.stats()
+        assert stats["pool_rebuilds"] == 1
+        assert stats["computed"] == 2 and stats["errors"] == 0
+
+    def test_unbuildable_pool_fails_the_spec_and_server_keeps_serving(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.faults import RetryPolicy
+        from repro.service import scheduler as scheduler_module
+
+        def refuse(workers, persist=True):
+            raise OSError("fork refused: resource temporarily unavailable")
+
+        scheduler = SpecScheduler(
+            workers=1,
+            retry_policy=RetryPolicy(
+                attempts=2, base_delay=0.01, max_delay=0.01
+            ),
+        )
+        instance = CampaignServer(
+            socket_path=str(tmp_path / "server.sock"), scheduler=scheduler
+        )
+        address = instance.start_background()
+        try:
+            client = ServiceClient(address)
+            monkeypatch.setattr(scheduler_module, "new_worker_pool", refuse)
+            with pytest.raises(ServiceError) as info:
+                client.run_specs(GRID[:1], reconnect=False)
+            assert "cannot build a process pool" in str(info.value)
+            assert "fork refused" in str(info.value)
+            assert scheduler.stats()["errors"] == 1
+            assert client.health()["status"] == "ok"
+            # Once pools can be built again the same server answers.
+            monkeypatch.undo()
+            results = client.run_specs(GRID[1:2])
+            reference = SerialRunner().run(GRID[1:2])
+            assert results.to_dict() == reference.to_dict()
+            assert scheduler.stats()["errors"] == 1
+        finally:
+            instance.stop_background()
 
 
 @pytest.fixture
 def server(tmp_path):
     """A background campaign server on a Unix socket with a SQLite store
-    (thread scheduler: tests must not pay fork-pool startup)."""
+    and a one-worker process pool, forked on the first computation (a few
+    milliseconds)."""
     store = ResultStore(tmp_path / "server.db")
     instance = CampaignServer(
         store=store,
         socket_path=str(tmp_path / "server.sock"),
-        scheduler=SpecScheduler(store=store, use_processes=False),
+        scheduler=SpecScheduler(store=store, workers=1),
     )
     address = instance.start_background()
     yield instance, address
@@ -234,33 +293,16 @@ class TestClientDisconnect:
 
 
 class TestHealthAndStats:
-    def test_health_reports_degraded(self, tmp_path):
-        store = ResultStore(tmp_path / "server.db")
-        scheduler = SpecScheduler(store=store, use_processes=True)
-        instance = CampaignServer(
-            store=store,
-            socket_path=str(tmp_path / "server.sock"),
-            scheduler=scheduler,
-        )
-        address = instance.start_background()
-        try:
-            client = ServiceClient(address)
-            assert client.health()["status"] == "ok"
-            scheduler._degrade_to_thread()
-            health = client.health()
-            assert health["ok"] is True  # degraded but serving
-            assert health["status"] == "degraded"
-        finally:
-            instance.stop_background()
-
     def test_stats_expose_resilience_counters(self, server):
         _, address = server
         stats = ServiceClient(address).stats()
         for counter in (
-            "retries", "timeouts", "faults_injected", "degrades",
-            "recoveries", "store_write_failures",
+            "retries", "timeouts", "faults_injected", "pool_rebuilds",
+            "store_write_failures",
         ):
             assert counter in stats["server"]
+        for dropped in ("degrades", "recoveries", "executor", "degraded"):
+            assert dropped not in stats["server"]
         assert stats["faults"] is None  # no plan installed
 
     def test_stats_include_fault_summary_when_plan_active(self, server):
@@ -406,13 +448,14 @@ class TestChaosIntegration:
             jobs=2,
             workers=2,
             spec_timeout=3.0,
-            pool_cooldown=0.5,
             hang_seconds=1.0,
             slow_seconds=0.1,
         )
         assert report.ok, report.to_dict()
         assert report.faults_fired == report.faults_planned
         assert len(report.kinds_fired) >= 6
+        for phase in ("runner", "service"):
+            assert report.round_details[0][phase]["seconds"] > 0
         assert (tmp_path / "chaos" / "report.json").exists()
         # Fault schedules are a pure function of (seed, round): the same
         # seed plans the identical event list.

@@ -294,9 +294,8 @@ class TestScope:
         stats = cache.stats()
         assert stats["trace_store_hits"] == stats["schedule_store_hits"] == 0
 
-    @pytest.mark.parametrize("use_processes", [False, True])
-    def test_service_workers_write_nothing(self, store, use_processes):
-        scheduler = SpecScheduler(use_processes=use_processes, workers=1)
+    def test_service_workers_write_nothing(self, store):
+        scheduler = SpecScheduler(workers=1)
         try:
             outcome = asyncio.run(scheduler.execute(
                 RunSpec("astar", "memleak", settings=SMALL)
