@@ -23,6 +23,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -154,6 +155,22 @@ def _worker_init(persist: bool = True) -> None:
     _WORKER_CACHE = RunnerCache(persist=persist)
 
 
+def _pool_worker_init(persist: bool) -> None:
+    """The pool initializer: reset the signal state a forked worker
+    inherits, then :func:`_worker_init`.
+
+    Under ``repro serve`` that state is the event loop's SIGTERM/SIGINT
+    handlers and its wakeup fd, so a signal to a worker would run the
+    server's handler: a SIGTERM from a pool teardown would stop the
+    server.  The parent owns interruption, so a worker takes SIGTERM's
+    default action and ignores the terminal's SIGINT (on Ctrl-C the parent
+    terminates the pool)."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_init(persist)
+
+
 def _worker_run(spec: RunSpec) -> RunResult:
     global _WORKER_CACHE
     if _WORKER_CACHE is None:  # Pool created without the initializer.
@@ -208,19 +225,26 @@ def _trace_chunks(spec_list: List[RunSpec], workers: int) -> List[List[int]]:
     return chunks
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+def _terminate_pool(
+    pool: ProcessPoolExecutor,
+) -> List[multiprocessing.process.BaseProcess]:
     """Tear a pool down *now*: cancel queued chunks, terminate the worker
     processes (running simulations are CPU-bound and uninterruptible from
-    the parent otherwise), and release the executor without waiting."""
+    the parent otherwise), and release the executor without waiting.
+    Returns the terminated workers, for a caller that waits for their
+    exit.  They are listed before ``shutdown``, which drops the pool's own
+    list."""
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - defensive: teardown must finish
         pass
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
+    for process in processes:
         try:
             process.terminate()
         except (OSError, AttributeError):  # pragma: no cover
             pass
+    return processes
 
 
 # One-time flag for the spawn-context registration warning.
@@ -264,7 +288,7 @@ def new_worker_pool(
         _warn_spawn_context()
     return ProcessPoolExecutor(
         max_workers=workers,
-        initializer=_worker_init,
+        initializer=_pool_worker_init,
         initargs=(persist,),
         mp_context=context,
     )

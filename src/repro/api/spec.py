@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.monitors import MONITOR_REGISTRY, monitor_names
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, field_dict
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import PROFILE_REGISTRY, benchmark_names, get_profile
 
@@ -84,7 +84,7 @@ class ExperimentSettings:
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON representation; the inverse of :meth:`from_dict`."""
-        return dataclasses.asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExperimentSettings":

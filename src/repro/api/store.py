@@ -43,6 +43,7 @@ invalidation the key cannot see; ``repro cache clear`` is the escape hatch
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -58,6 +59,7 @@ from repro.faults.retry import STORE_WRITE_POLICY
 from repro.monitors import MONITOR_REGISTRY
 from repro.system.results import RunResult
 from repro.workload.packed import TRACE_SCHEMA_VERSION
+from repro.workload.profile import BenchmarkProfile
 
 from repro.api.spec import RunSpec
 
@@ -67,6 +69,10 @@ from repro.api.spec import RunSpec
 #: Shared by every backend — the key (and therefore the cache identity) is
 #: backend-independent.
 STORE_SCHEMA_VERSION = 1
+
+#: How many distinct spec contents :func:`content_key` remembers per
+#: process.  An entry holds one spec, its repr and its key: a few KB.
+_KEY_MEMO_SIZE = 4096
 
 #: Path suffixes that select the SQLite backend without an explicit scheme.
 _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
@@ -96,17 +102,60 @@ def content_key(spec: RunSpec) -> str:
     *spec content*, shared by every backend and by store-less consumers:
     the campaign server single-flights identical in-flight specs by this
     key even when it runs without a persistent store.
+
+    Memoized (:func:`_digest`): a process serializes and hashes each
+    distinct spec content once, however often the scheduler, the store's
+    ``get`` and ``put`` and warm re-runs ask for its key.  The memo is
+    keyed on everything the digest reads, with the schema versions read at
+    call time, so a hit returns exactly the key a fresh computation would.
     """
     factory = MONITOR_REGISTRY.get(spec.monitor)
+    monitor_impl = (
+        f"{getattr(factory, '__module__', '?')}."
+        f"{getattr(factory, '__qualname__', repr(factory))}"
+    )
+    # An inline profile is part of the spec; a registered one is keyed by
+    # identity.  The memo entry holds the object, so its id cannot be
+    # reused while the entry lives, and re-registering a name makes a new
+    # object and so a new memo key.
+    registered = spec.resolved_profile() if spec.profile is None else None
+    return _digest(
+        spec,
+        repr(spec),
+        registered,
+        id(registered),
+        monitor_impl,
+        STORE_SCHEMA_VERSION,
+        TRACE_SCHEMA_VERSION,
+    )
+
+
+@functools.lru_cache(maxsize=_KEY_MEMO_SIZE)
+def _digest(
+    spec: RunSpec,
+    spec_repr: str,
+    registered: Optional[BenchmarkProfile],
+    registered_id: int,
+    monitor_impl: str,
+    store_schema: int,
+    trace_schema: int,
+) -> str:
+    """The SHA-256 behind :func:`content_key`, memoized on its arguments.
+
+    ``spec_repr`` makes a hit exact.  Spec equality alone would not:
+    ``7 == 7.0 == True`` and ``0.0 == -0.0``, yet each serializes
+    differently in the canonical JSON.  The generated dataclass repr of
+    the spec and of every nested config prints each field value with its
+    type and each float exactly (``tests/test_store.py`` checks that no
+    field of them is left out of the repr).
+    """
+    profile = spec.profile if registered is None else registered
     payload = {
-        "store_schema": STORE_SCHEMA_VERSION,
-        "trace_schema": TRACE_SCHEMA_VERSION,
+        "store_schema": store_schema,
+        "trace_schema": trace_schema,
         "spec": spec.to_dict(),
-        "profile": dataclasses.asdict(spec.resolved_profile()),
-        "monitor_impl": (
-            f"{getattr(factory, '__module__', '?')}."
-            f"{getattr(factory, '__qualname__', repr(factory))}"
-        ),
+        "profile": dataclasses.asdict(profile),
+        "monitor_impl": monitor_impl,
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -533,7 +533,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         # SIGTERM/SIGINT request a graceful stop: the listener closes,
         # in-flight connections drain (their specs finish and are
-        # journaled to the store), then the worker pool joins.
+        # journaled to the store), then the worker pool is terminated.
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:

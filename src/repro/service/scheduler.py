@@ -62,9 +62,10 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Optional
+from multiprocessing.process import BaseProcess
+from typing import Dict, List, Optional
 
-from repro.api.runner import _worker_run, new_worker_pool
+from repro.api.runner import _terminate_pool, _worker_run, new_worker_pool
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore, check_finite, content_key
 from repro.common.errors import SpecTimeout
@@ -73,6 +74,9 @@ from repro.faults.retry import COMPUTE_POLICY, RetryPolicy
 from repro.system.results import RunResult
 
 logger = logging.getLogger("repro.service")
+
+#: How long :meth:`SpecScheduler.close` waits for killed workers to exit.
+_EXIT_WAIT_S = 5.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +104,7 @@ class SpecScheduler:
         self.spec_timeout = spec_timeout
         self.retry_policy = retry_policy
         self._executor: Optional[ProcessPoolExecutor] = None
+        self._closed = False
         self._inflight: Dict[str, asyncio.Task] = {}
         self.specs_received = 0
         self.warm_hits = 0
@@ -117,7 +122,9 @@ class SpecScheduler:
     def _pool(self) -> ProcessPoolExecutor:
         """The current process pool, built on first use and after a break.
         A pool that cannot be built is a retryable pool failure naming the
-        cause."""
+        cause; after :meth:`shutdown` no pool is built again."""
+        if self._closed:
+            raise RuntimeError("the scheduler is shut down")
         if self._executor is None:
             try:
                 self._executor = new_worker_pool(self.workers, persist=False)
@@ -235,14 +242,15 @@ class SpecScheduler:
                     f"spec exceeded its {self.spec_timeout:g}s deadline"
                 ) from None
             except asyncio.CancelledError:
-                if cfuture.cancelled():
+                if cfuture.cancelled() and not self._closed:
                     # The *executor-level* future was cancelled before it
                     # ever ran — a sibling spec retired the pool and its
                     # queued work was swept.  That is a retryable pool
                     # failure, not a caller cancellation (which leaves the
                     # concurrent future running — a started future refuses
                     # to cancel).  Deadline cancellations never reach here:
-                    # wait_for classifies them as TimeoutError above.
+                    # wait_for classifies them as TimeoutError above, and
+                    # after shutdown() the cancellation stands.
                     raise BrokenProcessPool(
                         "executor future cancelled by pool teardown"
                     ) from None
@@ -291,15 +299,35 @@ class SpecScheduler:
             "workers": self.workers,
         }
 
-    def shutdown(self, wait: bool = False) -> None:
-        """Release the pool.  ``wait=False`` (the default) cancels
-        in-flight computations and queued futures — the Ctrl-C path;
-        ``wait=True`` lets running computations finish first — the
-        graceful SIGTERM path (callers drain their own awaiters)."""
-        if not wait:
-            for task in list(self._inflight.values()):
-                task.cancel()
+    async def close(self, timeout: float) -> None:
+        """Graceful release, the SIGTERM path.  Computations in flight get
+        up to ``timeout`` seconds to finish and store their results,
+        awaited on the event loop without blocking it; then
+        :meth:`shutdown` kills the pool, so neither a computation
+        abandoned after its deadline nor one still running past the budget
+        holds the stop.  Returns once the killed workers have exited."""
+        tasks = list(self._inflight.values())
+        if tasks:
+            await asyncio.wait(tasks, timeout=timeout)
+        workers = self.shutdown()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _EXIT_WAIT_S
+        while (
+            any(worker.is_alive() for worker in workers)
+            and loop.time() < deadline
+        ):
+            await asyncio.sleep(0.01)
+
+    def shutdown(self) -> List[BaseProcess]:
+        """Release the pool now, the Ctrl-C path: cancel in-flight
+        computations and queued futures and kill the worker processes
+        (a running simulation cannot be interrupted otherwise).  No pool
+        is built afterwards.  Returns the killed workers."""
+        self._closed = True
+        for task in list(self._inflight.values()):
+            task.cancel()
         self._inflight.clear()
         executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=not wait)
+        if executor is None:
+            return []
+        return _terminate_pool(executor)

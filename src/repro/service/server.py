@@ -109,20 +109,38 @@ class CampaignServer:
 
     async def stop(self, drain_timeout: float = 30.0) -> None:
         """Graceful teardown: stop accepting, let in-flight connections
-        finish streaming (bounded by ``drain_timeout``), join the worker
-        pool so no fork worker is orphaned, release the store, and unlink
-        the Unix socket."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        finish streaming, let computations still in flight finish and
+        store their results, then kill the worker pool so no fork worker
+        is orphaned; release the store and unlink the Unix socket.
+
+        ``drain_timeout`` is one budget for every stage (the connection
+        drain, the listener's close and the computation wait), and none
+        blocks the event loop.  A computation abandoned after its
+        ``spec_timeout`` is not waited for at all."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + drain_timeout
+
+        def remaining() -> float:
+            return max(0.0, deadline - loop.time())
+
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         pending = {task for task in self._connections if not task.done()}
         if pending:
-            await asyncio.wait(pending, timeout=drain_timeout)
+            await asyncio.wait(pending, timeout=remaining())
             for task in pending:
                 if not task.done():
                     task.cancel()
-        self.scheduler.shutdown(wait=True)
+        if server is not None:
+            # Since Python 3.12.1 this also waits for every open
+            # connection to close, so it comes after the cancellations
+            # and within the budget.
+            try:
+                await asyncio.wait_for(server.wait_closed(), remaining())
+            except asyncio.TimeoutError:
+                pass
+        await self.scheduler.close(remaining())
         if self.store is not None:
             self.store.close()
         if self.socket_path is not None:

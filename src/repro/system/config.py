@@ -55,6 +55,19 @@ def _resolve_enum(field: str, value, enum_type, aliases: Mapping[str, enum.Enum]
     )
 
 
+def field_dict(obj: object) -> Dict[str, object]:
+    """``dataclasses.asdict`` for a frozen dataclass of immutable values
+    (scalars, enums, nested frozen dataclasses): nested dataclasses become
+    dicts, and every other value is shared instead of deep-copied."""
+    data = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if hasattr(type(value), "__dataclass_fields__"):  # An instance.
+            value = field_dict(value)
+        data[field.name] = value
+    return data
+
+
 @dataclasses.dataclass(frozen=True)
 class SystemConfig:
     """Everything needed to instantiate one monitoring system."""
@@ -138,7 +151,7 @@ class SystemConfig:
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON representation (enums by value, nested configs as
         dicts); the inverse of :meth:`from_dict`."""
-        data = dataclasses.asdict(self)
+        data = field_dict(self)
         data["core_type"] = self.core_type.value
         data["topology"] = self.topology.value
         return data

@@ -25,6 +25,8 @@ from repro.api import (
 )
 from repro.common.errors import ConfigurationError
 from repro.cores.base import CoreType
+from repro.fade.md_cache import MetadataCacheConfig
+from repro.mem.hierarchy import HierarchyConfig
 from repro.monitors import MONITOR_REGISTRY, create_monitor, monitor_names
 from repro.monitors.memleak import MemLeak
 from repro.system.config import SystemConfig, Topology
@@ -139,6 +141,28 @@ class TestSystemConfigDefaults:
         config = SystemConfig(core_type=CoreType.INORDER, fade_enabled=False)
         assert SystemConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("config", [
+        SystemConfig(),
+        SystemConfig(
+            core_type="ooo2", topology="two-core", fade_enabled=False,
+            event_queue_capacity=None, engine="naive",
+            md_cache=MetadataCacheConfig(size_bytes=8192, tlb_entries=32),
+            hierarchy=HierarchyConfig(dram_latency=120),
+        ),
+    ])
+    def test_to_dict_equals_asdict(self, config):
+        # The shallow field walk must encode exactly what the deep copy
+        # did, key order included: every store key hashes this dict.
+        expected = dataclasses.asdict(config)
+        expected["core_type"] = config.core_type.value
+        expected["topology"] = config.topology.value
+        encoded = config.to_dict()
+        assert encoded == expected
+        assert list(encoded) == list(expected)
+        assert list(encoded["hierarchy"]["l1"]) == list(
+            expected["hierarchy"]["l1"]
+        )
+
 
 class TestSystemConfigValidation:
     def test_string_core_and_topology_are_coerced(self):
@@ -194,6 +218,18 @@ class TestExperimentSettingsValidation:
         ExperimentSettings(num_instructions=1, warmup_fraction=0.0)
         ExperimentSettings(num_instructions=1, warmup_fraction=0)
         ExperimentSettings(warmup_fraction=0.999)
+
+    @pytest.mark.parametrize("settings", [
+        ExperimentSettings(),
+        ExperimentSettings(num_instructions=3000, seed=5, warmup_fraction=0),
+    ])
+    def test_to_dict_equals_asdict(self, settings):
+        encoded = settings.to_dict()
+        assert encoded == dataclasses.asdict(settings)
+        assert list(encoded) == list(dataclasses.asdict(settings))
+        assert type(encoded["warmup_fraction"]) is type(
+            settings.warmup_fraction
+        )
 
     def test_from_dict_validates(self):
         with pytest.raises(ConfigurationError, match="warmup_fraction"):
@@ -476,27 +512,33 @@ class TestGracefulInterrupt:
             ParallelRunner(jobs=2).run(self.GRID)
 
     def test_terminate_pool_kills_processes(self):
-        from repro.api.runner import _terminate_pool
+        # A worker busy with an uninterruptible task dies at once, not
+        # when the task ends; queued work is cancelled, the call does not
+        # wait, and the terminated workers are returned.
+        from repro.api.runner import _terminate_pool, new_worker_pool
 
-        class _Process:
-            def __init__(self):
-                self.terminated = False
-
-            def terminate(self):
-                self.terminated = True
-
-        class _Pool:
-            def __init__(self):
-                self._processes = {1: _Process(), 2: _Process()}
-                self.shutdown_args = None
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                self.shutdown_args = (wait, cancel_futures)
-
-        pool = _Pool()
-        _terminate_pool(pool)
-        assert pool.shutdown_args == (False, True)
-        assert all(p.terminated for p in pool._processes.values())
+        pool = new_worker_pool(1, persist=False)
+        running = pool.submit(time.sleep, 30)
+        # The call queue holds two tasks, so the last one stays pending.
+        queued = [pool.submit(time.sleep, 30) for _ in range(3)]
+        deadline = time.monotonic() + 10.0
+        while not running.running() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        workers = list(pool._processes.values())
+        started = time.monotonic()
+        assert _terminate_pool(pool) == workers
+        assert time.monotonic() - started < 1.0
+        # The executor's manager thread sweeps pending work after the call.
+        deadline = time.monotonic() + 5.0
+        while not queued[-1].done() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert queued[-1].cancelled()
+        deadline = time.monotonic() + 5.0
+        while any(w.is_alive() for w in workers) and (
+            time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert not any(worker.is_alive() for worker in workers)
 
 
 def _exploding_chunk(specs):

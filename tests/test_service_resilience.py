@@ -7,6 +7,7 @@ import asyncio
 import dataclasses
 import json
 import logging
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -26,6 +27,7 @@ from repro.api import (
     SerialRunner,
     spec_grid,
 )
+from repro.api.runner import _terminate_pool, new_worker_pool
 from repro.common.errors import ServiceDisconnected, SpecTimeout
 from repro.faults import (
     FAULT_KINDS,
@@ -112,6 +114,175 @@ class TestSchedulerDeadlines:
         stats = scheduler.stats()
         assert stats["timeouts"] >= 2
         assert stats["errors"] == 1
+
+
+class TestGracefulStopDeadline:
+    def test_stop_does_not_wait_on_a_wedged_simulation(self, tmp_path):
+        # The victim's first attempt hangs for 5 s, is abandoned at its
+        # 0.2 s deadline and keeps a worker busy.  A graceful stop must
+        # return within its drain budget and leave no worker alive.
+        install_plan(FaultPlan(
+            events=(FaultEvent(
+                "e0", "worker_hang", "worker",
+                key=spec_fault_key(GRID[0]), param=5.0,
+            ),),
+            seed=0,
+        ), root=tmp_path / "faults")
+        scheduler = SpecScheduler(workers=2, spec_timeout=0.2)
+        server = CampaignServer(
+            scheduler=scheduler, socket_path=str(tmp_path / "serve.sock")
+        )
+
+        async def main():
+            await server.start()
+            work = asyncio.ensure_future(scheduler.execute(GRID[0]))
+            deadline = time.monotonic() + 30.0
+            while scheduler.timeouts == 0 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            assert scheduler.timeouts >= 1
+            workers = list(scheduler._executor._processes.values())
+            started = time.monotonic()
+            await server.stop(drain_timeout=0.5)
+            elapsed = time.monotonic() - started
+            await asyncio.gather(work, return_exceptions=True)
+            return workers, elapsed
+
+        workers, elapsed = run_async(main())
+        assert len(workers) == 2
+        assert elapsed < 2.0
+        assert not any(worker.is_alive() for worker in workers)
+        assert not (tmp_path / "serve.sock").exists()
+
+    def _hang(self, tmp_path):
+        install_plan(FaultPlan(
+            events=(FaultEvent(
+                "e0", "worker_hang", "worker",
+                key=spec_fault_key(GRID[0]), param=5.0,
+            ),),
+            seed=0,
+        ), root=tmp_path / "faults")
+
+    def test_stop_bounds_an_open_connection_on_a_hung_spec(self, tmp_path):
+        # No spec_timeout: a client connection streams a spec whose worker
+        # hangs for 5 s.  Neither the connection drain nor the listener's
+        # close (which, since Python 3.12.1, waits for open connections)
+        # may hold the stop past its budget.
+        self._hang(tmp_path)
+        socket_path = str(tmp_path / "serve.sock")
+        scheduler = SpecScheduler(workers=1)
+        server = CampaignServer(scheduler=scheduler, socket_path=socket_path)
+
+        async def main():
+            await server.start()
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+            body = json.dumps({"specs": [GRID[0].to_dict()]}).encode()
+            writer.write(
+                b"POST /run HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body
+            )
+            await writer.drain()
+            deadline = time.monotonic() + 30.0
+            while scheduler.inflight == 0 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.3)  # The worker is in its hang.
+            assert scheduler.inflight == 1
+            assert server._connections
+            workers = list(scheduler._executor._processes.values())
+            started = time.monotonic()
+            await server.stop(drain_timeout=0.5)
+            elapsed = time.monotonic() - started
+            writer.close()
+            return workers, elapsed
+
+        workers, elapsed = run_async(main())
+        assert elapsed < 2.0
+        assert not any(worker.is_alive() for worker in workers)
+        assert not (tmp_path / "serve.sock").exists()
+
+    def test_stop_builds_no_pool_for_swept_work(self, tmp_path):
+        # One worker, four distinct specs in flight: the first runs (and
+        # hangs), two wait in the executor's call queue, the last is still
+        # pending and the stop's teardown cancels it.  That cancellation
+        # must stand: no retry may build a fresh pool after the stop.
+        self._hang(tmp_path)
+        before = {child.pid for child in multiprocessing.active_children()}
+        scheduler = SpecScheduler(workers=1)
+        server = CampaignServer(
+            scheduler=scheduler, socket_path=str(tmp_path / "serve.sock")
+        )
+
+        async def main():
+            await server.start()
+            work = [
+                asyncio.ensure_future(scheduler.execute(spec))
+                for spec in GRID
+            ]
+            await asyncio.sleep(0.3)
+            assert scheduler.inflight == 4
+            await server.stop(drain_timeout=0)
+            await asyncio.sleep(0.5)  # Past the retry backoff.
+            return await asyncio.gather(*work, return_exceptions=True)
+
+        outcomes = run_async(main())
+        assert all(
+            isinstance(outcome, asyncio.CancelledError) for outcome in outcomes
+        )
+        assert scheduler._executor is None
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after <= before
+
+
+def _mark_and_sleep(directory):
+    """Pool task: record this worker's pid, then stay busy."""
+    (pathlib.Path(directory) / str(os.getpid())).touch()
+    time.sleep(30)
+
+
+class TestWorkerSignals:
+    def test_a_dying_pool_does_not_signal_the_server(self, tmp_path):
+        # When a worker dies, the executor SIGTERMs the survivors.  Forked
+        # from an event loop that handles SIGTERM (as ``repro serve``'s
+        # does), a survivor must die of it, not run the server's handler
+        # through the inherited wakeup fd.
+        fired = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, fired.append, "SIGTERM")
+            pool = new_worker_pool(2, persist=False)
+            workers = []
+            try:
+                futures = [
+                    asyncio.wrap_future(pool.submit(_mark_and_sleep, tmp_path))
+                    for _ in range(2)
+                ]
+                deadline = time.monotonic() + 30.0
+                while (
+                    len(list(tmp_path.iterdir())) < 2
+                    and time.monotonic() < deadline
+                ):
+                    await asyncio.sleep(0.01)
+                workers = list(pool._processes.values())
+                assert len(workers) == 2
+                os.kill(workers[0].pid, signal.SIGKILL)
+                await asyncio.gather(*futures, return_exceptions=True)
+                deadline = time.monotonic() + 5.0
+                while (
+                    any(worker.is_alive() for worker in workers)
+                    and time.monotonic() < deadline
+                ):
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.3)  # Let a wakeup byte arrive.
+                return [worker.is_alive() for worker in workers]
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+                _terminate_pool(pool)
+                for worker in workers:
+                    worker.kill()
+
+        alive = run_async(main())
+        assert fired == []
+        assert alive == [False, False]
 
 
 class TestPoolRebuild:

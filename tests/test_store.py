@@ -15,13 +15,16 @@ from repro.api import (
     ExperimentSettings,
     ParallelRunner,
     ResultStore,
+    RunSpec,
     SerialRunner,
+    content_key,
     register_monitor,
     register_profile,
     run_specs,
     spec_grid,
 )
 from repro.api import runner as runner_module
+from repro.api import store as store_module
 from repro.common.errors import SimulationError
 from repro.monitors import MONITOR_REGISTRY
 from repro.monitors.memleak import MemLeak
@@ -188,6 +191,98 @@ class TestResultStore:
             assert marker.cache.stats()["traces"] > 0  # It did the run.
         finally:
             set_default_runner(None)
+
+
+class TestContentKey:
+    """Every existing store (CI's sqlite one included) is addressed by
+    these digests, so a serialization change that re-keys them must fail
+    here, not only miss in the field.  Each pinned hex was computed before
+    the key memo existed."""
+
+    def test_registry_spec_with_default_config(self):
+        assert content_key(RunSpec("astar", "memleak")) == (
+            "f924ee0b0555c6ae84777bc7da375e525d8451174a638aeea1d03f8c99864139"
+        )
+
+    def test_spec_with_non_default_values(self):
+        spec = RunSpec(
+            "mcf",
+            "addrcheck",
+            SystemConfig(
+                core_type="ooo2", topology="two-core", fade_enabled=False,
+                engine="naive", event_queue_capacity=None,
+            ),
+            ExperimentSettings(num_instructions=3000, seed=5),
+        )
+        assert content_key(spec) == (
+            "fc3b2a22b71c42edcf48e24d31de922add41b5e94657f088d1922b76ce328f98"
+        )
+
+    def test_inline_profile_spec(self):
+        spec = RunSpec(
+            "synthetic",
+            "taintcheck",
+            settings=ExperimentSettings(num_instructions=2000, seed=9),
+            profile=dataclasses.replace(
+                get_profile("bzip"), name="synthetic", locality=0.5
+            ),
+        )
+        assert content_key(spec) == (
+            "6a10033ff3cd2b09e65c184e7bd53d1d9b58b9c024c53896281b23f70b0e555d"
+        )
+
+    def test_equal_specs_share_one_memo_computation(self):
+        def build():
+            return RunSpec(
+                "gcc", "memleak", SystemConfig(fsq_capacity=13),
+                ExperimentSettings(num_instructions=1700, seed=4099),
+            )
+
+        first, second = build(), build()
+        assert first is not second
+        before = store_module._digest.cache_info()
+        assert content_key(first) == content_key(second)
+        after = store_module._digest.cache_info()
+        assert after.misses == before.misses + 1
+        assert after.hits == before.hits + 1
+
+    def test_equal_specs_that_serialize_apart_keep_their_own_keys(self):
+        # 7 == 7.0 and 0.0 == -0.0, so these specs compare (and hash)
+        # equal, yet their canonical JSON differs; the memo must return
+        # the key a fresh computation gives, whichever was seen first.
+        pairs = [
+            (ExperimentSettings(seed=7), ExperimentSettings(seed=7.0)),
+            (ExperimentSettings(warmup_fraction=0.0),
+             ExperimentSettings(warmup_fraction=-0.0)),
+        ]
+        for settings_a, settings_b in pairs:
+            a = RunSpec("astar", "memleak", settings=settings_a)
+            b = RunSpec("astar", "memleak", settings=settings_b)
+            assert a == b
+            keys = (content_key(a), content_key(b))
+            assert keys[0] != keys[1]
+            store_module._digest.cache_clear()
+            assert (content_key(b), content_key(a)) == keys[::-1]
+
+    def test_every_spec_field_is_in_its_repr(self):
+        # The memo tells specs apart by repr: a field left out of a
+        # dataclass repr (or a custom __repr__) would let two specs with
+        # different keys share a memo entry.
+        spec = RunSpec(
+            "synthetic", "memleak",
+            profile=dataclasses.replace(get_profile("mcf"), name="synthetic"),
+        )
+        todo = [spec]
+        while todo:
+            obj = todo.pop()
+            text = repr(obj)
+            for field in dataclasses.fields(obj):
+                value = getattr(obj, field.name)
+                assert f"{field.name}={value!r}" in text, (
+                    type(obj).__name__, field.name
+                )
+                if dataclasses.is_dataclass(value):
+                    todo.append(value)
 
 
 class TestCrossProcessDeterminism:
