@@ -36,123 +36,69 @@ import time as _time
 #: process runs, so the trace store will not key on its contents.
 LOADED_AT = _time.time()
 
-from repro.analysis.experiments import benchmarks_for, run_one
-from repro.api import (
-    ExperimentSettings,
-    ParallelRunner,
-    ResultSet,
-    ResultStore,
-    Runner,
-    RunSpec,
-    SerialRunner,
-    default_runner,
-    register_monitor,
-    register_profile,
-    spec_grid,
-)
-from repro.cores.base import CoreType
-from repro.fade import Fade, FadeConfig, FadeProgram, ProgramBuilder
-from repro.monitors import (
-    MONITOR_NAMES,
-    AddrCheck,
-    AtomCheck,
-    BugKind,
-    BugReport,
-    MemCheck,
-    MemLeak,
-    Monitor,
-    TaintCheck,
-    create_monitor,
-    monitor_names,
-)
-from repro.system import MonitoringSimulation, RunResult, SystemConfig, Topology, simulate
-from repro.system.simulator import simulate_warmed
-from repro.workload import (
-    BenchmarkProfile,
-    Trace,
-    TraceGenerator,
-    benchmark_names,
-    generate_trace,
-    get_profile,
-)
+import importlib as _importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AddrCheck",
-    "AtomCheck",
-    "BenchmarkProfile",
-    "BugKind",
-    "BugReport",
-    "CoreType",
-    "ExperimentSettings",
-    "Fade",
-    "FadeConfig",
-    "FadeProgram",
-    "MONITOR_NAMES",
-    "MemCheck",
-    "MemLeak",
-    "Monitor",
-    "MonitoringSimulation",
-    "ParallelRunner",
-    "ProgramBuilder",
-    "ResultSet",
-    "ResultStore",
-    "RunResult",
-    "RunSpec",
-    "Runner",
-    "SerialRunner",
-    "SystemConfig",
-    "TaintCheck",
-    "Topology",
-    "Trace",
-    "TraceGenerator",
-    "benchmark_names",
-    "benchmarks_for",
-    "create_monitor",
-    "default_runner",
-    "generate_trace",
-    "get_profile",
-    "monitor_names",
-    "quick_run",
-    "register_monitor",
-    "register_profile",
-    "run_one",
-    "simulate",
-    "simulate_warmed",
-    "spec_grid",
-]
+#: Each public name and the module that defines it.  ``import repro``
+#: loads none of them; a name is imported on first access, so a process
+#: pays only for the layers it uses (DESIGN.md section 1).
+_EXPORTS = {
+    "AddrCheck": "repro.monitors",
+    "AtomCheck": "repro.monitors",
+    "BenchmarkProfile": "repro.workload",
+    "BugKind": "repro.monitors",
+    "BugReport": "repro.monitors",
+    "CoreType": "repro.cores.base",
+    "ExperimentSettings": "repro.api",
+    "Fade": "repro.fade",
+    "FadeConfig": "repro.fade",
+    "FadeProgram": "repro.fade",
+    "MONITOR_NAMES": "repro.monitors",
+    "MemCheck": "repro.monitors",
+    "MemLeak": "repro.monitors",
+    "Monitor": "repro.monitors",
+    "MonitoringSimulation": "repro.system",
+    "ParallelRunner": "repro.api",
+    "ProgramBuilder": "repro.fade",
+    "ResultSet": "repro.api",
+    "ResultStore": "repro.api",
+    "RunResult": "repro.system",
+    "RunSpec": "repro.api",
+    "Runner": "repro.api",
+    "SerialRunner": "repro.api",
+    "SystemConfig": "repro.system",
+    "TaintCheck": "repro.monitors",
+    "Topology": "repro.system",
+    "Trace": "repro.workload",
+    "TraceGenerator": "repro.workload",
+    "benchmark_names": "repro.workload",
+    "benchmarks_for": "repro.analysis.experiments",
+    "create_monitor": "repro.monitors",
+    "default_runner": "repro.api",
+    "generate_trace": "repro.workload",
+    "get_profile": "repro.workload",
+    "monitor_names": "repro.monitors",
+    "quick_run": "repro.analysis.experiments",
+    "register_monitor": "repro.api",
+    "register_profile": "repro.api",
+    "run_one": "repro.analysis.experiments",
+    "simulate": "repro.system",
+    "simulate_warmed": "repro.system.simulator",
+    "spec_grid": "repro.api",
+}
+
+__all__ = sorted(_EXPORTS)
 
 
-def quick_run(
-    benchmark: str = "astar",
-    monitor: str = "memleak",
-    fade: bool = True,
-    non_blocking: bool = True,
-    core: CoreType = CoreType.OOO4,
-    topology: Topology = Topology.SINGLE_CORE_SMT,
-    num_instructions: int = 20_000,
-    seed: int = 7,
-    runner: "Runner | None" = None,
-) -> RunResult:
-    """Generate a trace and simulate one monitoring system end to end.
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(_importlib.import_module(module), name)
+    globals()[name] = value  # Later reads skip this hook.
+    return value
 
-    A thin veneer over :mod:`repro.api`: the call builds a
-    :class:`RunSpec` and executes it on the shared default runner (or the
-    one you pass), so traces are cached across repeated calls.  Returns a
-    :class:`RunResult` with the slowdown against the unmonitored baseline,
-    FADE's filtering statistics, queue occupancies and any bug reports the
-    monitor raised.
-    """
-    spec = RunSpec(
-        benchmark=benchmark,
-        monitor=monitor,
-        config=SystemConfig(
-            core_type=core,
-            topology=topology,
-            fade_enabled=fade,
-            non_blocking=non_blocking,
-        ),
-        settings=ExperimentSettings(num_instructions=num_instructions, seed=seed),
-    )
-    return (runner if runner is not None else default_runner()).run_one(spec)
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -89,6 +89,36 @@ def run_one(
     return _runner(runner).run_one(RunSpec(benchmark, monitor_name, config, settings))
 
 
+def quick_run(
+    benchmark: str = "astar",
+    monitor: str = "memleak",
+    fade: bool = True,
+    non_blocking: bool = True,
+    core: CoreType = CoreType.OOO4,
+    topology: Topology = Topology.SINGLE_CORE_SMT,
+    num_instructions: int = 20_000,
+    seed: int = 7,
+    runner: Optional[Runner] = None,
+) -> RunResult:
+    """Generate a trace and simulate one monitoring system end to end.
+
+    A thin veneer over :mod:`repro.api`: the call builds a
+    :class:`RunSpec` and executes it on the shared default runner (or the
+    one you pass), so traces are cached across repeated calls.  Returns a
+    :class:`RunResult` with the slowdown against the unmonitored baseline,
+    FADE's filtering statistics, queue occupancies and any bug reports the
+    monitor raised.
+    """
+    config = SystemConfig(
+        core_type=core,
+        topology=topology,
+        fade_enabled=fade,
+        non_blocking=non_blocking,
+    )
+    settings = ExperimentSettings(num_instructions=num_instructions, seed=seed)
+    return run_one(benchmark, monitor, config, settings, runner)
+
+
 # ---------------------------------------------------------------------------
 # Figure 2: monitored versus unmonitored application IPC.
 # ---------------------------------------------------------------------------

@@ -21,13 +21,10 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import multiprocessing
 import os
 import signal
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.faults.injector import worker_fault
@@ -39,6 +36,11 @@ from repro.api.cache import RunnerCache
 from repro.api.results import ResultSet, RunRecord
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
+
+if TYPE_CHECKING:
+    # Imported where a pool is built, so serial runs never load them.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.process import BaseProcess
 
 #: Identity of one grid trace: (benchmark, num_instructions, seed, inline
 #: profile or None).  Carrying the profile keeps keys unique when specs
@@ -225,9 +227,7 @@ def _trace_chunks(spec_list: List[RunSpec], workers: int) -> List[List[int]]:
     return chunks
 
 
-def _terminate_pool(
-    pool: ProcessPoolExecutor,
-) -> List[multiprocessing.process.BaseProcess]:
+def _terminate_pool(pool: ProcessPoolExecutor) -> List[BaseProcess]:
     """Tear a pool down *now*: cancel queued chunks, terminate the worker
     processes (running simulations are CPU-bound and uninterruptible from
     the parent otherwise), and release the executor without waiting.
@@ -281,6 +281,9 @@ def new_worker_pool(
     the service's scheduler each decide what that means for their work,
     and both replace a pool that breaks with a fresh one from here.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:
@@ -314,7 +317,13 @@ class ParallelRunner(Runner):
         store: Optional[ResultStore] = None,
     ) -> None:
         super().__init__(cache, store)
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
+        if jobs is None:
+            jobs = os.cpu_count() or 1
+        elif jobs < 1:
+            raise ConfigurationError(
+                f"jobs: need at least 1 worker process, got {jobs!r}"
+            )
+        self.jobs = jobs
 
     def run(self, specs: Iterable[RunSpec]) -> ResultSet:
         spec_list = list(specs)
@@ -353,6 +362,8 @@ class ParallelRunner(Runner):
         # Tiny grids: pool startup costs more than the cells themselves.
         if workers <= 1 or len(spec_list) < max(self.jobs, _TINY_GRID):
             return self._run_serial(spec_list)
+        from concurrent.futures.process import BrokenProcessPool
+
         # Specs check their names against this process's registries when
         # constructed (``RunSpec.__post_init__``), so a ConfigurationError
         # raised in a worker means the worker cannot see this process's

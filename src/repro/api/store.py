@@ -34,6 +34,8 @@ entry payloads and results across them):
   backend the campaign server (:mod:`repro.service`) points many clients
   at.  A corrupt database file heals the same way a corrupt JSON entry
   does: it reads as a miss and is re-created on the next write.
+  It lives in :mod:`repro.api.sqlite_store`, imported when such a store
+  is opened, so no other process loads ``sqlite3``.
 
 Monitors edited *in place* (same class name, new behaviour) are the one
 invalidation the key cannot see; ``repro cache clear`` is the escape hatch
@@ -42,14 +44,12 @@ invalidation the key cannot see; ``repro cache clear`` is the escape hatch
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
 import math
 import os
 import pathlib
-import sqlite3
 import tempfile
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -57,6 +57,7 @@ from repro.common.errors import SimulationError
 from repro.faults.injector import store_write_fault
 from repro.faults.retry import STORE_WRITE_POLICY
 from repro.monitors import MONITOR_REGISTRY
+from repro.system.config import field_dict
 from repro.system.results import RunResult
 from repro.workload.packed import TRACE_SCHEMA_VERSION
 from repro.workload.profile import BenchmarkProfile
@@ -76,23 +77,6 @@ _KEY_MEMO_SIZE = 4096
 
 #: Path suffixes that select the SQLite backend without an explicit scheme.
 _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
-
-#: How long a SQLite writer waits on a locked database before giving up —
-#: generous, because racing grid processes serialize whole-entry writes.
-_SQLITE_BUSY_TIMEOUT = 30.0
-
-
-def _is_lock_error(error: sqlite3.Error) -> bool:
-    """True for SQLite's *transient* contention errors ('database is
-    locked' / 'database is busy').  These are OperationalErrors — and
-    therefore DatabaseError subclasses — but they signal a losing race,
-    not corruption: healing by deleting the database (what
-    ``_reset_corrupt`` does for genuine corruption) would destroy every
-    entry over a timing hiccup."""
-    if not isinstance(error, sqlite3.OperationalError):
-        return False
-    text = str(error).lower()
-    return "locked" in text or "busy" in text
 
 
 def content_key(spec: RunSpec) -> str:
@@ -154,7 +138,7 @@ def _digest(
         "store_schema": store_schema,
         "trace_schema": trace_schema,
         "spec": spec.to_dict(),
-        "profile": dataclasses.asdict(profile),
+        "profile": field_dict(profile),
         "monitor_impl": monitor_impl,
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
@@ -235,6 +219,9 @@ class BlobDir:
     or a whole one.  Creating a ``BlobDir`` touches nothing on disk.
     """
 
+    #: Write errors a retry may cure (:meth:`ResultStore.put`).
+    transient_errors: Tuple[type, ...] = (OSError,)
+
     def __init__(self, root: pathlib.Path, suffix: str) -> None:
         self.root = root
         self.suffix = suffix
@@ -308,158 +295,6 @@ class BlobDir:
         return removed
 
 
-class _SqliteBackend:
-    """One WAL-mode SQLite database holding every entry.
-
-    WAL mode is the concurrency contract: readers never block writers,
-    writers never block readers, and concurrent writers from *different
-    processes* serialize on the database lock (with a generous busy
-    timeout) instead of corrupting each other — the property the campaign
-    server relies on when many clients share one store.  Every statement
-    runs in autocommit (``isolation_level=None``), so an entry write is a
-    single atomic transaction, the analogue of :class:`BlobDir`'s atomic
-    replace.
-    """
-
-    def __init__(self, path: pathlib.Path, readonly: bool) -> None:
-        self.path = path
-        self.readonly = readonly
-        self._conn: Optional[sqlite3.Connection] = None
-        if not readonly and self.path.parent != self.path:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    # ------------------------------------------------------------ connection
-
-    def _connect(self) -> Optional[sqlite3.Connection]:
-        """The lazily-opened connection; None when a readonly store's
-        database does not exist (every read is then a miss)."""
-        if self._conn is not None:
-            return self._conn
-        if self.readonly:
-            if not self.path.exists():
-                return None
-            # mode=ro refuses writes at the SQLite level, so readonly is
-            # enforced even against bugs in this class.
-            uri = f"file:{self.path.as_posix()}?mode=ro"
-            conn = sqlite3.connect(
-                uri,
-                uri=True,
-                timeout=_SQLITE_BUSY_TIMEOUT,
-                isolation_level=None,
-                check_same_thread=False,
-            )
-        else:
-            conn = sqlite3.connect(
-                os.fspath(self.path),
-                timeout=_SQLITE_BUSY_TIMEOUT,
-                isolation_level=None,
-                check_same_thread=False,
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                "key TEXT PRIMARY KEY, payload TEXT NOT NULL)"
-            )
-        self._conn = conn
-        return conn
-
-    def _reset_corrupt(self) -> None:
-        """Self-heal a corrupt database the way the JSON backend heals a
-        corrupt entry: drop it (plus WAL side files) so the next write
-        starts a fresh database.  Readonly stores must not heal."""
-        self.close()
-        if self.readonly:
-            return
-        for side in ("", "-wal", "-shm"):
-            try:
-                os.unlink(f"{self.path}{side}")
-            except OSError:
-                pass
-
-    # ---------------------------------------------------------------- access
-
-    def read(self, key: str) -> Optional[str]:
-        try:
-            conn = self._connect()
-            if conn is None:
-                return None
-            row = conn.execute(
-                "SELECT payload FROM entries WHERE key = ?", (key,)
-            ).fetchone()
-        except sqlite3.DatabaseError as error:
-            if _is_lock_error(error):
-                return None  # Losing a read race is just a miss.
-            self._reset_corrupt()
-            return None
-        return row[0] if row is not None else None
-
-    def write(self, key: str, data: bytes) -> None:
-        payload = data.decode()
-        try:
-            conn = self._connect()
-            if conn is None:
-                return
-            conn.execute(
-                "INSERT OR REPLACE INTO entries (key, payload) VALUES (?, ?)",
-                (key, payload),
-            )
-        except sqlite3.DatabaseError as error:
-            if _is_lock_error(error):
-                raise  # Transient: the caller's retry policy handles it.
-            self._reset_corrupt()
-            conn = self._connect()
-            if conn is not None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries (key, payload) "
-                    "VALUES (?, ?)",
-                    (key, payload),
-                )
-
-    def delete(self, key: str) -> None:
-        try:
-            conn = self._connect()
-            if conn is not None:
-                conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-        except sqlite3.DatabaseError as error:
-            if not _is_lock_error(error):
-                self._reset_corrupt()
-
-    def entries(self) -> Iterator[Tuple[str, int]]:
-        try:
-            conn = self._connect()
-            if conn is None:
-                return
-            rows = conn.execute(
-                "SELECT key, length(payload) FROM entries"
-            ).fetchall()
-        except sqlite3.DatabaseError as error:
-            if not _is_lock_error(error):
-                self._reset_corrupt()
-            return
-        yield from rows
-
-    def clear(self) -> int:
-        try:
-            conn = self._connect()
-            if conn is None:
-                return 0
-            cursor = conn.execute("DELETE FROM entries")
-            return cursor.rowcount
-        except sqlite3.DatabaseError as error:
-            if not _is_lock_error(error):
-                self._reset_corrupt()
-            return 0
-
-    def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:  # pragma: no cover - teardown best effort
-                pass
-            self._conn = None
-
-
 class ResultStore:
     """On-disk RunSpec-content → RunResult cache (backend-agnostic)."""
 
@@ -487,7 +322,9 @@ class ResultStore:
         #: The backend's name: ``"json"`` or ``"sqlite"``.
         self.backend = backend_name
         if backend_name == "sqlite":
-            self._backend = _SqliteBackend(fs_path, readonly)
+            from repro.api.sqlite_store import SqliteBackend
+
+            self._backend = SqliteBackend(fs_path, readonly)
         else:
             self._backend = BlobDir(fs_path, ".json")
             if not readonly:
@@ -567,13 +404,14 @@ class ResultStore:
         def _count_retry(attempt: int, error: BaseException) -> None:
             self.write_retries += 1
 
+        transient = self._backend.transient_errors
         try:
             STORE_WRITE_POLICY.call(
-                _write_once,
-                retry_on=(OSError, sqlite3.OperationalError),
-                on_retry=_count_retry,
+                _write_once, retry_on=transient, on_retry=_count_retry
             )
-        except sqlite3.OperationalError as error:
+        except transient as error:
+            if isinstance(error, OSError):
+                raise
             raise OSError(f"result store write failed: {error}") from error
 
     # ---------------------------------------------------------- management
@@ -615,7 +453,7 @@ class ResultStore:
     def close(self) -> None:
         """Release backend resources (the SQLite connection).  Using the
         store afterwards transparently reopens them."""
-        if isinstance(self._backend, _SqliteBackend):
+        if self.backend == "sqlite":
             self._backend.close()
 
     def __len__(self) -> int:

@@ -45,8 +45,8 @@ touches the disk nor computes the fingerprint; both happen on first use.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -59,6 +59,7 @@ import repro
 from repro.api.store import BlobDir
 from repro.cores.base import CoreType
 from repro.mem.hierarchy import HierarchyConfig
+from repro.system.config import field_dict
 from repro.workload.packed import COLUMN_SPEC, TRACE_SCHEMA_VERSION, PackedTrace
 from repro.workload.profile import BenchmarkProfile
 
@@ -108,13 +109,34 @@ def fingerprint_sources(root: pathlib.Path, loaded_at: float
     return digest.hexdigest()
 
 
+def _import_fingerprinted_modules() -> None:
+    """Import every module of :data:`FINGERPRINT_PACKAGES`.
+
+    Modules load lazily, so one this process has not imported yet would
+    otherwise load after the hash, from a file edited since.  Imported
+    first, every module the process can run predates the hash, and the
+    hash's ``LOADED_AT`` check covers any edit made before it.
+    """
+    for package in FINGERPRINT_PACKAGES:
+        for path in sorted((_PACKAGE_ROOT / package).rglob("*.py")):
+            parts = path.relative_to(_PACKAGE_ROOT).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            importlib.import_module(".".join(("repro",) + parts))
+
+
 def source_fingerprint() -> Optional[str]:
     """The fingerprint of the front-end sources this process loaded,
     computed once per process; None when they cannot vouch for it."""
     global _fingerprint
     if _fingerprint is None:
-        _fingerprint = fingerprint_sources(_PACKAGE_ROOT,
-                                           repro.LOADED_AT) or ""
+        try:
+            _import_fingerprinted_modules()
+        except Exception:  # A source that will not import vouches for nothing.
+            _fingerprint = ""
+        else:
+            _fingerprint = fingerprint_sources(_PACKAGE_ROOT,
+                                               repro.LOADED_AT) or ""
     return _fingerprint or None
 
 
@@ -250,7 +272,7 @@ class TraceStore:
         """The schedule's store key; None while the store is off."""
         return self._key(
             "schedule", profile, num_instructions, seed,
-            core=core.value, hierarchy=dataclasses.asdict(hierarchy),
+            core=core.value, hierarchy=field_dict(hierarchy),
         )
 
     def _key(self, kind: str, profile: BenchmarkProfile,
@@ -266,7 +288,7 @@ class TraceStore:
         payload = {
             "kind": kind,
             "trace_schema": TRACE_SCHEMA_VERSION,
-            "profile": dataclasses.asdict(profile),
+            "profile": field_dict(profile),
             "num_instructions": num_instructions,
             "seed": seed,
             "source": fingerprint,

@@ -55,30 +55,30 @@ import json
 import os
 import pathlib
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis import (
-    ExperimentSettings,
-    fig9_aggregate,
-    fig9_results,
-    format_table,
-    table2_aggregate,
-    table2_results,
-)
-from repro.api import (
-    ParallelRunner,
-    ResultSet,
-    ResultStore,
-    Runner,
-    RunSpec,
-    SerialRunner,
-    benchmark_names,
-    monitor_names,
-)
+# The parser's choices come from the registries; each command imports the
+# rest of what it runs inside its handler, so `repro run` never loads the
+# service, the verification stack or the process pool.
 from repro.common.errors import ConfigurationError
-from repro.system import SystemConfig
+from repro.monitors import monitor_names
 from repro.system.config import CORE_ALIASES as _CORES
 from repro.system.config import TOPOLOGY_ALIASES as _TOPOLOGIES
+from repro.workload.profiles import benchmark_names
+
+if TYPE_CHECKING:
+    from repro.api import ResultSet, ResultStore, Runner
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type for worker counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_execution_arguments(
@@ -87,7 +87,7 @@ def _add_execution_arguments(
     # --jobs only belongs on grid commands; `run` is always a single spec.
     if jobs:
         parser.add_argument(
-            "-j", "--jobs", type=int, default=1,
+            "-j", "--jobs", type=_positive_int, default=1,
             help="worker processes for the simulation grid (default: 1, serial)",
         )
     parser.add_argument(
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve on a Unix socket at PATH instead of TCP",
     )
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int, default=None, metavar="N",
         help="simulation worker processes (default: CPU count)",
     )
     serve.add_argument(
@@ -263,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzz-derived specs per round (default: 8)",
     )
     chaos.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
+        "--jobs", type=_positive_int, default=2, metavar="N",
         help="parallel-runner worker processes (default: 2)",
     )
     chaos.add_argument(
-        "--workers", type=int, default=2, metavar="N",
+        "--workers", type=_positive_int, default=2, metavar="N",
         help="campaign-server worker processes (default: 2)",
     )
     chaos.add_argument(
@@ -308,11 +308,17 @@ def _make_store(
     if path is None:
         env = os.environ.get("REPRO_RESULT_CACHE", "")
         path = env or None
-    return ResultStore(path, readonly=readonly) if path is not None else None
+    if path is None:
+        return None
+    from repro.api.store import ResultStore
+
+    return ResultStore(path, readonly=readonly)
 
 
 def _make_runner(jobs: int, store: Optional[ResultStore] = None) -> Runner:
-    if jobs and jobs > 1:
+    from repro.api.runner import ParallelRunner, SerialRunner
+
+    if jobs > 1:
         return ParallelRunner(jobs=jobs, store=store)
     return SerialRunner(store=store)
 
@@ -332,6 +338,10 @@ def _maybe_save(results: ResultSet, out: Optional[pathlib.Path]) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.api.runner import SerialRunner
+    from repro.api.spec import ExperimentSettings, RunSpec
+    from repro.system.config import SystemConfig
+
     settings = ExperimentSettings(
         num_instructions=args.instructions,
         seed=args.seed,
@@ -369,6 +379,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table, table2_aggregate, table2_results
+    from repro.api.spec import ExperimentSettings
+
     settings = ExperimentSettings(num_instructions=args.instructions, seed=args.seed)
     results = table2_results(settings, runner=_make_runner(args.jobs, _make_store(args)))
     measured = table2_aggregate(results)
@@ -379,6 +392,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
+    from repro.analysis import fig9_aggregate, fig9_results, format_table
+    from repro.api.spec import ExperimentSettings
+
     settings = ExperimentSettings(num_instructions=args.instructions, seed=args.seed)
     results = fig9_results(settings, runner=_make_runner(args.jobs, _make_store(args)))
     data = fig9_aggregate(results)
@@ -392,7 +408,7 @@ def _cmd_fig9(args: argparse.Namespace) -> int:
 
 
 def _cmd_area(_: argparse.Namespace) -> int:
-    from repro.analysis import area_power
+    from repro.analysis import area_power, format_table
 
     report = area_power()
     rows = [
@@ -565,6 +581,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.analysis.formatting import format_table
     from repro.service.campaign import Campaign
     from repro.service.client import ServiceError
 

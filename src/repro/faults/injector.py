@@ -30,7 +30,6 @@ import json
 import os
 import pathlib
 import signal
-import sqlite3
 import threading
 import time
 from contextlib import contextmanager
@@ -304,6 +303,8 @@ def store_write_fault(payload: str) -> str:
     if event.kind == "store_enospc":
         raise OSError(errno.ENOSPC, "injected fault: no space left on device")
     if event.kind == "sqlite_busy":
+        import sqlite3  # Only a SQLite store is planned this fault.
+
         raise sqlite3.OperationalError("injected fault: database is locked")
     if event.kind == "store_torn":
         return payload[: max(1, int(len(payload) * (event.param or 0.33)))]

@@ -68,7 +68,7 @@ from typing import Dict, List, Optional
 from repro.api.runner import _terminate_pool, _worker_run, new_worker_pool
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore, check_finite, content_key
-from repro.common.errors import SpecTimeout
+from repro.common.errors import ConfigurationError, SpecTimeout
 from repro.faults.injector import probe, spec_fault_key
 from repro.faults.retry import COMPUTE_POLICY, RetryPolicy
 from repro.system.results import RunResult
@@ -98,9 +98,16 @@ class SpecScheduler:
         spec_timeout: Optional[float] = None,
         retry_policy: RetryPolicy = COMPUTE_POLICY,
     ) -> None:
-        """``spec_timeout`` (seconds) bounds each computation attempt."""
+        """``workers`` defaults to the CPU count; ``spec_timeout``
+        (seconds) bounds each computation attempt."""
+        if workers is None:
+            workers = os.cpu_count() or 1
+        elif workers < 1:
+            raise ConfigurationError(
+                f"workers: need at least 1 worker process, got {workers!r}"
+            )
         self.store = store
-        self.workers = max(1, workers or os.cpu_count() or 1)
+        self.workers = workers
         self.spec_timeout = spec_timeout
         self.retry_policy = retry_policy
         self._executor: Optional[ProcessPoolExecutor] = None

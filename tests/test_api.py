@@ -374,6 +374,11 @@ class TestRunners:
         runner = SerialRunner()
         assert runner.run_one(spec) == runner.run([spec]).results[0]
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_parallel_runner_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            ParallelRunner(jobs=jobs)
+
 
 class TestResultSet:
     @pytest.fixture(scope="class")
@@ -479,7 +484,7 @@ class TestGracefulInterrupt:
         from repro.api import runner as runner_module
 
         monkeypatch.setattr(
-            runner_module, "ProcessPoolExecutor", self._InterruptingPool
+            "concurrent.futures.ProcessPoolExecutor", self._InterruptingPool
         )
         # The fake pool runs chunks in-process, filling the module-global
         # worker cache with this grid's traces; restore it so they never
@@ -505,7 +510,7 @@ class TestGracefulInterrupt:
         from repro.api import runner as runner_module
 
         monkeypatch.setattr(
-            runner_module, "ProcessPoolExecutor", self._InterruptingPool
+            "concurrent.futures.ProcessPoolExecutor", self._InterruptingPool
         )
         monkeypatch.setattr(runner_module, "_WORKER_CACHE", None)
         with pytest.raises(KeyboardInterrupt):

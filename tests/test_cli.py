@@ -96,6 +96,21 @@ class TestExecutionFlags:
             build_parser().parse_args(["run", "--jobs", "2"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig9", "--jobs", "0"], "--jobs"),
+        (["table2", "-j", "-1"], "--jobs"),
+        (["campaign", "run", "campaign.yml", "--jobs", "0"], "--jobs"),
+        (["serve", "--workers", "0"], "--workers"),
+        (["chaos", "--jobs", "0"], "--jobs"),
+        (["chaos", "--workers", "-2"], "--workers"),
+    ])
+    def test_worker_counts_below_one_are_usage_errors(self, capsys, argv,
+                                                      flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_table2_with_jobs_matches_serial(self, capsys, tmp_path):
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"

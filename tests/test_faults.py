@@ -295,7 +295,7 @@ class TestStoreHardening:
         # Every write meets a real lock held by another connection: put()
         # gives up after the policy's attempts with an OSError (callers
         # catch one type whatever the backend), chained to the lock error.
-        monkeypatch.setattr("repro.api.store._SQLITE_BUSY_TIMEOUT", 0.01)
+        monkeypatch.setattr("repro.api.sqlite_store._SQLITE_BUSY_TIMEOUT", 0.01)
         path = tmp_path / "store.db"
         store = ResultStore(path)
         result = SerialRunner(store=store).run(GRID[:1]).records[0].result

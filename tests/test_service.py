@@ -152,6 +152,11 @@ class TestSpecScheduler:
     def run_async(self, coroutine):
         return asyncio.run(coroutine)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            SpecScheduler(workers=workers)
+
     def test_single_flight_dedup(self):
         scheduler = SpecScheduler(workers=1)
 

@@ -4,8 +4,10 @@ change, and serial / parallel / warm-store execution of the same grid agree
 byte for byte.
 """
 
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import warnings
 
 import pytest
@@ -320,7 +322,7 @@ class TestChunkingHeuristic:
             raise AssertionError("tiny grid must not create a process pool")
 
         monkeypatch.setattr(
-            runner_module, "ProcessPoolExecutor", exploding_pool
+            "concurrent.futures.ProcessPoolExecutor", exploding_pool
         )
         runner = ParallelRunner(jobs=8)
         results = runner.run(GRID[:3])  # 3 specs < 8 jobs.
@@ -328,29 +330,29 @@ class TestChunkingHeuristic:
 
     def test_large_grid_still_uses_the_pool(self, monkeypatch):
         used = {"pool": False}
-        real_pool = runner_module.ProcessPoolExecutor
+        real_pool = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             used["pool"] = True
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor", counting_pool
+        )
         ParallelRunner(jobs=2).run(GRID)
         assert used["pool"]
 
 
 class TestSpawnWarning:
     def test_warns_once_when_fork_unavailable(self, monkeypatch):
-        real_get_context = runner_module.multiprocessing.get_context
+        real_get_context = multiprocessing.get_context
 
         def no_fork(method=None):
             if method == "fork":
                 raise ValueError("fork not supported here")
             return real_get_context(method)
 
-        monkeypatch.setattr(
-            runner_module.multiprocessing, "get_context", no_fork
-        )
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         monkeypatch.setattr(runner_module, "_SPAWN_WARNING_EMITTED", False)
         runner = ParallelRunner(jobs=2)
         with pytest.warns(RuntimeWarning, match="register_monitor"):
@@ -418,8 +420,6 @@ class TestConcurrentWriters:
     self-heal while writers race, and no temp files leak."""
 
     def test_racing_puts_same_entry(self, tmp_path):
-        import multiprocessing
-
         store_path = tmp_path / "race"
         spec = GRID[0]
         store = ResultStore(store_path)
@@ -457,8 +457,6 @@ class TestConcurrentWriters:
         assert len(store) == 1
 
     def test_corrupt_entry_heals_under_concurrent_writer(self, tmp_path):
-        import multiprocessing
-
         store_path = tmp_path / "heal"
         store = ResultStore(store_path)
         corrupt_spec, racing_spec = GRID[0], GRID[1]

@@ -121,6 +121,30 @@ class TestRoundTrip:
         assert stats["trace_store_hits"] == 1
 
 
+class TestPinnedKeys:
+    """Every stored blob is addressed by these digests, so a change to how
+    a key is serialized must fail here, not strand the store.  Each hex
+    was computed with ``dataclasses.asdict`` building the key, under a
+    fixed fingerprint."""
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_store_module, "_fingerprint", "f" * 64)
+        return TraceStore(tmp_path)
+
+    def test_trace_key(self, store):
+        assert store.trace_key(get_profile("gcc"), 20000, 7) == (
+            "5597938ca56a1dbe70be7b0bf8e51c7ea5b92e5ea862ee0a73b9d015b1dd69b0"
+        )
+
+    def test_schedule_key(self, store):
+        assert store.schedule_key(
+            get_profile("gcc"), 20000, 7, CoreType.OOO4, HierarchyConfig()
+        ) == (
+            "a53e3f36e5c0fdccdab9b0f6dd02212dc89c36487721662d78ff01a8fc6cdc66"
+        )
+
+
 class TestDegradation:
     def _regenerates(self):
         trace = _fresh_trace()
@@ -230,6 +254,59 @@ class TestDegradation:
         assert not cache.trace_store.enabled
         assert not store_dir.exists()
         assert fingerprint_sources(root, loaded_at=time.time()) is not None
+
+    @staticmethod
+    def _run_on_copy(tmp_path, code):
+        """Run ``code`` in a fresh interpreter whose ``repro`` is a copy of
+        the package under ``tmp_path``, with one more fingerprinted module,
+        ``repro.workload.late``, that nothing imports."""
+        src = tmp_path / "src"
+        shutil.copytree(trace_store_module._PACKAGE_ROOT, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (src / "repro" / "workload" / "late.py").write_text("VALUE = 1\n")
+        subprocess.run(
+            [sys.executable, "-c", code], check=True,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 TRACE_STORE_ENV: str(tmp_path / "traces")},
+        )
+
+    def test_fingerprint_imports_every_fingerprinted_module(self, tmp_path):
+        # Modules load lazily: one first imported after the hash could come
+        # from a file edited since, so the fingerprint imports them all.
+        self._run_on_copy(tmp_path, (
+            "import pathlib, sys\n"
+            "import repro\n"
+            "from repro.api import trace_store\n"
+            "assert 'repro.workload.late' not in sys.modules\n"
+            "assert trace_store.source_fingerprint() is not None\n"
+            "root = pathlib.Path(repro.__file__).parent\n"
+            "for package in trace_store.FINGERPRINT_PACKAGES:\n"
+            "    for path in (root / package).rglob('*.py'):\n"
+            "        parts = path.relative_to(root).with_suffix('').parts\n"
+            "        name = '.'.join(('repro',) + parts)\n"
+            "        assert name.removesuffix('.__init__') in sys.modules\n"
+        ))
+
+    def test_lazy_module_edited_after_load_turns_the_store_off(
+        self, tmp_path
+    ):
+        # The edit lands after `import repro` and before the module is
+        # first imported: the process would run the edited code.
+        self._run_on_copy(tmp_path, (
+            "import os, sys\n"
+            "import repro\n"
+            "from repro.api.trace_store import default_trace_store\n"
+            "from repro.workload import get_profile\n"
+            "late = os.path.join(os.path.dirname(repro.__file__),\n"
+            "                    'workload', 'late.py')\n"
+            "assert 'repro.workload.late' not in sys.modules\n"
+            "edited = repro.LOADED_AT + 60\n"
+            "os.utime(late, (edited, edited))\n"
+            "store = default_trace_store()\n"
+            "assert store.trace_key(get_profile('gcc'), 2000, 1) is None\n"
+            "assert not store.enabled\n"
+        ))
+        assert not (tmp_path / "traces").exists()
 
     def test_writes_keep_the_most_recent_fingerprints(self, tmp_path,
                                                       monkeypatch):
