@@ -79,7 +79,13 @@ if str(_ROOT) not in sys.path:  # Script mode: make `benchmarks.common` importab
 from benchmarks.common import BENCH_SETTINGS, maybe_profile, record
 from repro.analysis import ExperimentSettings
 from repro.analysis.experiments import benchmarks_for
-from repro.api import ParallelRunner, ResultStore, RunSpec, SerialRunner
+from repro.api import (
+    ParallelRunner,
+    ResultStore,
+    RunnerCache,
+    RunSpec,
+    SerialRunner,
+)
 from repro.api.runner import build_simulation
 from repro.cores.base import CoreType
 from repro.monitors import MONITOR_NAMES, create_monitor
@@ -304,9 +310,10 @@ def _measure_warmup(settings: ExperimentSettings, rounds: int) -> dict:
     Each simulation is built untimed from a shared cache (traces, schedules
     and plans are computed once), so ``seconds`` is the sum of the cells'
     ``_run_warmup`` calls alone; ``cells_per_sec`` is the rate
-    ``check_perf_regression.py`` gates."""
+    ``check_perf_regression.py`` gates.  The cache does not persist, so
+    no simulation starts from a stored warm state: each one warms."""
     specs = _fig9_specs("event", settings)
-    cache = SerialRunner().cache
+    cache = RunnerCache(persist=False)
     best = float("inf")
     for _ in range(max(1, rounds)):
         seconds = 0.0

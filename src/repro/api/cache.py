@@ -1,4 +1,4 @@
-"""Bounded, explicitly-owned trace and schedule caches.
+"""Bounded, explicitly-owned trace, schedule and warm-state caches.
 
 Replaces the unbounded module-global ``_TRACE_CACHE``/``_SCHEDULE_CACHE``
 the analysis layer used to keep: every :class:`~repro.api.runner.Runner`
@@ -6,10 +6,11 @@ owns one :class:`RunnerCache`, so long-lived sessions stay memory-bounded
 and parallel workers never share mutable state across processes.
 
 Below the in-memory LRUs sits the per-machine
-:class:`~repro.api.trace_store.TraceStore`: a trace or schedule missing
-from the LRU is loaded from disk when this machine has built it before,
-and written there after it is built.  Kind tables (the per-item delivery
-plans) stay in memory only: building one is a few byte-table passes.
+:class:`~repro.api.trace_store.TraceStore`: a trace, schedule or warm
+state missing from the LRU is loaded from disk when this machine has built
+it before, and written there after it is built.  Kind tables (the per-item
+delivery plans) stay in memory only: building one is a few byte-table
+passes.
 """
 
 from __future__ import annotations
@@ -30,17 +31,22 @@ from typing import (
 from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
 from repro.mem.hierarchy import HierarchyConfig
-from repro.monitors import MONITOR_REGISTRY, create_monitor
-from repro.system.simulator import KindTable, build_plan
+from repro.monitors import MONITOR_REGISTRY, create_monitor, is_builtin_monitor
+from repro.system.simulator import KindTable, build_plan, fade_config
+from repro.verify.coverage import COVERAGE
 from repro.workload.generator import generate_trace
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import get_profile
 from repro.workload.trace import Trace
 
-from repro.api.spec import ExperimentSettings
+from repro.api.spec import ExperimentSettings, RunSpec
 
 if TYPE_CHECKING:
-    from repro.api.trace_store import TraceStore
+    from repro.api.trace_store import TraceStore, WarmState
+
+#: Warm-state pickles a cache keeps (about 150 KiB at most for a 20k
+#: trace): enough for the cells of a grid that share one warmup.
+_MAX_WARM_STATES = 32
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -93,17 +99,19 @@ class LruCache(Generic[K, V]):
 
 
 class RunnerCache:
-    """Traces and retire schedules shared by the runs of one Runner.
+    """Traces, retire schedules, plans and warm states shared by the runs
+    of one Runner.
 
-    Both caches are LRU-bounded; the defaults comfortably cover the largest
+    Every cache is LRU-bounded; the defaults comfortably cover the largest
     paper grid (13 benchmarks x a handful of settings) while keeping a
     long-lived CLI session's footprint flat.
 
-    The trace and schedule LRUs are backed by the trace store at the
-    location configured (``$REPRO_TRACE_STORE``, ``off`` to turn it off)
-    when the cache first needs it.  Traces of an inline ``profile`` are
-    never persisted, and a cache built with ``persist=False`` never reads
-    or writes the store.  A store hit still counts as an LRU miss.
+    The trace, schedule and warm-state LRUs are backed by the trace store
+    at the location configured (``$REPRO_TRACE_STORE``, ``off`` to turn it
+    off) when the cache first needs it.  Traces of an inline ``profile``
+    are never persisted, and a cache built with ``persist=False`` never
+    reads or writes the store.  A store hit still counts as an LRU miss.
+    Warm states exist only where the store is used (:meth:`warm_state`).
     """
 
     def __init__(
@@ -117,9 +125,11 @@ class RunnerCache:
         self._traces: LruCache = LruCache(max_traces)
         self._schedules: LruCache = LruCache(max_schedules)
         self._plans: LruCache = LruCache(max_plans)
+        self._warm_states: LruCache = LruCache(_MAX_WARM_STATES)
         self._trace_store: Optional["TraceStore"] = None
         self._trace_store_hits = 0
         self._schedule_store_hits = 0
+        self._warm_store_hits = 0
 
     @property
     def trace_store(self) -> "TraceStore":
@@ -243,10 +253,58 @@ class RunnerCache:
             ),
         )
 
+    def warm_state(
+        self,
+        spec: RunSpec,
+        warmup: int,
+        warm: Callable[[], "WarmState"],
+    ) -> Optional["WarmState"]:
+        """The monitor and FADE of ``spec`` after its ``warmup`` items,
+        a fresh copy on every call, or None when ``spec`` is out of scope.
+
+        On a miss in the LRU and the store, ``warm()`` warms a fresh pair
+        and encodes it.  Only the event engine uses warm states (the naive
+        reference always warms itself), and only for a registry profile, a
+        built-in monitor, a non-zero warmup and coverage counting off
+        (warmup hits coverage states)."""
+        key = self._warm_key(spec, warmup)
+        if key is None:
+            return None
+        fresh: List["WarmState"] = []
+
+        def load() -> bytes:
+            state, loaded = self.trace_store.warm(key, warm)
+            self._warm_store_hits += loaded
+            fresh.append(state)
+            return state.body
+
+        body = self._warm_states.get_or_create(key, load)
+        if fresh:
+            return fresh[0]
+        from repro.api.trace_store import load_warm_state
+
+        return load_warm_state(body)
+
+    def _warm_key(self, spec: RunSpec, warmup: int) -> Optional[str]:
+        if (
+            self._store_for(spec.profile) is None
+            or spec.config.engine != "event"
+            or warmup <= 0
+            or COVERAGE.enabled
+            or not is_builtin_monitor(spec.monitor)
+        ):
+            return None
+        return self.trace_store.warm_key(
+            get_profile(spec.benchmark), spec.settings.num_instructions,
+            spec.settings.seed, spec.monitor, fade_config(spec.config),
+            warmup,
+        )
+
     def clear(self) -> None:
         self._traces.clear()
         self._schedules.clear()
         self._plans.clear()
+        self._warm_states.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -261,4 +319,8 @@ class RunnerCache:
             "plan_misses": self._plans.misses,
             "trace_store_hits": self._trace_store_hits,
             "schedule_store_hits": self._schedule_store_hits,
+            "warm_states": len(self._warm_states),
+            "warm_hits": self._warm_states.hits,
+            "warm_misses": self._warm_states.misses,
+            "warm_store_hits": self._warm_store_hits,
         }

@@ -30,7 +30,11 @@ from repro.common.errors import ConfigurationError
 from repro.faults.injector import worker_fault
 from repro.monitors import create_monitor
 from repro.system.results import RunResult
-from repro.system.simulator import MonitoringSimulation
+from repro.system.simulator import (
+    MonitoringSimulation,
+    fade_config,
+    warmup_count,
+)
 
 from repro.api.cache import RunnerCache
 from repro.api.results import ResultSet, RunRecord
@@ -41,6 +45,8 @@ if TYPE_CHECKING:
     # Imported where a pool is built, so serial runs never load them.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing.process import BaseProcess
+
+    from repro.api.trace_store import TraceStore, WarmState
 
 #: Identity of one grid trace: (benchmark, num_instructions, seed, inline
 #: profile or None).  Carrying the profile keeps keys unique when specs
@@ -68,30 +74,62 @@ _POOL_REBUILD_LIMIT = 2
 
 
 def build_simulation(
-    spec: RunSpec, cache: RunnerCache
+    spec: RunSpec, cache: RunnerCache, warm_store: Optional["TraceStore"] = None
 ) -> MonitoringSimulation:
-    """One fresh simulation for ``spec``, with trace/schedule/plan served
-    from ``cache`` (the construction :func:`execute_spec` uses).  The cache
-    gets the spec's own ``profile`` (None unless inline), which is what
-    lets it persist registry traces and skip inline ones."""
+    """One fresh simulation for ``spec``, with trace/schedule/plan and the
+    warm state served from ``cache`` (the construction :func:`execute_spec`
+    uses).  The cache gets the spec's own ``profile`` (None unless inline),
+    which is what lets it persist registry traces and skip inline ones.
+
+    When the cache holds the monitor and FADE this spec's warmup leaves
+    behind, the simulation starts from them, warmed; otherwise it warms
+    itself when it runs.  A ``warm_store`` keeps the warm state of any
+    spec with a warmup there instead, whatever the cache's scope rules
+    (the oracle's stored-warm-state leg)."""
     inline = spec.profile
     trace = cache.trace(spec.benchmark, spec.settings, inline)
-    warmup = int(len(trace.items) * spec.settings.warmup_fraction)
-    return MonitoringSimulation(
-        trace,
-        create_monitor(spec.monitor),
-        spec.config,
-        spec.resolved_profile(),
-        warmup_items=warmup,
-        schedule=cache.schedule(
-            spec.benchmark,
-            spec.settings,
-            spec.config.core_type,
-            spec.config.hierarchy,
-            inline,
-        ),
-        plan=cache.plan(spec.benchmark, spec.settings, spec.monitor, inline),
+    warmup = warmup_count(
+        len(trace.items), int(len(trace.items) * spec.settings.warmup_fraction)
     )
+    schedule = cache.schedule(
+        spec.benchmark,
+        spec.settings,
+        spec.config.core_type,
+        spec.config.hierarchy,
+        inline,
+    )
+    plan = cache.plan(spec.benchmark, spec.settings, spec.monitor, inline)
+
+    def simulation(monitor, fade=None, warmed=False) -> MonitoringSimulation:
+        return MonitoringSimulation(
+            trace, monitor, spec.config, spec.resolved_profile(),
+            warmup_items=warmup, schedule=schedule, plan=plan,
+            fade=fade, warmed=warmed,
+        )
+
+    def warm() -> "WarmState":
+        from repro.api.trace_store import encode_warm_state
+
+        fresh = simulation(create_monitor(spec.monitor))
+        fresh.warm_up()
+        return encode_warm_state(fresh.monitor, fresh.fade)
+
+    if warm_store is None:
+        state = cache.warm_state(spec, warmup, warm)
+    elif warmup > 0:
+        state = warm_store.warm(
+            warm_store.warm_key(
+                spec.resolved_profile(), spec.settings.num_instructions,
+                spec.settings.seed, spec.monitor, fade_config(spec.config),
+                warmup,
+            ),
+            warm,
+        )[0]
+    else:
+        state = None
+    if state is None:
+        return simulation(create_monitor(spec.monitor))
+    return simulation(state.monitor, state.fade, warmed=True)
 
 
 def execute_spec(
@@ -371,6 +409,13 @@ class ParallelRunner(Runner):
         # can finish.
         index_chunks = _trace_chunks(spec_list, workers)
         payloads = [[spec_list[i] for i in indices] for indices in index_chunks]
+        # Forked workers inherit the trace store's module and this
+        # process's source fingerprint: resolved here once, not compiled
+        # and hashed again in every worker of every pool.
+        from repro.api.trace_store import source_fingerprint
+
+        if self.cache.trace_store.enabled:
+            source_fingerprint()
         # Chunk results land here as they are harvested; a broken pool
         # costs only the chunks that had not finished.
         batches: List[Optional[List[RunResult]]] = [None] * len(payloads)

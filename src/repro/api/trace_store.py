@@ -1,36 +1,43 @@
-"""Per-machine store of packed traces and retire schedules.
+"""Per-machine store of packed traces, retire schedules and warm states.
 
-Every new process used to synthesize each trace it ran, and that trace's
-retire schedules, from scratch: each ``repro run``, each pool worker.  A
-:class:`TraceStore` keeps those two front-end artifacts on disk once per
-machine, behind :class:`~repro.api.cache.RunnerCache`'s ``trace`` and
-``schedule`` lookups, so a process that needs a trace this machine has
-already built loads it (about 1.3 ms for a 20k trace on a 2-CPU
-container) instead of synthesizing it (25-40 ms).
+Every new process used to synthesize each trace it ran, that trace's
+retire schedules and the state its warmup leaves behind, from scratch:
+each ``repro run``, each pool worker.  A :class:`TraceStore` keeps those
+three artifacts on disk once per machine, behind
+:class:`~repro.api.cache.RunnerCache`'s ``trace``, ``schedule`` and
+``warm_state`` lookups, so a process that needs one this machine has
+already built loads it instead: a 20k trace in about 1.3 ms on a 2-CPU
+container against 25-40 ms to synthesize it, a warm state in about 0.5 ms
+against about 14 ms of warmup.
 
 * **Location.** ``$REPRO_TRACE_STORE``, else
   ``$XDG_CACHE_HOME/repro/traces``, else ``~/.cache/repro/traces``;
   ``REPRO_TRACE_STORE=off`` turns the store off.
 * **Key.** A SHA-256 over canonical JSON of the artifact kind,
   ``TRACE_SCHEMA_VERSION``, the resolved profile's fields, the length and
-  seed, (for schedules) the core type and hierarchy config, and a
-  fingerprint of the source files that compute traces and schedules.  The
-  fingerprint means code edited in place can never be served a trace it
-  would not build.  A process whose front-end sources were modified after
-  ``repro`` was loaded (:data:`repro.LOADED_AT`; forked workers inherit
-  it) may be running code that no longer matches them, so its store is
-  off.
+  seed, (for schedules) the core type and hierarchy config, (for warm
+  states) the monitor name, the FADE configuration and the warmup item
+  count, and a fingerprint of the source files that compute them
+  (:data:`FINGERPRINT_PACKAGES`).  The fingerprint means code edited in
+  place can never be served an artifact it would not build.  A process
+  whose fingerprinted sources were modified after ``repro`` was loaded
+  (:data:`repro.LOADED_AT`; forked workers inherit it) may be running
+  code that no longer matches them, so its store is off.
 * **Blob.** One file per key in a :class:`~repro.api.store.BlobDir` (the
   json result backend's layout) named for the fingerprint:
   ``<dir>/<fingerprint[:16]>/<key[:2]>/<key>.blob``, a JSON header line
   (which carries the SHA-256 of the body), then the zlib level-1 body.
   ``BlobDir`` writes atomically, so concurrent writers of one key are
   safe.
+* **Warm states.** The ``(monitor, fade)`` pair after the warmup, pickled
+  as one graph so FADE's metadata stays the monitor's own.  Loading it
+  admits only an allow-list of classes (:func:`load_warm_state`): a
+  pickle naming anything else, a function included, is a bad blob.
 * **Eviction.** A process's first write marks its fingerprint directory
   as the most recently written and deletes all but the
-  :data:`KEEP_FINGERPRINTS` most recently written, so editing the front
-  end does not grow the store without bound (a process still running
-  evicted code rebuilds what it needs).
+  :data:`KEEP_FINGERPRINTS` most recently written, so editing the
+  fingerprinted code does not grow the store without bound (a process
+  still running evicted code rebuilds what it needs).
 * **Degradation.** A blob that is truncated, fails its digest, cannot be
   decoded or has the wrong schema or length is deleted and regenerated; a
   directory that cannot be read or written turns the store off.  Nothing
@@ -39,8 +46,9 @@ container) instead of synthesizing it (25-40 ms).
 Callers skip the store for specs carrying an inline profile, so fuzzing
 does not fill the disk with one-off traces, and ``repro serve``'s
 long-lived workers skip it altogether (``RunnerCache(persist=False)``), so
-a request's latency does not depend on what other processes left here.  Creating a store neither
-touches the disk nor computes the fingerprint; both happen on first use.
+a request's latency does not depend on what other processes left here.
+Creating a store neither touches the disk nor computes the fingerprint;
+both happen on first use.
 """
 
 from __future__ import annotations
@@ -53,12 +61,14 @@ import pathlib
 import shutil
 import zlib
 from array import array
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import repro
 from repro.api.store import BlobDir
 from repro.cores.base import CoreType
+from repro.fade.accelerator import Fade, FadeConfig
 from repro.mem.hierarchy import HierarchyConfig
+from repro.monitors.base import Monitor
 from repro.system.config import field_dict
 from repro.workload.packed import COLUMN_SPEC, TRACE_SCHEMA_VERSION, PackedTrace
 from repro.workload.profile import BenchmarkProfile
@@ -69,8 +79,10 @@ TRACE_STORE_ENV = "REPRO_TRACE_STORE"
 #: Version of the blob layout (header fields and body encoding).
 BLOB_FORMAT = 1
 
-#: Packages whose sources decide what a trace or schedule contains.
-FINGERPRINT_PACKAGES = ("workload", "common", "isa", "cores", "mem")
+#: Packages whose sources decide what a trace, a schedule or a warm state
+#: contains (``system`` holds the warmup itself).
+FINGERPRINT_PACKAGES = ("workload", "common", "isa", "cores", "mem",
+                        "metadata", "monitors", "fade", "system")
 
 _PACKAGE_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -196,8 +208,100 @@ def _decode_schedule(header: dict, body: bytes) -> Optional[List[float]]:
     return times.tolist()
 
 
+class WarmState(NamedTuple):
+    """A functionally warmed monitor and its FADE (None unaccelerated),
+    with the pickle of the pair."""
+
+    monitor: Monitor
+    fade: Optional[Fade]
+    body: bytes
+
+
+#: Pickle protocol of warm states: the first with an opcode for
+#: ``bytearray`` (older ones name a global for it), fixed so a blob's bytes
+#: do not depend on the writing interpreter.
+_WARM_PROTOCOL = 5
+
+#: The only globals outside ``repro`` a warm state's pickle may name.
+_WARM_STDLIB_GLOBALS = frozenset({
+    ("collections", "OrderedDict"),
+    ("operator", "itemgetter"),
+})
+
+
+def encode_warm_state(monitor: Monitor, fade: Optional[Fade]) -> WarmState:
+    """``(monitor, fade)`` with their pickle: one dump, so the metadata
+    FADE shares with the monitor stays shared when it is loaded."""
+    import pickle
+
+    return WarmState(monitor, fade,
+                     pickle.dumps((monitor, fade), protocol=_WARM_PROTOCOL))
+
+
+#: The classes :func:`_warm_class` has admitted, by (module, name).
+_ADMITTED: Dict[Tuple[str, str], type] = {}
+
+
+def _warm_class(module: str, name: str) -> type:
+    """The class a warm state's pickle names, if the allow-list admits it:
+    a class defined in a fingerprinted ``repro`` package (whose code the
+    key vouches for) or one of :data:`_WARM_STDLIB_GLOBALS`."""
+    admitted = _ADMITTED.get((module, name))
+    if admitted is not None:
+        return admitted
+    package = module.split(".")
+    if (module, name) in _WARM_STDLIB_GLOBALS or (
+        len(package) > 1 and package[0] == "repro"
+        and package[1] in FINGERPRINT_PACKAGES and name.isidentifier()
+    ):
+        value = getattr(importlib.import_module(module), name, None)
+        if isinstance(value, type) and (
+            value.__module__ == module or package[0] != "repro"
+        ):
+            _ADMITTED[(module, name)] = value
+            return value
+    import pickle
+
+    raise pickle.UnpicklingError(f"a warm state may not load {module}.{name}")
+
+
+def load_warm_state(body: bytes) -> WarmState:
+    """The warm state pickled in ``body``.  The pickle may construct only
+    the classes :func:`_warm_class` admits, never call a function; raises
+    on any other pickle."""
+    import io
+    import pickle
+
+    class Unpickler(pickle.Unpickler):
+        def find_class(self, module: str, name: str) -> type:
+            return _warm_class(module, name)
+
+    loaded = Unpickler(io.BytesIO(body)).load()
+    if not (
+        type(loaded) is tuple and len(loaded) == 2
+        and isinstance(loaded[0], Monitor)
+        and (loaded[1] is None or isinstance(loaded[1], Fade))
+    ):
+        raise pickle.UnpicklingError("not a (monitor, FADE) warm state")
+    return WarmState(loaded[0], loaded[1], body)
+
+
+def _encode_warm(state: WarmState) -> Tuple[bytes, dict]:
+    return state.body, {"count": len(state.body)}
+
+
+def _decode_warm(header: dict, body: bytes) -> Optional[WarmState]:
+    if len(body) != header["count"]:
+        return None
+    try:
+        return load_warm_state(body)
+    except Exception:  # Whatever a bad pickle raises, it is healed.
+        return None
+
+
 class TraceStore:
-    """Content-keyed on-disk traces and schedules (``path=None``: off)."""
+    """Content-keyed on-disk traces, schedules and warm states
+    (``path=None``: off)."""
 
     def __init__(self, path: Union[str, os.PathLike, None]) -> None:
         self.path = pathlib.Path(path) if path is not None else None
@@ -237,6 +341,13 @@ class TraceStore:
         return self._load_or_build("schedule", key, _decode_schedule,
                                    _encode_schedule, build)
 
+    def warm(self, key: Optional[str], build: Callable[[], WarmState]
+             ) -> Tuple[WarmState, bool]:
+        """(state, loaded): the warm state stored under ``key`` (a
+        :meth:`warm_key`), else ``build()``'s, which is then stored."""
+        return self._load_or_build("warm", key, _decode_warm, _encode_warm,
+                                   build)
+
     def _load_or_build(self, kind, key, decode, encode, build):
         """(value, loaded); a blob that does not decode is deleted, and the
         built value replaces it."""
@@ -273,6 +384,23 @@ class TraceStore:
         return self._key(
             "schedule", profile, num_instructions, seed,
             core=core.value, hierarchy=field_dict(hierarchy),
+        )
+
+    def warm_key(
+        self,
+        profile: BenchmarkProfile,
+        num_instructions: int,
+        seed: int,
+        monitor: str,
+        fade: Optional[FadeConfig],
+        warmup: int,
+    ) -> Optional[str]:
+        """The key of the state ``warmup`` items of the trace leave in
+        ``monitor`` and its FADE (``fade`` None: unaccelerated); None
+        while the store is off."""
+        return self._key(
+            "warm", profile, num_instructions, seed, monitor=monitor,
+            fade=None if fade is None else field_dict(fade), warmup=warmup,
         )
 
     def _key(self, kind: str, profile: BenchmarkProfile,

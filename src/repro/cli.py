@@ -9,7 +9,8 @@ Commands:
 * ``list`` — show the available benchmarks and monitors.
 * ``cache`` — inspect (``stats``, ``--json`` for machine-readable
   per-shard output) or empty (``clear``) a persistent result cache, or,
-  with ``--traces``, the per-machine trace and schedule store.
+  with ``--traces``, the per-machine store of traces, schedules and
+  warm states.
 * ``serve`` — run the long-lived campaign server (:mod:`repro.service`):
   JSON over HTTP on localhost or a Unix socket, a bounded worker pool, a
   shared result store, and single-flight dedup of identical in-flight
@@ -60,7 +61,7 @@ from typing import TYPE_CHECKING, List, Optional
 # The parser's choices come from the registries; each command imports the
 # rest of what it runs inside its handler, so `repro run` never loads the
 # service, the verification stack or the process pool.
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ServiceError
 from repro.monitors import monitor_names
 from repro.system.config import CORE_ALIASES as _CORES
 from repro.system.config import TOPOLOGY_ALIASES as _TOPOLOGIES
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--traces", action="store_true",
-        help="act on the per-machine trace and schedule store "
+        help="act on the per-machine trace, schedule and warm-state store "
              "($REPRO_TRACE_STORE, else $XDG_CACHE_HOME/repro/traces, else "
              "~/.cache/repro/traces) instead of the result cache",
     )
@@ -583,7 +584,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.analysis.formatting import format_table
     from repro.service.campaign import Campaign
-    from repro.service.client import ServiceError
 
     try:
         campaign = Campaign.load(args.file)

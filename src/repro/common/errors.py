@@ -29,6 +29,13 @@ class SpecTimeout(ReproError):
     """A scheduled spec blew its per-spec computation deadline."""
 
 
+class ServiceError(RuntimeError):
+    """The server answered, but with an error (HTTP or per-spec).
+
+    Defined here, not beside the client, so code that only catches it
+    (an in-process ``repro campaign``) does not load the socket client."""
+
+
 class ServiceDisconnected(ReproError):
     """The campaign service connection dropped mid-stream.
 

@@ -84,6 +84,17 @@ class Fade:
             )
         self._md_memory = md_memory
 
+    def __getstate__(self) -> dict:
+        # ``process`` is a bound method: it pickles as a ``getattr`` call,
+        # which a stored warm state may not contain, so it is re-bound.
+        state = dict(self.__dict__)
+        del state["process"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.process = self.pipeline.process
+
     @property
     def non_blocking(self) -> bool:
         return self.config.non_blocking

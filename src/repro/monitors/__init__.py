@@ -16,7 +16,7 @@ New monitors plug in through :data:`MONITOR_REGISTRY` (usually via
 and the experiment harnesses — resolves names through it.
 """
 
-from typing import Callable, List
+from typing import Callable, Dict, List
 
 from repro.common.registry import Registry
 from repro.monitors.addrcheck import AddrCheck
@@ -35,15 +35,18 @@ from repro.monitors.memleak import MemLeak
 from repro.monitors.reports import BugKind, BugReport
 from repro.monitors.taintcheck import TaintCheck
 
+#: The built-in monitors' factories by name, whatever is registered now.
+BUILTIN_MONITORS: Dict[str, Callable[[], Monitor]] = {
+    "addrcheck": AddrCheck,
+    "memcheck": MemCheck,
+    "taintcheck": TaintCheck,
+    "memleak": MemLeak,
+    "atomcheck": AtomCheck,
+}
+
 #: Factory registry: canonical monitor name -> constructor.
 MONITOR_REGISTRY: Registry[Callable[[], Monitor]] = Registry("monitor")
-for _name, _factory in (
-    ("addrcheck", AddrCheck),
-    ("memcheck", MemCheck),
-    ("taintcheck", TaintCheck),
-    ("memleak", MemLeak),
-    ("atomcheck", AtomCheck),
-):
+for _name, _factory in BUILTIN_MONITORS.items():
     MONITOR_REGISTRY.register(_name, _factory)
 
 #: Display-order list matching the paper's figures.  Deliberately *not* the
@@ -70,6 +73,14 @@ def monitor_names() -> List[str]:
     return list(MONITOR_NAMES) + extras
 
 
+def is_builtin_monitor(name: str) -> bool:
+    """Whether ``name`` constructs one of the built-in monitors (not a
+    factory registered over it with ``replace=True``)."""
+    return MONITOR_REGISTRY.get(name) is BUILTIN_MONITORS.get(
+        MONITOR_REGISTRY.canonical(name)
+    )
+
+
 def create_monitor(name: str) -> Monitor:
     """Instantiate a fresh monitor by canonical (lower-case) name."""
     return MONITOR_REGISTRY.get(name)()
@@ -80,6 +91,7 @@ __all__ = [
     "ATOMCHECK_COSTS",
     "AddrCheck",
     "AtomCheck",
+    "BUILTIN_MONITORS",
     "BugKind",
     "BugReport",
     "HandlerClass",
@@ -95,6 +107,7 @@ __all__ = [
     "TAINTCHECK_COSTS",
     "TaintCheck",
     "create_monitor",
+    "is_builtin_monitor",
     "monitor_names",
     "register_monitor",
 ]

@@ -19,20 +19,37 @@ recomputation.
   spec batches, submitted in-process or to a running server.
 """
 
-from repro.common.errors import ServiceDisconnected
-from repro.service.campaign import Campaign, expand_campaign, load_campaign
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.scheduler import SpecOutcome, SpecScheduler
-from repro.service.server import CampaignServer
+import importlib as _importlib
 
-__all__ = [
-    "Campaign",
-    "CampaignServer",
-    "ServiceClient",
-    "ServiceDisconnected",
-    "ServiceError",
-    "SpecOutcome",
-    "SpecScheduler",
-    "expand_campaign",
-    "load_campaign",
-]
+#: Each public name and the module that defines it.  A name is imported on
+#: first access, so an in-process campaign (``repro.service.campaign``)
+#: loads neither the server nor the scheduler, nor ``asyncio``, ``socket``
+#: or the process pool.
+_EXPORTS = {
+    "Campaign": "repro.service.campaign",
+    "CampaignServer": "repro.service.server",
+    "ServiceClient": "repro.service.client",
+    "ServiceDisconnected": "repro.common.errors",
+    "ServiceError": "repro.common.errors",
+    "SpecOutcome": "repro.service.scheduler",
+    "SpecScheduler": "repro.service.scheduler",
+    "expand_campaign": "repro.service.campaign",
+    "load_campaign": "repro.service.campaign",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.service' has no attribute {name!r}"
+        )
+    value = getattr(_importlib.import_module(module), name)
+    globals()[name] = value  # Later reads skip this hook.
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

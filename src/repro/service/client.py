@@ -35,13 +35,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.results import ResultSet, RunRecord
 from repro.api.spec import RunSpec
-from repro.common.errors import ServiceDisconnected
+from repro.common.errors import ServiceDisconnected, ServiceError
 from repro.faults.retry import RECONNECT_POLICY, RetryPolicy
 from repro.system.results import RunResult
-
-
-class ServiceError(RuntimeError):
-    """The server answered, but with an error (HTTP or per-spec)."""
 
 
 def _parse_address(address: str) -> Tuple[str, object]:

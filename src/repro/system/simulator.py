@@ -39,7 +39,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.cores.base import CORE_PARAMETERS
 from repro.cores.retire import RetireModel
 from repro.fade.accelerator import Fade, FadeConfig
@@ -97,6 +97,30 @@ def force_inline_filtering() -> bool:
     """True when ``REPRO_FORCE_INLINE_FADE`` disables the filter memo — the
     CI knob that keeps the inline per-event path exercised."""
     return os.environ.get("REPRO_FORCE_INLINE_FADE", "") not in ("", "0")
+
+
+def fade_config(config: SystemConfig) -> Optional[FadeConfig]:
+    """The accelerator configuration ``config`` runs, None without FADE.
+
+    The filter memo is enabled only for the event engine (the naive
+    reference stays truly inline, so the equivalence suite compares
+    memoized against inline walks), and never under
+    REPRO_FORCE_INLINE_FADE=1 (the CI knob that keeps the inline path
+    exercised)."""
+    if not config.fade_enabled:
+        return None
+    return FadeConfig(
+        non_blocking=config.non_blocking,
+        fsq_capacity=config.fsq_capacity,
+        md_cache=config.md_cache,
+        filter_memo=config.engine == "event" and not force_inline_filtering(),
+    )
+
+
+def warmup_count(trace_items: int, warmup_items: int) -> int:
+    """The warmup a simulation applies: ``warmup_items``, leaving at least
+    one item of a ``trace_items``-long trace timed."""
+    return min(warmup_items, max(0, trace_items - 1))
 
 
 def as_packed(trace: Trace) -> PackedTrace:
@@ -168,6 +192,8 @@ class MonitoringSimulation:
         warmup_items: int = 0,
         schedule: Optional[Sequence[float]] = None,
         plan: Optional[KindTable] = None,
+        fade: Optional[Fade] = None,
+        warmed: bool = False,
     ) -> None:
         """``warmup_items`` leading trace items are applied functionally at
         zero cost before timing starts — the analogue of the paper's SMARTS
@@ -177,13 +203,23 @@ class MonitoringSimulation:
         unobstructed retirement schedule and kind table (the runner layer
         caches both across grid cells); when omitted they are computed here.
         An object trace is packed once, here: the simulation reads columns.
+
+        ``fade`` supplies the accelerator bound to ``monitor``'s critical
+        metadata (built here from :func:`fade_config` when omitted).  With
+        ``warmed=True`` the monitor and FADE already hold the state the
+        warmup leaves behind (a stored warm state, see
+        :mod:`repro.api.trace_store`): timing starts without applying it.
         """
+        if fade is not None and not config.fade_enabled:
+            raise ConfigurationError("a FADE instance needs fade_enabled")
+        if warmed and config.fade_enabled and fade is None:
+            raise ConfigurationError("a warmed FADE run needs its warmed FADE")
         trace = as_packed(trace)
         self.trace = trace
         self.monitor = monitor
         self.config = config
         self.profile = profile
-        self.warmup_items = min(warmup_items, max(0, len(trace.items) - 1))
+        self.warmup_items = warmup_count(len(trace.items), warmup_items)
         self._params = CORE_PARAMETERS[config.core_type]
         self._smt = config.is_smt
         self._sample = config.sample_queue_occupancy
@@ -208,29 +244,14 @@ class MonitoringSimulation:
             ).schedule(trace)
         self._schedule = schedule
 
-        # The filter memo is enabled only for the event engine (the naive
-        # reference stays truly inline, so the equivalence suite compares
-        # memoized against inline walks), and never under
-        # REPRO_FORCE_INLINE_FADE=1 (the CI knob that keeps the inline path
-        # exercised).
-        filter_memo = (
-            config.fade_enabled
-            and config.engine == "event"
-            and not force_inline_filtering()
-        )
-        self.fade: Optional[Fade] = None
-        if config.fade_enabled:
-            self.fade = Fade(
+        if fade is None and config.fade_enabled:
+            fade = Fade(
                 program=monitor.fade_program(),
                 md_registers=monitor.critical_regs,
                 md_memory=monitor.critical_mem,
-                config=FadeConfig(
-                    non_blocking=config.non_blocking,
-                    fsq_capacity=config.fsq_capacity,
-                    md_cache=config.md_cache,
-                    filter_memo=filter_memo,
-                ),
+                config=fade_config(config),
             )
+        self.fade: Optional[Fade] = fade
         self._tlb_service_cycles = (
             math.ceil(
                 config.md_cache.tlb_service_instructions
@@ -312,14 +333,25 @@ class MonitoringSimulation:
         # ``_finalize`` turns them into ``result.handler_instructions``.
         self._handler_totals: list = [None] * len(HandlerClass)
         self._handler_order: list = []
+        #: Whether the monitor and FADE hold the warmed state.
+        self._warmed = False
+        if warmed:
+            self._finish_warmup()
 
     # ------------------------------------------------------------------ run
+
+    def warm_up(self) -> None:
+        """Apply the functional warmup now, unless it has been applied
+        (:meth:`run` starts here)."""
+        if not self._warmed:
+            self._run_warmup()
 
     def _run_warmup(self) -> None:
         """Apply the leading ``warmup_items`` functionally, then reset every
         statistic so timing starts from a warmed state."""
         count = self.warmup_items
         if count <= 0:
+            self._finish_warmup()
             return
         fade = self.fade
         monitor = self.monitor
@@ -376,10 +408,23 @@ class MonitoringSimulation:
                     ):
                         fade.write_invariant(inv_id, value)
                 monitor.handle_high_level(event)
-        # Reset statistics gathered during warmup.
-        monitor.reports.clear()
-        if fade is not None:
-            fade.stats.reset()
+        self._finish_warmup()
+
+    def _finish_warmup(self) -> None:
+        """Start timing after the warmup: reset the statistics it gathered
+        and move the application and the timed-region counts past it.
+
+        The resets are idempotent, so a stored warm state (saved after
+        them) passes through here again when it is installed."""
+        self._warmed = True
+        count = self.warmup_items
+        if count <= 0:
+            return
+        trace = self.trace
+        kinds = self._kinds
+        self.monitor.reports.clear()
+        if self.fade is not None:
+            self.fade.stats.reset()
         self._app_index = count
         timed_start = self._schedule[count - 1]
         self._progress_base = timed_start
@@ -392,7 +437,7 @@ class MonitoringSimulation:
         self.result.baseline_cycles = self._schedule[-1] - timed_start
 
     def run(self) -> RunResult:
-        self._run_warmup()
+        self.warm_up()
         if self.config.engine == "naive":
             self._run_naive()
         else:

@@ -16,14 +16,17 @@ geometrically smaller instruction counts and reports the smallest spec that
 still disagrees, so the repro attached to a failing fuzz campaign is
 minutes — not hours — of single-stepping away from a root cause.
 
-Ten legs execute per spec: the four serial-cold engine × filter-mode
+Eleven legs execute per spec: the four serial-cold engine × filter-mode
 combinations over {event, naive} (the naive engine ignores the filter
 memo by construction, but runs under both settings anyway, so the
 forced-inline environment path cannot rot unnoticed), two store
 round-trips of the reference result (one per
 :class:`~repro.api.ResultStore` backend — sharded JSON and SQLite — so
-the store axis covers both persistence formats), and — in thorough mode —
-the four parallel-cold combinations.  The remaining corners of the
+the store axis covers both persistence formats), one event run from a
+warm state written to and loaded from a throwaway
+:class:`~repro.api.trace_store.TraceStore` (whatever the spec's scope:
+fuzzed inline profiles included), and — in thorough mode — the four
+parallel-cold combinations.  The remaining corners of the
 product (warm round-trips of the non-reference legs) are implied: every
 leg must equal the reference byte-for-byte, and the store round-trip is a
 pure serialization identity, so one warm leg witnesses it for all.
@@ -47,15 +50,19 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.api.cache import RunnerCache
-from repro.api.runner import ParallelRunner, execute_spec
+from repro.api.runner import ParallelRunner, build_simulation, execute_spec
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
+from repro.api.trace_store import TraceStore
 from repro.common.errors import SimulationError
 from repro.faults.injector import suppress_faults
 from repro.system.results import RunResult
 
 #: The reference leg every other leg is diffed against.
 REFERENCE_LEG = "event/serial/memo/cold"
+
+#: The leg that runs from a stored warm state (write, then load).
+WARM_STATE_LEG = "event/serial/memo/warm-state"
 
 #: Below this instruction count the shrinker stops descending: tiny traces
 #: are already single-steppable.
@@ -202,8 +209,29 @@ class DifferentialOracle:
         with forced_inline(inline):
             return execute_spec(leg_spec, self._cache)
 
+    def _stored_warm_digest(self, spec: RunSpec) -> str:
+        """The event engine's digest for ``spec`` run from its warm state
+        after a round trip through a throwaway store: the first build
+        warms and writes it, the second loads it.  A store that cannot be
+        used (sources edited since load) leaves a plain run."""
+        leg_spec = spec.replace(
+            config=dataclasses.replace(spec.config, engine="event")
+        )
+        with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
+            store = TraceStore(tmp)
+            written = build_simulation(leg_spec, self._cache, store)
+            if (store.enabled and written.warmup_items
+                    and store.stats()["blobs"] != 1):
+                return "<warm-state-not-written>"
+            simulation = build_simulation(leg_spec, self._cache, store)
+            if store.healed:
+                return "<warm-state-not-loaded>"
+            return result_digest(simulation.run())
+
     def _leg_runner(self, leg: str) -> Callable[[RunSpec], str]:
         """A digest function for one leg name (used by the shrinker)."""
+        if leg == WARM_STATE_LEG:
+            return self._stored_warm_digest
         engine = leg.split("/", 1)[0]
         inline = "/inline/" in leg
         if leg.endswith("/warm") or leg.endswith("/warm-sqlite"):
@@ -302,6 +330,8 @@ class DifferentialOracle:
                 else:
                     digests[leg] = result_digest(warm)
                     results[leg] = warm
+
+        digests[WARM_STATE_LEG] = _guarded(self._stored_warm_digest, spec)
 
         if self.thorough:
             # Both engines share one pool per filter mode (two pools per

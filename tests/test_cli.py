@@ -167,12 +167,13 @@ class TestCacheTraces:
         capsys.readouterr()
         assert main(["cache", "stats", "--traces", "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["blobs"] == 2 and stats["bytes"] > 0  # Trace, schedule.
+        # Trace, schedule and warm state.
+        assert stats["blobs"] == 3 and stats["bytes"] > 0
         assert main(["cache", "stats", "--traces"]) == 0
         out = capsys.readouterr().out
-        assert f"trace store at {store_dir}" in out and "blobs: 2" in out
+        assert f"trace store at {store_dir}" in out and "blobs: 3" in out
         assert main(["cache", "clear", "--traces"]) == 0
-        assert "2 trace store blob(s) removed" in capsys.readouterr().out
+        assert "3 trace store blob(s) removed" in capsys.readouterr().out
         assert main(["cache", "stats", "--traces", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["blobs"] == 0
 
@@ -188,7 +189,7 @@ class TestCacheTraces:
                      "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 1
-        assert stats["trace_store"]["blobs"] == 2
+        assert stats["trace_store"]["blobs"] == 3
         assert main(["cache", "stats", "--result-cache",
                      str(cache_dir)]) == 0
         out = capsys.readouterr().out
@@ -198,7 +199,7 @@ class TestCacheTraces:
                      str(cache_dir)]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--traces", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["blobs"] == 2
+        assert json.loads(capsys.readouterr().out)["blobs"] == 3
 
     def test_trace_store_off(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")

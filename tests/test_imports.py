@@ -82,6 +82,37 @@ def test_repro_run_loads_no_heavy_stdlib():
     assert imported.isdisjoint(OTHER_COMMANDS + HEAVY_STDLIB)
 
 
+def test_in_process_campaign_loads_no_service_stack(tmp_path):
+    """A campaign without ``--server`` needs only the campaign module and
+    the runner, not the server, its scheduler, its client or asyncio."""
+    campaign = tmp_path / "tiny.json"
+    campaign.write_text(json.dumps({
+        "name": "tiny", "specs": [{"benchmark": "gcc", "monitor": "memcheck"}],
+    }))
+    service_stack = HEAVY_STDLIB + (
+        "repro.service.server", "repro.service.scheduler",
+        "repro.service.client",
+    )
+    assert _modules_after("import repro.service.campaign").isdisjoint(
+        service_stack
+    )
+    loaded = _modules_after(
+        "from repro.cli import main\n"
+        f"main(['campaign', 'show', {str(campaign)!r}])"
+    )
+    assert "repro.service.campaign" in loaded
+    assert loaded.isdisjoint(service_stack)
+
+
+def test_a_stored_trace_loads_no_pickle():
+    """``pickle`` is imported only to read or write a warm state."""
+    loaded = _modules_after(
+        "from repro.api import ExperimentSettings, RunnerCache\n"
+        "RunnerCache().trace('gcc', ExperimentSettings(num_instructions=1500))"
+    )
+    assert "repro.api.trace_store" in loaded and "pickle" not in loaded
+
+
 @pytest.mark.parametrize("package", sorted(
     path.name for path in (SRC / "repro").iterdir()
     if (path / "__init__.py").exists()

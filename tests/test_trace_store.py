@@ -1,23 +1,30 @@
-"""The per-machine trace and schedule store behind ``RunnerCache``.
+"""The per-machine trace, schedule and warm-state store behind
+``RunnerCache``.
 
 A loaded artifact must be indistinguishable from a regenerated one, a bad
-blob must heal instead of raising, keys must cover the generating source,
+blob must heal instead of raising (a warm state's pickle may construct
+nothing outside its allow-list), keys must cover the generating source,
 and results must not depend on whether the store is off, cold or warm.
 """
 
 import asyncio
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
 import time
+import zlib
 
 import pytest
 
 from repro.api import ExperimentSettings, RunSpec, execute_spec
+from repro.api import register_monitor
+from repro.api.runner import build_simulation
 from repro.api import trace_store as trace_store_module
 from repro.api.cache import RunnerCache
 from repro.api.trace_store import (
@@ -28,12 +35,15 @@ from repro.api.trace_store import (
     default_trace_store_path,
     fingerprint_sources,
 )
+from repro.common.errors import ConfigurationError
 from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
 from repro.mem.hierarchy import HierarchyConfig
-from repro.monitors import monitor_names
+from repro.monitors import MemCheck, monitor_names
 from repro.service.scheduler import SpecScheduler
 from repro.system.config import SystemConfig
+from repro.system.simulator import MonitoringSimulation, fade_config
+from repro.verify.coverage import COVERAGE
 from repro.workload import benchmark_names, generate_trace, get_profile
 from repro.workload.packed import COLUMN_SPEC
 
@@ -144,6 +154,18 @@ class TestPinnedKeys:
             "a53e3f36e5c0fdccdab9b0f6dd02212dc89c36487721662d78ff01a8fc6cdc66"
         )
 
+    @pytest.mark.parametrize("fade, key", [
+        (True,
+         "0e7370b5ef50c72a3eba134780b3dc0a4babdd46f31c4770edfc87dbae1bb53d"),
+        (False,
+         "84dbcceb87382f12d4601bfcb91e85eecb7398b01bc52e4e4409e18a5cde3490"),
+    ], ids=["fade", "unaccel"])
+    def test_warm_key(self, store, fade, key):
+        assert store.warm_key(
+            get_profile("gcc"), 20000, 7, "memcheck",
+            fade_config(SystemConfig(fade_enabled=fade)), 10000,
+        ) == key
+
 
 class TestDegradation:
     def _regenerates(self):
@@ -223,7 +245,8 @@ class TestDegradation:
 
     @pytest.mark.parametrize("package, edited", [
         ("workload", True), ("cores", True), ("mem", True),
-        ("monitors", False),
+        ("monitors", True), ("fade", True), ("metadata", True),
+        ("system", True), ("queues", False),
     ])
     def test_fingerprint_follows_front_end_source_edits(
         self, tmp_path, package, edited
@@ -345,7 +368,7 @@ class TestScope:
     def test_registry_spec_writes_trace_and_schedule(self, store):
         execute_spec(RunSpec("astar", "memleak", settings=SMALL),
                      RunnerCache())
-        assert store.stats()["blobs"] == 2
+        assert store.stats()["blobs"] == 3  # And the warm state.
 
     def test_orphaned_temp_file_is_not_a_blob(self, store):
         # A writer killed between mkstemp and os.replace leaves its temp
@@ -465,3 +488,228 @@ def test_results_identical_with_store_off_cold_and_warm(
     assert warm_cache.stats()["trace_store_hits"] == 1
     assert warm_cache.stats()["schedule_store_hits"] == 1
     assert off.to_dict() == cold.to_dict() == warm.to_dict()
+
+
+# ------------------------------------------------------------- warm states
+
+#: The three FADE settings a warm state is keyed apart by.
+WARM_CONFIGS = {
+    "unaccel": SystemConfig(fade_enabled=False),
+    "blocking": SystemConfig(fade_enabled=True, non_blocking=False),
+    "non-blocking": SystemConfig(fade_enabled=True, non_blocking=True),
+}
+
+
+def _warm_blobs(path):
+    return [blob for blob in _blobs(path)
+            if json.loads(blob.read_bytes().split(b"\n", 1)[0])["kind"]
+            == "warm"]
+
+
+def _rewrite_warm_blob(store, body):
+    """Replace the one warm blob's body with ``body`` under a valid
+    header, so only the pickle inside can make it a bad blob."""
+    (blob,) = _warm_blobs(store.path)
+    header = json.loads(blob.read_bytes().split(b"\n", 1)[0])
+    compressed = zlib.compress(body, 1)
+    header.update(count=len(body),
+                  sha256=hashlib.sha256(compressed).hexdigest())
+    blob.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + compressed)
+
+
+def _memo_counts(simulation):
+    pipeline = simulation.fade.pipeline if simulation.fade else None
+    return (pipeline.memo_value_hits, pipeline.memo_misses) if pipeline else ()
+
+
+class _Planted:
+    """Pickles as a call of ``os.system``."""
+
+    def __init__(self, command):
+        self.command = command
+
+    def __reduce__(self):
+        return os.system, (self.command,)
+
+
+class TestWarmState:
+    @pytest.mark.parametrize("warmup", [0.25, 0.5])
+    @pytest.mark.parametrize("config", list(WARM_CONFIGS),
+                             ids=list(WARM_CONFIGS))
+    @pytest.mark.parametrize("monitor", monitor_names())
+    def test_warm_hit_is_bit_identical_to_a_fresh_warmup(
+        self, tmp_path, monkeypatch, monitor, config, warmup
+    ):
+        spec = RunSpec("gcc", monitor, WARM_CONFIGS[config],
+                       dataclasses.replace(SMALL, warmup_fraction=warmup))
+        monkeypatch.setenv(TRACE_STORE_ENV, "off")
+        off = build_simulation(spec, RunnerCache())
+        off_result = off.run()
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path))
+        written = execute_spec(spec, RunnerCache())
+        assert len(_warm_blobs(tmp_path)) == 1
+        cache = RunnerCache()
+        loaded = build_simulation(spec, cache)
+        assert cache.stats()["warm_store_hits"] == 1
+        loaded_result = loaded.run()
+        again = execute_spec(spec, cache)  # From the in-memory LRU.
+        assert cache.stats()["warm_hits"] == 1
+        assert (off_result.to_dict() == written.to_dict()
+                == loaded_result.to_dict() == again.to_dict())
+        # The pipeline's memo counters travel with the state.
+        assert _memo_counts(loaded) == _memo_counts(off)
+
+    def test_state_is_one_graph(self, store):
+        # FADE reads the monitor's own metadata after a load, not a copy.
+        spec = RunSpec("gcc", "taintcheck", settings=SMALL)
+        execute_spec(spec, RunnerCache())
+        simulation = build_simulation(spec, RunnerCache())
+        pipeline = simulation.fade.pipeline
+        assert pipeline.md_registers is simulation.monitor.critical_regs
+        assert pipeline.md_memory is simulation.monitor.critical_mem
+        assert simulation.fade.process == pipeline.process
+
+    def test_planted_pickle_never_runs_and_is_healed(self, store, tmp_path):
+        spec = RunSpec("gcc", "memcheck", settings=SMALL)
+        reference = execute_spec(spec, RunnerCache())
+        marker = tmp_path / "planted-ran"
+        _rewrite_warm_blob(store, pickle.dumps(_Planted(f"touch {marker}")))
+        cache = RunnerCache()
+        assert execute_spec(spec, cache).to_dict() == reference.to_dict()
+        assert not marker.exists()
+        assert store.healed == 1 and cache.stats()["warm_store_hits"] == 0
+        cache = RunnerCache()  # The rebuilt state replaced the blob.
+        execute_spec(spec, cache)
+        assert cache.stats()["warm_store_hits"] == 1
+
+    @pytest.mark.parametrize("body", [
+        pickle.dumps(("not", "a warm state")),
+        pickle.dumps(dataclasses.replace),  # A function, not a class.
+        b"\x80\x05not a pickle",
+    ], ids=["wrong-shape", "function", "garbage"])
+    def test_other_pickles_are_healed(self, store, body):
+        spec = RunSpec("gcc", "addrcheck", settings=SMALL)
+        reference = execute_spec(spec, RunnerCache())
+        _rewrite_warm_blob(store, body)
+        assert execute_spec(spec, RunnerCache()).to_dict() == (
+            reference.to_dict()
+        )
+        assert store.healed == 1
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_warm_blob_is_healed(self, store, damage):
+        spec = RunSpec("gcc", "memleak", settings=SMALL)
+        reference = execute_spec(spec, RunnerCache())
+        (blob,) = _warm_blobs(store.path)
+        data = bytearray(blob.read_bytes())
+        if damage == "truncate":
+            del data[len(data) // 2:]
+        else:
+            data[-1] ^= 0xFF  # Fails the body digest.
+        blob.write_bytes(bytes(data))
+        assert execute_spec(spec, RunnerCache()).to_dict() == (
+            reference.to_dict()
+        )
+        assert store.healed == 1
+        cache = RunnerCache()
+        execute_spec(spec, cache)
+        assert cache.stats()["warm_store_hits"] == 1
+
+    def _assert_no_warm_state(self, store, spec, cache_factory=RunnerCache):
+        for _ in range(2):
+            cache = cache_factory()
+            execute_spec(spec, cache)
+            assert cache.stats()["warm_states"] == 0
+            assert cache.stats()["warm_store_hits"] == 0
+        assert _warm_blobs(store.path) == []
+
+    def test_naive_engine_keeps_no_warm_state(self, store):
+        self._assert_no_warm_state(store, RunSpec(
+            "gcc", "memcheck", SystemConfig(engine="naive"), SMALL))
+
+    def test_inline_profile_keeps_no_warm_state(self, store):
+        inline = dataclasses.replace(get_profile("gcc"), name="inline")
+        self._assert_no_warm_state(store, RunSpec(
+            "inline", "memcheck", settings=SMALL, profile=inline))
+
+    def test_coverage_counting_keeps_no_warm_state(self, store):
+        was_enabled = COVERAGE.enabled
+        COVERAGE.enable()
+        try:
+            self._assert_no_warm_state(
+                store, RunSpec("gcc", "memcheck", settings=SMALL))
+        finally:
+            if not was_enabled:
+                COVERAGE.disable()
+
+    def test_replaced_monitor_keeps_no_warm_state(self, store):
+        class Patched(MemCheck):
+            pass
+
+        register_monitor("memcheck", Patched, replace=True)
+        try:
+            self._assert_no_warm_state(
+                store, RunSpec("gcc", "memcheck", settings=SMALL))
+        finally:
+            register_monitor("memcheck", MemCheck, replace=True)
+
+    def test_zero_warmup_keeps_no_warm_state(self, store):
+        self._assert_no_warm_state(store, RunSpec(
+            "gcc", "memcheck",
+            settings=dataclasses.replace(SMALL, warmup_fraction=0.0)))
+
+    def test_non_persisting_cache_keeps_no_warm_state(self, store):
+        self._assert_no_warm_state(
+            store, RunSpec("gcc", "memcheck", settings=SMALL),
+            lambda: RunnerCache(persist=False))
+
+    def test_store_off_keeps_no_warm_state(self, monkeypatch):
+        monkeypatch.setenv(TRACE_STORE_ENV, "off")
+        cache = RunnerCache()
+        execute_spec(RunSpec("gcc", "memcheck", settings=SMALL), cache)
+        execute_spec(RunSpec("gcc", "memcheck", settings=SMALL), cache)
+        assert cache.stats()["warm_states"] == 0
+
+    def test_forced_inline_filtering_is_keyed_apart(self, store,
+                                                    monkeypatch):
+        spec = RunSpec("gcc", "memcheck", settings=SMALL)
+        memo = execute_spec(spec, RunnerCache())
+        monkeypatch.setenv("REPRO_FORCE_INLINE_FADE", "1")
+        cache = RunnerCache()
+        inline = execute_spec(spec, cache)
+        assert cache.stats()["warm_store_hits"] == 0
+        assert len(_warm_blobs(store.path)) == 2
+        assert inline.to_dict() == memo.to_dict()
+
+    def test_cells_differing_in_core_share_one_warm_state(self, store):
+        cache = RunnerCache()
+        results = [
+            execute_spec(RunSpec("gcc", "memleak",
+                                 SystemConfig(core_type=core), SMALL), cache)
+            for core in CoreType
+        ]
+        stats = cache.stats()
+        assert stats["warm_misses"] == 1
+        assert stats["warm_hits"] == len(CoreType) - 1
+        assert len(_warm_blobs(store.path)) == 1
+        unpersisted = [
+            execute_spec(RunSpec("gcc", "memleak",
+                                 SystemConfig(core_type=core), SMALL),
+                         RunnerCache(persist=False))
+            for core in CoreType
+        ]
+        assert [r.to_dict() for r in results] == [
+            r.to_dict() for r in unpersisted
+        ]
+
+    def test_simulation_rejects_a_mismatched_fade(self):
+        trace = _fresh_trace()
+        monitor = MemCheck()
+        with pytest.raises(ConfigurationError, match="needs its warmed FADE"):
+            MonitoringSimulation(trace, monitor, SystemConfig(), warmed=True)
+        fade = build_simulation(RunSpec("astar", "memcheck", settings=SMALL),
+                                RunnerCache(persist=False)).fade
+        with pytest.raises(ConfigurationError, match="needs fade_enabled"):
+            MonitoringSimulation(trace, monitor,
+                                 SystemConfig(fade_enabled=False), fade=fade)
