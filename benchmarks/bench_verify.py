@@ -7,9 +7,9 @@ Two numbers keep the verify subsystem honest:
   FADE-active cell with the map disabled and enabled and *gates the
   enabled overhead* (exit non-zero past the bound).  The disabled-path
   cost cannot be judged here (there is no uninstrumented build to compare
-  against at runtime) — that is what CI's perf-smoke cycles/sec diff
-  against the base commit catches; this payload records the disabled
-  seconds so the trend is visible.
+  against at runtime) — that is what CI's paired perfbench gate against
+  the base commit (``benchmarks/perf_gate.py``) catches; this payload
+  records the disabled seconds so the trend is visible.
 * **Fuzz throughput** — cases/second of a small serial-leg campaign,
   the figure that sizes CI's ``repro fuzz --budget 60s`` smoke budget.
 

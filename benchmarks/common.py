@@ -13,11 +13,8 @@ whose inputs changed).
 
 from __future__ import annotations
 
-import contextlib
-import cProfile
 import os
 import pathlib
-import pstats
 
 from repro.analysis import ExperimentSettings
 from repro.api import ParallelRunner, ResultStore, Runner, SerialRunner
@@ -49,26 +46,6 @@ def make_runner() -> Runner:
 
 #: The runner every bench passes to its harness call.
 BENCH_RUNNER = make_runner()
-
-#: Set ``REPRO_BENCH_PROFILE=1`` to cProfile the timed region of a bench.
-PROFILE_ENABLED = os.environ.get("REPRO_BENCH_PROFILE", "") not in ("", "0")
-
-
-@contextlib.contextmanager
-def maybe_profile(label: str = "bench"):
-    """cProfile the enclosed block when ``REPRO_BENCH_PROFILE`` is set,
-    printing the top-20 cumulative entries afterwards; otherwise a no-op."""
-    if not PROFILE_ENABLED:
-        yield
-        return
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield
-    finally:
-        profiler.disable()
-        print(f"\n[profile: {label}]")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
 
 
 def record(name: str, text: str) -> str:

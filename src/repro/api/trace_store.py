@@ -53,6 +53,7 @@ both happen on first use.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import json
@@ -98,6 +99,9 @@ _FINGERPRINT_GLOB = "[0-9a-f]" * _FINGERPRINT_DIGITS
 
 #: This process's fingerprint; None until computed, "" when unusable.
 _fingerprint: Optional[str] = None
+
+#: How many distinct profiles :func:`_profile_json` remembers per process.
+_PROFILE_MEMO_SIZE = 256
 
 
 def fingerprint_sources(root: pathlib.Path, loaded_at: float
@@ -150,6 +154,19 @@ def source_fingerprint() -> Optional[str]:
             _fingerprint = fingerprint_sources(_PACKAGE_ROOT,
                                                repro.LOADED_AT) or ""
     return _fingerprint or None
+
+
+def _canonical(value: object) -> str:
+    return json.dumps(value, sort_keys=True, default=str)
+
+
+@functools.lru_cache(maxsize=_PROFILE_MEMO_SIZE)
+def _profile_json(profile: BenchmarkProfile, profile_id: int) -> str:
+    """The canonical JSON of a profile's fields, memoized by identity: the
+    entry holds the profile, so its id cannot be reused while it lives,
+    and an equal profile that is another object (``7 == 7.0``) gets an
+    entry of its own."""
+    return _canonical(field_dict(profile))
 
 
 def default_trace_store_path() -> Optional[pathlib.Path]:
@@ -413,16 +430,22 @@ class TraceStore:
             # Sources that cannot vouch for the loaded code key nothing.
             self.enabled = False
             return None
-        payload = {
-            "kind": kind,
-            "trace_schema": TRACE_SCHEMA_VERSION,
-            "profile": field_dict(profile),
-            "num_instructions": num_instructions,
-            "seed": seed,
-            "source": fingerprint,
-            **extra,
+        members = {
+            name: _canonical(value) for name, value in {
+                "kind": kind,
+                "trace_schema": TRACE_SCHEMA_VERSION,
+                "num_instructions": num_instructions,
+                "seed": seed,
+                "source": fingerprint,
+                **extra,
+            }.items()
         }
-        canonical = json.dumps(payload, sort_keys=True, default=str)
+        members["profile"] = _profile_json(profile, id(profile))
+        # Exactly the text json.dumps(..., sort_keys=True) gives for the
+        # whole payload, with the profile's part taken from the memo.
+        canonical = "{%s}" % ", ".join(
+            f"{json.dumps(name)}: {members[name]}" for name in sorted(members)
+        )
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def blob_dir(self) -> BlobDir:

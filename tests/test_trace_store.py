@@ -167,6 +167,35 @@ class TestPinnedKeys:
         ) == key
 
 
+class TestKeyMemo:
+    """The profile's canonical JSON is memoized by identity, so an equal
+    profile whose fields serialize differently keys as it serializes."""
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_store_module, "_fingerprint", "f" * 64)
+        return TraceStore(tmp_path)
+
+    @staticmethod
+    def _fresh_key(profile):
+        payload = {"kind": "trace",
+                   "trace_schema": trace_store_module.TRACE_SCHEMA_VERSION,
+                   "profile": dataclasses.asdict(profile),
+                   "num_instructions": 20000, "seed": 7, "source": "f" * 64}
+        canonical = json.dumps(payload, sort_keys=True, default=str)
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_equal_profile_of_other_types_gets_its_own_key(self, store):
+        profile = get_profile("gcc")
+        as_float = dataclasses.replace(
+            profile, hot_set_words=float(profile.hot_set_words))
+        assert as_float == profile
+        assert store.trace_key(profile, 20000, 7) == self._fresh_key(profile)
+        assert (store.trace_key(as_float, 20000, 7)
+                == self._fresh_key(as_float)
+                != self._fresh_key(profile))
+
+
 class TestDegradation:
     def _regenerates(self):
         trace = _fresh_trace()
