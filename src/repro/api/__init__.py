@@ -26,56 +26,53 @@ Extensions plug in without editing core modules::
     register_profile(my_benchmark_profile)       # everywhere, incl. the CLI
 """
 
-from repro.monitors import create_monitor, monitor_names, register_monitor
-from repro.workload.profiles import benchmark_names, get_profile, register_profile
+import importlib as _importlib
 
-from repro.api.cache import LruCache, RunnerCache
-from repro.api.results import ResultSet, RunRecord
-from repro.api.store import STORE_SCHEMA_VERSION, ResultStore, content_key
-from repro.api.runner import (
-    ParallelRunner,
-    Runner,
-    SerialRunner,
-    default_runner,
-    execute_spec,
-    run_specs,
-    set_default_runner,
-)
-from repro.api.spec import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    RunSpec,
-    config_from_fields,
-    spec_grid,
-)
-from repro.system.config import CORE_ALIASES, TOPOLOGY_ALIASES
+#: Each public name and the module that defines it.  A name is imported on
+#: first access, so a process that opens only a result store (the
+#: campaign server before its first computation) loads neither the
+#: runner nor the simulator.
+_EXPORTS = {
+    "CORE_ALIASES": "repro.system.config",
+    "DEFAULT_SETTINGS": "repro.api.spec",
+    "ExperimentSettings": "repro.api.spec",
+    "LruCache": "repro.api.cache",
+    "ParallelRunner": "repro.api.runner",
+    "ResultSet": "repro.api.results",
+    "ResultStore": "repro.api.store",
+    "RunRecord": "repro.api.results",
+    "RunSpec": "repro.api.spec",
+    "Runner": "repro.api.runner",
+    "RunnerCache": "repro.api.cache",
+    "SerialRunner": "repro.api.runner",
+    "STORE_SCHEMA_VERSION": "repro.api.store",
+    "TOPOLOGY_ALIASES": "repro.system.config",
+    "benchmark_names": "repro.workload.profiles",
+    "config_from_fields": "repro.api.spec",
+    "content_key": "repro.api.store",
+    "create_monitor": "repro.monitors",
+    "default_runner": "repro.api.runner",
+    "execute_spec": "repro.api.runner",
+    "get_profile": "repro.workload.profiles",
+    "monitor_names": "repro.monitors",
+    "register_monitor": "repro.monitors",
+    "register_profile": "repro.workload.profiles",
+    "run_specs": "repro.api.runner",
+    "set_default_runner": "repro.api.runner",
+    "spec_grid": "repro.api.spec",
+}
 
-__all__ = [
-    "CORE_ALIASES",
-    "DEFAULT_SETTINGS",
-    "ExperimentSettings",
-    "LruCache",
-    "ParallelRunner",
-    "ResultSet",
-    "ResultStore",
-    "RunRecord",
-    "RunSpec",
-    "Runner",
-    "RunnerCache",
-    "SerialRunner",
-    "STORE_SCHEMA_VERSION",
-    "TOPOLOGY_ALIASES",
-    "benchmark_names",
-    "config_from_fields",
-    "content_key",
-    "create_monitor",
-    "default_runner",
-    "execute_spec",
-    "get_profile",
-    "monitor_names",
-    "register_monitor",
-    "register_profile",
-    "run_specs",
-    "set_default_runner",
-    "spec_grid",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
+    value = getattr(_importlib.import_module(module), name)
+    globals()[name] = value  # Later reads skip this hook.
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -51,18 +51,20 @@ import math
 import os
 import pathlib
 import tempfile
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.common.errors import SimulationError
 from repro.faults.injector import store_write_fault
 from repro.faults.retry import STORE_WRITE_POLICY
-from repro.monitors import MONITOR_REGISTRY
-from repro.system.config import field_dict
-from repro.system.results import RunResult
-from repro.workload.packed import TRACE_SCHEMA_VERSION
-from repro.workload.profile import BenchmarkProfile
 
-from repro.api.spec import RunSpec
+# Opening, listing and clearing a store loads no simulator: keys, results
+# and specs import the layers they read where they use them.
+if TYPE_CHECKING:
+    from repro.api.spec import RunSpec
+    from repro.system.results import RunResult
+    from repro.workload.profile import BenchmarkProfile
 
 #: Version of the store's on-disk entry format *and* of the RunResult
 #: semantics it captures.  Bump whenever RunResult serialisation or the
@@ -93,6 +95,9 @@ def content_key(spec: RunSpec) -> str:
     keyed on everything the digest reads, with the schema versions read at
     call time, so a hit returns exactly the key a fresh computation would.
     """
+    from repro.monitors import MONITOR_REGISTRY
+    from repro.workload.packed import TRACE_SCHEMA_VERSION
+
     factory = MONITOR_REGISTRY.get(spec.monitor)
     monitor_impl = (
         f"{getattr(factory, '__module__', '?')}."
@@ -133,6 +138,8 @@ def _digest(
     type and each float exactly (``tests/test_store.py`` checks that no
     field of them is left out of the repr).
     """
+    from repro.system.config import field_dict
+
     profile = spec.profile if registered is None else registered
     payload = {
         "store_schema": store_schema,
@@ -349,6 +356,8 @@ class ResultStore:
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
         """The cached result for ``spec``'s content, or None (a miss)."""
+        from repro.system.results import RunResult
+
         key = content_key(spec)
         try:
             payload = self._backend.read(key)

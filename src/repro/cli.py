@@ -56,16 +56,12 @@ import json
 import os
 import pathlib
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional
 
-# The parser's choices come from the registries; each command imports the
-# rest of what it runs inside its handler, so `repro run` never loads the
-# service, the verification stack or the process pool.
+# Each command imports what it runs inside its handler, so `repro run`
+# never loads the service, the verification stack or the process pool,
+# and `repro serve` loads no simulator before its first computation.
 from repro.common.errors import ConfigurationError, ServiceError
-from repro.monitors import monitor_names
-from repro.system.config import CORE_ALIASES as _CORES
-from repro.system.config import TOPOLOGY_ALIASES as _TOPOLOGIES
-from repro.workload.profiles import benchmark_names
 
 if TYPE_CHECKING:
     from repro.api import ResultSet, ResultStore, Runner
@@ -80,6 +76,48 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+class _Names:
+    """Argparse ``choices`` read from a registry only when a value is
+    checked or the help is printed, so building the parser loads none of
+    the registries, and a name registered before parsing is accepted.
+
+    An argument taking one needs a ``metavar``: argparse formats the
+    default metavar from the choices when the argument is added."""
+
+    def __init__(self, names: Callable[[], Iterable[str]]) -> None:
+        self._names = names
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
+
+
+def _benchmark_names() -> List[str]:
+    from repro.workload.profiles import benchmark_names
+
+    return benchmark_names()
+
+
+def _monitor_names() -> List[str]:
+    from repro.monitors import monitor_names
+
+    return monitor_names()
+
+
+def _core_names() -> List[str]:
+    from repro.system.config import CORE_ALIASES
+
+    return sorted(CORE_ALIASES)
+
+
+def _topology_names() -> List[str]:
+    from repro.system.config import TOPOLOGY_ALIASES
+
+    return sorted(TOPOLOGY_ALIASES)
 
 
 def _add_execution_arguments(
@@ -117,10 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate one monitoring run")
-    run.add_argument("--benchmark", default="astar", choices=benchmark_names())
-    run.add_argument("--monitor", default="memleak", choices=monitor_names())
-    run.add_argument("--core", default="ooo4", choices=sorted(_CORES))
-    run.add_argument("--topology", default="single", choices=sorted(_TOPOLOGIES))
+    for flag, default, names in (
+        ("--benchmark", "astar", _benchmark_names),
+        ("--monitor", "memleak", _monitor_names),
+        ("--core", "ooo4", _core_names),
+        ("--topology", "single", _topology_names),
+    ):
+        run.add_argument(
+            flag, default=default, choices=_Names(names),
+            metavar=flag[2:].upper(),
+            help="one of: %(choices)s (default: %(default)s)",
+        )
     run.add_argument("--no-fade", action="store_true", help="unaccelerated system")
     run.add_argument("--blocking", action="store_true", help="disable Non-Blocking")
     run.add_argument(
@@ -349,8 +394,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         warmup_fraction=args.warmup,
     )
     config = SystemConfig(
-        core_type=_CORES[args.core],
-        topology=_TOPOLOGIES[args.topology],
+        core_type=args.core,
+        topology=args.topology,
         fade_enabled=not args.no_fade,
         non_blocking=not args.blocking,
         engine=args.engine,
@@ -426,8 +471,8 @@ def _cmd_area(_: argparse.Namespace) -> int:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
-    print("benchmarks:", " ".join(benchmark_names()))
-    print("monitors:  ", " ".join(monitor_names()))
+    print("benchmarks:", " ".join(_benchmark_names()))
+    print("monitors:  ", " ".join(_monitor_names()))
     return 0
 
 

@@ -60,18 +60,23 @@ import asyncio
 import dataclasses
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.process import BaseProcess
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.api.runner import _terminate_pool, _worker_run, new_worker_pool
-from repro.api.spec import RunSpec
 from repro.api.store import ResultStore, check_finite, content_key
 from repro.common.errors import ConfigurationError, SpecTimeout
 from repro.faults.injector import probe, spec_fault_key
 from repro.faults.retry import COMPUTE_POLICY, RetryPolicy
-from repro.system.results import RunResult
+
+# The runner, the simulator it runs and the process pool load in
+# :meth:`SpecScheduler._pool`, just before the first pool forks, so a
+# server answers /health before it loads them and its workers inherit
+# them instead of each importing them.
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.process import BaseProcess
+
+    from repro.api.spec import RunSpec
+    from repro.system.results import RunResult
 
 logger = logging.getLogger("repro.service")
 
@@ -133,8 +138,14 @@ class SpecScheduler:
         if self._closed:
             raise RuntimeError("the scheduler is shut down")
         if self._executor is None:
+            from concurrent.futures.process import BrokenProcessPool
+
+            from repro.api import runner
+
             try:
-                self._executor = new_worker_pool(self.workers, persist=False)
+                self._executor = runner.new_worker_pool(
+                    self.workers, persist=False
+                )
             except (OSError, ValueError) as error:
                 raise BrokenProcessPool(
                     f"cannot build a process pool: {error}"
@@ -205,6 +216,8 @@ class SpecScheduler:
         return result
 
     async def _compute_with_retry(self, spec: RunSpec) -> RunResult:
+        from concurrent.futures.process import BrokenProcessPool
+
         policy = self.retry_policy
         last: Optional[BaseException] = None
         for attempt in range(1, policy.attempts + 1):
@@ -221,6 +234,10 @@ class SpecScheduler:
         raise last
 
     async def _compute_once(self, spec: RunSpec) -> RunResult:
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.api.runner import _worker_run
+
         pool = self._pool()
         try:
             # Fault seam: an installed chaos plan can break the pool or slow
@@ -277,6 +294,8 @@ class SpecScheduler:
             return 0.0
         self.faults_injected += 1
         if event.kind == "pool_broken":
+            from concurrent.futures.process import BrokenProcessPool
+
             raise BrokenProcessPool(
                 "injected fault: process pool broke at submit"
             )
@@ -337,4 +356,6 @@ class SpecScheduler:
         executor, self._executor = self._executor, None
         if executor is None:
             return []
+        from repro.api.runner import _terminate_pool
+
         return _terminate_pool(executor)

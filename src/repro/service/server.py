@@ -44,7 +44,6 @@ import socket
 import threading
 from typing import Dict, Optional, Set
 
-from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
 from repro.faults.injector import active_injector, probe
 
@@ -335,6 +334,10 @@ class CampaignServer:
         self, index: int, raw_spec: object, include_results: bool
     ) -> Dict[str, object]:
         """One spec, one NDJSON event — errors become events, not aborts."""
+        # The first /run loads the spec layer (and with it the registries);
+        # /health and /stats never do.
+        from repro.api.spec import RunSpec
+
         try:
             spec = RunSpec.from_dict(raw_spec)
             outcome: SpecOutcome = await self.scheduler.execute(spec)

@@ -7,8 +7,9 @@ import pytest
 from repro.api import ResultSet, register_monitor
 from repro.cli import build_parser, main
 from repro.common.errors import ConfigurationError
-from repro.monitors import MONITOR_REGISTRY
+from repro.monitors import MONITOR_REGISTRY, monitor_names
 from repro.monitors.addrcheck import AddrCheck
+from repro.workload.profiles import benchmark_names
 
 
 class TestParser:
@@ -25,6 +26,40 @@ class TestParser:
     def test_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--benchmark", "nonesuch"])
+
+    @pytest.mark.parametrize("flag, valid", [
+        ("--benchmark", ["astar", "mcf", "fluidanimate"]),
+        ("--monitor", ["addrcheck", "memleak", "taintcheck"]),
+        ("--core", ["inorder", "ooo2", "ooo4"]),
+        ("--topology", ["single", "two-core"]),
+    ])
+    def test_invalid_choice_names_the_valid_values(self, capsys, flag,
+                                                   valid):
+        with pytest.raises(SystemExit) as info:
+            main(["run", flag, "nonesuch"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid choice: 'nonesuch'" in err
+        for name in valid:
+            assert repr(name) in err
+
+    def test_run_help_lists_benchmarks_and_monitors(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for name in benchmark_names() + monitor_names() + ["ooo4", "two-core"]:
+            assert name in out
+
+    def test_choices_are_read_when_parsing(self):
+        # A parser built before a registration accepts the new name.
+        parser = build_parser()
+        register_monitor("latecheck", AddrCheck)
+        try:
+            args = parser.parse_args(["run", "--monitor", "latecheck"])
+            assert args.monitor == "latecheck"
+        finally:
+            MONITOR_REGISTRY.unregister("latecheck")
 
 
 class TestCommands:

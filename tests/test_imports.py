@@ -2,7 +2,8 @@
 
 ``import repro`` loads none of the package's modules, the CLI loads only
 the layers ``repro run`` needs, and neither pulls in the process pool,
-SQLite, asyncio or the service stack.  Every check reads ``sys.modules``
+SQLite, asyncio or the service stack.  ``repro serve`` loads no simulator
+before its first computation.  Every check reads ``sys.modules``
 (or ``-X importtime``'s list) of a fresh interpreter; none is timed.
 """
 
@@ -11,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,6 +37,15 @@ OTHER_COMMANDS = (
     "repro.faults.chaos",
 )
 
+#: The simulation stack: what a computation needs and a front end does not.
+SIMULATOR = (
+    "repro.api.runner",
+    "repro.system",
+    "repro.monitors",
+    "repro.fade",
+    "repro.workload",
+)
+
 
 def _env():
     path = os.environ.get("PYTHONPATH")
@@ -53,6 +64,15 @@ def _modules_after(code):
     return set(json.loads(out.splitlines()[-1]))
 
 
+def _imported(importtime_report):
+    """The modules an ``-X importtime`` report lists."""
+    return {
+        line.rpartition("|")[2].strip()
+        for line in importtime_report.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 def test_import_repro_loads_no_submodule():
     loaded = _modules_after("import repro")
     assert sorted(name for name in loaded if name.startswith("repro.")) == []
@@ -60,8 +80,11 @@ def test_import_repro_loads_no_submodule():
 
 def test_import_cli_loads_no_other_command_or_heavy_stdlib():
     loaded = _modules_after("import repro.cli")
-    assert loaded.isdisjoint(OTHER_COMMANDS + HEAVY_STDLIB)
-    assert "repro.monitors" in loaded  # The parser's choices come from here.
+    assert loaded.isdisjoint(OTHER_COMMANDS + HEAVY_STDLIB + SIMULATOR)
+    # Building the parser reads no registry either.
+    assert _modules_after(
+        "from repro.cli import build_parser\nbuild_parser()"
+    ).isdisjoint(SIMULATOR)
 
 
 def test_repro_run_loads_no_heavy_stdlib():
@@ -73,13 +96,59 @@ def test_repro_run_loads_no_heavy_stdlib():
         env=_env(), check=True, capture_output=True, text=True,
     )
     assert "slowdown" in completed.stdout
-    imported = {
-        line.rpartition("|")[2].strip()
-        for line in completed.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    imported = _imported(completed.stderr)
     assert "repro.system.simulator" in imported
     assert imported.isdisjoint(OTHER_COMMANDS + HEAVY_STDLIB)
+
+
+def test_serve_answers_before_it_loads_the_simulator(tmp_path):
+    """``repro serve`` answers /health and /stats having loaded only its
+    front end; its first /run loads the simulation stack and streams the
+    result a local run computes.  (``asyncio`` itself imports the
+    ``concurrent.futures`` package, so the gate names its process pool.)"""
+    from repro.api import ExperimentSettings, RunSpec, execute_spec
+    from repro.service.client import ServiceClient
+
+    socket_path = tmp_path / "serve.sock"
+    report = tmp_path / "importtime.txt"
+    with open(report, "w") as stderr:
+        server = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro", "serve",
+             "--socket", str(socket_path),
+             "--result-cache", str(tmp_path / "store")],
+            env=_env(), stdout=subprocess.DEVNULL, stderr=stderr,
+        )
+    try:
+        client = ServiceClient(f"unix://{socket_path}", timeout=60.0)
+        deadline = time.monotonic() + 60.0
+        while True:
+            try:
+                assert client.health()["ok"]
+                break
+            except OSError:
+                assert server.poll() is None, "repro serve exited"
+                assert time.monotonic() < deadline, "no /health answer"
+                time.sleep(0.01)
+        assert client.stats()["server"]["specs_received"] == 0
+        front_end = _imported(report.read_text())
+        assert "repro.service.server" in front_end
+        assert front_end.isdisjoint(SIMULATOR + (
+            "multiprocessing", "concurrent.futures.process",
+        ))
+
+        spec = RunSpec("gcc", "memcheck",
+                       settings=ExperimentSettings(num_instructions=2000))
+        events = [event for event in client.submit([spec])
+                  if event["event"] == "spec"]
+        assert [event["status"] for event in events] == ["computed"]
+        assert events[0]["result"] == execute_spec(spec).to_dict()
+        client.shutdown_server()
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    assert "repro.api.runner" in _imported(report.read_text())
 
 
 def test_in_process_campaign_loads_no_service_stack(tmp_path):

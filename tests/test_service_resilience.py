@@ -369,7 +369,7 @@ class TestPoolRebuild:
         self, tmp_path, monkeypatch
     ):
         from repro.faults import RetryPolicy
-        from repro.service import scheduler as scheduler_module
+        from repro.api import runner as runner_module
 
         def refuse(workers, persist=True):
             raise OSError("fork refused: resource temporarily unavailable")
@@ -386,7 +386,7 @@ class TestPoolRebuild:
         address = instance.start_background()
         try:
             client = ServiceClient(address)
-            monkeypatch.setattr(scheduler_module, "new_worker_pool", refuse)
+            monkeypatch.setattr(runner_module, "new_worker_pool", refuse)
             with pytest.raises(ServiceError) as info:
                 client.run_specs(GRID[:1], reconnect=False)
             assert "cannot build a process pool" in str(info.value)
