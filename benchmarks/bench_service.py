@@ -10,12 +10,13 @@ in-process server (Unix socket, SQLite store):
   ratio rather than a counter assertion).
 * **warm** — resubmission after completion; pure store reads.
 
-The payload records absolute seconds plus the warm/cold and coalesced-pair
-ratios, and fails the run if warm answers are not dramatically cheaper than
-cold computation — the property that makes the server worth running.
+It prints a JSON payload of absolute seconds plus the warm/cold and
+coalesced-pair ratios, and fails the run if any spec was simulated twice or
+if warm answers are not dramatically cheaper than cold computation — the
+property that makes the server worth running.  It writes no file.
 
 Runnable as a script (``PYTHONPATH=src python benchmarks/bench_service.py``)
-or under pytest.  Writes ``BENCH_service.json`` at the repo root.
+or under pytest.
 
 Environment knobs:
 
@@ -45,9 +46,6 @@ INSTRUCTIONS = int(
 )
 MAX_WARM_FRACTION = float(
     os.environ.get("REPRO_BENCH_SERVICE_MAX_WARM_FRACTION", "0.25") or 0.25
-)
-PAYLOAD_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"
 )
 
 GRID = spec_grid(
@@ -103,9 +101,6 @@ def measure() -> dict:
 
 def main() -> int:
     payload = measure()
-    PAYLOAD_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
     print(json.dumps(payload, indent=2, sort_keys=True))
     if payload["computed"] > payload["specs"]:
         print(

@@ -4,7 +4,8 @@
 Submits one campaign from N concurrent clients and verifies the server's
 single-flight contract: every distinct spec simulated exactly once, every
 client handed bit-identical results, and (with a store) a resubmission
-answered entirely warm.
+answered entirely warm, each answer carrying the result the first pass
+received.
 
 Run against a live server:
 
@@ -55,7 +56,8 @@ def main() -> int:
     parser.add_argument(
         "--expect-warm", action="store_true",
         help="resubmit once and fail unless every answer came warm from "
-        "the store (needs a server-side store)",
+        "the store with the first pass's result (needs a server-side "
+        "store)",
     )
     args = parser.parse_args()
 
@@ -117,18 +119,33 @@ def main() -> int:
             print("dedup OK: every distinct spec simulated at most once")
 
         if args.expect_warm:
-            statuses = [
-                event["status"]
-                for event in client.submit(campaign.specs, results=False)
+            # Each warm answer must carry the very result the first pass
+            # received (computed or coalesced on a fresh server).
+            first = [
+                json.dumps(record.result.to_dict(), sort_keys=True)
+                for record in outputs[0].records
+            ]
+            events = [
+                event for event in client.submit(campaign.specs)
                 if event.get("event") == "spec"
             ]
-            not_warm = [s for s in statuses if s != "warm"]
+            not_warm = [e["status"] for e in events if e["status"] != "warm"]
             if not_warm:
                 print(f"FAIL: resubmission produced non-warm statuses "
                       f"{sorted(set(not_warm))} — store not serving")
                 return 1
-            print(f"warm OK: resubmission answered {len(statuses)}/"
-                  f"{len(campaign.specs)} spec(s) from the store")
+            differing = [
+                event["index"] for event in events
+                if json.dumps(event["result"], sort_keys=True)
+                != first[event["index"]]
+            ]
+            if differing:
+                print(f"FAIL: warm answers for spec(s) {sorted(differing)} "
+                      "differ from the first pass's results")
+                return 1
+            print(f"warm OK: resubmission answered {len(events)}/"
+                  f"{len(campaign.specs)} spec(s) from the store, "
+                  "each with the first pass's result")
     finally:
         if owned_server is not None:
             owned_server.stop_background()

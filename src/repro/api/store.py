@@ -168,15 +168,60 @@ def _non_finite_field(value: object, path: str) -> Optional[str]:
     return None
 
 
-def check_finite(result: RunResult) -> None:
-    """Raise :class:`~repro.common.errors.SimulationError` naming the first
-    metric of ``result`` that is NaN or infinite (such a result must never
-    be stored or served as a valid cell)."""
-    field = _non_finite_field(result.to_dict(), "")
-    if field is not None:
+def result_json(result: RunResult) -> str:
+    """``result``'s canonical JSON text: the form a store entry holds and
+    the campaign server streams, encoded once per computed result.
+
+    A result with a NaN or infinite metric must never be stored or served
+    as a valid cell: it raises
+    :class:`~repro.common.errors.SimulationError` naming the first such
+    field.
+    """
+    try:
+        return json.dumps(result.to_dict(), sort_keys=True, allow_nan=False)
+    except ValueError:
+        field = _non_finite_field(result.to_dict(), "")
+        if field is None:
+            raise
         raise SimulationError(
             f"result metric {field!r} is not finite; refusing to store it"
-        )
+        ) from None
+
+
+#: An entry payload is ``json.dumps({"key": K, "result": R, "spec": S},
+#: sort_keys=True)``: this head, R, the separator, S and ``}`` (a content
+#: key is a hex digest, so it needs no escaping).
+_ENTRY_HEAD = '{{"key": "{}", "result": '
+_ENTRY_SPEC = ', "spec": '
+_DECODER = json.JSONDecoder()
+
+
+def _entry_result(
+    payload: Union[bytes, str], key: str
+) -> Tuple[object, Optional[str]]:
+    """An entry payload's decoded result and its JSON text as stored.
+
+    A payload in the layout :meth:`ResultStore.put` writes is decoded
+    piecewise by the decoder ``json.loads`` uses: one pass over the whole
+    payload that also yields where the result's text starts and ends.  Any
+    other payload goes through ``json.loads`` (a hand-edited entry, say),
+    and its text is None.  Raises ``ValueError``, ``KeyError`` or
+    ``TypeError`` for a payload that is no entry.
+    """
+    try:
+        text = payload.decode() if isinstance(payload, bytes) else payload
+        head = _ENTRY_HEAD.format(key)
+        if text.startswith(head):
+            result, end = _DECODER.raw_decode(text, len(head))
+            if text.startswith(_ENTRY_SPEC, end):
+                _, spec_end = _DECODER.raw_decode(
+                    text, end + len(_ENTRY_SPEC)
+                )
+                if spec_end == len(text) - 1 and text.endswith("}"):
+                    return result, text[len(head):end]
+    except ValueError:
+        pass
+    return json.loads(payload)["result"], None
 
 
 def _parse_store_path(
@@ -356,15 +401,29 @@ class ResultStore:
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
         """The cached result for ``spec``'s content, or None (a miss)."""
+        hit = self.lookup(content_key(spec))
+        return None if hit is None else hit[0]
+
+    def lookup(self, key: str) -> Optional[Tuple[RunResult, str]]:
+        """The entry under content ``key``: its result and that result's
+        JSON text as the entry holds it, or None (a miss).
+
+        The one read-and-validate path (:meth:`get` wraps it): the whole
+        payload must decode and its result must rebuild a ``RunResult``.
+        The text is the entry's own, which :meth:`put` wrote as
+        :func:`result_json`, so a server can stream it without encoding
+        the result again; an entry in any other layout has its result
+        re-encoded.
+        """
         from repro.system.results import RunResult
 
-        key = content_key(spec)
         try:
             payload = self._backend.read(key)
             if payload is None:
                 self.misses += 1
                 return None
-            result = RunResult.from_dict(json.loads(payload)["result"])
+            data, text = _entry_result(payload, key)
+            result = RunResult.from_dict(data)
         except (OSError, ValueError, KeyError, TypeError):
             # Corrupt/truncated entry (e.g. a crashed writer predating the
             # atomic-replace protocol): drop it and recompute.  A readonly
@@ -374,7 +433,9 @@ class ResultStore:
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        if text is None:
+            text = json.dumps(result.to_dict(), sort_keys=True)
+        return result, text
 
     def put(self, spec: RunSpec, result: RunResult) -> None:
         """Persist one cell atomically (tmp file + rename, or one SQLite
@@ -394,16 +455,18 @@ class ResultStore:
         """
         if self.readonly:
             return
-        key = content_key(spec)
-        try:
-            payload = json.dumps(
-                {"key": key, "spec": spec.to_dict(), "result": result.to_dict()},
-                sort_keys=True,
-                allow_nan=False,
-            )
-        except ValueError:
-            check_finite(result)
-            raise
+        self.put_text(content_key(spec), spec, result_json(result))
+
+    def put_text(self, key: str, spec: RunSpec, result_text: str) -> None:
+        """:meth:`put` for a result already encoded by :func:`result_json`
+        under its content ``key``: the payload is byte-identical to the
+        one :meth:`put` writes, without encoding the result again."""
+        if self.readonly:
+            return
+        spec_text = json.dumps(spec.to_dict(), sort_keys=True, allow_nan=False)
+        payload = (
+            f"{_ENTRY_HEAD.format(key)}{result_text}{_ENTRY_SPEC}{spec_text}}}"
+        )
 
         def _write_once() -> None:
             # Fault seam: store_write_fault may raise a transient error

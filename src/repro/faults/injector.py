@@ -264,8 +264,9 @@ def probe(site: str, key: Optional[str] = None) -> Optional[FaultEvent]:
     """The hook-site entry point: the event firing here, or None.
 
     The off path costs one function call and two global reads — cheap
-    enough to sit on the store-write and spec-execution seams permanently
-    (the BENCH_service regression gate holds it to that).
+    enough to sit on the store-write, spec-execution and stream seams
+    permanently (the paired perfbench gate's ``service_mix`` workload runs
+    through all three).
     """
     if _INJECTOR is None and _ENV_CHECKED:
         return None

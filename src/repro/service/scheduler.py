@@ -4,7 +4,8 @@ The scheduler is the server's concurrency core, but it is framework-free:
 any asyncio program can embed one.  Its contract, per submitted spec:
 
 * **warm** — the shared :class:`~repro.api.ResultStore` already holds the
-  spec's content key: answer from disk, simulate nothing.
+  spec's content key: answer with the stored result and its JSON text as
+  the entry holds it, simulate nothing and encode nothing.
 * **coalesced** — another client (or another spec in the same batch) is
   *currently* computing the same key: await that computation instead of
   starting a second one (single-flight, keyed by
@@ -12,8 +13,16 @@ any asyncio program can embed one.  Its contract, per submitted spec:
   in-flight dedup never depends on persistence being configured).
 * **computed** — genuinely new work: run it on the bounded process pool
   (:func:`repro.api.runner._worker_run`, the exact worker path the
-  parallel runner uses), persist it to the store, wake every coalesced
-  waiter.
+  parallel runner uses), encode the result once
+  (:func:`repro.api.store.result_json`), persist that text, and hand the
+  result and the same text to every coalesced waiter.
+
+Each spec is keyed once and reads the store once.  :meth:`SpecScheduler.warm`
+does both, synchronously; for a miss, :meth:`SpecScheduler.claim` joins
+or starts the computation under that key and reads nothing again.  A
+caller runs the two with no ``await`` between them, so a computation that
+finishes in between cannot be started a second time.
+:meth:`SpecScheduler.execute` is the one-spec form of the pair.
 
 So for any set of concurrent clients, each distinct spec content is
 simulated **at most once per server lifetime** — the property the CI
@@ -60,9 +69,9 @@ import asyncio
 import dataclasses
 import logging
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Awaitable, Dict, List, Optional, Tuple
 
-from repro.api.store import ResultStore, check_finite, content_key
+from repro.api.store import ResultStore, content_key, result_json
 from repro.common.errors import ConfigurationError, SpecTimeout
 from repro.faults.injector import probe, spec_fault_key
 from repro.faults.retry import COMPUTE_POLICY, RetryPolicy
@@ -91,6 +100,9 @@ class SpecOutcome:
     status: str  # "warm" | "coalesced" | "computed"
     key: str
     result: RunResult
+    #: ``result`` as :func:`~repro.api.store.result_json` encodes it: the
+    #: stored text for a warm hit, the one encoding of a computed result.
+    result_json: str
 
 
 class SpecScheduler:
@@ -172,33 +184,50 @@ class SpecScheduler:
 
     async def execute(self, spec: RunSpec) -> SpecOutcome:
         """Satisfy one spec per the warm/coalesced/computed contract."""
+        key, outcome = self.warm(spec)
+        if outcome is not None:
+            return outcome
+        return await self.claim(key, spec)
+
+    def warm(self, spec: RunSpec) -> Tuple[str, Optional[SpecOutcome]]:
+        """Count ``spec``, key it and read the store: its content key and
+        the warm outcome, or None when the store does not hold it."""
         self.specs_received += 1
         key = content_key(spec)
         if self.store is not None:
-            hit = self.store.get(spec)
+            hit = self.store.lookup(key)
             if hit is not None:
                 self.warm_hits += 1
-                return SpecOutcome("warm", key, hit)
+                return key, SpecOutcome("warm", key, *hit)
+        return key, None
+
+    def claim(self, key: str, spec: RunSpec) -> Awaitable[SpecOutcome]:
+        """Join the computation in flight under ``key``, or start it, now;
+        the returned awaitable yields the outcome.  For a spec that
+        :meth:`warm` just missed."""
         task = self._inflight.get(key)
         if task is not None:
             self.coalesced += 1
-            # shield(): a disconnecting client cancels its own wait, never
-            # the shared computation other clients are riding on.
-            result = await asyncio.shield(task)
-            return SpecOutcome("coalesced", key, result)
+            return self._await(task, "coalesced", key)
         task = asyncio.get_running_loop().create_task(
             self._compute(key, spec)
         )
         self._inflight[key] = task
-        result = await asyncio.shield(task)
-        return SpecOutcome("computed", key, result)
+        return self._await(task, "computed", key)
 
-    async def _compute(self, key: str, spec: RunSpec) -> RunResult:
+    @staticmethod
+    async def _await(task: asyncio.Task, status: str, key: str) -> SpecOutcome:
+        # shield(): a disconnecting client cancels its own wait, never the
+        # shared computation other clients are riding on.
+        result, text = await asyncio.shield(task)
+        return SpecOutcome(status, key, result, text)
+
+    async def _compute(self, key: str, spec: RunSpec) -> Tuple[RunResult, str]:
         try:
             result = await self._compute_with_retry(spec)
             # A non-finite metric is reported as this spec's error, never
             # stored or served as a result.
-            check_finite(result)
+            text = result_json(result)
         except Exception:
             self.errors += 1
             raise
@@ -206,14 +235,14 @@ class SpecScheduler:
             self._inflight.pop(key, None)
         if self.store is not None:
             try:
-                self.store.put(spec, result)
+                self.store.put_text(key, spec, text)
             except OSError:
                 # A store that stays unwritable after the put-level retries
                 # must not turn a finished simulation into a client error;
                 # serve the result and count the miss.
                 self.store_write_failures += 1
         self.computed += 1
-        return result
+        return result, text
 
     async def _compute_with_retry(self, spec: RunSpec) -> RunResult:
         from concurrent.futures.process import BrokenProcessPool

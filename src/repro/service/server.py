@@ -42,7 +42,7 @@ import json
 import os
 import socket
 import threading
-from typing import Dict, Optional, Set
+from typing import Awaitable, Dict, List, Optional, Set, Tuple
 
 from repro.api.store import ResultStore
 from repro.faults.injector import active_injector, probe
@@ -303,111 +303,149 @@ class CampaignServer:
                 writer, 400, {"error": f"bad /run body: {error}"}
             )
             return
-        await self._write_head(
-            writer, 200, "application/x-ndjson", stream=True
-        )
-        await self._write_line(
-            writer, {"event": "accepted", "count": len(raw_specs)}
-        )
-        statuses: Dict[str, int] = {}
-        tasks = [
-            asyncio.ensure_future(self._spec_event(index, raw, include_results))
-            for index, raw in enumerate(raw_specs)
-        ]
-        try:
-            for future in asyncio.as_completed(tasks):
-                event = await future
-                statuses[event["status"]] = statuses.get(event["status"], 0) + 1
-                await self._write_line(writer, event)
-            await self._write_line(
-                writer,
-                {"event": "done", "total": len(raw_specs),
-                 "statuses": statuses},
-            )
-        finally:
-            # A disconnect cancels *this client's* waiters only; shared
-            # computations continue in the scheduler for other clients.
-            for task in tasks:
-                task.cancel()
-
-    async def _spec_event(
-        self, index: int, raw_spec: object, include_results: bool
-    ) -> Dict[str, object]:
-        """One spec, one NDJSON event — errors become events, not aborts."""
         # The first /run loads the spec layer (and with it the registries);
         # /health and /stats never do.
         from repro.api.spec import RunSpec
 
+        # The warm pass: every spec is parsed, keyed and looked up, and a
+        # miss joins or starts its computation at once (no await between
+        # the store read and the in-flight check).  Warm and invalid specs
+        # are answered here, without a task, and go out in one write with
+        # the head and the accepted line.
+        total = len(raw_specs)
+        statuses: Dict[str, int] = {}
+        lines = [_event_line({"event": "accepted", "count": total})]
+        pending: List[asyncio.Future] = []
+
+        def answer(status: str, line: str) -> str:
+            statuses[status] = statuses.get(status, 0) + 1
+            return line
+
         try:
-            spec = RunSpec.from_dict(raw_spec)
-            outcome: SpecOutcome = await self.scheduler.execute(spec)
+            for index, raw in enumerate(raw_specs):
+                try:
+                    spec = RunSpec.from_dict(raw)
+                    key, outcome = self.scheduler.warm(spec)
+                except Exception as error:
+                    lines.append(answer("error", _error_line(index, error)))
+                    continue
+                if outcome is None:
+                    pending.append(asyncio.ensure_future(self._cold_line(
+                        index, self.scheduler.claim(key, spec),
+                        include_results,
+                    )))
+                    continue
+                lines.append(answer(
+                    outcome.status,
+                    _spec_line(index, outcome, include_results),
+                ))
+            if not pending:
+                lines.append(_done_line(total, statuses))
+            await self._send(
+                writer, lines, _head(200, "application/x-ndjson")
+            )
+            for future in asyncio.as_completed(pending):
+                await self._send(writer, [answer(*await future)])
+            if pending:
+                await self._send(writer, [_done_line(total, statuses)])
+        finally:
+            # A disconnect cancels *this client's* waiters only; shared
+            # computations continue in the scheduler for other clients.
+            for future in pending:
+                future.cancel()
+
+    async def _cold_line(
+        self,
+        index: int,
+        awaitable: Awaitable[SpecOutcome],
+        include_results: bool,
+    ) -> Tuple[str, str]:
+        """(status, event line) once a coalesced or computed spec is
+        settled — errors become events, not aborts."""
+        try:
+            outcome = await awaitable
         except asyncio.CancelledError:
             raise
         except Exception as error:
-            return {
-                "event": "spec",
-                "index": index,
-                "status": "error",
-                "error": f"{type(error).__name__}: {error}",
-            }
-        event: Dict[str, object] = {
-            "event": "spec",
-            "index": index,
-            "status": outcome.status,
-            "key": outcome.key,
-        }
-        if include_results:
-            event["result"] = outcome.result.to_dict()
-        return event
+            return "error", _error_line(index, error)
+        return outcome.status, _spec_line(index, outcome, include_results)
 
     # -------------------------------------------------------------- writing
 
-    async def _write_head(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        content_type: str,
-        stream: bool = False,
-        content_length: Optional[int] = None,
+    async def _send(
+        self, writer: asyncio.StreamWriter, lines: List[str], head: str = ""
     ) -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "OK"
-        )
-        head = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            "Connection: close",
-        ]
-        if not stream and content_length is not None:
-            head.append(f"Content-Length: {content_length}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        await writer.drain()
-
-    async def _write_line(
-        self, writer: asyncio.StreamWriter, event: Dict[str, object]
-    ) -> None:
-        payload = json.dumps(event, sort_keys=True) + "\n"
-        fault = probe("server.stream")
-        if fault is not None and fault.kind == "server_disconnect":
-            # Cut the connection mid-line: flush a newline-less prefix so
-            # the client sees a truncated NDJSON record, then let the
-            # connection teardown (SHUT_WR in _handle_connection) deliver
-            # the EOF.  The spec events this stream never carried are
-            # recomputed idempotently when the client reconnects.
-            writer.write(payload[: max(1, len(payload) // 2)].encode())
-            await writer.drain()
-            raise ConnectionResetError(
-                "injected fault: connection dropped mid-stream"
-            )
-        writer.write(payload.encode())
+        """Write ``head`` and ``lines`` in one write.  Each line passes the
+        ``server.stream`` fault probe in order."""
+        out = [head]
+        for line in lines:
+            fault = probe("server.stream")
+            if fault is not None and fault.kind == "server_disconnect":
+                # Cut the connection mid-line: flush a newline-less prefix
+                # so the client sees a truncated NDJSON record, then let
+                # the connection teardown (SHUT_WR in _handle_connection)
+                # deliver the EOF.  The spec events this stream never
+                # carried are recomputed idempotently when the client
+                # reconnects.
+                out.append(line[: max(1, len(line) // 2)])
+                writer.write("".join(out).encode())
+                await writer.drain()
+                raise ConnectionResetError(
+                    "injected fault: connection dropped mid-stream"
+                )
+            out.append(line)
+        writer.write("".join(out).encode())
         await writer.drain()
 
     async def _respond_json(
         self, writer: asyncio.StreamWriter, status: int, payload: object
     ) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        await self._write_head(
-            writer, status, "application/json", content_length=len(body)
-        )
-        writer.write(body)
+        head = _head(status, "application/json", content_length=len(body))
+        writer.write(head.encode() + body)
         await writer.drain()
+
+
+def _head(
+    status: int, content_type: str, content_length: Optional[int] = None
+) -> str:
+    """A response head; a streamed body (no length) is EOF-delimited."""
+    reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
+        status, "OK"
+    )
+    head = [
+        f"HTTP/1.1 {status} {reason}",
+        f"Content-Type: {content_type}",
+        "Connection: close",
+    ]
+    if content_length is not None:
+        head.append(f"Content-Length: {content_length}")
+    return "\r\n".join(head) + "\r\n\r\n"
+
+
+def _event_line(event: Dict[str, object]) -> str:
+    return json.dumps(event, sort_keys=True) + "\n"
+
+
+def _spec_line(index: int, outcome: SpecOutcome, include_results: bool) -> str:
+    """``_event_line`` of a settled spec's event, built around the result's
+    JSON text instead of encoding the result again: the keys in sorted
+    order, and a key and status that need no escaping."""
+    result = f'"result": {outcome.result_json}, ' if include_results else ""
+    return (
+        f'{{"event": "spec", "index": {index}, "key": "{outcome.key}", '
+        f'{result}"status": "{outcome.status}"}}\n'
+    )
+
+
+def _error_line(index: int, error: Exception) -> str:
+    return _event_line({
+        "event": "spec",
+        "index": index,
+        "status": "error",
+        "error": f"{type(error).__name__}: {error}",
+    })
+
+
+def _done_line(total: int, statuses: Dict[str, int]) -> str:
+    return _event_line({"event": "done", "total": total, "statuses": statuses})

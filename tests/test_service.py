@@ -188,6 +188,10 @@ class TestSpecScheduler:
         first, second = self.run_async(main())
         assert first.status == "computed" and second.status == "warm"
         assert first.result.to_dict() == second.result.to_dict()
+        # The warm hit carries the text the computation stored, and each
+        # execute read the store once.
+        assert first.result_json == second.result_json
+        assert (store.hits, store.misses) == (1, 1)
         scheduler.shutdown()
 
     def test_non_finite_result_is_an_error_not_stored(

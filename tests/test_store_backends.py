@@ -91,6 +91,54 @@ class TestCrossBackendParity:
         assert warm.to_dict() == cold.to_dict()
 
 
+@pytest.mark.parametrize("name", ["cache", "cache.db"])
+class TestLookup:
+    """``lookup`` returns a hit's result with its JSON text as stored."""
+
+    def test_text_is_the_stored_result(self, tmp_path, name):
+        store = ResultStore(tmp_path / name)
+        result = SerialRunner().run_one(GRID[0])
+        store.put(GRID[0], result)
+        hit, text = store.lookup(store.key(GRID[0]))
+        assert hit.to_dict() == result.to_dict()
+        assert text == json.dumps(result.to_dict(), sort_keys=True)
+        assert (store.hits, store.misses) == (1, 0)
+
+    def test_other_valid_layout_is_served_re_encoded(self, tmp_path, name):
+        store = ResultStore(tmp_path / name)
+        result = SerialRunner().run_one(GRID[0])
+        key = store.key(GRID[0])
+        # A hand-edited entry: indented, keys in another order.
+        entry = {"spec": GRID[0].to_dict(), "result": result.to_dict(),
+                 "key": key}
+        store._backend.write(key, json.dumps(entry, indent=1).encode())
+        hit, text = store.lookup(key)
+        assert hit.to_dict() == result.to_dict()
+        assert text == json.dumps(result.to_dict(), sort_keys=True)
+
+    def test_invalid_entries_are_deleted_misses(self, tmp_path, name):
+        store = ResultStore(tmp_path / name)
+        result = SerialRunner().run_one(GRID[0])
+        key = store.key(GRID[0])
+        store.put(GRID[0], result)
+        payload = store._backend.read(key)
+        if isinstance(payload, str):
+            payload = payload.encode()
+        broken = result.to_dict()
+        del broken["benchmark"]
+        for data in (
+            payload[: len(payload) // 2],
+            payload[:-1],
+            payload + b"x",
+            json.dumps({"key": key, "result": broken,
+                        "spec": GRID[0].to_dict()}, sort_keys=True).encode(),
+        ):
+            store._backend.write(key, data)
+            assert store.lookup(key) is None
+            assert len(store) == 0
+        assert (store.hits, store.misses) == (0, 4)
+
+
 class TestSqliteBackend:
     def test_stats_per_shard(self, tmp_path):
         store = ResultStore(tmp_path / "cache.db")
