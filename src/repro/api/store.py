@@ -44,6 +44,7 @@ invalidation the key cannot see; ``repro cache clear`` is the escape hatch
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import json
@@ -77,6 +78,11 @@ STORE_SCHEMA_VERSION = 1
 #: process.  An entry holds one spec, its repr and its key: a few KB.
 _KEY_MEMO_SIZE = 4096
 
+#: How many validated entries a :class:`ResultStore` remembers
+#: (:meth:`ResultStore.lookup`).  An entry holds one payload and its
+#: result's text: a few KB.
+_VALIDATED_MEMO_SIZE = 4096
+
 #: Path suffixes that select the SQLite backend without an explicit scheme.
 _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
@@ -92,13 +98,11 @@ def content_key(spec: RunSpec) -> str:
     Memoized (:func:`_digest`): a process serializes and hashes each
     distinct spec content once, however often the scheduler, the store's
     ``get`` and ``put`` and warm re-runs ask for its key.  The memo is
-    keyed on everything the digest reads, with the schema versions read at
-    call time, so a hit returns exactly the key a fresh computation would.
+    keyed on everything the digest reads, with the registry entries and
+    schema versions read at call time (:func:`key_inputs`), so a hit
+    returns exactly the key a fresh computation would.
     """
-    from repro.monitors import MONITOR_REGISTRY
-    from repro.workload.packed import TRACE_SCHEMA_VERSION
-
-    factory = MONITOR_REGISTRY.get(spec.monitor)
+    registered, factory, store_schema, trace_schema = key_inputs(spec)
     monitor_impl = (
         f"{getattr(factory, '__module__', '?')}."
         f"{getattr(factory, '__qualname__', repr(factory))}"
@@ -107,13 +111,30 @@ def content_key(spec: RunSpec) -> str:
     # identity.  The memo entry holds the object, so its id cannot be
     # reused while the entry lives, and re-registering a name makes a new
     # object and so a new memo key.
-    registered = spec.resolved_profile() if spec.profile is None else None
     return _digest(
         spec,
         repr(spec),
         registered,
         id(registered),
         monitor_impl,
+        store_schema,
+        trace_schema,
+    )
+
+
+def key_inputs(spec: RunSpec) -> Tuple[object, ...]:
+    """What :func:`content_key` reads besides ``spec`` itself, as this
+    process has it now: the registered profile (None for an inline one),
+    the registered monitor factory and the store and trace schema
+    versions.  A caller that holds a spec's key may reuse it while every
+    one of these is the same object.  Raises ``ConfigurationError`` for a
+    name the registries do not hold."""
+    from repro.monitors import MONITOR_REGISTRY
+    from repro.workload.packed import TRACE_SCHEMA_VERSION
+
+    return (
+        spec.resolved_profile() if spec.profile is None else None,
+        MONITOR_REGISTRY.get(spec.monitor),
         STORE_SCHEMA_VERSION,
         TRACE_SCHEMA_VERSION,
     )
@@ -384,6 +405,11 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.write_retries = 0
+        #: Content key -> (payload bytes, result text) of the entries
+        #: :meth:`lookup` last validated, least recently used first.
+        self._validated: collections.OrderedDict[
+            str, Tuple[Union[bytes, str], str]
+        ] = collections.OrderedDict()
 
     # ---------------------------------------------------------------- keys
 
@@ -400,42 +426,74 @@ class ResultStore:
     # -------------------------------------------------------------- access
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``'s content, or None (a miss)."""
-        hit = self.lookup(content_key(spec))
+        """The cached result for ``spec``'s content, or None (a miss).
+        Each call returns a new ``RunResult``."""
+        hit = self._read(content_key(spec))
+        if hit is None:
+            return None
+        text, result = hit
+        if result is None:
+            from repro.system.results import RunResult
+
+            result = RunResult.from_dict(json.loads(text))
+        return result
+
+    def lookup(self, key: str) -> Optional[str]:
+        """The JSON text of the result stored under content ``key``, or
+        None (a miss).
+
+        The one read-and-validate path (:meth:`get` wraps it).  It reads
+        the entry once per call.  Bytes this store has not validated
+        before must decode as a whole payload whose result rebuilds a
+        ``RunResult``; a corrupt entry is deleted and reads as a miss.
+        Bytes equal to the ones it last validated under ``key`` get that
+        validation's verdict and text again without decoding anything:
+        the same bytes decode the same way, so the answer is the one a
+        full validation would give.  The text is the entry's own, which
+        :meth:`put` wrote as :func:`result_json`, so a server can stream
+        it without encoding the result again; an entry in any other
+        layout has its result re-encoded once, on first sight.
+        """
+        hit = self._read(key)
         return None if hit is None else hit[0]
 
-    def lookup(self, key: str) -> Optional[Tuple[RunResult, str]]:
-        """The entry under content ``key``: its result and that result's
-        JSON text as the entry holds it, or None (a miss).
-
-        The one read-and-validate path (:meth:`get` wraps it): the whole
-        payload must decode and its result must rebuild a ``RunResult``.
-        The text is the entry's own, which :meth:`put` wrote as
-        :func:`result_json`, so a server can stream it without encoding
-        the result again; an entry in any other layout has its result
-        re-encoded.
-        """
-        from repro.system.results import RunResult
-
+    def _read(self, key: str) -> Optional[Tuple[str, Optional[RunResult]]]:
+        """:meth:`lookup`'s hit as (text, result): the ``RunResult`` that a
+        first-sight validation built, None when the memo vouched for the
+        bytes.  The memo holds bytes and text only, never a result."""
+        memo = self._validated
         try:
             payload = self._backend.read(key)
             if payload is None:
+                memo.pop(key, None)
                 self.misses += 1
                 return None
+            seen = memo.get(key)
+            if seen is not None and seen[0] == payload:
+                memo.move_to_end(key)
+                self.hits += 1
+                return seen[1], None
+            from repro.system.results import RunResult
+
             data, text = _entry_result(payload, key)
             result = RunResult.from_dict(data)
         except (OSError, ValueError, KeyError, TypeError):
             # Corrupt/truncated entry (e.g. a crashed writer predating the
             # atomic-replace protocol): drop it and recompute.  A readonly
             # store must not self-heal — deleting is a write too.
+            memo.pop(key, None)
             if not self.readonly:
                 self._backend.delete(key)
             self.misses += 1
             return None
-        self.hits += 1
         if text is None:
             text = json.dumps(result.to_dict(), sort_keys=True)
-        return result, text
+        memo[key] = (payload, text)
+        memo.move_to_end(key)
+        if len(memo) > _VALIDATED_MEMO_SIZE:
+            memo.popitem(last=False)
+        self.hits += 1
+        return text, result
 
     def put(self, spec: RunSpec, result: RunResult) -> None:
         """Persist one cell atomically (tmp file + rename, or one SQLite
@@ -518,6 +576,7 @@ class ResultStore:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
+        self._validated.clear()
         if self.readonly:
             return 0
         return self._backend.clear()

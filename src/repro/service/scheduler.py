@@ -4,8 +4,11 @@ The scheduler is the server's concurrency core, but it is framework-free:
 any asyncio program can embed one.  Its contract, per submitted spec:
 
 * **warm** — the shared :class:`~repro.api.ResultStore` already holds the
-  spec's content key: answer with the stored result and its JSON text as
-  the entry holds it, simulate nothing and encode nothing.
+  spec's content key: answer with the stored result's JSON text as the
+  entry holds it; simulate nothing, encode nothing and build no
+  ``RunResult``.  The store validates each distinct payload once
+  (:meth:`~repro.api.ResultStore.lookup`), so a warm re-run of an entry
+  it has read before decodes nothing either.
 * **coalesced** — another client (or another spec in the same batch) is
   *currently* computing the same key: await that computation instead of
   starting a second one (single-flight, keyed by
@@ -15,10 +18,15 @@ any asyncio program can embed one.  Its contract, per submitted spec:
   (:func:`repro.api.runner._worker_run`, the exact worker path the
   parallel runner uses), encode the result once
   (:func:`repro.api.store.result_json`), persist that text, and hand the
-  result and the same text to every coalesced waiter.
+  same text to every coalesced waiter.
+
+An outcome carries the result as text only (:class:`SpecOutcome`); its
+``result`` decodes that text into a new ``RunResult`` on each read, so no
+two callers ever share a mutable result.
 
 Each spec is keyed once and reads the store once.  :meth:`SpecScheduler.warm`
-does both, synchronously; for a miss, :meth:`SpecScheduler.claim` joins
+does both, synchronously (a caller that already holds the key passes
+it); for a miss, :meth:`SpecScheduler.claim` joins
 or starts the computation under that key and reads nothing again.  A
 caller runs the two with no ``await`` between them, so a computation that
 finishes in between cannot be started a second time.
@@ -67,6 +75,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import logging
 import os
 from typing import TYPE_CHECKING, Awaitable, Dict, List, Optional, Tuple
@@ -99,10 +108,17 @@ class SpecOutcome:
 
     status: str  # "warm" | "coalesced" | "computed"
     key: str
-    result: RunResult
-    #: ``result`` as :func:`~repro.api.store.result_json` encodes it: the
+    #: The result as :func:`~repro.api.store.result_json` encodes it: the
     #: stored text for a warm hit, the one encoding of a computed result.
     result_json: str
+
+    @property
+    def result(self) -> RunResult:
+        """The result decoded from :attr:`result_json`: a new object on
+        each read."""
+        from repro.system.results import RunResult
+
+        return RunResult.from_dict(json.loads(self.result_json))
 
 
 class SpecScheduler:
@@ -189,16 +205,20 @@ class SpecScheduler:
             return outcome
         return await self.claim(key, spec)
 
-    def warm(self, spec: RunSpec) -> Tuple[str, Optional[SpecOutcome]]:
+    def warm(
+        self, spec: RunSpec, key: Optional[str] = None
+    ) -> Tuple[str, Optional[SpecOutcome]]:
         """Count ``spec``, key it and read the store: its content key and
-        the warm outcome, or None when the store does not hold it."""
+        the warm outcome, or None when the store does not hold it.
+        ``key`` is ``spec``'s content key when the caller holds it."""
         self.specs_received += 1
-        key = content_key(spec)
+        if key is None:
+            key = content_key(spec)
         if self.store is not None:
-            hit = self.store.lookup(key)
-            if hit is not None:
+            text = self.store.lookup(key)
+            if text is not None:
                 self.warm_hits += 1
-                return key, SpecOutcome("warm", key, *hit)
+                return key, SpecOutcome("warm", key, text)
         return key, None
 
     def claim(self, key: str, spec: RunSpec) -> Awaitable[SpecOutcome]:
@@ -219,10 +239,9 @@ class SpecScheduler:
     async def _await(task: asyncio.Task, status: str, key: str) -> SpecOutcome:
         # shield(): a disconnecting client cancels its own wait, never the
         # shared computation other clients are riding on.
-        result, text = await asyncio.shield(task)
-        return SpecOutcome(status, key, result, text)
+        return SpecOutcome(status, key, await asyncio.shield(task))
 
-    async def _compute(self, key: str, spec: RunSpec) -> Tuple[RunResult, str]:
+    async def _compute(self, key: str, spec: RunSpec) -> str:
         try:
             result = await self._compute_with_retry(spec)
             # A non-finite metric is reported as this spec's error, never
@@ -242,7 +261,7 @@ class SpecScheduler:
                 # serve the result and count the miss.
                 self.store_write_failures += 1
         self.computed += 1
-        return result, text
+        return text
 
     async def _compute_with_retry(self, spec: RunSpec) -> RunResult:
         from concurrent.futures.process import BrokenProcessPool

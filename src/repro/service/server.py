@@ -38,16 +38,22 @@ computations it shares with other clients keep running.
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
+import operator
 import os
 import socket
 import threading
-from typing import Awaitable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Awaitable, Dict, List, Optional, Set, Tuple
 
-from repro.api.store import ResultStore
+from repro.api.store import ResultStore, content_key, key_inputs
+from repro.common.errors import ConfigurationError
 from repro.faults.injector import active_injector, probe
 
 from repro.service.scheduler import SpecOutcome, SpecScheduler
+
+if TYPE_CHECKING:
+    from repro.api.spec import RunSpec
 
 #: Protocol version, reported by /health and bumped on breaking changes.
 PROTOCOL_VERSION = 1
@@ -56,6 +62,12 @@ PROTOCOL_VERSION = 1
 #: but a runaway client should get a clean 400, not an OOM.
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 256 * 1024 * 1024
+
+#: How many distinct request spec texts a server remembers
+#: (:meth:`CampaignServer._parse`): as many as
+#: :func:`~repro.api.store.content_key` remembers specs.  An entry holds
+#: one spec, its text and its key: a few KB.
+_SPEC_MEMO_SIZE = 4096
 
 
 class CampaignServer:
@@ -80,6 +92,11 @@ class CampaignServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._connections: Set[asyncio.Task] = set()
+        #: Canonical spec text -> (spec, content key, the key's inputs),
+        #: least recently used first.
+        self._specs: collections.OrderedDict[
+            str, Tuple[RunSpec, str, Tuple[object, ...]]
+        ] = collections.OrderedDict()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -303,10 +320,6 @@ class CampaignServer:
                 writer, 400, {"error": f"bad /run body: {error}"}
             )
             return
-        # The first /run loads the spec layer (and with it the registries);
-        # /health and /stats never do.
-        from repro.api.spec import RunSpec
-
         # The warm pass: every spec is parsed, keyed and looked up, and a
         # miss joins or starts its computation at once (no await between
         # the store read and the in-flight check).  Warm and invalid specs
@@ -324,8 +337,8 @@ class CampaignServer:
         try:
             for index, raw in enumerate(raw_specs):
                 try:
-                    spec = RunSpec.from_dict(raw)
-                    key, outcome = self.scheduler.warm(spec)
+                    spec, key = self._parse(raw)
+                    key, outcome = self.scheduler.warm(spec, key)
                 except Exception as error:
                     lines.append(answer("error", _error_line(index, error)))
                     continue
@@ -353,6 +366,42 @@ class CampaignServer:
             # computations continue in the scheduler for other clients.
             for future in pending:
                 future.cancel()
+
+    def _parse(self, raw: object) -> Tuple[RunSpec, str]:
+        """A request spec's ``RunSpec`` and content key, memoized by its
+        canonical text.
+
+        Equal text gives an equal spec: ``json.dumps`` keeps ``7``,
+        ``7.0``, ``true`` and ``-0.0`` apart.  A hit is reused only while
+        every registry entry and schema version the key read is the same
+        object (:func:`~repro.api.store.key_inputs`); after a
+        re-registration, or for a name no longer registered, the text is
+        parsed and keyed afresh.  Invalid text raises and is not
+        remembered.
+        """
+        text = json.dumps(raw, sort_keys=True)
+        memo = self._specs
+        entry = memo.get(text)
+        if entry is not None:
+            spec, key, inputs = entry
+            try:
+                if all(map(operator.is_, key_inputs(spec), inputs)):
+                    memo.move_to_end(text)
+                    return spec, key
+            except ConfigurationError:
+                pass
+        # The first /run loads the spec layer (and with it the registries);
+        # /health and /stats never do.
+        from repro.api.spec import RunSpec
+
+        spec = RunSpec.from_dict(raw)
+        inputs = key_inputs(spec)
+        key = content_key(spec)
+        memo[text] = (spec, key, inputs)
+        memo.move_to_end(text)
+        if len(memo) > _SPEC_MEMO_SIZE:
+            memo.popitem(last=False)
+        return spec, key
 
     async def _cold_line(
         self,

@@ -188,6 +188,11 @@ class TestSpecScheduler:
         first, second = self.run_async(main())
         assert first.status == "computed" and second.status == "warm"
         assert first.result.to_dict() == second.result.to_dict()
+        assert second.result.to_dict() == SerialRunner().run_one(
+            GRID[0]
+        ).to_dict()
+        # Each read decodes a new result: callers share no mutable object.
+        assert second.result is not second.result
         # The warm hit carries the text the computation stored, and each
         # execute read the store once.
         assert first.result_json == second.result_json

@@ -10,16 +10,32 @@ still sees one ordinal per line, in order.
 
 import asyncio
 import copy
+import dataclasses
 import json
 
 import pytest
 
-from repro.api import ExperimentSettings, ResultStore, SerialRunner, spec_grid
-from repro.api.store import content_key
+from repro.api import (
+    ExperimentSettings,
+    ResultStore,
+    RunSpec,
+    SerialRunner,
+    spec_grid,
+)
+from repro.api.store import content_key, result_json
 from repro.faults import FaultEvent, FaultPlan, install_plan, uninstall_plan
+from repro.monitors import MONITOR_REGISTRY, register_monitor
+from repro.monitors.addrcheck import AddrCheck
 from repro.service import CampaignServer, ServiceClient
+from repro.service import server as server_module
 from repro.service.scheduler import SpecScheduler
 from repro.system.config import SystemConfig
+from repro.system.results import RunResult
+from repro.workload.profiles import (
+    PROFILE_REGISTRY,
+    get_profile,
+    register_profile,
+)
 
 TINY = ExperimentSettings(num_instructions=1500, seed=11)
 
@@ -202,6 +218,130 @@ class TestOneStoreRead:
         assert len(writes) == 1
         # The head and the whole body went out together.
         assert writes[0] > len(body)
+
+
+    def test_memo_served_warm_batch_builds_no_result(
+        self, server, reference, monkeypatch
+    ):
+        """The second warm batch is answered from payloads the store
+        validated on the first: no ``RunResult`` is built, and its bytes
+        are the first warm batch's."""
+        _, address = server
+        post_run(address, GRID)
+        warm = post_run(address, GRID)
+        calls = []
+        original = RunResult.from_dict.__func__
+
+        def counted(cls, data):
+            calls.append(1)
+            return original(cls, data)
+
+        monkeypatch.setattr(RunResult, "from_dict", classmethod(counted))
+        assert post_run(address, GRID) == warm
+        assert calls == []
+        assert warm.count('"status": "warm"') == len(GRID)
+
+
+class AddrCheckAgain(AddrCheck):
+    """A different monitor implementation under a re-registered name."""
+
+
+def warm_key(instance, address, spec):
+    """The key of ``spec``'s answer to a ``/run``, stored beforehand under
+    the spec's current content key so that it is answered warm."""
+    text = result_json(SerialRunner().run_one(GRID[0]))
+    instance.store.put_text(content_key(spec), spec, text)
+    lines = post_run(address, [spec], results=False).splitlines()
+    event = json.loads(lines[1])
+    assert event["status"] == "warm", event
+    return event["key"]
+
+
+class TestSpecTextMemo:
+    """The server parses and keys each distinct spec text once, and keys
+    it afresh when a registry entry the key reads changes."""
+
+    def test_profile_replacement_rekeys(self, server):
+        instance, address = server
+        profile = dataclasses.replace(get_profile("astar"), name="memoprobe")
+        register_profile(profile)
+        try:
+            spec = RunSpec("memoprobe", "addrcheck", SystemConfig(), TINY)
+            first = warm_key(instance, address, spec)
+            assert warm_key(instance, address, spec) == first
+            register_profile(
+                dataclasses.replace(profile, locality=0.5), replace=True
+            )
+            second = warm_key(instance, address, spec)
+            assert second == content_key(spec) != first
+        finally:
+            PROFILE_REGISTRY.unregister("memoprobe")
+
+    def test_monitor_reregistration_rekeys(self, server):
+        instance, address = server
+        register_monitor("memoprobe", AddrCheck)
+        try:
+            spec = RunSpec("astar", "memoprobe", SystemConfig(), TINY)
+            first = warm_key(instance, address, spec)
+            register_monitor("memoprobe", AddrCheckAgain, replace=True)
+            second = warm_key(instance, address, spec)
+            assert second == content_key(spec) != first
+        finally:
+            MONITOR_REGISTRY.unregister("memoprobe")
+
+    def test_invalid_text_is_not_remembered(self, server):
+        instance, address = server
+        spec = RunSpec("astar", "addrcheck", SystemConfig(), TINY)
+        raw = dict(spec.to_dict(), monitor="memoprobe")
+        body = json.dumps({"specs": [raw], "results": False}).encode()
+
+        def answer():
+            status, stream = ServiceClient(address)._request(
+                "POST", "/run", body
+            )
+            with stream:
+                return json.loads(stream.read().decode().splitlines()[1])
+
+        assert answer()["status"] == "error"
+        register_monitor("memoprobe", AddrCheck)
+        try:
+            registered = RunSpec.from_dict(raw)
+            instance.store.put_text(
+                content_key(registered), registered,
+                result_json(SerialRunner().run_one(GRID[0])),
+            )
+            event = answer()
+            assert event["status"] == "warm"
+            assert event["key"] == content_key(registered)
+        finally:
+            MONITOR_REGISTRY.unregister("memoprobe")
+        assert answer()["status"] == "error"
+
+    def test_equal_values_of_other_types_are_apart(self):
+        instance = CampaignServer()
+        base = GRID[0].to_dict()
+        raws = []
+        for settings in ({"seed": 7}, {"seed": 7.0},
+                         {"warmup_fraction": 0.0},
+                         {"warmup_fraction": -0.0}):
+            raws.append(dict(base, settings=dict(base["settings"],
+                                                 **settings)))
+        for _ in range(2):  # First sight, then the memo.
+            for raw in raws:
+                spec, key = instance._parse(raw)
+                assert spec == RunSpec.from_dict(raw)
+                assert key == content_key(RunSpec.from_dict(raw))
+        assert len({instance._parse(raw)[1] for raw in raws}) == 4
+
+    def test_memo_is_bounded(self):
+        instance = CampaignServer()
+        size = server_module._SPEC_MEMO_SIZE
+        base = GRID[0].to_dict()
+        for seed in range(size + 3):
+            instance._parse(
+                dict(base, settings=dict(base["settings"], seed=seed))
+            )
+        assert len(instance._specs) == size
 
 
 class TestFaultOrdinals:

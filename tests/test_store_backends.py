@@ -11,7 +11,8 @@ import pytest
 
 from repro import cli
 from repro.api import ExperimentSettings, ResultStore, SerialRunner, spec_grid
-from repro.api.store import _parse_store_path
+from repro.api import store as store_module
+from repro.api.store import _parse_store_path, result_json
 from repro.system.config import SystemConfig
 
 TINY = ExperimentSettings(num_instructions=1500, seed=11)
@@ -93,16 +94,16 @@ class TestCrossBackendParity:
 
 @pytest.mark.parametrize("name", ["cache", "cache.db"])
 class TestLookup:
-    """``lookup`` returns a hit's result with its JSON text as stored."""
+    """``lookup`` returns a hit's result JSON text as stored."""
 
     def test_text_is_the_stored_result(self, tmp_path, name):
         store = ResultStore(tmp_path / name)
         result = SerialRunner().run_one(GRID[0])
         store.put(GRID[0], result)
-        hit, text = store.lookup(store.key(GRID[0]))
-        assert hit.to_dict() == result.to_dict()
+        text = store.lookup(store.key(GRID[0]))
         assert text == json.dumps(result.to_dict(), sort_keys=True)
-        assert (store.hits, store.misses) == (1, 0)
+        assert store.get(GRID[0]).to_dict() == result.to_dict()
+        assert (store.hits, store.misses) == (2, 0)
 
     def test_other_valid_layout_is_served_re_encoded(self, tmp_path, name):
         store = ResultStore(tmp_path / name)
@@ -112,9 +113,10 @@ class TestLookup:
         entry = {"spec": GRID[0].to_dict(), "result": result.to_dict(),
                  "key": key}
         store._backend.write(key, json.dumps(entry, indent=1).encode())
-        hit, text = store.lookup(key)
-        assert hit.to_dict() == result.to_dict()
-        assert text == json.dumps(result.to_dict(), sort_keys=True)
+        for _ in range(2):  # First sight, then the memo.
+            text = store.lookup(key)
+            assert text == json.dumps(result.to_dict(), sort_keys=True)
+            assert store.get(GRID[0]).to_dict() == result.to_dict()
 
     def test_invalid_entries_are_deleted_misses(self, tmp_path, name):
         store = ResultStore(tmp_path / name)
@@ -137,6 +139,179 @@ class TestLookup:
             assert store.lookup(key) is None
             assert len(store) == 0
         assert (store.hits, store.misses) == (0, 4)
+
+
+def _raw(store, key):
+    payload = store._backend.read(key)
+    return payload.encode() if isinstance(payload, str) else payload
+
+
+def _corruptions(store, key, spec, result):
+    """Torn, truncated, padded and invalid-result payloads for ``key``."""
+    payload = _raw(store, key)
+    broken = result.to_dict()
+    del broken["benchmark"]
+    return [
+        payload[: len(payload) // 2],
+        payload[:-1],
+        payload + b"x",
+        json.dumps({"key": key, "result": broken, "spec": spec.to_dict()},
+                   sort_keys=True).encode(),
+    ]
+
+
+@pytest.fixture(scope="module")
+def computed():
+    """GRID[0] and GRID[1]'s results, computed once."""
+    return [SerialRunner().run_one(spec) for spec in GRID[:2]]
+
+
+@pytest.fixture
+def from_dict_calls(monkeypatch):
+    """A list that grows by one for each ``RunResult.from_dict`` call."""
+    from repro.system.results import RunResult
+
+    calls = []
+    original = RunResult.from_dict.__func__
+
+    def counted(cls, data):
+        calls.append(1)
+        return original(cls, data)
+
+    monkeypatch.setattr(RunResult, "from_dict", classmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cache", "cache.db"])
+class TestValidationMemo:
+    """``lookup`` validates each distinct payload once; any other bytes
+    are validated in full, exactly as without the memo."""
+
+    def test_memo_hit_builds_no_result(
+        self, tmp_path, name, computed, from_dict_calls
+    ):
+        store = ResultStore(tmp_path / name)
+        store.put(GRID[0], computed[0])
+        key = store.key(GRID[0])
+        first = store.lookup(key)
+        assert len(from_dict_calls) == 1
+        assert store.lookup(key) == first
+        assert len(from_dict_calls) == 1
+        assert (store.hits, store.misses) == (2, 0)
+
+    def test_rewritten_entry_serves_the_new_text(
+        self, tmp_path, name, computed
+    ):
+        store = ResultStore(tmp_path / name)
+        key = store.key(GRID[0])
+        store.put(GRID[0], computed[0])
+        assert store.lookup(key) == store.lookup(key) == result_json(
+            computed[0]
+        )
+        store.put_text(key, GRID[0], result_json(computed[1]))
+        assert store.lookup(key) == result_json(computed[1])
+        assert store.get(GRID[0]).to_dict() == computed[1].to_dict()
+        assert (store.hits, store.misses) == (4, 0)
+
+    def test_corrupt_bytes_after_a_memo_hit_are_deleted_misses(
+        self, tmp_path, name, computed
+    ):
+        store = ResultStore(tmp_path / name)
+        key = store.key(GRID[0])
+        store.put(GRID[0], computed[0])
+        for data in _corruptions(store, key, GRID[0], computed[0]):
+            store.put(GRID[0], computed[0])
+            assert store.lookup(key) is not None
+            assert store.lookup(key) is not None  # A memo hit.
+            store._backend.write(key, data)
+            assert store.lookup(key) is None
+            assert len(store) == 0
+            assert store.lookup(key) is None
+        assert (store.hits, store.misses) == (8, 8)
+
+    def test_readonly_store_keeps_corrupt_bytes(
+        self, tmp_path, name, computed
+    ):
+        writer = ResultStore(tmp_path / name)
+        key = writer.key(GRID[0])
+        writer.put(GRID[0], computed[0])
+        reader = ResultStore(tmp_path / name, readonly=True)
+        for data in _corruptions(writer, key, GRID[0], computed[0]):
+            writer.put(GRID[0], computed[0])
+            assert reader.lookup(key) == reader.lookup(key) is not None
+            writer._backend.write(key, data)
+            assert reader.lookup(key) is None
+            assert _raw(writer, key) == data  # Not healed.
+        assert (reader.hits, reader.misses) == (8, 4)
+
+    def test_clear_makes_the_next_lookup_a_miss(
+        self, tmp_path, name, computed
+    ):
+        store = ResultStore(tmp_path / name)
+        key = store.key(GRID[0])
+        store.put(GRID[0], computed[0])
+        assert store.lookup(key) == store.lookup(key) is not None
+        assert store.clear() == 1
+        assert store.lookup(key) is None
+        assert (store.hits, store.misses) == (2, 1)
+
+    def test_deleted_entry_is_a_miss(self, tmp_path, name, computed):
+        store = ResultStore(tmp_path / name)
+        key = store.key(GRID[0])
+        store.put(GRID[0], computed[0])
+        assert store.lookup(key) == store.lookup(key) is not None
+        store._backend.delete(key)
+        assert store.lookup(key) is None
+        store.put(GRID[0], computed[0])
+        assert store.lookup(key) == result_json(computed[0])
+        assert (store.hits, store.misses) == (3, 1)
+
+    def test_get_returns_distinct_results(self, tmp_path, name, computed):
+        store = ResultStore(tmp_path / name)
+        store.put(GRID[0], computed[0])
+        reference = computed[0].to_dict()
+        # First sight, then two memo hits.
+        first, second, third = (store.get(GRID[0]) for _ in range(3))
+        assert first is not second and second is not third
+        assert first == second == third
+        first.cycles += 1
+        first.unfiltered_burst_sizes.append(12345)
+        first.handler_instructions.clear()
+        second.reports.clear()
+        assert third.to_dict() == reference
+        assert store.get(GRID[0]).to_dict() == reference
+
+
+class _DictBackend:
+    """Entries in a dict: the read and delete half of a backend."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def read(self, key):
+        return self.entries.get(key)
+
+    def delete(self, key):
+        self.entries.pop(key, None)
+
+
+def test_validation_memo_is_bounded(tmp_path, computed):
+    store = ResultStore(tmp_path / "cache")
+    store._backend = backend = _DictBackend()
+    text = result_json(computed[0])
+    spec = json.dumps(GRID[0].to_dict(), sort_keys=True)
+    size = store_module._VALIDATED_MEMO_SIZE
+    keys = [f"{index:064x}" for index in range(size + 3)]
+    for key in keys:
+        backend.entries[key] = (
+            f'{{"key": "{key}", "result": {text}, "spec": {spec}}}'.encode()
+        )
+        assert store.lookup(key) == text
+    assert len(store._validated) == size
+    # The oldest keys went first; the newest are still memo hits.
+    assert keys[0] not in store._validated
+    assert keys[-1] in store._validated
+    assert store.hits == len(keys)
 
 
 class TestSqliteBackend:
