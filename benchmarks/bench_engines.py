@@ -3,9 +3,9 @@
     PYTHONPATH=src:. python -m pytest benchmarks/bench_engines.py -q
 
 Runs every Figure 9 cell (each monitor over its suite) at n=3000 under
-both engines on one ``SerialRunner`` whose traces, schedules and plans are
-built before any timing, with the trace store off, so no cell starts
-from a stored warm state and both engines time warmup plus engine loop.
+both engines on one ``SerialRunner`` whose traces and schedules are built
+before any timing, with the trace store off, so no cell starts from a
+stored warm state and both engines time plan, warmup and engine loop.
 The engines take turns over ``ROUNDS`` rounds, so drift in the machine's
 speed hits both alike.  Separately on the unaccelerated half and on the
 FADE half, the results must be bit-identical and the event engine's best
@@ -45,7 +45,6 @@ def runner() -> SerialRunner:
     for spec in grid("event", "fade"):
         runner.cache.trace(spec.benchmark, SETTINGS)
         runner.cache.schedule(spec.benchmark, SETTINGS, spec.config.core_type)
-        runner.cache.plan(spec.benchmark, SETTINGS, spec.monitor)
     return runner
 
 

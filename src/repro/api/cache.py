@@ -1,16 +1,17 @@
-"""Bounded, explicitly-owned trace, schedule and warm-state caches.
+"""Bounded, explicitly-owned trace and schedule caches.
 
 Replaces the unbounded module-global ``_TRACE_CACHE``/``_SCHEDULE_CACHE``
 the analysis layer used to keep: every :class:`~repro.api.runner.Runner`
 owns one :class:`RunnerCache`, so long-lived sessions stay memory-bounded
 and parallel workers never share mutable state across processes.
 
-Below the in-memory LRUs sits the per-machine
-:class:`~repro.api.trace_store.TraceStore`: a trace, schedule or warm
-state missing from the LRU is loaded from disk when this machine has built
-it before, and written there after it is built.  Kind tables (the per-item
-delivery plans) stay in memory only: building one is a few byte-table
-passes.
+Below the two in-memory LRUs sits the per-machine
+:class:`~repro.api.trace_store.TraceStore`: a trace or schedule missing
+from its LRU is loaded from disk when this machine has built it before,
+and written there after it is built.  Warm states live in the store only,
+so cells on different cores share one warmup through it.  Kind tables
+(the per-item delivery plans) are built per cell: building one is a few
+byte-table passes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import (
 from repro.cores.base import CoreType
 from repro.cores.retire import RetireModel
 from repro.mem.hierarchy import HierarchyConfig
-from repro.monitors import MONITOR_REGISTRY, create_monitor, is_builtin_monitor
+from repro.monitors import create_monitor, is_builtin_monitor
 from repro.system.simulator import KindTable, build_plan, fade_config
 from repro.verify.coverage import COVERAGE
 from repro.workload.generator import generate_trace
@@ -44,9 +45,11 @@ from repro.api.spec import ExperimentSettings, RunSpec
 if TYPE_CHECKING:
     from repro.api.trace_store import TraceStore, WarmState
 
-#: Warm-state pickles a cache keeps (about 150 KiB at most for a 20k
-#: trace): enough for the cells of a grid that share one warmup.
-_MAX_WARM_STATES = 32
+#: Traces and schedules a cache keeps: they cover the largest paper grid
+#: (13 benchmarks x a handful of settings) while keeping a long-lived
+#: session's footprint flat.
+_MAX_TRACES = 64
+_MAX_SCHEDULES = 128
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -81,10 +84,6 @@ class LruCache(Generic[K, V]):
                 self._data.popitem(last=False)
         return value
 
-    def keys(self) -> List[K]:
-        with self._lock:
-            return list(self._data)
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -99,33 +98,21 @@ class LruCache(Generic[K, V]):
 
 
 class RunnerCache:
-    """Traces, retire schedules, plans and warm states shared by the runs
-    of one Runner.
+    """Traces and retire schedules shared by the runs of one Runner.
 
-    Every cache is LRU-bounded; the defaults comfortably cover the largest
-    paper grid (13 benchmarks x a handful of settings) while keeping a
-    long-lived CLI session's footprint flat.
-
-    The trace, schedule and warm-state LRUs are backed by the trace store
-    at the location configured (``$REPRO_TRACE_STORE``, ``off`` to turn it
-    off) when the cache first needs it.  Traces of an inline ``profile``
-    are never persisted, and a cache built with ``persist=False`` never
-    reads or writes the store.  A store hit still counts as an LRU miss.
-    Warm states exist only where the store is used (:meth:`warm_state`).
+    Both caches are LRU-bounded (:data:`_MAX_TRACES`,
+    :data:`_MAX_SCHEDULES`) and backed by the trace store at the location
+    configured (``$REPRO_TRACE_STORE``, ``off`` to turn it off) when the
+    cache first needs it.  Traces of an inline ``profile`` are never
+    persisted, and a cache built with ``persist=False`` never reads or
+    writes the store.  A store hit still counts as an LRU miss.  Warm
+    states exist only in the store (:meth:`warm_state`).
     """
 
-    def __init__(
-        self,
-        max_traces: int = 64,
-        max_schedules: int = 128,
-        max_plans: int = 64,
-        persist: bool = True,
-    ) -> None:
+    def __init__(self, persist: bool = True) -> None:
         self.persist = persist
-        self._traces: LruCache = LruCache(max_traces)
-        self._schedules: LruCache = LruCache(max_schedules)
-        self._plans: LruCache = LruCache(max_plans)
-        self._warm_states: LruCache = LruCache(_MAX_WARM_STATES)
+        self._traces: LruCache = LruCache(_MAX_TRACES)
+        self._schedules: LruCache = LruCache(_MAX_SCHEDULES)
         self._trace_store: Optional["TraceStore"] = None
         self._trace_store_hits = 0
         self._schedule_store_hits = 0
@@ -225,33 +212,13 @@ class RunnerCache:
 
         return self._schedules.get_or_create(key, build)
 
-    def plan(
-        self,
-        benchmark: str,
-        settings: ExperimentSettings,
-        monitor_name: str,
-        profile: Optional[BenchmarkProfile] = None,
-    ) -> KindTable:
-        """The kind table (one delivery kind per trace item) for one
-        (benchmark, monitor) pair.  It does not depend on the system
-        configuration, so cells differing only there share one table.
-
-        The key includes the monitor's registered *factory* (not just its
-        name), so re-registering a name with ``replace=True`` never serves a
-        plan classified by the superseded monitor.
-        """
-        inline = profile
-        if profile is None:
-            profile = get_profile(benchmark)
-        factory = MONITOR_REGISTRY.get(monitor_name)
-        key = (profile, settings.num_instructions, settings.seed, factory)
-        return self._plans.get_or_create(
-            key,
-            lambda: build_plan(
-                self.trace(benchmark, settings, inline),
-                create_monitor(monitor_name),
-            ),
-        )
+    def plan(self, trace: Trace, monitor_name: str) -> KindTable:
+        """The kind table (one delivery kind per trace item) of
+        ``monitor_name`` over ``trace``, built afresh for every cell: a
+        build is a few byte-table passes.  A method of the cache only so
+        that a cell's plan work has one place to be timed (perfbench's
+        tracer wraps it as the ``system.plan`` layer)."""
+        return build_plan(trace, create_monitor(monitor_name))
 
     def warm_state(
         self,
@@ -260,30 +227,19 @@ class RunnerCache:
         warm: Callable[[], "WarmState"],
     ) -> Optional["WarmState"]:
         """The monitor and FADE of ``spec`` after its ``warmup`` items,
-        a fresh copy on every call, or None when ``spec`` is out of scope.
+        a fresh pair on every call, or None when ``spec`` is out of scope.
 
-        On a miss in the LRU and the store, ``warm()`` warms a fresh pair
-        and encodes it.  Only the event engine uses warm states (the naive
-        reference always warms itself), and only for a registry profile, a
-        built-in monitor, a non-zero warmup and coverage counting off
-        (warmup hits coverage states)."""
+        The pair is loaded from the trace store; on a miss there,
+        ``warm()`` warms a fresh pair, which is stored.  Only the event
+        engine uses warm states (the naive reference always warms itself),
+        and only for a registry profile, a built-in monitor, a non-zero
+        warmup and coverage counting off (warmup hits coverage states)."""
         key = self._warm_key(spec, warmup)
         if key is None:
             return None
-        fresh: List["WarmState"] = []
-
-        def load() -> bytes:
-            state, loaded = self.trace_store.warm(key, warm)
-            self._warm_store_hits += loaded
-            fresh.append(state)
-            return state.body
-
-        body = self._warm_states.get_or_create(key, load)
-        if fresh:
-            return fresh[0]
-        from repro.api.trace_store import load_warm_state
-
-        return load_warm_state(body)
+        state, loaded = self.trace_store.warm(key, warm)
+        self._warm_store_hits += loaded
+        return state
 
     def _warm_key(self, spec: RunSpec, warmup: int) -> Optional[str]:
         if (
@@ -303,8 +259,6 @@ class RunnerCache:
     def clear(self) -> None:
         self._traces.clear()
         self._schedules.clear()
-        self._plans.clear()
-        self._warm_states.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -314,13 +268,7 @@ class RunnerCache:
             "schedules": len(self._schedules),
             "schedule_hits": self._schedules.hits,
             "schedule_misses": self._schedules.misses,
-            "plans": len(self._plans),
-            "plan_hits": self._plans.hits,
-            "plan_misses": self._plans.misses,
             "trace_store_hits": self._trace_store_hits,
             "schedule_store_hits": self._schedule_store_hits,
-            "warm_states": len(self._warm_states),
-            "warm_hits": self._warm_states.hits,
-            "warm_misses": self._warm_states.misses,
             "warm_store_hits": self._warm_store_hits,
         }

@@ -76,12 +76,12 @@ _POOL_REBUILD_LIMIT = 2
 def build_simulation(
     spec: RunSpec, cache: RunnerCache, warm_store: Optional["TraceStore"] = None
 ) -> MonitoringSimulation:
-    """One fresh simulation for ``spec``, with trace/schedule/plan and the
-    warm state served from ``cache`` (the construction :func:`execute_spec`
-    uses).  The cache gets the spec's own ``profile`` (None unless inline),
+    """One fresh simulation for ``spec``, with its trace and schedule
+    served from ``cache`` and its warm state from the cache's trace store
+    (the construction :func:`execute_spec` uses).  The cache gets the spec's own ``profile`` (None unless inline),
     which is what lets it persist registry traces and skip inline ones.
 
-    When the cache holds the monitor and FADE this spec's warmup leaves
+    When the store holds the monitor and FADE this spec's warmup leaves
     behind, the simulation starts from them, warmed; otherwise it warms
     itself when it runs.  A ``warm_store`` keeps the warm state of any
     spec with a warmup there instead, whatever the cache's scope rules
@@ -98,7 +98,7 @@ def build_simulation(
         spec.config.hierarchy,
         inline,
     )
-    plan = cache.plan(spec.benchmark, spec.settings, spec.monitor, inline)
+    plan = cache.plan(trace, spec.monitor)
 
     def simulation(monitor, fade=None, warmed=False) -> MonitoringSimulation:
         return MonitoringSimulation(
@@ -139,9 +139,9 @@ def execute_spec(
 ) -> RunResult:
     """Simulate one cell with the standard warmup methodology.
 
-    The trace, retirement schedule and delivery plan all come from the
-    runner's cache, so cells of a grid that share a benchmark (and core or
-    monitor) only pay for them once.  With a ``store``, a cell whose spec
+    The trace and retirement schedule come from the runner's cache, so
+    cells of a grid that share a benchmark (and core) only pay for them
+    once.  With a ``store``, a cell whose spec
     content already has a persisted result is served from disk.
 
     The result store is the only resume: a cell interrupted mid-run (a
@@ -153,7 +153,7 @@ def execute_spec(
         if cached is not None:
             return cached
     if cache is None:
-        cache = RunnerCache(max_traces=1, max_schedules=1, max_plans=1)
+        cache = RunnerCache()
     result = build_simulation(spec, cache).run()
     if store is not None:
         store.put(spec, result)
@@ -227,7 +227,7 @@ def _worker_run_chunk(specs: List[RunSpec]) -> List[RunResult]:
 
     The specs of a chunk share one trace (:func:`_trace_chunks`), so this
     worker's cache synthesizes it on first use and every later cell of the
-    chunk reuses it, together with its schedules and plans.  Chunking also
+    chunk reuses it, together with its schedules.  Chunking also
     amortises the per-task submission overhead across the batch.
     """
     return [_worker_run(spec) for spec in specs]
@@ -237,8 +237,8 @@ def _trace_chunks(spec_list: List[RunSpec], workers: int) -> List[List[int]]:
     """Spec indices grouped into pool tasks, largest task first.
 
     In (benchmark, settings, monitor) order, a chunk is one run of specs
-    with equal :func:`_trace_key`, so a trace and its schedules and plans
-    are built by one worker.  Only a run longer than
+    with equal :func:`_trace_key`, so a trace and its schedules are built
+    by one worker.  Only a run longer than
     ``ceil(n / (workers * 4))`` is split, into near-equal pieces, so grids
     of one or two traces still spread across the pool.  Dispatching the
     largest chunks first keeps a long chunk from starting last.
@@ -450,12 +450,9 @@ class ParallelRunner(Runner):
                 # earlier rounds — kill the workers outright (waiting
                 # for running chunks defeats the point of Ctrl-C), and
                 # let the interrupt propagate.
-                self._store_partial(
-                    spec_list,
-                    [index_chunks[slot] for slot in pending],
-                    futures,
+                self._store_finished(
+                    spec_list, index_chunks, batches, zip(pending, futures)
                 )
-                self._store_batches(spec_list, index_chunks, batches)
                 _terminate_pool(pool)
                 raise
             except BrokenProcessPool:
@@ -536,37 +533,28 @@ class ParallelRunner(Runner):
                 results[index] = result
         return results
 
-    def _store_partial(self, spec_list, index_chunks, futures) -> int:
-        """Persist every chunk that completed before an interrupt.
+    def _store_finished(self, spec_list, index_chunks, batches,
+                        round_futures) -> int:
+        """Persist every chunk that finished before an interrupt, once.
 
-        With no store the completed work is simply dropped (as before);
+        ``round_futures`` pairs each slot of the interrupted round with its
+        future.  A future's batch is folded into ``batches`` first, so a
+        chunk that finished in this round or an earlier one is stored
+        exactly once.  With no store the finished work is simply dropped;
         with one, a re-run after Ctrl-C serves the finished cells warm and
         only recomputes the killed ones.  Returns how many results were
         stored.
         """
         if self.store is None:
             return 0
-        stored = 0
-        for indices, future in zip(index_chunks, futures):
-            if not future.done() or future.cancelled():
-                continue
-            try:
-                batch = future.result()
-            except BaseException:
-                continue  # The chunk raised; nothing to keep.
-            for index, result in zip(indices, batch):
-                try:
-                    self.store.put(spec_list[index], result)
-                    stored += 1
-                except OSError:
-                    return stored  # Store unwritable mid-interrupt: stop.
-        return stored
-
-    def _store_batches(self, spec_list, index_chunks, batches) -> int:
-        """Persist chunks already harvested into ``batches`` (the pool-
-        breakage recovery buffer) when an interrupt cuts the grid short."""
-        if self.store is None:
-            return 0
+        for slot, future in round_futures:
+            if (
+                batches[slot] is None
+                and future.done()
+                and not future.cancelled()
+                and future.exception() is None
+            ):
+                batches[slot] = future.result()
         stored = 0
         for indices, batch in zip(index_chunks, batches):
             if batch is None:
@@ -576,7 +564,7 @@ class ParallelRunner(Runner):
                     self.store.put(spec_list[index], result)
                     stored += 1
                 except OSError:
-                    return stored
+                    return stored  # Store unwritable mid-interrupt: stop.
         return stored
 
 

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.monitors import MONITOR_REGISTRY, monitor_names
-from repro.system.config import SystemConfig, field_dict
+from repro.system.config import SystemConfig, check_int, field_dict
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import PROFILE_REGISTRY, benchmark_names, get_profile
 
@@ -64,12 +64,8 @@ class ExperimentSettings:
     warmup_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        count = self.num_instructions
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ConfigurationError(
-                f"num_instructions must be an integer of at least 1, "
-                f"got {count!r}"
-            )
+        check_int("num_instructions", self.num_instructions, 1)
+        check_int("seed", self.seed)
         warmup = self.warmup_fraction
         if (
             isinstance(warmup, bool)

@@ -16,7 +16,9 @@ figure grid recomputes only dirty cells.  The store key is a SHA-256 over:
 Keying is over *inputs*, never over wall-clock or host state, so a store
 hit returns a ``RunResult`` bit-identical to recomputation (round-tripped
 through the same ``to_dict``/``from_dict`` pair the ResultSet save/load
-path uses; proven by tests/test_store.py).
+path uses; proven by tests/test_store.py).  Each call hashes afresh: the
+campaign server keys each distinct request spec text once, and a runner
+keys a cell once per read and once per write.
 
 Two interchangeable on-disk backends sit behind the one interface, selected
 by the store path (``tests/test_store_backends.py`` proves byte-identical
@@ -45,7 +47,6 @@ invalidation the key cannot see; ``repro cache clear`` is the escape hatch
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
 import json
 import math
@@ -65,7 +66,6 @@ from repro.faults.retry import STORE_WRITE_POLICY
 if TYPE_CHECKING:
     from repro.api.spec import RunSpec
     from repro.system.results import RunResult
-    from repro.workload.profile import BenchmarkProfile
 
 #: Version of the store's on-disk entry format *and* of the RunResult
 #: semantics it captures.  Bump whenever RunResult serialisation or the
@@ -73,10 +73,6 @@ if TYPE_CHECKING:
 #: Shared by every backend — the key (and therefore the cache identity) is
 #: backend-independent.
 STORE_SCHEMA_VERSION = 1
-
-#: How many distinct spec contents :func:`content_key` remembers per
-#: process.  An entry holds one spec, its repr and its key: a few KB.
-_KEY_MEMO_SIZE = 4096
 
 #: How many validated entries a :class:`ResultStore` remembers
 #: (:meth:`ResultStore.lookup`).  An entry holds one payload and its
@@ -93,33 +89,28 @@ def content_key(spec: RunSpec) -> str:
     Module-level (not a store method) because the key is a property of the
     *spec content*, shared by every backend and by store-less consumers:
     the campaign server single-flights identical in-flight specs by this
-    key even when it runs without a persistent store.
-
-    Memoized (:func:`_digest`): a process serializes and hashes each
-    distinct spec content once, however often the scheduler, the store's
-    ``get`` and ``put`` and warm re-runs ask for its key.  The memo is
-    keyed on everything the digest reads, with the registry entries and
-    schema versions read at call time (:func:`key_inputs`), so a hit
-    returns exactly the key a fresh computation would.
+    key even when it runs without a persistent store.  It keeps no memo:
+    the server keys each distinct request spec text once
+    (``CampaignServer._parse``).
     """
+    from repro.system.config import field_dict
+
     registered, factory, store_schema, trace_schema = key_inputs(spec)
-    monitor_impl = (
-        f"{getattr(factory, '__module__', '?')}."
-        f"{getattr(factory, '__qualname__', repr(factory))}"
-    )
     # An inline profile is part of the spec; a registered one is keyed by
-    # identity.  The memo entry holds the object, so its id cannot be
-    # reused while the entry lives, and re-registering a name makes a new
-    # object and so a new memo key.
-    return _digest(
-        spec,
-        repr(spec),
-        registered,
-        id(registered),
-        monitor_impl,
-        store_schema,
-        trace_schema,
-    )
+    # its field values.
+    profile = spec.profile if registered is None else registered
+    payload = {
+        "store_schema": store_schema,
+        "trace_schema": trace_schema,
+        "spec": spec.to_dict(),
+        "profile": field_dict(profile),
+        "monitor_impl": (
+            f"{getattr(factory, '__module__', '?')}."
+            f"{getattr(factory, '__qualname__', repr(factory))}"
+        ),
+    }
+    canonical = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def key_inputs(spec: RunSpec) -> Tuple[object, ...]:
@@ -138,39 +129,6 @@ def key_inputs(spec: RunSpec) -> Tuple[object, ...]:
         STORE_SCHEMA_VERSION,
         TRACE_SCHEMA_VERSION,
     )
-
-
-@functools.lru_cache(maxsize=_KEY_MEMO_SIZE)
-def _digest(
-    spec: RunSpec,
-    spec_repr: str,
-    registered: Optional[BenchmarkProfile],
-    registered_id: int,
-    monitor_impl: str,
-    store_schema: int,
-    trace_schema: int,
-) -> str:
-    """The SHA-256 behind :func:`content_key`, memoized on its arguments.
-
-    ``spec_repr`` makes a hit exact.  Spec equality alone would not:
-    ``7 == 7.0 == True`` and ``0.0 == -0.0``, yet each serializes
-    differently in the canonical JSON.  The generated dataclass repr of
-    the spec and of every nested config prints each field value with its
-    type and each float exactly (``tests/test_store.py`` checks that no
-    field of them is left out of the repr).
-    """
-    from repro.system.config import field_dict
-
-    profile = spec.profile if registered is None else registered
-    payload = {
-        "store_schema": store_schema,
-        "trace_schema": trace_schema,
-        "spec": spec.to_dict(),
-        "profile": field_dict(profile),
-        "monitor_impl": monitor_impl,
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _non_finite_field(value: object, path: str) -> Optional[str]:
@@ -428,15 +386,12 @@ class ResultStore:
     def get(self, spec: RunSpec) -> Optional[RunResult]:
         """The cached result for ``spec``'s content, or None (a miss).
         Each call returns a new ``RunResult``."""
-        hit = self._read(content_key(spec))
-        if hit is None:
+        text = self.lookup(content_key(spec))
+        if text is None:
             return None
-        text, result = hit
-        if result is None:
-            from repro.system.results import RunResult
+        from repro.system.results import RunResult
 
-            result = RunResult.from_dict(json.loads(text))
-        return result
+        return RunResult.from_dict(json.loads(text))
 
     def lookup(self, key: str) -> Optional[str]:
         """The JSON text of the result stored under content ``key``, or
@@ -452,15 +407,9 @@ class ResultStore:
         full validation would give.  The text is the entry's own, which
         :meth:`put` wrote as :func:`result_json`, so a server can stream
         it without encoding the result again; an entry in any other
-        layout has its result re-encoded once, on first sight.
+        layout has its result re-encoded once, on first sight.  The memo
+        holds bytes and text only, never a result.
         """
-        hit = self._read(key)
-        return None if hit is None else hit[0]
-
-    def _read(self, key: str) -> Optional[Tuple[str, Optional[RunResult]]]:
-        """:meth:`lookup`'s hit as (text, result): the ``RunResult`` that a
-        first-sight validation built, None when the memo vouched for the
-        bytes.  The memo holds bytes and text only, never a result."""
         memo = self._validated
         try:
             payload = self._backend.read(key)
@@ -472,7 +421,7 @@ class ResultStore:
             if seen is not None and seen[0] == payload:
                 memo.move_to_end(key)
                 self.hits += 1
-                return seen[1], None
+                return seen[1]
             from repro.system.results import RunResult
 
             data, text = _entry_result(payload, key)
@@ -493,7 +442,7 @@ class ResultStore:
         if len(memo) > _VALIDATED_MEMO_SIZE:
             memo.popitem(last=False)
         self.hits += 1
-        return text, result
+        return text
 
     def put(self, spec: RunSpec, result: RunResult) -> None:
         """Persist one cell atomically (tmp file + rename, or one SQLite

@@ -26,8 +26,10 @@ two callers ever share a mutable result.
 
 Each spec is keyed once and reads the store once.  :meth:`SpecScheduler.warm`
 does both, synchronously (a caller that already holds the key passes
-it); for a miss, :meth:`SpecScheduler.claim` joins
-or starts the computation under that key and reads nothing again.  A
+it, as the server does: it keys each distinct request spec text once,
+and :func:`~repro.api.store.content_key` itself keeps no memo); for a
+miss, :meth:`SpecScheduler.claim` joins or starts the computation under
+that key and reads nothing again.  A
 caller runs the two with no ``await`` between them, so a computation that
 finishes in between cannot be started a second time.
 :meth:`SpecScheduler.execute` is the one-spec form of the pair.
@@ -37,10 +39,11 @@ simulated **at most once per server lifetime** — the property the CI
 service-smoke job asserts.
 
 Workers keep their traces and schedules in memory only
-(``RunnerCache(persist=False)``): they live as long as the server, so
-their LRUs already build each trace once, and a computed spec's latency
-depends on the requests alone, not on which traces other processes on the
-machine happened to leave in the trace store.
+(``RunnerCache(persist=False)``) and keep no warm states: they live as
+long as the server, so their LRUs already build each trace once, and a
+computed spec's latency depends on the requests alone, not on which
+traces other processes on the machine happened to leave in the trace
+store.
 
 Failure handling (the resilience layer):
 

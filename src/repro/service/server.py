@@ -64,9 +64,9 @@ _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 256 * 1024 * 1024
 
 #: How many distinct request spec texts a server remembers
-#: (:meth:`CampaignServer._parse`): as many as
-#: :func:`~repro.api.store.content_key` remembers specs.  An entry holds
-#: one spec, its text and its key: a few KB.
+#: (:meth:`CampaignServer._parse`), each with its parsed spec and its
+#: content key: the one key memo of the service.  An entry holds one
+#: spec, its text and its key: a few KB.
 _SPEC_MEMO_SIZE = 4096
 
 

@@ -55,6 +55,20 @@ def _resolve_enum(field: str, value, enum_type, aliases: Mapping[str, enum.Enum]
     )
 
 
+def check_int(field: str, value: object, minimum: Optional[int] = None) -> None:
+    """Reject ``value`` unless it is an ``int`` (never a ``bool``) of at
+    least ``minimum``, with a :class:`ConfigurationError` naming ``field``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise ConfigurationError(
+            f"{field} must be an integer{bound}, got {value!r}"
+        )
+
+
 def field_dict(obj: object) -> Dict[str, object]:
     """``dataclasses.asdict`` for a frozen dataclass of immutable values
     (scalars, enums, nested frozen dataclasses): nested dataclasses become
@@ -66,6 +80,13 @@ def field_dict(obj: object) -> Dict[str, object]:
             value = field_dict(value)
         data[field.name] = value
     return data
+
+
+#: The :class:`SystemConfig` fields that take ``True`` or ``False`` only.
+_BOOL_FIELDS = (
+    "fade_enabled", "non_blocking", "sample_queue_occupancy",
+    "stack_update_drain",
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,14 +136,20 @@ class SystemConfig:
             "topology",
             _resolve_enum("topology", self.topology, Topology, TOPOLOGY_ALIASES),
         )
-        if self.fsq_capacity < 1:
-            raise ConfigurationError(
-                f"fsq_capacity must be at least 1, got {self.fsq_capacity}"
-            )
-        if self.event_queue_capacity is not None and self.event_queue_capacity <= 0:
-            raise ConfigurationError("event queue capacity must be positive or None")
-        if self.unfiltered_queue_capacity <= 0:
-            raise ConfigurationError("unfiltered queue capacity must be positive")
+        # A bool is an int, and "false" is truthy: both would run, and be
+        # stored, under a key of their own.
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be true or false, got {value!r}"
+                )
+        if self.event_queue_capacity is not None:
+            check_int("event_queue_capacity", self.event_queue_capacity, 1)
+        check_int("unfiltered_queue_capacity", self.unfiltered_queue_capacity, 1)
+        check_int("fsq_capacity", self.fsq_capacity, 1)
+        check_int("burst_gap_threshold", self.burst_gap_threshold, 0)
+        check_int("max_cycles", self.max_cycles, 1)
         if self.engine == "vector":
             # Not aliased: the engine is part of every result-store key.
             raise ConfigurationError(

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import time
+import warnings
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.api import (
     content_key,
     spec_grid,
 )
+from repro.api.runner import build_simulation
 from repro.common.errors import ConfigurationError
 from repro.cores.base import CoreType
 from repro.fade.md_cache import MetadataCacheConfig
@@ -164,6 +166,27 @@ class TestSystemConfigDefaults:
         )
 
 
+#: (field, value) pairs a SystemConfig must refuse: a bool field takes
+#: only a bool, and a count only an int (never a bool) within its range.
+BAD_SCALAR_FIELDS = [
+    ("fade_enabled", "false"),
+    ("fade_enabled", 0),
+    ("non_blocking", "true"),
+    ("sample_queue_occupancy", None),
+    ("stack_update_drain", 1),
+    ("fsq_capacity", True),
+    ("fsq_capacity", 1.5),
+    ("event_queue_capacity", 0),
+    ("event_queue_capacity", False),
+    ("unfiltered_queue_capacity", "16"),
+    ("burst_gap_threshold", -1),
+    ("burst_gap_threshold", 1.5),
+    ("max_cycles", 0),
+    ("max_cycles", -5),
+    ("max_cycles", 1.5),
+]
+
+
 class TestSystemConfigValidation:
     def test_string_core_and_topology_are_coerced(self):
         config = SystemConfig(core_type="inorder", topology="two-core")
@@ -200,12 +223,38 @@ class TestSystemConfigValidation:
         with pytest.raises(ConfigurationError, match="fsq_capacity"):
             SystemConfig(fsq_capacity=capacity)
 
+    @pytest.mark.parametrize("field,value", BAD_SCALAR_FIELDS)
+    def test_bad_scalar_field_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig.from_dict({**SystemConfig().to_dict(), field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            RunSpec.from_dict({
+                **RunSpec("astar", "memleak", settings=TINY).to_dict(),
+                "config": {**SystemConfig().to_dict(), field: value},
+            })
+
+    def test_scalar_edges_accepted(self):
+        SystemConfig(burst_gap_threshold=0, max_cycles=1,
+                      event_queue_capacity=None, fade_enabled=False)
+
 
 class TestExperimentSettingsValidation:
     @pytest.mark.parametrize("count", [0, -5, 2.5, "5", True])
     def test_bad_num_instructions_rejected(self, count):
         with pytest.raises(ConfigurationError, match="num_instructions"):
             ExperimentSettings(num_instructions=count)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", None, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentSettings(seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            RunSpec.from_dict({
+                **RunSpec("astar", "memleak", settings=TINY).to_dict(),
+                "settings": {**TINY.to_dict(), "seed": seed},
+            })
 
     @pytest.mark.parametrize(
         "fraction", [1.0, 1.5, -0.1, float("nan"), float("inf"), "0.5"]
@@ -314,19 +363,19 @@ class TestLruCache:
         assert first is second
         assert cache.stats()["trace_hits"] == 1
 
-    def test_monitor_replacement_invalidates_cached_plans(self):
+    def test_monitor_replacement_changes_the_simulations_plan(self):
         class QuietLeak(MemLeak):
             monitored_op_classes = frozenset()  # Wants nothing.
 
         cache = RunnerCache()
         register_monitor("mutantleak", MemLeak)
         try:
-            before = cache.plan("astar", TINY, "mutantleak")
+            spec = RunSpec("astar", "mutantleak", settings=TINY)
+            before = build_simulation(spec, cache).result
             register_monitor("mutantleak", QuietLeak, replace=True)
-            after = cache.plan("astar", TINY, "mutantleak")
-            assert after is not before  # Keyed by factory, not name.
-            assert after.monitored == 0
-            assert before.monitored > 0
+            after = build_simulation(spec, cache).result
+            assert after.monitored_events == 0
+            assert before.monitored_events > 0
         finally:
             MONITOR_REGISTRY.unregister("mutantleak")
 
@@ -444,15 +493,19 @@ class TestGracefulInterrupt:
     )
 
     class _FakeFuture:
-        def __init__(self, batch=None, error=None):
+        def __init__(self, batch=None, error=None, done=None):
             self._batch = batch
             self._error = error
+            self._done = batch is not None if done is None else done
 
         def done(self):
-            return self._batch is not None
+            return self._done
 
         def cancelled(self):
             return False
+
+        def exception(self):
+            return self._error
 
         def result(self):
             if self._error is not None:
@@ -504,6 +557,82 @@ class TestGracefulInterrupt:
         resumed = SerialRunner(store=resume_store).run(self.GRID)
         assert resume_store.hits == partial
         assert resume_store.misses == len(self.GRID) - partial
+        assert resumed.to_dict() == SerialRunner().run(self.GRID).to_dict()
+
+    @staticmethod
+    def _count_puts(store, monkeypatch):
+        """The content keys ``store.put`` is called with, in call order."""
+        puts = []
+        put = store.put
+
+        def counting_put(spec, result):
+            puts.append(content_key(spec))
+            put(spec, result)
+
+        monkeypatch.setattr(store, "put", counting_put)
+        return puts
+
+    def test_each_finished_chunk_is_stored_once(self, tmp_path,
+                                                monkeypatch):
+        from repro.api import ResultStore
+        from repro.api import runner as runner_module
+
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor", self._InterruptingPool
+        )
+        monkeypatch.setattr(runner_module, "_WORKER_CACHE", None)
+        store = ResultStore(tmp_path / "partial")
+        puts = self._count_puts(store, monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            ParallelRunner(jobs=2, store=store).run(self.GRID)
+        assert 0 < len(store) == len(puts) == len(set(puts))
+
+    def test_interrupt_after_a_pool_rebuild_keeps_both_rounds(
+        self, tmp_path, monkeypatch
+    ):
+        # Round one finishes its first chunk and the pool breaks under the
+        # rest; on the rebuilt pool the first resubmitted chunk finishes,
+        # then Ctrl-C.  Both finished chunks are stored, each once.
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.api import ResultStore
+        from repro.api import runner as runner_module
+
+        fake = self._FakeFuture
+        rounds = []
+
+        class BreakingThenInterruptingPool(self._InterruptingPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__()
+                rounds.append(self)
+
+            def submit(self, fn, payload):
+                self.submitted += 1
+                if self.submitted == 1:
+                    return fake(batch=fn(payload))
+                if len(rounds) == 1:
+                    return fake(error=BrokenProcessPool(), done=True)
+                return fake(error=KeyboardInterrupt())
+
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor",
+            BreakingThenInterruptingPool,
+        )
+        monkeypatch.setattr(runner_module, "_WORKER_CACHE", None)
+        store = ResultStore(tmp_path / "partial")
+        puts = self._count_puts(store, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(KeyboardInterrupt):
+                ParallelRunner(jobs=2, store=store).run(self.GRID)
+        first, second = runner_module._trace_chunks(self.GRID, 2)[:2]
+        finished = len(first) + len(second)
+        assert len(rounds) == 2
+        assert len(store) == len(puts) == len(set(puts)) == finished
+
+        resume_store = ResultStore(tmp_path / "partial")
+        resumed = SerialRunner(store=resume_store).run(self.GRID)
+        assert resume_store.hits == finished
         assert resumed.to_dict() == SerialRunner().run(self.GRID).to_dict()
 
     def test_interrupt_without_store_still_propagates(self, monkeypatch):

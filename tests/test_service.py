@@ -323,12 +323,21 @@ class TestServerEndToEnd:
         done = [e for e in events if e["event"] == "done"][0]
         assert done["total"] == 2 and done["statuses"]["error"] == 1
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("settings", "warmup_fraction", 1.5),
+        ("settings", "seed", 1.5),
+        ("settings", "seed", True),
+        ("config", "fade_enabled", "false"),
+        ("config", "fsq_capacity", True),
+        ("config", "burst_gap_threshold", -1),
+        ("config", "max_cycles", 0),
+    ])
     def test_invalid_settings_are_an_error_event_not_a_stored_result(
-        self, server
+        self, server, section, field, value
     ):
         instance, address = server
         bad = GRID[0].to_dict()
-        bad["settings"] = {**TINY.to_dict(), "warmup_fraction": 1.5}
+        bad[section] = {**bad[section], field: value}
         raw = json.dumps({"specs": [bad]}).encode()
         status, stream = ServiceClient(address)._request("POST", "/run", raw)
         assert status == 200
@@ -336,8 +345,9 @@ class TestServerEndToEnd:
             events = [json.loads(line) for line in stream if line.strip()]
         spec_events = [e for e in events if e["event"] == "spec"]
         assert spec_events[0]["status"] == "error"
-        assert "warmup_fraction" in spec_events[0]["error"]
+        assert field in spec_events[0]["error"]
         assert instance.scheduler.stats()["computed"] == 0
+        assert len(instance.store) == 0
 
     @pytest.mark.parametrize(
         "field, value", [("benchmark", "nosuch"), ("monitor", "nosuchmon")]

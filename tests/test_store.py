@@ -26,8 +26,7 @@ from repro.api import (
     spec_grid,
 )
 from repro.api import runner as runner_module
-from repro.api import store as store_module
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.monitors import MONITOR_REGISTRY
 from repro.monitors.memleak import MemLeak
 from repro.system.config import SystemConfig
@@ -198,8 +197,7 @@ class TestResultStore:
 class TestContentKey:
     """Every existing store (CI's sqlite one included) is addressed by
     these digests, so a serialization change that re-keys them must fail
-    here, not only miss in the field.  Each pinned hex was computed before
-    the key memo existed."""
+    here, not only miss in the field."""
 
     def test_registry_spec_with_default_config(self):
         assert content_key(RunSpec("astar", "memleak")) == (
@@ -233,58 +231,21 @@ class TestContentKey:
             "6a10033ff3cd2b09e65c184e7bd53d1d9b58b9c024c53896281b23f70b0e555d"
         )
 
-    def test_equal_specs_share_one_memo_computation(self):
-        def build():
-            return RunSpec(
-                "gcc", "memleak", SystemConfig(fsq_capacity=13),
-                ExperimentSettings(num_instructions=1700, seed=4099),
-            )
-
-        first, second = build(), build()
-        assert first is not second
-        before = store_module._digest.cache_info()
-        assert content_key(first) == content_key(second)
-        after = store_module._digest.cache_info()
-        assert after.misses == before.misses + 1
-        assert after.hits == before.hits + 1
-
     def test_equal_specs_that_serialize_apart_keep_their_own_keys(self):
-        # 7 == 7.0 and 0.0 == -0.0, so these specs compare (and hash)
-        # equal, yet their canonical JSON differs; the memo must return
-        # the key a fresh computation gives, whichever was seen first.
-        pairs = [
-            (ExperimentSettings(seed=7), ExperimentSettings(seed=7.0)),
-            (ExperimentSettings(warmup_fraction=0.0),
-             ExperimentSettings(warmup_fraction=-0.0)),
-        ]
-        for settings_a, settings_b in pairs:
-            a = RunSpec("astar", "memleak", settings=settings_a)
-            b = RunSpec("astar", "memleak", settings=settings_b)
-            assert a == b
-            keys = (content_key(a), content_key(b))
-            assert keys[0] != keys[1]
-            store_module._digest.cache_clear()
-            assert (content_key(b), content_key(a)) == keys[::-1]
+        # 0.0 == -0.0, so these specs compare (and hash) equal, yet their
+        # canonical JSON differs, and so does their key.
+        a = RunSpec("astar", "memleak",
+                    settings=ExperimentSettings(warmup_fraction=0.0))
+        b = RunSpec("astar", "memleak",
+                    settings=ExperimentSettings(warmup_fraction=-0.0))
+        assert a == b
+        assert content_key(a) != content_key(b)
 
-    def test_every_spec_field_is_in_its_repr(self):
-        # The memo tells specs apart by repr: a field left out of a
-        # dataclass repr (or a custom __repr__) would let two specs with
-        # different keys share a memo entry.
-        spec = RunSpec(
-            "synthetic", "memleak",
-            profile=dataclasses.replace(get_profile("mcf"), name="synthetic"),
-        )
-        todo = [spec]
-        while todo:
-            obj = todo.pop()
-            text = repr(obj)
-            for field in dataclasses.fields(obj):
-                value = getattr(obj, field.name)
-                assert f"{field.name}={value!r}" in text, (
-                    type(obj).__name__, field.name
-                )
-                if dataclasses.is_dataclass(value):
-                    todo.append(value)
+    def test_a_float_seed_equal_to_an_int_is_rejected_not_keyed(self):
+        # 7 == 7.0: if accepted, it would run as seed 7 under a key of its
+        # own.
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentSettings(seed=7.0)
 
 
 class TestCrossProcessDeterminism:

@@ -582,8 +582,8 @@ class TestWarmState:
         loaded = build_simulation(spec, cache)
         assert cache.stats()["warm_store_hits"] == 1
         loaded_result = loaded.run()
-        again = execute_spec(spec, cache)  # From the in-memory LRU.
-        assert cache.stats()["warm_hits"] == 1
+        again = execute_spec(spec, cache)  # From the store again.
+        assert cache.stats()["warm_store_hits"] == 2
         assert (off_result.to_dict() == written.to_dict()
                 == loaded_result.to_dict() == again.to_dict())
         # The pipeline's memo counters travel with the state.
@@ -649,7 +649,6 @@ class TestWarmState:
         for _ in range(2):
             cache = cache_factory()
             execute_spec(spec, cache)
-            assert cache.stats()["warm_states"] == 0
             assert cache.stats()["warm_store_hits"] == 0
         assert _warm_blobs(store.path) == []
 
@@ -696,9 +695,14 @@ class TestWarmState:
     def test_store_off_keeps_no_warm_state(self, monkeypatch):
         monkeypatch.setenv(TRACE_STORE_ENV, "off")
         cache = RunnerCache()
-        execute_spec(RunSpec("gcc", "memcheck", settings=SMALL), cache)
-        execute_spec(RunSpec("gcc", "memcheck", settings=SMALL), cache)
-        assert cache.stats()["warm_states"] == 0
+        spec = RunSpec("gcc", "memcheck", settings=SMALL)
+        execute_spec(spec, cache)
+
+        def never():
+            pytest.fail("a warm state was built with the store off")
+
+        assert cache.warm_state(spec, 1, never) is None
+        assert cache.stats()["warm_store_hits"] == 0
 
     def test_forced_inline_filtering_is_keyed_apart(self, store,
                                                     monkeypatch):
@@ -718,9 +722,7 @@ class TestWarmState:
                                  SystemConfig(core_type=core), SMALL), cache)
             for core in CoreType
         ]
-        stats = cache.stats()
-        assert stats["warm_misses"] == 1
-        assert stats["warm_hits"] == len(CoreType) - 1
+        assert cache.stats()["warm_store_hits"] == len(CoreType) - 1
         assert len(_warm_blobs(store.path)) == 1
         unpersisted = [
             execute_spec(RunSpec("gcc", "memleak",
