@@ -43,6 +43,7 @@ class DeterministicRng:
     ``randint`` -> ``randrange`` -> ``_randbelow`` chain:
 
     * ``random()`` — the bound ``random.Random.random``;
+    * ``getrandbits(k)`` — the bound ``random.Random.getrandbits``;
     * ``randbelow(n)`` — an integer in ``[0, n)`` for ``n >= 1``, by
       CPython's ``_randbelow_with_getrandbits``: ``k = n.bit_length()``,
       then ``getrandbits(k)`` until the value is below ``n``;
@@ -57,15 +58,15 @@ class DeterministicRng:
     """
 
     __slots__ = (
-        "labels", "_random", "random", "randbelow", "randint", "choice",
-        "chance",
+        "labels", "_random", "random", "getrandbits", "randbelow", "randint",
+        "choice", "chance",
     )
 
     def __init__(self, root_seed: int, *labels: object) -> None:
         self.labels = tuple(labels)
         self._random = stream = random.Random(derive_seed(root_seed, *labels))
         draw = self.random = stream.random
-        getrandbits = stream.getrandbits
+        getrandbits = self.getrandbits = stream.getrandbits
 
         def randbelow(n: int) -> int:
             k = n.bit_length()

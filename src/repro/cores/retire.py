@@ -23,18 +23,16 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.cores.base import CORE_PARAMETERS, CoreParameters, CoreType
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.workload.packed import (
     DEPENDS_BIT,
-    DEST_SHIFT,
     KIND_INSTRUCTION,
+    MEMORY_SLOT,
     OP_CLASSES,
     OP_INDEX,
-    OPERAND_MEMORY,
-    SRC2_SHIFT,
     PackedTrace,
+    pack_trace,
 )
 from repro.workload.trace import Trace
 
@@ -61,18 +59,6 @@ _LOAD_CODE = OP_INDEX[OpClass.LOAD]
 _STORE_CODE = OP_INDEX[OpClass.STORE]
 
 
-def _bubble_gap(index: int, seed: int, probability: float, mean: float) -> float:
-    """Deterministic pseudo-random front-end bubble at dispatch."""
-    if probability <= 0.0:
-        return 0.0
-    h = ((index + 1) * _HASH_MULTIPLIER ^ seed) & 0xFFFFFFFF
-    if (h % 10_000) >= probability * 10_000:
-        return 0.0
-    # Second hash draws the bubble length around the mean.
-    h2 = (h * _HASH_MULTIPLIER) & 0xFFFFFFFF
-    return 1.0 + (h2 % int(2 * mean * 100)) / 100.0
-
-
 @dataclasses.dataclass
 class RetireModel:
     """Schedule computation for one (trace, core) pair."""
@@ -83,11 +69,13 @@ class RetireModel:
     hierarchy_config: HierarchyConfig = dataclasses.field(default_factory=HierarchyConfig)
 
     def schedule(self, trace: Trace) -> List[float]:
-        """Unobstructed retirement time (fractional cycles) per trace item."""
-        if isinstance(trace, PackedTrace):
-            # Column fast path: identical float math over the packed columns,
-            # no per-item object materialisation (tested bit-identical).
-            return self._schedule_packed(trace)
+        """Unobstructed retirement time (fractional cycles) per trace item.
+
+        One loop over the packed columns; an object trace is packed first
+        (``tests/test_cores.py`` pins the schedules' digests for both).
+        """
+        if not isinstance(trace, PackedTrace):
+            trace = pack_trace(trace)
         params: CoreParameters = CORE_PARAMETERS[self.core_type]
         hierarchy = MemoryHierarchy(self.hierarchy_config)
         interval = 1.0 / params.width
@@ -102,19 +90,29 @@ class RetireModel:
         instruction_index = 0
 
         # Hot loop: one iteration per trace item, so the per-item lookups
-        # (bound methods, enum members, the latency table) are hoisted.
+        # (bound methods, the latency table, constants) are hoisted.
         append = times.append
         load_latency = hierarchy.load_latency
         store_latency = hierarchy.store_latency
-        exec_latency = _EXEC_LATENCY
-        load_op = OpClass.LOAD
-        store_op = OpClass.STORE
-        bubble_prob = self.bubble_prob
-        bubble_mean = self.bubble_mean
-        has_bubbles = bubble_prob > 0.0
+        latency_by_code = _EXEC_LATENCY_BY_CODE
+        load_code = _LOAD_CODE
+        store_code = _STORE_CODE
+        memory_slot = MEMORY_SLOT
+        # Front-end bubbles at dispatch: a Knuth multiplicative hash of the
+        # instruction index decides whether one occurs, and a second hash
+        # draws its length around the mean.
+        has_bubbles = self.bubble_prob > 0.0
+        bubble_threshold = self.bubble_prob * 10_000
+        bubble_span = int(2 * self.bubble_mean * 100) if has_bubbles else 0
+        multiplier = _HASH_MULTIPLIER
 
-        for item in trace:
-            if not isinstance(item, Instruction):
+        lists = trace.column_lists()
+        kind_column, op_column, flags_column = lists[6:9]
+
+        for index, kind, op_code, flags in zip(
+            range(len(trace)), kind_column, op_column, flags_column
+        ):
+            if kind != KIND_INSTRUCTION:
                 # High-level events ride along with the previous instruction.
                 append(last_retire)
                 continue
@@ -126,106 +124,14 @@ class RetireModel:
                 if ring_slot > dispatch:
                     dispatch = ring_slot
             if has_bubbles:
-                dispatch += _bubble_gap(
-                    instruction_index, seed, bubble_prob, bubble_mean
-                )
-
-            op_class = item.op_class
-            if op_class is load_op:
-                latency = float(load_latency(item.memory_address))
-            else:
-                latency = float(exec_latency[op_class])
-                if op_class is store_op:
-                    store_latency(item.memory_address)
-
-            # Dependent instructions extend the program's critical path: a
-            # monotone chain of completions (value -> address -> value ...),
-            # which is what serialises pointer-chasing codes regardless of
-            # how many independent instructions the OoO core overlaps.
-            if item.depends_on_prev:
-                start = dispatch if dispatch > chain_complete else chain_complete
-                complete = start + latency
-                chain_complete = complete
-            else:
-                complete = dispatch + latency
-            floor = last_retire + interval
-            retire = complete if complete > floor else floor
-
-            append(retire)
-            retire_ring[instruction_index % rob] = retire
-            last_dispatch = dispatch
-            last_retire = retire
-            instruction_index += 1
-
-        return times
-
-    def _schedule_packed(self, trace: PackedTrace) -> List[float]:
-        """The reference loop reading packed columns instead of objects.
-
-        Every arithmetic step matches :meth:`schedule`'s object loop
-        operation for operation, so the resulting schedule is bit-identical
-        (asserted by tests/test_packed_trace.py).
-        """
-        params: CoreParameters = CORE_PARAMETERS[self.core_type]
-        hierarchy = MemoryHierarchy(self.hierarchy_config)
-        interval = 1.0 / params.width
-        rob = params.rob_entries
-        seed = trace.seed & 0xFFFFFFFF
-
-        times: List[float] = []
-        retire_ring: List[float] = [0.0] * rob
-        last_dispatch = 0.0
-        chain_complete = 0.0
-        last_retire = 0.0
-        instruction_index = 0
-
-        append = times.append
-        load_latency = hierarchy.load_latency
-        store_latency = hierarchy.store_latency
-        latency_by_code = _EXEC_LATENCY_BY_CODE
-        load_code = _LOAD_CODE
-        store_code = _STORE_CODE
-        memory_kind = OPERAND_MEMORY
-        # _bubble_gap's hash arithmetic, inlined with its per-model
-        # constants hoisted (a no-bubble item adds nothing: x + 0.0 == x).
-        has_bubbles = self.bubble_prob > 0.0
-        bubble_threshold = self.bubble_prob * 10_000
-        bubble_span = int(2 * self.bubble_mean * 100) if has_bubbles else 0
-        multiplier = _HASH_MULTIPLIER
-
-        f0, f1, f2, f3, f4, f5, kind_column, op_column, flags_column, _ = (
-            trace.column_lists()
-        )
-
-        for index, kind, op_code, flags in zip(
-            range(len(trace)), kind_column, op_column, flags_column
-        ):
-            if kind != KIND_INSTRUCTION:
-                # High-level events ride along with the previous instruction.
-                append(last_retire)
-                continue
-
-            dispatch = last_dispatch + interval
-            if instruction_index >= rob:
-                ring_slot = retire_ring[instruction_index % rob]
-                if ring_slot > dispatch:
-                    dispatch = ring_slot
-            if has_bubbles:
                 h = ((instruction_index + 1) * multiplier ^ seed) & 0xFFFFFFFF
                 if (h % 10_000) < bubble_threshold:
                     h2 = (h * multiplier) & 0xFFFFFFFF
                     dispatch += 1.0 + (h2 % bubble_span) / 100.0
 
             if op_code == load_code or op_code == store_code:
-                # item.memory_address scans sources then dest; mirror it.
-                if flags & 3 == memory_kind:
-                    address = f1[index]
-                elif (flags >> SRC2_SHIFT) & 3 == memory_kind:
-                    address = f2[index]
-                elif (flags >> DEST_SHIFT) & 3 == memory_kind:
-                    address = f3[index]
-                else:
-                    address = None
+                slot = memory_slot[flags]
+                address = lists[slot][index] if slot else None
                 if op_code == load_code:
                     latency = float(load_latency(address))
                 else:
@@ -234,6 +140,10 @@ class RetireModel:
             else:
                 latency = latency_by_code[op_code]
 
+            # Dependent instructions extend the program's critical path: a
+            # monotone chain of completions (value -> address -> value ...),
+            # which is what serialises pointer-chasing codes regardless of
+            # how many independent instructions the OoO core overlaps.
             if flags & DEPENDS_BIT:
                 start = dispatch if dispatch > chain_complete else chain_complete
                 complete = start + latency

@@ -10,6 +10,7 @@ a 64 B metadata block therefore covers 256 B of application data.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 
 from repro.common.units import KB, WORD_SIZE
 from repro.mem.cache import Cache, CacheConfig
@@ -109,7 +110,10 @@ class MetadataCache:
         # Inlined Cache.access(metadata_address).
         cache = self._cache
         block = metadata_address // cache._block_bytes
-        ways = cache._sets[block % cache._num_sets]
+        try:
+            ways = cache._sets[block % cache._num_sets]
+        except KeyError:  # First touch of this set.
+            ways = cache._sets[block % cache._num_sets] = OrderedDict()
         tag = block // cache._num_sets
         stats = cache.stats
         if tag in ways:

@@ -4,13 +4,17 @@ Only timing state (tags and recency) is modelled; data travel through the
 functional shadow structures.  The model is deliberately small and fast: a
 single dict lookup per access on the hit path, because the application-core
 model performs one cache access per load/store of the trace.
+
+Sets are built on first touch: a fresh cache holds no per-set objects, so
+building one costs the same for a 64-set L1 and a 2,048-set L2, and a short
+trace pays only for the sets it reaches.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import List
+from typing import Dict
 
 from repro.common.errors import ConfigurationError
 
@@ -91,8 +95,11 @@ class Cache:
         self._block_bytes = config.block_bytes
         self._num_sets = config.num_sets
         self._associativity = config.associativity
-        # One OrderedDict per set: tag -> None, most recent last.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(config.num_sets)]
+        # Set index -> OrderedDict of tag -> None, most recent last, for
+        # the sets touched so far.  A plain dict, not a defaultdict: warm
+        # states pickle their caches through an allow-list that admits
+        # OrderedDict and dict only.
+        self._sets: Dict[int, OrderedDict] = {}
 
     def _locate(self, address: int) -> tuple:
         block = address // self._block_bytes
@@ -101,7 +108,10 @@ class Cache:
     def access(self, address: int) -> bool:
         """Look up ``address``; allocate on miss.  Returns hit status."""
         block = address // self._block_bytes
-        ways = self._sets[block % self._num_sets]
+        try:
+            ways = self._sets[block % self._num_sets]
+        except KeyError:  # First touch of this set.
+            ways = self._sets[block % self._num_sets] = OrderedDict()
         tag = block // self._num_sets
         stats = self.stats
         if tag in ways:
@@ -118,18 +128,17 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Check residency without updating recency or statistics."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        return tag in self._sets.get(set_index, ())
 
     def invalidate(self, address: int) -> bool:
         """Drop the block containing ``address`` if resident."""
         set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
+        ways = self._sets.get(set_index, ())
         if tag in ways:
             del ways[tag]
             return True
         return False
 
     def flush(self) -> None:
-        for ways in self._sets:
-            ways.clear()
+        self._sets.clear()
 

@@ -39,11 +39,12 @@ simulated **at most once per server lifetime** — the property the CI
 service-smoke job asserts.
 
 Workers keep their traces and schedules in memory only
-(``RunnerCache(persist=False)``) and keep no warm states: they live as
-long as the server, so their LRUs already build each trace once, and a
-computed spec's latency depends on the requests alone, not on which
-traces other processes on the machine happened to leave in the trace
-store.
+(``RunnerCache(persist=False)``) and keep no warm states, so a computed
+spec's latency depends on the requests alone, not on which traces other
+processes on the machine happened to leave in the trace store.  Each
+worker has its own LRUs, and most computed specs need a trace that no
+earlier spec on that worker built, so a computed spec usually pays for
+its own trace synthesis and retirement schedule.
 
 Failure handling (the resilience layer):
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import deque
 from itertools import accumulate
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from repro.common.rng import DeterministicRng
 from repro.common.units import WORD_SIZE
@@ -119,11 +119,18 @@ _FLAGS_REG2_DEST = _REG | (_REG << SRC2_SHIFT) | (_REG << DEST_SHIFT)
 _FLAGS_REG1 = _REG
 _FLAGS_REG2 = _REG | (_REG << SRC2_SHIFT)
 
-#: ``randint(0, 1 << 16)`` PC scatter, as a ``randbelow`` bound.
+#: Constant ``randbelow`` bounds and their ``getrandbits`` widths (the hot
+#: loop inlines ``randbelow(n)`` as ``getrandbits(n.bit_length())`` until
+#: the value is below ``n``, the pinned algorithm).
+#: ``randint(0, 1 << 16)`` PC scatter.
 _PC_SCATTER_SPAN = (1 << 16) + 1
+_PC_SCATTER_BITS = _PC_SCATTER_SPAN.bit_length()
 #: ``randint(1, NUM_REGISTERS - 1)`` and the two destination partitions.
 _ANY_REGS = NUM_REGISTERS - 1
+_ANY_BITS = _ANY_REGS.bit_length()
+_POINTER_BITS = POINTER_REG_MAX.bit_length()
 _DATA_REGS = NUM_REGISTERS - 1 - POINTER_REG_MAX
+_DATA_BITS = _DATA_REGS.bit_length()
 
 
 class TraceGenerator:
@@ -134,6 +141,7 @@ class TraceGenerator:
         self.seed = seed
         self._rng = DeterministicRng(seed, profile.name, "trace")
         self._randbelow = self._rng.randbelow
+        self._getrandbits = self._rng.getrandbits
         self._random = self._rng.random
         self._heap = HeapModel(self._rng.child("heap"))
         self._stack = CallStackModel(self._rng.child("stack"), profile.max_call_depth)
@@ -145,17 +153,18 @@ class TraceGenerator:
         self._pointer_word_set: Set[int] = set()
         self._tainted_words: List[int] = []
         self._tainted_word_set: Set[int] = set()
+        # Initialised heap words: the only words _choose_data_address tests
+        # (see DESIGN.md §6, "Trace synthesis hot loop").
         self._initialized_words: Set[int] = set()
         self._frame_written: Dict[int, List[int]] = {}
 
         # Hot working set of initialised global words, plus a streaming
-        # region, both inside the statically allocated global segment.
-        self._hot_words: List[int] = list(
-            range(
-                GLOBAL_BASE,
-                GLOBAL_BASE + profile.hot_set_words * WORD_SIZE,
-                WORD_SIZE,
-            )
+        # region, both inside the statically allocated global segment.  A
+        # range: indexing, len and the per-thread [t::n] slice are O(1).
+        self._hot_words = range(
+            GLOBAL_BASE,
+            GLOBAL_BASE + profile.hot_set_words * WORD_SIZE,
+            WORD_SIZE,
         )
         self._stream_start = GLOBAL_BASE + profile.hot_set_words * WORD_SIZE
         self._stream_end = self._stream_start + STREAM_REGION_BYTES
@@ -173,12 +182,10 @@ class TraceGenerator:
         self._stream_cursors = [start for start, _ in self._stream_slices]
         self._hot_cursor = 0
         self._fresh_cursor = FRESH_BASE
-        self._shared_word_list: List[int] = list(
-            range(
-                SHARED_BASE,
-                SHARED_BASE + profile.shared_words * WORD_SIZE,
-                WORD_SIZE,
-            )
+        self._shared_word_list = range(
+            SHARED_BASE,
+            SHARED_BASE + profile.shared_words * WORD_SIZE,
+            WORD_SIZE,
         )
 
         self._pending_init: Deque[int] = deque()
@@ -220,7 +227,7 @@ class TraceGenerator:
         """
         profile = self.profile
         draw = self._random
-        randbelow = self._randbelow
+        getrandbits = self._getrandbits
         stack = self._stack
         pending_init = self._pending_init
         popleft = pending_init.popleft
@@ -276,7 +283,10 @@ class TraceGenerator:
             # --- emit the chosen instruction --------------------------------
             pc += 4
             if draw() < 0.05:  # Taken branches/jumps scatter PCs.
-                pc = CODE_BASE + randbelow(_PC_SCATTER_SPAN) * 4
+                r = getrandbits(_PC_SCATTER_BITS)
+                while r >= _PC_SCATTER_SPAN:
+                    r = getrandbits(_PC_SCATTER_BITS)
+                pc = CODE_BASE + r * 4
             if draws_depends[op_code] and p_dep > 0.0 and (
                 p_dep >= 1.0 or draw() < p_dep
             ):
@@ -310,6 +320,7 @@ class TraceGenerator:
                     p_init >= 1.0 or draw() < p_init
                 ):
                     address = popleft()
+                    initialized_add(address)
                     p_pointer = p_pointer_store_burst
                     pick = _PICK_STORE
                 else:
@@ -346,9 +357,15 @@ class TraceGenerator:
                 if pick == _PICK_LOAD:
                     address = choose_load_address()
                     if address in pointer_word_set:
-                        dest = 1 + randbelow(POINTER_REG_MAX)
+                        r = getrandbits(_POINTER_BITS)
+                        while r >= POINTER_REG_MAX:
+                            r = getrandbits(_POINTER_BITS)
+                        dest = 1 + r
                     else:
-                        dest = POINTER_REG_MAX + 1 + randbelow(_DATA_REGS)
+                        r = getrandbits(_DATA_BITS)
+                        while r >= _DATA_REGS:
+                            r = getrandbits(_DATA_BITS)
+                        dest = POINTER_REG_MAX + 1 + r
                     pointer_regs.discard(dest)
                     tainted_regs.discard(dest)
                     if address in pointer_word_set:
@@ -369,7 +386,6 @@ class TraceGenerator:
                         src = pick_clean()
                     if address is None:
                         address = choose_data_address(True)
-                    initialized_add(address)
                     set_word_pointer(address, src in pointer_regs)
                     set_word_tainted(address, src in tainted_regs)
                     op_code = _OP_STORE
@@ -403,9 +419,15 @@ class TraceGenerator:
                         is_tainted = v1 in tainted_regs or v2 in tainted_regs
                         flags = _FLAGS_REG2_DEST
                     if is_pointer:
-                        dest = 1 + randbelow(POINTER_REG_MAX)
+                        r = getrandbits(_POINTER_BITS)
+                        while r >= POINTER_REG_MAX:
+                            r = getrandbits(_POINTER_BITS)
+                        dest = 1 + r
                     else:
-                        dest = POINTER_REG_MAX + 1 + randbelow(_DATA_REGS)
+                        r = getrandbits(_DATA_BITS)
+                        while r >= _DATA_REGS:
+                            r = getrandbits(_DATA_BITS)
+                        dest = POINTER_REG_MAX + 1 + r
                     pointer_regs.discard(dest)
                     tainted_regs.discard(dest)
                     if is_pointer:
@@ -423,9 +445,15 @@ class TraceGenerator:
                     if src is None:
                         src = pick_clean()
                     if src in pointer_regs:
-                        dest = 1 + randbelow(POINTER_REG_MAX)
+                        r = getrandbits(_POINTER_BITS)
+                        while r >= POINTER_REG_MAX:
+                            r = getrandbits(_POINTER_BITS)
+                        dest = 1 + r
                     else:
-                        dest = POINTER_REG_MAX + 1 + randbelow(_DATA_REGS)
+                        r = getrandbits(_DATA_BITS)
+                        while r >= _DATA_REGS:
+                            r = getrandbits(_DATA_BITS)
+                        dest = POINTER_REG_MAX + 1 + r
                     # Discard first: a move onto its own source clears it.
                     pointer_regs.discard(dest)
                     tainted_regs.discard(dest)
@@ -440,14 +468,19 @@ class TraceGenerator:
                     # register file; no monitor observes FP instructions, and
                     # FP results never carry pointers or taint, so the event
                     # has no destination to shadow.
-                    if draw() < 0.5:
-                        v1 = 1 + randbelow(_ANY_REGS)
-                        v2 = 1 + randbelow(_ANY_REGS)
+                    two_sources = draw() < 0.5
+                    r = getrandbits(_ANY_BITS)
+                    while r >= _ANY_REGS:
+                        r = getrandbits(_ANY_BITS)
+                    v1 = 1 + r
+                    v2 = 0
+                    flags = _FLAGS_REG1
+                    if two_sources:
+                        r = getrandbits(_ANY_BITS)
+                        while r >= _ANY_REGS:
+                            r = getrandbits(_ANY_BITS)
+                        v2 = 1 + r
                         flags = _FLAGS_REG2
-                    else:
-                        v1 = 1 + randbelow(_ANY_REGS)
-                        v2 = 0
-                        flags = _FLAGS_REG1
                     op_code = _OP_FP
                     v3 = 0
                 elif pick == _PICK_BRANCH:
@@ -486,8 +519,6 @@ class TraceGenerator:
                 self._thread,
                 True,
             )
-        self._initialized_words.update(self._hot_words)
-        self._initialized_words.update(self._shared_word_list)
 
     # --- operand selection helpers -------------------------------------------
 
@@ -498,14 +529,19 @@ class TraceGenerator:
         and taint densities stay under the profile's control instead of
         saturating the register file through accidental propagation.
         """
-        randbelow = self._randbelow
+        getrandbits = self._getrandbits
         pointer_regs = self._pointer_regs
         tainted_regs = self._tainted_regs
         for _ in range(8):
-            reg = 1 + randbelow(_ANY_REGS)
-            if reg not in pointer_regs and reg not in tainted_regs:
-                return reg
-        return 1 + randbelow(_ANY_REGS)
+            r = getrandbits(_ANY_BITS)
+            while r >= _ANY_REGS:
+                r = getrandbits(_ANY_BITS)
+            if r + 1 not in pointer_regs and r + 1 not in tainted_regs:
+                return r + 1
+        r = getrandbits(_ANY_BITS)
+        while r >= _ANY_REGS:
+            r = getrandbits(_ANY_BITS)
+        return r + 1
 
     def _pick_pointer_register(self) -> Optional[int]:
         if not self._pointer_regs:
@@ -556,7 +592,6 @@ class TraceGenerator:
         p = profile.fresh_region_rate
         if p > 0.0 and (p >= 1.0 or draw() < p):
             self._fresh_cursor += WORD_SIZE
-            self._initialized_words.add(self._fresh_cursor)
             return self._fresh_cursor
         p = profile.stack_access_fraction
         if p > 0.0 and (p >= 1.0 or draw() < p):
@@ -580,7 +615,6 @@ class TraceGenerator:
             if cursor >= end:
                 cursor = start
             self._stream_cursors[thread] = cursor
-            self._initialized_words.add(cursor)
             return cursor
         if profile.parallel:
             # Heap allocations are not partitioned by owner, so random heap
@@ -592,7 +626,9 @@ class TraceGenerator:
         if allocation is None:
             return self._clustered_hot_pick()
         word = allocation.word_at(self._randbelow(max(1, allocation.num_words)))
-        if not for_write and word not in self._initialized_words:
+        if for_write:
+            self._initialized_words.add(word)  # The caller stores to it.
+        elif word not in self._initialized_words:
             # Reading it would be an uninitialised read; fall back to hot set.
             return self._clustered_hot_pick()
         return word
@@ -613,7 +649,7 @@ class TraceGenerator:
             self._hot_cursor = self._randbelow(count)
         return self._hot_words[self._hot_cursor]
 
-    def _sticky_pick(self, words: List[int], for_write: bool) -> int:
+    def _sticky_pick(self, words: Sequence[int], for_write: bool) -> int:
         """Type-sticky word choice for parallel profiles.
 
         Real parallel programs access a given word with a consistent pattern
@@ -688,7 +724,6 @@ class TraceGenerator:
             word = frame.base + index * WORD_SIZE
             self._set_word_pointer(word, False)
             self._set_word_tainted(word, False)
-            self._initialized_words.discard(word)
         return frame
 
     def _do_malloc(self) -> None:
@@ -730,9 +765,7 @@ class TraceGenerator:
             _HL_TAINT_SOURCE, base, span_words * WORD_SIZE, 0, self._thread, False
         )
         for index in range(span_words):
-            word = base + index * WORD_SIZE
-            self._set_word_tainted(word, True)
-            self._initialized_words.add(word)
+            self._set_word_tainted(base + index * WORD_SIZE, True)
 
     def _do_free(self) -> None:
         allocation = self._heap.free_random()

@@ -219,23 +219,20 @@ class PackedTraceBuilder:
     """Column accumulator used by the trace generator (and ``pack_trace``).
 
     Append-only: ``add_instruction``/``add_high_level`` push one row of
-    machine integers; ``build`` freezes the columns into a
-    :class:`PackedTrace`.
+    machine integers onto plain lists; ``build`` makes one ``array`` per
+    column and hands the lists to the :class:`PackedTrace`, which adopts
+    them as its :meth:`~PackedTrace.column_lists` (a fresh trace needs no
+    ``tolist()``).
     """
 
-    __slots__ = ("_columns", "appends")
+    __slots__ = ("_lists", "appends")
 
     def __init__(self) -> None:
-        self._columns: Dict[str, array] = {
-            name: array(code) for name, code in COLUMN_SPEC
-        }
-        columns = self._columns
+        self._lists: Tuple[list, ...] = tuple([] for _ in COLUMN_SPEC)
         #: Bound column appends in :data:`COLUMN_SPEC` order.  The trace
         #: generator's hot loop appends one instruction row through these
         #: directly (no per-item method call).
-        self.appends = tuple(
-            columns[name].append for name, _ in COLUMN_SPEC
-        )
+        self.appends = tuple(column.append for column in self._lists)
 
     def add_instruction(
         self,
@@ -291,10 +288,16 @@ class PackedTraceBuilder:
         thread_col(thread)
 
     def __len__(self) -> int:
-        return len(self._columns["kind"])
+        return len(self._lists[0])
 
     def build(self, name: str = "trace", seed: int = 0) -> "PackedTrace":
-        return PackedTrace(self._columns, name=name, seed=seed)
+        # A byte column goes through bytes(): a C loop that checks the
+        # range, then one copy, where array("B", list) converts per item.
+        columns = {
+            column_name: array(code, bytes(values) if code == "B" else values)
+            for (column_name, code), values in zip(COLUMN_SPEC, self._lists)
+        }
+        return PackedTrace(columns, name=name, seed=seed, lists=self._lists)
 
 
 class _PackedItems:
@@ -381,7 +384,11 @@ class PackedTrace(Trace):
         columns: Columns,
         name: str = "trace",
         seed: int = 0,
+        lists: Optional[Tuple[list, ...]] = None,
     ) -> None:
+        """``lists``, when given, must hold the same values as ``columns``
+        (in :data:`COLUMN_SPEC` order): the builder passes the lists it
+        filled, and the trace serves them as :meth:`column_lists`."""
         # Deliberately no super().__init__: items are virtual.
         self.name = name
         self.seed = seed
@@ -390,7 +397,7 @@ class PackedTrace(Trace):
         self._kind = columns["kind"]
         self._length = len(self._kind)
         self._num_instructions: Optional[int] = None
-        self._lists: Optional[Tuple[list, ...]] = None
+        self._lists = lists
         self._view: Optional[_PackedItems] = None
 
     # ------------------------------------------------------------ sequence
@@ -426,9 +433,10 @@ class PackedTrace(Trace):
         """Columns batch-converted to plain lists, in :data:`COLUMN_SPEC`
         order (f0..f5, kind, op, flags, thread).
 
-        One C-speed ``tolist()`` per column, cached: hot consumers (the
-        retire model, plan building) index plain lists instead of paying a
-        per-access boxing cost on ``array``/``memoryview`` columns.
+        One C-speed ``tolist()`` per column, cached (a built trace starts
+        with its builder's lists): hot consumers (the retire model, plan
+        building) index plain lists instead of paying a per-access boxing
+        cost on ``array``/``memoryview`` columns.
         """
         if self._lists is None:
             self._lists = tuple(

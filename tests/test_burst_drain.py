@@ -98,6 +98,11 @@ def test_access_cycles_mirrors_access(seed):
         assert (cycles, tlb_miss) == (result.cycles, result.tlb_miss)
     for stats in ("cache_stats", "tlb_stats"):
         assert vars(getattr(inlined, stats)) == vars(getattr(reference, stats))
+    # The same sets touched, each with the same ways in the same order.
+    assert {
+        index: list(ways) for index, ways in inlined._cache._sets.items()
+    } == {index: list(ways) for index, ways in reference._cache._sets.items()}
+    assert list(inlined._tlb._pages) == list(reference._tlb._pages)
 
 
 # ------------------------------------------------------------ filter memo

@@ -1,11 +1,14 @@
 """Tests for the core timing models and retirement schedules."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.cores import CORE_PARAMETERS, CoreType, RetireModel
 from repro.cores.retire import app_alone_cycles
 from repro.isa.instruction import Instruction
-from repro.workload import generate_trace, get_profile
+from repro.workload import PackedTrace, Trace, generate_trace, get_profile
 
 
 def schedule_for(benchmark="astar", core=CoreType.OOO4, n=3000, seed=3, bubbles=False):
@@ -93,3 +96,47 @@ class TestRetireSchedule:
         _, mcf = schedule_for(benchmark="mcf", n=4000)
         _, hmmer = schedule_for(benchmark="hmmer", n=4000)
         assert app_alone_cycles(mcf) > 2.5 * app_alone_cycles(hmmer)
+
+
+#: (benchmark, core) -> SHA-256 of the little-endian doubles of the
+#: schedule of a 2,000-instruction trace at seed 5, with the profile's
+#: bubbles.  Recorded from the object-trace loop that ``RetireModel`` kept
+#: beside its column loop until both were one, when the two were
+#: bit-identical; the column loop must still reproduce them.
+SCHEDULE_DIGESTS = {
+    ('astar', CoreType.INORDER): '7e2653a433be8b0c57ed479d5d1a4feb271f66ee6d001df4d4b797c600e598b2',
+    ('astar', CoreType.OOO2): '9ba1f55bb5240c0739a0c1e9f16269e8201ab81eb674249fdc1b782f0ca6f7fd',
+    ('astar', CoreType.OOO4): '8404109eca5090babfeec7fa35b68eed1379750acc0c323d54aa034ecf474232',
+    ('gcc', CoreType.INORDER): '96430386da99b7daa86035f0f84a834160f65f8ab59e44ce490fdbefa4c9b0c2',
+    ('gcc', CoreType.OOO2): '9f89a46c1865e419d3aa304ddd1a6ac4f2ca03d0d5e6c4fdaebed42441912d44',
+    ('gcc', CoreType.OOO4): '9dafce8fb25d0945eaac07a95847bccd82ed7187ca0f63d050b26a0134a74ad9',
+    ('mcf', CoreType.INORDER): '71e4d2bd042f233dd7e2de4eec42c270f4f42bc4889965c8db5d982a357c766e',
+    ('mcf', CoreType.OOO2): '0e5850b54c00f608914fa8b3ec9e660d0346de7c0d31eac01d79433ff0af1b3c',
+    ('mcf', CoreType.OOO4): '544608aa532064f388190ec00d56e2d7184b150015b70f26f645141a1bcb5d22',
+    ('water', CoreType.INORDER): '9bbdec3d1647ea7f439ade49d1db1ef286de7b73727751ec13682f28a4b41c48',
+    ('water', CoreType.OOO2): 'ab71cc875ef6afb0ba3f783396af8718d5dc356fa4862e4e02485bb61dcb2891',
+    ('water', CoreType.OOO4): '00863e894f807ef6613c4722a12be64a63bb8e21914a178e920093d431ae6dca',
+}
+
+
+def schedule_digest(schedule) -> str:
+    return hashlib.sha256(struct.pack(f"<{len(schedule)}d", *schedule)).hexdigest()
+
+
+@pytest.mark.parametrize("bench,core", sorted(SCHEDULE_DIGESTS, key=str))
+def test_schedule_digest(bench, core):
+    """A packed trace and the equivalent object trace (which ``schedule``
+    packs) both yield the pinned schedule."""
+    profile = get_profile(bench)
+    assert profile.bubble_prob > 0.0
+    packed = generate_trace(profile, 2000, seed=5)
+    assert isinstance(packed, PackedTrace)
+    objects = Trace(list(packed.items), name=packed.name, seed=packed.seed)
+    model = RetireModel(
+        core_type=core,
+        bubble_prob=profile.bubble_prob,
+        bubble_mean=profile.bubble_mean,
+    )
+    expected = SCHEDULE_DIGESTS[(bench, core)]
+    assert schedule_digest(model.schedule(packed)) == expected
+    assert schedule_digest(model.schedule(objects)) == expected

@@ -343,7 +343,8 @@ def _fade_state(fade):
             fade.event_table.generation,
         ),
         "md_cache": (
-            [list(ways) for ways in md_cache._sets],
+            # The touched sets, set index -> ways in recency order.
+            {index: list(ways) for index, ways in md_cache._sets.items()},
             dataclasses.asdict(md_cache.stats),
         ),
         "tlb": (list(tlb._pages), dataclasses.asdict(tlb.stats)),

@@ -1,5 +1,8 @@
 """Tests for repro.mem: caches, TLBs, the hierarchy."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +105,85 @@ class TestCache:
             small.access(address)
             large.access(address)
         assert large.stats.hits >= small.stats.hits
+
+
+class EagerCache:
+    """Reference LRU cache with every set built up front (one
+    ``OrderedDict`` per set from construction on)."""
+
+    def __init__(self, config):
+        self.config = config
+        self.sets = [OrderedDict() for _ in range(config.num_sets)]
+        self.hits = self.misses = self.evictions = 0
+
+    def _locate(self, address):
+        block = address // self.config.block_bytes
+        return self.sets[block % self.config.num_sets], block // self.config.num_sets
+
+    def access(self, address):
+        ways, tag = self._locate(address)
+        if tag in ways:
+            ways.move_to_end(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(ways) >= self.config.associativity:
+            ways.popitem(last=False)
+            self.evictions += 1
+        ways[tag] = None
+        return False
+
+    def probe(self, address):
+        ways, tag = self._locate(address)
+        return tag in ways
+
+    def invalidate(self, address):
+        ways, tag = self._locate(address)
+        if tag in ways:
+            del ways[tag]
+            return True
+        return False
+
+    def flush(self):
+        for ways in self.sets:
+            ways.clear()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lazy_sets_match_an_eager_cache(seed):
+    """Sets built on first touch give the same hits, misses, evictions and
+    per-set recency order as sets built up front, on a long stream of
+    accesses, probes, invalidations and the odd flush."""
+    rng = random.Random(seed)
+    lazy = small_cache(sets=16, ways=4, block=16)
+    eager = EagerCache(lazy.config)
+    addresses = [rng.randrange(0, 1 << 14) for _ in range(300)]
+
+    def same_sets():
+        assert set(lazy._sets) <= set(range(lazy.config.num_sets))
+        for index, ways in enumerate(eager.sets):
+            assert list(lazy._sets.get(index, ())) == list(ways)
+
+    for step in range(20_000):
+        address = rng.choice(addresses)
+        roll = rng.random()
+        if roll < 0.8:
+            assert lazy.access(address) == eager.access(address)
+        elif roll < 0.9:
+            assert lazy.probe(address) == eager.probe(address)
+        elif roll < 0.9995:
+            assert lazy.invalidate(address) == eager.invalidate(address)
+        else:
+            lazy.flush()
+            eager.flush()
+        if step % 1000 == 0:
+            same_sets()
+    same_sets()
+    stats = lazy.stats
+    assert (stats.hits, stats.misses, stats.evictions) == (
+        eager.hits, eager.misses, eager.evictions
+    )
+    assert stats.evictions > 0
 
 
 class TestTlb:

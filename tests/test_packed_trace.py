@@ -3,8 +3,9 @@ pickling all reproduce the object representation exactly.
 
 The load-bearing guarantee is bit-identity: a :class:`PackedTrace` and an
 object :class:`Trace` holding the same items must yield byte-for-byte equal
-retire schedules, kind tables, events and serialized :class:`RunResult`s
-across monitors x topologies x engines.
+kind tables, events and serialized :class:`RunResult`s across monitors x
+topologies x engines.  (Retire schedules have one loop, which packs an
+object trace first; ``tests/test_cores.py`` pins their digests.)
 """
 
 import functools
@@ -15,8 +16,6 @@ import weakref
 import pytest
 
 from repro.api import ExperimentSettings, RunnerCache, RunSpec, execute_spec
-from repro.cores.base import CoreType
-from repro.cores.retire import RetireModel
 from repro.isa.events import MonitoredEvent
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
@@ -151,19 +150,6 @@ def source_traces(benchmark):
 
 
 class TestColumnFastPaths:
-    @pytest.mark.parametrize("core", [CoreType.INORDER, CoreType.OOO4])
-    @pytest.mark.parametrize("bench", ["astar", "gcc", "water"])
-    def test_schedule_bit_identical(self, bench, core):
-        profile = get_profile(bench)
-        model = RetireModel(
-            core_type=core,
-            bubble_prob=profile.bubble_prob,
-            bubble_mean=profile.bubble_mean,
-        )
-        assert model.schedule(packed(bench)) == model.schedule(
-            as_objects(bench)
-        )
-
     @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
     def test_plan_bit_identical(self, monitor_name):
         """The kind table built from the columns (of a packed trace, of
