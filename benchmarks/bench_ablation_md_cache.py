@@ -5,8 +5,6 @@ found the 4 KB / 2-way MD cache with a 16-entry M-TLB to be the best
 cost-performance point.  This bench reconstructs that analysis.
 """
 
-import dataclasses
-
 from benchmarks.common import BENCH_RUNNER, BENCH_SETTINGS, record
 from repro.analysis import format_table
 from repro.analysis.experiments import run_one

@@ -33,15 +33,13 @@ def main() -> None:
     config = SystemConfig(fade_enabled=True, non_blocking=True)
 
     for monitor_name, background, bug_factory, label in HUNTS:
-        # Clean background activity, then the buggy sequence.  Generated
-        # traces are packed and immutable, so splice via the item view:
-        # drop the early PROGRAM_EXIT (the bug trace carries its own) and
-        # append the bug items into a fresh object trace.
+        # Clean background activity, then the buggy sequence.  Traces are
+        # immutable, so splice their items into a new one: drop the early
+        # PROGRAM_EXIT (the bug trace carries its own).
         profile = get_profile(background)
         clean = generate_trace(profile, 3_000, seed=21)
-        bug = bug_factory()
         trace = Trace(
-            clean.items[:-1] + bug.items, name=clean.name, seed=clean.seed
+            [*clean.items[:-1], *bug_factory()], name=clean.name, seed=clean.seed
         )
 
         monitor = create_monitor(monitor_name)

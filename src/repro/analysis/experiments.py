@@ -133,7 +133,7 @@ def _tail_ipc(
     """(app IPC, monitored IPC) on the steady-state (post-warmup) region."""
     trace = get_trace(benchmark, settings, runner)
     schedule = get_schedule(benchmark, settings, runner=runner)
-    start = int(len(trace.items) * settings.warmup_fraction)
+    start = int(len(trace) * settings.warmup_fraction)
     span = schedule[-1] - schedule[start - 1] if start else schedule[-1]
     monitor = create_monitor(monitor_name)
     instructions = 0
@@ -192,10 +192,10 @@ def _monitored_arrivals(
     """Retirement times of monitored events in the steady-state region."""
     trace = get_trace(benchmark, settings, runner)
     schedule = get_schedule(benchmark, settings, runner=runner)
-    start = int(len(trace.items) * settings.warmup_fraction)
+    start = int(len(trace) * settings.warmup_fraction)
     monitor = create_monitor(monitor_name)
     arrivals = []
-    for index in range(start, len(trace.items)):
+    for index in range(start, len(trace)):
         item = trace.items[index]
         if isinstance(item, Instruction) and monitor.wants(item):
             arrivals.append(schedule[index])
@@ -247,7 +247,7 @@ def fig3_queue_size_slowdown(
     for benchmark in benchmarks_for(monitor_name):
         trace = get_trace(benchmark, settings, runner)
         schedule = get_schedule(benchmark, settings, runner=runner)
-        start = int(len(trace.items) * settings.warmup_fraction)
+        start = int(len(trace) * settings.warmup_fraction)
         base_start = schedule[start - 1] if start else 0.0
         baseline = schedule[-1] - base_start
         arrivals = _monitored_arrivals(benchmark, monitor_name, settings, runner)

@@ -89,7 +89,7 @@ def build_simulation(
     inline = spec.profile
     trace = cache.trace(spec.benchmark, spec.settings, inline)
     warmup = warmup_count(
-        len(trace.items), int(len(trace.items) * spec.settings.warmup_fraction)
+        len(trace), int(len(trace) * spec.settings.warmup_fraction)
     )
     schedule = cache.schedule(
         spec.benchmark,

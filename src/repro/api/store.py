@@ -10,7 +10,7 @@ figure grid recomputes only dirty cells.  The store key is a SHA-256 over:
   benchmark name with different statistics invalidates its cached cells;
 * the registered monitor implementation's identity (module-qualified name)
   — swapping a name to a different class invalidates its cells;
-* the packed-trace schema version and the store schema version — any
+* the trace-column schema version and the store schema version — any
   change to trace encoding or result serialisation retires the whole cache.
 
 Keying is over *inputs*, never over wall-clock or host state, so a store
@@ -121,7 +121,7 @@ def key_inputs(spec: RunSpec) -> Tuple[object, ...]:
     one of these is the same object.  Raises ``ConfigurationError`` for a
     name the registries do not hold."""
     from repro.monitors import MONITOR_REGISTRY
-    from repro.workload.packed import TRACE_SCHEMA_VERSION
+    from repro.workload.trace import TRACE_SCHEMA_VERSION
 
     return (
         spec.resolved_profile() if spec.profile is None else None,
@@ -172,7 +172,15 @@ def result_json(result: RunResult) -> str:
 #: key is a hex digest, so it needs no escaping).
 _ENTRY_HEAD = '{{"key": "{}", "result": '
 _ENTRY_SPEC = ', "spec": '
-_DECODER = json.JSONDecoder()
+
+
+def _refuse_constant(name: str) -> float:
+    """``parse_constant`` hook: ``NaN`` and ``Infinity`` are no JSON, and
+    no stored metric may be non-finite (:func:`result_json`)."""
+    raise ValueError(f"non-finite number {name} in a stored entry")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def _entry_result(
@@ -181,11 +189,12 @@ def _entry_result(
     """An entry payload's decoded result and its JSON text as stored.
 
     A payload in the layout :meth:`ResultStore.put` writes is decoded
-    piecewise by the decoder ``json.loads`` uses: one pass over the whole
-    payload that also yields where the result's text starts and ends.  Any
+    piecewise by ``json``'s decoder: one pass over the whole payload that
+    also yields where the result's text starts and ends.  Any
     other payload goes through ``json.loads`` (a hand-edited entry, say),
     and its text is None.  Raises ``ValueError``, ``KeyError`` or
-    ``TypeError`` for a payload that is no entry.
+    ``TypeError`` for a payload that is no entry, or that holds ``NaN`` or
+    ``Infinity``.
     """
     try:
         text = payload.decode() if isinstance(payload, bytes) else payload
@@ -200,7 +209,7 @@ def _entry_result(
                     return result, text[len(head):end]
     except ValueError:
         pass
-    return json.loads(payload)["result"], None
+    return json.loads(payload, parse_constant=_refuse_constant)["result"], None
 
 
 def _parse_store_path(

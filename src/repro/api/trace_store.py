@@ -1,4 +1,4 @@
-"""Per-machine store of packed traces, retire schedules and warm states.
+"""Per-machine store of trace columns, retire schedules and warm states.
 
 Every new process used to synthesize each trace it ran, that trace's
 retire schedules and the state its warmup leaves behind, from scratch:
@@ -71,7 +71,7 @@ from repro.fade.accelerator import Fade, FadeConfig
 from repro.mem.hierarchy import HierarchyConfig
 from repro.monitors.base import Monitor
 from repro.system.config import field_dict
-from repro.workload.packed import COLUMN_SPEC, TRACE_SCHEMA_VERSION, PackedTrace
+from repro.workload.trace import COLUMN_SPEC, TRACE_SCHEMA_VERSION, Trace
 from repro.workload.profile import BenchmarkProfile
 
 #: Environment variable naming the store directory (``off`` disables it).
@@ -195,20 +195,20 @@ def default_trace_store() -> "TraceStore":
     return store
 
 
-def _encode_trace(trace: PackedTrace) -> Tuple[bytes, dict]:
+def _encode_trace(trace: Trace) -> Tuple[bytes, dict]:
     meta, payload = trace.to_payload()
     return payload, {"name": meta["name"], "seed": meta["seed"],
                      "count": meta["count"]}
 
 
-def _decode_trace(header: dict, body: bytes) -> Optional[PackedTrace]:
+def _decode_trace(header: dict, body: bytes) -> Optional[Trace]:
     if (
         len(body) != _ROW_BYTES * header["count"]
         or not isinstance(header.get("name"), str)
         or not isinstance(header.get("seed"), int)
     ):
         return None
-    return PackedTrace.from_buffer(
+    return Trace.from_buffer(
         {**header, "schema": header["trace_schema"]}, body
     )
 
@@ -334,8 +334,8 @@ class TraceStore:
         profile: BenchmarkProfile,
         num_instructions: int,
         seed: int,
-        build: Callable[[], PackedTrace],
-    ) -> Tuple[PackedTrace, bool]:
+        build: Callable[[], Trace],
+    ) -> Tuple[Trace, bool]:
         """(trace, loaded): the stored trace, else ``build()``'s, which is
         then stored."""
         key = self.trace_key(profile, num_instructions, seed)

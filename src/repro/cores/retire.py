@@ -25,16 +25,14 @@ from typing import List, Optional, Sequence
 from repro.cores.base import CORE_PARAMETERS, CoreParameters, CoreType
 from repro.isa.opcodes import OpClass
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.workload.packed import (
+from repro.workload.trace import (
     DEPENDS_BIT,
     KIND_INSTRUCTION,
     MEMORY_SLOT,
     OP_CLASSES,
     OP_INDEX,
-    PackedTrace,
-    pack_trace,
+    Trace,
 )
-from repro.workload.trace import Trace
 
 #: Execute latencies by op class (cycles); loads come from the hierarchy.
 _EXEC_LATENCY = {
@@ -50,7 +48,7 @@ _EXEC_LATENCY = {
 
 _HASH_MULTIPLIER = 2654435761  # Knuth multiplicative hash.
 
-#: Execute latencies indexed by packed op-class code (loads resolved via the
+#: Execute latencies indexed by op-class code (loads resolved via the
 #: hierarchy; the LOAD slot is a placeholder).
 _EXEC_LATENCY_BY_CODE = tuple(
     float(_EXEC_LATENCY.get(op, 1)) for op in OP_CLASSES
@@ -71,11 +69,9 @@ class RetireModel:
     def schedule(self, trace: Trace) -> List[float]:
         """Unobstructed retirement time (fractional cycles) per trace item.
 
-        One loop over the packed columns; an object trace is packed first
-        (``tests/test_cores.py`` pins the schedules' digests for both).
+        One loop over the trace columns (``tests/test_cores.py`` pins the
+        schedules' digests).
         """
-        if not isinstance(trace, PackedTrace):
-            trace = pack_trace(trace)
         params: CoreParameters = CORE_PARAMETERS[self.core_type]
         hierarchy = MemoryHierarchy(self.hierarchy_config)
         interval = 1.0 / params.width

@@ -98,7 +98,7 @@ class Monitor(abc.ABC):
     monitors_stack_updates: bool = False
     #: Optional address bound: when set, a monitored instruction must touch
     #: memory *below* this address to produce an event (AtomCheck ignores
-    #: the thread-private stack region).  Declarative so the packed-trace
+    #: the thread-private stack region).  Declarative so the column
     #: plan fast path can honour it without materialising instructions.
     wants_memory_below: Optional[int] = None
 
@@ -168,7 +168,7 @@ class Monitor(abc.ABC):
         dest_reg: Optional[int], sequence: int, kind: HandlerKind,
     ) -> HandlerResult:
         """:meth:`handle_event` on the event's fields, which the simulator
-        decodes from the packed trace columns without building the event.
+        decodes from the trace columns without building the event.
         The built-in monitors implement their instruction handlers here."""
         raise NotImplementedError(
             f"{type(self).__name__} must override handle_event"

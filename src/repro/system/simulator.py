@@ -49,7 +49,8 @@ from repro.queues.bounded import BoundedQueue
 from repro.system.config import SystemConfig
 from repro.system.results import RunResult
 from repro.verify.coverage import COVERAGE as _COVERAGE
-from repro.workload.packed import (
+from repro.workload.profile import BenchmarkProfile
+from repro.workload.trace import (
     DEST_SHIFT,
     EVENT_ID_BY_SHAPE,
     KIND_INSTRUCTION,
@@ -58,12 +59,9 @@ from repro.workload.packed import (
     OPERAND_REGISTER,
     SRC2_SHIFT,
     STACK_OP_BY_CODE,
-    PackedTrace,
+    Trace,
     event_fields,
-    pack_trace,
 )
-from repro.workload.profile import BenchmarkProfile
-from repro.workload.trace import Trace
 
 #: Horizon sentinel: quiet until some *other* agent acts (the actual jump is
 #: always additionally capped by ``SystemConfig.max_cycles``).
@@ -123,19 +121,13 @@ def warmup_count(trace_items: int, warmup_items: int) -> int:
     return min(warmup_items, max(0, trace_items - 1))
 
 
-def as_packed(trace: Trace) -> PackedTrace:
-    """``trace`` itself if packed, else its :func:`pack_trace` columns."""
-    return trace if isinstance(trace, PackedTrace) else pack_trace(trace)
-
-
 def build_plan(trace: Trace, monitor: Monitor) -> KindTable:
-    """Classify every trace item for ``monitor``, from the packed columns.
+    """Classify every trace item for ``monitor``, from the trace columns.
 
     The stock ``wants`` predicate depends only on the op class (plus the
     declared ``wants_memory_below`` bound), so it is one byte translation
     of the op column; high-level rows are patched in afterwards.  A monitor
     that overrides ``wants`` is asked about each instruction item."""
-    trace = as_packed(trace)
     op_bytes = bytes(trace.column("op"))
     kind_bytes = bytes(trace.column("kind"))
     if type(monitor).wants is Monitor.wants:
@@ -202,7 +194,6 @@ class MonitoringSimulation:
         ``schedule`` and ``plan`` optionally supply the precomputed
         unobstructed retirement schedule and kind table (the runner layer
         caches both across grid cells); when omitted they are computed here.
-        An object trace is packed once, here: the simulation reads columns.
 
         ``fade`` supplies the accelerator bound to ``monitor``'s critical
         metadata (built here from :func:`fade_config` when omitted).  With
@@ -214,12 +205,11 @@ class MonitoringSimulation:
             raise ConfigurationError("a FADE instance needs fade_enabled")
         if warmed and config.fade_enabled and fade is None:
             raise ConfigurationError("a warmed FADE run needs its warmed FADE")
-        trace = as_packed(trace)
         self.trace = trace
         self.monitor = monitor
         self.config = config
         self.profile = profile
-        self.warmup_items = warmup_count(len(trace.items), warmup_items)
+        self.warmup_items = warmup_count(len(trace), warmup_items)
         self._params = CORE_PARAMETERS[config.core_type]
         self._smt = config.is_smt
         self._sample = config.sample_queue_occupancy
@@ -1313,7 +1303,7 @@ def simulate_warmed(
 ) -> RunResult:
     """Simulate with the leading fraction of the trace as functional warmup
     (the default methodology for all paper-figure experiments)."""
-    warmup_items = int(len(trace.items) * warmup_fraction)
+    warmup_items = int(len(trace) * warmup_fraction)
     return MonitoringSimulation(
         trace, monitor, config, profile, warmup_items, schedule=schedule, plan=plan
     ).run()

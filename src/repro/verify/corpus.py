@@ -10,7 +10,7 @@ the in-PR differential oracle — the oracle proves today's configurations
 agree with *each other*, the corpus proves today's code agrees with the
 *blessed history*.
 
-Blessing policy (see DESIGN.md §8): digests are keyed by the packed-trace
+Blessing policy (see DESIGN.md §8): digests are keyed by the trace-column
 schema version and the result-store schema version.  A version bump is the
 one legitimate reason to re-bless wholesale (``repro conformance bless``);
 any other drift means a semantics change that must be either fixed or
@@ -31,7 +31,7 @@ from repro.api.spec import ExperimentSettings, RunSpec
 from repro.api.store import ResultStore
 from repro.system.config import SystemConfig, Topology
 from repro.cores.base import CoreType
-from repro.workload.packed import TRACE_SCHEMA_VERSION
+from repro.workload.trace import TRACE_SCHEMA_VERSION
 from repro.workload.profile import BenchmarkProfile
 
 from repro.verify.oracle import result_digest

@@ -19,12 +19,6 @@ from repro.workload.bugs import (
 )
 from repro.workload.generator import TraceGenerator, generate_trace
 from repro.workload.heap import Allocation, HeapModel
-from repro.workload.packed import (
-    TRACE_SCHEMA_VERSION,
-    PackedTrace,
-    PackedTraceBuilder,
-    pack_trace,
-)
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import (
     PARALLEL_BENCHMARKS,
@@ -36,7 +30,14 @@ from repro.workload.profiles import (
     register_profile,
 )
 from repro.workload.stack import CallStackModel, Frame
-from repro.workload.trace import HighLevelEvent, HighLevelKind, Trace, TraceItem
+from repro.workload.trace import (
+    TRACE_SCHEMA_VERSION,
+    HighLevelEvent,
+    HighLevelKind,
+    Trace,
+    TraceBuilder,
+    TraceItem,
+)
 
 __all__ = [
     "Allocation",
@@ -48,12 +49,11 @@ __all__ = [
     "HighLevelKind",
     "PARALLEL_BENCHMARKS",
     "PROFILE_REGISTRY",
-    "PackedTrace",
-    "PackedTraceBuilder",
     "SPEC_BENCHMARKS",
     "TAINT_BENCHMARKS",
     "TRACE_SCHEMA_VERSION",
     "Trace",
+    "TraceBuilder",
     "TraceGenerator",
     "TraceItem",
     "atomicity_violation_trace",
@@ -61,7 +61,6 @@ __all__ = [
     "generate_trace",
     "get_profile",
     "memory_leak_trace",
-    "pack_trace",
     "register_profile",
     "taint_exploit_trace",
     "uninitialized_read_trace",

@@ -13,11 +13,10 @@ of uninitialised data, no tainted jump targets — so any report a monitor
 raises on a generated trace is a false positive (tested).  Buggy traces come
 from :mod:`repro.workload.bugs`.
 
-Traces are emitted directly as :class:`~repro.workload.packed.PackedTrace`
+Traces are emitted directly as :class:`~repro.workload.trace.Trace`
 columns — the hot emit path appends machine integers, never constructs
-per-item ``Instruction``/``HighLevelEvent`` objects.  The packed trace's lazy
-item view materialises identical objects on demand, so every consumer sees
-the same trace an object emitter would have produced.
+per-item ``Instruction``/``HighLevelEvent`` objects.  The trace's lazy item
+view materialises the objects on demand.
 """
 
 from __future__ import annotations
@@ -31,7 +30,9 @@ from repro.common.rng import DeterministicRng
 from repro.common.units import WORD_SIZE
 from repro.isa.opcodes import OpClass
 from repro.workload.heap import HeapModel
-from repro.workload.packed import (
+from repro.workload.profile import BenchmarkProfile
+from repro.workload.stack import CallStackModel
+from repro.workload.trace import (
     DEPENDS_BIT,
     DEST_SHIFT,
     HL_INDEX,
@@ -41,12 +42,10 @@ from repro.workload.packed import (
     OPERAND_MEMORY,
     OPERAND_REGISTER,
     SRC2_SHIFT,
-    PackedTrace,
-    PackedTraceBuilder,
+    HighLevelKind,
+    Trace,
+    TraceBuilder,
 )
-from repro.workload.profile import BenchmarkProfile
-from repro.workload.stack import CallStackModel
-from repro.workload.trace import HighLevelKind
 
 #: Base of the statically allocated (global/data) segment.
 GLOBAL_BASE = 0x0040_0000
@@ -75,7 +74,7 @@ _BURST_POINTER_BOOST = 3.0
 #: Size of the streaming sub-segment of the global data segment.
 STREAM_REGION_BYTES = 256 * 1024
 
-# Hoisted column codes for the packed emit path.
+# Hoisted column codes for the emit path.
 _OP_LOAD = OP_INDEX[OpClass.LOAD]
 _OP_STORE = OP_INDEX[OpClass.STORE]
 _OP_ALU = OP_INDEX[OpClass.ALU]
@@ -190,7 +189,7 @@ class TraceGenerator:
 
         self._pending_init: Deque[int] = deque()
         self._thread = 0
-        self._builder = PackedTraceBuilder()
+        self._builder = TraceBuilder()
         self._add_hl = self._builder.add_high_level
 
         # Opcode pick: random.choices' arithmetic over precomputed cumulative
@@ -214,7 +213,7 @@ class TraceGenerator:
 
     # ------------------------------------------------------------------ API
 
-    def generate(self, num_instructions: int) -> PackedTrace:
+    def generate(self, num_instructions: int) -> Trace:
         """Produce a trace with exactly ``num_instructions`` instructions
         (at least one: the main frame's CALL).
 
@@ -791,6 +790,6 @@ class TraceGenerator:
 
 def generate_trace(
     profile: BenchmarkProfile, num_instructions: int, seed: int = 0
-) -> PackedTrace:
+) -> Trace:
     """Convenience wrapper: build a generator and produce one trace."""
     return TraceGenerator(profile, seed=seed).generate(num_instructions)

@@ -10,7 +10,7 @@ from repro.verify.corpus import (
     conformance_specs,
     default_corpus_dir,
 )
-from repro.workload.packed import TRACE_SCHEMA_VERSION
+from repro.workload.trace import TRACE_SCHEMA_VERSION
 
 
 class TestCommittedCorpus:

@@ -8,7 +8,7 @@ import pytest
 from repro.cores import CORE_PARAMETERS, CoreType, RetireModel
 from repro.cores.retire import app_alone_cycles
 from repro.isa.instruction import Instruction
-from repro.workload import PackedTrace, Trace, generate_trace, get_profile
+from repro.workload import Trace, generate_trace, get_profile
 
 
 def schedule_for(benchmark="astar", core=CoreType.OOO4, n=3000, seed=3, bubbles=False):
@@ -100,7 +100,7 @@ class TestRetireSchedule:
 
 #: (benchmark, core) -> SHA-256 of the little-endian doubles of the
 #: schedule of a 2,000-instruction trace at seed 5, with the profile's
-#: bubbles.  Recorded from the object-trace loop that ``RetireModel`` kept
+#: bubbles.  Recorded from the object-item loop that ``RetireModel`` kept
 #: beside its column loop until both were one, when the two were
 #: bit-identical; the column loop must still reproduce them.
 SCHEDULE_DIGESTS = {
@@ -125,18 +125,17 @@ def schedule_digest(schedule) -> str:
 
 @pytest.mark.parametrize("bench,core", sorted(SCHEDULE_DIGESTS, key=str))
 def test_schedule_digest(bench, core):
-    """A packed trace and the equivalent object trace (which ``schedule``
-    packs) both yield the pinned schedule."""
+    """A generated trace and the trace built from its items both yield the
+    pinned schedule."""
     profile = get_profile(bench)
     assert profile.bubble_prob > 0.0
-    packed = generate_trace(profile, 2000, seed=5)
-    assert isinstance(packed, PackedTrace)
-    objects = Trace(list(packed.items), name=packed.name, seed=packed.seed)
+    generated = generate_trace(profile, 2000, seed=5)
+    rebuilt = Trace(list(generated.items), name=generated.name, seed=generated.seed)
     model = RetireModel(
         core_type=core,
         bubble_prob=profile.bubble_prob,
         bubble_mean=profile.bubble_mean,
     )
     expected = SCHEDULE_DIGESTS[(bench, core)]
-    assert schedule_digest(model.schedule(packed)) == expected
-    assert schedule_digest(model.schedule(objects)) == expected
+    assert schedule_digest(model.schedule(generated)) == expected
+    assert schedule_digest(model.schedule(rebuilt)) == expected

@@ -25,7 +25,7 @@ from repro.system.simulator import (
     simulate_warmed,
 )
 from repro.workload import generate_trace, get_profile
-from repro.workload.packed import event_fields
+from repro.workload.trace import event_fields
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,7 +2,8 @@
 
 ``examples/custom_monitor.py`` is the one caller of a monitor that
 overrides only ``handle_event`` (the adapter path of the handler
-dispatch); its stdout is committed under ``tests/golden/examples/`` and CI
+dispatch), and ``examples/bug_hunt.py`` the one that builds traces from
+items; their stdout is committed under ``tests/golden/examples/`` and CI
 runs the same diff.
 """
 
@@ -17,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "examples"
 
 
-@pytest.mark.parametrize("example", ["custom_monitor"])
+@pytest.mark.parametrize("example", ["custom_monitor", "bug_hunt"])
 def test_example_prints_its_golden_output(example):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -7,7 +7,6 @@ from repro.isa import (
     MonitoredEvent,
     OpClass,
     Operand,
-    OperandKind,
     StackOp,
     StackUpdate,
     event_id_for,

@@ -24,8 +24,7 @@ from repro.system.simulator import (
     simulate_warmed,
 )
 from repro.workload import bugs, generate_trace, get_profile
-from repro.workload.packed import event_fields, pack_trace
-from repro.workload.trace import HighLevelEvent, HighLevelKind
+from repro.workload.trace import HighLevelEvent, HighLevelKind, event_fields
 
 
 def malloc(address, size, register=1, startup=False):
@@ -386,7 +385,7 @@ def _entry_point_traces(monitor_name):
     benchmark = "water" if monitor_name == "atomcheck" else "astar"
     return [
         generate_trace(get_profile(benchmark), 2000, seed=5),
-        pack_trace(crafted()),
+        crafted(),
     ]
 
 

@@ -1,11 +1,10 @@
-"""Packed traces: lazy-view compatibility, column fast paths and compact
-pickling all reproduce the object representation exactly.
+"""Traces: the lazy item view, column fast paths, compact pickling and the
+round trip from items to columns.
 
-The load-bearing guarantee is bit-identity: a :class:`PackedTrace` and an
-object :class:`Trace` holding the same items must yield byte-for-byte equal
-kind tables, events and serialized :class:`RunResult`s across monitors x
-topologies x engines.  (Retire schedules have one loop, which packs an
-object trace first; ``tests/test_cores.py`` pins their digests.)
+The load-bearing guarantee is the round trip: a trace rebuilt from its own
+items has byte-identical columns, so it yields the same schedule and the
+same :class:`RunResult`, and the kind tables and handler fields decoded
+from the columns equal a classification done over the items.
 """
 
 import functools
@@ -16,8 +15,9 @@ import weakref
 import pytest
 
 from repro.api import ExperimentSettings, RunnerCache, RunSpec, execute_spec
+from repro.cores import CoreType, RetireModel
 from repro.isa.events import MonitoredEvent
-from repro.isa.instruction import Instruction
+from repro.isa.instruction import Instruction, Operand
 from repro.isa.opcodes import OpClass
 from repro.monitors import MONITOR_NAMES, create_monitor
 from repro.monitors.base import Monitor
@@ -30,29 +30,20 @@ from repro.system.simulator import (
     STACK_UPDATE,
     build_plan,
 )
-from repro.workload.packed import event_fields
-from repro.workload import (
-    PackedTrace,
-    Trace,
-    generate_trace,
-    get_profile,
-    pack_trace,
-)
-from repro.workload.trace import HighLevelEvent, HighLevelKind
+from repro.verify.oracle import result_digest
+from repro.workload import Trace, benchmark_names, generate_trace, get_profile
+from repro.workload.profiles import PARALLEL_BENCHMARKS
+from repro.workload.trace import HighLevelEvent, HighLevelKind, event_fields
 
 
 @functools.lru_cache(maxsize=None)
-def packed(benchmark, n=1500, seed=11):
-    trace = generate_trace(get_profile(benchmark), n, seed=seed)
-    assert isinstance(trace, PackedTrace)
-    return trace
+def generated(benchmark, n=1500, seed=11):
+    return generate_trace(get_profile(benchmark), n, seed=seed)
 
 
-@functools.lru_cache(maxsize=None)
-def as_objects(benchmark, n=1500, seed=11):
-    """The equivalent object trace, via the lazy item view."""
-    source = packed(benchmark, n, seed)
-    return Trace(list(source.items), name=source.name, seed=source.seed)
+def rebuilt(trace):
+    """``trace`` built again from its items."""
+    return Trace(list(trace.items), name=trace.name, seed=trace.seed)
 
 
 def bench_for(monitor_name):
@@ -61,72 +52,124 @@ def bench_for(monitor_name):
 
 class TestLazyView:
     def test_view_equals_object_items(self):
-        trace = packed("astar")
-        objects = as_objects("astar")
-        assert trace.items == objects.items
-        assert objects.items == list(trace.items)
+        trace = generated("astar")
+        again = rebuilt(trace)
+        assert trace.items == again.items
+        assert again.items == list(trace.items)
 
     def test_indexing_and_slicing(self):
-        trace = packed("astar")
-        objects = as_objects("astar")
-        assert trace.items[0] == objects.items[0]
-        assert trace.items[-1] == objects.items[-1]
-        assert trace[5] == objects.items[5]
-        assert trace.items[10:20] == objects.items[10:20]
+        trace = generated("astar")
+        items = list(trace.items)
+        assert trace.items[0] == items[0]
+        assert trace.items[-1] == items[-1]
+        assert trace[5] == items[5]
+        assert trace.items[10:20] == items[10:20]
 
     def test_materialisation_is_cached(self):
-        trace = packed("astar")
+        trace = generated("astar")
         assert trace.items[3] is trace.items[3]
 
     def test_counts(self):
-        trace = packed("gcc")
-        objects = as_objects("gcc")
-        assert len(trace) == len(objects.items)
-        assert trace.num_instructions == objects.num_instructions == 1500
+        trace = generated("gcc")
+        items = list(trace.items)
+        assert len(trace) == len(items)
+        assert trace.num_instructions == 1500
         half = len(trace) // 2
-        assert trace.count_instructions(0, half) == objects.count_instructions(
-            0, half
+        assert trace.count_instructions(0, half) == sum(
+            isinstance(item, Instruction) for item in items[:half]
         )
 
     def test_iterators_match(self):
-        trace = packed("water")
-        objects = as_objects("water")
-        assert list(trace.instructions()) == list(objects.instructions())
-        assert list(trace.high_level_events()) == list(
-            objects.high_level_events()
-        )
-
-    def test_jsonl_round_trip(self):
-        trace = packed("astar", 300, 9)
-        restored = Trace.from_jsonl(trace.to_jsonl())
-        assert trace.items == restored.items
-        assert restored.name == trace.name and restored.seed == trace.seed
-
-    def test_concat_materialises(self):
-        first = packed("astar", 100, 1)
-        second = packed("astar", 100, 2)
-        combined = first.concat(second)
-        assert len(combined) == len(first) + len(second)
-
-    def test_extend_rejected(self):
-        with pytest.raises(TypeError, match="immutable"):
-            packed("astar").extend([HighLevelEvent(HighLevelKind.FREE)])
-
-    def test_pack_trace_round_trip(self):
-        objects = as_objects("water")
-        repacked = pack_trace(objects)
-        assert repacked.items == objects.items
-        assert repacked.name == objects.name and repacked.seed == objects.seed
+        trace = generated("water")
+        items = list(trace.items)
+        assert list(trace.instructions()) == [
+            item for item in items if isinstance(item, Instruction)
+        ]
+        assert list(trace.high_level_events()) == [
+            item for item in items if isinstance(item, HighLevelEvent)
+        ]
 
     def test_compact_pickle_round_trip(self):
-        trace = packed("astar")
+        trace = generated("astar")
         clone = pickle.loads(pickle.dumps(trace))
-        assert isinstance(clone, PackedTrace)
+        assert isinstance(clone, Trace)
         assert clone.items == trace.items
         assert clone.name == trace.name and clone.seed == trace.seed
         # The payload is one flat bytes blob (columns), not an object graph:
         # unpickling rebuilds views over it without reconstructing items.
         assert clone.column_bytes() == trace.column_bytes()
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_trace_built_from_its_items_is_the_same_trace(name):
+    """Every built-in profile: ``Trace(items)`` packs a generated trace's
+    items into byte-identical columns, and the rebuilt trace yields the
+    same schedule and the same result digest."""
+    profile = get_profile(name)
+    trace = generated(name)
+    again = rebuilt(trace)
+    assert (again.name, again.seed) == (trace.name, trace.seed)
+    assert again.column_bytes() == trace.column_bytes()
+    model = RetireModel(
+        core_type=CoreType.OOO4,
+        bubble_prob=profile.bubble_prob,
+        bubble_mean=profile.bubble_mean,
+    )
+    assert model.schedule(again) == model.schedule(trace)
+    monitor = "atomcheck" if name in PARALLEL_BENCHMARKS else "memcheck"
+    digests = {
+        result_digest(
+            simulate(source, create_monitor(monitor), SystemConfig(), profile)
+        )
+        for source in (trace, again)
+    }
+    assert len(digests) == 1
+
+
+def _load(pc=0x400, thread=0):
+    return Instruction(
+        pc=pc,
+        op_class=OpClass.LOAD,
+        sources=(Operand.memory(0x1000),),
+        dest=Operand.register(3),
+        thread=thread,
+    )
+
+
+class TestItemsThatDoNotFit:
+    """``Trace(items)`` names the item and the field a column cannot hold."""
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            (_load(thread=300), r"trace item 1 \(an Instruction\): thread=300"),
+            (_load(pc=2**64), r"trace item 1 \(an Instruction\): pc=18446744073709551616"),
+            (_load(pc=-1.5), r"trace item 1 \(an Instruction\): pc=-1.5"),
+            (
+                HighLevelEvent(HighLevelKind.MALLOC, 0x1000, 64, register=999),
+                r"trace item 1 \(a HighLevelEvent\): register=999",
+            ),
+            (
+                HighLevelEvent(HighLevelKind.FREE, address=0x1000, size=-(2**63) - 1),
+                r"trace item 1 \(a HighLevelEvent\): size=-9223372036854775809",
+            ),
+        ],
+    )
+    def test_misfit_is_named(self, item, message):
+        with pytest.raises(ValueError, match=message):
+            Trace([_load(), item, _load()])
+
+    def test_an_item_of_another_type_is_named(self):
+        with pytest.raises(TypeError, match="trace item 1 is a str"):
+            Trace([_load(), "load r3"])
+
+    def test_the_extremes_of_each_column_fit(self):
+        items = [
+            _load(pc=2**63 - 1, thread=255),
+            _load(pc=-(2**63), thread=0),
+            HighLevelEvent(HighLevelKind.MALLOC, 0x1000, 64, register=255),
+        ]
+        assert list(Trace(items).items) == items
 
 
 def reference_kinds(trace, monitor):
@@ -144,54 +187,43 @@ def reference_kinds(trace, monitor):
     return bytes(kinds)
 
 
-def source_traces(benchmark):
-    """A packed trace and ``pack_trace`` of the equivalent object trace."""
-    return [packed(benchmark), pack_trace(as_objects(benchmark))]
-
-
 class TestColumnFastPaths:
     @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
     def test_plan_bit_identical(self, monitor_name):
-        """The kind table built from the columns (of a packed trace, of
-        ``pack_trace`` of an object trace, and of an object trace, which
-        ``build_plan`` packs) equals a classification done with
-        ``monitor.wants`` over the items, counts included."""
-        benchmark = bench_for(monitor_name)
-        expected = reference_kinds(
-            as_objects(benchmark), create_monitor(monitor_name)
-        )
-        for trace in source_traces(benchmark) + [as_objects(benchmark)]:
-            plan = build_plan(trace, create_monitor(monitor_name))
-            assert plan.kinds == expected
-            assert plan.monitored == expected.count(INSTRUCTION_EVENT)
-            assert plan.stack_updates == expected.count(STACK_UPDATE)
-            assert plan.high_level == expected.count(HIGH_LEVEL)
+        """The kind table built from the columns equals a classification
+        done with ``monitor.wants`` over the items, counts included."""
+        trace = generated(bench_for(monitor_name))
+        expected = reference_kinds(trace, create_monitor(monitor_name))
+        plan = build_plan(trace, create_monitor(monitor_name))
+        assert plan.kinds == expected
+        assert plan.monitored == expected.count(INSTRUCTION_EVENT)
+        assert plan.stack_updates == expected.count(STACK_UPDATE)
+        assert plan.high_level == expected.count(HIGH_LEVEL)
 
     @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
     def test_built_events_match_from_instruction(self, monitor_name):
         """The fields a handler takes and the stack updates the loop builds
         from the columns equal those of ``MonitoredEvent.from_instruction``."""
-        benchmark = bench_for(monitor_name)
-        items = as_objects(benchmark).items
-        for trace in source_traces(benchmark):
-            plan = build_plan(trace, create_monitor(monitor_name))
-            lists = trace.column_lists()
-            delivered = [
-                index
-                for index, kind in enumerate(plan.kinds)
-                if kind in (INSTRUCTION_EVENT, STACK_UPDATE)
-            ]
-            assert delivered
-            for index in delivered:
-                event = MonitoredEvent.from_instruction(items[index], index)
-                if plan.kinds[index] == STACK_UPDATE:
-                    assert trace.stack_update(index) == event.stack_update
-                else:
-                    event_id, addr, src1, src2, dest = event_fields(lists, index)
-                    assert event == MonitoredEvent(
-                        event_id, lists[0][index], addr, src1, src2, dest,
-                        None, index,
-                    )
+        trace = generated(bench_for(monitor_name))
+        items = trace.items
+        plan = build_plan(trace, create_monitor(monitor_name))
+        lists = trace.column_lists()
+        delivered = [
+            index
+            for index, kind in enumerate(plan.kinds)
+            if kind in (INSTRUCTION_EVENT, STACK_UPDATE)
+        ]
+        assert delivered
+        for index in delivered:
+            event = MonitoredEvent.from_instruction(items[index], index)
+            if plan.kinds[index] == STACK_UPDATE:
+                assert trace.stack_update(index) == event.stack_update
+            else:
+                event_id, addr, src1, src2, dest = event_fields(lists, index)
+                assert event == MonitoredEvent(
+                    event_id, lists[0][index], addr, src1, src2, dest,
+                    None, index,
+                )
 
     def test_custom_wants_uses_generic_path(self):
         class EveryOtherLoad(MemLeak):
@@ -201,17 +233,17 @@ class TestColumnFastPaths:
                     and instruction.pc % 8 == 0
                 )
 
-        expected = reference_kinds(as_objects("astar"), EveryOtherLoad())
-        stock = build_plan(packed("astar"), MemLeak())
-        for trace in source_traces("astar"):
-            plan = build_plan(trace, EveryOtherLoad())
-            assert plan.kinds == expected
-            assert 0 < plan.monitored < stock.monitored
-            result = simulate(
-                trace, EveryOtherLoad(), SystemConfig(fade_enabled=False),
-                get_profile("astar"),
-            )
-            assert result.monitored_events == plan.monitored
+        trace = generated("astar")
+        expected = reference_kinds(trace, EveryOtherLoad())
+        stock = build_plan(trace, MemLeak())
+        plan = build_plan(trace, EveryOtherLoad())
+        assert plan.kinds == expected
+        assert 0 < plan.monitored < stock.monitored
+        result = simulate(
+            trace, EveryOtherLoad(), SystemConfig(fade_enabled=False),
+            get_profile("astar"),
+        )
+        assert result.monitored_events == plan.monitored
 
     @pytest.mark.parametrize("fade_enabled", [False, True])
     def test_built_in_monitors_build_no_events(self, monkeypatch, fade_enabled):
@@ -252,6 +284,11 @@ class TestColumnFastPaths:
 
 
 class TestSimulationBitIdentity:
+    """Two paths write a trace's columns: the generator appends them
+    directly, and ``Trace(items)`` packs them from ``Instruction`` and
+    ``HighLevelEvent`` objects.  Both must drive every monitor, topology and
+    engine to the same serialized :class:`RunResult`."""
+
     @pytest.mark.parametrize("engine", ["naive", "event"])
     @pytest.mark.parametrize(
         "topology", [Topology.SINGLE_CORE_SMT, Topology.TWO_CORE],
@@ -259,26 +296,29 @@ class TestSimulationBitIdentity:
     )
     @pytest.mark.parametrize("monitor_name", MONITOR_NAMES)
     def test_packed_vs_object_run_results(self, monitor_name, topology, engine):
-        """Monitors x topologies x engines: the full serialized RunResult of
-        a packed trace matches the object trace's bit for bit."""
+        """Monitors x topologies x engines: the RunResult of a generated
+        trace matches that of the trace packed from its item objects bit
+        for bit."""
         benchmark = bench_for(monitor_name)
         profile = get_profile(benchmark)
         config = SystemConfig(topology=topology, engine=engine)
-        from_packed = simulate(
-            packed(benchmark), create_monitor(monitor_name), config, profile
+        trace = generated(benchmark)
+        from_generator = simulate(
+            trace, create_monitor(monitor_name), config, profile
         )
         from_objects = simulate(
-            as_objects(benchmark), create_monitor(monitor_name), config, profile
+            rebuilt(trace), create_monitor(monitor_name), config, profile
         )
-        assert from_packed.to_dict() == from_objects.to_dict()
+        assert from_generator.to_dict() == from_objects.to_dict()
 
     def test_unaccelerated_matches_too(self):
         profile = get_profile("gcc")
         config = SystemConfig(fade_enabled=False)
-        from_packed = simulate(
-            packed("gcc"), create_monitor("memcheck"), config, profile
+        trace = generated("gcc")
+        from_generator = simulate(
+            trace, create_monitor("memcheck"), config, profile
         )
         from_objects = simulate(
-            as_objects("gcc"), create_monitor("memcheck"), config, profile
+            rebuilt(trace), create_monitor("memcheck"), config, profile
         )
-        assert from_packed.to_dict() == from_objects.to_dict()
+        assert from_generator.to_dict() == from_objects.to_dict()

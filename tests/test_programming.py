@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ProgrammingError
 from repro.fade.event_table import EventTableEntry, RuKind
-from repro.fade.programming import FIRST_CHAIN_ENTRY, FadeProgram, ProgramBuilder
+from repro.fade.programming import FIRST_CHAIN_ENTRY, ProgramBuilder
 from repro.fade.update_logic import NonBlockRule, UpdateSpec
 
 

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fade import Fade, FadeConfig
 from repro.isa.events import MonitoredEvent
-from repro.isa.instruction import Instruction
-from repro.monitors import MONITOR_NAMES, create_monitor
+from repro.monitors import create_monitor
 from repro.workload import generate_trace, get_profile
 from repro.workload.trace import HighLevelEvent
 

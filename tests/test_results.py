@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from repro.fade.accelerator import Fade, FadeConfig, FadeStats
-from repro.metadata import ShadowMemory, ShadowRegisters
 from repro.monitors import create_monitor
 from repro.monitors.base import HandlerClass
 from repro.monitors.reports import BugKind, BugReport

@@ -11,7 +11,6 @@ import multiprocessing
 import os
 import pathlib
 import signal
-import socket
 import subprocess
 import sys
 import threading

@@ -10,7 +10,6 @@ import pytest
 
 from repro.cores import CoreType
 from repro.isa.events import MonitoredEvent
-from repro.isa.instruction import Instruction
 from repro.monitors import create_monitor
 from repro.system import SystemConfig, simulate
 from repro.workload import generate_trace, get_profile

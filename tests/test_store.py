@@ -100,7 +100,7 @@ class TestResultStore:
     def test_trace_schema_version_invalidates(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
         before = store.key(GRID[0])
-        monkeypatch.setattr("repro.workload.packed.TRACE_SCHEMA_VERSION", 999)
+        monkeypatch.setattr("repro.workload.trace.TRACE_SCHEMA_VERSION", 999)
         assert store.key(GRID[0]) != before
 
     def test_corrupt_entry_is_a_miss_and_recomputed(self, tmp_path):

@@ -123,22 +123,11 @@ class TestLookup:
         result = SerialRunner().run_one(GRID[0])
         key = store.key(GRID[0])
         store.put(GRID[0], result)
-        payload = store._backend.read(key)
-        if isinstance(payload, str):
-            payload = payload.encode()
-        broken = result.to_dict()
-        del broken["benchmark"]
-        for data in (
-            payload[: len(payload) // 2],
-            payload[:-1],
-            payload + b"x",
-            json.dumps({"key": key, "result": broken,
-                        "spec": GRID[0].to_dict()}, sort_keys=True).encode(),
-        ):
+        for data in _corruptions(store, key, GRID[0], result):
             store._backend.write(key, data)
             assert store.lookup(key) is None
             assert len(store) == 0
-        assert (store.hits, store.misses) == (0, 4)
+        assert (store.hits, store.misses) == (0, 6)
 
 
 def _raw(store, key):
@@ -147,16 +136,25 @@ def _raw(store, key):
 
 
 def _corruptions(store, key, spec, result):
-    """Torn, truncated, padded and invalid-result payloads for ``key``."""
+    """Torn, truncated, padded and invalid-result payloads for ``key``, and
+    entries whose result holds a non-finite number: one in the layout
+    ``put`` writes, one hand-edited into another layout."""
     payload = _raw(store, key)
     broken = result.to_dict()
     del broken["benchmark"]
+    entry = json.loads(payload)
+    entry["result"]["cycles"] = float("nan")
+    not_a_number = json.dumps(entry, sort_keys=True).encode()
+    assert b'"cycles": NaN, ' in not_a_number
+    entry["result"]["cycles"] = float("inf")
     return [
         payload[: len(payload) // 2],
         payload[:-1],
         payload + b"x",
         json.dumps({"key": key, "result": broken, "spec": spec.to_dict()},
                    sort_keys=True).encode(),
+        not_a_number,
+        json.dumps(entry, indent=1).encode(),
     ]
 
 
@@ -227,7 +225,7 @@ class TestValidationMemo:
             assert store.lookup(key) is None
             assert len(store) == 0
             assert store.lookup(key) is None
-        assert (store.hits, store.misses) == (8, 8)
+        assert (store.hits, store.misses) == (12, 12)
 
     def test_readonly_store_keeps_corrupt_bytes(
         self, tmp_path, name, computed
@@ -242,7 +240,7 @@ class TestValidationMemo:
             writer._backend.write(key, data)
             assert reader.lookup(key) is None
             assert _raw(writer, key) == data  # Not healed.
-        assert (reader.hits, reader.misses) == (8, 4)
+        assert (reader.hits, reader.misses) == (12, 6)
 
     def test_clear_makes_the_next_lookup_a_miss(
         self, tmp_path, name, computed

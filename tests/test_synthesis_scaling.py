@@ -28,7 +28,7 @@ from repro.workload.generator import (
     STREAM_REGION_BYTES,
 )
 from repro.workload.heap import HEAP_BASE
-from repro.workload.packed import KIND_INSTRUCTION, OP_INDEX
+from repro.workload.trace import KIND_INSTRUCTION, OP_INDEX
 from repro.workload.profiles import PARALLEL_BENCHMARKS, SPEC_BENCHMARKS
 from repro.workload.stack import STACK_TOP
 

@@ -45,7 +45,7 @@ from repro.system.config import SystemConfig
 from repro.system.simulator import MonitoringSimulation, fade_config
 from repro.verify.coverage import COVERAGE
 from repro.workload import benchmark_names, generate_trace, get_profile
-from repro.workload.packed import COLUMN_SPEC
+from repro.workload.trace import COLUMN_SPEC
 
 SMALL = ExperimentSettings(num_instructions=1500, seed=3)
 

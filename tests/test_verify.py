@@ -3,7 +3,6 @@ the differential oracle (clean passes, mutation detection, shrinking), and
 the coverage map's counters and steering signal.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -20,7 +19,6 @@ from repro.verify.coverage import COVERAGE, TRACKED_STATES, CoverageMap
 from repro.verify.fuzz import (
     MONITORS,
     REGIMES,
-    FuzzCase,
     WorkloadFuzzer,
     fuzz_campaign,
 )

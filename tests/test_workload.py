@@ -1,18 +1,15 @@
 """Tests for the workload substrate: profiles, heap/stack models, generator
-determinism and cleanliness, trace serialisation."""
+determinism and cleanliness."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.common.units import WORD_SIZE
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.workload import (
     BenchmarkProfile,
     HeapModel,
-    Trace,
-    TraceGenerator,
     benchmark_names,
     generate_trace,
     get_profile,
@@ -171,18 +168,3 @@ class TestGenerator:
         for instruction in trace.instructions():
             if instruction.op_class is OpClass.FP:
                 assert instruction.dest is None
-
-
-class TestTraceSerialisation:
-    def test_jsonl_roundtrip(self):
-        trace = generate_trace(get_profile("astar"), 300, seed=9)
-        restored = Trace.from_jsonl(trace.to_jsonl())
-        assert restored.items == trace.items
-        assert restored.name == trace.name
-        assert restored.seed == trace.seed
-
-    def test_concat(self):
-        first = generate_trace(get_profile("astar"), 100, seed=1)
-        second = generate_trace(get_profile("astar"), 100, seed=2)
-        combined = first.concat(second)
-        assert len(combined) == len(first) + len(second)
