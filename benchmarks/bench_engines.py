@@ -3,11 +3,11 @@
     PYTHONPATH=src:. python -m pytest benchmarks/bench_engines.py -q
 
 Runs every Figure 9 cell (each monitor over its suite) at n=3000 under
-both engines on one ``SerialRunner`` whose traces and schedules are built
-before any timing, with the trace store off, so no cell starts from a
-stored warm state and both engines time plan, warmup and engine loop.
-The engines take turns over ``ROUNDS`` rounds, so drift in the machine's
-speed hits both alike.  Separately on the unaccelerated half and on the
+both engines on one in-process ``ParallelRunner(jobs=1)`` whose traces
+and schedules are built before any timing, with the trace store off, so
+no cell starts from a stored warm state and both engines time plan,
+warmup and engine loop.  The engines take turns over ``ROUNDS`` rounds,
+so drift in the machine's speed hits both alike.  Separately on the unaccelerated half and on the
 FADE half, the results must be bit-identical and the event engine's best
 round no slower than the naive one's.
 """
@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis import ExperimentSettings
 from repro.analysis.experiments import benchmarks_for
-from repro.api import RunnerCache, RunSpec, SerialRunner
+from repro.api import ParallelRunner, RunnerCache, RunSpec
 from repro.monitors import MONITOR_NAMES
 from repro.system import SystemConfig
 
@@ -40,8 +40,8 @@ def grid(engine: str, half: str) -> list:
 
 
 @pytest.fixture(scope="module")
-def runner() -> SerialRunner:
-    runner = SerialRunner(RunnerCache(persist=False))
+def runner() -> ParallelRunner:
+    runner = ParallelRunner(1, RunnerCache(persist=False))
     for spec in grid("event", "fade"):
         runner.cache.trace(spec.benchmark, SETTINGS)
         runner.cache.schedule(spec.benchmark, SETTINGS, spec.config.core_type)

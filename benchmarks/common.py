@@ -3,10 +3,10 @@
 Each ``bench_*`` file regenerates one of the paper's tables or figures and
 writes the formatted rows to ``results/<name>.txt`` in addition to timing
 the regeneration under pytest-benchmark.  All benches execute through one
-shared :class:`repro.api.Runner`, so traces and retire schedules are cached
-across benches (same settings) and the timed work is the simulation itself.
-Set ``REPRO_BENCH_JOBS=N`` to fan the experiment grids out over N worker
-processes, and ``REPRO_RESULT_CACHE=PATH`` to give every bench a persistent
+shared :class:`repro.api.ParallelRunner`, so traces and retire schedules are
+cached across benches (same settings) and the timed work is the simulation
+itself.  It runs in-process unless ``REPRO_BENCH_JOBS=N`` fans the
+experiment grids out over N worker processes (N of at least 1), and ``REPRO_RESULT_CACHE=PATH`` to give every bench a persistent
 content-addressed result store (re-running the suite recomputes only cells
 whose inputs changed).
 """
@@ -17,7 +17,7 @@ import os
 import pathlib
 
 from repro.analysis import ExperimentSettings
-from repro.api import ParallelRunner, ResultStore, Runner, SerialRunner
+from repro.api import ParallelRunner, ResultStore
 
 #: Shared experiment scale for the bench suite.  Larger values sharpen the
 #: statistics at proportional cost; the shapes are stable from ~10k up.
@@ -33,15 +33,12 @@ def make_store() -> "ResultStore | None":
     return ResultStore(path) if path else None
 
 
-def make_runner() -> Runner:
-    """Serial by default; ``REPRO_BENCH_JOBS=N`` (N > 1) runs grids on a
-    process pool.  Results are identical either way — only wall-clock
-    changes."""
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0") or 0)
-    store = make_store()
-    if jobs > 1:
-        return ParallelRunner(jobs=jobs, store=store)
-    return SerialRunner(store=store)
+def make_runner() -> ParallelRunner:
+    """In-process by default; ``REPRO_BENCH_JOBS=N`` runs grids on N worker
+    processes, and a value below 1 is a ``ConfigurationError``.  Results
+    are identical either way — only wall-clock changes."""
+    jobs = int(os.environ.get("REPRO_BENCH_JOBS") or 1)
+    return ParallelRunner(jobs, store=make_store())
 
 
 #: The runner every bench passes to its harness call.

@@ -3,9 +3,12 @@ regression past a metric's bound.
 
     python3 benchmarks/perf_gate.py BASE_CHECKOUT
 
-The change is the checkout holding this script.  For each workload in
-its ``BENCHMARK.json`` it runs ``PAIRS`` pairs of the benchmark
-command (``perfbench/run.py --workload W --seed <pair> --seconds
+The change is the checkout holding this script.  It first byte-compiles
+both checkouts' ``src`` and ``perfbench``: where ``PYTHONDONTWRITEBYTECODE``
+is set, a checkout without bytecode recompiles every module it imports in
+every run, which would slow one side for a reason unrelated to the change.
+For each workload in its ``BENCHMARK.json`` it then runs ``PAIRS`` pairs of
+the benchmark command (``perfbench/run.py --workload W --seed <pair> --seconds
 SECONDS``), once in each checkout's root, alternating which side goes
 first.  Every run gets its own empty ``REPRO_TRACE_STORE``, so no run
 starts from what an earlier one stored.
@@ -98,6 +101,21 @@ def workload_verdicts(metrics: List[dict], base: List[dict],
     return verdicts
 
 
+def compile_checkout(python: str, root: pathlib.Path) -> None:
+    """Byte-compile ``root``'s ``src`` and ``perfbench`` with the
+    benchmark's interpreter ``python``; exits on a compile error."""
+    folders = [name for name in ("src", "perfbench") if (root / name).is_dir()]
+    if not folders:
+        return
+    completed = subprocess.run(
+        [python, "-m", "compileall", "-q", *folders],
+        cwd=root, capture_output=True, text=True,
+    )
+    if completed.returncode:
+        raise SystemExit(f"compiling {root} failed:\n"
+                         f"{completed.stdout}{completed.stderr}")
+
+
 def run_once(command: List[str], root: pathlib.Path, workload: str,
              seed: int) -> dict:
     """The result line (the last line of standard output) of one run."""
@@ -126,6 +144,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"perf gate skipped: {base_root} has no perfbench/run.py")
         return 0
     bench = json.loads((CHANGE_ROOT / "BENCHMARK.json").read_text())
+    for root in (base_root, CHANGE_ROOT):
+        compile_checkout(bench["command"][0], root)
     RUNS_PATH.parent.mkdir(parents=True, exist_ok=True)
     passed = True
     with RUNS_PATH.open("w") as log:

@@ -19,7 +19,7 @@ import sys
 
 from repro import CoreType, SystemConfig, Topology
 from repro.analysis import format_table
-from repro.api import ExperimentSettings, ParallelRunner, ResultSet, RunSpec, SerialRunner
+from repro.api import ExperimentSettings, ParallelRunner, ResultSet, RunSpec
 from repro.fade.md_cache import MetadataCacheConfig
 
 BENCHMARK = "omnetpp"
@@ -57,9 +57,9 @@ def build_grid() -> list:
 
 def main() -> None:
     jobs = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    runner = ParallelRunner(jobs=jobs) if jobs > 1 else SerialRunner()
+    runner = ParallelRunner(jobs=jobs)
     print(f"== Design space for {MONITOR} on {BENCHMARK} "
-          f"({'serial' if jobs <= 1 else f'{jobs} workers'}) ==\n")
+          f"({'in-process' if jobs == 1 else f'{jobs} workers'}) ==\n")
 
     results = runner.run(build_grid())
 

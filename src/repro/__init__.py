@@ -65,8 +65,6 @@ _EXPORTS = {
     "ResultStore": "repro.api",
     "RunResult": "repro.system",
     "RunSpec": "repro.api",
-    "Runner": "repro.api",
-    "SerialRunner": "repro.api",
     "SystemConfig": "repro.system",
     "TaintCheck": "repro.monitors",
     "Topology": "repro.system",

@@ -7,7 +7,8 @@ caches and metadata).  Results are returned as dictionaries/rows ready for
 :func:`repro.analysis.formatting.format_table`.
 
 Every harness builds a grid of :class:`~repro.api.RunSpec` cells and
-executes it through a :class:`~repro.api.Runner`; pass
+executes it through a :class:`~repro.api.ParallelRunner`: the shared
+in-process :func:`~repro.api.default_runner` unless you pass
 ``runner=ParallelRunner(jobs=N)`` to fan a grid out over worker processes.
 The ``*_results`` variants return the raw :class:`~repro.api.ResultSet`
 (saveable as JSON) and the ``*_aggregate`` functions reduce one to the
@@ -27,16 +28,16 @@ from repro.analysis.stats import (
 from repro.api import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
+    ParallelRunner,
     ResultSet,
-    Runner,
     RunSpec,
     default_runner,
 )
 from repro.cores.base import CoreType
-from repro.isa.instruction import Instruction
-from repro.monitors import MONITOR_NAMES, create_monitor
+from repro.monitors import MONITOR_NAMES
 from repro.system.config import SystemConfig, Topology
 from repro.system.results import RunResult
+from repro.system.simulator import INSTRUCTION_EVENT, STACK_UPDATE
 from repro.workload.profiles import (
     PARALLEL_BENCHMARKS,
     SPEC_BENCHMARKS,
@@ -45,7 +46,7 @@ from repro.workload.profiles import (
 from repro.workload.trace import Trace
 
 
-def _runner(runner: Optional[Runner]) -> Runner:
+def _runner(runner: Optional[ParallelRunner]) -> ParallelRunner:
     return runner if runner is not None else default_runner()
 
 
@@ -62,7 +63,7 @@ def benchmarks_for(monitor: str) -> List[str]:
 def get_trace(
     benchmark: str,
     settings: ExperimentSettings,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Trace:
     """The (cached) synthetic trace for one benchmark/settings cell."""
     return _runner(runner).cache.trace(benchmark, settings)
@@ -72,7 +73,7 @@ def get_schedule(
     benchmark: str,
     settings: ExperimentSettings,
     core: CoreType = CoreType.OOO4,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> List[float]:
     """The (cached) unobstructed retirement schedule for one cell."""
     return _runner(runner).cache.schedule(benchmark, settings, core)
@@ -83,7 +84,7 @@ def run_one(
     monitor_name: str,
     config: SystemConfig,
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> RunResult:
     """Simulate one (benchmark, monitor, system) cell with standard warmup."""
     return _runner(runner).run_one(RunSpec(benchmark, monitor_name, config, settings))
@@ -98,7 +99,7 @@ def quick_run(
     topology: Topology = Topology.SINGLE_CORE_SMT,
     num_instructions: int = 20_000,
     seed: int = 7,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> RunResult:
     """Generate a trace and simulate one monitoring system end to end.
 
@@ -128,29 +129,23 @@ def _tail_ipc(
     benchmark: str,
     monitor_name: str,
     settings: ExperimentSettings,
-    runner: Runner,
+    runner: ParallelRunner,
 ) -> Tuple[float, float]:
     """(app IPC, monitored IPC) on the steady-state (post-warmup) region."""
     trace = get_trace(benchmark, settings, runner)
     schedule = get_schedule(benchmark, settings, runner=runner)
     start = int(len(trace) * settings.warmup_fraction)
     span = schedule[-1] - schedule[start - 1] if start else schedule[-1]
-    monitor = create_monitor(monitor_name)
-    instructions = 0
-    monitored = 0
-    for item in trace.items[start:]:
-        if isinstance(item, Instruction):
-            instructions += 1
-            if monitor.wants(item):
-                monitored += 1
+    kinds = runner.cache.plan(trace, monitor_name).kinds[start:]
     if span <= 0:
         return 0.0, 0.0
-    return instructions / span, monitored / span
+    monitored = kinds.count(INSTRUCTION_EVENT) + kinds.count(STACK_UPDATE)
+    return trace.count_instructions(start) / span, monitored / span
 
 
 def fig2_monitored_ipc(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, object]:
     """Figure 2: per-monitor average IPC split, and per-benchmark splits for
     AddrCheck (b) and MemLeak (c)."""
@@ -187,26 +182,25 @@ def _monitored_arrivals(
     benchmark: str,
     monitor_name: str,
     settings: ExperimentSettings,
-    runner: Runner,
+    runner: ParallelRunner,
 ) -> List[float]:
     """Retirement times of monitored events in the steady-state region."""
     trace = get_trace(benchmark, settings, runner)
     schedule = get_schedule(benchmark, settings, runner=runner)
     start = int(len(trace) * settings.warmup_fraction)
-    monitor = create_monitor(monitor_name)
-    arrivals = []
-    for index in range(start, len(trace)):
-        item = trace.items[index]
-        if isinstance(item, Instruction) and monitor.wants(item):
-            arrivals.append(schedule[index])
-    return arrivals
+    kinds = runner.cache.plan(trace, monitor_name).kinds
+    return [
+        schedule[index]
+        for index in range(start, len(trace))
+        if kinds[index] in (INSTRUCTION_EVENT, STACK_UPDATE)
+    ]
 
 
 def fig3_queue_occupancy(
     monitor_name: str = "memleak",
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     benchmarks: Optional[Sequence[str]] = None,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Figure 3(a, b): occupancy of an infinite event queue drained by an
     ideal one-event-per-cycle filtering accelerator."""
@@ -234,7 +228,7 @@ def fig3_queue_size_slowdown(
     monitor_name: str = "memleak",
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     capacities: Sequence[int] = (32, 32_768),
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[int, float]]:
     """Figure 3(c): slowdown of finite event queues against the unmonitored
     baseline, with an ideal one-event-per-cycle consumer.
@@ -275,7 +269,7 @@ def fig3_queue_size_slowdown(
 
 def fig4_breakdowns(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, object]:
     """Figure 4(a): software execution-time breakdown per monitor;
     (b): distance CDF between unfiltered events for MemLeak;
@@ -321,7 +315,7 @@ def fig4_breakdowns(
 
 def table2_results(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> ResultSet:
     """The raw Table 2 grid: every monitor over its suite, FADE enabled."""
     config = SystemConfig(fade_enabled=True, non_blocking=True)
@@ -343,7 +337,7 @@ def table2_aggregate(results: ResultSet) -> Dict[str, float]:
 
 def table2_filtering(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, float]:
     """Table 2: fraction of instruction event handlers filtered by FADE."""
     return table2_aggregate(table2_results(settings, runner))
@@ -357,7 +351,7 @@ def table2_filtering(
 def fig9_results(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     monitors: Sequence[str] = tuple(MONITOR_NAMES),
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> ResultSet:
     """The raw Figure 9 grid: unaccelerated and (non-blocking) FADE cells
     for every monitor/benchmark pair."""
@@ -401,7 +395,7 @@ def fig9_aggregate(results: ResultSet) -> Dict[str, object]:
 def fig9_slowdown(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     monitors: Sequence[str] = tuple(MONITOR_NAMES),
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, object]:
     """Figure 9: per-benchmark slowdowns for the single-core dual-threaded
     4-way OoO system, unaccelerated versus (non-blocking) FADE."""
@@ -416,7 +410,7 @@ def fig9_slowdown(
 def fig10_core_types(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     monitors: Sequence[str] = tuple(MONITOR_NAMES),
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Figure 10: gmean slowdown per monitor for in-order / 2-way / 4-way
     cores, unaccelerated versus FADE (single-core system)."""
@@ -452,7 +446,7 @@ def fig10_core_types(
 
 def fig11a_single_vs_two_core(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Figure 11(a): FADE-enabled single-core versus two-core slowdowns."""
     labelled = (
@@ -482,7 +476,7 @@ def fig11a_single_vs_two_core(
 
 def fig11b_core_utilization(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Figure 11(b): two-core execution-time breakdown: app core idle
     (event queue full), monitor core idle (everything filtered), both busy."""
@@ -506,7 +500,7 @@ def fig11b_core_utilization(
 
 def fig11c_blocking_vs_nonblocking(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Figure 11(c): baseline (blocking) FADE versus Non-Blocking FADE."""
     labelled = (("blocking", False), ("non-blocking", True))

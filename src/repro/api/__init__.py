@@ -1,5 +1,5 @@
 """The unified execution layer: declarative specs, pluggable registries,
-serial/parallel runners, serializable result sets.
+one runner (in-process or over a process pool), serializable result sets.
 
 Everything above the simulator — ``quick_run``, the CLI, the per-figure
 experiment harnesses and the benchmark suite — executes through this layer.
@@ -42,9 +42,7 @@ _EXPORTS = {
     "ResultStore": "repro.api.store",
     "RunRecord": "repro.api.results",
     "RunSpec": "repro.api.spec",
-    "Runner": "repro.api.runner",
     "RunnerCache": "repro.api.cache",
-    "SerialRunner": "repro.api.runner",
     "STORE_SCHEMA_VERSION": "repro.api.store",
     "TOPOLOGY_ALIASES": "repro.system.config",
     "benchmark_names": "repro.workload.profiles",
@@ -58,7 +56,6 @@ _EXPORTS = {
     "register_monitor": "repro.monitors",
     "register_profile": "repro.workload.profiles",
     "run_specs": "repro.api.runner",
-    "set_default_runner": "repro.api.runner",
     "spec_grid": "repro.api.spec",
 }
 

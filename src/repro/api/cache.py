@@ -1,9 +1,10 @@
 """Bounded, explicitly-owned trace and schedule caches.
 
 Replaces the unbounded module-global ``_TRACE_CACHE``/``_SCHEDULE_CACHE``
-the analysis layer used to keep: every :class:`~repro.api.runner.Runner`
-owns one :class:`RunnerCache`, so long-lived sessions stay memory-bounded
-and parallel workers never share mutable state across processes.
+the analysis layer used to keep: every
+:class:`~repro.api.runner.ParallelRunner` owns one :class:`RunnerCache`, so
+long-lived sessions stay memory-bounded and parallel workers never share
+mutable state across processes.
 
 Below the two in-memory LRUs sits the per-machine
 :class:`~repro.api.trace_store.TraceStore`: a trace or schedule missing
@@ -98,7 +99,7 @@ class LruCache(Generic[K, V]):
 
 
 class RunnerCache:
-    """Traces and retire schedules shared by the runs of one Runner.
+    """Traces and retire schedules shared by the runs of one runner.
 
     Both caches are LRU-bounded (:data:`_MAX_TRACES`,
     :data:`_MAX_SCHEDULES`) and backed by the trace store at the location

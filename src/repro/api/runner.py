@@ -1,30 +1,42 @@
-"""Runners: execute :class:`RunSpec` grids serially or across processes.
+"""The runner: execute :class:`RunSpec` grids in-process or across processes.
 
-Every runner owns its trace/schedule cache (no module-global state) and
-returns results in spec order, so serial and parallel execution of the same
-grid produce identical :class:`~repro.api.results.ResultSet` contents — the
-whole simulation derives its randomness deterministically from the spec.
+:class:`ParallelRunner` is the one runner.  It owns its trace/schedule
+cache (no module-global state) and returns results in spec order, so a
+grid run in-process (``jobs=1``) and over a pool produce identical
+:class:`~repro.api.results.ResultSet` contents — the whole simulation
+derives its randomness deterministically from the spec.
 
 Two layers keep functional work off the grid's critical path:
 
-* **Trace-grouped dispatch** — the parallel runner sends all cells of one
-  trace to a worker as one chunk, and the worker synthesizes that trace
-  itself; the parent generates no traces and ships only specs.
+* **Trace-grouped dispatch** — a pool gets all cells of one trace as one
+  chunk, and the worker synthesizes that trace itself; the parent
+  generates no traces and ships only specs.
 * **Result store** — pass ``store=ResultStore(path)`` (or ``--result-cache``
   on the CLI) and cells whose spec content already has a stored result are
-  served from disk; only dirty cells are simulated.  Store hits are
+  served from disk; only dirty cells are simulated, and each is stored as
+  soon as its chunk is harvested, so a grid that ends early (a failing
+  spec, Ctrl-C) keeps every cell it finished.  Store hits are
   bit-identical to recomputation (see :mod:`repro.api.store`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import math
 import os
 import signal
 import warnings
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Generator,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.common.errors import ConfigurationError
 from repro.faults.injector import worker_fault
@@ -42,7 +54,7 @@ from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
 
 if TYPE_CHECKING:
-    # Imported where a pool is built, so serial runs never load them.
+    # Imported where a pool is built, so in-process runs never load them.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing.process import BaseProcess
 
@@ -62,12 +74,8 @@ def _trace_key(spec: RunSpec) -> "TraceKey":
         spec.profile,
     )
 
-#: Grids smaller than ``jobs`` run serially: pool startup (process spawn,
-#: imports, cache warm-up per worker) costs more than the handful of cells.
-_TINY_GRID = 2
-
 #: How many times a broken process pool is replaced with a fresh one before
-#: the remaining chunks finish serially.  A single crashed worker (OOM kill,
+#: the remaining chunks finish in-process.  A single crashed worker (OOM kill,
 #: injected fault) breaks the whole ProcessPoolExecutor; rebuilding and
 #: resubmitting only the unfinished chunks keeps completed work.
 _POOL_REBUILD_LIMIT = 2
@@ -160,31 +168,6 @@ def execute_spec(
     return result
 
 
-class Runner:
-    """Executes specs; owns the bounded trace/schedule cache for its runs."""
-
-    def __init__(
-        self,
-        cache: Optional[RunnerCache] = None,
-        store: Optional[ResultStore] = None,
-    ) -> None:
-        self.cache = cache if cache is not None else RunnerCache()
-        self.store = store
-
-    def run_one(self, spec: RunSpec) -> RunResult:
-        return execute_spec(spec, self.cache, self.store)
-
-    def run(self, specs: Iterable[RunSpec]) -> ResultSet:
-        raise NotImplementedError
-
-
-class SerialRunner(Runner):
-    """In-process execution, one spec at a time, in spec order."""
-
-    def run(self, specs: Iterable[RunSpec]) -> ResultSet:
-        return ResultSet(RunRecord(spec, self.run_one(spec)) for spec in specs)
-
-
 # Per-process state for pool workers: each worker builds its own cache once,
 # so specs sharing a benchmark reuse the trace within that process.
 _WORKER_CACHE: Optional[RunnerCache] = None
@@ -229,8 +212,19 @@ def _worker_run_chunk(specs: List[RunSpec]) -> List[RunResult]:
     worker's cache synthesizes it on first use and every later cell of the
     chunk reuses it, together with its schedules.  Chunking also
     amortises the per-task submission overhead across the batch.
+
+    A spec that raises ends the chunk; the results of the cells before it
+    travel back on the exception as ``finished``, so the parent can still
+    store them.
     """
-    return [_worker_run(spec) for spec in specs]
+    results: List[RunResult] = []
+    try:
+        for spec in specs:
+            results.append(_worker_run(spec))
+    except Exception as error:
+        error.finished = results
+        raise
+    return results
 
 
 def _trace_chunks(spec_list: List[RunSpec], workers: int) -> List[List[int]]:
@@ -335,17 +329,39 @@ def new_worker_pool(
     )
 
 
-class ParallelRunner(Runner):
-    """Fans a grid out over a process pool.
+def _worker_count(jobs: Optional[int]) -> int:
+    """``jobs`` checked as a worker count (None means the CPU count)."""
+    if jobs is None:
+        return os.cpu_count() or 1
+    if jobs < 1:
+        raise ConfigurationError(
+            f"jobs: need at least 1 worker process, got {jobs!r}"
+        )
+    return jobs
 
-    Simulations are CPU-bound pure Python, so processes (not threads) are
-    the unit of parallelism; wall-clock improvement scales with available
-    cores.  The ``fork`` start method is preferred so monitors and profiles
-    registered at runtime remain visible to workers.  Each worker builds the
-    traces of its own chunks (see module docstring).  Tiny grids
-    (``len(specs) < jobs``), ``jobs=1`` and platforms without working
-    process pools fall back to serial execution; results are bit-identical
-    either way.
+
+def _warn_in_process(message: str) -> None:
+    # Points at the caller of ParallelRunner.run (through _pool_batches
+    # and _batches).
+    warnings.warn(message, RuntimeWarning, stacklevel=5)
+
+
+class ParallelRunner:
+    """Runs a grid of specs: the one runner, in-process or over a pool.
+
+    ``jobs`` worker processes (default: the CPU count) run the grid's
+    trace chunks (see module docstring).  Simulations are CPU-bound pure
+    Python, so processes, not threads, are the unit of parallelism.  With
+    ``jobs=1``, a grid of fewer pending cells than ``jobs``, or no working
+    process pool, the cells run in this process, one at a time in spec
+    order, through the same harvest.  Results come back in spec order and
+    are bit-identical either way.
+
+    With a ``store``, cells it holds are served up front, and each cell
+    the grid computes is stored when its chunk is harvested, whatever
+    then ends the grid: a normal finish, a failing spec, Ctrl-C or a pool
+    that keeps breaking.  A spec repeated within one grid misses (and is
+    computed) at each of its places when the store lacks it.
     """
 
     def __init__(
@@ -354,61 +370,76 @@ class ParallelRunner(Runner):
         cache: Optional[RunnerCache] = None,
         store: Optional[ResultStore] = None,
     ) -> None:
-        super().__init__(cache, store)
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        elif jobs < 1:
-            raise ConfigurationError(
-                f"jobs: need at least 1 worker process, got {jobs!r}"
-            )
-        self.jobs = jobs
+        self.jobs = _worker_count(jobs)
+        self.cache = cache if cache is not None else RunnerCache()
+        self.store = store
+
+    def run_one(self, spec: RunSpec) -> RunResult:
+        return execute_spec(spec, self.cache, self.store)
 
     def run(self, specs: Iterable[RunSpec]) -> ResultSet:
         spec_list = list(specs)
         store = self.store
         results: List[Optional[RunResult]] = [None] * len(spec_list)
-        if store is not None:
-            # Serve warm cells from the store up front; only misses hit the
-            # pool.  Misses are stored as they complete below.
-            pending = []
-            for index, spec in enumerate(spec_list):
-                hit = store.get(spec)
-                if hit is None:
-                    pending.append(index)
-                else:
-                    results[index] = hit
-        else:
-            pending = list(range(len(spec_list)))
-        if pending:
-            computed = self._run_grid([spec_list[index] for index in pending])
-            for index, result in zip(pending, computed):
-                results[index] = result
-                if store is not None:
-                    store.put(spec_list[index], result)
+        pending = []
+        for index, spec in enumerate(spec_list):
+            hit = None if store is None else store.get(spec)
+            if hit is None:
+                pending.append(index)
+            else:
+                results[index] = hit
+        # Closing the batches on any exception here (a store write
+        # failing) tears a running pool down.
+        with contextlib.closing(self._batches(spec_list, pending)) as batches:
+            for indices, batch in batches:
+                for index, result in zip(indices, batch):
+                    results[index] = result
+                    if store is not None:
+                        store.put(spec_list[index], result)
         return ResultSet(
             RunRecord(spec, result) for spec, result in zip(spec_list, results)
         )
 
     # ------------------------------------------------------------- internals
 
-    def _run_serial(self, spec_list: List[RunSpec]) -> List[RunResult]:
-        return [execute_spec(spec, self.cache) for spec in spec_list]
+    def _batches(
+        self, spec_list: List[RunSpec], pending: List[int]
+    ) -> Iterator[Tuple[List[int], List[RunResult]]]:
+        """``(spec indices, results)`` for the ``pending`` cells as they
+        finish: the chunks process pools finish, in submission order, then
+        every cell left for this process, one at a time in spec order.
 
-    def _run_grid(self, spec_list: List[RunSpec]) -> List[RunResult]:
-        """Execute every spec (no store involvement), in order."""
-        workers = min(self.jobs, len(spec_list))
-        # Tiny grids: pool startup costs more than the cells themselves.
-        if workers <= 1 or len(spec_list) < max(self.jobs, _TINY_GRID):
-            return self._run_serial(spec_list)
+        Fewer pending cells than ``jobs`` skip the pool: its startup
+        (process spawn, imports, cache warm-up per worker) costs more than
+        the handful of cells."""
+        if 1 < self.jobs <= len(pending):
+            chunks = [
+                [pending[i] for i in chunk]
+                for chunk in _trace_chunks(
+                    [spec_list[index] for index in pending], self.jobs
+                )
+            ]
+            pending = yield from self._pool_batches(spec_list, chunks)
+        for index in pending:
+            yield [index], [execute_spec(spec_list[index], self.cache)]
+
+    def _pool_batches(
+        self, spec_list: List[RunSpec], chunks: List[List[int]]
+    ) -> Generator[Tuple[List[int], List[RunResult]], None, List[int]]:
+        """Run ``chunks`` on process pools, yielding each finished one as
+        ``(spec indices, results)``; returns the indices of the cells left
+        for this process, in spec order.
+
+        However a pool round ends early, it ends the same way: the pool is
+        torn down at once and every chunk that finished is yielded, with
+        the finished cells of a chunk whose spec raised.  Then
+        a broken pool is rebuilt for the unfinished chunks (at most
+        ``_POOL_REBUILD_LIMIT`` times), a pool that cannot run the specs
+        leaves them to this process, and anything else (a failing spec,
+        Ctrl-C) propagates.
+        """
         from concurrent.futures.process import BrokenProcessPool
 
-        # Specs check their names against this process's registries when
-        # constructed (``RunSpec.__post_init__``), so a ConfigurationError
-        # raised in a worker means the worker cannot see this process's
-        # runtime registrations (spawn-based pools) and serial execution
-        # can finish.
-        index_chunks = _trace_chunks(spec_list, workers)
-        payloads = [[spec_list[i] for i in indices] for indices in index_chunks]
         # Forked workers inherit the trace store's module and this
         # process's source fingerprint: resolved here once, not compiled
         # and hashed again in every worker of every pool.
@@ -416,162 +447,105 @@ class ParallelRunner(Runner):
 
         if self.cache.trace_store.enabled:
             source_fingerprint()
-        # Chunk results land here as they are harvested; a broken pool
-        # costs only the chunks that had not finished.
-        batches: List[Optional[List[RunResult]]] = [None] * len(payloads)
-        pending = list(range(len(payloads)))
+        payloads = [[spec_list[i] for i in chunk] for chunk in chunks]
+        remaining = list(range(len(chunks)))
         rebuilds = 0
-        while pending:
+        while remaining:
             try:
-                pool = new_worker_pool(workers)
+                pool = new_worker_pool(self.jobs)
             except (OSError, ValueError) as error:
-                warnings.warn(
-                    f"process pool unavailable ({error}); running serially",
-                    RuntimeWarning,
-                    stacklevel=2,
+                _warn_in_process(
+                    f"process pool unavailable ({error}); running serially"
                 )
                 break
-            futures = []
+            futures = {}
+            finished = set()
             try:
                 # Submit inside the try: a worker that dies while later
                 # chunks are still being submitted breaks the pool, and
                 # submit() itself then raises BrokenProcessPool.
-                for slot in pending:
-                    futures.append(
-                        pool.submit(_worker_run_chunk, payloads[slot])
+                for slot in remaining:
+                    futures[slot] = pool.submit(
+                        _worker_run_chunk, payloads[slot]
                     )
-                for slot, future in zip(pending, futures):
-                    batches[slot] = future.result()
-                pending = []
+                for slot, future in futures.items():
+                    batch = future.result()
+                    finished.add(slot)
+                    yield chunks[slot], batch
                 pool.shutdown()
-            except KeyboardInterrupt:
-                # Graceful interrupt: persist what already finished —
-                # this round's done futures plus chunks harvested in
-                # earlier rounds — kill the workers outright (waiting
-                # for running chunks defeats the point of Ctrl-C), and
-                # let the interrupt propagate.
-                self._store_finished(
-                    spec_list, index_chunks, batches, zip(pending, futures)
-                )
+                return []
+            except GeneratorExit:
                 _terminate_pool(pool)
                 raise
-            except BrokenProcessPool:
-                # A dead worker (OOM kill, segfault, injected crash)
-                # breaks the whole executor.  Keep every chunk that
-                # finished, then retry the rest on a fresh pool; the
-                # results are deterministic per spec, so a recomputed
-                # chunk is bit-identical to an uninterrupted one.
-                # Classify harvested failures: only chunks that died
-                # *with the pool* are retryable — a chunk whose future
-                # carries a deterministic per-spec exception would fail
-                # identically on every retry, so it must fail fast with
-                # its original (worker) traceback, not be silently
-                # retried until the rebuild limit turns it into an
-                # unrelated serial error.
-                spec_error: Optional[BaseException] = None
-                for slot, future in zip(pending, futures):
-                    if (
-                        batches[slot] is None
-                        and future.done()
-                        and not future.cancelled()
-                    ):
-                        chunk_error = future.exception()
-                        if chunk_error is None:
-                            batches[slot] = future.result()
-                        elif isinstance(chunk_error, BrokenProcessPool):
-                            pass  # Chunk died with the pool: retry it.
-                        elif spec_error is None:
-                            spec_error = chunk_error
+            except BaseException as error:
+                # Kill the workers outright: waiting for running chunks
+                # defeats Ctrl-C, and a broken pool has nothing to wait for.
                 _terminate_pool(pool)
-                if spec_error is not None:
-                    if isinstance(spec_error, ConfigurationError):
-                        # Workers cannot see this process's runtime
-                        # registrations (spawn pools): finish serially,
-                        # exactly as the non-broken path below does.
-                        warnings.warn(
-                            f"process pool unavailable ({spec_error}); "
-                            f"running serially",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        return self._run_serial(spec_list)
-                    raise spec_error
-                pending = [slot for slot in pending if batches[slot] is None]
-                rebuilds += 1
-                if pending and rebuilds > _POOL_REBUILD_LIMIT:
-                    warnings.warn(
-                        "process pool kept breaking; running serially "
-                        f"for the {len(pending)} unfinished chunk(s)",
-                        RuntimeWarning,
-                        stacklevel=2,
+                for slot, future in futures.items():
+                    if (
+                        slot in finished
+                        or not future.done()
+                        or future.cancelled()
+                    ):
+                        continue
+                    chunk_error = future.exception()
+                    if chunk_error is None:
+                        finished.add(slot)
+                        yield chunks[slot], future.result()
+                    elif getattr(chunk_error, "finished", None):
+                        # The cells before the failing spec; the rest of
+                        # the chunk stays unfinished.
+                        done = len(chunk_error.finished)
+                        yield chunks[slot][:done], chunk_error.finished
+                        chunks[slot] = chunks[slot][done:]
+                        payloads[slot] = payloads[slot][done:]
+                remaining = [slot for slot in remaining if slot not in finished]
+                if isinstance(error, BrokenProcessPool):
+                    # A dead worker (OOM kill, segfault, injected crash)
+                    # breaks the whole executor, and the chunks that died
+                    # with it are retried.  A chunk whose future carries
+                    # its own exception would fail the same way on every
+                    # retry, so that exception fails the grid instead.
+                    for future in futures.values():
+                        if future.done() and not future.cancelled():
+                            chunk_error = future.exception()
+                            if chunk_error is not None and not isinstance(
+                                chunk_error, BrokenProcessPool
+                            ):
+                                error = chunk_error
+                                break
+                if isinstance(error, (OSError, ConfigurationError)):
+                    # Specs check their names against this process's
+                    # registries when constructed, so a ConfigurationError
+                    # from a worker means it cannot see this process's
+                    # runtime registrations (spawn-based pools).
+                    _warn_in_process(
+                        f"process pool unavailable ({error}); "
+                        f"running serially"
                     )
                     break
-                if pending:
-                    warnings.warn(
-                        f"process pool broke (worker died); retrying "
-                        f"{len(pending)} unfinished chunk(s) on a "
-                        f"fresh pool",
-                        RuntimeWarning,
-                        stacklevel=2,
+                if not isinstance(error, BrokenProcessPool):
+                    raise error
+                rebuilds += 1
+                if remaining and rebuilds > _POOL_REBUILD_LIMIT:
+                    _warn_in_process(
+                        "process pool kept breaking; running serially "
+                        f"for the {len(remaining)} unfinished chunk(s)"
                     )
-            except (OSError, ConfigurationError) as error:
-                pool.shutdown(wait=True, cancel_futures=True)
-                warnings.warn(
-                    f"process pool unavailable ({error}); running "
-                    f"serially",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return self._run_serial(spec_list)
-        for slot in pending:
-            batches[slot] = [
-                execute_spec(spec, self.cache) for spec in payloads[slot]
-            ]
-        results: List[Optional[RunResult]] = [None] * len(spec_list)
-        for indices, batch in zip(index_chunks, batches):
-            for index, result in zip(indices, batch):
-                results[index] = result
-        return results
-
-    def _store_finished(self, spec_list, index_chunks, batches,
-                        round_futures) -> int:
-        """Persist every chunk that finished before an interrupt, once.
-
-        ``round_futures`` pairs each slot of the interrupted round with its
-        future.  A future's batch is folded into ``batches`` first, so a
-        chunk that finished in this round or an earlier one is stored
-        exactly once.  With no store the finished work is simply dropped;
-        with one, a re-run after Ctrl-C serves the finished cells warm and
-        only recomputes the killed ones.  Returns how many results were
-        stored.
-        """
-        if self.store is None:
-            return 0
-        for slot, future in round_futures:
-            if (
-                batches[slot] is None
-                and future.done()
-                and not future.cancelled()
-                and future.exception() is None
-            ):
-                batches[slot] = future.result()
-        stored = 0
-        for indices, batch in zip(index_chunks, batches):
-            if batch is None:
-                continue
-            for index, result in zip(indices, batch):
-                try:
-                    self.store.put(spec_list[index], result)
-                    stored += 1
-                except OSError:
-                    return stored  # Store unwritable mid-interrupt: stop.
-        return stored
+                    break
+                if remaining:
+                    _warn_in_process(
+                        f"process pool broke (worker died); retrying "
+                        f"{len(remaining)} unfinished chunk(s) on a "
+                        f"fresh pool"
+                    )
+        return sorted(index for slot in remaining for index in chunks[slot])
 
 
-_DEFAULT_RUNNER: Optional[Runner] = None
+_DEFAULT_RUNNER: Optional[ParallelRunner] = None
 
 
-def default_runner() -> Runner:
+def default_runner() -> ParallelRunner:
     """The shared in-process runner used when callers don't pass their own.
 
     Lazily created so importing :mod:`repro` costs nothing; its bounded
@@ -579,38 +553,27 @@ def default_runner() -> Runner:
     """
     global _DEFAULT_RUNNER
     if _DEFAULT_RUNNER is None:
-        _DEFAULT_RUNNER = SerialRunner()
+        _DEFAULT_RUNNER = ParallelRunner(jobs=1)
     return _DEFAULT_RUNNER
-
-
-def set_default_runner(runner: Optional[Runner]) -> None:
-    """Override (or with None, reset) the shared default runner."""
-    global _DEFAULT_RUNNER
-    _DEFAULT_RUNNER = runner
 
 
 def run_specs(
     specs: Iterable[RunSpec],
     jobs: int = 1,
-    runner: Optional[Runner] = None,
+    runner: Optional[ParallelRunner] = None,
     store: Optional[ResultStore] = None,
 ) -> ResultSet:
     """Convenience entry point: run a grid with ``jobs`` worker processes
-    (``jobs <= 1`` means in-process serial execution) and an optional
-    persistent :class:`ResultStore`.
+    (1 runs it in-process; fewer is a ``ConfigurationError``) and an
+    optional persistent :class:`ResultStore`.
 
-    Serial runs without a store go through :func:`default_runner` (honouring
-    :func:`set_default_runner` and its warm cache); a store never mutates a
-    caller-supplied or shared runner — it applies to this call only.
+    Without a ``runner`` the grid shares :func:`default_runner`'s warm
+    cache; a store never mutates a caller-supplied or shared runner — it
+    applies to this call only.
     """
+    jobs = _worker_count(jobs)
     if runner is None:
-        if jobs > 1:
-            runner = ParallelRunner(jobs=jobs, store=store)
-        elif store is None:
-            runner = default_runner()
-        else:
-            # Share the default runner's warm cache without mutating it.
-            runner = SerialRunner(cache=default_runner().cache, store=store)
+        runner = ParallelRunner(jobs, default_runner().cache, store)
     elif store is not None and runner.store is not store:
         runner = copy.copy(runner)  # Same cache; scoped to this call.
         runner.store = store

@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional
 from repro.common.errors import ConfigurationError, ServiceError
 
 if TYPE_CHECKING:
-    from repro.api import ResultSet, ResultStore, Runner
+    from repro.api import ResultSet, ResultStore
 
 
 def _positive_int(text: str) -> int:
@@ -361,14 +361,6 @@ def _make_store(
     return ResultStore(path, readonly=readonly)
 
 
-def _make_runner(jobs: int, store: Optional[ResultStore] = None) -> Runner:
-    from repro.api.runner import ParallelRunner, SerialRunner
-
-    if jobs > 1:
-        return ParallelRunner(jobs=jobs, store=store)
-    return SerialRunner(store=store)
-
-
 def _maybe_save(results: ResultSet, out: Optional[pathlib.Path]) -> int:
     """Persist results if requested; returns the command's exit status so a
     failed save is reported (the tables above are already printed)."""
@@ -384,7 +376,7 @@ def _maybe_save(results: ResultSet, out: Optional[pathlib.Path]) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.api.runner import SerialRunner
+    from repro.api.runner import ParallelRunner
     from repro.api.spec import ExperimentSettings, RunSpec
     from repro.system.config import SystemConfig
 
@@ -401,8 +393,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         engine=args.engine,
     )
     spec = RunSpec(args.benchmark, args.monitor, config, settings)
-    runner = SerialRunner(store=_make_store(args))
-    results = runner.run([spec])
+    results = ParallelRunner(1, store=_make_store(args)).run([spec])
     result = results.results[0]
     print(result.summary())
     if result.fade_stats is not None:
@@ -426,10 +417,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.analysis import format_table, table2_aggregate, table2_results
+    from repro.api.runner import ParallelRunner
     from repro.api.spec import ExperimentSettings
 
     settings = ExperimentSettings(num_instructions=args.instructions, seed=args.seed)
-    results = table2_results(settings, runner=_make_runner(args.jobs, _make_store(args)))
+    runner = ParallelRunner(args.jobs, store=_make_store(args))
+    results = table2_results(settings, runner=runner)
     measured = table2_aggregate(results)
     rows = [[name, value] for name, value in measured.items()]
     print(format_table(["monitor", "filtering %"], rows,
@@ -439,10 +432,12 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
     from repro.analysis import fig9_aggregate, fig9_results, format_table
+    from repro.api.runner import ParallelRunner
     from repro.api.spec import ExperimentSettings
 
     settings = ExperimentSettings(num_instructions=args.instructions, seed=args.seed)
-    results = fig9_results(settings, runner=_make_runner(args.jobs, _make_store(args)))
+    runner = ParallelRunner(args.jobs, store=_make_store(args))
+    results = fig9_results(settings, runner=runner)
     data = fig9_aggregate(results)
     rows = []
     for monitor_name, per_bench in data.items():

@@ -41,7 +41,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.api.results import ResultSet
-from repro.api.runner import ParallelRunner, SerialRunner
+from repro.api.runner import ParallelRunner
 from repro.api.spec import RunSpec
 from repro.api.store import ResultStore
 from repro.faults.injector import (
@@ -108,9 +108,9 @@ class ChaosReport:
 
 
 def _baseline_digests(specs: Sequence[RunSpec]) -> List[str]:
-    """Fault-free per-spec digests (serial, injection suppressed)."""
+    """Fault-free per-spec digests (in-process, injection suppressed)."""
     with suppress_faults():
-        baseline = SerialRunner().run(specs)
+        baseline = ParallelRunner(jobs=1).run(specs)
     return [result_digest(record.result) for record in baseline.records]
 
 
@@ -192,7 +192,7 @@ def _runner_phase(
         )
         # Heal pass: the torn entry reads as corrupt, is deleted, and the
         # recomputation must again match the baseline bit-for-bit.
-        healed = SerialRunner(store=store).run(specs)
+        healed = ParallelRunner(jobs=1, store=store).run(specs)
         _check_results(
             report, "runner-heal", round_index, specs, healed, baseline
         )

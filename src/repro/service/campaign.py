@@ -38,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.api.results import ResultSet
-from repro.api.runner import Runner, run_specs
+from repro.api.runner import ParallelRunner, run_specs
 from repro.api.spec import (
     ExperimentSettings,
     RunSpec,
@@ -176,7 +176,7 @@ class Campaign:
         server: Optional[str] = None,
         jobs: int = 1,
         store: Optional[ResultStore] = None,
-        runner: Optional[Runner] = None,
+        runner: Optional[ParallelRunner] = None,
     ) -> ResultSet:
         """Execute the batch: against a running server when ``server`` is
         an address (the store then lives server-side), otherwise in-process

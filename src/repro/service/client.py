@@ -9,7 +9,7 @@ third-party dependencies.  It offers three altitudes:
   completion order.  The shape progress UIs and the smoke scripts build on.
 * :meth:`run_specs` — the runner-shaped call: submit a batch, collect the
   stream, and return a :class:`~repro.api.ResultSet` in *spec order* —
-  byte-identical to what :class:`~repro.api.SerialRunner` would produce
+  byte-identical to what :class:`~repro.api.ParallelRunner` would produce
   for the same specs (the server contract).  Raises :class:`ServiceError`
   if any spec errored.
 * :meth:`health` / :meth:`stats` / :meth:`shutdown_server` — control.

@@ -14,7 +14,11 @@ from repro.analysis import (
     table2_filtering,
     weighted_cdf,
 )
+from repro.analysis import experiments
 from repro.analysis.stats import occupancy_time_distribution, percentile_from_cdf
+from repro.api import ParallelRunner
+from repro.isa.instruction import Instruction
+from repro.monitors import create_monitor
 
 TINY = ExperimentSettings(num_instructions=2500, seed=7)
 
@@ -95,6 +99,54 @@ class TestExperimentHarnesses:
         assert filtering["addrcheck"] > 95.0
         for value in filtering.values():
             assert 0.0 <= value <= 100.0
+
+
+class TestPlanClassification:
+    """Figures 2 and 3 classify events from the delivery plan; it must
+    agree with asking ``monitor.wants`` about every post-warmup item."""
+
+    PAIRS = [
+        ("water", "atomcheck"),  # wants_memory_below
+        ("gcc", "memleak"),  # stack updates
+        ("bzip", "taintcheck"),
+        ("astar", "addrcheck"),
+    ]
+
+    @staticmethod
+    def _item_walk(benchmark, monitor_name, runner):
+        trace = experiments.get_trace(benchmark, TINY, runner)
+        schedule = experiments.get_schedule(benchmark, TINY, runner=runner)
+        start = int(len(trace) * TINY.warmup_fraction)
+        monitor = create_monitor(monitor_name)
+        items = trace.items
+        instructions = [
+            index
+            for index in range(start, len(trace))
+            if isinstance(items[index], Instruction)
+        ]
+        return schedule, start, instructions, [
+            schedule[index]
+            for index in instructions
+            if monitor.wants(items[index])
+        ]
+
+    # Not named ``benchmark``: pytest-benchmark owns that fixture name.
+    @pytest.mark.parametrize("bench, monitor_name", PAIRS)
+    def test_arrivals_and_tail_ipc_match_the_item_walk(
+        self, bench, monitor_name
+    ):
+        runner = ParallelRunner(jobs=1)
+        schedule, start, instructions, arrivals = self._item_walk(
+            bench, monitor_name, runner
+        )
+        assert arrivals  # Each pair has monitored events to compare.
+        assert experiments._monitored_arrivals(
+            bench, monitor_name, TINY, runner
+        ) == arrivals
+        span = schedule[-1] - schedule[start - 1]
+        assert experiments._tail_ipc(bench, monitor_name, TINY, runner) == (
+            len(instructions) / span, len(arrivals) / span
+        )
 
 
 class TestAreaPower:

@@ -18,14 +18,13 @@ from repro.api import (
     ResultSet,
     RunSpec,
     RunnerCache,
-    SerialRunner,
     register_monitor,
     register_profile,
     content_key,
     spec_grid,
 )
 from repro.api.runner import build_simulation
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.cores.base import CoreType
 from repro.fade.md_cache import MetadataCacheConfig
 from repro.mem.hierarchy import HierarchyConfig
@@ -404,11 +403,11 @@ class TestRunners:
     )
 
     def test_serial_runner_preserves_spec_order(self):
-        results = SerialRunner().run(self.GRID)
+        results = ParallelRunner(jobs=1).run(self.GRID)
         assert results.specs == self.GRID
 
     def test_serial_and_parallel_are_deterministic(self):
-        serial = SerialRunner().run(self.GRID)
+        serial = ParallelRunner(jobs=1).run(self.GRID)
         parallel = ParallelRunner(jobs=2).run(self.GRID)
         assert serial == parallel  # Same specs, bit-identical RunResults.
 
@@ -416,11 +415,11 @@ class TestRunners:
         runner = ParallelRunner(jobs=4)
         results = runner.run(self.GRID[:1])
         assert len(results) == 1
-        assert results[0].result == SerialRunner().run(self.GRID[:1])[0].result
+        assert results[0].result == ParallelRunner(jobs=1).run(self.GRID[:1])[0].result
 
     def test_run_one_matches_run(self):
         spec = self.GRID[0]
-        runner = SerialRunner()
+        runner = ParallelRunner(jobs=1)
         assert runner.run_one(spec) == runner.run([spec]).results[0]
 
     @pytest.mark.parametrize("jobs", [0, -2])
@@ -428,11 +427,35 @@ class TestRunners:
         with pytest.raises(ConfigurationError, match="jobs"):
             ParallelRunner(jobs=jobs)
 
+    @staticmethod
+    def _bench_runner(monkeypatch, jobs):
+        """``benchmarks/common.py``'s shared runner under
+        ``REPRO_BENCH_JOBS=jobs`` (None: unset)."""
+        import importlib.util
+
+        if jobs is None:
+            monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BENCH_JOBS", jobs)
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        path = pathlib.Path(__file__).parent.parent / "benchmarks" / "common.py"
+        spec = importlib.util.spec_from_file_location("bench_common", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.BENCH_RUNNER
+
+    def test_bench_jobs_default_to_one_and_reject_zero(self, monkeypatch):
+        assert self._bench_runner(monkeypatch, None).jobs == 1
+        assert self._bench_runner(monkeypatch, "2").jobs == 2
+        for jobs in ("0", "-1"):
+            with pytest.raises(ConfigurationError, match="jobs"):
+                self._bench_runner(monkeypatch, jobs)
+
 
 class TestResultSet:
     @pytest.fixture(scope="class")
     def results(self):
-        return SerialRunner().run(TestRunners.GRID)
+        return ParallelRunner(jobs=1).run(TestRunners.GRID)
 
     def test_filter_by_spec_and_config_fields(self, results):
         astar = results.filter(benchmark="astar")
@@ -550,14 +573,14 @@ class TestGracefulInterrupt:
         partial = len(store)
         assert 0 < partial < len(self.GRID)  # First chunk only.
 
-        # The re-run (here: a plain serial runner on the same store) serves
+        # The re-run (here: an in-process runner on the same store) serves
         # the persisted chunk warm and recomputes just the killed cells —
         # bit-identical to an uninterrupted run.
         resume_store = ResultStore(tmp_path / "partial")
-        resumed = SerialRunner(store=resume_store).run(self.GRID)
+        resumed = ParallelRunner(jobs=1, store=resume_store).run(self.GRID)
         assert resume_store.hits == partial
         assert resume_store.misses == len(self.GRID) - partial
-        assert resumed.to_dict() == SerialRunner().run(self.GRID).to_dict()
+        assert resumed.to_dict() == ParallelRunner(jobs=1).run(self.GRID).to_dict()
 
     @staticmethod
     def _count_puts(store, monkeypatch):
@@ -631,9 +654,9 @@ class TestGracefulInterrupt:
         assert len(store) == len(puts) == len(set(puts)) == finished
 
         resume_store = ResultStore(tmp_path / "partial")
-        resumed = SerialRunner(store=resume_store).run(self.GRID)
+        resumed = ParallelRunner(jobs=1, store=resume_store).run(self.GRID)
         assert resume_store.hits == finished
-        assert resumed.to_dict() == SerialRunner().run(self.GRID).to_dict()
+        assert resumed.to_dict() == ParallelRunner(jobs=1).run(self.GRID).to_dict()
 
     def test_interrupt_without_store_still_propagates(self, monkeypatch):
         from repro.api import runner as runner_module
@@ -673,6 +696,142 @@ class TestGracefulInterrupt:
         ):
             time.sleep(0.01)
         assert not any(worker.is_alive() for worker in workers)
+
+
+class TestOneStoreRule:
+    """Every cell a grid finishes is stored as it is harvested, in-process
+    and over a pool alike, whatever ends the grid."""
+
+    TWO_K = ExperimentSettings(num_instructions=2000, seed=5)
+    GOOD = spec_grid(
+        ["astar", "mcf"],
+        ["memleak"],
+        [SystemConfig(), SystemConfig(fade_enabled=False)],
+        TWO_K,
+    )
+    # Its own trace, sorted after the good cells, so a pool harvests it
+    # last; ten cycles cannot finish any cell.
+    FAILING = RunSpec("water", "memleak", SystemConfig(max_cycles=10), TWO_K)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_last_spec_leaves_every_finished_cell_stored(
+        self, tmp_path, jobs
+    ):
+        from repro.api import ResultStore
+
+        with pytest.raises(SimulationError, match="cycle limit"):
+            ParallelRunner(jobs, store=ResultStore(tmp_path)).run(
+                [*self.GOOD, self.FAILING]
+            )
+        store = ResultStore(tmp_path)
+        assert len(store) == len(self.GOOD)
+        rerun = ParallelRunner(jobs, store=store).run(self.GOOD)
+        assert store.hits == len(self.GOOD) and store.misses == 0
+        uninterrupted = ParallelRunner(jobs=1).run(self.GOOD)
+        assert rerun.to_dict() == uninterrupted.to_dict()
+
+    def test_failing_spec_keeps_its_chunk_mates(self, tmp_path):
+        # One trace: the failing spec shares a pool chunk with good cells,
+        # which its worker finished first.
+        from repro.api import ResultStore
+        from repro.api import runner as runner_module
+
+        good = [
+            RunSpec("astar", "memleak", SystemConfig(fsq_capacity=capacity,
+                                                     event_queue_capacity=queue),
+                    TINY)
+            for capacity in (1, 2, 4, 8)
+            for queue in (2, 4, 8, 16)
+        ]
+        failing = good[0].replace(config=SystemConfig(max_cycles=10))
+        chunks = runner_module._trace_chunks([*good, failing], 2)
+        assert any(len(good) in chunk and len(chunk) > 1 for chunk in chunks)
+        with pytest.raises(SimulationError, match="cycle limit"):
+            ParallelRunner(2, store=ResultStore(tmp_path)).run(
+                [*good, failing]
+            )
+        assert len(ResultStore(tmp_path)) == len(good)
+
+    def test_interrupt_in_process_keeps_the_cells_before_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.api import ResultStore
+        from repro.api import runner as runner_module
+
+        execute = runner_module.execute_spec
+        calls = []
+
+        def interrupt_third(spec, cache=None, store=None):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return execute(spec, cache, store)
+
+        monkeypatch.setattr(runner_module, "execute_spec", interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            ParallelRunner(1, store=ResultStore(tmp_path)).run(self.GOOD)
+        store = ResultStore(tmp_path)
+        assert [store.get(spec) is not None for spec in self.GOOD] == [
+            True, True, False, False
+        ]
+
+    def test_pool_fallback_runs_only_unfinished_chunks(self, monkeypatch):
+        # The first chunk finishes on the pool; the second reports a
+        # ConfigurationError (a worker that cannot see this process's
+        # registrations).  Only the chunks left unfinished run in-process.
+        from repro.api import runner as runner_module
+
+        fake = TestGracefulInterrupt._FakeFuture
+
+        class UnregisteredPool(TestGracefulInterrupt._InterruptingPool):
+            def submit(self, fn, payload):
+                self.submitted += 1
+                if self.submitted == 1:
+                    return fake(batch=fn(payload))
+                return fake(error=ConfigurationError("unknown"), done=True)
+
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor", UnregisteredPool
+        )
+        monkeypatch.setattr(runner_module, "_WORKER_CACHE", None)
+        execute = runner_module.execute_spec
+        computed = []
+
+        def counting(spec, cache=None, store=None):
+            computed.append(spec)
+            return execute(spec, cache, store)
+
+        monkeypatch.setattr(runner_module, "execute_spec", counting)
+        grid = TestGracefulInterrupt.GRID
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            results = ParallelRunner(jobs=2).run(grid)
+        assert sorted(map(content_key, computed)) == sorted(
+            map(content_key, grid)
+        )  # Each cell computed once.
+        assert results.to_dict() == ParallelRunner(jobs=1).run(grid).to_dict()
+
+    def test_failing_store_write_tears_the_pool_down(self, tmp_path,
+                                                     monkeypatch):
+        from repro.api import ResultStore
+        from repro.api import runner as runner_module
+
+        torn_down = []
+        terminate = runner_module._terminate_pool
+
+        def recording(pool):
+            torn_down.append(pool)
+            return terminate(pool)
+
+        monkeypatch.setattr(runner_module, "_terminate_pool", recording)
+        store = ResultStore(tmp_path)
+
+        def unwritable(spec, result):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "put", unwritable)
+        with pytest.raises(OSError, match="disk full"):
+            ParallelRunner(jobs=2, store=store).run(self.GOOD)
+        assert len(torn_down) == 1
 
 
 def _exploding_chunk(specs):
@@ -737,7 +896,7 @@ class TestTraceGroupedDispatch:
         chunks = _trace_chunks(specs, 2)
         assert len(chunks) == 8 and all(len(chunk) == 5 for chunk in chunks)
         parallel = ParallelRunner(jobs=2).run(specs)
-        serial = SerialRunner().run(specs)
+        serial = ParallelRunner(jobs=1).run(specs)
         assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
             serial.to_dict(), sort_keys=True
         )
@@ -752,7 +911,7 @@ class TestTraceGroupedDispatch:
             specs += [spec, spec.replace(monitor="memleak")]
         assert all(spec.profile is not None for spec in specs)
         parallel = ParallelRunner(jobs=2).run(specs)
-        assert parallel.to_dict() == SerialRunner().run(specs).to_dict()
+        assert parallel.to_dict() == ParallelRunner(jobs=1).run(specs).to_dict()
 
     def test_dead_worker_grid_falls_back_serially(self, monkeypatch):
         """A pool whose workers die immediately degrades to serial
@@ -766,7 +925,7 @@ class TestTraceGroupedDispatch:
             RunSpec("astar", "addrcheck", SystemConfig(), TINY),
         ]
         expected = [
-            result_digest(SerialRunner().run_one(spec)) for spec in specs
+            result_digest(ParallelRunner(jobs=1).run_one(spec)) for spec in specs
         ]
         with pytest.warns(RuntimeWarning, match="running serially"):
             results = ParallelRunner(jobs=2).run(specs)
@@ -802,7 +961,7 @@ class TestTraceGroupedDispatch:
             RunSpec("astar", "addrcheck", SystemConfig(), TINY),
         ]
         expected = [
-            result_digest(SerialRunner().run_one(spec)) for spec in specs
+            result_digest(ParallelRunner(jobs=1).run_one(spec)) for spec in specs
         ]
         with pytest.warns(RuntimeWarning, match="running serially"):
             results = ParallelRunner(jobs=2).run(specs)

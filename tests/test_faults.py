@@ -11,7 +11,6 @@ from repro.api import (
     ExperimentSettings,
     ParallelRunner,
     ResultStore,
-    SerialRunner,
     spec_grid,
 )
 from repro.common.errors import ConfigurationError
@@ -249,10 +248,10 @@ class TestStoreHardening:
             FaultEvent("e0", "store_enospc", "store.write", at=0)
         ))
         store = ResultStore(tmp_path / "store")
-        result = SerialRunner(store=store).run(GRID[:1])
+        result = ParallelRunner(jobs=1, store=store).run(GRID[:1])
         assert store.write_retries >= 1
         assert store.stats()["entries"] == 1  # retry landed the write
-        warm = SerialRunner(store=store).run(GRID[:1])
+        warm = ParallelRunner(jobs=1, store=store).run(GRID[:1])
         assert warm.records[0].result.to_dict() == (
             result.records[0].result.to_dict()
         )
@@ -262,10 +261,10 @@ class TestStoreHardening:
             FaultEvent("e0", "store_torn", "store.write", at=0, param=0.3)
         ))
         store = ResultStore(tmp_path / "store")
-        baseline = SerialRunner().run(GRID[:1])
-        SerialRunner(store=store).run(GRID[:1])
+        baseline = ParallelRunner(jobs=1).run(GRID[:1])
+        ParallelRunner(jobs=1, store=store).run(GRID[:1])
         # The torn entry reads as corrupt -> miss -> recompute -> rewrite.
-        healed = SerialRunner(store=store).run(GRID[:1])
+        healed = ParallelRunner(jobs=1, store=store).run(GRID[:1])
         assert healed.records[0].result.to_dict() == (
             baseline.records[0].result.to_dict()
         )
@@ -274,17 +273,17 @@ class TestStoreHardening:
     def test_sqlite_busy_is_transient_not_corruption(self, tmp_path):
         store = ResultStore(tmp_path / "store.db")
         assert store.backend == "sqlite"
-        first = SerialRunner(store=store).run(GRID[:1])
+        first = ParallelRunner(jobs=1, store=store).run(GRID[:1])
         install_plan(self._event_plan(
             FaultEvent("e0", "sqlite_busy", "store.write", at=0)
         ))
-        SerialRunner(store=store).run(GRID[1:2])
+        ParallelRunner(jobs=1, store=store).run(GRID[1:2])
         # The BUSY error must not have nuked the database: the first
         # entry survives and both specs are now cached.
         assert store.get(GRID[0]) is not None
         assert store.get(GRID[1]) is not None
         assert store.write_retries >= 1
-        warm = SerialRunner(store=store).run(GRID[:1])
+        warm = ParallelRunner(jobs=1, store=store).run(GRID[:1])
         assert warm.records[0].result.to_dict() == (
             first.records[0].result.to_dict()
         )
@@ -298,7 +297,7 @@ class TestStoreHardening:
         monkeypatch.setattr("repro.api.sqlite_store._SQLITE_BUSY_TIMEOUT", 0.01)
         path = tmp_path / "store.db"
         store = ResultStore(path)
-        result = SerialRunner(store=store).run(GRID[:1]).records[0].result
+        result = ParallelRunner(jobs=1, store=store).run(GRID[:1]).records[0].result
         holder = sqlite3.connect(path, isolation_level=None)
         holder.execute("BEGIN EXCLUSIVE")
         try:
@@ -318,7 +317,7 @@ class TestStoreHardening:
             for i in range(attempts)
         )))
         store = ResultStore(tmp_path / "store.db")
-        result = SerialRunner().run_one(GRID[0])
+        result = ParallelRunner(jobs=1).run_one(GRID[0])
         with pytest.raises(OSError, match="injected fault"):
             store.put(GRID[0], result)
         assert store.write_retries == attempts
@@ -327,7 +326,7 @@ class TestStoreHardening:
 
 class TestRunnerCrashRecovery:
     def test_worker_crash_recovers_bit_identically(self, tmp_path):
-        baseline = SerialRunner().run(GRID)
+        baseline = ParallelRunner(jobs=1).run(GRID)
         install_plan(
             generate_plan(
                 4,

@@ -237,3 +237,39 @@ def test_main_fails_on_a_regression(gate, checkouts, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "cold_cell setup_s " in out and ": FAIL" in out
     assert out.rstrip().endswith("perf gate FAILED")
+
+
+def test_main_compiles_both_checkouts_before_the_first_run(
+        gate, checkouts, monkeypatch):
+    base, change = checkouts
+    events = []
+    monkeypatch.setattr(gate, "compile_checkout",
+                        lambda python, root: events.append(("compile", root)))
+
+    def run_once(command, root, workload, seed):
+        events.append(("run", root))
+        return line(1.0)
+
+    monkeypatch.setattr(gate, "run_once", run_once)
+    assert gate.main([str(base)]) == 0
+    assert events[:2] == [("compile", base), ("compile", change)]
+    assert all(kind == "run" for kind, _ in events[2:])
+
+
+def test_compile_checkout_writes_bytecode_despite_the_environment(
+        gate, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("VALUE = 1\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    gate.compile_checkout(sys.executable, tmp_path)
+    assert list((tmp_path / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))
+    assert list((tmp_path / "perfbench" / "__pycache__").glob("run.*.pyc"))
+
+
+def test_compile_error_stops_the_gate(gate, tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "broken.py").write_text("def (:\n")
+    with pytest.raises(SystemExit, match="compiling"):
+        gate.compile_checkout(sys.executable, tmp_path)

@@ -1,7 +1,7 @@
 """The campaign service: declarative campaign expansion, single-flight
 scheduling, and the server/client protocol end-to-end — every distinct spec
 simulated exactly once across concurrent clients, results bit-identical to
-SerialRunner.
+an in-process ParallelRunner.
 """
 
 import asyncio
@@ -14,8 +14,8 @@ import pytest
 from repro import cli
 from repro.api import (
     ExperimentSettings,
+    ParallelRunner,
     ResultStore,
-    SerialRunner,
     config_from_fields,
     spec_grid,
 )
@@ -144,7 +144,7 @@ class TestCampaignExpansion:
     def test_campaign_run_in_process(self, tmp_path):
         campaign = Campaign(name="t", specs=list(GRID[:2]))
         results = campaign.run(store=ResultStore(tmp_path / "c"))
-        reference = SerialRunner().run(GRID[:2])
+        reference = ParallelRunner(jobs=1).run(GRID[:2])
         assert results.to_dict() == reference.to_dict()
 
 
@@ -188,7 +188,7 @@ class TestSpecScheduler:
         first, second = self.run_async(main())
         assert first.status == "computed" and second.status == "warm"
         assert first.result.to_dict() == second.result.to_dict()
-        assert second.result.to_dict() == SerialRunner().run_one(
+        assert second.result.to_dict() == ParallelRunner(jobs=1).run_one(
             GRID[0]
         ).to_dict()
         # Each read decodes a new result: callers share no mutable object.
@@ -202,7 +202,7 @@ class TestSpecScheduler:
     def test_non_finite_result_is_an_error_not_stored(
         self, tmp_path, monkeypatch
     ):
-        reference = SerialRunner().run_one(GRID[0])
+        reference = ParallelRunner(jobs=1).run_one(GRID[0])
 
         def broken(spec, cache):
             result = copy.deepcopy(reference)
@@ -226,7 +226,7 @@ class TestSpecScheduler:
             return [await scheduler.execute(spec) for spec in GRID[:2]]
 
         outcomes = self.run_async(main())
-        reference = SerialRunner().run(GRID[:2])
+        reference = ParallelRunner(jobs=1).run(GRID[:2])
         for outcome, expected in zip(outcomes, reference.results):
             assert outcome.result.to_dict() == expected.to_dict()
         scheduler.shutdown()
@@ -261,7 +261,7 @@ class TestServerEndToEnd:
     def test_results_match_serial_runner(self, server):
         _, address = server
         results = ServiceClient(address).run_specs(GRID)
-        reference = SerialRunner().run(GRID)
+        reference = ParallelRunner(jobs=1).run(GRID)
         assert json.dumps(results.to_dict(), sort_keys=True) == json.dumps(
             reference.to_dict(), sort_keys=True
         )
@@ -372,7 +372,7 @@ class TestServerEndToEnd:
 
     def test_non_finite_result_is_an_error_event(self, server, monkeypatch):
         instance, address = server
-        reference = SerialRunner().run_one(GRID[0])
+        reference = ParallelRunner(jobs=1).run_one(GRID[0])
 
         def broken(spec, cache):
             result = copy.deepcopy(reference)
@@ -433,7 +433,7 @@ class TestServerEndToEnd:
             )
         )
         results = Campaign.load(path).run(server=address)
-        reference = SerialRunner().run(
+        reference = ParallelRunner(jobs=1).run(
             spec_grid(["astar"], ["memleak"], [SystemConfig()], TINY)
         )
         assert results.to_dict() == reference.to_dict()
@@ -456,7 +456,7 @@ class TestClientAddresses:
         try:
             assert address.startswith("http://127.0.0.1:")
             results = ServiceClient(address).run_specs(GRID[:1])
-            reference = SerialRunner().run(GRID[:1])
+            reference = ParallelRunner(jobs=1).run(GRID[:1])
             assert results.to_dict() == reference.to_dict()
         finally:
             instance.stop_background()

@@ -22,8 +22,8 @@ import pytest
 from repro import cli
 from repro.api import (
     ExperimentSettings,
+    ParallelRunner,
     ResultStore,
-    SerialRunner,
     spec_grid,
 )
 from repro.api.runner import _terminate_pool, new_worker_pool
@@ -80,7 +80,7 @@ class TestSchedulerDeadlines:
 
         outcome = run_async(main())
         scheduler.shutdown()
-        reference = SerialRunner().run(GRID[:1])
+        reference = ParallelRunner(jobs=1).run(GRID[:1])
         assert outcome.result.to_dict() == (
             reference.records[0].result.to_dict()
         )
@@ -295,8 +295,8 @@ class TestPoolRebuild:
 
     def _break_then_next(self, scheduler, caplog):
         """Run GRID[0] (the fault's victim), then GRID[1]; both results
-        must equal the serial runner's."""
-        reference = SerialRunner().run(GRID[:2])
+        must equal the in-process runner's."""
+        reference = ParallelRunner(jobs=1).run(GRID[:2])
 
         async def main():
             broken = await scheduler.execute(GRID[0])
@@ -357,7 +357,7 @@ class TestPoolRebuild:
             outcomes = run_async(main())
         finally:
             scheduler.shutdown()
-        reference = SerialRunner().run(GRID[:2])
+        reference = ParallelRunner(jobs=1).run(GRID[:2])
         for outcome, want in zip(outcomes, reference.results):
             assert outcome.result.to_dict() == want.to_dict()
         stats = scheduler.stats()
@@ -395,7 +395,7 @@ class TestPoolRebuild:
             # Once pools can be built again the same server answers.
             monkeypatch.undo()
             results = client.run_specs(GRID[1:2])
-            reference = SerialRunner().run(GRID[1:2])
+            reference = ParallelRunner(jobs=1).run(GRID[1:2])
             assert results.to_dict() == reference.to_dict()
             assert scheduler.stats()["errors"] == 1
         finally:
@@ -441,7 +441,7 @@ class TestClientDisconnect:
 
     def test_run_specs_reconnects_and_resumes(self, server):
         _, address = server
-        reference = SerialRunner().run(GRID)
+        reference = ParallelRunner(jobs=1).run(GRID)
         install_plan(self._disconnect_plan(ordinal=2))
         client = ServiceClient(address)
         results = client.run_specs(GRID)

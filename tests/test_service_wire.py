@@ -17,9 +17,9 @@ import pytest
 
 from repro.api import (
     ExperimentSettings,
+    ParallelRunner,
     ResultStore,
     RunSpec,
-    SerialRunner,
     spec_grid,
 )
 from repro.api.store import content_key, result_json
@@ -59,7 +59,7 @@ def _clean_injector():
 @pytest.fixture(scope="module")
 def reference():
     """Each GRID spec's content key → its locally computed result."""
-    results = SerialRunner().run(GRID).results
+    results = ParallelRunner(jobs=1).run(GRID).results
     return {content_key(spec): result for spec, result in zip(GRID, results)}
 
 
@@ -169,7 +169,7 @@ class TestWireBytes:
         self, server, monkeypatch
     ):
         instance, address = server
-        clean = SerialRunner().run_one(GRID[0])
+        clean = ParallelRunner(jobs=1).run_one(GRID[0])
 
         def broken(spec, cache):
             result = copy.deepcopy(clean)
@@ -249,7 +249,7 @@ class AddrCheckAgain(AddrCheck):
 def warm_key(instance, address, spec):
     """The key of ``spec``'s answer to a ``/run``, stored beforehand under
     the spec's current content key so that it is answered warm."""
-    text = result_json(SerialRunner().run_one(GRID[0]))
+    text = result_json(ParallelRunner(jobs=1).run_one(GRID[0]))
     instance.store.put_text(content_key(spec), spec, text)
     lines = post_run(address, [spec], results=False).splitlines()
     event = json.loads(lines[1])
@@ -308,7 +308,7 @@ class TestSpecTextMemo:
             registered = RunSpec.from_dict(raw)
             instance.store.put_text(
                 content_key(registered), registered,
-                result_json(SerialRunner().run_one(GRID[0])),
+                result_json(ParallelRunner(jobs=1).run_one(GRID[0])),
             )
             event = answer()
             assert event["status"] == "warm"

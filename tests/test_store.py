@@ -18,7 +18,6 @@ from repro.api import (
     ParallelRunner,
     ResultStore,
     RunSpec,
-    SerialRunner,
     content_key,
     register_monitor,
     register_profile,
@@ -45,14 +44,14 @@ GRID = spec_grid(
 class TestResultStore:
     def test_hit_is_bit_identical_to_recompute(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        cold = SerialRunner(store=store).run(GRID)
+        cold = ParallelRunner(jobs=1, store=store).run(GRID)
         assert store.hits == 0 and store.misses == len(GRID)
 
         warm_store = ResultStore(tmp_path / "cache")
-        warm = SerialRunner(store=warm_store).run(GRID)
+        warm = ParallelRunner(jobs=1, store=warm_store).run(GRID)
         assert warm_store.hits == len(GRID) and warm_store.misses == 0
 
-        plain = SerialRunner().run(GRID)
+        plain = ParallelRunner(jobs=1).run(GRID)
         assert cold.to_dict() == warm.to_dict() == plain.to_dict()
 
     def test_key_changes_on_every_spec_axis(self, tmp_path):
@@ -106,13 +105,13 @@ class TestResultStore:
     def test_corrupt_entry_is_a_miss_and_recomputed(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = GRID[0]
-        result = SerialRunner(store=store).run_one(spec)
+        result = ParallelRunner(jobs=1, store=store).run_one(spec)
         entry = store._entry_path(store.key(spec))
         entry.write_text("{ truncated garbage")
         reread = store.get(spec)
         assert reread is None
         assert not entry.exists()  # Corrupt entry dropped.
-        again = SerialRunner(store=store).run_one(spec)
+        again = ParallelRunner(jobs=1, store=store).run_one(spec)
         assert again.to_dict() == result.to_dict()
 
     @pytest.mark.parametrize("field, value, path", [
@@ -123,7 +122,7 @@ class TestResultStore:
                                             path):
         store = ResultStore(tmp_path)
         spec = GRID[0]
-        result = SerialRunner().run_one(spec)
+        result = ParallelRunner(jobs=1).run_one(spec)
         setattr(result, field, value)
         with pytest.raises(SimulationError, match=repr(path)):
             store.put(spec, result)
@@ -132,7 +131,7 @@ class TestResultStore:
     def test_put_names_a_nested_non_finite_metric(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = GRID[0]
-        result = SerialRunner().run_one(spec)
+        result = ParallelRunner(jobs=1).run_one(spec)
         handler_class = next(iter(result.handler_instructions))
         result.handler_instructions[handler_class] = float("-inf")
         with pytest.raises(SimulationError) as raised:
@@ -144,7 +143,7 @@ class TestResultStore:
 
     def test_stats_and_clear(self, tmp_path):
         store = ResultStore(tmp_path)
-        SerialRunner(store=store).run(GRID[:2])
+        ParallelRunner(jobs=1, store=store).run(GRID[:2])
         stats = store.stats()
         assert stats["entries"] == 2 and stats["bytes"] > 0
         assert len(store) == 2
@@ -156,7 +155,7 @@ class TestResultStore:
         # file beside the real entries; it is neither counted nor a shard.
         store = ResultStore(tmp_path)
         spec = GRID[0]
-        SerialRunner(store=store).run_one(spec)
+        ParallelRunner(jobs=1, store=store).run_one(spec)
         entry = store._entry_path(store.key(spec))
         orphan = entry.parent / ".tmp-x.json"
         orphan.write_text('{"result": {"benchmark"')
@@ -174,24 +173,27 @@ class TestResultStore:
         assert first.to_dict() == second.to_dict()
 
     def test_run_specs_never_mutates_the_callers_runner(self, tmp_path):
-        runner = SerialRunner()
+        runner = ParallelRunner(jobs=1)
         run_specs(GRID[:1], runner=runner, store=ResultStore(tmp_path))
         assert runner.store is None  # Store was scoped to that call only.
 
-    def test_run_specs_serial_uses_default_runner(self):
-        from repro.api import default_runner, set_default_runner
+    def test_run_specs_shares_the_default_runners_cache(self):
+        from repro.api import default_runner
 
-        class MarkerRunner(SerialRunner):
-            pass
+        shared = default_runner()
+        assert shared.jobs == 1 and shared.store is None
+        spec = GRID[0].replace(settings=ExperimentSettings(1500, seed=41))
+        before = shared.cache.stats()["trace_misses"]
+        run_specs([spec])
+        assert default_runner() is shared  # Untouched.
+        assert shared.cache.stats()["trace_misses"] == before + 1
 
-        marker = MarkerRunner()
-        set_default_runner(marker)
-        try:
-            run_specs(GRID[:1])
-            assert default_runner() is marker  # Override honoured, untouched.
-            assert marker.cache.stats()["traces"] > 0  # It did the run.
-        finally:
-            set_default_runner(None)
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_run_specs_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_specs(GRID[:1], jobs=jobs)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_specs(GRID[:1], jobs=jobs, runner=ParallelRunner(jobs=1))
 
 
 class TestContentKey:
@@ -250,14 +252,14 @@ class TestContentKey:
 
 class TestCrossProcessDeterminism:
     def test_serial_parallel_and_warm_store_agree(self, tmp_path):
-        """The satellite guarantee: SerialRunner, ParallelRunner (fork pool,
-        trace-grouped chunks) and a warm ResultStore produce identical
+        """The satellite guarantee: in-process and fork-pool (trace-grouped
+        chunks) ParallelRunners and a warm ResultStore produce identical
         ResultSet JSON for the same specs."""
-        serial = SerialRunner().run(GRID)
+        serial = ParallelRunner(jobs=1).run(GRID)
         parallel = ParallelRunner(jobs=2).run(GRID)
 
         store = ResultStore(tmp_path / "cache")
-        SerialRunner(store=store).run(GRID)  # Populate.
+        ParallelRunner(jobs=1, store=store).run(GRID)  # Populate.
         warm_store = ResultStore(tmp_path / "cache")
         warmed = ParallelRunner(jobs=2, store=warm_store).run(GRID)
         assert warm_store.hits == len(GRID)
@@ -272,7 +274,7 @@ class TestCrossProcessDeterminism:
         runner = ParallelRunner(jobs=2)
         parallel = runner.run(GRID)
         assert runner.cache.stats()["traces"] == 0  # Parent built none.
-        assert parallel.to_dict() == SerialRunner().run(GRID).to_dict()
+        assert parallel.to_dict() == ParallelRunner(jobs=1).run(GRID).to_dict()
 
 
 class TestChunkingHeuristic:
@@ -287,7 +289,7 @@ class TestChunkingHeuristic:
         )
         runner = ParallelRunner(jobs=8)
         results = runner.run(GRID[:3])  # 3 specs < 8 jobs.
-        assert results.to_dict() == SerialRunner().run(GRID[:3]).to_dict()
+        assert results.to_dict() == ParallelRunner(jobs=1).run(GRID[:3]).to_dict()
 
     def test_large_grid_still_uses_the_pool(self, monkeypatch):
         used = {"pool": False}
@@ -384,7 +386,7 @@ class TestConcurrentWriters:
         store_path = tmp_path / "race"
         spec = GRID[0]
         store = ResultStore(store_path)
-        result = SerialRunner().run([spec]).results[0]
+        result = ParallelRunner(jobs=1).run([spec]).results[0]
         expected = json.dumps(result.to_dict(), sort_keys=True)
         payload = (
             str(store_path),
@@ -421,7 +423,7 @@ class TestConcurrentWriters:
         store_path = tmp_path / "heal"
         store = ResultStore(store_path)
         corrupt_spec, racing_spec = GRID[0], GRID[1]
-        racing_result = SerialRunner().run([racing_spec]).results[0]
+        racing_result = ParallelRunner(jobs=1).run([racing_spec]).results[0]
         # Plant a truncated entry for one spec (a crashed writer predating
         # the atomic protocol), then race a healthy writer on another spec
         # in the same store while the parent triggers self-healing.

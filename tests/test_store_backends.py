@@ -10,7 +10,7 @@ import sqlite3
 import pytest
 
 from repro import cli
-from repro.api import ExperimentSettings, ResultStore, SerialRunner, spec_grid
+from repro.api import ExperimentSettings, ParallelRunner, ResultStore, spec_grid
 from repro.api import store as store_module
 from repro.api.store import _parse_store_path, result_json
 from repro.system.config import SystemConfig
@@ -58,7 +58,7 @@ class TestCrossBackendParity:
         backends round-trips to the same bytes and the same content key."""
         json_store = ResultStore(tmp_path / "cache")
         sqlite_store = ResultStore(tmp_path / "cache.db")
-        results = SerialRunner().run(GRID)
+        results = ParallelRunner(jobs=1).run(GRID)
         for spec, result in zip(GRID, results.results):
             assert json_store.key(spec) == sqlite_store.key(spec)
             json_store.put(spec, result)
@@ -85,9 +85,9 @@ class TestCrossBackendParity:
                 assert json.dumps(hit.to_dict(), sort_keys=True) == reference
 
     def test_runner_agrees_across_backends(self, tmp_path):
-        cold = SerialRunner(store=ResultStore(tmp_path / "cache.db")).run(GRID)
+        cold = ParallelRunner(jobs=1, store=ResultStore(tmp_path / "cache.db")).run(GRID)
         warm_store = ResultStore(tmp_path / "cache.db")
-        warm = SerialRunner(store=warm_store).run(GRID)
+        warm = ParallelRunner(jobs=1, store=warm_store).run(GRID)
         assert warm_store.hits == len(GRID)
         assert warm.to_dict() == cold.to_dict()
 
@@ -98,7 +98,7 @@ class TestLookup:
 
     def test_text_is_the_stored_result(self, tmp_path, name):
         store = ResultStore(tmp_path / name)
-        result = SerialRunner().run_one(GRID[0])
+        result = ParallelRunner(jobs=1).run_one(GRID[0])
         store.put(GRID[0], result)
         text = store.lookup(store.key(GRID[0]))
         assert text == json.dumps(result.to_dict(), sort_keys=True)
@@ -107,7 +107,7 @@ class TestLookup:
 
     def test_other_valid_layout_is_served_re_encoded(self, tmp_path, name):
         store = ResultStore(tmp_path / name)
-        result = SerialRunner().run_one(GRID[0])
+        result = ParallelRunner(jobs=1).run_one(GRID[0])
         key = store.key(GRID[0])
         # A hand-edited entry: indented, keys in another order.
         entry = {"spec": GRID[0].to_dict(), "result": result.to_dict(),
@@ -120,7 +120,7 @@ class TestLookup:
 
     def test_invalid_entries_are_deleted_misses(self, tmp_path, name):
         store = ResultStore(tmp_path / name)
-        result = SerialRunner().run_one(GRID[0])
+        result = ParallelRunner(jobs=1).run_one(GRID[0])
         key = store.key(GRID[0])
         store.put(GRID[0], result)
         for data in _corruptions(store, key, GRID[0], result):
@@ -161,7 +161,7 @@ def _corruptions(store, key, spec, result):
 @pytest.fixture(scope="module")
 def computed():
     """GRID[0] and GRID[1]'s results, computed once."""
-    return [SerialRunner().run_one(spec) for spec in GRID[:2]]
+    return [ParallelRunner(jobs=1).run_one(spec) for spec in GRID[:2]]
 
 
 @pytest.fixture
@@ -315,7 +315,7 @@ def test_validation_memo_is_bounded(tmp_path, computed):
 class TestSqliteBackend:
     def test_stats_per_shard(self, tmp_path):
         store = ResultStore(tmp_path / "cache.db")
-        SerialRunner(store=store).run(GRID[:3])
+        ParallelRunner(jobs=1, store=store).run(GRID[:3])
         stats = store.stats()
         assert stats["backend"] == "sqlite"
         assert stats["entries"] == 3 == len(store)
@@ -325,7 +325,7 @@ class TestSqliteBackend:
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path / "cache.db")
-        SerialRunner(store=store).run(GRID[:2])
+        ParallelRunner(jobs=1, store=store).run(GRID[:2])
         assert store.clear() == 2
         assert len(store) == 0
 
@@ -337,7 +337,7 @@ class TestSqliteBackend:
     def test_corrupt_db_self_heals(self, tmp_path):
         path = tmp_path / "cache.db"
         store = ResultStore(path)
-        result = SerialRunner().run(GRID[:1]).results[0]
+        result = ParallelRunner(jobs=1).run(GRID[:1]).results[0]
         store.put(GRID[0], result)
         store.close()
         path.write_bytes(b"this is not a sqlite database, sorry")
@@ -375,7 +375,7 @@ class TestSqliteConcurrentWriters:
         store_path = tmp_path / "race.db"
         spec = GRID[0]
         store = ResultStore(store_path)
-        result = SerialRunner().run([spec]).results[0]
+        result = ParallelRunner(jobs=1).run([spec]).results[0]
         expected = json.dumps(result.to_dict(), sort_keys=True)
         payload = (
             str(store_path),
@@ -407,7 +407,7 @@ class TestSqliteConcurrentWriters:
     def test_racing_distinct_entries(self, tmp_path):
         """Writers on different keys never lose each other's rows."""
         store_path = tmp_path / "multi.db"
-        results = SerialRunner().run(GRID[:2])
+        results = ParallelRunner(jobs=1).run(GRID[:2])
         context = multiprocessing.get_context("fork")
         writers = [
             context.Process(
