@@ -13,10 +13,9 @@ Two numbers keep the verify subsystem honest:
 * **Fuzz throughput** — cases/second of a small serial-leg campaign,
   the figure that sizes CI's ``repro fuzz --budget 60s`` smoke budget.
 
-Runnable as a script (``PYTHONPATH=src python benchmarks/bench_verify.py``;
-exits non-zero if the enabled-map slowdown exceeds the bound) or under
-pytest.  Writes ``BENCH_verify.json`` next to the repo's other bench
-payloads.
+It prints a JSON payload of both and writes no file.  Runnable as a
+script (``PYTHONPATH=src python benchmarks/bench_verify.py``; exits
+non-zero if the enabled-map slowdown exceeds the bound) or under pytest.
 
 Environment knobs:
 
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 import sys
 import time
 
@@ -46,7 +44,6 @@ ROUNDS = int(os.environ.get("REPRO_BENCH_VERIFY_ROUNDS", "3") or 3)
 MAX_OVERHEAD = float(
     os.environ.get("REPRO_BENCH_VERIFY_MAX_OVERHEAD", "0.5") or 0.5
 )
-PAYLOAD_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_verify.json"
 
 #: A FADE-active, memo-heavy cell: the worst case for counter overhead.
 CELL = RunSpec(
@@ -103,7 +100,6 @@ def measure() -> dict:
 
 def main() -> int:
     payload = measure()
-    PAYLOAD_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
     if payload["fuzz_mismatches"]:
         print("FAIL: differential mismatches during the bench campaign",

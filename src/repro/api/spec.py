@@ -13,9 +13,9 @@ import json
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_int
 from repro.monitors import MONITOR_REGISTRY, monitor_names
-from repro.system.config import SystemConfig, check_int, field_dict
+from repro.system.config import SystemConfig, field_dict
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import PROFILE_REGISTRY, benchmark_names, get_profile
 
@@ -41,13 +41,25 @@ def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
         nested = converted.get(name)
         if isinstance(nested, Mapping):
             # Delegate nested construction to the full round-trip parser by
-            # splicing the partial mapping into a default config's dict.
+            # merging the partial mapping (and a partial ``l1``/``l2``
+            # within it) over a default config's dict.
             base = SystemConfig().to_dict()
-            base[name].update(nested)
+            base[name] = _merged(base[name], nested)
             converted[name] = getattr(
                 SystemConfig.from_dict(base), name
             )
     return SystemConfig(**converted)
+
+
+def _merged(base: Mapping[str, object], partial: Mapping[str, object]):
+    """``base`` with ``partial``'s entries over it, merging nested
+    mappings the same way."""
+    merged = dict(base)
+    for key, value in partial.items():
+        if isinstance(value, Mapping) and isinstance(merged.get(key), Mapping):
+            value = _merged(merged[key], value)
+        merged[key] = value
+    return merged
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,8 +1,12 @@
-"""Exception hierarchy for the repro package.
+"""Exception hierarchy for the repro package, and :func:`check_int`, the
+integer check every config class raises its :class:`ConfigurationError`
+through.
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything the package may raise with a single ``except`` clause.
 """
+
+from typing import Optional
 
 
 class ReproError(Exception):
@@ -11,6 +15,20 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """An invalid configuration value was supplied."""
+
+
+def check_int(field: str, value: object, minimum: Optional[int] = None) -> None:
+    """Reject ``value`` unless it is an ``int`` (never a ``bool``) of at
+    least ``minimum``, with a :class:`ConfigurationError` naming ``field``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise ConfigurationError(
+            f"{field} must be an integer{bound}, got {value!r}"
+        )
 
 
 class ProgrammingError(ReproError):

@@ -31,9 +31,9 @@ class FadeConfig:
     ``filter_memo`` enables the pipeline's value-keyed memo of every
     decision — filtered or not, with the handler choice and the Non-Blocking
     commit — a pure software-speed optimisation with bit-identical
-    results.  The simulator disables it for the naive reference engine (so
-    engine-equivalence tests compare memoized against truly inline walks)
-    and under ``REPRO_FORCE_INLINE_FADE=1``.
+    results.  The simulator enables it for the event engine only, so the
+    naive reference engine keeps the truly inline walk that the
+    engine-equivalence tests and the differential oracle compare against.
     """
 
     non_blocking: bool = True

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 
+from repro.common.errors import check_int
 from repro.common.units import KB, WORD_SIZE
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.tlb import Tlb
@@ -30,6 +31,14 @@ class MetadataCacheConfig:
     tlb_entries: int = 16
     #: Software M-TLB-miss service cost, in monitor-core instructions.
     tlb_service_instructions: int = 30
+
+    def __post_init__(self) -> None:
+        for name in ("size_bytes", "associativity", "block_bytes",
+                     "tlb_entries"):
+            check_int(f"md_cache.{name}", getattr(self, name), 1)
+        for name in ("hit_latency", "miss_latency",
+                     "tlb_service_instructions"):
+            check_int(f"md_cache.{name}", getattr(self, name), 0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,7 +16,7 @@ import dataclasses
 from collections import OrderedDict
 from typing import Dict
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,8 +38,9 @@ class CacheConfig:
     name: str = "cache"
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.associativity <= 0 or self.block_bytes <= 0:
-            raise ConfigurationError(f"{self.name}: sizes must be positive")
+        for field in ("size_bytes", "associativity", "block_bytes"):
+            check_int(f"{self.name}.{field}", getattr(self, field), 1)
+        check_int(f"{self.name}.latency", self.latency, 0)
         if self.size_bytes % (self.associativity * self.block_bytes) != 0:
             raise ConfigurationError(
                 f"{self.name}: size {self.size_bytes} not divisible by "

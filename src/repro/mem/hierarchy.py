@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.common.errors import ConfigurationError, check_int
 from repro.common.units import KB, MB
 from repro.mem.cache import Cache, CacheConfig
 
@@ -31,6 +32,15 @@ class HierarchyConfig:
         )
     )
     dram_latency: int = 90
+
+    def __post_init__(self) -> None:
+        for level in ("l1", "l2"):
+            if not isinstance(getattr(self, level), CacheConfig):
+                raise ConfigurationError(
+                    f"hierarchy.{level} must be a cache config, got "
+                    f"{getattr(self, level)!r}"
+                )
+        check_int("hierarchy.dram_latency", self.dram_latency, 0)
 
 
 class MemoryHierarchy:

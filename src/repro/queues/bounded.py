@@ -23,7 +23,8 @@ class QueueStats:
 
     ``occupancy_histogram`` counts, per sampled cycle, how many entries were
     resident — the raw data behind the cumulative occupancy distributions of
-    Figure 3(a, b).
+    Figure 3(a, b).  The simulator adds to it directly, a whole
+    constant-occupancy interval at a time.
     """
 
     enqueued: int = 0
@@ -31,16 +32,6 @@ class QueueStats:
     rejected: int = 0
     max_occupancy: int = 0
     occupancy_histogram: Counter = dataclasses.field(default_factory=Counter)
-
-    def record_occupancy(self, occupancy: int, cycles: int = 1) -> None:
-        """Count ``cycles`` sampled cycles at ``occupancy`` resident entries.
-
-        Interval-weighted accounting: a naive per-cycle sampler passes the
-        default weight of 1; a cycle-skipping simulator records a whole
-        constant-occupancy interval in one call.  Both yield the same
-        histogram for the same simulated timeline.
-        """
-        self.occupancy_histogram[occupancy] += cycles
 
     def to_dict(self) -> dict:
         """Plain-JSON representation (histogram keys become strings); the
@@ -117,11 +108,6 @@ class BoundedQueue(Generic[T]):
         item = self._entries.popleft()
         self.stats.dequeued += 1
         return item
-
-    def sample_occupancy(self, cycles: int = 1) -> None:
-        """Record the current occupancy into the histogram, weighted by the
-        number of simulated cycles it has been (and stays) constant."""
-        self.stats.record_occupancy(len(self._entries), cycles)
 
     def clear(self) -> None:
         while self._entries:

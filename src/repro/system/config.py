@@ -6,7 +6,7 @@ import dataclasses
 import enum
 from typing import Dict, Mapping, Optional
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_int
 from repro.cores.base import CoreType
 from repro.fade.md_cache import MetadataCacheConfig
 from repro.mem.cache import CacheConfig
@@ -53,20 +53,6 @@ def _resolve_enum(field: str, value, enum_type, aliases: Mapping[str, enum.Enum]
         f"{field}: unknown {field.replace('_', ' ')} {value!r}; expected one "
         f"of {', '.join(sorted(aliases))} (or an enum value)"
     )
-
-
-def check_int(field: str, value: object, minimum: Optional[int] = None) -> None:
-    """Reject ``value`` unless it is an ``int`` (never a ``bool``) of at
-    least ``minimum``, with a :class:`ConfigurationError` naming ``field``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or (minimum is not None and value < minimum)
-    ):
-        bound = "" if minimum is None else f" of at least {minimum}"
-        raise ConfigurationError(
-            f"{field} must be an integer{bound}, got {value!r}"
-        )
 
 
 def field_dict(obj: object) -> Dict[str, object]:
@@ -188,12 +174,27 @@ class SystemConfig:
         fields = dict(data)
         md_cache = fields.get("md_cache")
         if isinstance(md_cache, Mapping):
-            fields["md_cache"] = MetadataCacheConfig(**md_cache)
+            fields["md_cache"] = _nested(MetadataCacheConfig, "md_cache", md_cache)
         hierarchy = fields.get("hierarchy")
         if isinstance(hierarchy, Mapping):
             hierarchy = dict(hierarchy)
             for level in ("l1", "l2"):
                 if isinstance(hierarchy.get(level), Mapping):
-                    hierarchy[level] = CacheConfig(**hierarchy[level])
-            fields["hierarchy"] = HierarchyConfig(**hierarchy)
+                    hierarchy[level] = _nested(
+                        CacheConfig, f"hierarchy.{level}", hierarchy[level]
+                    )
+            fields["hierarchy"] = _nested(HierarchyConfig, "hierarchy", hierarchy)
         return cls(**fields)
+
+
+def _nested(config_type, field: str, data: Mapping[str, object]):
+    """``config_type(**data)``; a key it has no field for is a
+    :class:`ConfigurationError` naming ``field`` and the valid keys."""
+    valid = {f.name for f in dataclasses.fields(config_type)}
+    unknown = sorted(set(data) - valid)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {field} field(s) {', '.join(unknown)}; "
+            f"valid fields: {', '.join(sorted(valid))}"
+        )
+    return config_type(**data)

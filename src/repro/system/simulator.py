@@ -34,7 +34,6 @@ Two engines execute these semantics (``SystemConfig.engine``):
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -91,27 +90,19 @@ class KindTable(NamedTuple):
     high_level: int
 
 
-def force_inline_filtering() -> bool:
-    """True when ``REPRO_FORCE_INLINE_FADE`` disables the filter memo — the
-    CI knob that keeps the inline per-event path exercised."""
-    return os.environ.get("REPRO_FORCE_INLINE_FADE", "") not in ("", "0")
-
-
 def fade_config(config: SystemConfig) -> Optional[FadeConfig]:
     """The accelerator configuration ``config`` runs, None without FADE.
 
-    The filter memo is enabled only for the event engine (the naive
+    The filter memo is enabled only for the event engine: the naive
     reference stays truly inline, so the equivalence suite compares
-    memoized against inline walks), and never under
-    REPRO_FORCE_INLINE_FADE=1 (the CI knob that keeps the inline path
-    exercised)."""
+    memoized against inline walks."""
     if not config.fade_enabled:
         return None
     return FadeConfig(
         non_blocking=config.non_blocking,
         fsq_capacity=config.fsq_capacity,
         md_cache=config.md_cache,
-        filter_memo=config.engine == "event" and not force_inline_filtering(),
+        filter_memo=config.engine == "event",
     )
 
 

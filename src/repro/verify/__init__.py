@@ -11,8 +11,8 @@ that every execution configuration agrees on them:
   registered set, delivered as self-contained :class:`~repro.api.RunSpec`\\ s
   (inline profiles, no runtime registration needed).
 * :mod:`repro.verify.oracle` — the differential oracle: per spec, runs the
-  cross-product {event, naive} × {inline, memoized filter} × {serial,
-  parallel} × {store-cold, store-warm} and diffs serialized
+  cross-product {event, naive} × {serial, parallel} × {store-cold,
+  store-warm} and diffs serialized
   :class:`~repro.system.results.RunResult`\\ s byte-for-byte, shrinking any
   mismatch to a minimal instruction count.
 * :mod:`repro.verify.corpus` — the golden conformance corpus committed

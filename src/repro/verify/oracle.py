@@ -2,32 +2,32 @@
 
 For one :class:`~repro.api.RunSpec` the oracle runs the cross-product
 
-    {event, naive engine} x {memoized, forced-inline filtering}
-    x {serial, parallel execution} x {store-cold, store-warm}
+    {event, naive engine} x {serial, parallel execution}
+    x {store-cold, store-warm}
 
 and diffs the *serialized* :class:`~repro.system.results.RunResult`\\ s
 byte-for-byte (canonical sorted-key JSON, SHA-256 digests).  The simulator's
 contract is that every leg is bit-identical; any disagreement is a bug in
 one of the optimised paths (cycle skipping, the filter memo, pool
-dispatch, or store round-tripping).
+dispatch, or store round-tripping).  The engine alone picks the filter
+path: the event engine memoizes filter decisions, the naive reference
+walks every one inline, so the engine axis covers the filter memo too.
 
 On a mismatch the oracle *shrinks*: it re-runs the two disagreeing legs at
 geometrically smaller instruction counts and reports the smallest spec that
 still disagrees, so the repro attached to a failing fuzz campaign is
 minutes — not hours — of single-stepping away from a root cause.
 
-Eleven legs execute per spec: the four serial-cold engine × filter-mode
-combinations over {event, naive} (the naive engine ignores the filter
-memo by construction, but runs under both settings anyway, so the
-forced-inline environment path cannot rot unnoticed), two store
-round-trips of the reference result (one per
+Seven legs execute per spec, each defined once in :data:`SERIAL_LEGS` or
+:data:`PARALLEL_LEGS` (the sweep and the shrinker both read them): the two
+serial-cold engines, two store round-trips of the reference result (one per
 :class:`~repro.api.ResultStore` backend — sharded JSON and SQLite — so
 the store axis covers both persistence formats), one event run from a
 warm state written to and loaded from a throwaway
 :class:`~repro.api.trace_store.TraceStore` (whatever the spec's scope:
-fuzzed inline profiles included), and — in thorough mode — the four
-parallel-cold combinations.  The remaining corners of the
-product (warm round-trips of the non-reference legs) are implied: every
+fuzzed inline profiles included), and — in thorough mode — the two
+parallel-cold engines, sharing one process pool.  The remaining corners of
+the product (warm round-trips of the non-reference legs) are implied: every
 leg must equal the reference byte-for-byte, and the store round-trip is a
 pure serialization identity, so one warm leg witnesses it for all.
 
@@ -46,8 +46,7 @@ import hashlib
 import json
 import os
 import tempfile
-from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.api.cache import RunnerCache
 from repro.api.runner import ParallelRunner, build_simulation, execute_spec
@@ -59,10 +58,10 @@ from repro.faults.injector import suppress_faults
 from repro.system.results import RunResult
 
 #: The reference leg every other leg is diffed against.
-REFERENCE_LEG = "event/serial/memo/cold"
+REFERENCE_LEG = "event/serial/cold"
 
 #: The leg that runs from a stored warm state (write, then load).
-WARM_STATE_LEG = "event/serial/memo/warm-state"
+WARM_STATE_LEG = "event/serial/warm-state"
 
 #: Below this instruction count the shrinker stops descending: tiny traces
 #: are already single-steppable.
@@ -87,14 +86,6 @@ def result_digest(result: RunResult) -> str:
 def _error_digest(error: SimulationError) -> str:
     """The digest of a leg that raised instead of finishing."""
     return f"<{type(error).__name__}: {error}>"
-
-
-def _guarded(run: Callable[[RunSpec], str], spec: RunSpec) -> str:
-    """``run(spec)``, or the :func:`_error_digest` of the error it raised."""
-    try:
-        return run(spec)
-    except SimulationError as error:
-        return _error_digest(error)
 
 
 def first_divergence(a: RunResult, b: RunResult) -> str:
@@ -125,22 +116,121 @@ def first_divergence(a: RunResult, b: RunResult) -> str:
     return walk(a.to_dict(), b.to_dict(), "") or ""
 
 
-@contextmanager
-def forced_inline(active: bool):
-    """Set ``REPRO_FORCE_INLINE_FADE`` for the duration (restoring the
-    previous value) — the knob the filter memo keys its enablement on."""
-    if not active:
-        yield
-        return
-    previous = os.environ.get("REPRO_FORCE_INLINE_FADE")
-    os.environ["REPRO_FORCE_INLINE_FADE"] = "1"
+#: What a leg computes: its result, or a marker digest (``"<...>"``) when
+#: it has no result to compare field by field.
+Outcome = Union[RunResult, str]
+
+#: The engines the parallel legs run, through one pool.
+_ENGINES = ("event", "naive")
+
+
+class _Case:
+    """The work the legs of one spec share.
+
+    Each engine's serial run happens once (the store legs reuse the
+    reference's), and one process pool runs both engines' parallel legs.
+    A run that raised raises again for every leg that reads it."""
+
+    def __init__(self, spec: RunSpec, cache: RunnerCache, jobs: int) -> None:
+        self.spec = spec
+        self.cache = cache
+        self.jobs = jobs
+        self._serial: Dict[str, Union[RunResult, SimulationError]] = {}
+        self._parallel: Optional[Dict[str, RunResult]] = None
+
+    def on(self, engine: str) -> RunSpec:
+        """The case's spec, run by ``engine``."""
+        return self.spec.replace(
+            config=dataclasses.replace(self.spec.config, engine=engine)
+        )
+
+    def serial(self, engine: str) -> RunResult:
+        if engine not in self._serial:
+            try:
+                self._serial[engine] = execute_spec(self.on(engine), self.cache)
+            except SimulationError as error:
+                self._serial[engine] = error
+        outcome = self._serial[engine]
+        if isinstance(outcome, SimulationError):
+            raise outcome
+        return outcome
+
+    def parallel(self, engine: str) -> RunResult:
+        runner = ParallelRunner(jobs=self.jobs, cache=self.cache)
+        if self._parallel is None:
+            try:
+                outcome = runner.run([self.on(name) for name in _ENGINES])
+                self._parallel = dict(zip(_ENGINES, outcome.results))
+            except SimulationError:
+                self._parallel = {}  # One engine raised: run each alone.
+        if engine not in self._parallel:
+            # Two copies, so the pool (not this process) runs the spec.
+            return runner.run([self.on(engine)] * 2).results[0]
+        return self._parallel[engine]
+
+
+def _store_round_trip(case: _Case, sqlite: bool) -> Outcome:
+    """The reference result after a put and get through a throwaway
+    result store — never the user's persistent cache (see
+    ``ResultStore(readonly=...)``): a warm hit must be byte-identical to
+    the cold computation that produced it."""
+    cold = case.serial("event")
+    spec = case.on("event")
+    with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
+        store = ResultStore(os.path.join(tmp, "store.db") if sqlite else tmp)
+        store.put(spec, cold)
+        warm = store.get(spec)
+        store.close()
+    return "<store-miss-after-put>" if warm is None else warm
+
+
+def _stored_warm_state(case: _Case) -> Outcome:
+    """The event engine's result from its warm state after a round trip
+    through a throwaway trace store: the first build warms and writes it,
+    the second loads it.  A store that cannot be used (sources edited
+    since load) leaves a plain run."""
+    spec = case.on("event")
+    with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
+        store = TraceStore(tmp)
+        written = build_simulation(spec, case.cache, store)
+        if (store.enabled and written.warmup_items
+                and store.stats()["blobs"] != 1):
+            return "<warm-state-not-written>"
+        simulation = build_simulation(spec, case.cache, store)
+        if store.healed:
+            return "<warm-state-not-loaded>"
+        return simulation.run()
+
+
+Leg = Callable[[_Case], Outcome]
+
+#: The legs every check runs, in sweep order.
+SERIAL_LEGS: Dict[str, Leg] = {
+    REFERENCE_LEG: lambda case: case.serial("event"),
+    "naive/serial/cold": lambda case: case.serial("naive"),
+    "event/serial/warm": lambda case: _store_round_trip(case, sqlite=False),
+    "event/serial/warm-sqlite": lambda case: _store_round_trip(case, sqlite=True),
+    WARM_STATE_LEG: _stored_warm_state,
+}
+
+#: The process-pool legs a thorough check adds.
+PARALLEL_LEGS: Dict[str, Leg] = {
+    "event/parallel/cold": lambda case: case.parallel("event"),
+    "naive/parallel/cold": lambda case: case.parallel("naive"),
+}
+
+
+def _run_leg(leg: Leg, case: _Case) -> Tuple[str, Optional[RunResult]]:
+    """``leg``'s digest on ``case`` and its result (None for a marker or a
+    raised :class:`SimulationError`, whose :func:`_error_digest` is the
+    digest)."""
     try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FORCE_INLINE_FADE", None)
-        else:
-            os.environ["REPRO_FORCE_INLINE_FADE"] = previous
+        outcome = leg(case)
+    except SimulationError as error:
+        return _error_digest(error), None
+    if isinstance(outcome, str):
+        return outcome, None
+    return result_digest(outcome), outcome
 
 
 @dataclasses.dataclass
@@ -190,7 +280,7 @@ class DifferentialOracle:
     plans; every leg still simulates independently.
 
     ``thorough=False`` drops the parallel (process-pool) legs — the serial
-    engine/filter/store product only — for unit tests and tight budgets.
+    engine/store product only — for unit tests and tight budgets.
     """
 
     def __init__(self, thorough: bool = True, jobs: int = 2) -> None:
@@ -200,165 +290,36 @@ class DifferentialOracle:
 
     # ---------------------------------------------------------------- legs
 
-    def _serial_result(
-        self, spec: RunSpec, engine: str, inline: bool
-    ) -> RunResult:
-        leg_spec = spec.replace(
-            config=dataclasses.replace(spec.config, engine=engine)
-        )
-        with forced_inline(inline):
-            return execute_spec(leg_spec, self._cache)
-
-    def _stored_warm_digest(self, spec: RunSpec) -> str:
-        """The event engine's digest for ``spec`` run from its warm state
-        after a round trip through a throwaway store: the first build
-        warms and writes it, the second loads it.  A store that cannot be
-        used (sources edited since load) leaves a plain run."""
-        leg_spec = spec.replace(
-            config=dataclasses.replace(spec.config, engine="event")
-        )
-        with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
-            store = TraceStore(tmp)
-            written = build_simulation(leg_spec, self._cache, store)
-            if (store.enabled and written.warmup_items
-                    and store.stats()["blobs"] != 1):
-                return "<warm-state-not-written>"
-            simulation = build_simulation(leg_spec, self._cache, store)
-            if store.healed:
-                return "<warm-state-not-loaded>"
-            return result_digest(simulation.run())
+    def _legs(self) -> Dict[str, Leg]:
+        """Every leg a check runs: leg name -> its definition."""
+        if self.thorough:
+            return {**SERIAL_LEGS, **PARALLEL_LEGS}
+        return SERIAL_LEGS
 
     def _leg_runner(self, leg: str) -> Callable[[RunSpec], str]:
-        """A digest function for one leg name (used by the shrinker)."""
-        if leg == WARM_STATE_LEG:
-            return self._stored_warm_digest
-        engine = leg.split("/", 1)[0]
-        inline = "/inline/" in leg
-        if leg.endswith("/warm") or leg.endswith("/warm-sqlite"):
-            sqlite_leg = leg.endswith("/warm-sqlite")
-
-            def run_warm(spec: RunSpec) -> str:
-                leg_spec = spec.replace(
-                    config=dataclasses.replace(spec.config, engine=engine)
-                )
-                cold = self._serial_result(spec, engine, inline)
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-oracle-"
-                ) as tmp:
-                    target = (
-                        os.path.join(tmp, "store.db") if sqlite_leg else tmp
-                    )
-                    store = ResultStore(target)
-                    store.put(leg_spec, cold)
-                    warm = store.get(leg_spec)
-                    store.close()
-                if warm is None:
-                    return "<store-miss-after-put>"
-                return result_digest(warm)
-
-            return run_warm
-        if "/parallel/" in leg:
-
-            def run_parallel(spec: RunSpec) -> str:
-                with forced_inline(inline):
-                    runner = ParallelRunner(jobs=self.jobs, cache=self._cache)
-                    results = runner.run(
-                        [
-                            spec.replace(
-                                config=dataclasses.replace(
-                                    spec.config, engine=engine
-                                )
-                            )
-                        ]
-                        * 2
-                    )
-                return result_digest(results.results[0])
-
-            return run_parallel
-
-        def run_serial(spec: RunSpec) -> str:
-            return result_digest(self._serial_result(spec, engine, inline))
-
-        return run_serial
+        """A digest function for one leg name (used by the shrinker): the
+        leg alone, on a case of its own."""
+        definition = self._legs()[leg]
+        return lambda spec: _run_leg(
+            definition, _Case(spec, self._cache, self.jobs)
+        )[0]
 
     def _all_legs(
         self, spec: RunSpec
     ) -> Tuple[Dict[str, str], Dict[str, RunResult]]:
-        """Digest every leg of the cross-product for ``spec``.
+        """Digest every leg for ``spec``, on one shared case.
 
         Returns (leg name -> digest, leg name -> result) — results are kept
-        only for serial legs, to print the divergence path without
+        for every leg that has one, to print the divergence path without
         re-simulating.
         """
+        case = _Case(spec, self._cache, self.jobs)
         digests: Dict[str, str] = {}
         results: Dict[str, RunResult] = {}
-        serial_specs: Dict[str, RunSpec] = {}
-        for engine in ("event", "naive"):
-            for mode, inline in (("memo", False), ("inline", True)):
-                leg = f"{engine}/serial/{mode}/cold"
-                serial_specs[leg] = spec.replace(
-                    config=dataclasses.replace(spec.config, engine=engine)
-                )
-                try:
-                    result = self._serial_result(spec, engine, inline)
-                except SimulationError as error:
-                    digests[leg] = _error_digest(error)
-                    continue
-                digests[leg] = result_digest(result)
-                results[leg] = result
-
-        # Store round-trip: a warm hit must be byte-identical to the cold
-        # computation that produced it.  A throwaway temp store — never the
-        # user's persistent cache (see ResultStore(readonly=...)).
-        with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
-            reference_spec = serial_specs[REFERENCE_LEG]
-            for leg, target in (
-                ("event/serial/memo/warm", tmp),
-                (
-                    "event/serial/memo/warm-sqlite",
-                    os.path.join(tmp, "store.db"),
-                ),
-            ):
-                if REFERENCE_LEG not in results:
-                    break  # The reference raised: nothing to round-trip.
-                store = ResultStore(target)
-                store.put(reference_spec, results[REFERENCE_LEG])
-                warm = store.get(reference_spec)
-                store.close()
-                if warm is None:
-                    digests[leg] = "<store-miss-after-put>"
-                else:
-                    digests[leg] = result_digest(warm)
-                    results[leg] = warm
-
-        digests[WARM_STATE_LEG] = _guarded(self._stored_warm_digest, spec)
-
-        if self.thorough:
-            # Both engines share one pool per filter mode (two pools per
-            # case instead of four): the pool startup dominates these legs.
-            for mode, inline in (("memo", False), ("inline", True)):
-                pair = [
-                    spec.replace(
-                        config=dataclasses.replace(spec.config, engine=engine)
-                    )
-                    for engine in ("event", "naive")
-                ]
-                try:
-                    with forced_inline(inline):
-                        runner = ParallelRunner(jobs=self.jobs, cache=self._cache)
-                        outcome = runner.run(pair)
-                except SimulationError:
-                    # One engine raised: run each leg alone to tell which.
-                    for engine in ("event", "naive"):
-                        leg = f"{engine}/parallel/{mode}/cold"
-                        digests[leg] = _guarded(self._leg_runner(leg), spec)
-                    continue
-                digests[f"event/parallel/{mode}/cold"] = result_digest(
-                    outcome.results[0]
-                )
-                digests[f"naive/parallel/{mode}/cold"] = result_digest(
-                    outcome.results[1]
-                )
+        for name, leg in self._legs().items():
+            digests[name], result = _run_leg(leg, case)
+            if result is not None:
+                results[name] = result
         return digests, results
 
     # -------------------------------------------------------------- shrink
@@ -380,7 +341,7 @@ class DifferentialOracle:
             )
 
         def disagrees(candidate: RunSpec) -> bool:
-            return _guarded(run_a, candidate) != _guarded(run_b, candidate)
+            return run_a(candidate) != run_b(candidate)
 
         best = spec
         n = spec.settings.num_instructions
@@ -428,13 +389,12 @@ class DifferentialOracle:
             for leg, digest in digests.items():
                 if digest == reference:
                     continue
-                divergence = ""
                 if leg in results and REFERENCE_LEG in results:
                     divergence = first_divergence(
                         results[REFERENCE_LEG], results[leg]
                     )
-                elif digest.startswith("<") or reference.startswith("<"):
-                    # A leg without a result (it raised, or the store
+                else:
+                    # A leg without a result (it raised, or its store
                     # missed): its marker is where the two legs part.
                     divergence = digest if digest.startswith("<") else reference
                 shrunk, probes = self._shrink(

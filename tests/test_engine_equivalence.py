@@ -171,20 +171,6 @@ def test_stack_update_drain_corners(monitor_name, config_kwargs):
     assert naive.fade_drain_cycles + naive.fade_wait_cycles > 0
 
 
-def test_force_inline_event_engine_matches(monkeypatch):
-    """REPRO_FORCE_INLINE_FADE=1 disables the filter memo; the event engine
-    must still match both the naive reference and its own memoized results
-    (the CI fallback-rot check)."""
-    memo_naive, memo_event = run_both("memcheck", "astar", fade_enabled=True)
-    monkeypatch.setenv("REPRO_FORCE_INLINE_FADE", "1")
-    inline_naive, inline_event = run_both(
-        "memcheck", "astar", fade_enabled=True
-    )
-    assert inline_event.to_dict() == inline_naive.to_dict()
-    assert inline_event.to_dict() == memo_event.to_dict()
-    assert memo_naive.to_dict() == memo_event.to_dict()
-
-
 @pytest.mark.parametrize(
     "config_kwargs",
     [

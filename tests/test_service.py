@@ -6,6 +6,7 @@ an in-process ParallelRunner.
 
 import asyncio
 import copy
+import dataclasses
 import json
 import threading
 
@@ -68,6 +69,23 @@ class TestConfigFromFields:
     def test_unknown_alias_rejected(self):
         with pytest.raises(ConfigurationError):
             config_from_fields({"core_type": "quantum"})
+
+    def test_partial_cache_level_merges_over_defaults(self):
+        config = config_from_fields({"hierarchy": {"l1": {"latency": 3}}})
+        assert config.hierarchy.l1 == dataclasses.replace(
+            SystemConfig().hierarchy.l1, latency=3
+        )
+        assert config.hierarchy.l2 == SystemConfig().hierarchy.l2
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"hierarchy": {"l1": {"size_bytes": 0}}}, "L1.size_bytes"),
+        ({"hierarchy": {"l1": {"sizebytes": 1}}}, "hierarchy.l1 field"),
+        ({"hierarchy": {"dram": 1}}, "hierarchy field"),
+        ({"md_cache": {"tlb": 1}}, "md_cache field"),
+    ])
+    def test_nested_nonsense_rejected_by_name(self, fields, named):
+        with pytest.raises(ConfigurationError, match=named):
+            config_from_fields(fields)
 
 
 class TestCampaignExpansion:
@@ -331,13 +349,23 @@ class TestServerEndToEnd:
         ("config", "fsq_capacity", True),
         ("config", "burst_gap_threshold", -1),
         ("config", "max_cycles", 0),
+        ("config", "md_cache.tlb_service_instructions", -5),
+        ("config", "md_cache.tlb_service_instructions", 2.5),
+        ("config", "md_cache.hit_latency", -3),
+        ("config", "md_cache.miss_latency", -30),
+        ("config", "hierarchy.l1.latency", -2),
+        ("config", "hierarchy.dram_latency", -100),
     ])
     def test_invalid_settings_are_an_error_event_not_a_stored_result(
         self, server, section, field, value
     ):
         instance, address = server
-        bad = GRID[0].to_dict()
-        bad[section] = {**bad[section], field: value}
+        bad = copy.deepcopy(GRID[0].to_dict())
+        *path, leaf = [section, *field.split(".")]
+        target = bad
+        for key in path:
+            target = target[key]
+        target[leaf] = value
         raw = json.dumps({"specs": [bad]}).encode()
         status, stream = ServiceClient(address)._request("POST", "/run", raw)
         assert status == 200
@@ -345,7 +373,7 @@ class TestServerEndToEnd:
             events = [json.loads(line) for line in stream if line.strip()]
         spec_events = [e for e in events if e["event"] == "spec"]
         assert spec_events[0]["status"] == "error"
-        assert field in spec_events[0]["error"]
+        assert leaf in spec_events[0]["error"]
         assert instance.scheduler.stats()["computed"] == 0
         assert len(instance.store) == 0
 

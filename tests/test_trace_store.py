@@ -704,17 +704,6 @@ class TestWarmState:
         assert cache.warm_state(spec, 1, never) is None
         assert cache.stats()["warm_store_hits"] == 0
 
-    def test_forced_inline_filtering_is_keyed_apart(self, store,
-                                                    monkeypatch):
-        spec = RunSpec("gcc", "memcheck", settings=SMALL)
-        memo = execute_spec(spec, RunnerCache())
-        monkeypatch.setenv("REPRO_FORCE_INLINE_FADE", "1")
-        cache = RunnerCache()
-        inline = execute_spec(spec, cache)
-        assert cache.stats()["warm_store_hits"] == 0
-        assert len(_warm_blobs(store.path)) == 2
-        assert inline.to_dict() == memo.to_dict()
-
     def test_cells_differing_in_core_share_one_warm_state(self, store):
         cache = RunnerCache()
         results = [

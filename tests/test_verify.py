@@ -13,8 +13,9 @@ from repro.api import ExperimentSettings, ParallelRunner, RunSpec, execute_spec
 from repro.api.cache import RunnerCache
 from repro.api.store import ResultStore
 from repro.common.errors import ConfigurationError
+from repro.fade.pipeline import FilteringPipeline
 from repro.system.config import SystemConfig
-from repro.system.simulator import MonitoringSimulation, force_inline_filtering
+from repro.system.simulator import MonitoringSimulation
 from repro.verify.coverage import COVERAGE, TRACKED_STATES, CoverageMap
 from repro.verify.fuzz import (
     MONITORS,
@@ -176,10 +177,31 @@ class TestDifferentialOracle:
         oracle = DifferentialOracle(thorough=True)
         assert oracle.check(spec) is None
         digests, _ = oracle._all_legs(spec)
-        assert "event/parallel/memo/cold" in digests
-        assert "naive/parallel/inline/cold" in digests
-        assert "event/serial/memo/warm" in digests
+        assert list(digests) == [
+            "event/serial/cold",
+            "naive/serial/cold",
+            "event/serial/warm",
+            "event/serial/warm-sqlite",
+            "event/serial/warm-state",
+            "event/parallel/cold",
+            "naive/parallel/cold",
+        ]
         assert len(set(digests.values())) == 1
+
+    def test_fast_sweep_runs_the_serial_legs(self):
+        spec = RunSpec("astar", "memleak", SystemConfig(), TINY)
+        digests, _ = DifferentialOracle(thorough=False)._all_legs(spec)
+        assert len(digests) == 5
+        assert not any("/parallel/" in leg for leg in digests)
+
+    def test_shrinker_runs_each_leg_as_the_sweep_does(self):
+        # One leg table: every leg the sweep reports, re-run alone through
+        # the shrinker's runner for its name, gives the sweep's digest.
+        spec = RunSpec("astar", "memcheck", SystemConfig(), TINY)
+        oracle = DifferentialOracle(thorough=True)
+        digests, _ = oracle._all_legs(spec)
+        for leg, digest in digests.items():
+            assert oracle._leg_runner(leg)(spec) == digest, leg
 
     def test_first_divergence_paths(self):
         spec = RunSpec("astar", "memleak", SystemConfig(), TINY)
@@ -219,6 +241,29 @@ class TestMutationDetection:
         assert RunSpec.from_dict(artifact["shrunk_spec"]).settings
         assert artifact["leg_a"] != artifact["leg_b"]
 
+    def test_filter_memo_fault_is_caught_and_shrunk(self, monkeypatch):
+        # Only the event engine memoizes filter decisions, so a memo that
+        # replays the opposite decision splits the event legs from the
+        # naive reference's inline walk.
+        original = FilteringPipeline._memoize
+
+        def flipped(self, value_key, profile, has_address, outcome):
+            original(
+                self, value_key, profile, has_address,
+                outcome._replace(filtered=not outcome.filtered),
+            )
+
+        monkeypatch.setattr(FilteringPipeline, "_memoize", flipped)
+        spec = RunSpec("astar", "memleak", SystemConfig(), TINY)
+        mismatch = DifferentialOracle(thorough=False).check(spec)
+        assert mismatch is not None, "oracle missed the planted memo fault"
+        assert (mismatch.leg_a, mismatch.leg_b) == (
+            "event/serial/cold", "naive/serial/cold"
+        )
+        assert mismatch.digest_a != mismatch.digest_b
+        assert mismatch.shrink_probes > 0
+        assert mismatch.shrunk_instructions < spec.settings.num_instructions
+
     def test_mutation_gone_after_restore(self):
         spec = RunSpec("astar", "memleak", SystemConfig(), TINY)
         assert DifferentialOracle(thorough=False).check(spec) is None
@@ -232,9 +277,6 @@ class TestCoverageMap:
         )
         assert COVERAGE.snapshot() == {}
 
-    @pytest.mark.skipif(
-        force_inline_filtering(), reason="memo states need the memo enabled"
-    )
     def test_default_cell_hits_core_states(self):
         COVERAGE.enable()
         execute_spec(
