@@ -46,7 +46,6 @@ _EXPORTS = {
     "STORE_SCHEMA_VERSION": "repro.api.store",
     "TOPOLOGY_ALIASES": "repro.system.config",
     "benchmark_names": "repro.workload.profiles",
-    "config_from_fields": "repro.api.spec",
     "content_key": "repro.api.store",
     "create_monitor": "repro.monitors",
     "default_runner": "repro.api.runner",

@@ -13,54 +13,11 @@ import json
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.common.errors import ConfigurationError, check_int
+from repro.common.errors import ConfigurationError, check_int, from_mapping
 from repro.monitors import MONITOR_REGISTRY, monitor_names
 from repro.system.config import SystemConfig, field_dict
 from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import PROFILE_REGISTRY, benchmark_names, get_profile
-
-def config_from_fields(fields: Mapping[str, object]) -> SystemConfig:
-    """A :class:`SystemConfig` from a *partial* plain mapping.
-
-    Unlike :meth:`SystemConfig.from_dict` (which round-trips complete
-    serialized configs), this accepts any subset of fields over the
-    defaults — the campaign-YAML idiom where a config axis names only the
-    knobs it sweeps.  Core types and topologies resolve in
-    :class:`SystemConfig` itself (alias or enum value); unknown field names
-    raise a :class:`ConfigurationError` listing the valid ones.
-    """
-    valid = {field.name for field in dataclasses.fields(SystemConfig)}
-    unknown = sorted(set(fields) - valid)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown system-config field(s) {', '.join(unknown)}; "
-            f"valid fields: {', '.join(sorted(valid))}"
-        )
-    converted = dict(fields)
-    for name in ("md_cache", "hierarchy"):
-        nested = converted.get(name)
-        if isinstance(nested, Mapping):
-            # Delegate nested construction to the full round-trip parser by
-            # merging the partial mapping (and a partial ``l1``/``l2``
-            # within it) over a default config's dict.
-            base = SystemConfig().to_dict()
-            base[name] = _merged(base[name], nested)
-            converted[name] = getattr(
-                SystemConfig.from_dict(base), name
-            )
-    return SystemConfig(**converted)
-
-
-def _merged(base: Mapping[str, object], partial: Mapping[str, object]):
-    """``base`` with ``partial``'s entries over it, merging nested
-    mappings the same way."""
-    merged = dict(base)
-    for key, value in partial.items():
-        if isinstance(value, Mapping) and isinstance(merged.get(key), Mapping):
-            value = _merged(merged[key], value)
-        merged[key] = value
-    return merged
-
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSettings:
@@ -95,8 +52,10 @@ class ExperimentSettings:
         return field_dict(self)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ExperimentSettings":
-        return cls(**data)
+    def from_dict(
+        cls, data: Mapping[str, object], path: str = ""
+    ) -> "ExperimentSettings":
+        return from_mapping(cls, data, path)
 
 
 DEFAULT_SETTINGS = ExperimentSettings()
@@ -177,19 +136,11 @@ class RunSpec:
         return data
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RunSpec":
-        profile = data.get("profile")
-        return cls(
-            benchmark=data["benchmark"],
-            monitor=data["monitor"],
-            config=SystemConfig.from_dict(data["config"]),
-            settings=ExperimentSettings.from_dict(data["settings"]),
-            profile=(
-                BenchmarkProfile.from_dict(profile)
-                if profile is not None
-                else None
-            ),
-        )
+    def from_dict(cls, data: Mapping[str, object], path: str = "") -> "RunSpec":
+        """The spec a plain mapping describes: ``benchmark`` and
+        ``monitor`` are required, and a partial ``config``, ``settings``
+        or ``profile`` mapping fills in from the defaults."""
+        return from_mapping(cls, data, path)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

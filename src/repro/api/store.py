@@ -338,10 +338,6 @@ class BlobDir:
 class ResultStore:
     """On-disk RunSpec-content → RunResult cache (backend-agnostic)."""
 
-    #: Kept as a class attribute for backwards compatibility; the canonical
-    #: constant is module-level :data:`STORE_SCHEMA_VERSION`.
-    SCHEMA_VERSION = STORE_SCHEMA_VERSION
-
     def __init__(
         self, path: Union[str, os.PathLike], readonly: bool = False
     ) -> None:

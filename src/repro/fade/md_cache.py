@@ -35,10 +35,10 @@ class MetadataCacheConfig:
     def __post_init__(self) -> None:
         for name in ("size_bytes", "associativity", "block_bytes",
                      "tlb_entries"):
-            check_int(f"md_cache.{name}", getattr(self, name), 1)
+            check_int(name, getattr(self, name), 1)
         for name in ("hit_latency", "miss_latency",
                      "tlb_service_instructions"):
-            check_int(f"md_cache.{name}", getattr(self, name), 0)
+            check_int(name, getattr(self, name), 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,7 +67,6 @@ class MetadataCache:
                 associativity=config.associativity,
                 block_bytes=config.block_bytes,
                 latency=config.hit_latency,
-                name="MD$",
             )
         )
         self._tlb = Tlb(config.tlb_entries)

@@ -28,27 +28,25 @@ class CacheConfig:
         associativity: ways per set.
         block_bytes: cache-block size.
         latency: access (hit) latency in cycles.
-        name: label used in statistics output.
     """
 
     size_bytes: int
     associativity: int
     block_bytes: int
     latency: int
-    name: str = "cache"
 
     def __post_init__(self) -> None:
         for field in ("size_bytes", "associativity", "block_bytes"):
-            check_int(f"{self.name}.{field}", getattr(self, field), 1)
-        check_int(f"{self.name}.latency", self.latency, 0)
+            check_int(field, getattr(self, field), 1)
+        check_int("latency", self.latency, 0)
         if self.size_bytes % (self.associativity * self.block_bytes) != 0:
             raise ConfigurationError(
-                f"{self.name}: size {self.size_bytes} not divisible by "
+                f"size_bytes {self.size_bytes} not divisible by "
                 f"associativity*block ({self.associativity}*{self.block_bytes})"
             )
         num_sets = self.size_bytes // (self.associativity * self.block_bytes)
         if num_sets & (num_sets - 1) != 0:
-            raise ConfigurationError(f"{self.name}: set count {num_sets} not a power of two")
+            raise ConfigurationError(f"set count {num_sets} not a power of two")
 
     @property
     def num_sets(self) -> int:

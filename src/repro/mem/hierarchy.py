@@ -23,12 +23,12 @@ class HierarchyConfig:
 
     l1: CacheConfig = dataclasses.field(
         default_factory=lambda: CacheConfig(
-            size_bytes=32 * KB, associativity=2, block_bytes=64, latency=2, name="L1"
+            size_bytes=32 * KB, associativity=2, block_bytes=64, latency=2
         )
     )
     l2: CacheConfig = dataclasses.field(
         default_factory=lambda: CacheConfig(
-            size_bytes=2 * MB, associativity=16, block_bytes=64, latency=10, name="L2"
+            size_bytes=2 * MB, associativity=16, block_bytes=64, latency=10
         )
     )
     dram_latency: int = 90
@@ -37,10 +37,10 @@ class HierarchyConfig:
         for level in ("l1", "l2"):
             if not isinstance(getattr(self, level), CacheConfig):
                 raise ConfigurationError(
-                    f"hierarchy.{level} must be a cache config, got "
+                    f"{level} must be a cache config, got "
                     f"{getattr(self, level)!r}"
                 )
-        check_int("hierarchy.dram_latency", self.dram_latency, 0)
+        check_int("dram_latency", self.dram_latency, 0)
 
 
 class MemoryHierarchy:

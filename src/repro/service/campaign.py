@@ -8,8 +8,8 @@ code, and the batch runs in-process or against a ``repro serve`` instance.
 Schema (all keys optional except ``grid`` or ``specs``)::
 
     name: fig9-mini                  # label for logs/summaries
-    settings:                        # ExperimentSettings fields
-      num_instructions: 2000
+    settings:                        # ExperimentSettings fields (or the
+      num_instructions: 2000         #   aliases instructions / warmup)
       seed: 7
       warmup_fraction: 0.5
     grid:                            # Cartesian product, row-major in the
@@ -19,10 +19,20 @@ Schema (all keys optional except ``grid`` or ``specs``)::
         - {}                         #   only the swept knobs; core_type /
         - fade_enabled: false        #   topology accept CLI aliases
           core_type: inorder         #   ("ooo4", "inorder", "single", ...)
-    specs:                           # explicit extra cells, full
-      - benchmark: gcc               #   RunSpec.to_dict() shape for
-        monitor: memcheck            #   config/settings when present
-        config: {...}                # (omitted fields default)
+        - hierarchy: {l1: {latency: 3}}  # nested mappings merge too
+    specs:                           # explicit extra cells in the
+      - benchmark: gcc               #   RunSpec.to_dict() shape; config,
+        monitor: memcheck            #   settings and profile may be
+        config: {...}                #   partial (omitted fields default;
+      - benchmark: heap-storm        #   no settings: the campaign's)
+        monitor: memleak
+        profile: {name: heap-storm, malloc_rate: 0.05}
+
+Every mapping becomes a config or spec through the one parser,
+:func:`repro.common.errors.from_mapping` (via the ``from_dict`` of
+:class:`~repro.system.config.SystemConfig`, ``ExperimentSettings`` and
+``RunSpec``), so an unknown or invalid key is a ``ConfigurationError``
+naming its path, e.g. ``specs[0].config.hierarchy.l1.name``.
 
 YAML needs PyYAML (present in the standard toolchain image); ``.json``
 campaign files parse without it, so the feature degrades cleanly rather
@@ -34,39 +44,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Dict, List, Mapping, Optional, Union
+from typing import List, Mapping, Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.api.results import ResultSet
 from repro.api.runner import ParallelRunner, run_specs
-from repro.api.spec import (
-    ExperimentSettings,
-    RunSpec,
-    config_from_fields,
-    spec_grid,
-)
+from repro.api.spec import ExperimentSettings, RunSpec, spec_grid
 from repro.api.store import ResultStore
+from repro.system.config import SystemConfig
 
-#: ExperimentSettings field aliases accepted in campaign files (the CLI
-#: flag spellings next to the dataclass field names).
+#: ExperimentSettings field aliases accepted in a campaign's ``settings``
+#: section (the CLI flag spellings next to the dataclass field names).
 _SETTINGS_ALIASES = {
     "instructions": "num_instructions",
     "warmup": "warmup_fraction",
 }
-
-
-def _parse_settings(data: Mapping[str, object]) -> ExperimentSettings:
-    fields: Dict[str, object] = {}
-    valid = {field.name for field in dataclasses.fields(ExperimentSettings)}
-    for key, value in data.items():
-        name = _SETTINGS_ALIASES.get(key, key)
-        if name not in valid:
-            raise ConfigurationError(
-                f"unknown settings field {key!r}; valid: "
-                f"{', '.join(sorted(valid | set(_SETTINGS_ALIASES)))}"
-            )
-        fields[name] = value
-    return ExperimentSettings(**fields)
 
 
 def expand_campaign(data: Mapping[str, object]) -> List[RunSpec]:
@@ -82,7 +74,18 @@ def expand_campaign(data: Mapping[str, object]) -> List[RunSpec]:
             f"unknown campaign key(s) {', '.join(unknown)}; "
             "valid keys: name, settings, grid, specs"
         )
-    settings = _parse_settings(data.get("settings") or {})
+    settings = data.get("settings") or {}
+    if isinstance(settings, Mapping):
+        renamed = {
+            _SETTINGS_ALIASES.get(key, key): value
+            for key, value in settings.items()
+        }
+        if len(renamed) < len(settings):
+            raise ConfigurationError(
+                "settings names a field twice, by its name and its alias"
+            )
+        settings = renamed
+    settings = ExperimentSettings.from_dict(settings, "settings")
     specs: List[RunSpec] = []
     grid = data.get("grid")
     if grid is not None:
@@ -100,26 +103,14 @@ def expand_campaign(data: Mapping[str, object]) -> List[RunSpec]:
                 "'monitors' lists"
             )
         configs = [
-            config_from_fields(fields or {})
-            for fields in (grid.get("configs") or [{}])
+            SystemConfig.from_dict(fields or {}, f"grid.configs[{index}]")
+            for index, fields in enumerate(grid.get("configs") or [{}])
         ]
         specs.extend(spec_grid(benchmarks, monitors, configs, settings))
-    for entry in data.get("specs") or []:
-        spec_fields = dict(entry)
-        if "config" in spec_fields and isinstance(
-            spec_fields["config"], Mapping
-        ):
-            spec_fields["config"] = config_from_fields(spec_fields["config"])
-        if "settings" in spec_fields and isinstance(
-            spec_fields["settings"], Mapping
-        ):
-            spec_fields["settings"] = _parse_settings(spec_fields["settings"])
-        else:
-            spec_fields.setdefault("settings", settings)
-        try:
-            specs.append(RunSpec(**spec_fields))
-        except TypeError as error:
-            raise ConfigurationError(f"bad campaign spec entry: {error}")
+    for index, entry in enumerate(data.get("specs") or []):
+        if isinstance(entry, Mapping) and "settings" not in entry:
+            entry = {**entry, "settings": settings}
+        specs.append(RunSpec.from_dict(entry, f"specs[{index}]"))
     if not specs:
         raise ConfigurationError(
             "campaign expands to zero specs: add a 'grid' or 'specs' section"

@@ -6,10 +6,9 @@ import dataclasses
 import enum
 from typing import Dict, Mapping, Optional
 
-from repro.common.errors import ConfigurationError, check_int
+from repro.common.errors import ConfigurationError, check_int, from_mapping
 from repro.cores.base import CoreType
 from repro.fade.md_cache import MetadataCacheConfig
-from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
 
 
@@ -69,15 +68,19 @@ def field_dict(obj: object) -> Dict[str, object]:
 
 
 #: The :class:`SystemConfig` fields that take ``True`` or ``False`` only.
-_BOOL_FIELDS = (
-    "fade_enabled", "non_blocking", "sample_queue_occupancy",
-    "stack_update_drain",
-)
+_BOOL_FIELDS = ("fade_enabled", "non_blocking", "stack_update_drain")
 
 
 @dataclasses.dataclass(frozen=True)
 class SystemConfig:
-    """Everything needed to instantiate one monitoring system."""
+    """Everything needed to instantiate one monitoring system.
+
+    What the paper fixes is not a field: both engines sample queue
+    occupancy every cycle (Figure 3), a burst ends after a gap of more
+    than 16 filterable events (Section 3.4) and the cache levels are L1
+    and L2 by position (Table 1).  :meth:`from_dict` reads any subset of
+    the fields, merging nested mappings over the defaults.
+    """
 
     core_type: CoreType = CoreType.OOO4
     topology: Topology = Topology.SINGLE_CORE_SMT
@@ -92,11 +95,6 @@ class SystemConfig:
         default_factory=MetadataCacheConfig
     )
     hierarchy: HierarchyConfig = dataclasses.field(default_factory=HierarchyConfig)
-    #: Sample queue occupancies every cycle (Figure 3 data; small cost).
-    sample_queue_occupancy: bool = True
-    #: Unfiltered events closer than this (in filterable events) belong to
-    #: the same burst (Section 3.4's definition uses 16).
-    burst_gap_threshold: int = 16
     #: Drain the unfiltered event queue before SUU stack updates (Section
     #: 5.2).  Disabling this is an *unsound* ablation used to quantify what
     #: the drain requirement costs.
@@ -134,7 +132,6 @@ class SystemConfig:
             check_int("event_queue_capacity", self.event_queue_capacity, 1)
         check_int("unfiltered_queue_capacity", self.unfiltered_queue_capacity, 1)
         check_int("fsq_capacity", self.fsq_capacity, 1)
-        check_int("burst_gap_threshold", self.burst_gap_threshold, 0)
         check_int("max_cycles", self.max_cycles, 1)
         if self.engine == "vector":
             # Not aliased: the engine is part of every result-store key.
@@ -170,31 +167,9 @@ class SystemConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SystemConfig":
-        fields = dict(data)
-        md_cache = fields.get("md_cache")
-        if isinstance(md_cache, Mapping):
-            fields["md_cache"] = _nested(MetadataCacheConfig, "md_cache", md_cache)
-        hierarchy = fields.get("hierarchy")
-        if isinstance(hierarchy, Mapping):
-            hierarchy = dict(hierarchy)
-            for level in ("l1", "l2"):
-                if isinstance(hierarchy.get(level), Mapping):
-                    hierarchy[level] = _nested(
-                        CacheConfig, f"hierarchy.{level}", hierarchy[level]
-                    )
-            fields["hierarchy"] = _nested(HierarchyConfig, "hierarchy", hierarchy)
-        return cls(**fields)
-
-
-def _nested(config_type, field: str, data: Mapping[str, object]):
-    """``config_type(**data)``; a key it has no field for is a
-    :class:`ConfigurationError` naming ``field`` and the valid keys."""
-    valid = {f.name for f in dataclasses.fields(config_type)}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {field} field(s) {', '.join(unknown)}; "
-            f"valid fields: {', '.join(sorted(valid))}"
-        )
-    return config_type(**data)
+    def from_dict(
+        cls, data: Mapping[str, object], path: str = ""
+    ) -> "SystemConfig":
+        """The config a (possibly partial) plain mapping describes, over
+        the defaults (:func:`~repro.common.errors.from_mapping`)."""
+        return from_mapping(cls, data, path)

@@ -75,6 +75,10 @@ HIGH_LEVEL = 3
 
 _NONZERO = re.compile(b"[^\x00]")
 
+#: Unfiltered events at most this many filterable events apart belong to
+#: one burst (Section 3.4's definition; Figure 4(c)).
+BURST_GAP = 16
+
 
 class KindTable(NamedTuple):
     """The delivery plan of one (trace, monitor): one kind code per trace
@@ -203,7 +207,6 @@ class MonitoringSimulation:
         self.warmup_items = warmup_count(len(trace), warmup_items)
         self._params = CORE_PARAMETERS[config.core_type]
         self._smt = config.is_smt
-        self._sample = config.sample_queue_occupancy
 
         # Handler budgets in exact integer units of 1/(2 * denominator)
         # instructions: both the full-share and the SMT half-share budget
@@ -452,14 +455,13 @@ class MonitoringSimulation:
         stored result."""
         cycles = self._now
         result = self.result
-        laws = [("cycle-breakdown total", self._breakdown.total, cycles)]
-        if self._sample:
-            # Each occupancy histogram samples every simulated cycle once.
-            laws.append(("event-queue samples", sum(self._eq_hist.values()), cycles))
-            if self._split_queues:
-                laws.append(
-                    ("unfiltered-queue samples", sum(self._wq_hist.values()), cycles)
-                )
+        # Each occupancy histogram samples every simulated cycle once (the
+        # two are one histogram without FADE).
+        laws = [
+            ("cycle-breakdown total", self._breakdown.total, cycles),
+            ("event-queue samples", sum(self._eq_hist.values()), cycles),
+            ("unfiltered-queue samples", sum(self._wq_hist.values()), cycles),
+        ]
         if self.fade is not None:
             stats = self.fade.stats
             laws.append(
@@ -512,8 +514,6 @@ class MonitoringSimulation:
             cov.hit("run.fade_wait")
         if self.event_queue.stats.rejected:
             cov.hit("run.eq_rejected")
-        if not self._sample:
-            return
         for prefix, hist, capacity in (
             ("eq", self._eq_hist, self.event_queue.capacity),
             ("wq", self._wq_hist, self._wq_capacity),
@@ -589,7 +589,6 @@ class MonitoringSimulation:
         memory_slot = MEMORY_SLOT
         register = OPERAND_REGISTER
         smt = self._smt
-        sample = self._sample
         split = self._split_queues
         budget_full = self._budget_full
         budget_half = self._budget_half
@@ -758,10 +757,9 @@ class MonitoringSimulation:
                         halves += quiet
                     else:
                         halves += 2 * quiet
-                if sample:
-                    eq_hist[len(eq)] += quiet
-                    if split:
-                        wq_hist[len(wq)] += quiet
+                eq_hist[len(eq)] += quiet
+                if split:
+                    wq_hist[len(wq)] += quiet
                 now += quiet
                 if covering:
                     hit("engine.skip")
@@ -885,8 +883,6 @@ class MonitoringSimulation:
                             write_invariant(inv_id, value)
                         wq.append(item)
                         wq_stats.enqueued += 1
-                        if len(wq) > wq_stats.max_occupancy:
-                            wq_stats.max_occupancy = len(wq)
                         ready_at = now + 1
                         if covering:
                             hit("fade.high_level")
@@ -922,8 +918,6 @@ class MonitoringSimulation:
                                 else item
                             )
                             wq_stats.enqueued += 1
-                            if len(wq) > wq_stats.max_occupancy:
-                                wq_stats.max_occupancy = len(wq)
                             if blocking:
                                 wait_seq = item
                 else:
@@ -939,8 +933,6 @@ class MonitoringSimulation:
                     else:
                         eq.append(app_index)
                         eq_stats.enqueued += 1
-                        if len(eq) > eq_stats.max_occupancy:
-                            eq_stats.max_occupancy = len(eq)
                         app_index += 1
                         app_blocked = False
                 if not app_blocked:
@@ -959,14 +951,11 @@ class MonitoringSimulation:
                                 break
                             eq.append(app_index)
                             eq_stats.enqueued += 1
-                            if len(eq) > eq_stats.max_occupancy:
-                                eq_stats.max_occupancy = len(eq)
                         app_index += 1
 
-            if sample:
-                eq_hist[len(eq)] += 1
-                if split:
-                    wq_hist[len(wq)] += 1
+            eq_hist[len(eq)] += 1
+            if split:
+                wq_hist[len(wq)] += 1
             if not monitor_busy:
                 monitor_idle += 1
             elif app_blocked:
@@ -994,6 +983,12 @@ class MonitoringSimulation:
         breakdown.app_idle = app_idle
         breakdown.monitor_idle = monitor_idle
         breakdown.both_busy = both_busy
+        # Within a cycle every enqueue into a queue comes after that
+        # queue's last dequeue, so its end-of-cycle sample is the cycle's
+        # peak and the top sampled occupancy is the run's maximum.
+        eq_stats.max_occupancy = max(eq_hist, default=0)
+        if split:
+            wq_stats.max_occupancy = max(wq_hist, default=0)
         if not finished:
             raise self._cycle_limit_error()
 
@@ -1004,10 +999,9 @@ class MonitoringSimulation:
         if self.fade is not None:
             self._fade_step()
         self._app_step(monitor_busy)
-        if self._sample:
-            self._eq_hist[len(self._eq_entries)] += 1
-            if self._split_queues:
-                self._wq_hist[len(self._wq_entries)] += 1
+        self._eq_hist[len(self._eq_entries)] += 1
+        if self._split_queues:
+            self._wq_hist[len(self._wq_entries)] += 1
         # Classify the cycle (Figure 11(b)).
         breakdown = self._breakdown
         if self._app_blocked and monitor_busy:
@@ -1252,7 +1246,7 @@ class MonitoringSimulation:
             return
         if self._saw_unfiltered:
             self.result.unfiltered_distances[self._filterable_gap] += 1
-            if self._filterable_gap <= self.config.burst_gap_threshold:
+            if self._filterable_gap <= BURST_GAP:
                 self._current_burst += 1
             else:
                 self._finish_burst()

@@ -28,7 +28,7 @@ from repro.api.cache import RunnerCache
 from repro.common.errors import ConfigurationError
 from repro.api.runner import execute_spec
 from repro.api.spec import ExperimentSettings, RunSpec
-from repro.api.store import ResultStore
+from repro.api.store import STORE_SCHEMA_VERSION
 from repro.system.config import SystemConfig, Topology
 from repro.cores.base import CoreType
 from repro.workload.trace import TRACE_SCHEMA_VERSION
@@ -200,7 +200,7 @@ class ConformanceCorpus:
             entry = {
                 "name": name,
                 "trace_schema": TRACE_SCHEMA_VERSION,
-                "store_schema": ResultStore.SCHEMA_VERSION,
+                "store_schema": STORE_SCHEMA_VERSION,
                 "spec": spec.to_dict(),
                 "digest": self._compute_digest(spec),
             }
@@ -256,7 +256,7 @@ class ConformanceCorpus:
                 continue
             if (
                 entry.get("trace_schema") != TRACE_SCHEMA_VERSION
-                or entry.get("store_schema") != ResultStore.SCHEMA_VERSION
+                or entry.get("store_schema") != STORE_SCHEMA_VERSION
             ):
                 failures.append(
                     ConformanceFailure(
@@ -265,7 +265,7 @@ class ConformanceCorpus:
                         f"blessed for trace/store schema "
                         f"{entry.get('trace_schema')}/"
                         f"{entry.get('store_schema')}, code is "
-                        f"{TRACE_SCHEMA_VERSION}/{ResultStore.SCHEMA_VERSION}"
+                        f"{TRACE_SCHEMA_VERSION}/{STORE_SCHEMA_VERSION}"
                         f"; re-bless with `repro conformance bless`",
                     )
                 )

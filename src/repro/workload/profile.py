@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, from_mapping
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,7 +163,7 @@ class BenchmarkProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkProfile":
-        return cls(**data)
+        return from_mapping(cls, data)
 
     @property
     def mix_total(self) -> float:

@@ -31,6 +31,7 @@ from repro.mem.hierarchy import HierarchyConfig
 from repro.monitors import MONITOR_REGISTRY, create_monitor, monitor_names
 from repro.monitors.memleak import MemLeak
 from repro.system.config import SystemConfig, Topology
+from repro.workload.profile import BenchmarkProfile
 from repro.workload.profiles import PROFILE_REGISTRY, benchmark_names, get_profile
 
 TINY = ExperimentSettings(num_instructions=1500, seed=11)
@@ -97,6 +98,51 @@ class TestRunSpec:
             message = str(excinfo.value)
             assert message.startswith(f"RunSpec.{field}: ")
             assert all(name in message for name in known)
+
+    def test_partial_mappings_fill_in_from_the_defaults(self):
+        spec = RunSpec.from_dict({
+            "benchmark": "heap-storm",
+            "monitor": "memleak",
+            "config": {"hierarchy": {"l1": {"latency": 3}},
+                       "md_cache": {"tlb_entries": 32}},
+            "settings": {"seed": 5},
+            "profile": {"name": "heap-storm", "malloc_rate": 0.05},
+        })
+        default = SystemConfig()
+        assert spec == RunSpec(
+            "heap-storm", "memleak",
+            SystemConfig(
+                hierarchy=dataclasses.replace(
+                    default.hierarchy,
+                    l1=dataclasses.replace(default.hierarchy.l1, latency=3),
+                ),
+                md_cache=MetadataCacheConfig(tlb_entries=32),
+            ),
+            ExperimentSettings(seed=5),
+            profile=BenchmarkProfile("heap-storm", malloc_rate=0.05),
+        )
+
+    @pytest.mark.parametrize("data, message", [
+        ({"monitor": "memleak"}, "missing required field(s) benchmark"),
+        ({"benchmark": "x", "monitor": "memleak", "profile": {"locality": 0.5}},
+         "missing required field(s) profile.name"),
+        ({"benchmark": "astar", "monitor": "memleak",
+          "config": {"hierarchy": {"l1": {"latency": -1}}}},
+         "config.hierarchy.l1: latency must be an integer of at least 0"),
+        ({"benchmark": "astar", "monitor": "memleak",
+          "config": {"hierarchy": {"l2": {"size_bytes": 1000}}}},
+         "config.hierarchy.l2: size_bytes 1000 not divisible"),
+        ({"benchmark": "astar", "monitor": "memleak", "settings": 3},
+         "settings must be a mapping, got int"),
+        ({"benchmark": "x", "monitor": "memleak",
+          "profile": {"name": "x", "locality": "high"}},
+         "profile: "),
+        (["astar"], "RunSpec must be a mapping, got list"),
+    ])
+    def test_bad_mappings_are_named_by_path(self, data, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            RunSpec.from_dict(data)
+        assert message in str(excinfo.value)
 
     def test_inline_profile_skips_the_benchmark_check(self):
         profile = get_profile("astar")
@@ -171,15 +217,12 @@ BAD_SCALAR_FIELDS = [
     ("fade_enabled", "false"),
     ("fade_enabled", 0),
     ("non_blocking", "true"),
-    ("sample_queue_occupancy", None),
     ("stack_update_drain", 1),
     ("fsq_capacity", True),
     ("fsq_capacity", 1.5),
     ("event_queue_capacity", 0),
     ("event_queue_capacity", False),
     ("unfiltered_queue_capacity", "16"),
-    ("burst_gap_threshold", -1),
-    ("burst_gap_threshold", 1.5),
     ("max_cycles", 0),
     ("max_cycles", -5),
     ("max_cycles", 1.5),
@@ -235,8 +278,8 @@ class TestSystemConfigValidation:
             })
 
     def test_scalar_edges_accepted(self):
-        SystemConfig(burst_gap_threshold=0, max_cycles=1,
-                      event_queue_capacity=None, fade_enabled=False)
+        SystemConfig(max_cycles=1, event_queue_capacity=None,
+                     fade_enabled=False)
 
 
 class TestExperimentSettingsValidation:

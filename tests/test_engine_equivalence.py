@@ -124,10 +124,6 @@ def test_engines_bit_identical(monitor_name, topology, mode):
             },
             id="blocking-backpressure",
         ),
-        pytest.param(
-            {"fade_enabled": True, "burst_gap_threshold": 1},
-            id="tiny-burst-gap",
-        ),
     ],
 )
 @pytest.mark.parametrize("monitor_name", ["memcheck", "atomcheck", "memleak"])
@@ -195,10 +191,6 @@ def test_stack_update_drain_corners(monitor_name, config_kwargs):
         ),
         pytest.param(
             {"fade_enabled": True, "stack_update_drain": False}, id="no-drain"
-        ),
-        pytest.param(
-            {"fade_enabled": True, "sample_queue_occupancy": False},
-            id="no-sampling",
         ),
         pytest.param(
             {"fade_enabled": True, "non_blocking": False, "fsq_capacity": 4},

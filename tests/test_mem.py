@@ -18,7 +18,6 @@ def small_cache(sets=4, ways=2, block=16):
             associativity=ways,
             block_bytes=block,
             latency=2,
-            name="test",
         )
     )
 

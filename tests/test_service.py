@@ -17,7 +17,6 @@ from repro.api import (
     ExperimentSettings,
     ParallelRunner,
     ResultStore,
-    config_from_fields,
     spec_grid,
 )
 from repro.common.errors import ConfigurationError, SimulationError
@@ -29,7 +28,10 @@ from repro.service import (
     SpecScheduler,
     expand_campaign,
 )
+from repro.api import RunSpec
 from repro.system.config import CoreType, SystemConfig, Topology
+from repro.workload.profile import BenchmarkProfile
+from repro.workload.profiles import get_profile
 
 TINY = ExperimentSettings(num_instructions=1500, seed=11)
 
@@ -41,51 +43,52 @@ GRID = spec_grid(
 )
 
 
-class TestConfigFromFields:
+class TestConfigFromDict:
     def test_empty_is_default(self):
-        assert config_from_fields({}) == SystemConfig()
+        assert SystemConfig.from_dict({}) == SystemConfig()
 
     def test_aliases(self):
-        config = config_from_fields(
+        config = SystemConfig.from_dict(
             {"core_type": "inorder", "topology": "two-core"}
         )
         assert config.core_type is CoreType.INORDER
         assert config.topology is Topology.TWO_CORE
 
     def test_enum_values_accepted(self):
-        config = config_from_fields({"core_type": CoreType.OOO2.value})
+        config = SystemConfig.from_dict({"core_type": CoreType.OOO2.value})
         assert config.core_type is CoreType.OOO2
 
     def test_plain_fields(self):
-        config = config_from_fields(
+        config = SystemConfig.from_dict(
             {"fade_enabled": False, "fsq_capacity": 32}
         )
         assert config.fade_enabled is False and config.fsq_capacity == 32
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="fade_enbaled"):
-            config_from_fields({"fade_enbaled": True})
+            SystemConfig.from_dict({"fade_enbaled": True})
 
     def test_unknown_alias_rejected(self):
         with pytest.raises(ConfigurationError):
-            config_from_fields({"core_type": "quantum"})
+            SystemConfig.from_dict({"core_type": "quantum"})
 
     def test_partial_cache_level_merges_over_defaults(self):
-        config = config_from_fields({"hierarchy": {"l1": {"latency": 3}}})
+        config = SystemConfig.from_dict({"hierarchy": {"l1": {"latency": 3}}})
         assert config.hierarchy.l1 == dataclasses.replace(
             SystemConfig().hierarchy.l1, latency=3
         )
         assert config.hierarchy.l2 == SystemConfig().hierarchy.l2
 
     @pytest.mark.parametrize("fields, named", [
-        ({"hierarchy": {"l1": {"size_bytes": 0}}}, "L1.size_bytes"),
-        ({"hierarchy": {"l1": {"sizebytes": 1}}}, "hierarchy.l1 field"),
-        ({"hierarchy": {"dram": 1}}, "hierarchy field"),
-        ({"md_cache": {"tlb": 1}}, "md_cache field"),
+        ({"hierarchy": {"l1": {"size_bytes": 0}}}, "hierarchy.l1: size_bytes"),
+        ({"hierarchy": {"l1": {"sizebytes": 1}}}, "hierarchy.l1.sizebytes"),
+        ({"hierarchy": {"dram": 1}}, "hierarchy.dram"),
+        ({"md_cache": {"tlb": 1}}, "md_cache.tlb"),
+        ({"hierarchy": {"l1": 4}}, "hierarchy.l1 must be a mapping"),
     ])
     def test_nested_nonsense_rejected_by_name(self, fields, named):
         with pytest.raises(ConfigurationError, match=named):
-            config_from_fields(fields)
+            SystemConfig.from_dict(fields)
 
 
 class TestCampaignExpansion:
@@ -133,6 +136,13 @@ class TestCampaignExpansion:
                     "benchmarks": ["astar"], "monitors": ["memleak"]}}
             )
 
+    def test_settings_field_and_its_alias_rejected(self):
+        with pytest.raises(ConfigurationError, match="alias"):
+            expand_campaign(
+                {"settings": {"instructions": 100, "num_instructions": 2000},
+                 "grid": {"benchmarks": ["astar"], "monitors": ["memleak"]}}
+            )
+
     def test_invalid_settings_rejected(self):
         with pytest.raises(ConfigurationError, match="num_instructions"):
             expand_campaign(
@@ -158,6 +168,26 @@ class TestCampaignExpansion:
         campaign = Campaign.load(path)
         assert campaign.name == "mini" and len(campaign.specs) == 2
         assert "mini" in campaign.describe()
+
+    @pytest.mark.parametrize("profile", [
+        get_profile("astar").to_dict(),
+        {"name": "heap-storm", "malloc_rate": 0.05},
+    ], ids=["full", "partial"])
+    def test_inline_profile_entry_runs_like_the_python_spec(
+        self, tmp_path, profile
+    ):
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps({
+            "settings": {"instructions": 1500, "seed": 11},
+            "specs": [{"benchmark": profile["name"], "monitor": "memleak",
+                       "profile": profile}],
+        }))
+        campaign = Campaign.load(path)
+        built = RunSpec(profile["name"], "memleak", settings=TINY,
+                        profile=BenchmarkProfile(**profile))
+        assert campaign.specs == [built]
+        assert (campaign.run().to_dict()
+                == ParallelRunner(jobs=1).run([built]).to_dict())
 
     def test_campaign_run_in_process(self, tmp_path):
         campaign = Campaign(name="t", specs=list(GRID[:2]))
@@ -266,6 +296,64 @@ def server(tmp_path):
     instance.stop_background()
 
 
+#: Keys no spec mapping has, at each level, as dotted paths, with a value.
+#: The removed knobs (``sample_queue_occupancy``, ``burst_gap_threshold``,
+#: a cache level's ``name``) are unknown keys like any other.
+UNKNOWN_KEYS = [
+    ("extra", 1),
+    ("config.bogus", 1),
+    ("config.sample_queue_occupancy", False),
+    ("config.sample_queue_occupancy", None),
+    ("config.burst_gap_threshold", -1),
+    ("config.burst_gap_threshold", 1.5),
+    ("config.hierarchy.l1.name", "L1"),
+    ("settings.warmup", 0.5),
+    ("profile.zzz", 1),
+]
+
+
+def _with_key(dotted, value):
+    """A valid spec mapping (with an inline profile) plus ``dotted``."""
+    spec = RunSpec(
+        "astar", "memleak", settings=TINY, profile=get_profile("astar")
+    ).to_dict()
+    *path, leaf = dotted.split(".")
+    target = spec
+    for key in path:
+        target = target[key]
+    target[leaf] = value
+    return spec
+
+
+@pytest.mark.parametrize("dotted, value", UNKNOWN_KEYS)
+@pytest.mark.parametrize("entry", ["from_dict", "campaign", "service"])
+def test_unknown_key_is_refused_by_its_path(
+    request, tmp_path, entry, dotted, value
+):
+    bad = _with_key(dotted, value)
+    if entry == "service":
+        instance, address = request.getfixturevalue("server")
+        raw = json.dumps({"specs": [bad]}).encode()
+        status, stream = ServiceClient(address)._request("POST", "/run", raw)
+        assert status == 200
+        with stream:
+            events = [json.loads(line) for line in stream if line.strip()]
+        spec_events = [e for e in events if e["event"] == "spec"]
+        assert spec_events[0]["status"] == "error"
+        assert dotted in spec_events[0]["error"]
+        assert instance.scheduler.stats()["computed"] == 0
+        return
+    with pytest.raises(ConfigurationError) as excinfo:
+        if entry == "from_dict":
+            RunSpec.from_dict(bad)
+        else:
+            path = tmp_path / "campaign.json"
+            path.write_text(json.dumps({"specs": [bad]}))
+            Campaign.load(path)
+    assert dotted in str(excinfo.value)
+    assert "valid fields" in str(excinfo.value)
+
+
 class TestServerEndToEnd:
     def test_health_and_stats(self, server):
         _, address = server
@@ -347,7 +435,6 @@ class TestServerEndToEnd:
         ("settings", "seed", True),
         ("config", "fade_enabled", "false"),
         ("config", "fsq_capacity", True),
-        ("config", "burst_gap_threshold", -1),
         ("config", "max_cycles", 0),
         ("config", "md_cache.tlb_service_instructions", -5),
         ("config", "md_cache.tlb_service_instructions", 2.5),

@@ -203,7 +203,7 @@ class TestContentKey:
 
     def test_registry_spec_with_default_config(self):
         assert content_key(RunSpec("astar", "memleak")) == (
-            "f924ee0b0555c6ae84777bc7da375e525d8451174a638aeea1d03f8c99864139"
+            "91b5f8c44f5611c30b1501fd3408b52bc964c089578583dcb4e3e1f5a563437c"
         )
 
     def test_spec_with_non_default_values(self):
@@ -217,7 +217,7 @@ class TestContentKey:
             ExperimentSettings(num_instructions=3000, seed=5),
         )
         assert content_key(spec) == (
-            "fc3b2a22b71c42edcf48e24d31de922add41b5e94657f088d1922b76ce328f98"
+            "d67b0e3f19b87302e6e41ebd2f1fccd70d7d7fe14d496bc6fdd2981ce90ef0c7"
         )
 
     def test_inline_profile_spec(self):
@@ -230,7 +230,7 @@ class TestContentKey:
             ),
         )
         assert content_key(spec) == (
-            "6a10033ff3cd2b09e65c184e7bd53d1d9b58b9c024c53896281b23f70b0e555d"
+            "d6494554d532e272515b67e568a62e828cc5d3cb0c06d54296e78e4ce2c845d5"
         )
 
     def test_equal_specs_that_serialize_apart_keep_their_own_keys(self):

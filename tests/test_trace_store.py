@@ -151,7 +151,7 @@ class TestPinnedKeys:
         assert store.schedule_key(
             get_profile("gcc"), 20000, 7, CoreType.OOO4, HierarchyConfig()
         ) == (
-            "a53e3f36e5c0fdccdab9b0f6dd02212dc89c36487721662d78ff01a8fc6cdc66"
+            "4ff0cdf5e2a55dda584ee5052a359132c1edcf57e925e222764bf436cd97c713"
         )
 
     @pytest.mark.parametrize("fade, key", [

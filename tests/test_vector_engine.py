@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.api import ResultStore, RunSpec, config_from_fields, content_key
+from repro.api import ResultStore, RunSpec, content_key
 from repro.common.errors import ConfigurationError
 from repro.monitors import create_monitor
 from repro.system.config import SystemConfig
@@ -71,16 +71,16 @@ def test_store_keys_separate_engines(tmp_path):
     assert store.get(naive_spec) is not None
 
 
-def test_engine_aliases_in_config_from_fields():
+def test_engine_aliases_in_config_from_dict():
     """The old campaign aliases of the vector tier are rejected rather than
     mapped onto another engine; the two remaining engines pass through."""
-    assert config_from_fields({"engine": "event"}).engine == "event"
-    assert config_from_fields({"engine": "naive"}).engine == "naive"
+    assert SystemConfig.from_dict({"engine": "event"}).engine == "event"
+    assert SystemConfig.from_dict({"engine": "naive"}).engine == "naive"
     for name in ("vec", "vectorized", "warp"):
         with pytest.raises(ConfigurationError, match="'naive' or 'event'"):
-            config_from_fields({"engine": name})
+            SystemConfig.from_dict({"engine": name})
     with pytest.raises(ConfigurationError, match="event"):
-        config_from_fields({"engine": "vector"})
+        SystemConfig.from_dict({"engine": "vector"})
 
 
 def test_unknown_engine_rejected_by_config():
